@@ -302,7 +302,7 @@ def main(argv=None) -> int:
         layer["store.hit_ratio"] = phase.notes.get("hit_ratio", 0.0)
         layer["store.warm_hit_ratio"] = phase.notes.get("warm_hit_ratio", 0.0)
         report = {"untraced": report, "traced": traced, "per_layer": layer}
-        spans_path = args.workdir.parent.parent / ".e2ebench_out"
+        spans_path = HERE.parent / ".e2ebench_out"
         spans_path.mkdir(exist_ok=True)
         with open(spans_path / f"spans-{args.workload}-{args.seed}.jsonl", "w") as out:
             for span in tracer.spans:
