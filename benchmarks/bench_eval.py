@@ -1,18 +1,18 @@
 #!/usr/bin/env python
-"""Benchmark: scalar vs batched vs compiled vs delta mapping evaluation.
+"""Benchmark: scalar vs vectorized vs delta mapping evaluation.
 
 For each ResNet-50 conv layer (plus transformer-style tensor problems), draw
-a fixed set of random candidates and time four evaluation pipelines over the
-identical candidates — see :mod:`repro.benchmarking` for the measurement
-recipe and the built-in parity audits.  The per-layer throughput, speedups,
-kernel build times and cross-layer geomeans are printed as a table and
-written (atomically) to ``BENCH_eval.json`` (default under
-``benchmarks/results/``) so the speedups are tracked across PRs::
+a fixed set of random candidates and time three evaluation pipelines over
+the identical candidates — see :mod:`repro.benchmarking` for the measurement
+recipe and the built-in parity audits.  The per-layer throughput, speedups
+and cross-layer geomeans are printed as a table and written (atomically) to
+``BENCH_eval.json`` (default under ``benchmarks/results/``) so the speedups
+are tracked across PRs::
 
     python benchmarks/bench_eval.py                  # full sweep (23 layers)
     python benchmarks/bench_eval.py --quick          # 6-layer subset
-    python benchmarks/bench_eval.py --check 10       # exit 1 below 10x batched geomean
-    python benchmarks/bench_eval.py --check-compiled 18 --check-delta 3
+    python benchmarks/bench_eval.py --check 16       # exit 1 below 16x vectorized geomean
+    python benchmarks/bench_eval.py --check 16 --check-delta 3
 """
 
 from __future__ import annotations
@@ -45,11 +45,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT, help="JSON report path")
     parser.add_argument(
         "--check", type=float, default=None, metavar="MIN",
-        help="exit 1 when the batched geomean speedup falls below MIN",
-    )
-    parser.add_argument(
-        "--check-compiled", type=float, default=None, metavar="MIN",
-        help="exit 1 when the compiled geomean speedup falls below MIN",
+        help="exit 1 when the vectorized geomean speedup falls below MIN",
     )
     parser.add_argument(
         "--check-delta", type=float, default=None, metavar="MIN",
@@ -60,18 +56,14 @@ def main(argv=None) -> int:
     layers = preset_layers("quick" if args.quick else "resnet50")
     samples = args.samples or (256 if args.quick else 512)
 
-    try:
-        report = bench_report(
-            layers,
-            samples,
-            args.seed,
-            num_moves=args.moves,
-            quick=args.quick,
-            progress=lambda row: print(render_row(row)),
-        )
-    except RuntimeError as error:  # no numpy: nothing to measure
-        print(str(error), file=sys.stderr)
-        return 1
+    report = bench_report(
+        layers,
+        samples,
+        args.seed,
+        num_moves=args.moves,
+        quick=args.quick,
+        progress=lambda row: print(render_row(row)),
+    )
 
     atomic_write_json(args.out, report)
     print(f"\n{render_summary(report)} -> {args.out}")
@@ -79,7 +71,6 @@ def main(argv=None) -> int:
     failures = check_report(
         report,
         check=args.check,
-        check_compiled=args.check_compiled,
         check_delta=args.check_delta,
     )
     for failure in failures:

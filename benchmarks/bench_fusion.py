@@ -15,14 +15,14 @@ so the fusion savings are tracked across PRs::
     python benchmarks/bench_fusion.py --check    # exit 1 unless every fused
                                                  # group strictly beats unfused
     python benchmarks/bench_fusion.py --check-fused 8
-                                                 # also time batched/compiled
-                                                 # fused evaluation and exit 1
+                                                 # also time batched fused
+                                                 # evaluation and exit 1
                                                  # below an 8x geomean floor
 
 ``--check-fused`` (and plain runs, which time but do not gate) appends the
 ``repro bench fusion`` throughput report under the ``fused_eval`` key of
-``BENCH_fusion.json``: scalar vs batched vs compiled fused-group evaluation
-over identical candidates, with the same bitwise parity audits.
+``BENCH_fusion.json``: scalar vs batched fused-group evaluation over
+identical candidates, with a per-candidate parity audit.
 """
 
 from __future__ import annotations
@@ -36,6 +36,13 @@ if __package__ in (None, ""):  # running as a script: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.api import architectures
+from repro.benchmarking import (
+    check_fused_report,
+    fused_bench_report,
+    fusion_bench_groups,
+    render_fused_row,
+    render_fused_summary,
+)
 from repro.engine.cache import MappingCache
 from repro.engine.engine import SchedulingEngine
 from repro.fusion import bert_base_block_plan, gpt2_small_block_plan
@@ -187,32 +194,18 @@ def main(argv=None) -> int:
         "blocks": blocks,
     }
 
-    fused_failures: list[str] = []
-    from repro.model import HAVE_NUMPY
-
-    if HAVE_NUMPY:
-        from repro.benchmarking import (
-            check_fused_report,
-            fused_bench_report,
-            fusion_bench_groups,
-            render_fused_row,
-            render_fused_summary,
-        )
-
-        print()
-        fused_eval = fused_bench_report(
-            fusion_bench_groups(quick=args.quick),
-            args.fused_samples,
-            seed=0,
-            arch=arch,
-            quick=args.quick,
-            progress=lambda row: print(render_fused_row(row)),
-        )
-        print(render_fused_summary(fused_eval))
-        report["fused_eval"] = fused_eval
-        fused_failures = check_fused_report(fused_eval, check=args.check_fused)
-    elif args.check_fused is not None:
-        fused_failures = ["--check-fused requires numpy (no batched fused path)"]
+    print()
+    fused_eval = fused_bench_report(
+        fusion_bench_groups(quick=args.quick),
+        args.fused_samples,
+        seed=0,
+        arch=arch,
+        quick=args.quick,
+        progress=lambda row: print(render_fused_row(row)),
+    )
+    print(render_fused_summary(fused_eval))
+    report["fused_eval"] = fused_eval
+    fused_failures = check_fused_report(fused_eval, check=args.check_fused)
 
     atomic_write_json(args.out, report)
     print(f"\nreport written to {args.out}")

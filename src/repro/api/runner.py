@@ -255,8 +255,8 @@ def _build_scheduler(spec: RunSpec, accelerator):
 
     Explicit ``SchedulerSpec.options`` are passed through verbatim (a typo
     raises the factory's ``TypeError``).  The engine-level search knobs —
-    ``seed``, ``eval_batch_size``, ``time_budget_seconds``,
-    ``kernel_backend`` — are offered only to factories whose signature
+    ``seed``, ``eval_batch_size``, ``time_budget_seconds`` — are offered
+    only to factories whose signature
     accepts them, so one spec drives both seeded search baselines and
     knob-free one-shot schedulers.
     """
@@ -266,7 +266,6 @@ def _build_scheduler(spec: RunSpec, accelerator):
         "seed": spec.seed,
         "eval_batch_size": spec.engine.batch_size,
         "time_budget_seconds": spec.engine.time_budget,
-        "kernel_backend": spec.engine.kernel_backend,
     }
     parameters = inspect.signature(factory).parameters
     accepts_any = any(

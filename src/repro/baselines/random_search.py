@@ -8,8 +8,8 @@ target metric.
 The search runs a propose-batch/evaluate-batch loop: candidates are drawn in
 chunks of ``eval_batch_size`` as factor matrices
 (:meth:`~repro.mapping.space.MapSpace.sample_batch`) and scored by the
-vectorized :class:`~repro.model.batch.BatchCostModel`; with batching off (or
-numpy unavailable) the chunk size is 1 and each draw goes through the scalar
+vectorized :class:`~repro.model.batch.BatchCostModel`; with batching off the
+chunk size is 1 and each draw goes through the scalar
 :class:`~repro.model.cost.CostModel`.  Both paths see the identical
 candidate stream, so the outcome does not depend on the batch size.
 """
@@ -58,13 +58,11 @@ class RandomScheduler(SearchScheduler):
         seed: int = 0,
         eval_batch_size: int | None = None,
         time_budget_seconds: float | None = None,
-        kernel_backend: str | None = None,
     ):
         super().__init__(
             metric,
             eval_batch_size=eval_batch_size,
             time_budget_seconds=time_budget_seconds,
-            kernel_backend=kernel_backend,
         )
         self.accelerator = accelerator
         self.num_valid = num_valid
@@ -118,7 +116,3 @@ class RandomScheduler(SearchScheduler):
             num_evaluated=evaluated,
             elapsed_seconds=time.perf_counter() - start,
         )
-
-    def schedule_network(self, layers) -> list[SearchResult]:
-        """Schedule every layer of a network independently."""
-        return [self.schedule(layer) for layer in layers]

@@ -77,13 +77,11 @@ class TimeloopHybridScheduler(SearchScheduler):
         seed: int = 0,
         eval_batch_size: int | None = None,
         time_budget_seconds: float | None = None,
-        kernel_backend: str | None = None,
     ):
         super().__init__(
             metric,
             eval_batch_size=eval_batch_size,
             time_budget_seconds=time_budget_seconds,
-            kernel_backend=kernel_backend,
         )
         self.accelerator = accelerator
         self.num_threads = num_threads
@@ -171,10 +169,6 @@ class TimeloopHybridScheduler(SearchScheduler):
             num_evaluated=evaluated,
             elapsed_seconds=time.perf_counter() - start,
         )
-
-    def schedule_network(self, layers) -> list[SearchResult]:
-        """Schedule every layer of a network independently."""
-        return [self.schedule(layer) for layer in layers]
 
     # ------------------------------------------------------------ permutations
     def _permutation_sweep(self, base: Mapping, noc_level: int, rng: random.Random):

@@ -63,13 +63,11 @@ class TVMLikeTuner(SearchScheduler):
         seed: int = 0,
         eval_batch_size: int | None = None,
         time_budget_seconds: float | None = None,
-        kernel_backend: str | None = None,
     ):
         super().__init__(
             metric,
             eval_batch_size=eval_batch_size,
             time_budget_seconds=time_budget_seconds,
-            kernel_backend=kernel_backend,
         )
         if trials < 1 or batch_size < 1:
             raise ValueError("trials and batch_size must be positive")
@@ -134,10 +132,6 @@ class TVMLikeTuner(SearchScheduler):
             num_evaluated=evaluated,
             elapsed_seconds=time.perf_counter() - start,
         )
-
-    def schedule_network(self, layers) -> list[SearchResult]:
-        """Tune every layer of a network independently."""
-        return [self.schedule(layer) for layer in layers]
 
     # ---------------------------------------------------------------- mutation
     def _mutate(self, mapping: Mapping, space: MapSpace, rng: random.Random) -> Mapping:

@@ -3,24 +3,23 @@
 One measurement recipe serves both entry points — ``repro bench`` (the CLI
 subcommand) and ``benchmarks/bench_eval.py`` (the CI-gated script): for every
 layer of a workload preset, draw one fixed set of random candidates and time
-four evaluation pipelines over identical inputs:
+three evaluation pipelines over identical inputs:
 
 * **scalar** — one :class:`repro.model.cost.CostModel` call per mapping (the
   bit-exact reference oracle),
-* **batched** — one :class:`repro.model.batch.BatchCostModel` pass over a
-  packed :class:`~repro.model.batch.MappingBatch`,
-* **compiled** — one :class:`repro.model.kernels.CompiledKernel` pass
-  (constants pre-bound per (problem, arch); packing included in the timing,
-  kernel build time reported separately),
+* **vectorized** — one :meth:`repro.model.batch.BatchCostModel.evaluate_draws`
+  pass (packing included in the timing; the evaluator's per-layer constants
+  are warm, as they are for every batch after a search's first),
 * **delta** — single-move re-evaluation through the
   :class:`~repro.model.delta.DeltaEvaluator`, compared against the honest
   full path for the same move (apply, pack a one-draw batch, run the
-  compiled kernel, undo).
+  vectorized evaluator, undo).
 
-Every timing doubles as a parity audit: compiled results must match the
-batched results bit-for-bit, and each delta preview must equal the full
-re-evaluation of the moved state exactly — a speedup claim is meaningless if
-the fast path disagrees with the oracle.
+Every timing doubles as a parity audit: vectorized results must match the
+scalar oracle, the draws packing must match the mappings packing
+bit-for-bit, and each delta preview must equal the full re-evaluation of the
+moved state exactly — a speedup claim is meaningless if the fast path
+disagrees with the oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import time
 from repro.arch import simba_like
 from repro.mapping.moves import MappingState, propose_move
 from repro.mapping.space import MapSpace, MappingDraws
-from repro.model import CostModel, HAVE_NUMPY
+from repro.model import BatchCostModel, CostModel
 from repro.model.delta import DeltaEvaluator
 
 #: Quick subset: the 3x3 conv layers plus the stem (covers small and large shapes).
@@ -56,7 +55,7 @@ FUSION_PRESET = "fusion"
 #: Every preset name the bench CLI accepts.
 ALL_PRESETS = PRESETS + (FUSION_PRESET,)
 
-#: Tolerance of the scalar-vs-batched parity audit (compiled and delta are
+#: Tolerance of the scalar-vs-vectorized parity audit (packing and delta are
 #: compared exactly, not against this).
 PARITY_TOLERANCE = 1e-9
 
@@ -90,7 +89,7 @@ def preset_layers(preset: str) -> list:
 
 
 def _delta_matches_full(delta, full, index: int) -> bool:
-    """Exact (bitwise) agreement of one delta preview with the full kernel."""
+    """Exact (bitwise) agreement of one delta preview with the full evaluation."""
     if delta.valid != bool(full.valid[index]):
         return False
     return (
@@ -118,12 +117,10 @@ def bench_delta(arch, layer, space: MapSpace, draws, valid, seed: int, num_moves
     exact same move sequence.  Each preview is audited bitwise against the
     full path before the timing runs.
     """
-    from repro.model.kernels import KernelCompiler
-
     seed_index = next((i for i in range(len(draws)) if valid[i]), 0)
     state = MappingState.from_draws(draws, seed_index)
     evaluator = DeltaEvaluator(state, arch)
-    kernel = KernelCompiler(arch).compile(layer.problem)
+    model = BatchCostModel(arch)
     fanouts = space.spatial_fanouts
 
     rng = random.Random(seed + 1)
@@ -143,7 +140,7 @@ def bench_delta(arch, layer, space: MapSpace, draws, valid, seed: int, num_moves
     for move in moves:
         preview = evaluator.preview(move)
         record = state.apply(move)
-        full = kernel.evaluate_draws(_single_draw(state))
+        full = model.evaluate_draws(_single_draw(state))
         state.undo(record)
         if not _delta_matches_full(preview, full, 0):
             mismatches += 1
@@ -156,7 +153,7 @@ def bench_delta(arch, layer, space: MapSpace, draws, valid, seed: int, num_moves
     start = time.perf_counter()
     for move in moves:
         record = state.apply(move)
-        kernel.evaluate_draws(_single_draw(state))
+        model.evaluate_draws(_single_draw(state))
         state.undo(record)
     full_seconds = time.perf_counter() - start
 
@@ -170,11 +167,8 @@ def bench_delta(arch, layer, space: MapSpace, draws, valid, seed: int, num_moves
 
 
 def bench_layer(arch, layer, samples: int, seed: int, num_moves: int = 96) -> dict:
-    """Time all evaluation pipelines over identical candidates of one layer."""
+    """Time the evaluation pipelines over identical candidates of one layer."""
     import numpy as np
-
-    from repro.model.batch import BatchCostModel, MappingBatch
-    from repro.model.kernels import KernelCompiler, kernel_cache_info
 
     space = MapSpace(layer, arch)
     draws = space.sample_batch(samples, random.Random(seed))
@@ -185,57 +179,43 @@ def bench_layer(arch, layer, samples: int, seed: int, num_moves: int = 96) -> di
     scalar_results = [scalar_model.evaluate(m) for m in mappings]
     scalar_seconds = time.perf_counter() - start
 
-    batch_model = BatchCostModel(arch)
+    model = BatchCostModel(arch)
+    via_mappings = model.evaluate_mappings(mappings)  # also warms the constants
     start = time.perf_counter()
-    batch_result = batch_model.evaluate_batch(MappingBatch.from_draws(draws))
-    batched_seconds = time.perf_counter() - start
-
-    misses_before = kernel_cache_info()["misses"]
-    kernel = KernelCompiler(arch).compile(layer.problem)
-    build_seconds = (
-        kernel.build_seconds if kernel_cache_info()["misses"] > misses_before else 0.0
-    )
-    start = time.perf_counter()
-    compiled_result = kernel.evaluate_draws(draws)
-    compiled_seconds = time.perf_counter() - start
+    result = model.evaluate_draws(draws)
+    vectorized_seconds = time.perf_counter() - start
 
     # Parity audits alongside the timings: the speedups are meaningless if a
     # fast path disagrees with the oracle.
     max_rel = 0.0
     mismatches = 0
     for i, cost in enumerate(scalar_results):
-        if cost.valid != bool(batch_result.valid[i]):
+        if cost.valid != bool(result.valid[i]):
             mismatches += 1
             continue
         if cost.valid:
-            for s, b in ((cost.latency, batch_result.latency[i]),
-                         (cost.energy, batch_result.energy[i])):
+            for s, b in ((cost.latency, result.latency[i]),
+                         (cost.energy, result.energy[i])):
                 rel = abs(s - b) / abs(s) if s else 0.0
                 max_rel = max(max_rel, rel)
-    compiled_exact = (
-        np.array_equal(compiled_result.valid, batch_result.valid)
-        and np.array_equal(compiled_result.latency, batch_result.latency)
-        and np.array_equal(compiled_result.energy, batch_result.energy)
-        and np.array_equal(compiled_result.utilization, batch_result.utilization)
+    packing_exact = all(
+        np.array_equal(getattr(result, name), getattr(via_mappings, name))
+        for name in ("valid", "latency", "energy", "utilization")
     )
 
     row = {
         "layer": layer.name or layer.canonical_name,
         "problem": layer.problem.name,
         "samples": samples,
-        "num_valid": int(batch_result.num_valid),
+        "num_valid": int(result.num_valid),
         "scalar_mappings_per_sec": samples / scalar_seconds,
-        "batched_mappings_per_sec": samples / batched_seconds,
-        "compiled_mappings_per_sec": samples / compiled_seconds,
-        "speedup": scalar_seconds / batched_seconds,
-        "compiled_speedup": scalar_seconds / compiled_seconds,
-        "kernel_build_seconds": build_seconds,
-        "kernel_backend": kernel.effective_backend,
+        "vectorized_mappings_per_sec": samples / vectorized_seconds,
+        "speedup": scalar_seconds / vectorized_seconds,
         "validity_mismatches": mismatches,
         "max_rel_diff": max_rel,
-        "compiled_exact": compiled_exact,
+        "packing_exact": packing_exact,
     }
-    row.update(bench_delta(arch, layer, space, draws, batch_result.valid, seed, num_moves))
+    row.update(bench_delta(arch, layer, space, draws, result.valid, seed, num_moves))
     return row
 
 
@@ -259,11 +239,8 @@ def bench_report(
     """Benchmark every layer and aggregate the cross-layer summary.
 
     ``progress``, when given, is called with each finished row (the CLI and
-    the script use it to print the per-layer table live).  Raises
-    ``RuntimeError`` without numpy — there is no vectorized path to measure.
+    the script use it to print the per-layer table live).
     """
-    if not HAVE_NUMPY:
-        raise RuntimeError("numpy unavailable: the batched evaluator has no fast path here")
     arch = arch or simba_like()
     rows = []
     for layer in layers:
@@ -273,10 +250,9 @@ def bench_report(
             progress(row)
 
     speedups = [row["speedup"] for row in rows]
-    compiled = [row["compiled_speedup"] for row in rows]
     delta = [row["delta_speedup"] for row in rows]
     return {
-        "benchmark": "batched-mapping-evaluation",
+        "benchmark": "vectorized-mapping-evaluation",
         "network": label,
         "arch": arch.name,
         "quick": quick,
@@ -286,15 +262,11 @@ def bench_report(
         "geomean_speedup": _geomean(speedups),
         "min_speedup": min(speedups),
         "max_speedup": max(speedups),
-        "geomean_compiled_speedup": _geomean(compiled),
-        "min_compiled_speedup": min(compiled),
-        "max_compiled_speedup": max(compiled),
         "geomean_delta_speedup": _geomean(delta),
         "min_delta_speedup": min(delta),
-        "kernel_build_seconds_total": sum(row["kernel_build_seconds"] for row in rows),
         "total_validity_mismatches": sum(r["validity_mismatches"] for r in rows),
         "total_delta_mismatches": sum(r["delta_mismatches"] for r in rows),
-        "compiled_exact": all(r["compiled_exact"] for r in rows),
+        "packing_exact": all(r["packing_exact"] for r in rows),
         "max_rel_diff": max(r["max_rel_diff"] for r in rows),
     }
 
@@ -303,8 +275,7 @@ def render_row(row: dict) -> str:
     """One fixed-width table line per benchmarked layer."""
     return (
         f"{row['layer']:<20} scalar {row['scalar_mappings_per_sec']:>9.0f}/s   "
-        f"batched {row['batched_mappings_per_sec']:>10.0f}/s ({row['speedup']:5.1f}x)   "
-        f"compiled {row['compiled_mappings_per_sec']:>10.0f}/s ({row['compiled_speedup']:5.1f}x)   "
+        f"vectorized {row['vectorized_mappings_per_sec']:>10.0f}/s ({row['speedup']:5.1f}x)   "
         f"delta {row['delta_speedup']:5.1f}x   "
         f"valid {row['num_valid']}/{row['samples']}"
     )
@@ -313,40 +284,35 @@ def render_row(row: dict) -> str:
 def render_summary(report: dict) -> str:
     """The cross-layer summary block printed after the table."""
     return (
-        f"geomean speedup over scalar: batched {report['geomean_speedup']:.1f}x, "
-        f"compiled {report['geomean_compiled_speedup']:.1f}x "
-        f"(build {report['kernel_build_seconds_total'] * 1e3:.1f} ms total); "
+        f"geomean speedup over scalar: vectorized {report['geomean_speedup']:.1f}x; "
         f"delta vs full re-eval {report['geomean_delta_speedup']:.1f}x "
         f"over {len(report['layers'])} layers"
     )
 
 
-def check_report(report: dict, check=None, check_compiled=None, check_delta=None) -> list[str]:
+def check_report(report: dict, check=None, check_delta=None) -> list[str]:
     """Validate a finished report; returns human-readable failure strings.
 
-    Parity failures are always fatal; the three optional floors gate the
-    batched, compiled and delta geomean speedups respectively.
+    Parity failures are always fatal; the two optional floors gate the
+    vectorized and delta geomean speedups respectively.
     """
     failures = []
     if report["total_validity_mismatches"]:
-        failures.append("PARITY FAILURE: batched validity disagrees with the scalar oracle")
+        failures.append("PARITY FAILURE: vectorized validity disagrees with the scalar oracle")
     if report["max_rel_diff"] > PARITY_TOLERANCE:
         failures.append(
             f"PARITY FAILURE: max relative difference {report['max_rel_diff']:.2e} "
             f"exceeds the {PARITY_TOLERANCE:.0e} tolerance"
         )
-    if not report["compiled_exact"]:
-        failures.append("PARITY FAILURE: compiled kernel results differ from the batched model")
+    if not report["packing_exact"]:
+        failures.append(
+            "PARITY FAILURE: evaluating packed draws differs from evaluating the mappings"
+        )
     if report["total_delta_mismatches"]:
         failures.append("PARITY FAILURE: delta evaluation disagrees with full re-evaluation")
     if check is not None and report["geomean_speedup"] < check:
         failures.append(
             f"speedup check failed: geomean {report['geomean_speedup']:.1f}x < {check}x"
-        )
-    if check_compiled is not None and report["geomean_compiled_speedup"] < check_compiled:
-        failures.append(
-            "compiled speedup check failed: geomean "
-            f"{report['geomean_compiled_speedup']:.1f}x < {check_compiled}x"
         )
     if check_delta is not None and report["geomean_delta_speedup"] < check_delta:
         failures.append(
@@ -385,34 +351,21 @@ def fusion_bench_groups(quick: bool = False) -> list:
     return groups
 
 
-#: ``BatchFusedResult`` arrays compared bit-for-bit between the batched and
-#: the compiled fused path (everything except the ``per_op`` object list).
-_FUSED_RESULT_FIELDS = (
-    "valid", "latency", "energy", "dram_words", "dram_bytes",
-    "unfused_latency", "unfused_energy", "unfused_dram_words",
-    "unfused_dram_bytes", "pipeline_rounds", "num_pinned_edges",
-    "edge_pinned", "edge_rounds", "edge_aligned", "edge_pinned_bytes",
-    "edge_saved_dram_words", "edge_saved_dram_bytes", "edge_saved_energy_pj",
-)
-
-
 def bench_fused_group(arch, group, samples: int, seed: int) -> dict:
-    """Time the three fused-evaluation pipelines over identical candidates.
+    """Time scalar vs batched fused evaluation over identical candidates.
 
     Per group: draw ``samples`` random tilings of every operator (candidate
     ``b`` is row ``b`` of each operator's draws), then price all candidates
     through the scalar :class:`~repro.model.fused.FusedCostModel` loop (the
-    oracle), one :class:`~repro.model.fused_batch.BatchFusedCostModel` pass,
-    and one :func:`~repro.model.kernels.compile_fused` kernel pass.  Packing
-    (``FusedMappingBatch.from_candidates``) is shared by both fast paths and
-    timed separately as ``pack_seconds``.  Scalar-vs-batched parity is
-    audited per candidate, compiled-vs-batched bitwise over every array.
+    oracle) and one :class:`~repro.model.fused_batch.BatchFusedCostModel`
+    pass.  Packing (``FusedMappingBatch.from_candidates``) is timed
+    separately as ``pack_seconds``.  Scalar-vs-batched parity is audited per
+    candidate.
     """
     import numpy as np
 
     from repro.model.fused import FusedCostModel
     from repro.model.fused_batch import BatchFusedCostModel, FusedMappingBatch
-    from repro.model.kernels import compile_fused, kernel_cache_info
 
     rng = random.Random(seed)
     per_op_draws = [
@@ -436,17 +389,6 @@ def bench_fused_group(arch, group, samples: int, seed: int) -> dict:
     batch_result = batch_model.evaluate_group(fused_batch)
     batched_seconds = time.perf_counter() - start
 
-    misses_before = kernel_cache_info()["fused_misses"]
-    kernel = compile_fused(group, arch)
-    build_seconds = (
-        kernel.build_seconds
-        if kernel_cache_info()["fused_misses"] > misses_before
-        else 0.0
-    )
-    start = time.perf_counter()
-    compiled_result = kernel.evaluate_group(fused_batch)
-    compiled_seconds = time.perf_counter() - start
-
     max_rel = 0.0
     mismatches = 0
     for i, cost in enumerate(scalar_results):
@@ -462,10 +404,6 @@ def bench_fused_group(arch, group, samples: int, seed: int) -> dict:
             ):
                 rel = abs(s - b) / abs(s) if s else 0.0
                 max_rel = max(max_rel, rel)
-    compiled_exact = all(
-        np.array_equal(getattr(compiled_result, name), getattr(batch_result, name))
-        for name in _FUSED_RESULT_FIELDS
-    )
 
     return {
         "group": group.name,
@@ -475,15 +413,10 @@ def bench_fused_group(arch, group, samples: int, seed: int) -> dict:
         "num_valid": int(np.count_nonzero(batch_result.valid)),
         "scalar_groups_per_sec": samples / scalar_seconds,
         "batched_groups_per_sec": samples / batched_seconds,
-        "compiled_groups_per_sec": samples / compiled_seconds,
         "fused_speedup": scalar_seconds / batched_seconds,
-        "compiled_fused_speedup": scalar_seconds / compiled_seconds,
         "pack_seconds": pack_seconds,
-        "fused_build_seconds": build_seconds,
-        "fused_backend": kernel.effective_backend,
         "validity_mismatches": mismatches,
         "max_rel_diff": max_rel,
-        "compiled_exact": compiled_exact,
     }
 
 
@@ -497,8 +430,6 @@ def fused_bench_report(
     progress=None,
 ) -> dict:
     """Benchmark every fused group and aggregate the cross-group summary."""
-    if not HAVE_NUMPY:
-        raise RuntimeError("numpy unavailable: the batched fused evaluator has no fast path here")
     arch = arch or simba_like()
     rows = []
     for group in groups:
@@ -508,7 +439,6 @@ def fused_bench_report(
             progress(row)
 
     speedups = [row["fused_speedup"] for row in rows]
-    compiled = [row["compiled_fused_speedup"] for row in rows]
     return {
         "benchmark": "batched-fused-group-evaluation",
         "network": label,
@@ -520,12 +450,7 @@ def fused_bench_report(
         "geomean_fused_speedup": _geomean(speedups),
         "min_fused_speedup": min(speedups),
         "max_fused_speedup": max(speedups),
-        "geomean_compiled_fused_speedup": _geomean(compiled),
-        "min_compiled_fused_speedup": min(compiled),
-        "max_compiled_fused_speedup": max(compiled),
-        "fused_build_seconds_total": sum(row["fused_build_seconds"] for row in rows),
         "total_validity_mismatches": sum(r["validity_mismatches"] for r in rows),
-        "compiled_exact": all(r["compiled_exact"] for r in rows),
         "max_rel_diff": max(r["max_rel_diff"] for r in rows),
     }
 
@@ -535,7 +460,6 @@ def render_fused_row(row: dict) -> str:
     return (
         f"{row['group']:<32} scalar {row['scalar_groups_per_sec']:>8.0f}/s   "
         f"batched {row['batched_groups_per_sec']:>9.0f}/s ({row['fused_speedup']:5.1f}x)   "
-        f"compiled {row['compiled_groups_per_sec']:>9.0f}/s ({row['compiled_fused_speedup']:5.1f}x)   "
         f"valid {row['num_valid']}/{row['samples']}"
     )
 
@@ -544,18 +468,16 @@ def render_fused_summary(report: dict) -> str:
     """The cross-group summary block printed after the fusion table."""
     return (
         f"geomean fused-eval speedup over scalar: batched "
-        f"{report['geomean_fused_speedup']:.1f}x, compiled "
-        f"{report['geomean_compiled_fused_speedup']:.1f}x "
-        f"(build {report['fused_build_seconds_total'] * 1e3:.1f} ms total) "
+        f"{report['geomean_fused_speedup']:.1f}x "
         f"over {len(report['groups'])} groups"
     )
 
 
-def check_fused_report(report: dict, check=None, check_compiled=None) -> list[str]:
+def check_fused_report(report: dict, check=None) -> list[str]:
     """Validate a fused-eval report; returns human-readable failure strings.
 
-    Parity failures are always fatal; the optional floors gate the batched
-    and compiled fused-eval geomean speedups.
+    Parity failures are always fatal; the optional floor gates the batched
+    fused-eval geomean speedup.
     """
     failures = []
     if report["total_validity_mismatches"]:
@@ -567,18 +489,9 @@ def check_fused_report(report: dict, check=None, check_compiled=None) -> list[st
             f"PARITY FAILURE: max relative difference {report['max_rel_diff']:.2e} "
             f"exceeds the {PARITY_TOLERANCE:.0e} tolerance"
         )
-    if not report["compiled_exact"]:
-        failures.append(
-            "PARITY FAILURE: compiled fused results differ from the batched combiner"
-        )
     if check is not None and report["geomean_fused_speedup"] < check:
         failures.append(
             "fused speedup check failed: geomean "
             f"{report['geomean_fused_speedup']:.1f}x < {check}x"
-        )
-    if check_compiled is not None and report["geomean_compiled_fused_speedup"] < check_compiled:
-        failures.append(
-            "compiled fused speedup check failed: geomean "
-            f"{report['geomean_compiled_fused_speedup']:.1f}x < {check_compiled}x"
         )
     return failures

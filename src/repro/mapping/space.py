@@ -78,7 +78,7 @@ class MappingDraws:
         return Mapping(self.layer, levels)
 
     def iter_mappings(self):
-        """Materialize every draw in order (scalar fallback path)."""
+        """Materialize every draw in order (scalar reference path)."""
         for index in range(len(self)):
             yield self.materialize(index)
 

@@ -10,8 +10,8 @@ analytical model.  This subpackage re-implements the same style of analysis:
 * :mod:`repro.model.energy` — access-count x energy-per-access accounting,
 * :mod:`repro.model.cost` — the :class:`CostModel` facade combining the
   above, used by every scheduler and experiment,
-* :mod:`repro.model.kernels` — compiled per-(problem, arch) evaluation
-  kernels cached by content fingerprint,
+* :mod:`repro.model.batch` — the vectorized evaluator pricing whole
+  batches of candidate mappings at once,
 * :mod:`repro.model.delta` — incremental (move-based) re-evaluation for the
   local-search scheduler.
 """
@@ -20,17 +20,7 @@ from repro.model.nest import NestAnalysis, BoundaryFlow
 from repro.model.performance import PerformanceModel, LatencyBreakdown
 from repro.model.energy import EnergyModel, EnergyBreakdown
 from repro.model.cost import CostModel, CostResult
-from repro.model.batch import HAVE_NUMPY, BatchCostModel, BatchCostResult, MappingBatch
-from repro.model.kernels import (
-    KERNEL_BACKENDS,
-    CompiledCostModel,
-    CompiledKernel,
-    KernelCompiler,
-    clear_kernel_cache,
-    kernel_cache_info,
-    numba_available,
-    resolve_backend,
-)
+from repro.model.batch import BatchCostModel, BatchCostResult, MappingBatch
 from repro.model.delta import DeltaCostResult, DeltaEvaluator
 
 __all__ = [
@@ -45,15 +35,6 @@ __all__ = [
     "BatchCostModel",
     "BatchCostResult",
     "MappingBatch",
-    "HAVE_NUMPY",
-    "KERNEL_BACKENDS",
-    "KernelCompiler",
-    "CompiledKernel",
-    "CompiledCostModel",
     "DeltaEvaluator",
     "DeltaCostResult",
-    "resolve_backend",
-    "numba_available",
-    "kernel_cache_info",
-    "clear_kernel_cache",
 ]

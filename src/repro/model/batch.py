@@ -17,7 +17,9 @@ operations instead:
   existing mappings.
 * :class:`BatchCostModel` — validates and evaluates every candidate of a
   batch at once, producing per-candidate ``valid``/``latency``/``energy``
-  arrays.
+  arrays.  Architecture constants are bound at construction; problem tables
+  and per-layer constants are cached on the instance, so a search that
+  evaluates thousands of batches of one layer pays for them once.
 
 Equivalence with the scalar model
 ---------------------------------
@@ -26,13 +28,15 @@ the same equations over a batch axis and mirrors the scalar code's exact
 floating-point expression structure (association order of products, order of
 accumulation over boundary flows, tensors and levels) so results agree
 bit-for-bit wherever intermediate values are exactly representable, and to
-within 1e-9 relative everywhere else.  ``tests/test_batch_parity.py`` locks
-the two paths together; ``docs/cost_model.md`` maps every scalar method to
-its vectorized counterpart.
-
-numpy is an optional dependency of this module: when it is unavailable
-(:data:`HAVE_NUMPY` is ``False``) the schedulers silently fall back to the
-scalar path.
+within 1e-9 relative everywhere else.  Three reductions are fused rather
+than written as Python loops, each provably bit-equal to the sequential
+scalar walk: the stationarity product (``multiply.reduce`` traverses the
+loop axis in order and every intermediate is an exact integer), the
+per-level latency maximum (``max`` is order-invariant over identical
+quotients) and the per-level access sum (numpy reduces the length-3 tensor
+axis sequentially).  ``tests/test_batch_parity.py`` locks the two paths
+together; ``docs/cost_model.md`` maps every scalar method to its vectorized
+counterpart.
 """
 
 from __future__ import annotations
@@ -40,13 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-try:  # pragma: no cover - exercised implicitly on numpy-less installs
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+import numpy as np
 
 from repro.arch.accelerator import Accelerator
 from repro.mapping.mapping import Mapping
@@ -63,13 +61,6 @@ DIM_INDEX: dict[str, int] = {dim: i for i, dim in enumerate(DIMENSION_NAMES)}
 
 #: Padding sentinel used in the flattened loop arrays.
 PAD = -1
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:
-        raise RuntimeError(
-            "repro.model.batch requires numpy; install it or use the scalar CostModel"
-        )
 
 
 class MappingBatch:
@@ -122,15 +113,13 @@ class MappingBatch:
     @classmethod
     def from_draws(cls, draws: "MappingDraws") -> "MappingBatch":
         """Pack sampled factor placements (no ``Mapping`` objects involved)."""
-        _require_numpy()
-        return cls._from_level_loops(
-            draws.layer, draws.num_levels, draws.temporal, draws.spatial, source=draws
+        return cls._pack(
+            draws.layer, draws.num_levels, draws.temporal, draws.spatial, draws, merged=True
         )
 
     @classmethod
     def from_mappings(cls, mappings: Sequence[Mapping]) -> "MappingBatch":
         """Pack existing mappings (all of one layer, with equal level counts)."""
-        _require_numpy()
         if not mappings:
             raise ValueError("cannot build a batch from zero mappings")
         layer = mappings[0].layer
@@ -148,36 +137,71 @@ class MappingBatch:
             [[(loop.dim, loop.bound) for loop in level.spatial] for level in mapping.levels]
             for mapping in mappings
         ]
-        return cls._from_level_loops(layer, num_levels, temporal, spatial, source=list(mappings))
+        return cls._pack(layer, num_levels, temporal, spatial, list(mappings), merged=False)
 
     @classmethod
-    def _from_level_loops(cls, layer, num_levels, temporal_loops, spatial_loops, source):
+    def _pack(cls, layer, num_levels, temporal_loops, spatial_loops, source, merged):
+        """Build the batch arrays with flat index lists and one scatter each.
+
+        The flattened loop order is level-major within each candidate, so
+        the (candidate, position, level) index columns are pure arithmetic
+        over the per-(candidate, level) loop counts — only the dimension ids
+        and bounds need the Python walk, which runs once per loop and keeps
+        its body to two appends.  ``merged`` candidates (sampled draws) hold
+        at most one loop per (level, dim), so the factor matrices take a
+        plain assignment; otherwise repeated dims multiply in loop order.
+        """
         size = len(temporal_loops)
         dim_index = {dim: i for i, dim in enumerate(layer.problem.dims)}
-        D = len(dim_index)
-        tf = np.ones((size, num_levels, D), dtype=np.float64)
-        sf = np.ones((size, num_levels, D), dtype=np.float64)
-        max_loops = 1
-        for levels in temporal_loops:
-            total = sum(len(loops) for loops in levels)
-            if total > max_loops:
-                max_loops = total
+        L, D = num_levels, len(dim_index)
+        level_ids = np.tile(np.arange(L, dtype=np.int64), size)
+
+        def flatten(candidates):
+            counts: list[int] = []
+            dims: list[int] = []
+            bounds: list[int] = []
+            add_count, add_dim, add_bound = counts.append, dims.append, bounds.append
+            for levels in candidates:
+                for loops in levels:
+                    add_count(len(loops))
+                    for dim, bound in loops:
+                        add_dim(dim_index[dim])
+                        add_bound(bound)
+            counts_arr = np.array(counts, dtype=np.int64)
+            per_candidate = counts_arr.reshape(size, L).sum(axis=1)
+            rows = np.repeat(np.arange(size, dtype=np.int64), per_candidate)
+            levels_of = np.repeat(level_ids, counts_arr)
+            return (
+                per_candidate,
+                rows,
+                levels_of,
+                np.array(dims, dtype=np.int64),
+                np.array(bounds, dtype=np.float64),
+            )
+
+        def scatter(factors, rows, levels_of, dims, bounds):
+            if merged:
+                factors[rows, levels_of, dims] = bounds
+            else:
+                np.multiply.at(factors, (rows, levels_of, dims), bounds)
+
+        t_per, t_rows, t_levels, t_dims, t_bounds = flatten(temporal_loops)
+        max_loops = max(int(t_per.max(initial=0)), 1)
+        tf = np.ones((size, L, D), dtype=np.float64)
+        sf = np.ones((size, L, D), dtype=np.float64)
         loop_level = np.full((size, max_loops), PAD, dtype=np.int64)
         loop_dim = np.full((size, max_loops), PAD, dtype=np.int64)
         loop_bound = np.ones((size, max_loops), dtype=np.float64)
-        for b in range(size):
-            cursor = 0
-            for level_index, loops in enumerate(temporal_loops[b]):
-                for dim, bound in loops:
-                    d = dim_index[dim]
-                    tf[b, level_index, d] *= bound
-                    loop_level[b, cursor] = level_index
-                    loop_dim[b, cursor] = d
-                    loop_bound[b, cursor] = bound
-                    cursor += 1
-            for level_index, loops in enumerate(spatial_loops[b]):
-                for dim, bound in loops:
-                    sf[b, level_index, dim_index[dim]] *= bound
+        if len(t_dims):
+            starts = np.concatenate([[0], np.cumsum(t_per)[:-1]])
+            cols = np.arange(len(t_rows), dtype=np.int64) - np.repeat(starts, t_per)
+            scatter(tf, t_rows, t_levels, t_dims, t_bounds)
+            loop_level[t_rows, cols] = t_levels
+            loop_dim[t_rows, cols] = t_dims
+            loop_bound[t_rows, cols] = t_bounds
+        _, s_rows, s_levels, s_dims, s_bounds = flatten(spatial_loops)
+        if len(s_dims):
+            scatter(sf, s_rows, s_levels, s_dims, s_bounds)
         return cls(layer, tf, sf, loop_level, loop_dim, loop_bound, source=source)
 
     # ----------------------------------------------------------- materialization
@@ -201,7 +225,7 @@ class _ProblemTables:
     on the :class:`BatchCostModel`): the dimension index of the factor
     matrices, the ``bool[D, T]`` relevance matrix derived from the projection
     tables, the per-tensor irrelevant-dimension masks used by the multicast /
-    spatial-reduction factors, and the reduction-dimension index list.
+    spatial-reduction factors, and the ``bool[D]`` reduction-dimension mask.
     """
 
     def __init__(self, problem: TensorProblem):
@@ -214,9 +238,8 @@ class _ProblemTables:
                 rel[self.dim_index[dim], int(tensor)] = problem.relevance(dim, tensor)
         self.rel = rel
         self.irrelevant_dims = {tensor: ~rel[:, int(tensor)] for tensor in TensorKind}
-        self.reduction_dim_indices = np.array(
-            [self.dim_index[dim] for dim in problem.reduction_dims], dtype=np.int64
-        )
+        self.is_reduction_dim = np.zeros(len(problem.dims), dtype=bool)
+        self.is_reduction_dim[[self.dim_index[dim] for dim in problem.reduction_dims]] = True
 
     def tiles(self, f: dict, stride: float) -> dict:
         """Per-tensor footprint matrices from the projection tables.
@@ -322,12 +345,12 @@ class BatchCostModel:
 
     The constructor precomputes every architecture-dependent constant (level
     capacities, bandwidths, tensor bindings, storage-level pairs of the
-    boundary flows, energy constants) so :meth:`evaluate_batch` only runs
-    array arithmetic.
+    boundary flows, energy constants); problem tables and per-layer
+    constants are built on first use and cached on the instance, so
+    :meth:`evaluate_batch` only runs array arithmetic.
     """
 
     def __init__(self, accelerator: Accelerator):
-        _require_numpy()
         self.accelerator = accelerator
         hierarchy = accelerator.hierarchy
         self.num_levels = len(hierarchy)
@@ -335,6 +358,9 @@ class BatchCostModel:
         self.pe_level = accelerator.pe_level_index()
         #: Problem-dependent constants, computed once per tensor problem.
         self._problem_tables: dict[str, _ProblemTables] = {}
+        #: Per-layer constants (tables, bounds vector, tensor volumes, macs,
+        #: stride), computed once per layer.
+        self._layer_consts: dict[Layer, tuple] = {}
         # Per-level constants.
         self._fanout = np.array([level.spatial_fanout for level in hierarchy], dtype=np.float64)
         self._capacity = np.array(
@@ -344,7 +370,9 @@ class BatchCostModel:
             ],
             dtype=np.float64,
         )
-        self._bandwidth = [level.bandwidth_words_per_cycle for level in hierarchy]
+        self._bandwidth = np.array(
+            [level.bandwidth_words_per_cycle for level in hierarchy], dtype=np.float64
+        )
         self._bytes = {tensor: float(accelerator.precision.bytes_for(tensor)) for tensor in TensorKind}
         self._holds = {
             tensor: np.array([level.holds(tensor) for level in hierarchy], dtype=bool)
@@ -358,6 +386,9 @@ class BatchCostModel:
             levels = hierarchy.levels_holding(tensor)
             for child, parent in zip(levels, levels[1:]):
                 self._flow_pairs.append((tensor, child, parent))
+        self._tensors_at_child: dict[int, list[TensorKind]] = {}
+        for tensor, child, _ in self._flow_pairs:
+            self._tensors_at_child.setdefault(child, []).append(tensor)
         self._innermost = {tensor: hierarchy.innermost_level_for(tensor) for tensor in TensorKind}
         self._multicast = accelerator.noc.multicast
         # Energy constants.
@@ -378,6 +409,22 @@ class BatchCostModel:
             self._problem_tables[problem.name] = tables
         return tables
 
+    def _consts(self, layer: Layer) -> tuple:
+        """Cached per-layer constants: tables, bounds, volumes, macs, stride."""
+        consts = self._layer_consts.get(layer)
+        if consts is None:
+            tables = self._tables(layer.problem)
+            layer_bounds = layer.bounds
+            consts = (
+                tables,
+                np.array([layer_bounds[dim] for dim in tables.dims], dtype=np.float64),
+                {tensor: float(layer.tensor_volume(tensor)) for tensor in TensorKind},
+                float(layer.macs),
+                float(layer.stride),
+            )
+            self._layer_consts[layer] = consts
+        return consts
+
     def _refetch_and_pending(self, batch: MappingBatch, tables: _ProblemTables):
         """Per-candidate re-fetch factors and pending-reduction flags.
 
@@ -386,33 +433,27 @@ class BatchCostModel:
         walk is the scalar stationarity rule vectorized: within the loop
         sequence restricted to levels ``>= child``, every loop at-or-outside
         the innermost tensor-relevant loop contributes its bound.  The
-        product is accumulated loop-by-loop (sequential, like the scalar
-        walk) so the float rounding matches the oracle exactly.
+        product is one ``multiply.reduce`` along the loop axis, which runs
+        in the scalar walk's sequential order over exact integers, so the
+        float rounding matches the oracle exactly.
         """
         level = batch.loop_level  # [B, M]
         dim = batch.loop_dim
         bound = batch.loop_bound
-        B, M = level.shape
+        B = level.shape[0]
         present = dim >= 0
         dim_safe = np.where(present, dim, 0)
         rel = tables.rel[dim_safe]  # [B, M, T]
-        is_reduction = np.isin(dim_safe, tables.reduction_dim_indices) & present
+        is_reduction = tables.is_reduction_dim[dim_safe] & present
 
         refetch: dict[tuple[TensorKind, int], np.ndarray] = {}
         pending: dict[int, np.ndarray] = {}
-        children = sorted({child for _, child, _ in self._flow_pairs})
-        for child in children:
+        for child in sorted(self._tensors_at_child):
             mask = (level >= child) & present  # loops_above(child)
-            for tensor in TensorKind:
-                if not any(c == child and t is tensor for t, c, _ in self._flow_pairs):
-                    continue
+            for tensor in self._tensors_at_child[child]:
                 relevant = rel[:, :, int(tensor)] & mask
                 seen = np.logical_or.accumulate(relevant, axis=1)
-                counted = seen & mask
-                factor = np.ones(B, dtype=np.float64)
-                for j in range(M):
-                    factor = factor * np.where(counted[:, j], bound[:, j], 1.0)
-                refetch[(tensor, child)] = factor
+                refetch[(tensor, child)] = np.where(seen & mask, bound, 1.0).prod(axis=1)
             # reduction_pending_above(child): a reduction-dim temporal loop
             # strictly outside the innermost output-relevant loop.
             relevant = rel[:, :, int(TensorKind.OUTPUT)] & mask
@@ -437,6 +478,16 @@ class BatchCostModel:
         result, _ = self._evaluate(batch, want_detail=False)
         return result
 
+    def evaluate_draws(self, draws: "MappingDraws") -> BatchCostResult:
+        """Pack sampled draws into a batch and evaluate them."""
+        result, _ = self._evaluate(MappingBatch.from_draws(draws), want_detail=False)
+        return result
+
+    def evaluate_mappings(self, mappings: Sequence[Mapping]) -> BatchCostResult:
+        """Pack ``mappings`` into a batch and evaluate it."""
+        result, _ = self._evaluate(MappingBatch.from_mappings(mappings), want_detail=False)
+        return result
+
     def evaluate_detail(self, batch: MappingBatch) -> BatchEvalDetail:
         """Evaluate ``batch`` and return the :class:`BatchEvalDetail` view.
 
@@ -454,10 +505,16 @@ class BatchCostModel:
 
     def _evaluate(self, batch: MappingBatch, want_detail: bool):
         layer = batch.layer
-        tables = self._tables(layer.problem)
+        tables, bounds, volumes, macs, stride = self._consts(layer)
         B = batch.size
         tf, sf = batch.temporal, batch.spatial
         L, D = self.num_levels, len(tables.dims)
+        if tf.shape[2] != D:
+            raise ValueError(
+                f"batch factor matrices have {tf.shape[2]} dimension columns; "
+                f"a {layer.problem.name!r} layer cannot be evaluated from them "
+                f"(it has {D} dimensions)"
+            )
 
         if batch.num_levels != self.num_levels:
             inf = np.full(B, np.inf)
@@ -469,8 +526,6 @@ class BatchCostModel:
             )
             return result, None
 
-        layer_bounds = layer.bounds
-        bounds = np.array([layer_bounds[dim] for dim in tables.dims], dtype=np.float64)
         total = tf * sf  # per-level per-dim factor products
 
         # -------------------------------------------------------- validation
@@ -487,14 +542,13 @@ class BatchCostModel:
             below[:, 1:, :] = np.cumprod(total, axis=1)[:, :-1, :]
         footprint = below * sf
 
-        stride = float(layer.stride)
         f = {dim: footprint[:, :, tables.dim_index[dim]] for dim in tables.dims}
         tiles = tables.tiles(f, stride)
         for tensor in TensorKind:
             tile = tiles[tensor]
             tile[:, ~self._holds[tensor]] = 0.0
             if self._holds[tensor][self.dram_index]:
-                tile[:, self.dram_index] = float(layer.tensor_volume(tensor))
+                tile[:, self.dram_index] = volumes[tensor]
 
         # Buffer occupancy (utilization_bytes, summed in TensorKind order).
         used_bytes = np.zeros((B, L), dtype=np.float64)
@@ -560,32 +614,29 @@ class BatchCostModel:
                 )
 
         # Compute-side accesses at the innermost storing level of each tensor.
-        macs = float(layer.macs)
         for tensor in TensorKind:
             innermost = self._innermost[tensor]
             t = int(tensor)
+            reads[:, innermost, t] += macs
             if tensor is TensorKind.OUTPUT:
-                reads[:, innermost, t] += macs
                 writes[:, innermost, t] += macs
-            else:
-                reads[:, innermost, t] += macs
 
         # ------------------------------------------------------------ latency
+        # max() is order-invariant and each cycles term is the scalar's
+        # quotient, so one row-wise max equals the per-level maximum walk.
         compute_cycles = tf.reshape(B, -1).prod(axis=1)
-        latency = compute_cycles
-        for index in range(L):
-            cycles = words_served[:, index] / (self._bandwidth[index] * instances[:, index])
-            latency = np.maximum(latency, cycles)
+        cycles = words_served / (self._bandwidth * instances)
+        latency = np.maximum(compute_cycles, cycles.max(axis=1))
 
         # ------------------------------------------------------------- energy
+        # accesses[b, l] sums (reads + writes) over the short tensor axis;
+        # numpy reduces a length-3 axis sequentially (no pairwise split), so
+        # the accumulation order matches the scalar TensorKind walk.
         mac_energy = macs * self._mac_pj
+        accesses = (reads + writes).sum(axis=2)
         level_energy_sum = np.zeros(B, dtype=np.float64)
         for index in range(L):
-            accesses = np.zeros(B, dtype=np.float64)
-            for tensor in TensorKind:
-                t = int(tensor)
-                accesses = accesses + (reads[:, index, t] + writes[:, index, t])
-            level_energy_sum = level_energy_sum + accesses * self._level_energy_pj[index]
+            level_energy_sum = level_energy_sum + accesses[:, index] * self._level_energy_pj[index]
         total_noc_words = np.zeros(B, dtype=np.float64)
         for tensor in TensorKind:
             total_noc_words = total_noc_words + noc_words[tensor]
@@ -611,7 +662,3 @@ class BatchCostModel:
                 dram_flows=dram_flows,
             )
         return result, detail
-
-    def evaluate_mappings(self, mappings: Sequence[Mapping]) -> BatchCostResult:
-        """Convenience: pack ``mappings`` into a batch and evaluate it."""
-        return self.evaluate_batch(MappingBatch.from_mappings(mappings))

@@ -11,10 +11,8 @@ edge rounds, and pipelined latency all as array arithmetic.
   per operator of the group, row ``b`` of every batch forming candidate
   group tiling ``b``.
 * :class:`BatchFusedCostModel` — evaluates a fused batch through
-  :meth:`BatchCostModel.evaluate_detail` plus the shared fused combiner.
-* :func:`combine_group_details` — the fused combiner itself, shared with
-  the compiled path (:func:`repro.model.kernels.compile_fused`) so the two
-  fast paths are identical by construction.
+  :meth:`BatchCostModel.evaluate_detail` plus the fused combiner.
+* :func:`combine_group_details` — the fused combiner itself.
 
 Equivalence with the scalar model
 ---------------------------------
@@ -27,8 +25,8 @@ order inside every sum, and ``np.where(accepted, x, 0.0)`` accumulations
 is exact for the non-negative quantities involved).  The structural gates
 (pin level exists, the intermediate borders DRAM, the pin level is the
 DRAM-adjacent storage level) depend only on the architecture, never on the
-mapping, so they are batch constants.  ``tests/test_fused_batch.py`` locks
-batched and compiled against the scalar oracle on every preset group.
+mapping, so they are batch constants.  ``tests/test_fused_batch.py`` locks the
+batched evaluator against the scalar oracle on every preset group.
 """
 
 from __future__ import annotations
@@ -36,25 +34,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.arch.accelerator import Accelerator
 from repro.model.batch import (
-    HAVE_NUMPY,
     BatchCostModel,
-    BatchCostResult,
     BatchEvalDetail,
     MappingBatch,
-    np,
 )
 from repro.model.fused import resolve_pin_level
 from repro.workloads.layer import TensorKind
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:
-        raise RuntimeError(
-            "repro.model.fused_batch requires numpy; "
-            "install it or use the scalar FusedCostModel"
-        )
 
 
 class FusedMappingBatch:
@@ -66,7 +55,6 @@ class FusedMappingBatch:
     """
 
     def __init__(self, group, batches: Sequence[MappingBatch]):
-        _require_numpy()
         batches = list(batches)
         if len(batches) != len(group.layers):
             raise ValueError(
@@ -89,7 +77,6 @@ class FusedMappingBatch:
     @classmethod
     def from_candidates(cls, group, candidates) -> "FusedMappingBatch":
         """Pack candidate group tilings (each a per-operator mapping sequence)."""
-        _require_numpy()
         candidates = [list(candidate) for candidate in candidates]
         if not candidates:
             raise ValueError("cannot build a fused batch from zero candidates")
@@ -188,8 +175,7 @@ def combine_group_details(
     """Fuse per-operator :class:`BatchEvalDetail` views into group results.
 
     ``pin`` is the already-resolved pin-level index (``None`` when the
-    architecture has no handover level).  This is the single combiner both
-    the batched and the compiled fast path run, so they cannot diverge.
+    architecture has no handover level).
     """
     hierarchy = accelerator.hierarchy
     dram = hierarchy.dram_index
@@ -432,7 +418,6 @@ class BatchFusedCostModel:
     """
 
     def __init__(self, accelerator: Accelerator, batch_model: BatchCostModel | None = None):
-        _require_numpy()
         self.accelerator = accelerator
         self.batch_model = batch_model or BatchCostModel(accelerator)
 

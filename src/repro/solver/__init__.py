@@ -10,7 +10,8 @@ interchangeable exact solvers:
   SciPy), the default,
 * :class:`~repro.solver.branch_and_bound.BranchAndBoundBackend` — a pure
   Python branch-and-bound over :func:`scipy.optimize.linprog` relaxations,
-  used as a fallback and as a readable reference implementation.
+  kept as a readable reference implementation the solver tests compare
+  against.
 
 Both return identical optima on the CoSA formulations (they are exact), so
 schedule quality does not depend on the backend.

@@ -17,18 +17,11 @@ class Backend(Protocol):
 
 
 def default_backend() -> "Backend":
-    """Return the preferred backend available in this environment.
+    """Return the default backend: ``scipy.optimize.milp`` (HiGHS).
 
-    ``scipy.optimize.milp`` (HiGHS) is preferred; the pure-Python
-    branch-and-bound backend is the fallback when the scipy installation is
-    too old to provide ``milp``.
+    The pure-Python :class:`~repro.solver.branch_and_bound.BranchAndBoundBackend`
+    stays available as the reference the solver tests compare against.
     """
-    try:
-        from scipy.optimize import milp  # noqa: F401
-    except ImportError:  # pragma: no cover - depends on the environment
-        from repro.solver.branch_and_bound import BranchAndBoundBackend
-
-        return BranchAndBoundBackend()
     from repro.solver.scipy_backend import ScipyMilpBackend
 
     return ScipyMilpBackend()

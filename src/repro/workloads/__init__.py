@@ -22,7 +22,7 @@ This subpackage provides:
   transformer-block presets built from matmul/attention problems.
 """
 
-from repro.workloads.layer import Layer, TensorKind, matmul_layer
+from repro.workloads.layer import Layer, TensorKind
 from repro.workloads.problem import (
     CONV7,
     ProblemLayer,
@@ -62,7 +62,6 @@ __all__ = [
     "Window",
     "CONV7",
     "matmul",
-    "matmul_layer",
     "depthwise_conv",
     "grouped_conv",
     "attention_qk",

@@ -219,30 +219,6 @@ class Layer:
         )
 
 
-def matmul_layer(m: int, n: int, k: int, batch: int = 1, name: str = ""):
-    """Deprecated: build a matmul operator (use :func:`repro.workloads.problem.matmul`).
-
-    Historically this aliased the matmul dimensions onto conv's R/S/P/Q
-    (reduction as ``C``, output columns as ``K``, output rows as ``P``).  The
-    tensor-problem IR describes matmul natively; this shim now returns the
-    real :class:`~repro.workloads.problem.ProblemLayer` built by
-    :func:`repro.workloads.problem.matmul` and will be removed in a future
-    release.
-    """
-    import warnings
-
-    from repro.workloads.problem import matmul
-
-    warnings.warn(
-        "matmul_layer() is deprecated; use repro.workloads.problem.matmul(), "
-        "which builds a first-class matmul TensorProblem instead of aliasing "
-        "matmul dimensions onto the conv nest",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return matmul(m=m, n=n, k=k, batch=batch, name=name)
-
-
 def conv_layer(
     r: int,
     p: int,

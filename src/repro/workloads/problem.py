@@ -214,33 +214,6 @@ class TensorProblem:
             name=name,
         )
 
-    # -------------------------------------------------------------- identity
-    def fingerprint(self) -> str:
-        """Stable content digest of the problem structure.
-
-        Keys the compiled-kernel cache (:mod:`repro.model.kernels`) together
-        with the accelerator fingerprint, so two equal problems registered
-        under different objects share compiled kernels and a changed
-        projection can never be served a stale kernel.
-        """
-        from repro.digest import stable_digest
-
-        payload = {
-            "name": self.name,
-            "dims": list(self.dims),
-            "projections": [
-                [
-                    ["window", term.outer, term.window]
-                    if isinstance(term, Window)
-                    else term
-                    for term in self.projection(tensor)
-                ]
-                for tensor in TensorKind
-            ],
-            "reduction_dims": list(self.reduction_dims),
-        }
-        return stable_digest(payload)
-
 
 @dataclass(frozen=True)
 class ProblemLayer:

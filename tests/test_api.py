@@ -28,6 +28,7 @@ from repro.api import (
     register_scheduler,
     run,
     schedulers,
+    spec_fingerprint,
     workloads,
 )
 
@@ -123,17 +124,29 @@ class TestSpecParsing:
         assert spec.platform == PlatformSpec("noc")
 
     def test_roundtrip_through_json(self):
-        spec = RunSpec.from_dict(
-            {
-                "kind": "suite",
-                "scheduler": {"name": "random", "options": {"num_valid": 3}},
-                "workload": {"first_layers": 2, "batch": 4},
-                "engine": {"jobs": 2, "cache": "m.json", "batch_size": 16, "time_budget": 1.5},
-                "seed": 7,
-            }
-        )
+        payload = {
+            "kind": "suite",
+            "scheduler": {"name": "random", "options": {"num_valid": 3}},
+            "workload": {"first_layers": 2, "batch": 4},
+            "engine": {"jobs": 2, "cache": "m.json", "batch_size": 16, "time_budget": 1.5},
+            "seed": 7,
+        }
+        spec = RunSpec.from_dict(payload)
         restored = RunSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert restored == spec
+        # Specs stored while the engine had a selectable evaluation backend
+        # still parse: the legacy key is checked, then dropped.
+        for backend in ("numpy", "numba", "off"):
+            legacy = RunSpec.from_dict(
+                {**payload, "engine": {**payload["engine"], "kernel_backend": backend}}
+            )
+            assert legacy == spec
+            assert "kernel_backend" not in legacy.to_dict()["engine"]
+            assert spec_fingerprint(legacy) == spec_fingerprint(spec)
+        with pytest.raises(ValueError, match="kernel_backend must be one of"):
+            RunSpec.from_dict(
+                {**payload, "engine": {**payload["engine"], "kernel_backend": "cuda"}}
+            )
 
     def test_unknown_top_level_key_lists_allowed(self):
         with pytest.raises(ValueError, match=r"'schedulers'.*allowed keys.*scheduler"):

@@ -6,6 +6,7 @@ from repro.arch import simba_like
 from repro.arch.gpu import gpu_as_accelerator
 from repro.baselines import RandomScheduler, TimeloopHybridScheduler, TVMLikeTuner
 from repro.baselines.base import SearchScheduler
+from repro.engine import SchedulingEngine
 from repro.model import CostModel
 from repro.workloads import Layer, layer_from_name
 
@@ -55,8 +56,8 @@ class TestRandomScheduler:
 
     def test_network_scheduling(self):
         scheduler = RandomScheduler(ARCH, num_valid=1, seed=0)
-        results = scheduler.schedule_network([SMALL_LAYER, MEDIUM_LAYER])
-        assert len(results) == 2
+        results = SchedulingEngine(scheduler).schedule_network([SMALL_LAYER, MEDIUM_LAYER])
+        assert len(results.outcomes) == 2
 
     def test_best_mapping_validated_by_cost_model(self):
         result = RandomScheduler(ARCH, num_valid=3, seed=5).schedule(MEDIUM_LAYER)

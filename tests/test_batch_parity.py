@@ -1,6 +1,6 @@
 """Parity tests: the vectorized batch evaluator against the scalar oracle.
 
-Two layers of protection:
+Three layers of protection:
 
 * **Cost parity** — for every mapping the scalar test-suite constructs (the
   hand-built nests of ``test_model.py``) plus hundreds of random samples per
@@ -8,6 +8,10 @@ Two layers of protection:
   :class:`~repro.model.cost.CostModel` on validity and match latency /
   energy / EDP / utilization to within 1e-9 relative (they are bit-identical
   in practice: the batch model mirrors the scalar float expression order).
+  Every built-in tensor problem is checked bit-exactly (``==``, no
+  tolerance) through the draws fast path.
+* **Packing parity** — :meth:`MappingBatch.from_draws` produces exactly the
+  arrays of :meth:`MappingBatch.from_mappings` for the same candidates.
 * **Search parity** — every search baseline must produce the *identical*
   outcome (same winner mapping, same sample/evaluation counters, same best
   cost) with batching on and off, which is what justifies keeping
@@ -16,18 +20,59 @@ Two layers of protection:
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.arch import architecture_presets, simba_like
+from repro.arch import architecture_presets, gpu_k80, simba_like
 from repro.baselines import RandomScheduler, TimeloopHybridScheduler, TVMLikeTuner
 from repro.mapping import MapSpace, Mapping, mapping_to_dict
-from repro.model import CostModel, HAVE_NUMPY, BatchCostModel, MappingBatch
-from repro.workloads import Layer, layer_from_name
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable: no batched path")
+from repro.model import CostModel, BatchCostModel, MappingBatch
+from repro.workloads import (
+    Layer,
+    attention_av,
+    attention_qk,
+    depthwise_conv,
+    grouped_conv,
+    layer_from_name,
+    matmul,
+)
 
 ARCH = simba_like()
 REL = 1e-9
+
+
+def builtin_problem_layers():
+    """One small layer per built-in tensor problem (all six)."""
+    return [
+        layer_from_name("3_7_64_64_1"),  # conv7
+        matmul(m=8, n=16, k=32, name="parity_matmul"),
+        depthwise_conv(r=3, p=8, c=16, name="parity_dw"),
+        grouped_conv(r=3, p=8, c=4, k=4, groups=8, name="parity_gconv"),
+        attention_qk(seq=16, heads=2, head_dim=8, name="parity_qk"),
+        attention_av(seq=16, heads=2, head_dim=8, name="parity_av"),
+    ]
+
+
+def assert_results_identical(a, b):
+    """BatchCostResult equality with ``==`` — bit-exact, not approximate."""
+    assert np.array_equal(a.valid, b.valid)
+    assert np.array_equal(a.latency, b.latency)
+    assert np.array_equal(a.energy, b.energy)
+    assert np.array_equal(a.utilization, b.utilization)
+
+
+def assert_draws_match_scalar_exactly(arch, draws):
+    """Evaluate ``draws`` through the fast path; compare with ``==``."""
+    scalar = CostModel(arch)
+    result = BatchCostModel(arch).evaluate_draws(draws)
+    for i in range(len(draws)):
+        cost = scalar.evaluate(draws.materialize(i))
+        assert bool(result.valid[i]) == cost.valid
+        if cost.valid:
+            assert result.latency[i] == cost.latency
+            assert result.energy[i] == cost.energy
+            assert result.utilization[i] == cost.utilization
+    return result
 
 
 def make_mapping(arch, layer, temporal, spatial=None, permutations=None):
@@ -135,6 +180,36 @@ class TestCostParityHandBuilt:
         assert not result.valid.any()
         assert result.latency[0] == float("inf")
 
+    def test_level_count_mismatch_marks_everything_invalid(self):
+        layer = layer_from_name("3_7_64_64_1")
+        model = BatchCostModel(ARCH)  # 6-level hierarchy
+        shallow = gpu_k80()  # 4-level hierarchy
+        draws = MapSpace(layer, shallow).sample_batch(8, random.Random(2))
+        result = model.evaluate_draws(draws)
+        assert not result.valid.any()
+        assert np.all(np.isinf(result.latency))
+        assert np.all(np.isinf(result.energy))
+        assert np.all(result.utilization == 0.0)
+        with pytest.raises(ValueError, match="level count"):
+            model.evaluate_detail(MappingBatch.from_draws(draws))
+
+    def test_problem_mismatch_is_an_error(self):
+        conv = layer_from_name("3_7_64_64_1")
+        other = matmul(m=8, n=16, k=32, name="wrong_problem")
+        packed = MappingBatch.from_draws(MapSpace(other, ARCH).sample_batch(4, random.Random(0)))
+        # matmul factor matrices relabelled as a conv layer: the dimension
+        # columns cannot be priced against the conv problem.
+        forged = MappingBatch(
+            conv,
+            packed.temporal,
+            packed.spatial,
+            packed.loop_level,
+            packed.loop_dim,
+            packed.loop_bound,
+        )
+        with pytest.raises(ValueError, match="cannot"):
+            BatchCostModel(ARCH).evaluate_batch(forged)
+
 
 class TestCostParityRandom:
     """Random sampling parity over every architecture preset."""
@@ -149,6 +224,12 @@ class TestCostParityRandom:
         mappings = [space.random_mapping(rng) for _ in range(60)]
         assert_batch_matches_scalar(arch, mappings)
 
+    def test_parity_across_architecture_presets(self):
+        layer = layer_from_name("3_14_32_64_1")
+        for _, arch in sorted(architecture_presets().items()):
+            draws = MapSpace(layer, arch).sample_batch(48, random.Random(3))
+            assert_draws_match_scalar_exactly(arch, draws)
+
     def test_draws_match_materialized_mappings(self):
         """from_draws and from_mappings agree on the same candidates."""
         layer = layer_from_name("3_7_64_64_1")
@@ -160,6 +241,68 @@ class TestCostParityRandom:
         assert (via_draws.valid == via_mappings.valid).all()
         assert (via_draws.latency == via_mappings.latency).all()
         assert (via_draws.energy == via_mappings.energy).all()
+
+
+class TestBuiltinProblems:
+    """Bit-exact parity on every built-in tensor problem."""
+
+    def test_every_builtin_problem_matches_scalar_oracle(self):
+        for layer in builtin_problem_layers():
+            draws = MapSpace(layer, ARCH).sample_batch(24, random.Random(11))
+            assert_draws_match_scalar_exactly(ARCH, draws)
+
+    def test_evaluate_draws_equals_evaluate_mappings_on_every_builtin_problem(self):
+        for layer in builtin_problem_layers():
+            draws = MapSpace(layer, ARCH).sample_batch(64, random.Random(7))
+            model = BatchCostModel(ARCH)
+            via_draws = model.evaluate_draws(draws)
+            via_mappings = model.evaluate_mappings(
+                [draws.materialize(i) for i in range(len(draws))]
+            )
+            assert_results_identical(via_draws, via_mappings)
+            assert bool(via_draws.valid.any()), f"no valid draw for {layer.name}: weak test"
+
+    def test_from_draws_reproduces_from_mappings_arrays(self):
+        for layer in builtin_problem_layers():
+            draws = MapSpace(layer, ARCH).sample_batch(32, random.Random(0))
+            fast = MappingBatch.from_draws(draws)
+            reference = MappingBatch.from_mappings(
+                [draws.materialize(i) for i in range(len(draws))]
+            )
+            for name in ("temporal", "spatial", "loop_level", "loop_dim", "loop_bound"):
+                assert np.array_equal(getattr(fast, name), getattr(reference, name)), (
+                    f"{layer.name}: {name} diverges"
+                )
+            assert fast.layer is draws.layer
+            assert fast._source is draws  # materialize() keeps working
+
+    def test_from_mappings_multiplies_repeated_dims(self):
+        layer = Layer(p=4, q=4, c=8, k=16)
+        split = make_mapping(
+            ARCH, layer,
+            [{"P": 4, "Q": 4}, {"C": 8}, {}, {}, {"K": 16}, {}],
+        )
+        levels = list(split.levels)
+        k_loop = levels[4].temporal[0]
+        levels[4] = type(levels[4])(
+            temporal=[type(k_loop)(dim="K", bound=4), type(k_loop)(dim="K", bound=4)],
+            spatial=list(levels[4].spatial),
+        )
+        repeated = Mapping(layer, levels)
+        batch = MappingBatch.from_mappings([repeated])
+        assert batch.temporal[0, 4, batch.layer.problem.dims.index("K")] == 16.0
+        assert_batch_matches_scalar(ARCH, [repeated, split])
+
+    def test_problem_tables_are_cached_per_instance(self):
+        layer = matmul(m=8, n=16, k=32, name="cache_probe")
+        model = BatchCostModel(ARCH)
+        first = model._tables(layer.problem)
+        assert model._tables(layer.problem) is first
+        draws = MapSpace(layer, ARCH).sample_batch(4, random.Random(1))
+        model.evaluate_draws(draws)
+        model.evaluate_draws(draws)
+        assert list(model._layer_consts) == [layer]
+        assert model._layer_consts[layer][0] is first
 
 
 class TestSearchParity:

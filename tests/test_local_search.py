@@ -5,15 +5,16 @@ Four layers of contract:
 * **End-to-end** — ``local-search`` is registered, schedules conv and
   matmul layers through ``schedule_outcome`` and the declarative ``run()``
   path, and its winner validates against the layer.
-* **Outcome invariance** — ``use_delta``, ``eval_batch_size`` and
-  ``kernel_backend`` are pure speed knobs: same seed, same winner, same
-  cost, same config fingerprint (the mapping-cache key).
+* **Outcome invariance** — ``use_delta`` and ``eval_batch_size`` are pure
+  speed knobs: same seed, same winner, same cost, same config fingerprint
+  (the mapping-cache key).
 * **Quality** — under an equal evaluation budget the guided search is never
   worse than random search on a spread of ResNet-50 layers (and strictly
   better on some).
-* **Store identity** — specs differing only in ``engine.kernel_backend``
-  share a spec fingerprint and therefore a result-store entry, mirroring
-  the established ``eval_batch_size`` rule.
+* **Store identity** — legacy specs that still carry the removed
+  ``engine.kernel_backend`` key parse, drop it, and share the spec
+  fingerprint (and therefore the result-store entry) of the same spec
+  without it.
 """
 
 import pytest
@@ -29,7 +30,6 @@ from repro.api import (
 from repro.api.store import ResultStore
 from repro.arch import simba_like
 from repro.baselines import LocalSearchScheduler, RandomScheduler
-from repro.engine import SchedulingEngine
 from repro.mapping import mapping_to_dict
 from repro.workloads import layer_from_name, matmul
 
@@ -77,13 +77,13 @@ class TestEndToEnd:
         assert result.data["succeeded"] is True
         assert result.data["outcomes"][0]["scheduler"] == "local-search"
 
-    def test_respects_engine_kernel_backend_spec(self):
+    def test_legacy_kernel_backend_spec_still_runs(self):
         spec = RunSpec.from_dict(
             {**LOCAL_SEARCH_SPEC, "engine": {"kernel_backend": "numpy"}}
         )
         result = run(spec)
         assert result.data["succeeded"] is True
-        assert result.artifacts["scheduler"].kernel_backend == "numpy"
+        assert not hasattr(result.artifacts["scheduler"], "kernel_backend")
 
 
 class TestOutcomeInvariance:
@@ -100,14 +100,13 @@ class TestOutcomeInvariance:
         assert with_delta.config_fingerprint() == without.config_fingerprint()
         assert "use_delta" not in with_delta._config()
 
-    def test_batch_size_and_backend_do_not_change_the_winner(self):
+    def test_batch_size_does_not_change_the_winner(self):
         layer = layer_from_name("3_14_32_64_1")
         reference = small_scheduler().schedule(layer)
         for overrides in (
+            {"eval_batch_size": 1},  # scalar reference path
             {"eval_batch_size": 8},
             {"eval_batch_size": 256},
-            {"kernel_backend": "numba"},  # falls back to numpy when absent
-            {"kernel_backend": "off"},  # plain batched / scalar path
         ):
             result = small_scheduler(**overrides).schedule(layer)
             assert mapping_to_dict(result.mapping) == mapping_to_dict(reference.mapping), overrides
@@ -115,18 +114,10 @@ class TestOutcomeInvariance:
 
     def test_fingerprint_ignores_execution_knobs_when_budget_free(self):
         reference = small_scheduler().config_fingerprint()
-        assert small_scheduler(kernel_backend="numba").config_fingerprint() == reference
         assert small_scheduler(eval_batch_size=16).config_fingerprint() == reference
         # Result-determining knobs do split the fingerprint.
         assert small_scheduler(seed=9).config_fingerprint() != reference
         assert small_scheduler(moves_per_step=4).config_fingerprint() != reference
-
-    def test_fingerprint_includes_backend_under_a_time_budget(self):
-        # With a wall-clock budget the backend changes how far the search
-        # gets, so it becomes result-determining — exactly like batch size.
-        budgeted = small_scheduler(time_budget_seconds=60.0)
-        other = small_scheduler(time_budget_seconds=60.0, kernel_backend="numba")
-        assert budgeted.config_fingerprint() != other.config_fingerprint()
 
 
 class TestBeatsRandomAtEqualBudget:
@@ -153,11 +144,11 @@ class TestBeatsRandomAtEqualBudget:
 class TestSpecAndStoreIdentity:
     def test_engine_spec_serialization_is_legacy_identical_when_unset(self):
         assert "kernel_backend" not in EngineSpec().to_dict()
-        roundtrip = EngineSpec.from_dict({"kernel_backend": "numba"})
-        assert roundtrip.kernel_backend == "numba"
-        assert roundtrip.to_dict()["kernel_backend"] == "numba"
+        legacy = EngineSpec.from_dict({"kernel_backend": "numba"})
+        assert legacy == EngineSpec()
+        assert "kernel_backend" not in legacy.to_dict()
         with pytest.raises(ValueError, match="kernel_backend must be one of"):
-            EngineSpec(kernel_backend="cuda")
+            EngineSpec.from_dict({"kernel_backend": "cuda"})
 
     def test_spec_fingerprint_ignores_kernel_backend(self):
         base = RunSpec.from_dict(LOCAL_SEARCH_SPEC)
@@ -185,27 +176,6 @@ class TestSpecAndStoreIdentity:
             second.result(timeout=300)
         assert store.stats.puts == 1
         assert store.stats.hits == 1
-
-
-class TestEngineOverride:
-    def test_override_applies_to_budget_free_scheduler(self):
-        scheduler = small_scheduler()
-        before = scheduler.config_fingerprint()
-        SchedulingEngine(scheduler, kernel_backend="numba")
-        assert scheduler.kernel_backend == "numba"
-        assert scheduler.config_fingerprint() == before
-
-    def test_refuses_to_rekey_budget_capped_scheduler(self):
-        scheduler = small_scheduler(time_budget_seconds=1.0)
-        with pytest.raises(ValueError, match="budget-capped"):
-            SchedulingEngine(scheduler, kernel_backend="numba")
-        # A no-op override (same resolved value) is allowed.
-        SchedulingEngine(scheduler, kernel_backend="numpy")
-        assert scheduler.kernel_backend == "numpy"
-
-    def test_engine_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            SchedulingEngine(small_scheduler(), kernel_backend="cuda")
 
 
 class TestKnobValidation:

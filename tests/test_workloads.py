@@ -12,7 +12,6 @@ from repro.workloads import (
     divisors,
     factorize,
     layer_from_name,
-    matmul_layer,
     prime_factor_multiset,
     resnet50_layers,
     resnext50_layers,
@@ -117,15 +116,6 @@ class TestLayer:
         assert layer.r == layer.s == 3
         assert layer.p == layer.q == 7
         assert layer.stride == 2
-
-    def test_matmul_layer_is_a_deprecated_shim(self):
-        with pytest.warns(DeprecationWarning, match="matmul_layer"):
-            layer = matmul_layer(m=64, n=128, k=256)
-        # The shim now returns a first-class matmul problem instead of a conv
-        # alias: the reduction dimension is K, not a fake channel dim.
-        assert layer.problem.name == "matmul"
-        assert layer.problem.reduction_dims == ("K",)
-        assert layer.macs == 64 * 128 * 256
 
     def test_fc_layer_detection(self):
         assert layer_from_name("1_1_2048_1000_1").is_fully_connected
