@@ -256,9 +256,8 @@ def _build_scheduler(spec: RunSpec, accelerator):
     Explicit ``SchedulerSpec.options`` are passed through verbatim (a typo
     raises the factory's ``TypeError``).  The engine-level search knobs —
     ``seed``, ``eval_batch_size``, ``time_budget_seconds`` — are offered
-    only to factories whose signature
-    accepts them, so one spec drives both seeded search baselines and
-    knob-free one-shot schedulers.
+    only to factories whose signature accepts them, so one spec drives both
+    seeded search baselines and knob-free one-shot schedulers.
     """
     factory = schedulers.get(spec.scheduler.name)
     options = dict(spec.scheduler.options)

@@ -323,8 +323,9 @@ class EngineSpec:
     ``fusion_options`` tunes the fused alignment search (currently only
     ``max_candidates``, the frontier-candidate cap — distinct from
     ``WorkloadSpec.fusion_options``, which carries a fusion group factory's
-    *workload* options).  It is execution-only: omitted from serialized specs when empty and excluded from store
-    fingerprints (:data:`repro.api.store.EXECUTION_ONLY_ENGINE_KEYS`).
+    *workload* options).  It is execution-only: omitted from serialized
+    specs when empty and excluded from store fingerprints
+    (:data:`repro.api.store.EXECUTION_ONLY_ENGINE_KEYS`).
     """
 
     #: Recognised ``fusion_options`` keys.

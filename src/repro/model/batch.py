@@ -48,16 +48,11 @@ import numpy as np
 
 from repro.arch.accelerator import Accelerator
 from repro.mapping.mapping import Mapping
-from repro.workloads.layer import DIMENSION_NAMES, Layer, TensorKind
+from repro.workloads.layer import Layer, TensorKind
 from repro.workloads.problem import TensorProblem
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mapping.space import MappingDraws
-
-#: Column index of each conv layer dimension in the factor matrices (kept for
-#: backward compatibility; the general per-problem index lives on
-#: :class:`_ProblemTables`).
-DIM_INDEX: dict[str, int] = {dim: i for i, dim in enumerate(DIMENSION_NAMES)}
 
 #: Padding sentinel used in the flattened loop arrays.
 PAD = -1
@@ -221,8 +216,8 @@ class MappingBatch:
 class _ProblemTables:
     """Problem-dependent constants of the vectorized model.
 
-    One instance per :class:`~repro.workloads.problem.TensorProblem` (cached
-    on the :class:`BatchCostModel`): the dimension index of the factor
+    Built once per layer and cached on the :class:`BatchCostModel`: the
+    dimension index of the factor
     matrices, the ``bool[D, T]`` relevance matrix derived from the projection
     tables, the per-tensor irrelevant-dimension masks used by the multicast /
     spatial-reduction factors, and the ``bool[D]`` reduction-dimension mask.
@@ -356,10 +351,8 @@ class BatchCostModel:
         self.num_levels = len(hierarchy)
         self.dram_index = hierarchy.dram_index
         self.pe_level = accelerator.pe_level_index()
-        #: Problem-dependent constants, computed once per tensor problem.
-        self._problem_tables: dict[str, _ProblemTables] = {}
-        #: Per-layer constants (tables, bounds vector, tensor volumes, macs,
-        #: stride), computed once per layer.
+        #: Per-layer constants (problem tables, bounds vector, tensor
+        #: volumes, macs, stride), computed once per layer.
         self._layer_consts: dict[Layer, tuple] = {}
         # Per-level constants.
         self._fanout = np.array([level.spatial_fanout for level in hierarchy], dtype=np.float64)
@@ -401,19 +394,11 @@ class BatchCostModel:
         self._total_lanes = accelerator.pe_array.num_pes * accelerator.pe_array.macs_per_pe
 
     # ------------------------------------------------------------------ helpers
-    def _tables(self, problem: TensorProblem) -> _ProblemTables:
-        """The cached problem-dependent constant tables for ``problem``."""
-        tables = self._problem_tables.get(problem.name)
-        if tables is None or tables.problem != problem:
-            tables = _ProblemTables(problem)
-            self._problem_tables[problem.name] = tables
-        return tables
-
     def _consts(self, layer: Layer) -> tuple:
         """Cached per-layer constants: tables, bounds, volumes, macs, stride."""
         consts = self._layer_consts.get(layer)
         if consts is None:
-            tables = self._tables(layer.problem)
+            tables = _ProblemTables(layer.problem)
             layer_bounds = layer.bounds
             consts = (
                 tables,

@@ -417,9 +417,9 @@ class BatchFusedCostModel:
     :func:`combine_group_details` combiner.
     """
 
-    def __init__(self, accelerator: Accelerator, batch_model: BatchCostModel | None = None):
+    def __init__(self, accelerator: Accelerator):
         self.accelerator = accelerator
-        self.batch_model = batch_model or BatchCostModel(accelerator)
+        self.batch_model = BatchCostModel(accelerator)
 
     def evaluate_group(
         self, fused_batch: FusedMappingBatch, fused: bool = True, pin_level=None

@@ -9,7 +9,6 @@ methods for ``--trace 1`` runs.  Delete this module once the tracer imports
 from repro.model.batch import BatchCostModel
 from repro.model.fused_batch import BatchFusedCostModel
 
-# The per-layer evaluator (was a compiled-kernel wrapper).
+# Aliases for the tracer's import; the next benchmark change deletes them.
 CompiledCostModel = BatchCostModel
-# The fused-group evaluator (was a compiled fused kernel).
 CompiledFusedKernel = BatchFusedCostModel

@@ -296,13 +296,13 @@ class TestBuiltinProblems:
     def test_problem_tables_are_cached_per_instance(self):
         layer = matmul(m=8, n=16, k=32, name="cache_probe")
         model = BatchCostModel(ARCH)
-        first = model._tables(layer.problem)
-        assert model._tables(layer.problem) is first
         draws = MapSpace(layer, ARCH).sample_batch(4, random.Random(1))
         model.evaluate_draws(draws)
+        tables = model._layer_consts[layer][0]
+        assert tables.problem == layer.problem
         model.evaluate_draws(draws)
         assert list(model._layer_consts) == [layer]
-        assert model._layer_consts[layer][0] is first
+        assert model._layer_consts[layer][0] is tables
 
 
 class TestSearchParity:
