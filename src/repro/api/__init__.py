@@ -129,7 +129,6 @@ __all__ = [
     "JobState",
     "JobCancelled",
     "JobTimeout",
-    "FIFOJobQueue",
     "TwoLevelPriorityQueue",
     "ResultStore",
     "StoreRecordWarning",
@@ -172,7 +171,6 @@ _LAZY = {
     "JobState": "repro.api.service",
     "JobCancelled": "repro.api.service",
     "JobTimeout": "repro.api.service",
-    "FIFOJobQueue": "repro.api.service",
     "TwoLevelPriorityQueue": "repro.api.service",
     "ResultStore": "repro.api.store",
     "StoreRecordWarning": "repro.api.store",

@@ -23,10 +23,12 @@ Multi-tenancy
 Every tenant gets its own :class:`~repro.api.store.ResultStore` subtree
 (``<root>/tenants/<tenant>``) and job-id namespace (ids are prefixed
 ``<tenant>-job-…``), so stores, records and event logs never mix.  All
-tenants share **one** worker pool behind a
+tenants share **one** worker pool behind the service's
 :class:`~repro.api.service.TwoLevelPriorityQueue`: interactive submissions
-overtake queued batch sweeps at a configurable weight, so one tenant's
-1000-layer sweep cannot starve another's interactive submit.  Identical
+overtake queued batch sweeps (one batch job per
+:data:`~repro.api.service.INTERACTIVE_WEIGHT` interactive ones), so one
+tenant's 1000-layer sweep cannot starve another's interactive submit — and
+the fabric work queue applies the same lane rule.  Identical
 specs are deduplicated twice — against the tenant's result store
 (cross-process) and against in-flight jobs (single-flight) — so
 resubmission over HTTP reports ``store_hit`` with zero scheduler
@@ -67,11 +69,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.api.auth import ApiKeyAuth, AuthError
 from repro.api.ratelimit import RateLimiter
-from repro.api.service import (
-    PRIORITIES,
-    SchedulingService,
-    TwoLevelPriorityQueue,
-)
+from repro.api.service import PRIORITIES, SchedulingService
 from repro.api.specs import RunSpec
 from repro.api.store import ResultStore
 
@@ -128,9 +126,8 @@ class SchedulingGateway:
     rate_limiter:
         Optional :class:`RateLimiter` charged per tenant; ``None`` disables
         admission control.
-    max_workers / interactive_weight:
-        Worker-pool width and the priority queue's interactive:batch
-        dequeue weight.
+    max_workers:
+        Worker-pool width.
     backend / fabric_root:
         ``backend="fabric"`` turns the gateway into a pure front-end: every
         submission lands in the persistent work queue under ``fabric_root``
@@ -154,7 +151,6 @@ class SchedulingGateway:
         auth: ApiKeyAuth | None = None,
         rate_limiter: RateLimiter | None = None,
         max_workers: int = 2,
-        interactive_weight: int = 4,
         backend: str = "local",
         fabric_root: str | Path | None = None,
         host: str = "127.0.0.1",
@@ -166,7 +162,6 @@ class SchedulingGateway:
         self.backend = backend
         self.service = SchedulingService(
             max_workers=max_workers,
-            job_queue=TwoLevelPriorityQueue(interactive_weight=interactive_weight),
             backend=backend,
             fabric_root=fabric_root,
         )

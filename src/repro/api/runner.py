@@ -7,7 +7,8 @@ and returns a :class:`~repro.api.result.RunResult` stamped with the payload
 ``schema_version`` and the fully resolved spec.  It optionally narrates
 per-layer progress through an ``emit_layer`` callback — the hook the
 :class:`~repro.api.service.SchedulingService` turns into ``layer_scheduled``
-events.
+events.  :func:`execute_job` wraps it with the result-store lookup and write
+that service threads and fabric workers share.
 
 :func:`run` is the synchronous convenience wrapper the public API promises:
 it submits the spec to a private single-worker service and blocks on
@@ -120,6 +121,24 @@ def execute(spec: RunSpec, emit_layer=None) -> RunResult:
     if cache is not None:
         cache.save()
     return result
+
+
+def execute_job(spec: RunSpec, fingerprint: str, store=None, emit_layer=None):
+    """One job's execution: serve ``spec`` from ``store`` or run and store it.
+
+    The body every service worker thread and every fabric worker shares: a
+    stored envelope under ``fingerprint`` is returned as is (no scheduler
+    runs); otherwise :func:`execute` runs and its envelope is put in the
+    store.  Returns ``(result, store_hit)``; ``store=None`` always executes.
+    """
+    if store is not None:
+        result = store.get(spec, fingerprint)
+        if result is not None:
+            return result, True
+    result = execute(spec, emit_layer=emit_layer)
+    if store is not None:
+        store.put(result, fingerprint)
+    return result, False
 
 
 def _finite(value) -> float | None:

@@ -6,7 +6,8 @@ fetch and de-duplicate results:
 
 * :meth:`SchedulingService.submit` turns a
   :class:`~repro.api.specs.RunSpec` into a first-class :class:`Job` executed
-  on a bounded worker pool;
+  on a bounded worker pool (or, with ``backend="fabric"``, by external
+  ``repro worker`` processes);
 * every job narrates its life through the typed, schema-versioned event
   protocol of :mod:`repro.api.events` (``run_queued`` → ``run_started`` →
   one ``layer_scheduled`` per layer → ``run_finished``/``run_failed``),
@@ -33,10 +34,22 @@ The synchronous :func:`repro.api.run` is a thin wrapper over
 ``submit(spec).result()`` on a private single-worker service, so both entry
 points share one execution path and produce bit-identical envelopes.
 
+One lifecycle: every way a job can end — success, failure, cancellation,
+the submit-vs-shutdown race, an aborted submission, a single-flight
+follower sharing its leader's result, and fabric ``run_finished`` /
+``run_failed`` / dead-letter — goes through
+:meth:`SchedulingService._finish`, which sets the state, appends the
+terminal event, persists the record and the event log, delivers the event,
+releases ``result()`` waiters and settles followers, in that order.  A
+subscriber that sees a terminal event, or a caller that ``result()``
+releases, therefore always reads the terminal record from the store.
+
 Threading notes: jobs run on a bounded pool of **daemon** worker threads
-(``max_workers`` concurrent runs; further submissions queue in order).
-Daemon workers keep the process interruptible: Ctrl-C during a long sweep
-exits promptly instead of blocking until the sweep drains, matching the
+(``max_workers`` concurrent runs) draining one
+:class:`TwoLevelPriorityQueue`: interactive submissions overtake batch
+ones, and when all traffic is interactive the queue is FIFO.  Daemon
+workers keep the process interruptible: Ctrl-C during a long sweep exits
+promptly instead of blocking until the sweep drains, matching the
 pre-service inline ``run()`` behaviour.  ``on_event`` callbacks and
 :meth:`Job.events` deliveries originate from the worker thread that
 executes the job (``run_queued`` alone fires from the submitting thread);
@@ -69,6 +82,7 @@ from repro.api.events import (
 from repro.api.result import RunResult
 from repro.api.specs import RunSpec
 from repro.api.store import ResultStore, spec_fingerprint
+from repro.io_utils import append_ndjson
 
 
 class JobState(str, Enum):
@@ -86,6 +100,22 @@ TERMINAL_STATES = (JobState.DONE, JobState.FAILED, JobState.CANCELLED)
 
 #: Valid ``submit(priority=...)`` levels, highest first.
 PRIORITIES = ("interactive", "batch")
+
+#: Interactive picks served per batch pick while both lanes wait.
+INTERACTIVE_WEIGHT = 4
+
+
+def pick_lane(interactive, batch, streak: int):
+    """The lane rule of every job queue (in-process and fabric).
+
+    Serve ``interactive`` first, but after ``INTERACTIVE_WEIGHT`` consecutive
+    interactive picks serve one ``batch`` item, so a sweep makes progress
+    underneath a steady interactive stream.  At least one lane must be
+    non-empty; returns the lane to pop from and the new interactive streak.
+    """
+    if batch and (not interactive or streak >= INTERACTIVE_WEIGHT):
+        return batch, 0
+    return interactive, streak + 1
 
 
 class JobCancelled(RuntimeError):
@@ -105,9 +135,11 @@ class Job:
 
     def __init__(
         self,
+        service: "SchedulingService",
         job_id: str,
         spec: RunSpec,
         fingerprint: str,
+        store: ResultStore | None,
         on_event: Callable[[Event], None] | None = None,
         priority: str = "interactive",
     ):
@@ -127,21 +159,19 @@ class Job:
         self._log: list[Event] = []
         self._subscribers: list[queue.SimpleQueue] = []
         self._on_event = on_event
+        #: The owning service: it runs every terminal transition.
+        self._service = service
         #: The store this job records to (per-job: the gateway gives every
         #: tenant its own subtree on one shared service).
-        self._store: "ResultStore | None" = None
+        self._store = store
         #: Single-flight bookkeeping: the dedup key this job flies under and
         #: identical-spec jobs waiting on this one (guarded by the service
         #: lock, not the job lock).
-        self._flight_key: tuple = (None, fingerprint)
+        self._flight_key = (
+            None if store is None else str(store.results_root.resolve()),
+            fingerprint,
+        )
         self._followers: list["Job"] = []
-        #: Persists the job record; installed by the owning service.
-        self._record: Callable[["Job"], None] = lambda job: None
-        #: Releases single-flight followers; installed by the owning service.
-        self._settle: Callable[["Job"], None] = lambda job: None
-        #: Extra veto ahead of a local cancel — fabric jobs must first win
-        #: the remote cancellation race (see ``WorkQueue.cancel``).
-        self._cancel_guard: Callable[[], bool] = lambda: True
         #: Fabric bookkeeping (``backend="fabric"`` jobs only).
         self._task_id: str | None = None
         self._events_offset = 0
@@ -161,16 +191,37 @@ class Job:
             return list(self._log)
 
     # -------------------------------------------------------------- emission
-    def _emit(self, cls: type[Event], **fields) -> Event:
-        with self._lock:
-            event = cls(job_id=self.id, seq=len(self._log), **fields)
-            self._log.append(event)
-            subscribers = list(self._subscribers)
-        for channel in subscribers:
+    def _append(self, cls: type[Event], **fields) -> tuple[Event, list]:
+        """Log one event (caller holds ``_lock``).
+
+        Returns the event and the channels subscribed at append time — the
+        ones :meth:`_deliver` must reach; later subscribers replay it from
+        the log.
+        """
+        event = cls(job_id=self.id, seq=len(self._log), **fields)
+        self._log.append(event)
+        return event, list(self._subscribers)
+
+    def _deliver(self, event: Event, channels: list) -> None:
+        for channel in channels:
             channel.put(event)
         if self._on_event is not None:
             self._on_event(event)
+
+    def _emit(self, cls: type[Event], **fields) -> Event:
+        """Append and deliver one non-terminal event."""
+        with self._lock:
+            event, channels = self._append(cls, **fields)
+        self._deliver(event, channels)
         return event
+
+    def _start(self) -> bool:
+        """``QUEUED`` → ``RUNNING``; ``False`` when the job is not queued."""
+        with self._lock:
+            if self.state is not JobState.QUEUED:
+                return False
+            self.state = JobState.RUNNING
+        return True
 
     # ------------------------------------------------------------ observation
     def events(self, timeout: float | None = None) -> Iterator[Event]:
@@ -241,25 +292,15 @@ class Job:
         when it already runs or finished — in-flight solves are never
         interrupted.  The worker that eventually dequeues a cancelled job
         skips it; identical-spec jobs deduplicated onto a cancelled job are
-        re-queued to run on their own.
+        re-queued to run on their own.  A fabric job must first win the
+        remote cancellation race (see ``WorkQueue.cancel``).
         """
-        if not self._cancel_guard():
+        service = self._service
+        if self._task_id is not None and not service._fabric.cancel(self._task_id):
             return False
-        with self._lock:
-            if self.state is not JobState.QUEUED:
-                return False
-            self.state = JobState.CANCELLED
-        try:
-            self._emit(
-                RunFailed,
-                error_type=JobCancelled.__name__,
-                error_message="cancelled before execution",
-            )
-        finally:
-            self._record(self)
-            self._done.set()
-            self._settle(self)
-        return True
+        return service._finish(
+            self, JobState.CANCELLED, message="cancelled before execution"
+        )
 
     # ------------------------------------------------------------- persistence
     def to_dict(self) -> dict:
@@ -283,57 +324,20 @@ class Job:
 _SHUTDOWN = object()
 
 
-class FIFOJobQueue:
-    """The default job queue: strict submission order.
+class TwoLevelPriorityQueue:
+    """The service's job queue: ``interactive`` and ``batch`` lanes.
 
-    Items without a ``priority`` attribute (the service's shutdown
-    sentinels) go to a separate drain lane handed out only once the job
-    lane is empty, so ``shutdown(wait=True)`` always lets queued jobs
-    finish first — even when a racing submit enqueues after the sentinels
-    were posted.
+    Dequeueing follows :func:`pick_lane`: interactive submissions are never
+    stuck behind a 1000-layer sweep, and the sweep still makes progress
+    underneath a steady interactive stream; with one lane occupied the
+    queue is FIFO.  Jobs carry their lane in ``Job.priority`` (anything
+    unknown counts as ``batch``).  Items without a ``priority`` attribute
+    are shutdown sentinels and drain only once both lanes are empty, so
+    ``shutdown(wait=True)`` always lets queued jobs finish first — even when
+    a racing submit enqueues after the sentinels were posted.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self._jobs: deque = deque()
-        self._drain: deque = deque()
-
-    def put(self, item) -> None:
-        with self._not_empty:
-            lane = self._jobs if hasattr(item, "priority") else self._drain
-            lane.append(item)
-            self._not_empty.notify()
-
-    def get(self):
-        with self._not_empty:
-            while True:
-                if self._jobs:
-                    return self._jobs.popleft()
-                if self._drain:
-                    return self._drain.popleft()
-                self._not_empty.wait()
-
-
-class TwoLevelPriorityQueue:
-    """Weighted two-level (``interactive`` / ``batch``) job queue.
-
-    Dequeueing prefers the interactive lane, but out of every
-    ``interactive_weight + 1`` dequeues with both lanes occupied one comes
-    from the batch lane — interactive submissions are never stuck behind a
-    1000-layer sweep, and the sweep still makes progress underneath a
-    steady interactive stream.  Jobs carry their lane in ``Job.priority``
-    (anything unknown counts as ``batch``); items without a ``priority``
-    attribute are shutdown sentinels and drain only once both lanes are
-    empty, preserving :class:`FIFOJobQueue`'s shutdown semantics.
-    """
-
-    def __init__(self, interactive_weight: int = 4):
-        if interactive_weight < 1:
-            raise ValueError(
-                f"interactive_weight must be >= 1, got {interactive_weight}"
-            )
-        self.interactive_weight = interactive_weight
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._interactive: deque = deque()
@@ -356,15 +360,10 @@ class TwoLevelPriorityQueue:
         with self._not_empty:
             while True:
                 if self._interactive or self._batch:
-                    serve_batch = bool(self._batch) and (
-                        not self._interactive
-                        or self._streak >= self.interactive_weight
+                    lane, self._streak = pick_lane(
+                        self._interactive, self._batch, self._streak
                     )
-                    if serve_batch:
-                        self._streak = 0
-                        return self._batch.popleft()
-                    self._streak += 1
-                    return self._interactive.popleft()
+                    return lane.popleft()
                 if self._drain:
                     return self._drain.popleft()
                 self._not_empty.wait()
@@ -376,8 +375,9 @@ class SchedulingService:
     Parameters
     ----------
     max_workers:
-        Concurrent jobs (further submissions queue in order).  Per-job layer
-        parallelism is independent and comes from ``spec.engine.jobs``.
+        Concurrent jobs (further submissions wait in the priority queue).
+        Per-job layer parallelism is independent and comes from
+        ``spec.engine.jobs``.
     store:
         Optional :class:`~repro.api.store.ResultStore` (or a directory path,
         which constructs one): finished envelopes are persisted under the
@@ -385,10 +385,6 @@ class SchedulingService:
         hits, and job records survive the process for ``repro jobs`` /
         ``repro result``.  ``submit(store=...)`` overrides it per job — how
         the gateway keeps tenants in separate subtrees on one worker pool.
-    job_queue:
-        The queue workers drain; defaults to :class:`FIFOJobQueue`.  The
-        gateway passes a :class:`TwoLevelPriorityQueue` so interactive
-        submissions overtake batch sweeps.
     backend:
         ``"local"`` (default) executes on this process's thread pool;
         ``"fabric"`` enqueues every submission into the persistent
@@ -416,7 +412,6 @@ class SchedulingService:
         self,
         max_workers: int = 2,
         store: ResultStore | str | Path | None = None,
-        job_queue=None,
         *,
         backend: str = "local",
         fabric_root: str | Path | None = None,
@@ -441,7 +436,7 @@ class SchedulingService:
             from repro.fabric.queue import WorkQueue
 
             self._fabric = WorkQueue(fabric_root)
-        self._queue = job_queue if job_queue is not None else FIFOJobQueue()
+        self._queue = TwoLevelPriorityQueue()
         self._workers = [
             threading.Thread(
                 target=self._worker_loop, name=f"repro-service-{index}", daemon=True
@@ -503,13 +498,14 @@ class SchedulingService:
         ``on_event`` is invoked synchronously for every event the job emits:
         ``run_queued`` from this call, everything later from the worker
         thread.  An ``on_event`` exception during ``run_queued`` aborts the
-        submission (the job is unregistered and the exception propagates).
+        submission (the job is failed, unregistered, and the exception
+        propagates).
 
-        ``priority`` labels the job's queue lane (``"interactive"`` or
-        ``"batch"``; only meaningful with a priority-aware ``job_queue``).
-        ``store`` overrides the service store for this job — ``None``
-        disables persistence, a path or :class:`ResultStore` redirects it
-        (the gateway's per-tenant subtrees).
+        ``priority`` picks the job's queue lane (``"interactive"`` or
+        ``"batch"``), with the same meaning on both backends.  ``store``
+        overrides the service store for this job — ``None`` disables
+        persistence, a path or :class:`ResultStore` redirects it (the
+        gateway's per-tenant subtrees).
 
         Identical-spec submissions are **single-flighted**: while a job with
         the same spec fingerprint (and store) is queued or running, a new
@@ -546,61 +542,50 @@ class SchedulingService:
             with self._lock:
                 self._counter += 1
                 job_id = f"job-{self._counter:06d}-{fingerprint[:12]}"
-        job = Job(job_id, spec, fingerprint, on_event=on_event, priority=priority)
-        job._store = job_store
-        job._flight_key = (
-            None if job_store is None else str(job_store.results_root.resolve()),
-            fingerprint,
-        )
-        job._record = self._record
-        job._settle = self._settle_followers
-        self._record(job)
+        job = Job(self, job_id, spec, fingerprint, job_store, on_event, priority)
+        with job._lock:
+            queued, channels = job._append(
+                RunQueued, kind=spec.kind, spec_fingerprint=fingerprint
+            )
+        # Persist, then emit.  A fabric worker continues the on-disk log's
+        # numbering, so run_queued (seq 0) lands before the task is enqueued.
+        self._persist(job, queued)
         try:
-            job._emit(RunQueued, kind=spec.kind, spec_fingerprint=fingerprint)
+            job._deliver(queued, channels)
         except BaseException:
             # The subscriber died before the job ever queued: fail it without
             # registering, so nothing waits on a job that will never run.
-            job.error = JobCancelled(f"job {job.id} aborted during run_queued emission")
-            with job._lock:
-                job.state = JobState.FAILED
-            job._done.set()
+            try:
+                self._finish(
+                    job,
+                    JobState.FAILED,
+                    error=JobCancelled(f"job {job.id} aborted during run_queued emission"),
+                )
+            except Exception:
+                pass  # the same broken subscriber also rejects run_failed
             raise
         with self._lock:
-            if self._closed:
-                # Lost the race against shutdown(): the sentinels are already
-                # posted, so this job must not be enqueued.  Cancel it so
-                # event streams drain and the record is terminal.
-                with job._lock:
-                    job.state = JobState.CANCELLED
-                enqueue = False
-            elif self.backend == "fabric":
+            accepted = not self._closed
+            if accepted:
                 self._jobs[job.id] = job
-                enqueue = True  # the fabric queue arbitrates single-flight
-            else:
-                self._jobs[job.id] = job
+            # Fabric jobs single-flight in the work queue instead.
+            if accepted and self.backend == "local":
                 leader = self._inflight.get(job._flight_key)
                 if leader is not None and not leader.done:
                     leader._followers.append(job)  # single-flight: wait on it
-                    enqueue = False
                 else:
                     self._inflight[job._flight_key] = job
-                    enqueue = True
                     self._queue.put(job)
-        if job.state is JobState.CANCELLED:
-            try:
-                job._emit(
-                    RunFailed,
-                    error_type=JobCancelled.__name__,
-                    error_message="service shut down during submission",
-                )
-            finally:
-                self._record(job)
-                job._done.set()
+        if not accepted:
+            # Lost the race against shutdown(): the sentinels are already
+            # posted, so this job must not be enqueued.  Cancel it so event
+            # streams drain and the record is terminal.
+            self._finish(
+                job, JobState.CANCELLED, message="service shut down during submission"
+            )
             raise RuntimeError("cannot submit to a shut-down SchedulingService")
         if self.backend == "fabric":
             self._enqueue_fabric(job)
-        elif not enqueue:
-            self._record(job)  # record the deduplicated (waiting) job
         return job
 
     def _enqueue_fabric(self, job: Job) -> None:
@@ -614,11 +599,6 @@ class SchedulingService:
             if store.results_root == store.root
             else str(Path(store.results_root).resolve())
         )
-        # Seed the on-disk record and event log (run_queued, seq 0) BEFORE the
-        # task becomes claimable: the worker's appender continues numbering
-        # from the file's line count, so the combined log reads like a local
-        # job's, and `repro jobs` sees the job while it is still queued.
-        self._record(job)
         task = self._fabric.enqueue(
             job.spec.to_dict(),
             job.fingerprint,
@@ -631,7 +611,6 @@ class SchedulingService:
         )
         job._task_id = task["task_id"]
         job._events_offset = 1  # the local run_queued is already in the log
-        job._cancel_guard = lambda: self._fabric.cancel(task["task_id"])
         with self._lock:
             self._watched.append(job)
             if self._watcher is None or not self._watcher.is_alive():
@@ -655,72 +634,99 @@ class SchedulingService:
         with self._lock:
             return list(self._jobs.values())
 
-    # --------------------------------------------------------------- execution
-    def _record(self, job: Job) -> None:
-        if job._store is not None:
-            job._store.record_job(job.to_dict())
-            job._store.record_events(job.id, job.event_log)
+    # -------------------------------------------------------------- lifecycle
+    def _finish(
+        self,
+        job: Job,
+        state: JobState,
+        *,
+        result: RunResult | None = None,
+        store_hit: bool = False,
+        error: BaseException | None = None,
+        error_type: str | None = None,
+        message: str | None = None,
+        persisted: bool = False,
+    ) -> bool:
+        """The one terminal transition of every job.
 
+        In order: set the state, append the terminal event (``run_finished``
+        for ``DONE``, else ``run_failed`` carrying ``error_type`` and
+        ``message``, which default to ``error``'s), persist the record and
+        the log, deliver the event, release ``result()`` waiters, settle
+        single-flight followers.  ``persisted`` marks an event tailed from a
+        fabric log: the worker wrote the record before appending the line,
+        so both are on disk already.  Returns ``False`` (and does nothing)
+        when the job is already terminal, or is a cancel of a started job.
+        """
+        if state is JobState.DONE:
+            cls, fields = RunFinished, {"store_hit": store_hit, "result": result.to_dict()}
+        else:
+            cls, fields = RunFailed, {
+                "error_type": error_type
+                or (JobCancelled.__name__ if error is None else type(error).__name__),
+                "error_message": str(error) if message is None else message,
+            }
+        with job._lock:
+            if job.done or (state is JobState.CANCELLED and job.state is not JobState.QUEUED):
+                return False
+            job.state, job.error = state, error
+            job._result, job.store_hit = result, store_hit
+            event, channels = job._append(cls, **fields)
+        try:
+            if not persisted:
+                self._persist(job, event)
+            job._deliver(event, channels)
+        finally:
+            job._done.set()
+            self._settle_followers(job)
+        return True
+
+    def _persist(self, job: Job, event: Event) -> None:
+        """Write ``job``'s record and its log through ``event`` (no lock held)."""
+        store = job._store
+        if store is None:
+            return
+        if job._task_id is None:
+            store.record_job(job.to_dict())
+            store.record_events(job.id, job.event_log)
+            return
+        # A fabric job shares its files with workers: merge into the record
+        # (keeping the worker/task fields an attempt wrote) and append.
+        record = store.load_job(job.id) or {}
+        record.update(job.to_dict())
+        store.record_job(record)
+        append_ndjson(store.events_path(job.id), event.to_dict())
+
+    # --------------------------------------------------------------- execution
     def _worker_loop(self) -> None:
         while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
+            job = self._queue.get()
+            if job is _SHUTDOWN:
                 return
             try:
-                self._execute_job(item)
+                self._execute_job(job)
             except BaseException:
-                # _execute_job handles job failures itself; anything escaping
-                # it is a subscriber blowing up on a terminal event.  The job
-                # is already terminal and recorded — keep the worker alive.
+                # Anything escaping is a subscriber blowing up on a terminal
+                # event; the job is already finished — keep the worker alive.
                 pass
 
     def _execute_job(self, job: Job) -> None:
-        with job._lock:
-            if job.state is not JobState.QUEUED:  # cancelled while queued
-                return
-            job.state = JobState.RUNNING
+        if not job._start():  # cancelled while queued
+            return
+        from repro.api import runner
+
         try:
             job._emit(RunStarted)
-            result = None
-            store_hit = False
-            if job._store is not None:
-                result = job._store.get(job.spec, job.fingerprint)
-                store_hit = result is not None
-            if result is None:
-                from repro.api import runner
-
-                result = runner.execute(
-                    job.spec,
-                    emit_layer=lambda payload: job._emit(LayerScheduled, **payload),
-                )
-                if job._store is not None:
-                    job._store.put(result, job.fingerprint)
-            job._result = result
-            job.store_hit = store_hit
-            with job._lock:
-                job.state = JobState.DONE
+            result, store_hit = runner.execute_job(
+                job.spec,
+                job.fingerprint,
+                job._store,
+                emit_layer=lambda payload: job._emit(LayerScheduled, **payload),
+            )
         except BaseException as error:  # the error re-raises from Job.result
-            job.error = error
-            with job._lock:
-                job.state = JobState.FAILED
-            try:
-                job._emit(
-                    RunFailed, error_type=type(error).__name__, error_message=str(error)
-                )
-            finally:
-                self._record(job)
-                job._done.set()
-                self._settle_followers(job)
-            return
-        # Success: emit the terminal event *after* the DONE transition, and
-        # release waiters even when a subscriber raises on it (the event is
-        # in the log and every queue before on_event callbacks run).
-        try:
-            job._emit(RunFinished, store_hit=store_hit, result=result.to_dict())
-        finally:
-            self._record(job)
-            job._done.set()
-            self._settle_followers(job)
+            self._finish(job, JobState.FAILED, error=error)
+        else:
+            self._finish(job, JobState.DONE, result=result, store_hit=store_hit)
 
     # ------------------------------------------------------------ fabric watch
     def _watch_fabric(self) -> None:
@@ -765,58 +771,46 @@ class SchedulingService:
             self._apply_fabric_event(job, event)
             if job.done:
                 return
-        if job._task_id is not None and not job.done:
-            task = self._fabric.load_task(job._task_id)
-            if task is not None and task["state"] == "dead":
-                # The queue dead-lettered it: no worker will ever emit a
-                # terminal event, so fail the local job now.
-                error = task.get("error") or {}
-                self._fail_fabric_job(
-                    job,
-                    error.get("type", "LeaseExpired"),
-                    error.get("message", "task was dead-lettered"),
-                )
+        task = self._fabric.load_task(job._task_id)
+        if task is not None and task["state"] == "dead":
+            # The queue dead-lettered it: no worker will ever emit a terminal
+            # event, so fail the job here (its record and log included).
+            error = task.get("error") or {}
+            self._fail_fabric_job(
+                job,
+                error.get("type", "LeaseExpired"),
+                error.get("message", "task was dead-lettered"),
+            )
 
     def _apply_fabric_event(self, job: Job, event: Event) -> None:
-        if isinstance(event, RunStarted):
-            with job._lock:
-                if job.state is JobState.QUEUED:
-                    job.state = JobState.RUNNING
-            job._emit(RunStarted)
-            return
         if isinstance(event, RunFinished):
-            job._result = RunResult.from_dict(event.result)
-            job.store_hit = event.store_hit
-            with job._lock:
-                job.state = JobState.DONE
-            try:
-                job._emit(RunFinished, store_hit=event.store_hit, result=event.result)
-            finally:
-                job._done.set()
-            return
-        if isinstance(event, RunFailed):
-            self._fail_fabric_job(job, event.error_type, event.error_message)
-            return
-        job._emit(type(event), **event.payload())
+            self._finish(
+                job,
+                JobState.DONE,
+                result=RunResult.from_dict(event.result),
+                store_hit=event.store_hit,
+                persisted=True,
+            )
+        elif isinstance(event, RunFailed):
+            self._fail_fabric_job(
+                job, event.error_type, event.error_message, persisted=True
+            )
+        else:
+            if isinstance(event, RunStarted):
+                job._start()
+            job._emit(type(event), **event.payload())
 
-    def _fail_fabric_job(self, job: Job, error_type: str, message: str) -> None:
-        job.error = RuntimeError(f"{error_type}: {message}")
-        with job._lock:
-            if job.state in TERMINAL_STATES:
-                return
-            job.state = JobState.FAILED
-        # Persist, then emit, then signal: a waiter released by ``result()``
-        # must read the terminal record.  On the dead-letter path no worker
-        # is alive to update the record, so merge ours in (keeping
-        # worker/task bookkeeping an earlier attempt may have written).
-        if job._store is not None:
-            record = job._store.load_job(job.id) or {}
-            record.update(job.to_dict())
-            job._store.record_job(record)
-        try:
-            job._emit(RunFailed, error_type=error_type, error_message=message)
-        finally:
-            job._done.set()
+    def _fail_fabric_job(
+        self, job: Job, error_type: str, message: str, persisted: bool = False
+    ) -> None:
+        self._finish(
+            job,
+            JobState.FAILED,
+            error=RuntimeError(f"{error_type}: {message}"),
+            error_type=error_type,
+            message=message,
+            persisted=persisted,
+        )
 
     # ----------------------------------------------------------- single-flight
     def _settle_followers(self, leader: Job) -> None:
@@ -854,23 +848,10 @@ class SchedulingService:
 
     def _complete_follower(self, follower: Job, leader: Job) -> None:
         """Finish ``follower`` with its leader's result, store-hit style."""
-        with follower._lock:
-            if follower.state is not JobState.QUEUED:  # cancelled while waiting
-                return
-            follower.state = JobState.RUNNING
-        assert leader._result is not None
+        if not follower._start():  # cancelled while waiting
+            return
         try:
             follower._emit(RunStarted)
         except BaseException:
             pass  # a dead subscriber must not lose the shared result
-        follower._result = leader._result
-        follower.store_hit = True
-        with follower._lock:
-            follower.state = JobState.DONE
-        try:
-            follower._emit(
-                RunFinished, store_hit=True, result=leader._result.to_dict()
-            )
-        finally:
-            self._record(follower)
-            follower._done.set()
+        self._finish(follower, JobState.DONE, result=leader._result, store_hit=True)

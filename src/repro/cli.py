@@ -201,10 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-tenant burst capacity in requests (default: 2x --rate)",
     )
     serve.add_argument(
-        "--interactive-weight", type=_positive_int, default=4, metavar="W",
-        help="interactive dequeues per batch dequeue under load (default: 4)",
-    )
-    serve.add_argument(
         "--backend", default="local", choices=("local", "fabric"),
         help="job execution backend: 'local' runs jobs on an in-process pool, "
         "'fabric' enqueues them into a persistent work queue drained by "
@@ -810,7 +806,6 @@ def _serve(args) -> int:
             auth=auth,
             rate_limiter=limiter,
             max_workers=args.max_workers,
-            interactive_weight=args.interactive_weight,
             backend=args.backend,
             fabric_root=fabric_root,
             host=args.host,

@@ -34,9 +34,11 @@ task for a fingerprint exclusively creates ``inflight/<fingerprint>`` and
 becomes the leader; later enqueues (any tenant — the index is keyed by
 content, not namespace) become followers that stay unclaimable until their
 leader is terminal, then complete via the shared store without executing.
-``claim`` preserves the gateway's two-lane weighted priority: interactive
-tasks overtake batch, but one batch task is served per ``interactive_weight``
-interactive claims so sweeps never starve.
+``claim`` applies the same lane rule as the service's in-process queue
+(:func:`repro.api.service.pick_lane`): interactive tasks overtake batch, but
+one batch task is served per ``INTERACTIVE_WEIGHT`` interactive claims so
+sweeps never starve — so ``submit(priority=...)`` means the same thing on
+both backends.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.api.service import pick_lane
 from repro.io_utils import append_ndjson, atomic_write_json, read_ndjson
 
 #: Seconds a claim stays valid without a heartbeat renewal.
@@ -56,10 +59,6 @@ DEFAULT_LEASE_TTL = 30.0
 
 #: Claims per task before it is dead-lettered (first attempt included).
 DEFAULT_MAX_ATTEMPTS = 3
-
-#: Interactive claims served per batch claim under load (mirrors the
-#: gateway's ``TwoLevelPriorityQueue`` weight).
-DEFAULT_INTERACTIVE_WEIGHT = 4
 
 
 class TaskState:
@@ -100,8 +99,6 @@ class WorkQueue:
         Seconds a claim survives without renewal before reclaim.
     max_attempts:
         Claims per task before dead-lettering.
-    interactive_weight:
-        Interactive claims served per batch claim when both lanes wait.
     """
 
     def __init__(
@@ -110,20 +107,14 @@ class WorkQueue:
         *,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        interactive_weight: int = DEFAULT_INTERACTIVE_WEIGHT,
     ):
         if lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be > 0, got {lease_ttl}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        if interactive_weight < 1:
-            raise ValueError(
-                f"interactive_weight must be >= 1, got {interactive_weight}"
-            )
         self.root = Path(root)
         self.lease_ttl = lease_ttl
         self.max_attempts = max_attempts
-        self.interactive_weight = interactive_weight
         self._alloc_lock = threading.Lock()
         self._next_ordinal: int | None = None
         self._streak = 0  # consecutive interactive claims (per instance)
@@ -299,10 +290,10 @@ class WorkQueue:
     def claim(self, worker_id: str) -> Claim | None:
         """Claim the next eligible task for ``worker_id`` (``None`` when idle).
 
-        Scans pending tasks in enqueue order, two lanes weighted like the
-        gateway queue.  Followers whose leader is still in flight are
-        skipped — once the leader is terminal they become claimable and
-        complete via the shared store.  Claiming is an ``O_EXCL`` lease-file
+        Scans pending tasks in enqueue order, two lanes picked by
+        :func:`~repro.api.service.pick_lane`.  Followers whose leader is
+        still in flight are skipped — once the leader is terminal they
+        become claimable and complete via the shared store.  Claiming is an ``O_EXCL`` lease-file
         creation, so concurrent workers never double-claim.
         """
         interactive, batch = [], []
@@ -313,16 +304,8 @@ class WorkQueue:
                 continue
             (batch if record["priority"] == "batch" else interactive).append(record)
         while interactive or batch:
-            serve_batch = bool(batch) and (
-                not interactive or self._streak >= self.interactive_weight
-            )
-            if serve_batch:
-                self._streak = 0
-                record = batch.pop(0)
-            else:
-                self._streak += 1
-                record = interactive.pop(0)
-            claim = self._try_claim(record, worker_id)
+            lane, self._streak = pick_lane(interactive, batch, self._streak)
+            claim = self._try_claim(lane.pop(0), worker_id)
             if claim is not None:
                 return claim
         return None

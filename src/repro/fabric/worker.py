@@ -12,9 +12,14 @@ solve is still running on another machine.
 Execution of one claim::
 
     store = ResultStore(task.store_root, results_root=task.results_root)
-    cached = store.get(spec)            # shared, content-addressed tier
-    if cached: complete(store_hit=True) # zero scheduler invocations
-    else:      runner.execute(spec) -> store.put -> complete()
+    result, store_hit = runner.execute_job(spec, fingerprint, store)
+    record_job(DONE) -> append run_finished -> complete()
+
+:func:`repro.api.runner.execute_job` is the body a service worker thread
+runs too: a store hit on the shared, content-addressed tier invokes no
+scheduler.  The job record is written *before* the terminal event is
+appended, because the submitting service releases ``Job.result()`` when it
+reads that line — persist, then emit.
 
 A heartbeat thread renews the lease at ``lease_ttl / 3`` while the solve
 runs.  If renewal discovers the lease was reclaimed (this worker was
@@ -35,13 +40,7 @@ import os
 import socket
 import threading
 
-from repro.api.events import (
-    Event,
-    LayerScheduled,
-    RunFailed,
-    RunFinished,
-    RunStarted,
-)
+from repro.api.events import LayerScheduled, RunFailed, RunFinished, RunStarted
 from repro.api.service import JobState
 from repro.api.specs import RunSpec
 from repro.api.store import ResultStore
@@ -63,20 +62,15 @@ class _EventAppender:
     """
 
     def __init__(self, store: ResultStore, job_id: str):
-        self.store = store
         self.job_id = job_id
         self.path = store.events_path(job_id)
         self.seq = 0
         if self.path.exists():
             self.seq = sum(1 for line in self.path.read_text().splitlines() if line)
-        self.events: list[Event] = []
 
-    def emit(self, cls: type[Event], **fields) -> Event:
-        event = cls(job_id=self.job_id, seq=self.seq, **fields)
+    def emit(self, cls, **fields) -> None:
+        append_ndjson(self.path, cls(job_id=self.job_id, seq=self.seq, **fields).to_dict())
         self.seq += 1
-        self.events.append(event)
-        append_ndjson(self.path, event.to_dict())
-        return event
 
 
 class FabricWorker:
@@ -196,29 +190,24 @@ class FabricWorker:
             f"worker {self.worker_id} claimed {claim.task_id} "
             f"(job {task['job_id']}, attempt {task['attempts']})"
         )
-        try:
-            result = store.get(spec, task["fingerprint"])
-            store_hit = result is not None
-            if result is None:
-                from repro.api import runner
+        from repro.api import runner
 
-                result = runner.execute(
-                    spec,
-                    emit_layer=lambda payload: events.emit(LayerScheduled, **payload),
-                )
-                store.put(result, task["fingerprint"])
-        except BaseException as error:
-            events.emit(
-                RunFailed, error_type=type(error).__name__, error_message=str(error)
-            )
-            self._record_job(
+        try:
+            result, store_hit = runner.execute_job(
+                spec,
+                task["fingerprint"],
                 store,
-                task,
-                JobState.FAILED,
-                error={"type": type(error).__name__, "message": str(error)},
-                num_events=events.seq,
+                emit_layer=lambda payload: events.emit(LayerScheduled, **payload),
             )
-            self.queue.fail(claim, error)
+        except BaseException as error:
+            failure = {"type": type(error).__name__, "message": str(error)}
+            self._record_job(
+                store, task, JobState.FAILED, error=failure, num_events=events.seq + 1
+            )
+            events.emit(
+                RunFailed, error_type=failure["type"], error_message=failure["message"]
+            )
+            self.queue.fail(claim, failure)
             if isinstance(error, (KeyboardInterrupt, SystemExit)):
                 raise
             return
@@ -227,10 +216,10 @@ class FabricWorker:
             # bytes), but the re-dispatched attempt owns all bookkeeping.
             self._log(f"worker {self.worker_id} lost the lease on {claim.task_id}")
             return
-        events.emit(RunFinished, store_hit=store_hit, result=result.to_dict())
         self._record_job(
-            store, task, JobState.DONE, store_hit=store_hit, num_events=events.seq
+            store, task, JobState.DONE, store_hit=store_hit, num_events=events.seq + 1
         )
+        events.emit(RunFinished, store_hit=store_hit, result=result.to_dict())
         self.queue.complete(claim, store_hit=store_hit)
         origin = "store hit" if store_hit else "fresh solve"
         self._log(

@@ -11,6 +11,7 @@ import threading
 
 import pytest
 
+from repro.api.service import INTERACTIVE_WEIGHT
 from repro.fabric.queue import Claim, TaskState, WorkQueue
 from repro.io_utils import append_ndjson, read_ndjson
 
@@ -205,18 +206,18 @@ class TestPriority:
         assert second.task_id == batch["task_id"]
 
     def test_batch_is_served_after_interactive_weight_claims(self, tmp_path):
-        queue = WorkQueue(tmp_path / "fabric", interactive_weight=2)
-        for index in range(4):
+        queue = WorkQueue(tmp_path / "fabric")
+        for index in range(INTERACTIVE_WEIGHT + 2):
             enqueue(queue, fingerprint=f"aa{index:038d}", priority="interactive")
         batch = enqueue(queue, fingerprint="b" * 40, priority="batch")
         order = []
-        for _ in range(5):
+        for _ in range(INTERACTIVE_WEIGHT + 3):
             claim = queue.claim("w1")
             order.append(claim.task_id)
             queue.complete(claim)
-        # Two interactive claims, then the batch task is served (no
-        # starvation), then the remaining interactive backlog.
-        assert order[2] == batch["task_id"]
+        # INTERACTIVE_WEIGHT interactive claims, then the batch task is
+        # served (no starvation), then the remaining interactive backlog.
+        assert order[INTERACTIVE_WEIGHT] == batch["task_id"]
 
 
 class TestSingleFlight:
@@ -276,8 +277,6 @@ class TestJournal:
             WorkQueue(tmp_path, lease_ttl=0)
         with pytest.raises(ValueError):
             WorkQueue(tmp_path, max_attempts=0)
-        with pytest.raises(ValueError):
-            WorkQueue(tmp_path, interactive_weight=0)
 
     def test_stats_counts_states_and_lanes(self, tmp_path):
         queue = WorkQueue(tmp_path / "fabric")

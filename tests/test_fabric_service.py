@@ -297,3 +297,37 @@ class TestWorkerUnit:
         assert record["store_hit"] is True
         [task] = queue.tasks()
         assert task["store_hit"] is True
+
+    def test_worker_records_the_terminal_state_before_appending_the_event(
+        self, tmp_path, monkeypatch
+    ):
+        # The service releases Job.result() when it reads the terminal line,
+        # so the record must already be terminal by the time it is appended.
+        import repro.fabric.worker as worker_module
+
+        store = ResultStore(tmp_path / "store")
+        queue = WorkQueue(tmp_path / "fabric")
+        good = RunSpec.from_dict(SCHEDULE_SPEC)
+        bad = RunSpec.from_dict({**SCHEDULE_SPEC, "scheduler": {"name": "no-such"}})
+        for spec in (good, bad):
+            fingerprint = spec_fingerprint(spec)
+            queue.enqueue(
+                spec.to_dict(),
+                fingerprint,
+                job_id=store.allocate_job_id(fingerprint),
+                store_root=str(store.root),
+            )
+        seen = []
+        original = worker_module.append_ndjson
+
+        def spying_append(path, payload):
+            if payload["event"] in ("run_finished", "run_failed"):
+                seen.append((payload["event"], store.load_job(payload["job_id"])["state"]))
+            return original(path, payload)
+
+        monkeypatch.setattr(worker_module, "append_ndjson", spying_append)
+        worker = FabricWorker(
+            tmp_path / "fabric", worker_id="w1", poll_interval=0.01, max_tasks=2
+        )
+        worker.run()
+        assert sorted(seen) == [("run_failed", "failed"), ("run_finished", "done")]

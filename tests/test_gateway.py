@@ -30,7 +30,7 @@ from repro.api.auth import (
 from repro.api.client import GatewayClient, GatewayError
 from repro.api.gateway import SchedulingGateway
 from repro.api.ratelimit import RateLimiter, TokenBucket
-from repro.api.service import TwoLevelPriorityQueue, _SHUTDOWN
+from repro.api.service import INTERACTIVE_WEIGHT, TwoLevelPriorityQueue, _SHUTDOWN
 
 #: Cheap deterministic schedule run (seeded random search, tiny layer).
 SCHEDULE_SPEC = {
@@ -145,20 +145,21 @@ class TestTokenBucket:
 
 class TestTwoLevelPriorityQueue:
     def test_interactive_overtakes_queued_batch(self):
-        q = TwoLevelPriorityQueue(interactive_weight=4)
+        q = TwoLevelPriorityQueue()
         for i in range(10):
             q.put(_Item(f"b{i}", "batch"))
         q.put(_Item("i0", "interactive"))
         assert q.get().name == "i0"  # not stuck behind ten batch items
 
     def test_weighted_dequeue_never_starves_batch(self):
-        q = TwoLevelPriorityQueue(interactive_weight=2)
-        for i in range(10):
+        q = TwoLevelPriorityQueue()
+        for i in range(INTERACTIVE_WEIGHT + 2):
             q.put(_Item(f"i{i}", "interactive"))
         q.put(_Item("b0", "batch"))
-        names = [q.get().name for _ in range(6)]
-        # After `interactive_weight` interactive dequeues the batch item runs.
-        assert names == ["i0", "i1", "b0", "i2", "i3", "i4"]
+        names = [q.get().name for _ in range(INTERACTIVE_WEIGHT + 2)]
+        # After INTERACTIVE_WEIGHT interactive dequeues the batch item runs.
+        interactive = [f"i{i}" for i in range(INTERACTIVE_WEIGHT + 1)]
+        assert names == interactive[:-1] + ["b0", interactive[-1]]
 
     def test_sentinels_drain_only_after_jobs(self):
         q = TwoLevelPriorityQueue()
@@ -168,10 +169,6 @@ class TestTwoLevelPriorityQueue:
         assert q.get().name == "i0"
         assert q.get().name == "b0"
         assert q.get() is _SHUTDOWN
-
-    def test_rejects_bad_weight(self):
-        with pytest.raises(ValueError, match="interactive_weight"):
-            TwoLevelPriorityQueue(interactive_weight=0)
 
 
 # ------------------------------------------------------------ HTTP end-to-end

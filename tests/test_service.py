@@ -180,15 +180,22 @@ class TestFailureAndCancellation:
         events = store.events_path(second.id).read_text().splitlines()
         assert json.loads(events[-1])["event"] == "run_failed"
 
-    def test_on_event_failure_during_queueing_aborts_the_submission(self):
+    def test_on_event_failure_during_queueing_aborts_the_submission(self, tmp_path):
         def broken(event):
             raise BrokenPipeError("consumer died")
 
-        with SchedulingService(max_workers=1) as service:
+        store = ResultStore(tmp_path / "store")
+        with SchedulingService(max_workers=1, store=store) as service:
             with pytest.raises(BrokenPipeError):
                 service.submit(RunSpec.from_dict(SCHEDULE_SPEC), on_event=broken)
             # The aborted job is unregistered: nothing can wait on it.
             assert service.jobs() == []
+        # ...and its record is terminal, not a `queued` job forever.
+        [record] = store.load_jobs()
+        assert record["state"] == "failed"
+        assert record["error"]["type"] == "JobCancelled"
+        events = store.events_path(record["job_id"]).read_text().splitlines()
+        assert [json.loads(line)["event"] for line in events] == ["run_queued", "run_failed"]
 
     def test_on_event_failure_on_final_event_keeps_job_done(self):
         def explode_on_finish(event):
