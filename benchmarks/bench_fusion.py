@@ -19,15 +19,16 @@ so the fusion savings are tracked across PRs::
                                                  # evaluation and exit 1
                                                  # below an 8x geomean floor
 
-``--check-fused`` (and plain runs, which time but do not gate) appends the
-``repro bench fusion`` throughput report under the ``fused_eval`` key of
-``BENCH_fusion.json``: scalar vs batched fused-group evaluation over
-identical candidates, with a per-candidate parity audit.
+Every run (``--check-fused`` adds the gate) also appends the fused-group
+throughput report under the ``fused_eval`` key of ``BENCH_fusion.json``:
+scalar vs batched fused-group evaluation over identical candidates, with a
+per-candidate parity audit.
 """
 
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 import time
 from pathlib import Path
@@ -35,18 +36,22 @@ from pathlib import Path
 if __package__ in (None, ""):  # running as a script: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.api import architectures
-from repro.benchmarking import (
-    check_fused_report,
-    fused_bench_report,
-    fusion_bench_groups,
-    render_fused_row,
-    render_fused_summary,
-)
+import numpy as np
+from bench_utils import PARITY_TOLERANCE, positive_int
+
+from repro.api import architectures, geometric_mean
 from repro.engine.cache import MappingCache
 from repro.engine.engine import SchedulingEngine
-from repro.fusion import bert_base_block_plan, gpt2_small_block_plan
+from repro.fusion import (
+    attention_block,
+    bert_base_block_plan,
+    conv_bn_relu,
+    gpt2_small_block_plan,
+)
 from repro.io_utils import atomic_write_json
+from repro.mapping.space import MapSpace
+from repro.model.fused import FusedCostModel
+from repro.model.fused_batch import BatchFusedCostModel, FusedMappingBatch
 
 DEFAULT_OUT = Path(__file__).resolve().parent / "results" / "BENCH_fusion.json"
 
@@ -135,6 +140,141 @@ def check_report(report: dict) -> list[str]:
     return failures
 
 
+def fusion_bench_groups(quick: bool) -> list:
+    """The fused groups whose evaluation throughput is timed.
+
+    Both canonical chains plus the multi-operator attention group of each
+    transformer-block preset (at a reduced sequence length so the scalar
+    reference pass stays CI-sized).  ``quick`` keeps only the two canonical
+    chains.
+    """
+    groups = [
+        attention_block(seq=64, heads=4, head_dim=32, prefix="bench_attn"),
+        conv_bn_relu(r=3, p=14, c=32, k=32, prefix="bench_conv_bn"),
+    ]
+    if not quick:
+        for plan in (bert_base_block_plan(seq=64), gpt2_small_block_plan(seq=64)):
+            groups.extend(g for g in plan.groups if len(g.layers) > 1)
+    return groups
+
+
+def bench_fused_group(arch, group, samples: int, seed: int) -> dict:
+    """Time scalar vs batched fused evaluation over identical candidates.
+
+    Per group: draw ``samples`` random tilings of every operator (candidate
+    ``b`` is row ``b`` of each operator's draws), then price all candidates
+    through the scalar :class:`~repro.model.fused.FusedCostModel` loop (the
+    oracle) and one :class:`~repro.model.fused_batch.BatchFusedCostModel`
+    pass.  Packing (``FusedMappingBatch.from_candidates``) is timed
+    separately as ``pack_seconds``.  Scalar-vs-batched parity is audited per
+    candidate.
+    """
+    rng = random.Random(seed)
+    per_op_draws = [
+        MapSpace(layer, arch).sample_batch(samples, rng) for layer in group.layers
+    ]
+    candidates = [
+        [draws.materialize(i) for draws in per_op_draws] for i in range(samples)
+    ]
+
+    scalar_model = FusedCostModel(arch)
+    start = time.perf_counter()
+    scalar_results = [scalar_model.evaluate_group(group, c) for c in candidates]
+    scalar_seconds = time.perf_counter() - start
+
+    start = time.perf_counter()
+    fused_batch = FusedMappingBatch.from_candidates(group, candidates)
+    pack_seconds = time.perf_counter() - start
+
+    batch_model = BatchFusedCostModel(arch)
+    start = time.perf_counter()
+    batch_result = batch_model.evaluate_group(fused_batch)
+    batched_seconds = time.perf_counter() - start
+
+    max_rel = 0.0
+    mismatches = 0
+    for i, cost in enumerate(scalar_results):
+        if cost.valid != bool(batch_result.valid[i]):
+            mismatches += 1
+            continue
+        if cost.valid:
+            for s, b in (
+                (cost.latency, batch_result.latency[i]),
+                (cost.energy, batch_result.energy[i]),
+                (cost.dram_words, batch_result.dram_words[i]),
+                (cost.dram_bytes, batch_result.dram_bytes[i]),
+            ):
+                rel = abs(s - b) / abs(s) if s else 0.0
+                max_rel = max(max_rel, rel)
+
+    return {
+        "group": group.name,
+        "num_ops": len(group.layers),
+        "num_edges": len(group.edges),
+        "samples": samples,
+        "num_valid": int(np.count_nonzero(batch_result.valid)),
+        "scalar_groups_per_sec": samples / scalar_seconds,
+        "batched_groups_per_sec": samples / batched_seconds,
+        "fused_speedup": scalar_seconds / batched_seconds,
+        "pack_seconds": pack_seconds,
+        "validity_mismatches": mismatches,
+        "max_rel_diff": max_rel,
+    }
+
+
+def fused_bench_report(groups, samples: int, seed: int, arch, quick: bool) -> dict:
+    """Benchmark every fused group (printing each row) and aggregate the summary."""
+    rows = []
+    for group in groups:
+        row = bench_fused_group(arch, group, samples, seed)
+        print(
+            f"{row['group']:<32} scalar {row['scalar_groups_per_sec']:>8.0f}/s   "
+            f"batched {row['batched_groups_per_sec']:>9.0f}/s ({row['fused_speedup']:5.1f}x)   "
+            f"valid {row['num_valid']}/{row['samples']}"
+        )
+        rows.append(row)
+
+    speedups = [row["fused_speedup"] for row in rows]
+    return {
+        "benchmark": "batched-fused-group-evaluation",
+        "network": "fusion-presets",
+        "arch": arch.name,
+        "quick": quick,
+        "samples_per_group": samples,
+        "seed": seed,
+        "groups": rows,
+        "geomean_fused_speedup": geometric_mean(speedups),
+        "min_fused_speedup": min(speedups),
+        "max_fused_speedup": max(speedups),
+        "total_validity_mismatches": sum(r["validity_mismatches"] for r in rows),
+        "max_rel_diff": max(r["max_rel_diff"] for r in rows),
+    }
+
+
+def check_fused_report(report: dict, check=None) -> list[str]:
+    """Validate a fused-eval report; returns human-readable failure strings.
+
+    Parity failures are always fatal; the optional floor gates the batched
+    fused-eval geomean speedup.
+    """
+    failures = []
+    if report["total_validity_mismatches"]:
+        failures.append(
+            "PARITY FAILURE: batched fused validity disagrees with the scalar oracle"
+        )
+    if report["max_rel_diff"] > PARITY_TOLERANCE:
+        failures.append(
+            f"PARITY FAILURE: max relative difference {report['max_rel_diff']:.2e} "
+            f"exceeds the {PARITY_TOLERANCE:.0e} tolerance"
+        )
+    if check is not None and report["geomean_fused_speedup"] < check:
+        failures.append(
+            "fused speedup check failed: geomean "
+            f"{report['geomean_fused_speedup']:.1f}x < {check}x"
+        )
+    return failures
+
+
 def render_block(block: dict) -> str:
     lines = [
         f"[{block['block']}] {block['scheduled']}/{block['num_layers']} scheduled "
@@ -158,7 +298,7 @@ def render_block(block: dict) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="bert block only")
-    parser.add_argument("--batch", type=int, default=1, help="batch size N")
+    parser.add_argument("--batch", type=positive_int, default=1, help="batch size N")
     parser.add_argument(
         "--arch", default="baseline-4x4", choices=sorted(architectures.available())
     )
@@ -172,7 +312,7 @@ def main(argv=None) -> int:
         help="exit 1 unless the batched fused-eval geomean speedup reaches FLOOR",
     )
     parser.add_argument(
-        "--fused-samples", type=int, default=128,
+        "--fused-samples", type=positive_int, default=128,
         help="candidate group tilings per group in the fused-eval timing",
     )
     args = parser.parse_args(argv)
@@ -196,14 +336,12 @@ def main(argv=None) -> int:
 
     print()
     fused_eval = fused_bench_report(
-        fusion_bench_groups(quick=args.quick),
-        args.fused_samples,
-        seed=0,
-        arch=arch,
-        quick=args.quick,
-        progress=lambda row: print(render_fused_row(row)),
+        fusion_bench_groups(args.quick), args.fused_samples, 0, arch, args.quick
     )
-    print(render_fused_summary(fused_eval))
+    print(
+        "geomean fused-eval speedup over scalar: batched "
+        f"{fused_eval['geomean_fused_speedup']:.1f}x over {len(fused_eval['groups'])} groups"
+    )
     report["fused_eval"] = fused_eval
     fused_failures = check_fused_report(fused_eval, check=args.check_fused)
 

@@ -1,16 +1,13 @@
 """Fig. 1: latency histogram of random valid schedules of a ResNet-50 layer."""
 
-from bench_utils import full_evaluation, save_report
+from bench_utils import check_figure, full_evaluation
 
 from repro.experiments.figures import fig1_latency_histogram
 from repro.experiments.reporting import format_table
 
 
-def test_fig1_latency_histogram(benchmark):
-    num_samples = 40_000 if full_evaluation() else 1500
-    result = benchmark.pedantic(
-        fig1_latency_histogram, kwargs={"num_samples": num_samples}, rounds=1, iterations=1
-    )
+def test_fig1_latency_histogram():
+    result = fig1_latency_histogram(num_samples=40_000 if full_evaluation() else 1500)
 
     rows = []
     labels = ["< 1 MCycle", "1-2 MCycles", "2-3 MCycles", "3+ MCycles"]
@@ -18,7 +15,7 @@ def test_fig1_latency_histogram(benchmark):
         rows.append([label, count])
     rows.append(["valid / sampled", f"{result.num_valid} / {result.num_sampled}"])
     rows.append(["best-to-worst spread", f"{result.best_to_worst_ratio:.1f}x"])
-    save_report(
+    check_figure(
         "fig1_histogram",
         format_table(["bin", "schedules"], rows, title=f"Fig. 1 - {result.layer}"),
     )

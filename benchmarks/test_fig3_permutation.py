@@ -1,15 +1,15 @@
 """Fig. 3: impact of the loop permutation at the global-buffer level."""
 
-from bench_utils import save_report
+from bench_utils import check_figure
 
 from repro.experiments.figures import fig3_permutation_sweep
 from repro.experiments.reporting import format_table
 
 
-def test_fig3_permutation_sweep(benchmark):
-    points = benchmark.pedantic(fig3_permutation_sweep, rounds=1, iterations=1)
+def test_fig3_permutation_sweep():
+    points = fig3_permutation_sweep()
 
-    save_report(
+    check_figure(
         "fig3_permutation",
         format_table(
             ["order (outermost first)", "latency [MCycles]"],

@@ -1,15 +1,15 @@
 """Fig. 4: impact of the spatial-mapping choice (NoC simulator platform)."""
 
-from bench_utils import save_report
+from bench_utils import check_figure
 
 from repro.experiments.figures import fig4_spatial_sweep
 from repro.experiments.reporting import format_table
 
 
-def test_fig4_spatial_sweep(benchmark):
-    points = benchmark.pedantic(fig4_spatial_sweep, rounds=1, iterations=1)
+def test_fig4_spatial_sweep():
+    points = fig4_spatial_sweep()
 
-    save_report(
+    check_figure(
         "fig4_spatial",
         format_table(
             ["mapping", "latency [MCycles]"],

@@ -1,19 +1,14 @@
 """Fig. 6: per-network speedup over Random search on the analytical platform."""
 
-from bench_utils import layers_per_network, save_report
+from bench_utils import check_figure, layers_per_network
 
 from repro.experiments.figures import fig6_timeloop_speedup
 from repro.api import geometric_mean
 from repro.experiments.reporting import format_speedup_rows, format_table
 
 
-def test_fig6_timeloop_speedup(benchmark):
-    summaries = benchmark.pedantic(
-        fig6_timeloop_speedup,
-        kwargs={"layers_per_network": layers_per_network(4)},
-        rounds=1,
-        iterations=1,
-    )
+def test_fig6_timeloop_speedup():
+    summaries = fig6_timeloop_speedup(layers_per_network=layers_per_network(4))
 
     per_layer_rows = []
     for summary in summaries:
@@ -35,7 +30,7 @@ def test_fig6_timeloop_speedup(benchmark):
         title="Per-layer speedups",
     )
     report += f"\n\nOVERALL geomean: Random=1.00  Hybrid={overall_hybrid:.2f}  CoSA={overall_cosa:.2f}"
-    save_report("fig6_timeloop_speedup", report)
+    check_figure("fig6_timeloop_speedup", report)
 
     # Paper shape: CoSA > Hybrid > Random in overall geomean (5.2x / 3.5x / 1.0).
     assert overall_cosa > 1.0

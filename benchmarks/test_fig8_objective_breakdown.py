@@ -1,15 +1,15 @@
 """Fig. 8: CoSA objective breakdown of the three schedulers' mappings."""
 
-from bench_utils import save_report
+from bench_utils import check_figure
 
 from repro.experiments.figures import fig8_objective_breakdown
 from repro.experiments.reporting import format_table
 
 
-def test_fig8_objective_breakdown(benchmark):
-    rows = benchmark.pedantic(fig8_objective_breakdown, rounds=1, iterations=1)
+def test_fig8_objective_breakdown():
+    rows = fig8_objective_breakdown()
 
-    save_report(
+    check_figure(
         "fig8_objective_breakdown",
         format_table(
             ["scheduler", "wU*Util", "wC*Comp", "wT*Traf", "Total (lower is better)"],

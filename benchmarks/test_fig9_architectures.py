@@ -1,19 +1,14 @@
 """Fig. 9: CoSA generalisation across hardware configurations."""
 
-from bench_utils import layers_per_network, save_report
+from bench_utils import check_figure, layers_per_network
 
 from repro.experiments.figures import fig9_architecture_sweep
 from repro.api import geometric_mean
 from repro.experiments.reporting import format_speedup_rows
 
 
-def test_fig9_architecture_sweep(benchmark):
-    results = benchmark.pedantic(
-        fig9_architecture_sweep,
-        kwargs={"layers_per_network": layers_per_network(3)},
-        rounds=1,
-        iterations=1,
-    )
+def test_fig9_architecture_sweep():
+    results = fig9_architecture_sweep(layers_per_network=layers_per_network(3))
 
     report_parts = []
     for label, summaries in results.items():
@@ -22,7 +17,7 @@ def test_fig9_architecture_sweep(benchmark):
         part = format_speedup_rows(summaries, title=f"Fig. 9 - {label}")
         part += f"\nOVERALL geomean: Random=1.00  Hybrid={overall_hybrid:.2f}  CoSA={overall_cosa:.2f}"
         report_parts.append(part)
-    save_report("fig9_architectures", "\n\n".join(report_parts))
+    check_figure("fig9_architectures", "\n\n".join(report_parts))
 
     assert set(results) == {"8x8 PEs", "Larger Buffers"}
     for summaries in results.values():

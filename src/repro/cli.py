@@ -276,23 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sorted, stable JSON listing (axis -> name -> description)",
     )
 
-    bench = sub.add_parser(
-        "bench", help="benchmark mapping-evaluation throughput on a workload preset"
-    )
-    from repro.benchmarking import ALL_PRESETS
-
-    bench.add_argument(
-        "preset", nargs="?", default="quick", choices=sorted(ALL_PRESETS),
-        help="workload preset to benchmark (default: quick; "
-        "'fusion' times fused-group evaluation instead of per-layer mapping evaluation)",
-    )
-    bench.add_argument("--arch", default="baseline-4x4", choices=sorted(architectures.available()))
-    bench.add_argument("--samples", type=_positive_int, default=256, help="candidates per layer")
-    bench.add_argument("--moves", type=_positive_int, default=96, help="delta moves timed per layer")
-    bench.add_argument("--seed", type=int, default=0, help="sampling seed")
-    bench.add_argument("--out", metavar="FILE", default=None, help="also write the JSON report here")
-    bench.add_argument("--json", action="store_true", help="print the JSON report instead of the table")
-
     sub.add_parser("networks", help="list the evaluated DNN workloads and their layers")
     sub.add_parser("archs", help="list the available architecture presets")
     return parser
@@ -931,57 +914,6 @@ def _registry(args) -> int:
     return 0
 
 
-def _bench(args) -> int:
-    from repro.benchmarking import (
-        FUSION_PRESET,
-        bench_report,
-        check_fused_report,
-        check_report,
-        fused_bench_report,
-        fusion_bench_groups,
-        preset_layers,
-        render_fused_row,
-        render_fused_summary,
-        render_row,
-        render_summary,
-    )
-    from repro.io_utils import atomic_write_json
-
-    fusion = args.preset == FUSION_PRESET
-    if fusion:
-        report = fused_bench_report(
-            fusion_bench_groups(),
-            args.samples,
-            args.seed,
-            arch=architectures.create(args.arch),
-            label=args.preset,
-            progress=None if args.json else (lambda row: print(render_fused_row(row))),
-        )
-    else:
-        report = bench_report(
-            preset_layers(args.preset),
-            args.samples,
-            args.seed,
-            arch=architectures.create(args.arch),
-            num_moves=args.moves,
-            label=args.preset,
-            progress=None if args.json else (lambda row: print(render_row(row))),
-        )
-    if args.out:
-        atomic_write_json(args.out, report)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        summary = render_fused_summary(report) if fusion else render_summary(report)
-        print(f"\n{summary}")
-        if args.out:
-            print(f"report written to {args.out}")
-    failures = check_fused_report(report) if fusion else check_report(report)
-    for failure in failures:
-        print(failure, file=sys.stderr)
-    return 1 if failures else 0
-
-
 def _networks() -> int:
     for name in workloads.available():
         layers = workloads.create(name)
@@ -1027,8 +959,6 @@ def main(argv=None) -> int:
         return _store(args)
     if args.command == "registry":
         return _registry(args)
-    if args.command == "bench":
-        return _bench(args)
     if args.command == "networks":
         return _networks()
     return _archs()

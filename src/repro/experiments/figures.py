@@ -2,7 +2,7 @@
 
 Each function returns plain data (lists of rows / dataclasses) and accepts a
 scale knob so the same code serves quick CI-sized runs and full paper-sized
-sweeps (see EXPERIMENTS.md).
+sweeps (see ``benchmarks/bench_utils.py``).
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ from typing import Iterable, Sequence
 def format_table(headers: Sequence[str], rows: Iterable[Sequence], title: str = "") -> str:
     """Render rows as a fixed-width text table.
 
-    Numbers are formatted compactly (3 significant digits for floats); the
-    result is what the benchmark harness writes into ``benchmarks/results``.
+    Numbers are formatted compactly (3 significant digits for floats), so
+    the same table renders byte-identically for identical results; the
+    paper-figure checks in ``benchmarks/`` compare it against the committed
+    ``benchmarks/results`` files.
     """
     rendered_rows = [[_fmt(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
