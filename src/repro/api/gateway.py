@@ -63,13 +63,15 @@ import json
 import logging
 import re
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.auth import ApiKeyAuth, AuthError
 from repro.api.ratelimit import RateLimiter
-from repro.api.service import PRIORITIES, SchedulingService
+from repro.api.events import TERMINAL_EVENTS
+from repro.api.service import PRIORITIES, TERMINAL_STATES, SchedulingService
 from repro.api.specs import RunSpec
 from repro.api.store import ResultStore
 
@@ -457,39 +459,30 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             )
             return
         store = self.gateway.store_for(tenant)
-        path = store.events_path(job_id)
-        if not path.exists():
+        if store.load_job(job_id) is None:
             raise GatewayRequestError(404, f"no events for job {job_id!r}")
         # Not live in this process — a fabric job being executed by an
         # external worker, or a finished job from a previous run.  Tail the
-        # persisted NDJSON log until a terminal event (live for fabric jobs,
-        # instant replay for finished ones).
+        # persisted NDJSON log (live for fabric jobs, instant replay for
+        # finished ones).
         self._stream_ndjson(self._tail_events(store, job_id))
 
     def _tail_events(self, store: ResultStore, job_id: str, timeout: float = 600.0):
-        import time
-
-        path = store.events_path(job_id)
-        offset = 0
+        """Stream the job's log until a terminal event, or until a terminal
+        record's ``num_events`` lines are out.  Never on the record's state
+        alone: writers write the terminal record before the terminal line."""
+        streamed = 0
+        terminal = {state.value for state in TERMINAL_STATES}
         deadline = time.monotonic() + timeout
         while True:
-            lines = path.read_text().splitlines() if path.exists() else []
-            for line in lines[offset:]:
-                if not line.strip():
-                    offset += 1
-                    continue
-                try:
-                    parsed = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # torn tail mid-append; retry next poll
-                offset += 1
-                yield line + "\n"
-                if parsed.get("event") in ("run_finished", "run_failed"):
+            for event in store.read_events(job_id, start=streamed):
+                streamed += 1
+                yield json.dumps(event) + "\n"
+                if event.get("event") in TERMINAL_EVENTS:
                     return
-            record = store.load_job(job_id)
-            state = (record or {}).get("state")
-            if state in ("done", "failed", "cancelled") and offset >= len(lines):
-                return  # terminal record, log fully replayed (no event tail)
+            record = store.load_job(job_id) or {}
+            if record.get("state") in terminal and streamed >= record.get("num_events", 0):
+                return  # a terminal log without a terminal event
             if time.monotonic() > deadline:
                 return
             time.sleep(0.1)

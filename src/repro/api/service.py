@@ -39,10 +39,12 @@ the submit-vs-shutdown race, an aborted submission, a single-flight
 follower sharing its leader's result, and fabric ``run_finished`` /
 ``run_failed`` / dead-letter — goes through
 :meth:`SchedulingService._finish`, which sets the state, appends the
-terminal event, persists the record and the event log, delivers the event,
-releases ``result()`` waiters and settles followers, in that order.  A
-subscriber that sees a terminal event, or a caller that ``result()``
-releases, therefore always reads the terminal record from the store.
+terminal event, writes the record, appends the event to the log, delivers
+the event, releases ``result()`` waiters and settles followers, in that
+order.  A subscriber that sees a terminal event, or a caller that
+``result()`` releases, therefore always reads the terminal record from the
+store.  Every event is appended to the job's log before it is delivered,
+so a subscriber finds each event it is handed on disk.
 
 Threading notes: jobs run on a bounded pool of **daemon** worker threads
 (``max_workers`` concurrent runs) draining one
@@ -60,7 +62,6 @@ the engine reports layers in input order (see
 
 from __future__ import annotations
 
-import json
 import queue
 import threading
 import time
@@ -82,7 +83,6 @@ from repro.api.events import (
 from repro.api.result import RunResult
 from repro.api.specs import RunSpec
 from repro.api.store import ResultStore, spec_fingerprint
-from repro.io_utils import append_ndjson
 
 
 class JobState(str, Enum):
@@ -116,6 +116,25 @@ def pick_lane(interactive, batch, streak: int):
     if batch and (not interactive or streak >= INTERACTIVE_WEIGHT):
         return batch, 0
     return interactive, streak + 1
+
+
+def job_record(
+    job_id: str, state: JobState, spec: dict, fingerprint: str, priority: str, *,
+    store_hit: bool = False, error: dict | None = None, num_events: int = 0,
+) -> dict:
+    """The one job-record shape (what ``repro jobs`` lists), for ``Job.to_dict``
+    and fabric workers.  A record is written before the event it counts."""
+    return {
+        "job_id": job_id,
+        "state": state.value,
+        "kind": spec["kind"],
+        "priority": priority,
+        "spec_fingerprint": fingerprint,
+        "store_hit": store_hit,
+        "error": error,
+        "num_events": num_events,
+        "spec": spec,
+    }
 
 
 class JobCancelled(RuntimeError):
@@ -174,7 +193,6 @@ class Job:
         self._followers: list["Job"] = []
         #: Fabric bookkeeping (``backend="fabric"`` jobs only).
         self._task_id: str | None = None
-        self._events_offset = 0
 
     def __repr__(self) -> str:
         return f"Job(id={self.id!r}, kind={self.spec.kind!r}, state={self.state.value!r})"
@@ -208,10 +226,13 @@ class Job:
         if self._on_event is not None:
             self._on_event(event)
 
-    def _emit(self, cls: type[Event], **fields) -> Event:
-        """Append and deliver one non-terminal event."""
+    def _emit(self, cls: type[Event], *, persisted: bool = False, **fields) -> Event:
+        """Append, persist, then deliver one non-terminal event (``persisted``:
+        tailed from a fabric worker's log, so on disk already)."""
         with self._lock:
             event, channels = self._append(cls, **fields)
+        if self._store is not None and not persisted:
+            self._store.record_events(self.id, [event])
         self._deliver(event, channels)
         return event
 
@@ -304,20 +325,14 @@ class Job:
 
     # ------------------------------------------------------------- persistence
     def to_dict(self) -> dict:
-        """JSON-compatible job record (what ``repro jobs`` lists)."""
-        return {
-            "job_id": self.id,
-            "state": self.state.value,
-            "kind": self.spec.kind,
-            "priority": self.priority,
-            "spec_fingerprint": self.fingerprint,
-            "store_hit": self.store_hit,
-            "error": None
-            if self.error is None
-            else {"type": type(self.error).__name__, "message": str(self.error)},
-            "num_events": len(self.event_log),
-            "spec": self.spec.to_dict(),
-        }
+        """JSON-compatible job record (see :func:`job_record`)."""
+        error = self.error
+        return job_record(
+            self.id, self.state, self.spec.to_dict(), self.fingerprint, self.priority,
+            store_hit=self.store_hit,
+            error=None if error is None else {"type": type(error).__name__, "message": str(error)},
+            num_events=len(self.event_log),
+        )
 
 
 #: Queue sentinel telling a worker thread to exit.
@@ -610,7 +625,6 @@ class SchedulingService:
             priority=job.priority,
         )
         job._task_id = task["task_id"]
-        job._events_offset = 1  # the local run_queued is already in the log
         with self._lock:
             self._watched.append(job)
             if self._watcher is None or not self._watcher.is_alive():
@@ -651,12 +665,13 @@ class SchedulingService:
 
         In order: set the state, append the terminal event (``run_finished``
         for ``DONE``, else ``run_failed`` carrying ``error_type`` and
-        ``message``, which default to ``error``'s), persist the record and
-        the log, deliver the event, release ``result()`` waiters, settle
-        single-flight followers.  ``persisted`` marks an event tailed from a
-        fabric log: the worker wrote the record before appending the line,
-        so both are on disk already.  Returns ``False`` (and does nothing)
-        when the job is already terminal, or is a cancel of a started job.
+        ``message``, which default to ``error``'s), write the record, append
+        the event to the log, deliver the event, release ``result()``
+        waiters, settle single-flight followers.  ``persisted`` marks an
+        event tailed from a fabric log: the worker wrote the record before
+        appending the line, so both are on disk already.  Returns ``False``
+        (and does nothing) when the job is already terminal, or is a cancel
+        of a started job.
         """
         if state is JobState.DONE:
             cls, fields = RunFinished, {"store_hit": store_hit, "result": result.to_dict()}
@@ -682,20 +697,17 @@ class SchedulingService:
         return True
 
     def _persist(self, job: Job, event: Event) -> None:
-        """Write ``job``'s record and its log through ``event`` (no lock held)."""
+        """Write ``job``'s record, then append ``event`` (no lock held)."""
         store = job._store
         if store is None:
             return
-        if job._task_id is None:
-            store.record_job(job.to_dict())
-            store.record_events(job.id, job.event_log)
-            return
-        # A fabric job shares its files with workers: merge into the record
-        # (keeping the worker/task fields an attempt wrote) and append.
-        record = store.load_job(job.id) or {}
-        record.update(job.to_dict())
+        record = job.to_dict()
+        if job._task_id is not None:
+            # A fabric job shares its record with workers: keep the
+            # worker/task fields an attempt wrote.
+            record = {**(store.load_job(job.id) or {}), **record}
         store.record_job(record)
-        append_ndjson(store.events_path(job.id), event.to_dict())
+        store.record_events(job.id, [event])
 
     # --------------------------------------------------------------- execution
     def _worker_loop(self) -> None:
@@ -754,21 +766,12 @@ class SchedulingService:
             time.sleep(self.FABRIC_POLL_INTERVAL)
 
     def _poll_fabric_job(self, job: Job) -> None:
-        """Apply any new event-log lines (and dead-letter state) to ``job``."""
-        try:
-            lines = job._store.events_path(job.id).read_text().splitlines()
-        except FileNotFoundError:
-            lines = []
-        for line in lines[job._events_offset :]:
-            if not line.strip():
-                job._events_offset += 1
-                continue
-            try:
-                event = event_from_dict(json.loads(line))
-            except ValueError:
-                break  # torn tail mid-append; complete next sweep
-            job._events_offset += 1
-            self._apply_fabric_event(job, event)
+        """Apply any new event-log lines (and dead-letter state) to ``job``.
+
+        Every event of ``job``'s in-memory log is on disk: new lines start at its length.
+        """
+        for payload in job._store.read_events(job.id, start=len(job.event_log)):
+            self._apply_fabric_event(job, event_from_dict(payload))
             if job.done:
                 return
         task = self._fabric.load_task(job._task_id)
@@ -798,7 +801,7 @@ class SchedulingService:
         else:
             if isinstance(event, RunStarted):
                 job._start()
-            job._emit(type(event), **event.payload())
+            job._emit(type(event), persisted=True, **event.payload())
 
     def _fail_fabric_job(
         self, job: Job, error_type: str, message: str, persisted: bool = False

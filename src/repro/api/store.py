@@ -29,7 +29,7 @@ trick (git objects, blob caches)::
     <results_root>/store.json                      # layout meta (version, depth)
     <results_root>/results/<fp[:depth]>/<fp>.json  # RunResult envelopes
     <root>/jobs/<job_id>.json                      # job records (tenant-private)
-    <root>/jobs/<job_id>.events.ndjson             # one serialized event per line
+    <root>/jobs/<job_id>.events.ndjson             # append-only, one event per line
 
 ``results_root`` defaults to ``root`` but may point elsewhere: the gateway
 gives every tenant a private ``root`` (job records, event logs) while all
@@ -74,7 +74,7 @@ from pathlib import Path
 from repro.api.result import RunResult
 from repro.api.specs import RunSpec
 from repro.digest import stable_digest
-from repro.io_utils import atomic_write_json, atomic_write_text
+from repro.io_utils import append_ndjson, atomic_write_json, read_ndjson
 
 #: ``EngineSpec`` keys that steer execution but cannot change the payload
 #: (see the determinism notes in :mod:`repro.engine.engine`); they are
@@ -299,10 +299,6 @@ class ResultStore:
         if depth:
             return self.results_dir / fingerprint[:depth] / f"{fingerprint}.json"
         return self.results_dir / f"{fingerprint}.json"
-
-    # Kept for pre-fabric callers; the public spelling is ``result_path``.
-    def _result_path(self, fingerprint: str) -> Path:
-        return self.result_path(fingerprint)
 
     def _iter_result_files(self):
         if not self.results_dir.is_dir():
@@ -582,6 +578,20 @@ class ResultStore:
         return self.jobs_dir / f"{job_id}.events.ndjson"
 
     def record_events(self, job_id: str, events) -> Path:
-        """Persist a job's full event log as NDJSON (one event per line)."""
-        lines = "".join(json.dumps(event.to_dict()) + "\n" for event in events)
-        return atomic_write_text(self.events_path(job_id), lines)
+        """Append ``events`` to the job's NDJSON log, one line each.
+
+        The append-only log's one writer: the service and fabric workers
+        call it *before* delivering an event.
+        """
+        path = self.events_path(job_id)
+        for event in events:
+            append_ndjson(path, event.to_dict())
+        return path
+
+    def read_events(self, job_id: str, start: int = 0) -> list[dict]:
+        """The job's logged events from index ``start`` on, as dicts.
+
+        The log's one reader: a torn final line (a writer mid-append) is
+        skipped, a bad line elsewhere raises (:func:`~repro.io_utils.read_ndjson`).
+        """
+        return read_ndjson(self.events_path(job_id))[start:]

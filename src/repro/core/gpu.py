@@ -83,10 +83,6 @@ class CoSAGPUScheduler:
             blocks = result.mapping.spatial_product_at(l2_level)
         return GPUScheduleResult(result=result, threads_per_block=threads, blocks=blocks)
 
-    def schedule_network(self, layers) -> list[GPUScheduleResult]:
-        """Schedule every layer of a network independently."""
-        return [self.schedule(layer) for layer in layers]
-
     # -------------------------------------------------------- engine protocol
     def config_fingerprint(self) -> str:
         """Deterministic configuration description (mapping-cache key part)."""

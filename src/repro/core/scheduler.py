@@ -161,24 +161,6 @@ class CoSAScheduler:
             stats=formulation.stats if formulation is not None else None,
         )
 
-    def schedule_network(self, layers, jobs: int = 1) -> list[ScheduleResult]:
-        """Schedule every layer of a network (one independent solve per layer).
-
-        ``jobs > 1`` delegates to the :class:`~repro.engine.engine.SchedulingEngine`
-        for parallel solves with identical-layer de-duplication; results keep
-        the input order and match the serial path (up to solver incumbents
-        when a solve terminates on its wall-clock limit — see the engine's
-        determinism notes).
-        """
-        if jobs == 1:
-            return [self.schedule(layer) for layer in layers]
-        from repro.engine import SchedulingEngine
-
-        network = SchedulingEngine(self, evaluate_metrics=False).schedule_network(
-            layers, jobs=jobs
-        )
-        return [outcome.detail for outcome in network.outcomes]
-
     # -------------------------------------------------------- engine protocol
     def config_fingerprint(self) -> str:
         """Deterministic configuration description (mapping-cache key part).

@@ -6,8 +6,8 @@ from the :class:`~repro.fabric.queue.WorkQueue`, runs them through the
 stored envelope is bit-identical to a single-process run of the same spec),
 and narrates progress through the typed event protocol of
 :mod:`repro.api.events` — appended live, line by line, to the job's NDJSON
-event log so gateways and ``Job.events()`` watchers can tail it while the
-solve is still running on another machine.
+event log (:meth:`ResultStore.record_events`) so gateways and
+``Job.events()`` watchers can tail it while the solve runs elsewhere.
 
 Execution of one claim::
 
@@ -41,11 +41,10 @@ import socket
 import threading
 
 from repro.api.events import LayerScheduled, RunFailed, RunFinished, RunStarted
-from repro.api.service import JobState
+from repro.api.service import JobState, job_record
 from repro.api.specs import RunSpec
 from repro.api.store import ResultStore
 from repro.fabric.queue import Claim, WorkQueue
-from repro.io_utils import append_ndjson
 
 
 def default_worker_id() -> str:
@@ -54,22 +53,22 @@ def default_worker_id() -> str:
 
 
 class _EventAppender:
-    """Append typed events to a job's NDJSON log with continuous ``seq``.
+    """Append typed events to a job's log with continuous ``seq``.
 
     The submitting service wrote ``run_queued`` (seq 0) before enqueueing,
-    so the worker continues numbering from the current line count — the
-    combined file reads exactly like a local job's log.
+    and an earlier attempt may have appended more, so the worker continues
+    numbering from the logged event count — the combined file reads exactly
+    like a local job's log.
     """
 
     def __init__(self, store: ResultStore, job_id: str):
+        self.store = store
         self.job_id = job_id
-        self.path = store.events_path(job_id)
-        self.seq = 0
-        if self.path.exists():
-            self.seq = sum(1 for line in self.path.read_text().splitlines() if line)
+        self.seq = len(store.read_events(job_id))
 
     def emit(self, cls, **fields) -> None:
-        append_ndjson(self.path, cls(job_id=self.job_id, seq=self.seq, **fields).to_dict())
+        event = cls(job_id=self.job_id, seq=self.seq, **fields)
+        self.store.record_events(self.job_id, [event])
         self.seq += 1
 
 
@@ -184,7 +183,7 @@ class FabricWorker:
             self.queue.release(claim)
             return
         spec = RunSpec.from_dict(task["spec"])
-        self._record_job(store, task, JobState.RUNNING)
+        self._record_job(store, task, JobState.RUNNING, num_events=events.seq + 1)
         events.emit(RunStarted)
         self._log(
             f"worker {self.worker_id} claimed {claim.task_id} "
@@ -234,22 +233,13 @@ class FabricWorker:
                 return
 
     # ------------------------------------------------------------ bookkeeping
-    def _record_job(self, store: ResultStore, task: dict, state, **fields) -> None:
-        """Rewrite the job record the service created at submit time."""
-        record = store.load_job(task["job_id"]) or {
-            "job_id": task["job_id"],
-            "kind": task["spec"].get("kind", "schedule"),
-            "priority": task["priority"],
-            "spec_fingerprint": task["fingerprint"],
-            "store_hit": False,
-            "error": None,
-            "num_events": 0,
-            "spec": task["spec"],
-        }
-        record["state"] = state.value if hasattr(state, "value") else str(state)
+    def _record_job(self, store: ResultStore, task: dict, state: JobState, **fields) -> None:
+        """Write the job's whole record from ``task``, stamped with this attempt."""
+        record = job_record(
+            task["job_id"], state, task["spec"], task["fingerprint"], task["priority"], **fields
+        )
         record["worker"] = self.worker_id
         record["task_id"] = task["task_id"]
-        record.update(fields)
         store.record_job(record)
 
 

@@ -303,8 +303,6 @@ class TestWorkerUnit:
     ):
         # The service releases Job.result() when it reads the terminal line,
         # so the record must already be terminal by the time it is appended.
-        import repro.fabric.worker as worker_module
-
         store = ResultStore(tmp_path / "store")
         queue = WorkQueue(tmp_path / "fabric")
         good = RunSpec.from_dict(SCHEDULE_SPEC)
@@ -318,14 +316,16 @@ class TestWorkerUnit:
                 store_root=str(store.root),
             )
         seen = []
-        original = worker_module.append_ndjson
+        original = ResultStore.record_events
 
-        def spying_append(path, payload):
-            if payload["event"] in ("run_finished", "run_failed"):
-                seen.append((payload["event"], store.load_job(payload["job_id"])["state"]))
-            return original(path, payload)
+        def spying_record_events(self, job_id, events):
+            events = list(events)
+            for event in events:
+                if event.KIND in ("run_finished", "run_failed"):
+                    seen.append((event.KIND, store.load_job(job_id)["state"]))
+            return original(self, job_id, events)
 
-        monkeypatch.setattr(worker_module, "append_ndjson", spying_append)
+        monkeypatch.setattr(ResultStore, "record_events", spying_record_events)
         worker = FabricWorker(
             tmp_path / "fabric", worker_id="w1", poll_interval=0.01, max_tasks=2
         )

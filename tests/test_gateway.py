@@ -12,10 +12,13 @@ Covers the contract of `repro.api.gateway` / `auth` / `ratelimit` /
   envelope, resubmit as a store hit with zero scheduler invocations, and
   the error surface (401/403/404/400/429 with ``Retry-After``);
 * tenancy — separate store subtrees, id namespaces, and no cross-tenant
-  reads.
+  reads;
+* disk tail — a gateway that does not run the job streams its persisted
+  log, and ends only with the terminal event.
 """
 
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -28,9 +31,19 @@ from repro.api.auth import (
     AuthorizationError,
 )
 from repro.api.client import GatewayClient, GatewayError
+from repro.api.events import TERMINAL_EVENTS, RunFinished, RunQueued, RunStarted
 from repro.api.gateway import SchedulingGateway
 from repro.api.ratelimit import RateLimiter, TokenBucket
-from repro.api.service import INTERACTIVE_WEIGHT, TwoLevelPriorityQueue, _SHUTDOWN
+from repro.api.service import (
+    INTERACTIVE_WEIGHT,
+    JobState,
+    TwoLevelPriorityQueue,
+    _SHUTDOWN,
+    job_record,
+)
+from repro.api.store import ResultStore
+from repro.fabric.queue import WorkQueue
+from repro.fabric.worker import FabricWorker
 
 #: Cheap deterministic schedule run (seeded random search, tiny layer).
 SCHEDULE_SPEC = {
@@ -268,6 +281,115 @@ class TestGatewayEndToEnd:
         client.wait(record["job_id"])
         ids = [job["job_id"] for job in client.jobs()]
         assert record["job_id"] in ids
+
+
+def stream_in_background(client, job_id):
+    """Start reading ``job_id``'s event stream; returns (thread, events)."""
+    events = []
+    reader = threading.Thread(
+        target=lambda: events.extend(client.events(job_id)), daemon=True
+    )
+    reader.start()
+    return reader, events
+
+
+class TestGatewayDiskTail:
+    """``/events`` for a job this gateway's service does not run."""
+
+    def test_second_gateway_replays_a_finished_job(self, gateway, client):
+        record = client.submit(SCHEDULE_SPEC)
+        live = list(client.events(record["job_id"]))
+        with SchedulingGateway(gateway.store_root, auth=gateway.auth) as second:
+            second.start()
+            other = GatewayClient(second.url, tenant="acme", api_key="k-acme")
+            replayed = list(other.events(record["job_id"]))
+            assert other.job(record["job_id"])["state"] == "done"
+        assert replayed == live
+        assert replayed == gateway.store_for("acme").read_events(record["job_id"])
+        assert [event["event"] for event in replayed][-1] == "run_finished"
+
+    def test_terminal_record_beside_a_short_log_waits_for_the_terminal_event(
+        self, gateway, client
+    ):
+        # What every writer leaves between its terminal record write and its
+        # terminal append: a done record counting 3 events, 2 logged.
+        store = gateway.store_for("acme")
+        spec = RunSpec.from_dict(SCHEDULE_SPEC)
+        fingerprint = spec_fingerprint(spec)
+        job_id = store.allocate_job_id(fingerprint)
+        store.record_job(
+            job_record(
+                job_id, JobState.DONE, spec.to_dict(), fingerprint, "interactive",
+                num_events=3,
+            )
+        )
+        store.record_events(
+            job_id,
+            [
+                RunQueued(job_id=job_id, seq=0, kind="schedule", spec_fingerprint=fingerprint),
+                RunStarted(job_id=job_id, seq=1),
+            ],
+        )
+        reader, events = stream_in_background(client, job_id)
+        reader.join(timeout=0.5)
+        assert reader.is_alive()  # the record alone never ends the stream
+        store.record_events(
+            job_id, [RunFinished(job_id=job_id, seq=2, store_hit=False, result={})]
+        )
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert [event["event"] for event in events] == [
+            "run_queued",
+            "run_started",
+            "run_finished",
+        ]
+
+    def test_writer_paused_before_its_terminal_append(
+        self, gateway, client, tmp_path, monkeypatch
+    ):
+        paused, resume = threading.Event(), threading.Event()
+        record_events = ResultStore.record_events
+
+        def pausing_record_events(self, job_id, events):
+            events = list(events)
+            if any(event.KIND in TERMINAL_EVENTS for event in events):
+                paused.set()
+                assert resume.wait(60)
+            return record_events(self, job_id, events)
+
+        monkeypatch.setattr(ResultStore, "record_events", pausing_record_events)
+        store = gateway.store_for("acme")
+        spec = RunSpec.from_dict(SCHEDULE_SPEC)
+        fingerprint = spec_fingerprint(spec)
+        job_id = store.allocate_job_id(fingerprint)
+        WorkQueue(tmp_path / "fabric").enqueue(
+            spec.to_dict(),
+            fingerprint,
+            job_id=job_id,
+            store_root=str(store.root),
+            results_root=str(store.results_root),
+            job_prefix=store.job_prefix,
+        )
+        worker = FabricWorker(tmp_path / "fabric", worker_id="w1", max_tasks=1)
+        executing = threading.Thread(target=worker.run, daemon=True)
+        executing.start()
+        try:
+            assert paused.wait(60)
+            assert store.load_job(job_id)["state"] == "done"
+            reader, events = stream_in_background(client, job_id)
+            reader.join(timeout=0.5)
+            assert reader.is_alive()
+        finally:
+            resume.set()
+            executing.join(timeout=60)
+        assert not executing.is_alive()
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert [event["event"] for event in events] == [
+            "run_started",
+            "layer_scheduled",
+            "run_finished",
+        ]
 
 
 class TestGatewayAuthOverHTTP:

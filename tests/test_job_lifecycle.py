@@ -1,16 +1,17 @@
 """The job-lifecycle invariant, on both service backends.
 
-Every terminal transition persists, then emits, then signals.  So whoever
-observes a job's end — a subscriber handed the terminal event, or a caller
-that ``Job.result()`` releases — reads the terminal record from the store,
-and the stored event log already ends with that terminal event.  Checked
+Every event is appended to the job's log before it is delivered, and every
+terminal transition persists, then emits, then signals.  So a subscriber
+finds each event it is handed already on disk; whoever observes a job's
+end — a subscriber handed the terminal event, or a caller that
+``Job.result()`` releases — reads the terminal record from the store; and
+the stored log equals the job's in-memory event log line for line.  Checked
 for the done, failed, cancelled, store-hit, follower and (fabric-only)
 dead-letter paths.  The fabric backend runs with zero in-process workers
 and one :class:`FabricWorker` draining the queue from a thread of this
 test process.
 """
 
-import json
 import threading
 import time
 
@@ -39,19 +40,26 @@ def make_spec(max_attempts: int = 500, scheduler: str = "random") -> RunSpec:
 
 def stored(store: ResultStore, job_id: str) -> tuple[str, str | None]:
     """The stored record's state and the stored log's last event kind."""
-    lines = store.events_path(job_id).read_text().splitlines()
-    last = json.loads(lines[-1])["event"] if lines else None
+    events = store.read_events(job_id)
+    last = events[-1]["event"] if events else None
     return store.load_job(job_id)["state"], last
 
 
+def on_disk(store: ResultStore, event) -> bool:
+    """Whether ``event`` is in the stored log, at its ``seq``."""
+    return store.read_events(event.job_id, start=event.seq)[:1] == [event.to_dict()]
+
+
 class Observer:
-    """An ``on_event`` subscriber that reads the store on terminal events."""
+    """An ``on_event`` subscriber that reads the store on every event."""
 
     def __init__(self, store: ResultStore):
         self.store = store
+        self.delivered: dict[str, list[bool]] = {}  # per event: already on disk?
         self.at_terminal: dict[str, tuple[str, str]] = {}
 
     def __call__(self, event) -> None:
+        self.delivered.setdefault(event.job_id, []).append(on_disk(self.store, event))
         if event.KIND in TERMINAL_EVENTS:
             self.at_terminal[event.job_id] = stored(self.store, event.job_id)
 
@@ -59,8 +67,10 @@ class Observer:
 def assert_settled(store: ResultStore, observer: Observer, job) -> None:
     terminal = "run_finished" if job.state is JobState.DONE else "run_failed"
     expected = (job.state.value, terminal)
+    assert observer.delivered[job.id] == [True] * len(job.event_log)
     assert observer.at_terminal[job.id] == expected
     assert stored(store, job.id) == expected
+    assert store.read_events(job.id) == [event.to_dict() for event in job.event_log]
 
 
 @pytest.fixture(params=["local", "fabric"])
@@ -107,12 +117,13 @@ def gate(monkeypatch):
 class TestTerminalRecordInvariant:
     def test_done(self, backend):
         service, store, observer = backend
-        at_stream_end = []
+        streamed, at_stream_end = [], []
 
         job = service.submit(make_spec(), on_event=observer)
 
         def follow():
             for event in job.events(timeout=120):
+                streamed.append(on_disk(store, event))
                 if event.KIND in TERMINAL_EVENTS:
                     at_stream_end.append(stored(store, job.id))
 
@@ -122,6 +133,7 @@ class TestTerminalRecordInvariant:
         follower.join(timeout=120)
         assert job.state is JobState.DONE
         assert_settled(store, observer, job)
+        assert streamed == [True] * len(job.event_log)
         assert at_stream_end == [("done", "run_finished")]
 
     def test_failed(self, backend):
@@ -189,7 +201,7 @@ def test_dead_letter_fabric(tmp_path):
             job.result(timeout=30)
         assert job.state is JobState.FAILED
         assert_settled(store, observer, job)
-        lines = store.events_path(job.id).read_text().splitlines()
-        assert [json.loads(line)["seq"] for line in lines] == list(range(len(lines)))
+        seqs = [event["seq"] for event in store.read_events(job.id)]
+        assert seqs == list(range(len(seqs)))
     finally:
         service.shutdown()

@@ -7,6 +7,7 @@ from repro.arch.gpu import GPUSpec, gpu_as_accelerator
 from repro.core import CoSAScheduler
 from repro.core.gpu import CoSAGPUScheduler
 from repro.core.objectives import ObjectiveWeights
+from repro.engine import SchedulingEngine
 from repro.model import CostModel
 from repro.noc import NoCSimulator
 from repro.workloads import Layer, layer_from_name
@@ -35,7 +36,8 @@ class TestCoSAScheduler:
 
     def test_schedule_network(self):
         layers = [Layer(c=8, k=8, name="a"), Layer(p=4, k=16, name="b")]
-        results = CoSAScheduler(ARCH).schedule_network(layers)
+        network = SchedulingEngine(CoSAScheduler(ARCH)).schedule_network(layers)
+        results = [outcome.detail for outcome in network.outcomes]
         assert len(results) == 2
         assert all(r.succeeded for r in results)
 
@@ -93,7 +95,9 @@ class TestCoSAGPUScheduler:
         assert cost.valid
 
     def test_gpu_network_scheduling(self):
-        scheduler = CoSAGPUScheduler()
-        results = scheduler.schedule_network([Layer(c=16, k=32), Layer(p=8, k=64)])
+        network = SchedulingEngine(CoSAGPUScheduler()).schedule_network(
+            [Layer(c=16, k=32), Layer(p=8, k=64)]
+        )
+        results = [outcome.detail for outcome in network.outcomes]
         assert len(results) == 2
         assert all(r.mapping is not None for r in results)

@@ -419,6 +419,38 @@ class TestResultStore:
         assert store_a.load_jobs() == []
         assert store_a.load_job(minted[0]) is None
 
+    def test_read_events_resumes_past_a_torn_final_line(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        job_id = "job-000001-feedfeedfeed"
+        store.record_events(
+            job_id,
+            [
+                RunQueued(job_id=job_id, seq=0, kind="schedule", spec_fingerprint="f"),
+                RunStarted(job_id=job_id, seq=1),
+            ],
+        )
+        line = json.dumps(
+            RunFailed(job_id=job_id, seq=2, error_type="E", error_message="m").to_dict()
+        ) + "\n"
+        path = store.events_path(job_id)
+        with open(path, "a") as handle:
+            handle.write(line[:20])  # a writer caught mid-append
+        assert [e["event"] for e in store.read_events(job_id)] == ["run_queued", "run_started"]
+        assert store.read_events(job_id, start=2) == []
+        with open(path, "a") as handle:
+            handle.write(line[20:])
+        assert store.read_events(job_id, start=2) == [json.loads(line)]
+
+    def test_read_events_raises_on_a_corrupt_line_before_the_last(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        job_id = "job-000001-feedfeedfeed"
+        store.record_events(job_id, [RunStarted(job_id=job_id, seq=0)])
+        with open(store.events_path(job_id), "a") as handle:
+            handle.write("{not json\n")
+        store.record_events(job_id, [RunStarted(job_id=job_id, seq=2)])
+        with pytest.raises(json.JSONDecodeError):
+            store.read_events(job_id)
+
     def test_concurrent_submissions_share_the_pool(self):
         # Two distinct specs on two workers both finish and stay isolated.
         other = {**SCHEDULE_SPEC, "workload": {"layers": ["1_2_4_4_1"]}}
