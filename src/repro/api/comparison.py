@@ -183,19 +183,6 @@ class SpeedupSummary:
         }
 
 
-class _Evaluator:
-    """Evaluates mappings on the configured platform and metric."""
-
-    def __init__(self, config: ComparisonConfig):
-        self.config = config
-        self._evaluate = platforms.create(
-            config.platform, config.accelerator, metric=config.metric
-        )
-
-    def __call__(self, mapping: Mapping | None) -> float:
-        return self._evaluate(mapping)
-
-
 def build_schedulers(config: ComparisonConfig):
     """Instantiate the Random, Timeloop-Hybrid and CoSA schedulers of a run."""
     search = dict(
@@ -262,7 +249,9 @@ def compare_on_network(
     """
     layers = list(layers)
     scheduler_triple = schedulers or build_schedulers(config)
-    evaluate = evaluator or _Evaluator(config)
+    evaluate = evaluator or platforms.create(
+        config.platform, config.accelerator, metric=config.metric
+    )
 
     # Positional, not name-keyed: caller-supplied triples may repeat a
     # scheduler kind (e.g. two differently-seeded Random instances).

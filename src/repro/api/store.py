@@ -15,42 +15,37 @@ without invoking any scheduler.
   the spec: execution-only knobs (``jobs``, ``executor``, the mapping-cache
   path) are excluded, so a 1-job and an 8-job run of the same experiment
   share one entry, while everything that can change the payload (kind, axes,
-  seed, options, evaluation batch size and time budget) splits entries.
+  seed, options, fusion options, evaluation batch size and time budget)
+  splits entries.
 * Writes go through :func:`repro.io_utils.atomic_write_json`, so concurrent
   services sharing one store directory never tear an envelope.
 
-Layout (v2, fingerprint-prefix sharded)
----------------------------------------
+Layout (fingerprint-prefix sharded)
+-----------------------------------
 One flat directory stops scaling somewhere in the tens of thousands of
 entries (every lookup lists siblings, every backup walks one dir), so the
-results tier shards by fingerprint prefix — the standard content-addressed
-trick (git objects, blob caches)::
+results tier shards by the first two hex characters of the fingerprint —
+the standard content-addressed trick (git objects, blob caches)::
 
-    <results_root>/store.json                      # layout meta (version, depth)
-    <results_root>/results/<fp[:depth]>/<fp>.json  # RunResult envelopes
+    <results_root>/results/<fp[:2]>/<fp>.json      # RunResult envelopes
     <root>/jobs/<job_id>.json                      # job records (tenant-private)
     <root>/jobs/<job_id>.events.ndjson             # append-only, one event per line
 
 ``results_root`` defaults to ``root`` but may point elsewhere: the gateway
 gives every tenant a private ``root`` (job records, event logs) while all
 tenants share one ``results_root`` — identical specs submitted by different
-tenants are **one** content-addressed entry, executed once.
-
-Flat v1 stores (PR 4–7) are migrated transparently on first open: existing
-``results/*.json`` files move into their shard directory and the layout meta
-is written.  Envelope bytes are untouched — golden v1 envelopes and every
-store-hit semantic survive the move.
+tenants are **one** content-addressed entry, executed once.  A
+``store.json`` left beside ``results/`` by older versions is ignored.
 
 Tiers, eviction, compaction
 ---------------------------
-A warm in-memory LRU tier (``warm_capacity`` parsed envelopes) fronts the
-disk tier; :class:`StoreStats` splits hits into ``warm_hits`` /
-``disk_hits``.  With ``max_bytes`` set, :meth:`gc` (also run
-opportunistically by :meth:`put`) evicts least-recently-*used* envelopes —
-every disk hit refreshes the file's mtime — until the results tier fits,
-and :meth:`compact` sweeps crashed writers' temp debris and empty shard
-directories.  ``repro store stats`` / ``repro store gc`` expose both from
-the shell.
+A warm in-memory LRU tier (:data:`WARM_CAPACITY` parsed envelopes) fronts
+the disk tier; :class:`StoreStats` splits hits into ``warm_hits`` /
+``disk_hits``.  :meth:`gc` evicts least-recently-*used* envelopes — every
+disk hit refreshes the file's mtime — until the results tier fits a byte
+bound, and :meth:`compact` sweeps crashed writers' temp debris and empty
+shard directories.  ``repro store stats`` / ``repro store gc`` expose both
+from the shell.
 
 Record repair semantics: a job record that cannot be parsed (empty,
 truncated, or not a JSON object — e.g. a process that crashed between
@@ -78,24 +73,16 @@ from repro.io_utils import append_ndjson, atomic_write_json, read_ndjson
 
 #: ``EngineSpec`` keys that steer execution but cannot change the payload
 #: (see the determinism notes in :mod:`repro.engine.engine`); they are
-#: excluded from the spec fingerprint.  ``fusion_options`` qualifies because
-#: the frontier alignment search only tunes how hard the scheduler looks,
-#: never the meaning of the workload.
-EXECUTION_ONLY_ENGINE_KEYS = ("jobs", "executor", "cache", "fusion_options")
-
-#: On-disk layout version written to the ``store.json`` meta file.
-STORE_LAYOUT_VERSION = 2
+#: excluded from the spec fingerprint.  ``fusion_options`` is *not* one of
+#: them: the frontier alignment search picks the fused groups' mappings.
+EXECUTION_ONLY_ENGINE_KEYS = ("jobs", "executor", "cache")
 
 #: Fingerprint-prefix characters used as the shard directory name.  Two hex
-#: chars give 256 shards — flat-directory behaviour returns only past ~256x
-#: the entry count that made v1 slow.
-DEFAULT_SHARD_DEPTH = 2
+#: chars give 256 shards.
+SHARD_DEPTH = 2
 
-#: Envelopes kept parsed in the warm tier by default.
-DEFAULT_WARM_CAPACITY = 128
-
-#: Meta file name, a sibling of the ``results/`` directory.
-META_FILE = "store.json"
+#: Envelopes kept parsed in the warm tier.
+WARM_CAPACITY = 128
 
 
 def spec_fingerprint(spec: RunSpec) -> str:
@@ -180,16 +167,6 @@ class ResultStore:
         Optional prefix minted into every job id (``<prefix>job-000001-…``).
         The gateway uses it to give each tenant a distinct id namespace, so
         an id names its tenant even outside the tenant's store subtree.
-    shard_depth:
-        Fingerprint-prefix characters per shard directory.  Only consulted
-        when this store *creates* the layout; an existing ``store.json``
-        meta on disk wins, so every process sharing one results tree agrees.
-    warm_capacity:
-        Parsed envelopes kept in the in-memory LRU tier (0 disables it).
-    max_bytes:
-        Size bound of the results tier; ``None`` disables eviction.  When
-        set, :meth:`put` opportunistically evicts least-recently-used
-        envelopes to fit.
     results_root:
         Directory holding the shared ``results/`` tier (defaults to
         ``root``).  Point several stores' ``results_root`` at one directory
@@ -201,22 +178,14 @@ class ResultStore:
         root: str | Path,
         job_prefix: str = "",
         *,
-        shard_depth: int | None = None,
-        warm_capacity: int = DEFAULT_WARM_CAPACITY,
-        max_bytes: int | None = None,
         results_root: str | Path | None = None,
     ):
         self.root = Path(root)
         self.job_prefix = job_prefix
         self.results_root = Path(results_root) if results_root is not None else self.root
-        self.max_bytes = max_bytes
-        self.warm_capacity = warm_capacity
         self.stats = StoreStats()
-        self._requested_shard_depth = shard_depth
-        self._shard_depth: int | None = None  # resolved lazily from disk meta
         self._warm: OrderedDict[str, RunResult] = OrderedDict()
         self._warm_lock = threading.Lock()
-        self._layout_lock = threading.Lock()
         self._alloc_lock = threading.Lock()
         #: Cached next job ordinal; ``None`` until the first allocation scans
         #: the directory once.  Cross-process safety still comes from the
@@ -232,73 +201,9 @@ class ResultStore:
     def jobs_dir(self) -> Path:
         return self.root / "jobs"
 
-    @property
-    def meta_path(self) -> Path:
-        return self.results_root / META_FILE
-
-    # ---------------------------------------------------------------- layout
-    @property
-    def shard_depth(self) -> int:
-        """The resolved shard depth (reads/creates the on-disk meta)."""
-        self._ensure_layout()
-        assert self._shard_depth is not None
-        return self._shard_depth
-
-    def _ensure_layout(self) -> None:
-        """Resolve the shard depth, migrating a flat v1 tree on first open.
-
-        The on-disk ``store.json`` meta is authoritative — every process
-        sharing one results tree must shard identically, so a constructor
-        argument never overrides an existing meta.  A results directory with
-        loose ``results/*.json`` files and no meta is a pre-fabric flat
-        store: its files move (``os.replace``, atomic, content untouched)
-        into their shard directories.  The migration is idempotent and safe
-        to race: a file two migrators fight over is moved by whichever
-        ``replace`` runs first and skipped by the loser.
-        """
-        if self._shard_depth is not None:
-            return
-        with self._layout_lock:
-            if self._shard_depth is not None:
-                return
-            meta = self._read_meta()
-            if meta is not None:
-                self._shard_depth = int(meta.get("shard_depth", DEFAULT_SHARD_DEPTH))
-                return
-            depth = (
-                DEFAULT_SHARD_DEPTH
-                if self._requested_shard_depth is None
-                else self._requested_shard_depth
-            )
-            if depth < 0 or depth > 8:
-                raise ValueError(f"shard_depth must be in [0, 8], got {depth}")
-            if depth and self.results_dir.is_dir():
-                for path in list(self.results_dir.glob("*.json")):
-                    shard = self.results_dir / path.stem[:depth]
-                    shard.mkdir(parents=True, exist_ok=True)
-                    try:
-                        os.replace(path, shard / path.name)
-                    except FileNotFoundError:
-                        pass  # a racing migrator moved it first
-            atomic_write_json(
-                self.meta_path,
-                {"layout_version": STORE_LAYOUT_VERSION, "shard_depth": depth},
-            )
-            self._shard_depth = depth
-
-    def _read_meta(self) -> dict | None:
-        try:
-            meta = json.loads(self.meta_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        return meta if isinstance(meta, dict) else None
-
     def result_path(self, fingerprint: str) -> Path:
-        """The envelope path of ``fingerprint`` under the current layout."""
-        depth = self.shard_depth
-        if depth:
-            return self.results_dir / fingerprint[:depth] / f"{fingerprint}.json"
-        return self.results_dir / f"{fingerprint}.json"
+        """The envelope path of ``fingerprint``."""
+        return self.results_dir / fingerprint[:SHARD_DEPTH] / f"{fingerprint}.json"
 
     def _iter_result_files(self):
         if not self.results_dir.is_dir():
@@ -307,8 +212,6 @@ class ResultStore:
 
     # ------------------------------------------------------------- warm tier
     def _warm_get(self, fingerprint: str) -> RunResult | None:
-        if self.warm_capacity <= 0:
-            return None
         with self._warm_lock:
             result = self._warm.get(fingerprint)
             if result is not None:
@@ -316,12 +219,10 @@ class ResultStore:
             return result
 
     def _warm_put(self, fingerprint: str, result: RunResult) -> None:
-        if self.warm_capacity <= 0:
-            return
         with self._warm_lock:
             self._warm[fingerprint] = result
             self._warm.move_to_end(fingerprint)
-            while len(self._warm) > self.warm_capacity:
+            while len(self._warm) > WARM_CAPACITY:
                 self._warm.popitem(last=False)
 
     def _warm_drop(self, fingerprint: str) -> None:
@@ -329,34 +230,37 @@ class ResultStore:
             self._warm.pop(fingerprint, None)
 
     # -------------------------------------------------------------- envelopes
-    def load(self, fingerprint: str) -> RunResult | None:
-        """Envelope stored under ``fingerprint`` (no hit/miss counting)."""
+    def _lookup(self, fingerprint: str) -> tuple[RunResult | None, bool]:
+        """``(envelope, served_from_warm_tier)`` for ``fingerprint``."""
         warm = self._warm_get(fingerprint)
         if warm is not None:
-            return warm
+            return warm, True
         path = self.result_path(fingerprint)
         try:
             text = path.read_text()
         except FileNotFoundError:
-            return None  # miss, or evicted between exists-check and read
+            return None, False  # miss, or evicted between exists-check and read
         result = RunResult.from_json(text)
         try:
             os.utime(path)  # refresh LRU recency for size-bounded eviction
         except OSError:
             pass
         self._warm_put(fingerprint, result)
-        return result
+        return result, False
+
+    def load(self, fingerprint: str) -> RunResult | None:
+        """Envelope stored under ``fingerprint`` (no hit/miss counting)."""
+        return self._lookup(fingerprint)[0]
 
     def get(self, spec: RunSpec, fingerprint: str | None = None) -> RunResult | None:
         """Stored result of ``spec`` (``None`` on a miss; counted either way)."""
         fingerprint = fingerprint or spec_fingerprint(spec)
-        in_warm = self._warm_get(fingerprint) is not None
-        result = self.load(fingerprint)
+        result, from_warm = self._lookup(fingerprint)
         if result is None:
             self.stats.misses += 1
         else:
             self.stats.hits += 1
-            if in_warm:
+            if from_warm:
                 self.stats.warm_hits += 1
             else:
                 self.stats.disk_hits += 1
@@ -370,8 +274,6 @@ class ResultStore:
         self.stats.puts += 1
         path = atomic_write_json(self.result_path(fingerprint), result.to_dict())
         self._warm_put(fingerprint, result)
-        if self.max_bytes is not None:
-            self.gc()
         return path
 
     def __contains__(self, spec: RunSpec) -> bool:
@@ -383,14 +285,13 @@ class ResultStore:
 
     # ------------------------------------------------------- gc / compaction
     def gc(self, max_bytes: int | None = None, dry_run: bool = False) -> GCReport:
-        """Evict least-recently-used envelopes until the tier fits.
+        """Evict least-recently-used envelopes until the tier fits ``max_bytes``.
 
-        ``max_bytes`` overrides the store's bound for this pass (``None``
-        falls back to it; both ``None`` evicts nothing).  Recency is file
-        mtime, refreshed on every disk hit, so hot entries survive.  With
-        ``dry_run`` the report lists what *would* go without touching disk.
+        ``None`` evicts nothing (the report still sizes the tier).  Recency
+        is file mtime, refreshed on every disk hit, so hot entries survive.
+        With ``dry_run`` the report lists what *would* go without touching
+        disk.
         """
-        bound = self.max_bytes if max_bytes is None else max_bytes
         report = GCReport(dry_run=dry_run)
         entries = []
         total = 0
@@ -401,9 +302,9 @@ class ResultStore:
                 continue
             entries.append((stat.st_mtime, stat.st_size, path))
             total += stat.st_size
-        if bound is not None and total > bound:
+        if max_bytes is not None and total > max_bytes:
             for mtime, size, path in sorted(entries):
-                if total <= bound:
+                if total <= max_bytes:
                     break
                 report.evicted.append(path.stem)
                 report.evicted_bytes += size
@@ -454,7 +355,7 @@ class ResultStore:
         return report
 
     def stats_summary(self) -> dict:
-        """One JSON-ready snapshot: layout, sizes, shard histogram, tiers."""
+        """One JSON-ready snapshot: sizes, shard histogram, tiers."""
         histogram: dict[str, int] = {}
         total_bytes = 0
         entries = 0
@@ -471,14 +372,11 @@ class ResultStore:
         return {
             "root": str(self.root),
             "results_root": str(self.results_root),
-            "layout_version": STORE_LAYOUT_VERSION,
-            "shard_depth": self.shard_depth,
             "entries": entries,
             "bytes": total_bytes,
-            "max_bytes": self.max_bytes,
             "shards": dict(sorted(histogram.items())),
             "warm_tier": {
-                "capacity": self.warm_capacity,
+                "capacity": WARM_CAPACITY,
                 "entries": warm_entries,
             },
             "counters": self.stats.to_dict(),

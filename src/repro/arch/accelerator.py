@@ -103,10 +103,6 @@ class Accelerator:
             return float("inf")
         return level.capacity_bytes / self.precision.bytes_for(tensor)
 
-    def tensor_bytes(self, tensor: TensorKind, elements: float) -> float:
-        """Size in bytes of ``elements`` elements of ``tensor``."""
-        return elements * self.precision.bytes_for(tensor)
-
     def pe_level_index(self) -> int:
         """Index of the memory level that distributes tiles across the PE array.
 

@@ -183,10 +183,6 @@ class MemoryHierarchy:
             raise ValueError(f"no memory level stores tensor {tensor!r}")
         return holding[0]
 
-    def bypassed(self, tensor: TensorKind, index: int) -> bool:
-        """True when level ``index`` does not store ``tensor`` (tensor bypasses it)."""
-        return not self._levels[index].holds(tensor)
-
     def describe(self) -> str:
         """Human-readable multi-line summary of the hierarchy."""
         lines = []

@@ -6,8 +6,7 @@ temporal/spatial) slots, swapping two temporal loops, or flipping a factor
 between temporal and spatial at one level (:mod:`repro.mapping.moves`).
 Candidate moves are costed incrementally by the
 :class:`~repro.model.delta.DeltaEvaluator`, which re-derives only the
-per-level terms a move touches and is bit-identical to a full re-evaluation,
-so ``use_delta`` is purely a speed knob.
+per-level terms a move touches and is bit-identical to a full re-evaluation.
 
 Guidance borrows the *divide and distribute fixed weights* (DDFW) idea from
 SAT local search: each constraint group — buffer **capacity**, spatial
@@ -84,10 +83,6 @@ class LocalSearchScheduler(SearchScheduler):
         Soft lower bound on compute utilization; the shortfall
         ``max(0, target - utilization) / target`` is the violation of the
         ``"utilization"`` group.  ``0`` disables the group.
-    use_delta:
-        Cost proposals incrementally (default) or by full re-evaluation.
-        Both are bit-identical (enforced by the parity tests), so this knob
-        never changes the outcome and stays out of the fingerprint.
     eval_batch_size / time_budget_seconds:
         See :class:`~repro.baselines.base.SearchScheduler`; they affect the
         initial sampling phase exactly as in the other baselines.
@@ -108,7 +103,6 @@ class LocalSearchScheduler(SearchScheduler):
         perturbation: float = 0.1,
         restart_after: int = 30,
         utilization_target: float = 0.5,
-        use_delta: bool = True,
         eval_batch_size: int | None = None,
         time_budget_seconds: float | None = None,
     ):
@@ -141,12 +135,9 @@ class LocalSearchScheduler(SearchScheduler):
         self.perturbation = perturbation
         self.restart_after = restart_after
         self.utilization_target = utilization_target
-        self.use_delta = use_delta
         self._cost_model = CostModel(accelerator)
 
     def _config(self) -> dict:
-        # ``use_delta`` is deliberately absent: delta and full evaluation are
-        # bit-identical, so the knob cannot change the produced mapping.
         return {
             **super()._config(),
             "seed": self.seed,
@@ -211,7 +202,7 @@ class LocalSearchScheduler(SearchScheduler):
             best_result: DeltaCostResult | None = None
             best_guidance = float("inf")
             for move in moves:
-                result = self._preview(evaluator, move)
+                result = evaluator.preview(move)
                 evaluations += 1
                 guidance = self._guidance(result, weights, ref)
                 if guidance < best_guidance:
@@ -229,14 +220,14 @@ class LocalSearchScheduler(SearchScheduler):
             if best_move is None:
                 continue
             if best_guidance < self._guidance(current, weights, ref):
-                current = self._commit(evaluator, best_move)
+                current, _ = evaluator.apply(best_move)
                 continue
 
             # Plateau: re-shape the landscape (DDFW weight transfer), then
             # optionally random-walk through it.
             self._transfer_weights(weights, current)
             if rng.random() < self.perturbation:
-                current = self._commit(evaluator, best_move)
+                current, _ = evaluator.apply(best_move)
 
         best_mapping = best_state.to_mapping() if best_state is not None else None
         best_cost = self._cost_model.evaluate(best_mapping) if best_mapping is not None else None
@@ -247,27 +238,6 @@ class LocalSearchScheduler(SearchScheduler):
             num_evaluated=evaluations,
             elapsed_seconds=time.perf_counter() - start,
         )
-
-    # ------------------------------------------------------------- evaluation
-    def _preview(self, evaluator: DeltaEvaluator, move) -> DeltaCostResult:
-        """Cost of ``move`` without keeping it applied."""
-        if self.use_delta:
-            return evaluator.preview(move)
-        undo = evaluator.state.apply(move)
-        evaluator.reset()
-        result = evaluator.evaluate()
-        evaluator.state.undo(undo)
-        evaluator.reset()
-        return result
-
-    def _commit(self, evaluator: DeltaEvaluator, move) -> DeltaCostResult:
-        """Apply ``move`` for good and return the new state's cost."""
-        if self.use_delta:
-            result, _ = evaluator.apply(move)
-            return result
-        evaluator.state.apply(move)
-        evaluator.reset()
-        return evaluator.evaluate()
 
     # --------------------------------------------------------------- guidance
     def _violations(self, result: DeltaCostResult) -> dict[str, float]:

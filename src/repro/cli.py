@@ -861,8 +861,7 @@ def _store(args) -> int:
         if args.json:
             print(json.dumps(summary, indent=2))
             return 0
-        print(f"store {summary['root']} (layout v{summary['layout_version']}, "
-              f"shard depth {summary['shard_depth']})")
+        print(f"store {summary['root']}")
         print(f"  entries: {summary['entries']}  bytes: {summary['bytes']}"
               f"  jobs: {summary['jobs']}")
         if summary["shards"]:

@@ -7,9 +7,6 @@
 * ``B`` — memory-level x data-tensor storage: ``B[i, v] = 1`` when memory
   level ``i`` of the target accelerator may hold tensor ``v``.  Derived from
   the accelerator's :class:`~repro.arch.memory.MemoryHierarchy`.
-
-Every helper defaults to the conv problem so pre-IR callers keep working;
-the formulation itself passes the scheduled layer's problem explicitly.
 """
 
 from __future__ import annotations
@@ -18,10 +15,10 @@ import numpy as np
 
 from repro.arch.accelerator import Accelerator
 from repro.workloads.layer import TensorKind
-from repro.workloads.problem import CONV7, TensorProblem
+from repro.workloads.problem import TensorProblem
 
 
-def relevance_matrix(problem: TensorProblem = CONV7) -> np.ndarray:
+def relevance_matrix(problem: TensorProblem) -> np.ndarray:
     """The (num dims)x3 dimension-to-tensor relevance matrix ``A`` of ``problem``.
 
     Rows follow the problem's canonical dimension order (for conv:
@@ -43,12 +40,3 @@ def storage_matrix(accelerator: Accelerator) -> np.ndarray:
             matrix[i, tensor.value] = int(level.holds(tensor))
     return matrix
 
-
-def is_relevant(dim: str, tensor: TensorKind, problem: TensorProblem = CONV7) -> bool:
-    """``A[dim, tensor]`` as a boolean."""
-    return problem.relevance(dim, tensor)
-
-
-def relevant_dims(tensor: TensorKind, problem: TensorProblem = CONV7) -> tuple[str, ...]:
-    """Dimensions indexing ``tensor`` (non-zero rows of column ``tensor`` of ``A``)."""
-    return problem.relevant_dims(tensor)

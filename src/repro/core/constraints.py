@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 
-from repro.core.constants import is_relevant
 from repro.core.variables import CoSAVariables
 from repro.solver.expr import lin_sum
 from repro.solver.model import MIPModel
@@ -86,7 +85,7 @@ def add_buffer_capacity_constraints(
                 capacity_words = 1.0
             terms = []
             for factor in variables.factors:
-                if not is_relevant(factor.dim, tensor, variables.problem):
+                if not variables.problem.relevance(factor.dim, tensor):
                     continue
                 for below in range(level_index):
                     if below in variables.temporal_levels:
@@ -154,7 +153,7 @@ def add_traffic_linking_constraints(model: MIPModel, variables: CoSAVariables) -
             relevant_here = lin_sum(
                 variables.rank[(dim, slot)]
                 for dim in variables.active_dims
-                if is_relevant(dim, tensor, variables.problem)
+                if variables.problem.relevance(dim, tensor)
             )
             model.add_constraint(
                 variables.y[(tensor, slot)] >= relevant_here,

@@ -16,7 +16,6 @@ Decoding rules
 
 from __future__ import annotations
 
-from repro.core.constants import is_relevant
 from repro.core.variables import CoSAVariables, PrimeFactor
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
 from repro.solver.solution import Solution
@@ -46,7 +45,7 @@ def _order_inner_level(
 
     def key(factor: PrimeFactor):
         relevant = (
-            is_relevant(factor.dim, primary, problem) if primary is not None else False
+            problem.relevance(factor.dim, primary) if primary is not None else False
         )
         return (1 if relevant else 0, canonical[factor.dim], factor.ordinal)
 

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 from repro.arch.accelerator import Accelerator
-from repro.core.constants import is_relevant
 from repro.core.variables import CoSAVariables
 from repro.mapping.mapping import Mapping
 from repro.solver.expr import LinearExpr, lin_sum
@@ -89,7 +88,7 @@ def utilization_expression(variables: CoSAVariables) -> LinearExpr:
             if not level.holds(tensor):
                 continue
             for factor in variables.factors:
-                if not is_relevant(factor.dim, tensor, variables.problem):
+                if not variables.problem.relevance(factor.dim, tensor):
                     continue
                 for below in range(level_index):
                     terms.append(factor.log_value * variables.temporal_at(factor, below))
@@ -118,7 +117,7 @@ def traffic_expression(variables: CoSAVariables) -> LinearExpr:
     for tensor in TensorKind:
         # D_v: data size per transfer — relevant factors mapped below the NoC.
         for factor in variables.factors:
-            if not is_relevant(factor.dim, tensor, variables.problem):
+            if not variables.problem.relevance(factor.dim, tensor):
                 continue
             for below in range(noc_level):
                 terms.append(factor.log_value * variables.temporal_at(factor, below))
@@ -136,24 +135,13 @@ def traffic_expression(variables: CoSAVariables) -> LinearExpr:
     return lin_sum(terms)
 
 
-def overall_objective(
-    variables: CoSAVariables, weights: ObjectiveWeights = ObjectiveWeights()
-) -> LinearExpr:
-    """Eq. 12: the weighted combination handed to the solver (minimised)."""
-    return (
-        (-weights.utilization) * utilization_expression(variables)
-        + weights.compute * compute_expression(variables)
-        + weights.traffic * traffic_expression(variables)
-    )
-
-
 # ----------------------------------------------------------------- mapping-side evaluation
 def _log_factor_product(mapping: Mapping, tensor: TensorKind, level: int, include_spatial_at_level: bool) -> float:
     """Log of the relevant factor product below ``level`` (mirrors the MIP tile term)."""
     total = 0.0
     problem = mapping.layer.problem
     for dim in problem.dims:
-        if not is_relevant(dim, tensor, problem):
+        if not problem.relevance(dim, tensor):
             continue
         below = mapping.dim_product(dim, max_level=level - 1) if level > 0 else 1
         at_level_spatial = (

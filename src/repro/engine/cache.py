@@ -92,19 +92,18 @@ class MappingCache:
     path:
         Optional JSON file backing the cache.  When it exists its entries
         are loaded eagerly; :meth:`save` writes the current state back.
-    max_entries:
-        In-memory LRU bound; the least recently used entry is evicted first.
 
-    The cache is thread-safe so a parallel
+    At most :attr:`MAX_ENTRIES` entries stay in memory; the least recently
+    used entry is evicted first.  The cache is thread-safe so a parallel
     :meth:`~repro.engine.engine.SchedulingEngine.schedule_network` can share
     one instance across workers.
     """
 
-    def __init__(self, path: str | Path | None = None, max_entries: int = 4096):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+    #: In-memory LRU bound.
+    MAX_ENTRIES = 4096
+
+    def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
-        self.max_entries = max_entries
         self.stats = CacheStats()
         self._entries: OrderedDict[str, dict] = OrderedDict()
         self._lock = threading.Lock()
@@ -172,7 +171,7 @@ class MappingCache:
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
+            while len(self._entries) > self.MAX_ENTRIES:
                 self._entries.popitem(last=False)
 
     # ------------------------------------------------------------- persistence
@@ -207,5 +206,5 @@ class MappingCache:
             raise ValueError(f"unsupported cache format version {version!r}")
         for key, entry in data.get("entries", {}).items():
             self._entries[key] = entry
-        while len(self._entries) > self.max_entries:
+        while len(self._entries) > self.MAX_ENTRIES:
             self._entries.popitem(last=False)

@@ -214,19 +214,6 @@ class SchedulingEngine:
         When ``True`` (default) every fresh mapping is evaluated once on the
         analytical cost model and the outcome's ``metrics`` dictionary is
         populated with ``latency``, ``energy`` and ``edp``.
-    batch_size:
-        Evaluation batch size pushed onto schedulers that support batched
-        candidate evaluation (the search baselines' ``eval_batch_size``);
-        schedulers without the knob (e.g. the one-shot MIP scheduler) ignore
-        it.  For budget-free schedulers batching is outcome-invariant by
-        construction — the parity test suite enforces it — so the batch
-        size does **not** enter their cache keys: entries written by a
-        batched engine are served to scalar runs and vice versa.  For a
-        budget-capped scheduler the batch size *does* key the cache, so the
-        engine refuses to override it here (set ``eval_batch_size`` on the
-        scheduler itself instead); this also keeps the override free of
-        fingerprint-changing side effects on schedulers shared between
-        engines.
     """
 
     def __init__(
@@ -234,27 +221,12 @@ class SchedulingEngine:
         scheduler: Scheduler,
         cache: MappingCache | None = None,
         evaluate_metrics: bool = True,
-        batch_size: int | None = None,
     ):
         if not isinstance(scheduler, Scheduler):
             raise TypeError(
                 f"{type(scheduler).__name__} does not satisfy the Scheduler protocol "
                 "(needs name, accelerator, schedule_outcome, config_fingerprint)"
             )
-        if batch_size is not None:
-            if batch_size < 1:
-                raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-            if hasattr(scheduler, "eval_batch_size"):
-                if (
-                    getattr(scheduler, "time_budget_seconds", None) is not None
-                    and scheduler.eval_batch_size != batch_size
-                ):
-                    raise ValueError(
-                        "cannot override eval_batch_size of a budget-capped scheduler "
-                        "(it keys the mapping cache); construct the scheduler with "
-                        "eval_batch_size instead"
-                    )
-                scheduler.eval_batch_size = batch_size
         self.scheduler = scheduler
         self.cache = cache
         self.evaluate_metrics = evaluate_metrics
@@ -275,29 +247,6 @@ class SchedulingEngine:
         return cache_key_from_parts(
             layer, self._arch_fingerprint, self.scheduler.name, self._config_fingerprint
         )
-
-    # ------------------------------------------------------------- single layer
-    def schedule_layer(self, layer: Layer) -> ScheduleOutcome:
-        """Schedule one layer, consulting the cache first."""
-        outcome, _ = self._schedule_unique(layer)
-        return outcome
-
-    def _schedule_unique(self, layer: Layer) -> tuple[ScheduleOutcome, bool]:
-        """Return ``(outcome, was_cache_hit)`` for one unique layer."""
-        key = None
-        if self.cache is not None:
-            start = time.perf_counter()
-            key = self._key(layer)
-            cached = self.cache.get(key, layer)
-            if cached is not None:
-                self._attach_metrics(cached)
-                cached.wall_time_seconds = time.perf_counter() - start
-                return cached, True
-        outcome = _solve_one(self.scheduler, layer)
-        self._attach_metrics(outcome)
-        if self.cache is not None and key is not None:
-            self.cache.put(key, outcome)
-        return outcome, False
 
     def _attach_metrics(self, outcome: ScheduleOutcome) -> None:
         """Populate latency/energy/edp, including on cache hits whose entry
@@ -352,8 +301,9 @@ class SchedulingEngine:
             only (no ``"dedup"``).
         fusion_options:
             Optional alignment-search knobs for the fused path (currently
-            ``max_candidates``, the frontier-candidate cap).  Execution-only:
-            never part of cache keys or result fingerprints.
+            ``max_candidates``, the frontier-candidate cap).  They can
+            change the fused groups' mappings, so they key the fused groups'
+            mapping-cache entries and are part of the spec fingerprint.
         """
         if fusion is not None:
             from repro.fusion.schedule import schedule_fused_network

@@ -17,9 +17,9 @@ group is scheduled *as one unit*:
    (:mod:`repro.model.fused_batch`), and keeps the fully-pinned candidate
    with the lowest DRAM traffic (EDP breaks ties).
 3. **Group cache** — retiled outcomes are stored under per-group cache keys
-   (the plain key extended with the group fingerprint and the operator's
-   position), so re-running a fused network hits the cache without
-   re-deriving the alignment.
+   (the plain key extended with the group fingerprint, the operator's
+   position and the candidate cap), so re-running a fused network hits the
+   cache without re-deriving the alignment.
 4. **NoC validation** — the savings claimed by the cost model are
    cross-checked against the reuse analysis of the final mappings
    (:func:`repro.noc.traffic.validate_fused_transfers`).
@@ -85,18 +85,25 @@ class GroupOutcome:
         return payload
 
 
-def _group_key(engine, layer, group: FusionGroup, position: int) -> str:
+def _max_candidates(options) -> int:
+    """The frontier-candidate cap ``options`` resolves to."""
+    return max(int((options or {}).get("max_candidates", DEFAULT_MAX_CANDIDATES)), 1)
+
+
+def _group_key(engine, layer, group: FusionGroup, position: int, max_candidates: int) -> str:
     """Cache key of one operator *inside* a fusion group.
 
     Extends the engine's per-layer key with the group fingerprint and the
     operator's position, so fused mappings never collide with standalone
-    mappings of the same layer (the alignment is a group property).
+    mappings of the same layer (the alignment is a group property), and
+    with the candidate cap, which decides the alignment the search finds.
     """
     return cache_key_from_parts(
         layer,
         engine._arch_fingerprint,
         engine.scheduler.name,
-        f"{engine._config_fingerprint}|fusion:{group.fingerprint()}#{position}",
+        f"{engine._config_fingerprint}|fusion:{group.fingerprint()}#{position}"
+        f"|max_candidates:{max_candidates}",
     )
 
 
@@ -304,8 +311,7 @@ def _align_group(
     candidate pinned everything), the group cost under those mappings, and
     whether any operator was re-tiled.
     """
-    options = dict(options or {})
-    max_candidates = max(int(options.get("max_candidates", DEFAULT_MAX_CANDIDATES)), 1)
+    max_candidates = _max_candidates(options)
     dram = base_mappings[0].num_levels - 1
     shared = _SharedDims(group)
     classes = shared.classes()
@@ -390,8 +396,9 @@ def schedule_fused_network(
     ``fusion`` is anything :func:`~repro.fusion.plan.plan_for` accepts:
     ``"auto"``, a :class:`~repro.fusion.plan.FusionPlan` or a single
     :class:`~repro.fusion.group.FusionGroup`.  ``fusion_options`` tunes the
-    alignment search (``max_candidates``); it is an execution knob and never
-    part of cache keys or result fingerprints.
+    alignment search (``max_candidates``).  The cap can change the aligned
+    mappings, so it is part of the group cache keys (and of the spec
+    fingerprint, see :data:`repro.api.store.EXECUTION_ONLY_ENGINE_KEYS`).
     """
     from repro.noc.traffic import validate_fused_transfers
 
@@ -405,6 +412,7 @@ def schedule_fused_network(
     outcomes = list(base.outcomes)
     stats = base.stats
     fused_model = FusedCostModel(engine.scheduler.accelerator)
+    max_candidates = _max_candidates(fusion_options)
     groups: list[GroupOutcome] = []
 
     position = 0
@@ -432,7 +440,7 @@ def schedule_fused_network(
             continue
 
         keys = [
-            _group_key(engine, layer, group, pos)
+            _group_key(engine, layer, group, pos, max_candidates)
             for pos, layer in enumerate(group.layers)
         ]
         cached: list = []

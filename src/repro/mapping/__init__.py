@@ -17,7 +17,7 @@ simulator (:mod:`repro.noc`).
 from repro.mapping.mapping import Loop, LevelMapping, Mapping
 from repro.mapping.loopnest import render_loop_nest
 from repro.mapping.moves import FactorMove, MappingState, PermutationSwap, propose_move
-from repro.mapping.space import MapSpace, MappingDraws, MappingSpace, random_mapping
+from repro.mapping.space import MapSpace, MappingDraws, random_mapping
 from repro.mapping.serialize import load_mapping, mapping_from_dict, mapping_to_dict, save_mapping
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "Mapping",
     "render_loop_nest",
     "MapSpace",
-    "MappingSpace",
     "MappingDraws",
     "random_mapping",
     "FactorMove",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from repro.workloads.layer import Layer, RELEVANCE, TensorKind
+from repro.workloads.layer import Layer, TensorKind
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,13 @@ class Loop:
         if self.bound < 1:
             raise ValueError(f"loop bound must be >= 1, got {self.bound}")
 
-    def relevant_to(self, tensor: TensorKind, problem=None) -> bool:
-        """True when the loop's dimension indexes ``tensor``.
+    def relevant_to(self, tensor: TensorKind, problem) -> bool:
+        """True when the loop's dimension indexes ``tensor`` of ``problem``.
 
-        ``problem`` is the owning layer's :class:`~repro.workloads.problem.TensorProblem`;
-        without one the conv relevance table is assumed (backward
-        compatibility for conv-only callers).
+        ``problem`` is the owning layer's
+        :class:`~repro.workloads.problem.TensorProblem`.
         """
-        if problem is not None:
-            return problem.relevance(self.dim, tensor)
-        return bool(RELEVANCE[self.dim][tensor])
+        return problem.relevance(self.dim, tensor)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         kind = "spatial_for" if self.spatial else "for"

@@ -321,6 +321,3 @@ def random_mapping(layer: Layer, accelerator: Accelerator, seed: int = 0) -> Map
     """Convenience wrapper: one random mapping of ``layer`` on ``accelerator``."""
     return MapSpace(layer, accelerator).random_mapping(random.Random(seed))
 
-
-#: Alias matching the name used in project docs/issues.
-MappingSpace = MapSpace

@@ -164,26 +164,6 @@ def default_pin_level(accelerator: Accelerator) -> int | None:
     return None
 
 
-def resolve_pin_level(accelerator: Accelerator, pin_level=None) -> int | None:
-    """Normalize a pin-level request (index, level name, or ``None``)."""
-    if pin_level is None:
-        return default_pin_level(accelerator)
-    hierarchy = accelerator.hierarchy
-    if isinstance(pin_level, str):
-        names = list(hierarchy.names)
-        if pin_level not in names:
-            raise ValueError(
-                f"unknown memory level {pin_level!r}; available: {names}"
-            )
-        pin_level = names.index(pin_level)
-    if not 0 <= pin_level < hierarchy.dram_index:
-        raise ValueError(
-            f"pin level {pin_level} must be an on-chip level "
-            f"(0..{hierarchy.dram_index - 1})"
-        )
-    return pin_level
-
-
 def dram_boundary_traffic(analysis: NestAnalysis) -> tuple[float, float]:
     """``(words, bytes)`` crossing the DRAM boundary for one mapping."""
     dram = analysis.hierarchy.dram_index
@@ -248,15 +228,6 @@ class FusedCostModel:
             entry.traffic = dram_boundary_traffic(self._analysis(mapping, entry))
         return entry.traffic
 
-    # ---------------------------------------------------------------- pinning
-    def default_pin_level(self) -> int | None:
-        """See :func:`default_pin_level` (module-level twin)."""
-        return default_pin_level(self.accelerator)
-
-    def resolve_pin_level(self, pin_level=None) -> int | None:
-        """See :func:`resolve_pin_level` (module-level twin)."""
-        return resolve_pin_level(self.accelerator, pin_level)
-
     # -------------------------------------------------------------- alignment
     @staticmethod
     def edge_rounds(group, edge, mappings) -> tuple[int, bool]:
@@ -280,12 +251,12 @@ class FusedCostModel:
         return rounds, True
 
     # -------------------------------------------------------------- evaluation
-    def evaluate_group(self, group, mappings, fused: bool = True, pin_level=None) -> FusedGroupCost:
+    def evaluate_group(self, group, mappings, fused: bool = True) -> FusedGroupCost:
         """Evaluate ``group`` under per-operator ``mappings``.
 
         ``fused=False`` (or a singleton group) reproduces the per-operator
-        sums bit-exactly.  ``pin_level`` overrides the handover level (index
-        or level name).
+        sums bit-exactly.  Intermediates hand over at
+        :func:`default_pin_level`.
         """
         mappings = list(mappings)
         if len(mappings) != len(group.layers):
@@ -333,7 +304,7 @@ class FusedCostModel:
         if not fused or group.is_singleton:
             return cost
 
-        pin = self.resolve_pin_level(pin_level)
+        pin = default_pin_level(self.accelerator)
         hierarchy = self.accelerator.hierarchy
         dram = hierarchy.dram_index
         precision = self.accelerator.precision

@@ -42,7 +42,7 @@ from repro.model.batch import (
     BatchEvalDetail,
     MappingBatch,
 )
-from repro.model.fused import resolve_pin_level
+from repro.model.fused import default_pin_level
 from repro.workloads.layer import TensorKind
 
 
@@ -422,10 +422,10 @@ class BatchFusedCostModel:
         self.batch_model = BatchCostModel(accelerator)
 
     def evaluate_group(
-        self, fused_batch: FusedMappingBatch, fused: bool = True, pin_level=None
+        self, fused_batch: FusedMappingBatch, fused: bool = True
     ) -> BatchFusedResult:
         """Evaluate every candidate group tiling of ``fused_batch`` at once."""
-        pin = resolve_pin_level(self.accelerator, pin_level)
+        pin = default_pin_level(self.accelerator)
         details = [
             self.batch_model.evaluate_detail(batch) for batch in fused_batch.batches
         ]

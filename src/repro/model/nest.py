@@ -36,10 +36,6 @@ from repro.arch.accelerator import Accelerator
 from repro.mapping.mapping import Mapping
 from repro.workloads.layer import TensorKind
 
-#: Conv reduction dimensions, kept for backward compatibility.  The analysis
-#: itself reads ``problem.reduction_dims`` from the layer's tensor-problem IR.
-REDUCTION_DIMS: tuple[str, ...] = ("R", "S", "C")
-
 
 @dataclass(frozen=True)
 class BoundaryFlow:
@@ -285,11 +281,6 @@ class NestAnalysis:
     def temporal_iterations(self) -> int:
         """Product of every temporal loop bound (cycles per active lane)."""
         return self.mapping.total_temporal_product()
-
-    @property
-    def active_lanes(self) -> int:
-        """Product of every spatial loop bound (parallel MAC lanes in use)."""
-        return self.mapping.total_spatial_product()
 
     @property
     def noc_level(self) -> int:

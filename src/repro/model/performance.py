@@ -41,11 +41,6 @@ class LatencyBreakdown:
     latency: float = 0.0
     bound_by: str = "compute"
 
-    @property
-    def is_compute_bound(self) -> bool:
-        """True when arithmetic (not data movement) limits the schedule."""
-        return self.bound_by == "compute"
-
 
 class PerformanceModel:
     """Latency evaluation of mappings on a spatial accelerator."""

@@ -17,9 +17,8 @@ count) and by the scheduler (per-dimension prime factors).
 
 Since the tensor-problem IR landed (:mod:`repro.workloads.problem`) a layer
 is one *instance* of the :data:`~repro.workloads.problem.CONV7` problem:
-:attr:`Layer.problem` exposes the IR description, and the conv constants in
-this module (:data:`DIMENSION_NAMES`, :data:`RELEVANCE`) are retained as the
-conv-specific views of it for backward compatibility.  Non-conv operators
+:attr:`Layer.problem` exposes the IR description, including which
+dimensions index which tensor.  Non-conv operators
 (matmul, depthwise/grouped conv, attention) are built directly as
 :class:`~repro.workloads.problem.ProblemLayer` objects via the constructors
 in :mod:`repro.workloads.problem` and flow through the same pipeline.
@@ -37,9 +36,6 @@ from repro.workloads.prime import factorize
 #: This matches the paper's ``R, S, P, Q, C, K, N`` convention.
 DIMENSION_NAMES: tuple[str, ...] = ("R", "S", "P", "Q", "C", "K", "N")
 
-#: Number of layer dimensions.
-NUM_DIMS: int = len(DIMENSION_NAMES)
-
 
 class TensorKind(IntEnum):
     """The three data tensors of a convolution/matmul operator.
@@ -56,26 +52,6 @@ class TensorKind(IntEnum):
     def short_name(self) -> str:
         """Two/three letter name used in the paper (W, IA, OA)."""
         return {TensorKind.WEIGHT: "W", TensorKind.INPUT: "IA", TensorKind.OUTPUT: "OA"}[self]
-
-
-#: Dimension -> tensor relevance (matrix ``A`` of the paper, Table IV left).
-#: ``RELEVANCE[dim][tensor]`` is 1 when the loop dimension indexes the tensor.
-#: Input activations are indexed by P and Q through the sliding window
-#: (W = (P-1)*stride + R), so P/Q/R/S are all input-relevant.
-RELEVANCE: dict[str, dict[TensorKind, int]] = {
-    "R": {TensorKind.WEIGHT: 1, TensorKind.INPUT: 1, TensorKind.OUTPUT: 0},
-    "S": {TensorKind.WEIGHT: 1, TensorKind.INPUT: 1, TensorKind.OUTPUT: 0},
-    "P": {TensorKind.WEIGHT: 0, TensorKind.INPUT: 1, TensorKind.OUTPUT: 1},
-    "Q": {TensorKind.WEIGHT: 0, TensorKind.INPUT: 1, TensorKind.OUTPUT: 1},
-    "C": {TensorKind.WEIGHT: 1, TensorKind.INPUT: 1, TensorKind.OUTPUT: 0},
-    "K": {TensorKind.WEIGHT: 1, TensorKind.INPUT: 0, TensorKind.OUTPUT: 1},
-    "N": {TensorKind.WEIGHT: 0, TensorKind.INPUT: 1, TensorKind.OUTPUT: 1},
-}
-
-
-def dimension_relevant_to(tensor: TensorKind) -> tuple[str, ...]:
-    """Return the layer dimensions that index ``tensor``."""
-    return tuple(dim for dim in DIMENSION_NAMES if RELEVANCE[dim][tensor])
 
 
 @dataclass(frozen=True)
@@ -196,15 +172,6 @@ class Layer:
         evaluated workloads, so this 5-tuple identifies a layer uniquely.
         """
         return f"{self.r}_{self.p}_{self.c}_{self.k}_{self.stride}"
-
-    @property
-    def is_matmul(self) -> bool:
-        """True when the layer degenerates to a matrix multiplication.
-
-        Any 1x1, stride-1 convolution is a matmul of the (N*P*Q) x C input
-        against the C x K weight matrix.
-        """
-        return self.r == 1 and self.s == 1 and self.stride == 1
 
     @property
     def is_fully_connected(self) -> bool:

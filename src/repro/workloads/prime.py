@@ -10,7 +10,6 @@ baseline mappers), and divisor enumeration.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product as _iproduct
 from math import prod
 
 
@@ -113,13 +112,3 @@ def random_factorization(value: int, num_parts: int, rng) -> tuple[int, ...]:
     for factor in factorize(value):
         parts[rng.randrange(num_parts)] *= factor
     return tuple(parts)
-
-
-def iter_assignments(primes: list[int], num_slots: int):
-    """Iterate over all assignments of each prime factor to one of ``num_slots``.
-
-    Yields tuples ``assignment`` where ``assignment[i]`` is the slot index of
-    ``primes[i]``.  The number of assignments is ``num_slots ** len(primes)``;
-    callers are expected to bound the factor count before using this.
-    """
-    yield from _iproduct(range(num_slots), repeat=len(primes))

@@ -168,19 +168,6 @@ class TensorProblem:
         """Position of ``dim`` in the canonical dimension order."""
         return self.dims.index(dim)
 
-    @property
-    def num_dims(self) -> int:
-        return len(self.dims)
-
-    @property
-    def uses_sliding_window(self) -> bool:
-        """True when any projection couples dimensions through a window."""
-        return any(
-            isinstance(term, Window)
-            for tensor in TensorKind
-            for term in self.projection(tensor)
-        )
-
     # -------------------------------------------------------------- footprint
     def footprint(self, tensor: TensorKind, factors, stride=1):
         """Footprint of ``tensor`` for per-dimension tile ``factors``.

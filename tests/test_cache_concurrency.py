@@ -22,10 +22,11 @@ def distinct_layers(count: int) -> list[Layer]:
 
 
 class TestEngineCacheConcurrency:
-    def test_parallel_run_with_eviction_stays_bounded_and_persistable(self, tmp_path):
+    def test_parallel_run_with_eviction_stays_bounded_and_persistable(self, tmp_path, monkeypatch):
         """jobs>1 + a tiny LRU: eviction races must not corrupt the cache."""
+        monkeypatch.setattr(MappingCache, "MAX_ENTRIES", 4)
         path = tmp_path / "cache.json"
-        cache = MappingCache(path=path, max_entries=4)
+        cache = MappingCache(path=path)
         engine = SchedulingEngine(RandomScheduler(ARCH, num_valid=2), cache=cache)
         layers = distinct_layers(10)
 
@@ -38,7 +39,7 @@ class TestEngineCacheConcurrency:
         assert data["version"] == CACHE_FORMAT_VERSION
         assert len(data["entries"]) <= 4
 
-        reloaded = MappingCache(path=path, max_entries=4)
+        reloaded = MappingCache(path=path)
         assert len(reloaded) == len(data["entries"])
         # The reloaded entries really serve: the tail layers (most recently
         # used survive LRU eviction) hit without a fresh solve.
@@ -54,7 +55,7 @@ class TestEngineCacheConcurrency:
             RandomScheduler(ARCH, num_valid=2), evaluate_metrics=False
         ).schedule_network(layers, jobs=1)
 
-        cache = MappingCache(max_entries=64)
+        cache = MappingCache()
         engine = SchedulingEngine(RandomScheduler(ARCH, num_valid=2), cache=cache)
         parallel = engine.schedule_network(layers, jobs=6, executor="thread")
         reference = [o.mapping.summary() for o in serial.outcomes]
@@ -67,10 +68,11 @@ class TestEngineCacheConcurrency:
 
 
 class TestCacheHammer:
-    def test_concurrent_put_get_save_keeps_invariants(self, tmp_path):
+    def test_concurrent_put_get_save_keeps_invariants(self, tmp_path, monkeypatch):
         """Direct hammering: puts, gets and saves race on one instance."""
+        monkeypatch.setattr(MappingCache, "MAX_ENTRIES", 8)
         path = tmp_path / "hammer.json"
-        cache = MappingCache(path=path, max_entries=8)
+        cache = MappingCache(path=path)
         layers = distinct_layers(10)
         scheduler = RandomScheduler(ARCH, num_valid=1)
         outcomes = [scheduler.schedule_outcome(layer) for layer in layers]
@@ -96,7 +98,7 @@ class TestCacheHammer:
         assert len(cache) <= 8
         # The last save (atomic temp-file + rename) must be a loadable snapshot.
         cache.save()
-        reloaded = MappingCache(path=path, max_entries=8)
+        reloaded = MappingCache(path=path)
         assert len(reloaded) <= 8
         for key in list(reloaded._entries):
             assert reloaded.get(key) is not None
@@ -108,7 +110,7 @@ class TestCacheHammer:
         scheduler = RandomScheduler(ARCH, num_valid=1)
         caches = []
         for offset in range(2):
-            cache = MappingCache(path=None, max_entries=16)
+            cache = MappingCache()
             for i, layer in enumerate(layers):
                 cache.put(f"key-{offset}-{i}", scheduler.schedule_outcome(layer))
             caches.append(cache)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.arch import simba_like
-from repro.core.constants import is_relevant, relevance_matrix, relevant_dims, storage_matrix
+from repro.core.constants import relevance_matrix, storage_matrix
 from repro.core.constraints import add_all_constraints
 from repro.core.formulation import CoSAFormulation
 from repro.core.objectives import (
@@ -21,13 +21,14 @@ from repro.solver.model import MIPModel
 from repro.solver.solution import SolveStatus
 from repro.workloads import Layer, layer_from_name
 from repro.workloads.layer import DIMENSION_NAMES, TensorKind
+from repro.workloads.problem import CONV7
 
 ARCH = simba_like()
 
 
 class TestConstantMatrices:
     def test_relevance_matrix_matches_table_iv(self):
-        a = relevance_matrix()
+        a = relevance_matrix(CONV7)
         assert a.shape == (7, 3)
         # Weight column: R, S, C, K.
         assert list(np.flatnonzero(a[:, TensorKind.WEIGHT])) == [
@@ -47,9 +48,9 @@ class TestConstantMatrices:
         assert list(b[dram]) == [1, 1, 1]
 
     def test_relevant_dims_helpers(self):
-        assert relevant_dims(TensorKind.WEIGHT) == ("R", "S", "C", "K")
-        assert is_relevant("K", TensorKind.OUTPUT)
-        assert not is_relevant("K", TensorKind.INPUT)
+        assert CONV7.relevant_dims(TensorKind.WEIGHT) == ("R", "S", "C", "K")
+        assert CONV7.relevance("K", TensorKind.OUTPUT)
+        assert not CONV7.relevance("K", TensorKind.INPUT)
 
 
 class TestVariables:

@@ -84,7 +84,7 @@ class TestEngineNetwork:
 
     def test_metrics_populated(self):
         engine = SchedulingEngine(RandomScheduler(ARCH, num_valid=2))
-        outcome = engine.schedule_layer(TINY)
+        outcome = engine.schedule_network([TINY]).outcomes[0]
         assert set(outcome.metrics) == {"latency", "energy", "edp"}
         assert outcome.metrics["edp"] == pytest.approx(
             outcome.metrics["latency"] * outcome.metrics["energy"]
@@ -156,7 +156,7 @@ class TestMappingCache:
         path = tmp_path / "cache.json"
         scheduler = RandomScheduler(ARCH, num_valid=2)
         engine = SchedulingEngine(scheduler, cache=MappingCache(path=path))
-        solved = engine.schedule_layer(TINY)
+        solved = engine.schedule_network([TINY]).outcomes[0]
         assert not solved.from_cache
         engine.cache.save()
         assert path.exists()
@@ -165,7 +165,7 @@ class TestMappingCache:
         reloaded = MappingCache(path=path)
         assert len(reloaded) == 1
         engine2 = SchedulingEngine(RandomScheduler(ARCH, num_valid=2), cache=reloaded)
-        hit = engine2.schedule_layer(TINY)
+        hit = engine2.schedule_network([TINY]).outcomes[0]
         assert hit.from_cache
         assert reloaded.stats.hits == 1
         assert hit.mapping.summary() == solved.mapping.summary()
@@ -186,13 +186,14 @@ class TestMappingCache:
         batched = Layer(r=3, p=4, q=4, s=3, c=8, k=16, n=2)
         assert cache_key(batched, ARCH, random_a) != cache_key(TINY, ARCH, random_a)
 
-    def test_lru_eviction(self):
-        cache = MappingCache(max_entries=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(MappingCache, "MAX_ENTRIES", 2)
+        cache = MappingCache()
         scheduler = RandomScheduler(ARCH, num_valid=1)
         engine = SchedulingEngine(scheduler, cache=cache, evaluate_metrics=False)
         layers = [Layer(c=4, k=4), Layer(c=8, k=4), Layer(c=16, k=4)]
         for layer in layers:
-            engine.schedule_layer(layer)
+            engine.schedule_network([layer])
         assert len(cache) == 2
         # The first layer was evicted; the latest two are still hits.
         assert cache.get(cache_key(layers[0], ARCH, scheduler)) is None
@@ -245,7 +246,7 @@ class TestStatsNoneRegression:
 
         # The unified outcome and the engine handle the failure gracefully.
         engine = SchedulingEngine(scheduler, cache=MappingCache())
-        outcome = engine.schedule_layer(TINY)
+        outcome = engine.schedule_network([TINY]).outcomes[0]
         assert not outcome.succeeded
         assert outcome.metrics == {}
         assert len(engine.cache) == 0  # failures are never cached

@@ -10,7 +10,7 @@ frontier helpers of :mod:`repro.fusion.schedule` (including ``_retile_outer``
 leftover handling), the frontier alignment search itself (it must fully pin
 the small attention chain, never lose to the unfused baseline, and pick the
 winner the scalar oracle picks), and the ``EngineSpec.fusion_options``
-execution-only knob (round-trip + store-fingerprint invariance).
+knob (round-trip, and its place in the store fingerprint).
 """
 
 import dataclasses
@@ -350,14 +350,35 @@ class TestEngineSpecFusionOptions:
         with pytest.raises(ValueError, match="EngineSpec.fusion_options"):
             EngineSpec(fusion_options=[("max_candidates", 4)])
 
-    def test_fusion_options_is_execution_only(self):
-        assert "fusion_options" in EXECUTION_ONLY_ENGINE_KEYS
-        plain = RunSpec.from_dict({"kind": "compare", "workload": "alexnet"})
-        tuned = RunSpec.from_dict(
-            {
-                "kind": "compare",
-                "workload": "alexnet",
-                "engine": {"fusion_options": {"max_candidates": 8}},
-            }
+    def test_fusion_options_split_the_fingerprint_and_the_store(self, tmp_path):
+        """The candidate cap changes the fused mappings, so it keys the store:
+        a default submit after a ``max_candidates: 1`` run is a miss."""
+        from repro.api import SchedulingService
+
+        assert "fusion_options" not in EXECUTION_ONLY_ENGINE_KEYS
+        base = {
+            "kind": "schedule",
+            "workload": {"fusion": "bert-base-block"},
+            "scheduler": "random",
+        }
+        plain = RunSpec.from_dict(base)
+        capped = RunSpec.from_dict(
+            {**base, "engine": {"fusion_options": {"max_candidates": 1}}}
         )
-        assert spec_fingerprint(plain) == spec_fingerprint(tuned)
+        # Specs without fusion_options keep their earlier fingerprints.
+        assert spec_fingerprint(plain) == (
+            "8fd028b89ab50f619cba382da3706563732a8a895f3c89f274ab22dda7269add"
+        )
+        assert spec_fingerprint(plain) != spec_fingerprint(capped)
+
+        def saved_words(result):
+            return result.data["fusion"]["saved_dram_words"]
+
+        with SchedulingService(max_workers=1, store=tmp_path / "store") as service:
+            first = service.submit(capped)
+            assert saved_words(first.result(timeout=300)) == 0.0
+            second = service.submit(plain)
+            result = second.result(timeout=300)
+        assert second.store_hit is False
+        assert saved_words(result) == 786432.0
+        assert "fusion_options" not in result.spec.to_dict()["engine"]

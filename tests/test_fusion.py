@@ -32,7 +32,7 @@ from repro.fusion import (
 )
 from repro.fusion.schedule import _retile_outer
 from repro.model.cost import CostModel
-from repro.model.fused import FusedCostModel
+from repro.model.fused import FusedCostModel, default_pin_level
 from repro.noc.traffic import validate_fused_transfers
 from repro.workloads.layer import Layer
 from repro.workloads.problem import attention_qk, matmul, softmax
@@ -208,15 +208,11 @@ class TestFusedCostModel:
             FusedCostModel(ARCH).evaluate_group(group, [])
 
     def test_resolve_pin_level(self):
-        model = FusedCostModel(ARCH)
-        pin = model.default_pin_level()
+        # The handover level is always the default: the outermost on-chip
+        # level holding both inputs and outputs.
+        pin = default_pin_level(ARCH)
         assert pin is not None
         assert ARCH.hierarchy[pin].name == "GlobalBuffer"
-        assert model.resolve_pin_level("GlobalBuffer") == pin
-        with pytest.raises(ValueError, match="unknown memory level"):
-            model.resolve_pin_level("L9")
-        with pytest.raises(ValueError, match="on-chip"):
-            model.resolve_pin_level(ARCH.hierarchy.dram_index)
 
     def test_invalid_operators_serialize_without_inf(self):
         from repro.model.fused import FusedGroupCost

@@ -5,9 +5,9 @@ Four layers of contract:
 * **End-to-end** — ``local-search`` is registered, schedules conv and
   matmul layers through ``schedule_outcome`` and the declarative ``run()``
   path, and its winner validates against the layer.
-* **Outcome invariance** — ``use_delta`` and ``eval_batch_size`` are pure
-  speed knobs: same seed, same winner, same cost, same config fingerprint
-  (the mapping-cache key).
+* **Outcome invariance** — ``eval_batch_size`` is a pure speed knob: same
+  seed, same winner, same cost, same config fingerprint (the mapping-cache
+  key).
 * **Quality** — under an equal evaluation budget the guided search is never
   worse than random search on a spread of ResNet-50 layers (and strictly
   better on some).
@@ -87,19 +87,6 @@ class TestEndToEnd:
 
 
 class TestOutcomeInvariance:
-    def test_use_delta_is_a_pure_speed_knob(self):
-        layer = layer_from_name("3_14_32_64_1")
-        with_delta = small_scheduler(use_delta=True)
-        without = small_scheduler(use_delta=False)
-        a = with_delta.schedule(layer)
-        b = without.schedule(layer)
-        assert mapping_to_dict(a.mapping) == mapping_to_dict(b.mapping)
-        assert a.cost.latency == b.cost.latency
-        assert a.num_evaluated == b.num_evaluated
-        # ... which is why the knob stays out of the cache-key fingerprint.
-        assert with_delta.config_fingerprint() == without.config_fingerprint()
-        assert "use_delta" not in with_delta._config()
-
     def test_batch_size_does_not_change_the_winner(self):
         layer = layer_from_name("3_14_32_64_1")
         reference = small_scheduler().schedule(layer)

@@ -11,6 +11,7 @@ from repro.mapping.loopnest import nest_depth
 from repro.mapping.space import random_mapping
 from repro.workloads import Layer, layer_from_name
 from repro.workloads.layer import TensorKind
+from repro.workloads.problem import CONV7
 from repro.workloads.networks import listing1_layer
 
 
@@ -32,10 +33,10 @@ class TestLoop:
             Mapping.from_factors(layer, temporal_factors=[{}], spatial_factors=[{"M": 2}])
 
     def test_relevance(self):
-        assert Loop("K", 2).relevant_to(TensorKind.WEIGHT)
-        assert Loop("K", 2).relevant_to(TensorKind.OUTPUT)
-        assert not Loop("K", 2).relevant_to(TensorKind.INPUT)
-        assert not Loop("P", 2).relevant_to(TensorKind.WEIGHT)
+        assert Loop("K", 2).relevant_to(TensorKind.WEIGHT, CONV7)
+        assert Loop("K", 2).relevant_to(TensorKind.OUTPUT, CONV7)
+        assert not Loop("K", 2).relevant_to(TensorKind.INPUT, CONV7)
+        assert not Loop("P", 2).relevant_to(TensorKind.WEIGHT, CONV7)
 
     def test_str_shows_kind(self):
         assert "spatial_for" in str(Loop("C", 4, spatial=True))

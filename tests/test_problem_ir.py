@@ -29,7 +29,6 @@ from repro.model.cost import CostModel
 from repro.workloads.layer import (
     DIMENSION_NAMES,
     Layer,
-    RELEVANCE,
     TensorKind,
     conv_layer,
 )
@@ -129,10 +128,11 @@ class TestConvParity:
         assert cost_a.energy == cost_b.energy
 
     def test_conv_relevance_table_matches_conv7(self):
+        # Table IV of the paper: W is R,S,C,K; IA is R,S,P,Q,C,N; OA is P,Q,K,N.
         assert CONV7.dims == DIMENSION_NAMES
-        for dim in DIMENSION_NAMES:
-            for tensor in TensorKind:
-                assert CONV7.relevance(dim, tensor) == bool(RELEVANCE[dim][tensor])
+        assert CONV7.relevant_dims(TensorKind.WEIGHT) == ("R", "S", "C", "K")
+        assert CONV7.relevant_dims(TensorKind.INPUT) == ("R", "S", "P", "Q", "C", "N")
+        assert CONV7.relevant_dims(TensorKind.OUTPUT) == ("P", "Q", "K", "N")
         assert CONV7.reduction_dims == ("R", "S", "C")
 
 

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.arch import architecture_presets, simba_like
-from repro.mapping import MapSpace, MappingSpace, mapping_from_dict, mapping_to_dict
+from repro.mapping import MapSpace, mapping_from_dict, mapping_to_dict
 from repro.mapping.serialize import load_mapping, save_mapping
 from repro.model import CostModel
 from repro.workloads import Layer
@@ -87,9 +87,6 @@ class TestSamplingProperties:
             chunked += [second.materialize(i) for i in range(7)]
             for a, b in zip(sequential, chunked):
                 assert mapping_to_dict(a) == mapping_to_dict(b)
-
-    def test_mapping_space_alias(self):
-        assert MappingSpace is MapSpace
 
     def test_sample_valid_only_returns_valid(self):
         rng = random.Random(3)

@@ -1,24 +1,16 @@
-"""Tests for the sharded, tiered result store (layout v2).
+"""Tests for the sharded, tiered result store.
 
 Covers the fabric-era store features layered onto :class:`ResultStore`:
-fingerprint-prefix sharding with transparent migration of flat v1 trees,
-the warm in-memory LRU tier and its hit counters, size-bounded eviction
-(``gc``), temp-debris compaction, the stats summary, and cross-tenant
-envelope sharing through ``results_root``.  The golden-envelope guarantee —
-stored files are plain v1 ``RunResult`` JSON, bytes untouched by migration —
-is asserted explicitly.
+fingerprint-prefix sharding, the warm in-memory LRU tier and its hit
+counters, size-bounded eviction (``gc``), temp-debris compaction, the stats
+summary, and cross-tenant envelope sharing through ``results_root``.
 """
-
-import json
 
 import pytest
 
 from repro.api import RunSpec, run, spec_fingerprint
-from repro.api.store import (
-    DEFAULT_SHARD_DEPTH,
-    STORE_LAYOUT_VERSION,
-    ResultStore,
-)
+from repro.api import store as store_module
+from repro.api.store import ResultStore
 
 SCHEDULE_SPEC = {
     "kind": "schedule",
@@ -38,65 +30,15 @@ class TestShardedLayout:
         fingerprint = spec_fingerprint(envelope.spec)
         path = store.put(envelope)
         assert path == store.result_path(fingerprint)
-        assert path.parent.name == fingerprint[:DEFAULT_SHARD_DEPTH]
+        assert path.parent.name == fingerprint[:2]
         assert path.parent.parent == store.results_dir
 
-    def test_meta_file_records_layout(self, tmp_path, envelope):
-        store = ResultStore(tmp_path / "store", shard_depth=3)
-        store.put(envelope)
-        meta = json.loads((tmp_path / "store" / "store.json").read_text())
-        assert meta == {"layout_version": STORE_LAYOUT_VERSION, "shard_depth": 3}
-
-    def test_on_disk_meta_wins_over_constructor_argument(self, tmp_path, envelope):
-        first = ResultStore(tmp_path / "store", shard_depth=1)
-        first.put(envelope)
-        # A second opener asking for a different depth must follow the disk —
-        # every process sharing one results tree has to shard identically.
-        second = ResultStore(tmp_path / "store", shard_depth=4)
-        assert second.shard_depth == 1
-        assert second.load(spec_fingerprint(envelope.spec)) is not None
-
-    def test_shard_depth_zero_keeps_a_flat_layout(self, tmp_path, envelope):
-        store = ResultStore(tmp_path / "store", shard_depth=0)
-        path = store.put(envelope)
-        assert path.parent == store.results_dir
-
-    def test_invalid_shard_depth_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultStore(tmp_path / "store", shard_depth=9).shard_depth
-
-
-class TestFlatV1Migration:
-    def make_flat_store(self, root, envelope):
-        """Lay out a pre-fabric (flat v1) store by hand: no meta, loose files."""
-        fingerprint = spec_fingerprint(envelope.spec)
-        results = root / "results"
-        results.mkdir(parents=True)
-        (results / f"{fingerprint}.json").write_text(envelope.to_json())
-        return fingerprint
-
-    def test_flat_files_migrate_on_first_open(self, tmp_path, envelope):
-        fingerprint = self.make_flat_store(tmp_path / "store", envelope)
-        flat_bytes = (tmp_path / "store" / "results" / f"{fingerprint}.json").read_bytes()
+    def test_leftover_layout_file_is_ignored(self, tmp_path, envelope):
+        # Older stores wrote a store.json beside results/; it is not read.
+        ResultStore(tmp_path / "store").put(envelope)
+        (tmp_path / "store" / "store.json").write_text('{"layout_version": 2, "shard_depth": 2}')
         store = ResultStore(tmp_path / "store")
-        loaded = store.get(RunSpec.from_dict(SCHEDULE_SPEC))
-        assert loaded is not None and store.stats.hits == 1
-        # The file moved into its shard — and its bytes are untouched, so
-        # golden v1 envelopes survive the migration verbatim.
-        assert not (tmp_path / "store" / "results" / f"{fingerprint}.json").exists()
-        assert store.result_path(fingerprint).read_bytes() == flat_bytes
-
-    def test_migration_is_idempotent(self, tmp_path, envelope):
-        fingerprint = self.make_flat_store(tmp_path / "store", envelope)
-        assert ResultStore(tmp_path / "store").load(fingerprint) is not None
-        assert ResultStore(tmp_path / "store").load(fingerprint) is not None
-
-    def test_store_hit_semantics_survive_migration(self, tmp_path, envelope):
-        self.make_flat_store(tmp_path / "store", envelope)
-        store = ResultStore(tmp_path / "store")
-        hit = store.get(RunSpec.from_dict(SCHEDULE_SPEC))
-        assert hit.to_dict() == envelope.to_dict()
-        assert (store.stats.hits, store.stats.misses) == (1, 0)
+        assert store.get(RunSpec.from_dict(SCHEDULE_SPEC)).to_dict() == envelope.to_dict()
 
 
 class TestWarmTier:
@@ -111,17 +53,9 @@ class TestWarmTier:
         assert reader.stats.warm_hits == 1
         assert reader.stats.hits == 2  # the pre-fabric total still adds up
 
-    def test_warm_capacity_zero_disables_the_tier(self, tmp_path, envelope):
-        store = ResultStore(tmp_path / "store", warm_capacity=0)
-        store.put(envelope)
-        spec = RunSpec.from_dict(SCHEDULE_SPEC)
-        store.get(spec)
-        store.get(spec)
-        assert store.stats.warm_hits == 0
-        assert store.stats.disk_hits == 2
-
-    def test_warm_tier_evicts_least_recently_used(self, tmp_path, envelope):
-        store = ResultStore(tmp_path / "store", warm_capacity=2)
+    def test_warm_tier_evicts_least_recently_used(self, tmp_path, envelope, monkeypatch):
+        monkeypatch.setattr(store_module, "WARM_CAPACITY", 2)
+        store = ResultStore(tmp_path / "store")
         for name in ("aa", "bb", "cc"):
             store._warm_put(name * 20, envelope)
         assert "aa" * 20 not in store._warm
@@ -162,13 +96,6 @@ class TestGcAndCompaction:
         assert all(store.result_path(f).exists() for f in fingerprints)
         assert store.stats.evictions == 0
 
-    def test_put_with_max_bytes_evicts_opportunistically(self, tmp_path, envelope):
-        probe = ResultStore(tmp_path / "probe")
-        size = probe.put(envelope).stat().st_size
-        store = ResultStore(tmp_path / "store", max_bytes=2 * size)
-        self.fill(store, envelope, 4)
-        assert len(store) <= 2
-
     def test_compact_sweeps_stale_temp_files_and_empty_shards(self, tmp_path, envelope):
         import os
         import time
@@ -200,8 +127,6 @@ class TestGcAndCompaction:
         summary = store.stats_summary()
         assert summary["entries"] == 1
         assert summary["bytes"] > 0
-        assert summary["layout_version"] == STORE_LAYOUT_VERSION
-        assert summary["shard_depth"] == DEFAULT_SHARD_DEPTH
         assert sum(summary["shards"].values()) == 1
         assert summary["counters"]["warm_hits"] == 1  # put() warmed the tier
         assert summary["warm_tier"]["entries"] == 1

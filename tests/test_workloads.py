@@ -17,7 +17,8 @@ from repro.workloads import (
     resnext50_layers,
     workload_suite,
 )
-from repro.workloads.layer import DIMENSION_NAMES, RELEVANCE, conv_layer, dimension_relevant_to
+from repro.workloads.layer import DIMENSION_NAMES, conv_layer
+from repro.workloads.problem import CONV7
 from repro.workloads.networks import figure1_layer, figure3_layer, figure4_layer, figure8_layer
 from repro.workloads.prime import count_factorizations, product, random_factorization
 
@@ -135,18 +136,20 @@ class TestLayer:
 
 
 class TestRelevance:
+    """The conv problem's relevance matrix ``A`` (Table IV of the paper)."""
+
     def test_weight_dimensions(self):
-        assert dimension_relevant_to(TensorKind.WEIGHT) == ("R", "S", "C", "K")
+        assert CONV7.relevant_dims(TensorKind.WEIGHT) == ("R", "S", "C", "K")
 
     def test_output_dimensions(self):
-        assert dimension_relevant_to(TensorKind.OUTPUT) == ("P", "Q", "K", "N")
+        assert CONV7.relevant_dims(TensorKind.OUTPUT) == ("P", "Q", "K", "N")
 
     def test_input_dimensions(self):
-        assert dimension_relevant_to(TensorKind.INPUT) == ("R", "S", "P", "Q", "C", "N")
+        assert CONV7.relevant_dims(TensorKind.INPUT) == ("R", "S", "P", "Q", "C", "N")
 
     def test_every_dimension_touches_some_tensor(self):
         for dim in DIMENSION_NAMES:
-            assert any(RELEVANCE[dim][t] for t in TensorKind)
+            assert any(CONV7.relevance(dim, t) for t in TensorKind)
 
 
 class TestNetworks:
