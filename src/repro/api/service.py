@@ -174,7 +174,11 @@ class Job:
         self.error: BaseException | None = None
         self._result: RunResult | None = None
         self._done = threading.Event()
-        self._lock = threading.Lock()
+        #: Guards state, log and subscribers.  Appending an event and
+        #: persisting it happen under one hold, so a subscriber's replay
+        #: never holds an event that is not on disk yet.  Reentrant: the
+        #: record written under it reads ``event_log``.
+        self._lock = threading.RLock()
         self._log: list[Event] = []
         self._subscribers: list[queue.SimpleQueue] = []
         self._on_event = on_event
@@ -231,8 +235,8 @@ class Job:
         tailed from a fabric worker's log, so on disk already)."""
         with self._lock:
             event, channels = self._append(cls, **fields)
-        if self._store is not None and not persisted:
-            self._store.record_events(self.id, [event])
+            if self._store is not None and not persisted:
+                self._store.record_events(self.id, [event])
         self._deliver(event, channels)
         return event
 
@@ -687,9 +691,17 @@ class SchedulingService:
             job.state, job.error = state, error
             job._result, job.store_hit = result, store_hit
             event, channels = job._append(cls, **fields)
+            # Persisted under the lock, so a subscriber's replay never holds
+            # the terminal event before it is on disk.
+            try:
+                if not persisted:
+                    self._persist(job, event)
+                failure = None
+            except BaseException as exc:
+                failure = exc
         try:
-            if not persisted:
-                self._persist(job, event)
+            if failure is not None:
+                raise failure
             job._deliver(event, channels)
         finally:
             job._done.set()
@@ -697,7 +709,7 @@ class SchedulingService:
         return True
 
     def _persist(self, job: Job, event: Event) -> None:
-        """Write ``job``'s record, then append ``event`` (no lock held)."""
+        """Write ``job``'s record, then append ``event``."""
         store = job._store
         if store is None:
             return

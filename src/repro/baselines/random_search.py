@@ -5,13 +5,18 @@ until five valid schedules have been found (20 K draws yielded only five
 valid ones in their measurement) and keeps the best of those five under the
 target metric.
 
-The search runs a propose-batch/evaluate-batch loop: candidates are drawn in
-chunks of ``eval_batch_size`` as factor matrices
-(:meth:`~repro.mapping.space.MapSpace.sample_batch`) and scored by the
-vectorized :class:`~repro.model.batch.BatchCostModel`; with batching off the
-chunk size is 1 and each draw goes through the scalar
-:class:`~repro.model.cost.CostModel`.  Both paths see the identical
-candidate stream, so the outcome does not depend on the batch size.
+The search runs a propose-batch/evaluate-batch loop: candidates are drawn as
+factor matrices (:meth:`~repro.mapping.space.MapSpace.sample_batch`) and
+scored by the vectorized :class:`~repro.model.batch.BatchCostModel`.  Each
+chunk is sized from the valid mappings the search still needs: twice the
+shortfall, with the multiplier doubling after every chunk that falls short,
+capped at ``eval_batch_size``, so a best-of-5 search on a layer where most
+draws are valid draws about 10 candidates instead of a full batch.  With
+batching off the chunk size is 1 and each draw goes through the scalar
+:class:`~repro.model.cost.CostModel`.  Every path reads the identical
+candidate stream and stops at the same candidate, so the winner and the
+counters do not depend on the batch size; only a wall-clock budget, checked
+once per chunk, can stop at a different point.
 """
 
 from __future__ import annotations
@@ -84,7 +89,8 @@ class RandomScheduler(SearchScheduler):
         deadline = self._deadline(start)
         rng = random.Random(stable_layer_seed(self.seed, layer.canonical_name))
         space = MapSpace(layer, self.accelerator)
-        chunk = self.eval_batch_size if self.batching_enabled else 1
+        cap = self.eval_batch_size if self.batching_enabled else 1
+        growth = 2
 
         best_draws = None
         best_index = -1
@@ -96,7 +102,9 @@ class RandomScheduler(SearchScheduler):
             and sampled < self.max_attempts
             and not self._out_of_time(deadline)
         ):
-            draws = space.sample_batch(min(chunk, self.max_attempts - sampled), rng)
+            chunk = min(cap, growth * (self.num_valid - evaluated), self.max_attempts - sampled)
+            growth = min(2 * growth, cap)
+            draws = space.sample_batch(chunk, rng)
             valid, scores = self._score_draws(draws)
             for i in range(len(draws)):
                 sampled += 1

@@ -85,7 +85,7 @@ class MappingState:
     ``temporal[level]`` / ``spatial[level]`` are lists of mutable
     ``[dim, bound]`` pairs, innermost loop first, at most one entry per
     dimension per list and every bound > 1 — the same invariants
-    :func:`~repro.mapping.space._merge_drawn` establishes on sampled draws.
+    :meth:`~repro.mapping.space.MapSpace.sample_batch` draws have.
     """
 
     layer: object

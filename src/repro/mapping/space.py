@@ -111,6 +111,15 @@ class MapSpace:
         }
         self._dims = layer.problem.dims
         self._prime_factors = {dim: factorize(bound) for dim, bound in layer.bounds.items()}
+        # The draw loop's tables: every (level, spatial) slot a factor can
+        # land in, and the (dim, prime) factors in placement order.
+        self._slots = tuple(
+            [(i, False) for i in range(self.num_levels)]
+            + [(i, True) for i in self._spatial_levels]
+        )
+        self._factors = tuple(
+            (dim, prime) for dim in self._dims for prime in self._prime_factors[dim]
+        )
 
     # ------------------------------------------------------------------- sizes
     def tiling_space_size(self) -> int:
@@ -136,44 +145,61 @@ class MapSpace:
 
         This is the sampling core shared by :meth:`random_mapping` (which
         wraps the result in a :class:`Mapping`) and :meth:`sample_batch`
-        (which keeps the tuples for vectorized evaluation).  Both consume the
-        RNG identically — ``rng.shuffle`` depends only on list length — so a
-        batched and a scalar run of the same seed see the same candidates.
+        (which keeps the tuples for vectorized evaluation).  Each prime
+        factor tries up to eight uniformly drawn slots (a spatial slot only
+        takes it while the level's fanout budget allows) and otherwise falls
+        back to the temporal slot of a random level; factors of one
+        dimension that share a slot merge into one loop.  The temporal loops
+        of each level then get a random permutation.
+
+        Every draw below ``n`` is ``getrandbits(n.bit_length())`` repeated
+        until it falls below ``n``, and the permutation is a Fisher-Yates
+        pass from the back — the algorithms of CPython's ``randrange(n)``
+        and ``shuffle``, inlined, so the RNG stream equals a draw through
+        those calls (``tests/test_sampler_reference.py`` checks this).
         """
-        temporal_loops: list[list[DrawnLoop]] = [[] for _ in range(self.num_levels)]
-        spatial_loops: list[list[DrawnLoop]] = [[] for _ in range(self.num_levels)]
+        getrandbits = rng.getrandbits
+        slots = self._slots
+        num_slots = len(slots)
+        slot_bits = num_slots.bit_length()
+        num_levels = self.num_levels
+        temporal: list[dict[str, int]] = [{} for _ in range(num_levels)]
+        spatial: list[dict[str, int]] = [{} for _ in range(num_levels)]
         fanout_budget = dict(self._spatial_levels)
 
-        slots: list[tuple[int, bool]] = [(i, False) for i in range(self.num_levels)]
-        slots += [(i, True) for i in self._spatial_levels]
-
-        for dim in self._dims:
-            for prime in self._prime_factors[dim]:
-                placed = False
-                for _ in range(8):
-                    level, spatial = slots[rng.randrange(len(slots))]
-                    if spatial:
-                        if fanout_budget.get(level, 1) < prime:
-                            continue
-                        fanout_budget[level] //= prime
-                        spatial_loops[level].append((dim, prime))
-                    else:
-                        temporal_loops[level].append((dim, prime))
-                    placed = True
+        for dim, prime in self._factors:
+            for _ in range(8):
+                index = getrandbits(slot_bits)
+                while index >= num_slots:
+                    index = getrandbits(slot_bits)
+                level, is_spatial = slots[index]
+                if not is_spatial:
+                    loops = temporal[level]
                     break
-                if not placed:
-                    # Fall back to a temporal slot at a random level.
-                    level = rng.randrange(self.num_levels)
-                    temporal_loops[level].append((dim, prime))
+                if fanout_budget[level] >= prime:
+                    fanout_budget[level] //= prime
+                    loops = spatial[level]
+                    break
+            else:
+                # Fall back to a temporal slot at a random level.
+                level_bits = num_levels.bit_length()
+                level = getrandbits(level_bits)
+                while level >= num_levels:
+                    level = getrandbits(level_bits)
+                loops = temporal[level]
+            loops[dim] = loops.get(dim, 1) * prime
 
-        merged_temporal: list[list[DrawnLoop]] = []
-        merged_spatial: list[list[DrawnLoop]] = []
-        for i in range(self.num_levels):
-            merged_t = _merge_drawn(temporal_loops[i])
-            rng.shuffle(merged_t)
-            merged_temporal.append(merged_t)
-            merged_spatial.append(_merge_drawn(spatial_loops[i]))
-        return merged_temporal, merged_spatial
+        drawn_temporal: list[list[DrawnLoop]] = []
+        for loops in temporal:
+            drawn = list(loops.items())
+            for i in range(len(drawn) - 1, 0, -1):
+                bits = (i + 1).bit_length()
+                j = getrandbits(bits)
+                while j > i:
+                    j = getrandbits(bits)
+                drawn[i], drawn[j] = drawn[j], drawn[i]
+            drawn_temporal.append(drawn)
+        return drawn_temporal, [list(loops.items()) for loops in spatial]
 
     def random_mapping(self, rng: random.Random) -> Mapping:
         """Draw one random (not necessarily valid) mapping.
@@ -303,18 +329,6 @@ class MapSpace:
                 stats.valid += 1
                 valid.append(mapping)
         return valid, stats
-
-
-def _merge_drawn(loops: list[DrawnLoop]) -> list[DrawnLoop]:
-    """Merge drawn loops over the same dimension (product of bounds, order kept)."""
-    merged: dict[str, int] = {}
-    order: list[str] = []
-    for dim, bound in loops:
-        if dim not in merged:
-            merged[dim] = 1
-            order.append(dim)
-        merged[dim] *= bound
-    return [(dim, merged[dim]) for dim in order if merged[dim] > 1]
 
 
 def random_mapping(layer: Layer, accelerator: Accelerator, seed: int = 0) -> Mapping:

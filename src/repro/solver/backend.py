@@ -17,11 +17,7 @@ class Backend(Protocol):
 
 
 def default_backend() -> "Backend":
-    """Return the default backend: ``scipy.optimize.milp`` (HiGHS).
-
-    The pure-Python :class:`~repro.solver.branch_and_bound.BranchAndBoundBackend`
-    stays available as the reference the solver tests compare against.
-    """
+    """Return the default backend: ``scipy.optimize.milp`` (HiGHS)."""
     from repro.solver.scipy_backend import ScipyMilpBackend
 
     return ScipyMilpBackend()

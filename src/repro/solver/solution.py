@@ -33,8 +33,8 @@ class Solution:
     solve_time_seconds:
         Wall-clock time spent in the backend.
     iterations:
-        Backend-specific work counter (LP relaxations explored for the
-        branch-and-bound backend, 0 for HiGHS which does not report it).
+        Branch-and-bound nodes HiGHS explored (``mip_node_count``; 0 when
+        the solve does not report it).
     """
 
     status: SolveStatus

@@ -1,5 +1,7 @@
 """Unit tests for the baseline schedulers (Random, Timeloop-Hybrid, TVM-like)."""
 
+import math
+
 import pytest
 
 from repro.arch import simba_like
@@ -7,8 +9,10 @@ from repro.arch.gpu import gpu_as_accelerator
 from repro.baselines import RandomScheduler, TimeloopHybridScheduler, TVMLikeTuner
 from repro.baselines.base import SearchScheduler
 from repro.engine import SchedulingEngine
+from repro.mapping import MapSpace, mapping_to_dict
 from repro.model import CostModel
 from repro.workloads import Layer, layer_from_name
+from repro.workloads.problem import matmul
 
 ARCH = simba_like()
 SMALL_LAYER = Layer(r=3, s=3, p=4, q=4, c=8, k=16, name="small")
@@ -62,6 +66,52 @@ class TestRandomScheduler:
     def test_best_mapping_validated_by_cost_model(self):
         result = RandomScheduler(ARCH, num_valid=3, seed=5).schedule(MEDIUM_LAYER)
         assert CostModel(ARCH).evaluate(result.mapping).valid
+
+
+class TestRandomChunking:
+    """Random search draws only about the candidates it reads.
+
+    Chunks are sized from the valid mappings still needed, so the draw
+    count depends on the batch size while the winner and counters do not.
+    """
+
+    @staticmethod
+    def chunk_sizes(monkeypatch):
+        sizes = []
+        sample_batch = MapSpace.sample_batch
+
+        def spy(space, count, rng=None):
+            sizes.append(count)
+            return sample_batch(space, count, rng)
+
+        monkeypatch.setattr(MapSpace, "sample_batch", spy)
+        return sizes
+
+    @staticmethod
+    def assert_same_search(a, b):
+        assert (a.num_sampled, a.num_evaluated) == (b.num_sampled, b.num_evaluated)
+        assert mapping_to_dict(a.mapping) == mapping_to_dict(b.mapping)
+
+    def test_best_of_five_draws_less_than_one_batch(self, monkeypatch):
+        layer = layer_from_name("3_56_64_64_1")  # a ResNet-50 conv
+        scalar = RandomScheduler(ARCH, eval_batch_size=1).schedule(layer)
+        sizes = self.chunk_sizes(monkeypatch)
+        batched = RandomScheduler(ARCH, eval_batch_size=64).schedule(layer)
+        assert sum(sizes) < 64
+        assert sizes[0] == 10  # twice the five valid mappings needed
+        self.assert_same_search(scalar, batched)
+
+    def test_low_validity_layer_needs_logarithmically_many_chunks(self, monkeypatch):
+        layer = matmul(1 << 14, 1 << 14, 1 << 14)  # well under 1% of draws fit
+        scalar = RandomScheduler(ARCH, eval_batch_size=1).schedule(layer)
+        sizes = self.chunk_sizes(monkeypatch)
+        batched = RandomScheduler(ARCH, eval_batch_size=1 << 14).schedule(layer)
+        assert scalar.num_sampled > 500
+        # Each chunk at least doubles the multiplier, so K chunks draw at
+        # least 2**(K + 1) - 2 candidates.
+        assert len(sizes) <= math.log2(sum(sizes) + 2)
+        assert sum(sizes) < 2 * scalar.num_sampled + 10
+        self.assert_same_search(scalar, batched)
 
 
 class TestTimeloopHybridScheduler:

@@ -458,6 +458,17 @@ class TestGatewayErrorSurface:
         assert excinfo.value.status == 400
         assert "invalid RunSpec" in str(excinfo.value)
 
+    def test_spec_naming_a_cache_file_is_400_and_writes_nothing(self, gateway, client, tmp_path):
+        outside = tmp_path / "outside_store.json"
+        spec = {**SCHEDULE_SPEC, "engine": {"cache": str(outside)}}
+        with pytest.raises(GatewayError) as excinfo:
+            client.submit(spec)
+        assert excinfo.value.status == 400
+        assert "engine.cache" in str(excinfo.value)
+        assert client.jobs() == []
+        gateway.service.shutdown(wait=True)
+        assert not outside.exists()
+
     def test_invalid_tenant_name_is_400(self, gateway):
         probe = GatewayClient(gateway.url, tenant="-bad", api_key="k-acme")
         with pytest.raises(GatewayError) as excinfo:

@@ -1,12 +1,13 @@
 """Unit and property tests for the MIP solver substrate."""
 
+import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.solver import (
-    BranchAndBoundBackend,
     LinearExpr,
     MIPModel,
     ScipyMilpBackend,
@@ -14,7 +15,7 @@ from repro.solver import (
     SolveStatus,
     default_backend,
 )
-from repro.solver.expr import Variable, lin_sum
+from repro.solver.expr import Variable, VarKind, lin_sum
 
 
 class TestExpressions:
@@ -112,6 +113,39 @@ def _solve_with(backend, build):
     return model, handles, solution
 
 
+def enumerated_optimum(model):
+    """Best objective over every point of the model's integer boxes.
+
+    The exhaustive answer HiGHS is checked against: ``itertools.product``
+    of each variable's ``range(lower, upper + 1)``, keeping the points that
+    satisfy every constraint.  ``None`` when no point is feasible.
+    """
+    boxes = []
+    for var in model.variables:
+        assert var.kind != VarKind.CONTINUOUS and math.isfinite(var.upper), var.name
+        boxes.append(range(int(var.lower), int(var.upper) + 1))
+    sign = 1 if model.minimize else -1
+    best = None
+    for point in itertools.product(*boxes):
+        values = dict(zip(model.variables, point))
+        if all(constraint.satisfied_by(values) for constraint in model.constraints):
+            objective = model.objective.evaluate(values)
+            if best is None or sign * objective < sign * best:
+                best = objective
+    return best
+
+
+def assert_highs_matches_enumeration(build):
+    model, _, solution = _solve_with(ScipyMilpBackend(), build)
+    optimum = enumerated_optimum(model)
+    if optimum is None:
+        assert solution.status is SolveStatus.INFEASIBLE
+    else:
+        assert solution.is_optimal
+        assert solution.objective == pytest.approx(optimum)
+    return optimum
+
+
 def _knapsack(model):
     """0/1 knapsack with known optimum 11 (items 1 and 2)."""
     values = [6, 5, 6, 1]
@@ -122,10 +156,39 @@ def _knapsack(model):
     return xs
 
 
-BACKENDS = [ScipyMilpBackend(), BranchAndBoundBackend()]
+def _infeasible(model):
+    x = model.add_binary("x")
+    model.add_constraint(x >= 2)
+    model.set_objective(x.to_expr())
+    return x
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=["scipy-highs", "branch-and-bound"])
+def _equality(model):
+    x = model.add_integer("x", upper=10)
+    y = model.add_integer("y", upper=10)
+    model.add_constraint(x + y == 7)
+    model.add_constraint(x - y <= 1)
+    model.set_objective(x.to_expr(), minimize=False)
+    return x, y
+
+
+ASSIGNMENT_COST = [[4, 1, 3], [2, 0, 5], [3, 2, 2]]
+
+
+def _assignment(model):
+    """3x3 assignment with a unique optimum."""
+    x = {(i, j): model.add_binary(f"x_{i}{j}") for i in range(3) for j in range(3)}
+    for i in range(3):
+        model.add_constraint(lin_sum(x[i, j] for j in range(3)) == 1)
+    for j in range(3):
+        model.add_constraint(lin_sum(x[i, j] for i in range(3)) == 1)
+    model.set_objective(
+        lin_sum(ASSIGNMENT_COST[i][j] * x[i, j] for i in range(3) for j in range(3))
+    )
+    return x
+
+
+@pytest.mark.parametrize("backend", [ScipyMilpBackend()], ids=["scipy-highs"])
 class TestBackends:
     def test_knapsack_optimum(self, backend):
         _, xs, solution = _solve_with(backend, _knapsack)
@@ -148,43 +211,17 @@ class TestBackends:
         assert solution.value(y) == pytest.approx(7)
 
     def test_infeasible_detected(self, backend):
-        def build(model):
-            x = model.add_binary("x")
-            model.add_constraint(x >= 2)
-            model.set_objective(x.to_expr())
-            return x
-
-        _, _, solution = _solve_with(backend, build)
+        _, _, solution = _solve_with(backend, _infeasible)
         assert solution.status is SolveStatus.INFEASIBLE
 
     def test_equality_constraints(self, backend):
-        def build(model):
-            x = model.add_integer("x", upper=10)
-            y = model.add_integer("y", upper=10)
-            model.add_constraint(x + y == 7)
-            model.add_constraint(x - y <= 1)
-            model.set_objective(x.to_expr(), minimize=False)
-            return x, y
-
-        _, (x, y), solution = _solve_with(backend, build)
+        _, (x, y), solution = _solve_with(backend, _equality)
         assert solution.is_optimal
         assert solution.rounded(x) + solution.rounded(y) == 7
         assert solution.rounded(x) == 4
 
     def test_assignment_problem(self, backend):
-        """3x3 assignment with a unique optimum."""
-        cost = [[4, 1, 3], [2, 0, 5], [3, 2, 2]]
-
-        def build(model):
-            x = {(i, j): model.add_binary(f"x_{i}{j}") for i in range(3) for j in range(3)}
-            for i in range(3):
-                model.add_constraint(lin_sum(x[i, j] for j in range(3)) == 1)
-            for j in range(3):
-                model.add_constraint(lin_sum(x[i, j] for i in range(3)) == 1)
-            model.set_objective(lin_sum(cost[i][j] * x[i, j] for i in range(3) for j in range(3)))
-            return x
-
-        _, x, solution = _solve_with(backend, build)
+        _, x, solution = _solve_with(backend, _assignment)
         assert solution.is_optimal
         assert solution.objective == pytest.approx(5)
         assignment = {i: j for (i, j), var in x.items() if solution.rounded(var) == 1}
@@ -210,7 +247,15 @@ class TestBackends:
 
 
 class TestBackendAgreement:
-    """Both exact backends must find the same optimum on random instances."""
+    """HiGHS must return the optimum that exhaustive enumeration finds."""
+
+    @pytest.mark.parametrize(
+        "build, optimum",
+        [(_knapsack, 11), (_infeasible, None), (_equality, 4), (_assignment, 5)],
+        ids=["knapsack", "infeasible", "equality", "assignment"],
+    )
+    def test_hand_built_programs_agree(self, build, optimum):
+        assert assert_highs_matches_enumeration(build) == optimum
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -227,12 +272,7 @@ class TestBackendAgreement:
             model.set_objective(lin_sum(v * x for v, x in zip(values, xs)), minimize=False)
             return xs
 
-        results = []
-        for backend in (ScipyMilpBackend(), BranchAndBoundBackend()):
-            _, _, solution = _solve_with(backend, build)
-            assert solution.is_optimal
-            results.append(solution.objective)
-        assert results[0] == pytest.approx(results[1])
+        assert assert_highs_matches_enumeration(build) is not None
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -255,12 +295,37 @@ class TestBackendAgreement:
             model.set_objective(lin_sum(c * x for c, x in zip(costs, xs)))
             return xs
 
-        objectives = []
-        for backend in (ScipyMilpBackend(), BranchAndBoundBackend()):
-            _, _, solution = _solve_with(backend, build)
-            assert solution.is_optimal
-            objectives.append(solution.objective)
-        assert objectives[0] == pytest.approx(objectives[1])
+        assert assert_highs_matches_enumeration(build) is not None
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_random_integer_boxes_agree(self, seed):
+        """General integers with mixed-sign rows of every sense; some are
+        infeasible, which HiGHS must report too."""
+        rng = random.Random(seed)
+        num_vars = rng.randint(2, 4)
+        uppers = [rng.randint(1, 5) for _ in range(num_vars)]
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            coefficients = [rng.randint(-4, 6) for _ in range(num_vars)]
+            rows.append((coefficients, rng.choice(("<=", ">=", "==")), rng.randint(0, 12)))
+        costs = [rng.randint(-5, 5) for _ in range(num_vars)]
+        minimize = rng.random() < 0.5
+
+        def build(model):
+            xs = [model.add_integer(f"x{i}", upper=u) for i, u in enumerate(uppers)]
+            for coefficients, sense, rhs in rows:
+                expr = lin_sum(a * x for a, x in zip(coefficients, xs))
+                if sense == "<=":
+                    model.add_constraint(expr <= rhs)
+                elif sense == ">=":
+                    model.add_constraint(expr >= rhs)
+                else:
+                    model.add_constraint(expr == rhs)
+            model.set_objective(lin_sum(c * x for c, x in zip(costs, xs)), minimize=minimize)
+            return xs
+
+        assert_highs_matches_enumeration(build)
 
 
 class TestDefaultBackend:
