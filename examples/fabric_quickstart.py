@@ -64,10 +64,9 @@ def main() -> None:
     for thread in threads:
         thread.start()
 
+    alice = GatewayClient(gateway.url, tenant="acme", api_key="alice-key")
+    bob = GatewayClient(gateway.url, tenant="bobco", api_key="bob-key")
     try:
-        alice = GatewayClient(gateway.url, tenant="acme", api_key="alice-key")
-        bob = GatewayClient(gateway.url, tenant="bobco", api_key="bob-key")
-
         # --- a batch sweep and an interactive job, side by side.
         sweep = alice.submit(SWEEP_SPEC, priority="batch")
         urgent = alice.submit(SPEC, priority="interactive")
@@ -97,6 +96,8 @@ def main() -> None:
             worker.stop()
         for thread in threads:
             thread.join(timeout=10)
+        alice.close()
+        bob.close()
         gateway.close()
     print("done")
 

@@ -34,40 +34,41 @@ def main() -> None:
         gateway.start()
         print(f"gateway listening on {gateway.url}")
 
-        client = GatewayClient(gateway.url, tenant="acme", api_key="alice-key")
-        print(f"health: {client.health()}")
+        with GatewayClient(gateway.url, tenant="acme", api_key="alice-key") as client:
+            print(f"health: {client.health()}")
 
-        # --- submit over HTTP; the response is the queued job record.
-        record = client.submit(SPEC)
-        print(f"submitted {record['job_id']} (priority={record['priority']})")
+            # --- submit over HTTP; the response is the queued job record.
+            record = client.submit(SPEC)
+            print(f"submitted {record['job_id']} (priority={record['priority']})")
 
-        # --- the event stream is live chunked NDJSON, terminal event last.
-        for event in client.events(record["job_id"]):
-            print(f"  {event['event']}" + (
-                f"  layer {event['layer']}" if event["event"] == "layer_scheduled" else ""
-            ))
+            # --- the event stream is live chunked NDJSON, terminal event last.
+            for event in client.events(record["job_id"]):
+                print(f"  {event['event']}" + (
+                    f"  layer {event['layer']}" if event["event"] == "layer_scheduled" else ""
+                ))
 
-        final = client.job(record["job_id"])
-        result = client.result(record["job_id"])
-        print(f"state={final['state']} store_hit={final['store_hit']} "
-              f"succeeded={result.data['succeeded']}")
+            final = client.job(record["job_id"])
+            result = client.result(record["job_id"])
+            print(f"state={final['state']} store_hit={final['store_hit']} "
+                  f"succeeded={result.data['succeeded']}")
 
-        # --- identical spec again: a store hit, no scheduler runs.
-        rerun = client.submit(SPEC)
-        rerun_final = client.wait(rerun["job_id"])
-        print(f"resubmitted as {rerun['job_id']}: store_hit={rerun_final['store_hit']}")
-        assert rerun_final["store_hit"] is True
-        assert client.result_text(rerun["job_id"]) == client.result_text(record["job_id"])
+            # --- identical spec again: a store hit, no scheduler runs.
+            rerun = client.submit(SPEC)
+            rerun_final = client.wait(rerun["job_id"])
+            print(f"resubmitted as {rerun['job_id']}: store_hit={rerun_final['store_hit']}")
+            assert rerun_final["store_hit"] is True
+            assert client.result_text(rerun["job_id"]) == client.result_text(record["job_id"])
 
         # --- the auth boundary.
         for label, probe in [
             ("no key", GatewayClient(gateway.url, tenant="acme")),
             ("bob's key", GatewayClient(gateway.url, tenant="acme", api_key="bob-key")),
         ]:
-            try:
-                probe.jobs()
-            except GatewayError as error:
-                print(f"{label} -> HTTP {error.status}: {error}")
+            with probe:
+                try:
+                    probe.jobs()
+                except GatewayError as error:
+                    print(f"{label} -> HTTP {error.status}: {error}")
 
     print(f"per-tenant stores persisted under {store_root}/tenants/")
 

@@ -62,6 +62,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -205,15 +206,19 @@ class SchedulingGateway:
         return self
 
     def close(self, wait: bool = True) -> None:
-        """Stop the HTTP server and shut the service down.
+        """Stop the HTTP server, end kept-alive connections, shut the service down.
 
         ``socketserver.shutdown()`` blocks until the serve loop acknowledges
         — forever, if the loop never ran (e.g. a signal interrupted the CLI
         between binding and serving) — so it is only called while the loop
-        is live.
+        is live.  Clients keep connections open between requests; each one's
+        handler thread is then blocked reading the next request line, so the
+        read side of every open connection is shut down: idle handlers see
+        end-of-stream and exit, busy ones finish their response first.
         """
         if self._serving.is_set():
             self._server.shutdown()
+        self._server.close_connections()
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=10)
@@ -271,12 +276,38 @@ class _GatewayServer(ThreadingHTTPServer):
 
     def __init__(self, address, handler, gateway: SchedulingGateway):
         self.gateway = gateway
+        #: Accepted connections whose handler has not finished yet.
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         super().__init__(address, handler)
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut the read side of every open connection (see ``close``)."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # already closed by its handler
 
 
 class _GatewayHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-gateway"
+    #: Connections stay open between requests, so a response's separate
+    #: header and body writes must not wait on the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------- plumbing
     @property
@@ -333,26 +364,33 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             raise GatewayRequestError(400, "invalid Content-Length") from None
         if length > MAX_BODY_BYTES:
             raise GatewayRequestError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+        self._body_read = True
         return self.rfile.read(length)
+
+    def _unread_body(self) -> bool:
+        """Whether the request carries a body this handler did not read."""
+        return not self._body_read and (
+            self.headers.get("Content-Length", "0") != "0"
+            or "Transfer-Encoding" in self.headers
+        )
 
     def _write_chunk(self, data: bytes) -> None:
         self.wfile.write(f"{len(data):X}\r\n".encode() + data + b"\r\n")
 
-    def _stream_ndjson(self, lines) -> None:
-        """Send an NDJSON line iterator as a chunked HTTP/1.1 response."""
+    def _stream_ndjson(self, chunks) -> None:
+        """Send NDJSON text chunks as a chunked HTTP/1.1 response."""
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
         self.send_header("Cache-Control", "no-store")
         self.end_headers()
         try:
-            for line in lines:
-                self._write_chunk(line if isinstance(line, bytes) else line.encode())
-                self.wfile.flush()
+            for chunk in chunks:
+                if chunk:  # an empty chunk would end the stream early
+                    self._write_chunk(chunk.encode())
             self._write_chunk(b"")  # chunked terminator
         except (BrokenPipeError, ConnectionResetError):
-            pass  # client hung up mid-stream; nothing to salvage
-        self.close_connection = True
+            self.close_connection = True  # client hung up mid-stream
 
     # -------------------------------------------------------------- dispatch
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
@@ -362,16 +400,22 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self._dispatch("POST")
 
     def _dispatch(self, method: str) -> None:
+        self._body_read = False
         try:
             self._route(method)
         except GatewayRequestError as error:
-            self._send_error_json(error.status, str(error), error.headers)
+            headers = error.headers
+            if self._unread_body():
+                # The connection would parse the unread body as the next
+                # request; close it after this response instead.
+                headers = {**headers, "Connection": "close"}
+            self._send_error_json(error.status, str(error), headers)
         except (BrokenPipeError, ConnectionResetError):
-            pass
+            self.close_connection = True
         except Exception:  # pragma: no cover - last-resort guard
             logger.exception("unhandled gateway error on %s %s", method, self.path)
             try:
-                self._send_error_json(500, "internal gateway error")
+                self._send_error_json(500, "internal gateway error", {"Connection": "close"})
             except OSError:
                 pass
 
@@ -460,9 +504,10 @@ class _GatewayHandler(BaseHTTPRequestHandler):
     def _events(self, tenant: str, job_id: str) -> None:
         job = self._live_job(job_id)
         if job is not None:
-            self._stream_ndjson(
-                json.dumps(event.to_dict()) + "\n" for event in job.events()
-            )
+            lines = (json.dumps(event.to_dict()) + "\n" for event in job.events())
+            # A finished job's log goes out as one chunk; a live one streams
+            # each event as it is delivered.
+            self._stream_ndjson(["".join(lines)] if job.done else lines)
             return
         store = self.gateway.store_for(tenant)
         if store.load_job(job_id) is None:
@@ -476,16 +521,21 @@ class _GatewayHandler(BaseHTTPRequestHandler):
     def _tail_events(self, store: ResultStore, job_id: str, timeout: float = 600.0):
         """Stream the job's log until a terminal event, or until a terminal
         record's ``num_events`` lines are out.  Never on the record's state
-        alone: writers write the terminal record before the terminal line."""
+        alone: writers write the terminal record before the terminal line.
+        Yields one chunk per poll: the lines that are new since the last."""
         streamed = 0
         terminal = {state.value for state in TERMINAL_STATES}
         deadline = time.monotonic() + timeout
         while True:
+            lines = []
             for event in store.read_events(job_id, start=streamed):
                 streamed += 1
-                yield json.dumps(event) + "\n"
+                lines.append(json.dumps(event) + "\n")
                 if event.get("event") in TERMINAL_EVENTS:
+                    yield "".join(lines)
                     return
+            if lines:
+                yield "".join(lines)
             record = store.load_job(job_id) or {}
             if record.get("state") in terminal and streamed >= record.get("num_events", 0):
                 return  # a terminal log without a terminal event
@@ -505,12 +555,13 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             raise GatewayRequestError(
                 409, f"job {job_id} has no result (state: {record['state']}){detail}"
             )
-        path = store.result_path(record["spec_fingerprint"])
-        if not path.exists():
-            raise GatewayRequestError(404, f"stored result of {job_id!r} is missing")
         # The stored file IS the envelope `run()` would have produced; serve
-        # its bytes verbatim so the HTTP result is byte-identical.
-        body = path.read_bytes()
+        # its bytes verbatim so the HTTP result is byte-identical.  One read:
+        # a gc() eviction may remove the file at any moment.
+        try:
+            body = store.result_path(record["spec_fingerprint"]).read_bytes()
+        except FileNotFoundError:
+            raise GatewayRequestError(404, f"stored result of {job_id!r} is missing") from None
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

@@ -123,16 +123,18 @@ def execute(spec: RunSpec, emit_layer=None) -> RunResult:
     return result
 
 
-def execute_job(spec: RunSpec, fingerprint: str, store=None, emit_layer=None):
+def execute_job(spec: RunSpec, fingerprint: str, store=None, emit_layer=None, *, count=True):
     """One job's execution: serve ``spec`` from ``store`` or run and store it.
 
     The body every service worker thread and every fabric worker shares: a
     stored envelope under ``fingerprint`` is returned as is (no scheduler
     runs); otherwise :func:`execute` runs and its envelope is put in the
     store.  Returns ``(result, store_hit)``; ``store=None`` always executes.
+    ``count=False`` looks the store up without touching its hit/miss
+    counters: the service counted this job's lookup at submit already.
     """
     if store is not None:
-        result = store.get(spec, fingerprint)
+        result = store.get(spec, fingerprint) if count else store.load(fingerprint)
         if result is not None:
             return result, True
     result = execute(spec, emit_layer=emit_layer)

@@ -15,7 +15,8 @@ fetch and de-duplicate results:
 * with a :class:`~repro.api.store.ResultStore` attached, finished envelopes
   are persisted under the spec fingerprint and **resubmitting an identical
   spec is a store hit** — the stored envelope is returned verbatim and no
-  scheduler runs.
+  scheduler runs.  On the local backend ``submit`` looks the fingerprint up
+  itself and answers a hit before it returns, without the queue.
 
 Quickstart::
 
@@ -34,17 +35,19 @@ The synchronous :func:`repro.api.run` is a thin wrapper over
 ``submit(spec).result()`` on a private single-worker service, so both entry
 points share one execution path and produce bit-identical envelopes.
 
-One lifecycle: every way a job can end — success, failure, cancellation,
-the submit-vs-shutdown race, an aborted submission, a single-flight
-follower sharing its leader's result, and fabric ``run_finished`` /
-``run_failed`` / dead-letter — goes through
+One lifecycle: every way a job can end — success, a store hit answered at
+submit, failure, cancellation, the submit-vs-shutdown race, an aborted
+submission, a single-flight follower sharing its leader's result, and
+fabric ``run_finished`` / ``run_failed`` / dead-letter — goes through
 :meth:`SchedulingService._finish`, which sets the state, appends the
 terminal event, writes the record, appends the event to the log, delivers
 the event, releases ``result()`` waiters and settles followers, in that
 order.  A subscriber that sees a terminal event, or a caller that
 ``result()`` releases, therefore always reads the terminal record from the
 store.  Every event is appended to the job's log before it is delivered,
-so a subscriber finds each event it is handed on disk.
+so a subscriber finds each event it is handed on disk.  A store hit
+answered at submit writes its record once, already terminal, and appends
+its three events in one write.
 
 Threading notes: jobs run on a bounded pool of **daemon** worker threads
 (``max_workers`` concurrent runs) draining one
@@ -54,10 +57,11 @@ workers keep the process interruptible: Ctrl-C during a long sweep exits
 promptly instead of blocking until the sweep drains, matching the
 pre-service inline ``run()`` behaviour.  ``on_event`` callbacks and
 :meth:`Job.events` deliveries originate from the worker thread that
-executes the job (``run_queued`` alone fires from the submitting thread);
-event payloads are deterministic even under ``engine.jobs > 1`` because
-the engine reports layers in input order (see
-:class:`~repro.engine.engine.LayerReport`).
+executes the job (``run_queued`` alone fires from the submitting thread),
+except for a store hit answered at submit: all of its events fire from the
+submitting thread before ``submit`` returns.  Event payloads are
+deterministic even under ``engine.jobs > 1`` because the engine reports
+layers in input order (see :class:`~repro.engine.engine.LayerReport`).
 """
 
 from __future__ import annotations
@@ -191,7 +195,7 @@ class Job:
         #: identical-spec jobs waiting on this one (guarded by the service
         #: lock, not the job lock).
         self._flight_key = (
-            None if store is None else str(store.results_root.resolve()),
+            None if store is None else str(store.resolved_results_root),
             fingerprint,
         )
         self._followers: list["Job"] = []
@@ -520,6 +524,13 @@ class SchedulingService:
         submission (the job is failed, unregistered, and the exception
         propagates).
 
+        With a store on the local backend, the fingerprint is looked up
+        here, once.  A hit is answered before this call returns: the job's
+        record is written once, already ``done``, its three events are
+        appended in one write and then delivered from this thread, and no
+        worker sees the job.  An ``on_event`` exception then propagates, but
+        the job stays done.  A miss is queued and not looked up again.
+
         ``priority`` picks the job's queue lane (``"interactive"`` or
         ``"batch"``), with the same meaning on both backends.  ``store``
         overrides the service store for this job — ``None`` disables
@@ -562,13 +573,24 @@ class SchedulingService:
                 self._counter += 1
                 job_id = f"job-{self._counter:06d}-{fingerprint[:12]}"
         job = Job(self, job_id, spec, fingerprint, job_store, on_event, priority)
+        # Fabric workers look the store up themselves (worker-side hits).
+        if job_store is not None and self.backend == "local":
+            try:
+                stored = job_store.get(spec, fingerprint)
+            except (OSError, ValueError):
+                # An unreadable envelope: the worker's lookup raises it again
+                # and fails the job with it, as for any execution error.
+                stored = None
+            if stored is not None:
+                self._answer_hit(job, stored)
+                return job
         with job._lock:
             queued, channels = job._append(
                 RunQueued, kind=spec.kind, spec_fingerprint=fingerprint
             )
         # Persist, then emit.  A fabric worker continues the on-disk log's
         # numbering, so run_queued (seq 0) lands before the task is enqueued.
-        self._persist(job, queued)
+        self._persist(job, [queued])
         try:
             job._deliver(queued, channels)
         except BaseException:
@@ -607,6 +629,20 @@ class SchedulingService:
             self._enqueue_fabric(job)
         return job
 
+    def _answer_hit(self, job: Job, result: RunResult) -> None:
+        """Finish a store hit found at submit, on the submitting thread."""
+        with job._lock:
+            opening = (
+                job._append(
+                    RunQueued, kind=job.spec.kind, spec_fingerprint=job.fingerprint
+                )[0],
+                job._append(RunStarted)[0],
+            )
+            job.state = JobState.RUNNING
+        with self._lock:
+            self._jobs[job.id] = job
+        self._finish(job, JobState.DONE, result=result, store_hit=True, opening=opening)
+
     def _enqueue_fabric(self, job: Job) -> None:
         """Hand one accepted job to the persistent work queue."""
         store = job._store
@@ -616,7 +652,7 @@ class SchedulingService:
         results_root = (
             None
             if store.results_root == store.root
-            else str(Path(store.results_root).resolve())
+            else str(store.resolved_results_root)
         )
         task = self._fabric.enqueue(
             job.spec.to_dict(),
@@ -664,6 +700,7 @@ class SchedulingService:
         error_type: str | None = None,
         message: str | None = None,
         persisted: bool = False,
+        opening: tuple[Event, ...] = (),
     ) -> bool:
         """The one terminal transition of every job.
 
@@ -673,9 +710,11 @@ class SchedulingService:
         the event to the log, deliver the event, release ``result()``
         waiters, settle single-flight followers.  ``persisted`` marks an
         event tailed from a fabric log: the worker wrote the record before
-        appending the line, so both are on disk already.  Returns ``False``
-        (and does nothing) when the job is already terminal, or is a cancel
-        of a started job.
+        appending the line, so both are on disk already.  ``opening`` holds
+        logged events not yet persisted or delivered (a store hit answered
+        at submit): they are appended in the same write as the terminal
+        event and delivered before it.  Returns ``False`` (and does nothing)
+        when the job is already terminal, or is a cancel of a started job.
         """
         if state is JobState.DONE:
             cls, fields = RunFinished, {"store_hit": store_hit, "result": result.to_dict()}
@@ -695,21 +734,23 @@ class SchedulingService:
             # the terminal event before it is on disk.
             try:
                 if not persisted:
-                    self._persist(job, event)
+                    self._persist(job, [*opening, event])
                 failure = None
             except BaseException as exc:
                 failure = exc
         try:
             if failure is not None:
                 raise failure
+            for early in opening:
+                job._deliver(early, [])  # logged before any subscriber could join
             job._deliver(event, channels)
         finally:
             job._done.set()
             self._settle_followers(job)
         return True
 
-    def _persist(self, job: Job, event: Event) -> None:
-        """Write ``job``'s record, then append ``event``."""
+    def _persist(self, job: Job, events: list[Event]) -> None:
+        """Write ``job``'s record, then append ``events`` in one write."""
         store = job._store
         if store is None:
             return
@@ -719,7 +760,7 @@ class SchedulingService:
             # worker/task fields an attempt wrote.
             record = {**(store.load_job(job.id) or {}), **record}
         store.record_job(record)
-        store.record_events(job.id, [event])
+        store.record_events(job.id, events)
 
     # --------------------------------------------------------------- execution
     def _worker_loop(self) -> None:
@@ -741,11 +782,14 @@ class SchedulingService:
 
         try:
             job._emit(RunStarted)
+            # Submit counted this job's store lookup; a hit here means the
+            # result landed while the job waited (another process, say).
             result, store_hit = runner.execute_job(
                 job.spec,
                 job.fingerprint,
                 job._store,
                 emit_layer=lambda payload: job._emit(LayerScheduled, **payload),
+                count=False,
             )
         except BaseException as error:  # the error re-raises from Job.result
             self._finish(job, JobState.FAILED, error=error)

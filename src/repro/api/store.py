@@ -69,7 +69,7 @@ from pathlib import Path
 from repro.api.result import RunResult
 from repro.api.specs import RunSpec
 from repro.digest import stable_digest
-from repro.io_utils import append_ndjson, atomic_write_json, read_ndjson
+from repro.io_utils import append_bytes, atomic_write_json, read_ndjson
 
 #: ``EngineSpec`` keys that steer execution but cannot change the payload
 #: (see the determinism notes in :mod:`repro.engine.engine`); they are
@@ -183,6 +183,9 @@ class ResultStore:
         self.root = Path(root)
         self.job_prefix = job_prefix
         self.results_root = Path(results_root) if results_root is not None else self.root
+        #: ``results_root`` resolved once: the identity of the results tier
+        #: (single-flight keys, fabric task paths).
+        self.resolved_results_root = self.results_root.resolve()
         self.stats = StoreStats()
         self._warm: OrderedDict[str, RunResult] = OrderedDict()
         self._warm_lock = threading.Lock()
@@ -479,11 +482,13 @@ class ResultStore:
         """Append ``events`` to the job's NDJSON log, one line each.
 
         The append-only log's one writer: the service and fabric workers
-        call it *before* delivering an event.
+        call it *before* delivering an event.  One call is one ``O_APPEND``
+        write, so the lines of one call land together.
         """
         path = self.events_path(job_id)
-        for event in events:
-            append_ndjson(path, event.to_dict())
+        lines = "".join(json.dumps(event.to_dict()) + "\n" for event in events)
+        if lines:
+            append_bytes(path, lines.encode())
         return path
 
     def read_events(self, job_id: str, start: int = 0) -> list[dict]:

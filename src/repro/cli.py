@@ -669,11 +669,11 @@ def _submit(args) -> int:
 def _submit_remote(args, spec) -> int:
     from repro.api.client import GatewayError
 
-    client = _gateway_client(args)
     try:
-        record = client.submit(spec, priority=args.priority)
-        record = client.wait(record["job_id"])
-    except (GatewayError, OSError) as error:
+        with _gateway_client(args) as client:
+            record = client.submit(spec, priority=args.priority)
+            record = client.wait(record["job_id"])
+    except (GatewayError, OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     if args.json:
@@ -699,8 +699,9 @@ def _jobs(args) -> int:
         from repro.api.client import GatewayError
 
         try:
-            records = _gateway_client(args).jobs()
-        except (GatewayError, OSError) as error:
+            with _gateway_client(args) as client:
+                records = client.jobs()
+        except (GatewayError, OSError, ValueError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
     else:
@@ -724,8 +725,9 @@ def _result(args) -> int:
         from repro.api.client import GatewayError
 
         try:
-            print(_gateway_client(args).result_text(args.job_id), end="")
-        except (GatewayError, OSError) as error:
+            with _gateway_client(args) as client:
+                print(client.result_text(args.job_id), end="")
+        except (GatewayError, OSError, ValueError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
         return 0

@@ -57,25 +57,36 @@ def atomic_write_json(path: str | Path, payload, indent: int | None = 2) -> Path
     return atomic_write_text(path, text + "\n")
 
 
-def append_ndjson(path: str | Path, payload) -> Path:
-    """Append one JSON object as a single NDJSON line to ``path``.
+def append_bytes(path: str | Path, data: bytes) -> Path:
+    """Append ``data`` to ``path`` with a single ``os.write``.
 
-    The line is serialized first and written with a single ``os.write`` on a
-    descriptor opened ``O_APPEND``, so concurrent appenders — worker
+    The descriptor is opened ``O_APPEND``, so concurrent appenders — worker
     *processes* sharing one fabric journal, not just threads — interleave at
-    line granularity on POSIX instead of tearing each other's records.  A
+    write granularity on POSIX instead of tearing each other's records.  A
     writer killed mid-call can leave at most one torn trailing line, which
-    :func:`read_ndjson` tolerates by design.
+    :func:`read_ndjson` tolerates by design.  The parent directory is
+    created on the first append that needs it.
     """
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    line = (json.dumps(payload) + "\n").encode()
-    fd = os.open(target, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
     try:
-        os.write(fd, line)
+        fd = os.open(target, flags, 0o644)
+    except FileNotFoundError:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(target, flags, 0o644)
+    try:
+        os.write(fd, data)
     finally:
         os.close(fd)
     return target
+
+
+def append_ndjson(path: str | Path, payload) -> Path:
+    """Append one JSON object as a single NDJSON line to ``path``.
+
+    The line is serialized first and written by :func:`append_bytes`.
+    """
+    return append_bytes(path, (json.dumps(payload) + "\n").encode())
 
 
 def read_ndjson(path: str | Path) -> list:

@@ -14,13 +14,20 @@ Covers the contract of `repro.api.gateway` / `auth` / `ratelimit` /
 * tenancy — separate store subtrees, id namespaces, and no cross-tenant
   reads;
 * disk tail — a gateway that does not run the job streams its persisted
-  log, and ends only with the terminal event.
+  log, and ends only with the terminal event;
+* connections — a client's round trip reuses one kept-alive connection,
+  survives a gateway restart, and closes cleanly; the gateway ends idle
+  connections when it closes.
 """
 
+import gc
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -198,7 +205,8 @@ def gateway(tmp_path):
 
 @pytest.fixture()
 def client(gateway):
-    return GatewayClient(gateway.url, tenant="acme", api_key="k-acme")
+    with GatewayClient(gateway.url, tenant="acme", api_key="k-acme") as client:
+        yield client
 
 
 class TestGatewayEndToEnd:
@@ -291,6 +299,125 @@ def stream_in_background(client, job_id):
     )
     reader.start()
     return reader, events
+
+
+def count_accepted(gateway) -> list:
+    """Record every connection the gateway's server accepts from now on."""
+    accepted = []
+    get_request = gateway._server.get_request
+
+    def counting():
+        request = get_request()
+        accepted.append(request[1])
+        return request
+
+    gateway._server.get_request = counting
+    return accepted
+
+
+def raw_exchange(gateway, request: bytes) -> bytes:
+    """Send one raw request on a fresh socket and read until the server closes."""
+    with socket.create_connection(gateway.address, timeout=30) as sock:
+        sock.sendall(request)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    return received
+
+
+class TestGatewayConnections:
+    def test_round_trip_uses_one_connection(self, gateway, client):
+        accepted = count_accepted(gateway)
+        record = client.submit(SCHEDULE_SPEC)
+        assert client.wait(record["job_id"])["state"] == "done"
+        client.result_text(record["job_id"])
+        again = client.submit(SCHEDULE_SPEC)  # a store hit
+        assert again["state"] == "done" and again["store_hit"] is True
+        assert client.wait(again["job_id"])["store_hit"] is True
+        assert len(accepted) == 1
+
+    def test_stale_connection_is_retried_after_a_restart(self, tmp_path):
+        first = SchedulingGateway(tmp_path / "store").start()
+        port = first.address[1]
+        with GatewayClient(first.url, tenant="acme") as client:
+            record = client.submit(SCHEDULE_SPEC)
+            client.wait(record["job_id"])
+            first.close()  # the client's pooled connection is now stale
+            with SchedulingGateway(tmp_path / "store", port=port) as second:
+                second.start()
+                assert client.health()["status"] == "ok"
+                assert client.job(record["job_id"])["state"] == "done"
+
+    def test_close_ends_idle_kept_alive_connections(self, tmp_path):
+        gateway = SchedulingGateway(tmp_path / "store").start()
+        with socket.create_connection(gateway.address, timeout=10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: gateway\r\n\r\n")
+            reply = b""
+            while b'"status"' not in reply:
+                reply += sock.recv(65536)
+            assert reply.startswith(b"HTTP/1.1 200")
+            gateway.close()
+            # The handler was blocked reading the next request line; closing
+            # the gateway ends it, so the client reads end-of-stream.
+            assert sock.recv(65536) == b""
+
+    def test_closed_client_leaks_no_socket(self, gateway):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            client = GatewayClient(gateway.url, tenant="acme", api_key="k-acme")
+            record = client.submit(SCHEDULE_SPEC)
+            client.wait(record["job_id"])
+            client.result(record["job_id"])
+            client.close()
+            del client
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_closed_client_refuses_requests(self, gateway):
+        client = GatewayClient(gateway.url)
+        client.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            client.health()
+
+    def test_unread_body_of_a_refused_post_closes_the_connection(self, gateway):
+        with GatewayClient(gateway.url, tenant="acme") as anonymous:
+            with pytest.raises(GatewayError) as excinfo:
+                anonymous.submit(SCHEDULE_SPEC)  # 401 before the body is read
+            assert excinfo.value.status == 401
+            # The next request does not read the leftover body as a request.
+            assert anonymous.health()["status"] == "ok"
+
+    def test_finished_job_log_is_one_chunk(self, gateway, client):
+        record = client.submit(SCHEDULE_SPEC)
+        client.wait(record["job_id"])
+        reply = raw_exchange(
+            gateway,
+            f"GET /v1/acme/jobs/{record['job_id']}/events HTTP/1.1\r\n"
+            "Host: gateway\r\nAuthorization: Bearer k-acme\r\n"
+            "Connection: close\r\n\r\n".encode(),
+        )
+        body = reply.split(b"\r\n\r\n", 1)[1]
+        size, rest = body.split(b"\r\n", 1)
+        chunk, terminator = rest[: int(size, 16)], rest[int(size, 16):]
+        assert terminator == b"\r\n0\r\n\r\n"
+        assert [json.loads(line) for line in chunk.splitlines()] == (
+            gateway.store_for("acme").read_events(record["job_id"])
+        )
+
+    def test_result_evicted_before_it_is_read_is_404(self, gateway, client, monkeypatch):
+        record = client.submit(SCHEDULE_SPEC)
+        client.wait(record["job_id"])
+        read_bytes = Path.read_bytes
+
+        def evicting_read_bytes(path):
+            path.unlink(missing_ok=True)  # a gc() eviction wins the race
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", evicting_read_bytes)
+        with pytest.raises(GatewayError) as excinfo:
+            client.result_text(record["job_id"])
+        assert excinfo.value.status == 404
+        assert "missing" in str(excinfo.value)
 
 
 class TestGatewayDiskTail:

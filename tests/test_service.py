@@ -11,7 +11,8 @@ Covers the contract of `repro.api.service` / `events` / `store`:
   envelope;
 * the content-addressed result store — resubmitting an identical spec is a
   store hit that returns the stored envelope verbatim without invoking any
-  scheduler.
+  scheduler; on the local backend it is answered at submit, with one record
+  write and one log append.
 """
 
 import json
@@ -353,6 +354,56 @@ class TestResultStore:
         assert events[-1].store_hit is True
         assert service.store.stats.hits == 1
         assert service.store.stats.puts == 1
+
+    def test_store_hit_is_answered_at_submit_with_one_write_of_each(
+        self, tmp_path, monkeypatch
+    ):
+        spec = RunSpec.from_dict(SCHEDULE_SPEC)
+        store = ResultStore(tmp_path / "store")
+        with SchedulingService(max_workers=1, store=store) as service:
+            service.submit(spec).result(timeout=300)
+            assert (store.stats.hits, store.stats.misses) == (0, 1)
+
+            import repro.api.runner as runner_module
+
+            def exploding_execute_job(*args, **kwargs):
+                raise AssertionError("a store hit must not reach a worker")
+
+            calls = {"record_job": 0, "record_events": 0}
+
+            def counting(name):
+                original = getattr(store, name)
+
+                def wrapper(*args, **kwargs):
+                    calls[name] += 1
+                    return original(*args, **kwargs)
+
+                return wrapper
+
+            for name in calls:
+                monkeypatch.setattr(store, name, counting(name))
+            monkeypatch.setattr(runner_module, "execute_job", exploding_execute_job)
+            origins = []
+            hit = service.submit(
+                spec, on_event=lambda event: origins.append(threading.current_thread())
+            )
+            # Answered before submit returned: no queue, no worker.
+            assert hit.state is JobState.DONE and hit.store_hit is True
+            assert calls == {"record_job": 1, "record_events": 1}
+            assert origins == [threading.current_thread()] * 3
+            assert [event.KIND for event in hit.event_log] == [
+                "run_queued", "run_started", "run_finished",
+            ]
+            assert store.read_events(hit.id) == [e.to_dict() for e in hit.event_log]
+            assert store.load_job(hit.id) == hit.to_dict()
+            assert (store.stats.hits, store.stats.misses) == (1, 1)
+
+            monkeypatch.undo()
+            fresh = service.submit(RunSpec.from_dict({**SCHEDULE_SPEC, "seed": 5}))
+            fresh.result(timeout=300)
+            assert fresh.store_hit is False
+            # Looked up once at submit; the worker does not count it again.
+            assert (store.stats.hits, store.stats.misses) == (1, 2)
 
     def test_store_roundtrips_plain_v1_envelopes(self, tmp_path):
         spec = RunSpec.from_dict(SCHEDULE_SPEC)
