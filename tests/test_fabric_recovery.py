@@ -248,10 +248,9 @@ class TestFabricGateway:
         worker = FabricWorker(tmp_path / "fabric", worker_id="w1", poll_interval=0.02)
         thread = threading.Thread(target=worker.run, daemon=True)
         thread.start()
+        acme = GatewayClient(gateway.url, tenant="acme", api_key="k-acme")
+        bobco = GatewayClient(gateway.url, tenant="bobco", api_key="k-bobco")
         try:
-            acme = GatewayClient(gateway.url, tenant="acme", api_key="k-acme")
-            bobco = GatewayClient(gateway.url, tenant="bobco", api_key="k-bobco")
-
             first = acme.wait(acme.submit(QUICK_SPEC)["job_id"])
             second = bobco.wait(bobco.submit(QUICK_SPEC)["job_id"])
             assert first["state"] == "done" and first["store_hit"] is False
@@ -286,6 +285,8 @@ class TestFabricGateway:
             assert tasks["bobco"]["state"] == TaskState.DONE
             assert tasks["bobco"]["store_hit"] is True
         finally:
+            acme.close()
+            bobco.close()
             worker.stop()
             thread.join(timeout=10)
             gateway.close()
@@ -300,8 +301,8 @@ class TestFabricGateway:
         worker = FabricWorker(tmp_path / "fabric", worker_id="w1", poll_interval=0.02)
         thread = threading.Thread(target=worker.run, daemon=True)
         thread.start()
+        client = GatewayClient(gateway.url, tenant="acme")
         try:
-            client = GatewayClient(gateway.url, tenant="acme")
             record = client.submit(QUICK_SPEC)
             events = list(client.events(record["job_id"]))
             kinds = [event["event"] for event in events]
@@ -310,6 +311,7 @@ class TestFabricGateway:
             assert kinds[-1] == "run_finished"
             assert [event["seq"] for event in events] == list(range(len(events)))
         finally:
+            client.close()
             worker.stop()
             thread.join(timeout=10)
             gateway.close()

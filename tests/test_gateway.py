@@ -204,6 +204,20 @@ def gateway(tmp_path):
 
 
 @pytest.fixture()
+def open_client():
+    """A ``GatewayClient`` factory whose clients close at teardown."""
+    clients = []
+
+    def build(*args, **kwargs):
+        clients.append(GatewayClient(*args, **kwargs))
+        return clients[-1]
+
+    yield build
+    for built in clients:
+        built.close()
+
+
+@pytest.fixture()
 def client(gateway):
     with GatewayClient(gateway.url, tenant="acme", api_key="k-acme") as client:
         yield client
@@ -423,12 +437,12 @@ class TestGatewayConnections:
 class TestGatewayDiskTail:
     """``/events`` for a job this gateway's service does not run."""
 
-    def test_second_gateway_replays_a_finished_job(self, gateway, client):
+    def test_second_gateway_replays_a_finished_job(self, gateway, client, open_client):
         record = client.submit(SCHEDULE_SPEC)
         live = list(client.events(record["job_id"]))
         with SchedulingGateway(gateway.store_root, auth=gateway.auth) as second:
             second.start()
-            other = GatewayClient(second.url, tenant="acme", api_key="k-acme")
+            other = open_client(second.url, tenant="acme", api_key="k-acme")
             replayed = list(other.events(record["job_id"]))
             assert other.job(record["job_id"])["state"] == "done"
         assert replayed == live
@@ -520,8 +534,8 @@ class TestGatewayDiskTail:
 
 
 class TestGatewayAuthOverHTTP:
-    def test_missing_key_is_401_with_www_authenticate(self, gateway):
-        anonymous = GatewayClient(gateway.url, tenant="acme")
+    def test_missing_key_is_401_with_www_authenticate(self, gateway, open_client):
+        anonymous = open_client(gateway.url, tenant="acme")
         with pytest.raises(GatewayError) as excinfo:
             anonymous.jobs()
         assert excinfo.value.status == 401
@@ -529,11 +543,12 @@ class TestGatewayAuthOverHTTP:
         request = urllib.request.Request(f"{gateway.url}/v1/acme/jobs")
         with pytest.raises(urllib.error.HTTPError) as http_excinfo:
             urllib.request.urlopen(request)
+        http_excinfo.value.close()
         assert http_excinfo.value.code == 401
         assert http_excinfo.value.headers["WWW-Authenticate"] == "Bearer"
 
-    def test_wrong_tenant_key_is_403(self, gateway):
-        crossed = GatewayClient(gateway.url, tenant="acme", api_key="k-bobco")
+    def test_wrong_tenant_key_is_403(self, gateway, open_client):
+        crossed = open_client(gateway.url, tenant="acme", api_key="k-bobco")
         with pytest.raises(GatewayError) as excinfo:
             crossed.jobs()
         assert excinfo.value.status == 403
@@ -545,18 +560,18 @@ class TestGatewayAuthOverHTTP:
         with urllib.request.urlopen(request) as response:
             assert json.loads(response.read()) == {"jobs": []}
 
-    def test_registry_requires_any_valid_key(self, gateway):
+    def test_registry_requires_any_valid_key(self, gateway, open_client):
         with pytest.raises(GatewayError) as excinfo:
-            GatewayClient(gateway.url).registry()
+            open_client(gateway.url).registry()
         assert excinfo.value.status == 401
-        assert GatewayClient(gateway.url, api_key="k-bobco").registry()
+        assert open_client(gateway.url, api_key="k-bobco").registry()
 
-    def test_healthz_needs_no_key(self, gateway):
-        assert GatewayClient(gateway.url).health()["status"] == "ok"
+    def test_healthz_needs_no_key(self, gateway, open_client):
+        assert open_client(gateway.url).health()["status"] == "ok"
 
-    def test_tenant_isolation_ids_and_stores(self, gateway):
-        acme = GatewayClient(gateway.url, tenant="acme", api_key="k-acme")
-        bobco = GatewayClient(gateway.url, tenant="bobco", api_key="k-bobco")
+    def test_tenant_isolation_ids_and_stores(self, gateway, open_client):
+        acme = open_client(gateway.url, tenant="acme", api_key="k-acme")
+        bobco = open_client(gateway.url, tenant="bobco", api_key="k-bobco")
         record = acme.submit(SCHEDULE_SPEC)
         acme.wait(record["job_id"])
         assert bobco.jobs() == []  # separate store subtree
@@ -596,8 +611,8 @@ class TestGatewayErrorSurface:
         gateway.service.shutdown(wait=True)
         assert not outside.exists()
 
-    def test_invalid_tenant_name_is_400(self, gateway):
-        probe = GatewayClient(gateway.url, tenant="-bad", api_key="k-acme")
+    def test_invalid_tenant_name_is_400(self, gateway, open_client):
+        probe = open_client(gateway.url, tenant="-bad", api_key="k-acme")
         with pytest.raises(GatewayError) as excinfo:
             probe.jobs()
         assert excinfo.value.status == 400
@@ -619,12 +634,12 @@ class TestGatewayErrorSurface:
 
 
 class TestGatewayRateLimit:
-    def test_burst_gets_429_with_retry_after(self, tmp_path):
+    def test_burst_gets_429_with_retry_after(self, tmp_path, open_client):
         clock = FakeClock()
         limiter = RateLimiter(rate=0.5, burst=2, clock=clock)
         with SchedulingGateway(tmp_path / "store", rate_limiter=limiter) as gateway:
             gateway.start()
-            client = GatewayClient(gateway.url, tenant="t1")
+            client = open_client(gateway.url, tenant="t1")
             assert client.jobs() == []
             assert client.jobs() == []
             with pytest.raises(GatewayError) as excinfo:
@@ -632,27 +647,27 @@ class TestGatewayRateLimit:
             assert excinfo.value.status == 429
             assert excinfo.value.retry_after == 2.0
             # Another tenant has its own bucket and is unaffected.
-            assert GatewayClient(gateway.url, tenant="t2").jobs() == []
+            assert open_client(gateway.url, tenant="t2").jobs() == []
             # Refill admits t1 again.
             clock.advance(2.0)
             assert client.jobs() == []
 
-    def test_healthz_is_never_rate_limited(self, tmp_path):
+    def test_healthz_is_never_rate_limited(self, tmp_path, open_client):
         clock = FakeClock()
         limiter = RateLimiter(rate=0.1, burst=1, clock=clock)
         with SchedulingGateway(tmp_path / "store", rate_limiter=limiter) as gateway:
             gateway.start()
-            client = GatewayClient(gateway.url, tenant="t1")
+            client = open_client(gateway.url, tenant="t1")
             assert client.jobs() == []
             for _ in range(3):
                 assert client.health()["status"] == "ok"
 
 
 class TestDevModeGateway:
-    def test_no_auth_accepts_any_tenant(self, tmp_path):
+    def test_no_auth_accepts_any_tenant(self, tmp_path, open_client):
         with SchedulingGateway(tmp_path / "store") as gateway:
             gateway.start()
-            client = GatewayClient(gateway.url, tenant="whoever")
+            client = open_client(gateway.url, tenant="whoever")
             record = client.submit(SCHEDULE_SPEC)
             final = client.wait(record["job_id"])
             assert final["state"] == "done"
