@@ -41,6 +41,7 @@ if __package__ in (None, ""):  # running as a script: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.api import RunSpec, spec_fingerprint
+from repro.api.service import JobState, job_record
 from repro.api.store import ResultStore
 from repro.fabric.queue import TaskState, WorkQueue
 from repro.io_utils import atomic_write_json
@@ -124,7 +125,9 @@ def run_phase(root: Path, num_workers: int, submissions, timeout: float = 600.0)
                 )
                 stores[tenant] = store
             fingerprint = spec_fingerprint(spec)
-            job_id = store.allocate_job_id(fingerprint)
+            job_id = store.record_job(
+                job_record(None, JobState.QUEUED, spec.to_dict(), fingerprint, "interactive")
+            )
             task = queue.enqueue(
                 spec.to_dict(),
                 fingerprint,

@@ -5,6 +5,9 @@
 NDJSON event stream, fetch the stored envelope — over HTTP/1.1
 :mod:`http.client` connections that it keeps alive and reuses, so a
 submit → wait → result round trip costs one TCP connection, not four.
+A record that ``submit`` gets back terminal (a store hit answered at
+submit) is kept until ``wait`` asks for it, so a hit's round trip is two
+requests: the POST and the result.
 Environment proxies (``http_proxy``) are not consulted.  The CLI's
 ``submit`` / ``jobs`` / ``result`` verbs route through it when
 ``--server URL`` is given, so the shell workflow is identical whether the
@@ -27,12 +30,17 @@ from __future__ import annotations
 import http.client
 import json
 import threading
+from collections import OrderedDict
 from typing import Iterator
 from urllib.parse import urlsplit
 
 from repro.api.events import TERMINAL_EVENTS
 from repro.api.result import RunResult
+from repro.api.service import TERMINAL_STATES
 from repro.api.specs import RunSpec
+
+#: Job-record ``state`` values a job never leaves.
+TERMINAL_STATE_VALUES = frozenset(state.value for state in TERMINAL_STATES)
 
 #: Failures of a reused connection that mean the server closed it while it
 #: sat idle: the request never reached a handler, so it is sent again once
@@ -68,6 +76,9 @@ class GatewayClient:
     #: work, their extra connections close after one use.
     MAX_IDLE = 4
 
+    #: Terminal records ``submit`` keeps for ``wait``; the oldest goes first.
+    MAX_TERMINAL = 64
+
     def __init__(
         self,
         base_url: str,
@@ -88,6 +99,9 @@ class GatewayClient:
         self._netloc = url.netloc
         self._prefix = url.path
         self._idle: list[http.client.HTTPConnection] = []
+        #: Terminal records returned by ``submit``, by job id, oldest first;
+        #: a terminal record never changes, so ``wait`` needs no request.
+        self._terminal: OrderedDict[str, dict] = OrderedDict()
         self._lock = threading.Lock()
         self._closed = False
 
@@ -207,13 +221,20 @@ class GatewayClient:
         """Submit a spec; returns the job record without waiting for a run.
 
         A store hit is answered at submit, so its record is already
-        ``done``; anything else comes back ``queued``.
+        ``done``; anything else comes back ``queued``.  A terminal record is
+        kept for the next :meth:`wait` on its job.
         """
         if isinstance(spec, RunSpec):
             spec = spec.to_dict()
-        return self._json(
+        record = self._json(
             "POST", self._tenant_path(f"?priority={priority}"), payload=spec
         )
+        if record["state"] in TERMINAL_STATE_VALUES:
+            with self._lock:
+                self._terminal[record["job_id"]] = record
+                if len(self._terminal) > self.MAX_TERMINAL:
+                    self._terminal.popitem(last=False)
+        return record
 
     def jobs(self) -> list[dict]:
         return self._json("GET", self._tenant_path())["jobs"]
@@ -261,8 +282,17 @@ class GatewayClient:
         return self._read("GET", self._tenant_path(f"/{job_id}/result")).decode()
 
     def wait(self, job_id: str) -> dict:
-        """Block until the job is terminal; returns the final job record."""
-        for event in self.events(job_id):
-            if event["event"] in TERMINAL_EVENTS:
-                break
-        return self.job(job_id)
+        """Block until the job is terminal; returns the final job record.
+
+        A record ``submit`` got back terminal is returned without a request.
+        Otherwise the event stream is followed, and followed again if it
+        ends before the record is terminal (the gateway ends a stream that
+        outlives its deadline).
+        """
+        with self._lock:
+            record = self._terminal.pop(job_id, None)
+        while record is None or record["state"] not in TERMINAL_STATE_VALUES:
+            for _ in self.events(job_id):  # ends at the terminal event
+                pass
+            record = self.job(job_id)
+        return record

@@ -45,9 +45,10 @@ the event, releases ``result()`` waiters and settles followers, in that
 order.  A subscriber that sees a terminal event, or a caller that
 ``result()`` releases, therefore always reads the terminal record from the
 store.  Every event is appended to the job's log before it is delivered,
-so a subscriber finds each event it is handed on disk.  A store hit
-answered at submit writes its record once, already terminal, and appends
-its three events in one write.
+so a subscriber finds each event it is handed on disk.  A job's first
+record mints its id (:meth:`ResultStore.record_job`); a store hit answered
+at submit writes only that record, already terminal, and appends its three
+events in one write.
 
 Threading notes: jobs run on a bounded pool of **daemon** worker threads
 (``max_workers`` concurrent runs) draining one
@@ -526,7 +527,7 @@ class SchedulingService:
 
         With a store on the local backend, the fingerprint is looked up
         here, once.  A hit is answered before this call returns: the job's
-        record is written once, already ``done``, its three events are
+        one record is its first, already ``done``, its three events are
         appended in one write and then delivered from this thread, and no
         worker sees the job.  An ``on_event`` exception then propagates, but
         the job stays done.  A miss is queued and not looked up again.
@@ -566,13 +567,7 @@ class SchedulingService:
         with self._lock:
             if self._closed:
                 raise RuntimeError("cannot submit to a shut-down SchedulingService")
-        if job_store is not None:
-            job_id = job_store.allocate_job_id(fingerprint)
-        else:
-            with self._lock:
-                self._counter += 1
-                job_id = f"job-{self._counter:06d}-{fingerprint[:12]}"
-        job = Job(self, job_id, spec, fingerprint, job_store, on_event, priority)
+        stored = None
         # Fabric workers look the store up themselves (worker-side hits).
         if job_store is not None and self.backend == "local":
             try:
@@ -580,17 +575,34 @@ class SchedulingService:
             except (OSError, ValueError):
                 # An unreadable envelope: the worker's lookup raises it again
                 # and fails the job with it, as for any execution error.
-                stored = None
-            if stored is not None:
-                self._answer_hit(job, stored)
-                return job
+                pass
+        if job_store is not None:
+            # The first record mints the id: a hit's is already terminal and
+            # counts its three events, a miss's counts run_queued.
+            hit = stored is not None
+            job_id = job_store.record_job(
+                job_record(
+                    None, JobState.DONE if hit else JobState.QUEUED, spec.to_dict(),
+                    fingerprint, priority, store_hit=hit, num_events=3 if hit else 1,
+                )
+            )
+        else:
+            with self._lock:
+                self._counter += 1
+                job_id = f"job-{self._counter:06d}-{fingerprint[:12]}"
+        job = Job(self, job_id, spec, fingerprint, job_store, on_event, priority)
+        if stored is not None:
+            self._answer_hit(job, stored)
+            return job
         with job._lock:
             queued, channels = job._append(
                 RunQueued, kind=spec.kind, spec_fingerprint=fingerprint
             )
-        # Persist, then emit.  A fabric worker continues the on-disk log's
-        # numbering, so run_queued (seq 0) lands before the task is enqueued.
-        self._persist(job, [queued])
+        # Record, log, then emit.  A fabric worker continues the on-disk
+        # log's numbering, so run_queued (seq 0) lands before the task is
+        # enqueued.
+        if job_store is not None:
+            job_store.record_events(job.id, [queued])
         try:
             job._deliver(queued, channels)
         except BaseException:
@@ -711,8 +723,9 @@ class SchedulingService:
         waiters, settle single-flight followers.  ``persisted`` marks an
         event tailed from a fabric log: the worker wrote the record before
         appending the line, so both are on disk already.  ``opening`` holds
-        logged events not yet persisted or delivered (a store hit answered
-        at submit): they are appended in the same write as the terminal
+        logged events not yet persisted or delivered of a store hit answered
+        at submit, whose first record was terminal already: no record is
+        written, and they are appended in the same write as the terminal
         event and delivered before it.  Returns ``False`` (and does nothing)
         when the job is already terminal, or is a cancel of a started job.
         """
@@ -733,8 +746,10 @@ class SchedulingService:
             # Persisted under the lock, so a subscriber's replay never holds
             # the terminal event before it is on disk.
             try:
-                if not persisted:
-                    self._persist(job, [*opening, event])
+                if opening:  # a hit answered at submit: its record is on disk
+                    job._store.record_events(job.id, [*opening, event])
+                elif not persisted:
+                    self._persist(job, [event])
                 failure = None
             except BaseException as exc:
                 failure = exc

@@ -47,13 +47,19 @@ bound, and :meth:`compact` sweeps crashed writers' temp debris and empty
 shard directories.  ``repro store stats`` / ``repro store gc`` expose both
 from the shell.
 
+Job ids: a job's first record mints its id and is published by hard-linking
+a complete temp file to ``<id>.json``; the link arbitrates between services
+sharing one store, and no placeholder is written.  A ``{}`` placeholder
+left by older versions, which reserved ids with ``O_EXCL`` first, reads as an
+unknown record without a warning.
+
 Record repair semantics: a job record that cannot be parsed (empty,
-truncated, or not a JSON object — e.g. a process that crashed between
-reserving an id and writing the placeholder, or a reader racing that window)
-is **skipped with a** :class:`StoreRecordWarning` by :meth:`ResultStore.load_jobs`
-and treated as unknown by :meth:`ResultStore.load_job`, so one bad file never
-takes down job listings for the whole store.  The next ``record_job`` for
-that id rewrites the file atomically and repairs it.
+truncated, or not a JSON object — debris of a crashed writer or a damaged
+disk) is **skipped with a** :class:`StoreRecordWarning` by
+:meth:`ResultStore.load_jobs` and treated as unknown by
+:meth:`ResultStore.load_job`, so one bad file never takes down job listings
+for the whole store.  The next ``record_job`` for that id rewrites the file
+atomically and repairs it.
 """
 
 from __future__ import annotations
@@ -190,10 +196,10 @@ class ResultStore:
         self._warm: OrderedDict[str, RunResult] = OrderedDict()
         self._warm_lock = threading.Lock()
         self._alloc_lock = threading.Lock()
-        #: Cached next job ordinal; ``None`` until the first allocation scans
+        #: Cached next job ordinal; ``None`` until the first new job scans
         #: the directory once.  Cross-process safety still comes from the
-        #: ``O_EXCL`` reservation loop, the cache only kills the per-submit
-        #: O(n) re-glob.
+        #: exclusive link of each first record; the cache only kills the
+        #: per-submit O(n) re-glob.
         self._next_ordinal: int | None = None
 
     @property
@@ -399,45 +405,52 @@ class ResultStore:
                 highest = max(highest, int(digits))
         return highest + 1
 
-    def allocate_job_id(self, fingerprint: str) -> str:
-        """Mint the next job id: a 1-based ordinal plus the spec fingerprint.
+    def record_job(self, record: dict) -> str:
+        """Persist one job record (see ``job_record``); returns its job id.
 
-        Ids sort chronologically (``job-000001-…``, ``job-000002-…``) and
-        carry enough of the fingerprint to locate the result by eye.  The id
-        is *reserved* by exclusively creating its record file, so concurrent
-        services sharing one store directory can never mint the same id and
-        overwrite each other's records (``O_EXCL`` arbitrates; losers retry
-        with the next ordinal).  The next ordinal is cached per store
-        instance — the directory is scanned once, not on every submit — and
-        the ``O_EXCL`` loop re-synchronizes the cache whenever another
-        process minted ids in the meantime.
+        A record whose ``job_id`` is ``None`` is a job's first: the store
+        sets ``record["job_id"]`` to the next id — a 1-based ordinal plus
+        the spec fingerprint, so ids sort chronologically
+        (``job-000001-…``) and name the result by eye — and publishes the
+        record under it in one step.  The record is written to a sibling
+        temp file which is then hard-linked to ``<id>.json``; the link
+        refuses an existing name, so concurrent services sharing one store
+        directory can never mint the same id (a loser moves to the next
+        ordinal and rewrites the id).  Readers never see a partial first
+        record.  The jobs directory must be on a filesystem with hard links.  The next ordinal is cached per
+        store instance: the directory is scanned once, not on every submit,
+        and a collision re-synchronizes the cache.  Every later record of
+        the job replaces the file atomically.
         """
+        if record["job_id"] is not None:
+            atomic_write_json(self.jobs_dir / f"{record['job_id']}.json", record)
+            return record["job_id"]
+        fingerprint = record["spec_fingerprint"]
         with self._alloc_lock:
             self.jobs_dir.mkdir(parents=True, exist_ok=True)
             if self._next_ordinal is None:
                 self._next_ordinal = self._scan_next_ordinal()
             index = self._next_ordinal
-            while True:
-                job_id = f"{self.job_prefix}job-{index:06d}-{fingerprint[:12]}"
-                try:
-                    with open(self.jobs_dir / f"{job_id}.json", "x") as handle:
-                        handle.write("{}\n")  # placeholder until record_job runs
-                except FileExistsError:
-                    index += 1
-                    continue
-                self._next_ordinal = index + 1
-                return job_id
-
-    def record_job(self, record: dict) -> Path:
-        """Persist one job record (see ``Job.to_dict``), atomically."""
-        return atomic_write_json(self.jobs_dir / f"{record['job_id']}.json", record)
+            temp = self.jobs_dir / f".new-job.{os.getpid()}.{threading.get_ident()}.tmp"
+            try:
+                while True:
+                    record["job_id"] = f"{self.job_prefix}job-{index:06d}-{fingerprint[:12]}"
+                    temp.write_text(json.dumps(record, indent=2) + "\n")
+                    try:
+                        os.link(temp, self.jobs_dir / f"{record['job_id']}.json")
+                    except FileExistsError:
+                        index += 1
+                        continue
+                    self._next_ordinal = index + 1
+                    return record["job_id"]
+            finally:
+                temp.unlink(missing_ok=True)
 
     def _read_record(self, path: Path) -> dict | None:
         """Parse one record file; unreadable files warn and read as ``None``.
 
-        An empty or truncated file is what a crash between the ``O_EXCL``
-        reservation and the placeholder write leaves behind (or what a reader
-        racing that window observes); it must never crash a listing.
+        An empty or truncated file is debris a crashed writer or a damaged
+        disk left behind; it must never crash a listing.
         """
         try:
             record = json.loads(path.read_text())
@@ -449,13 +462,13 @@ class ResultStore:
             )
             return None
         if not isinstance(record, dict) or not record.get("job_id"):
-            return None  # freshly reserved placeholder
+            return None  # an id placeholder ("{}") older stores reserved
         return record
 
     def load_jobs(self) -> list[dict]:
         """Every readable job record, sorted by job id (= submission order).
 
-        Placeholders and unreadable files are skipped (the latter with a
+        Id placeholders and unreadable files are skipped (the latter with a
         :class:`StoreRecordWarning`), so a torn record never takes down
         ``repro jobs`` for the whole store.
         """

@@ -85,10 +85,9 @@ def enqueue_job(tmp_path, spec_dict):
     queue = WorkQueue(tmp_path / "fabric")
     spec = RunSpec.from_dict(spec_dict)
     fingerprint = spec_fingerprint(spec)
-    job_id = store.allocate_job_id(fingerprint)
-    store.record_job(
+    job_id = store.record_job(
         {
-            "job_id": job_id,
+            "job_id": None,
             "state": "queued",
             "kind": spec.kind,
             "priority": "interactive",
@@ -132,9 +131,11 @@ def wait_for_state(queue, task_id, state, timeout=60.0):
 
 
 def terminate(process):
+    """Kill ``process`` if it still runs, reap it and close its output pipe."""
     if process.poll() is None:
         process.kill()
         process.wait(timeout=10)
+    process.stdout.close()
 
 
 class TestWorkerDeathRecovery:

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.api import RunSpec, SchedulingService, run, spec_fingerprint
-from repro.api.service import JobState
+from repro.api.service import JobState, job_record
 from repro.api.store import ResultStore
 from repro.fabric.queue import TaskState, WorkQueue
 from repro.fabric.worker import FabricWorker
@@ -243,13 +243,18 @@ class TestFabricBackend:
         assert "no-such-scheduler" in str(job.error)
 
 
+def queued_record(spec: RunSpec, fingerprint: str) -> dict:
+    """A queued job's first record, without an id: ``record_job`` mints one."""
+    return job_record(None, JobState.QUEUED, spec.to_dict(), fingerprint, "interactive")
+
+
 class TestWorkerUnit:
     def test_worker_runs_max_tasks_then_exits(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         queue = WorkQueue(tmp_path / "fabric")
         spec = RunSpec.from_dict(SCHEDULE_SPEC)
         fingerprint = spec_fingerprint(spec)
-        job_id = store.allocate_job_id(fingerprint)
+        job_id = store.record_job(queued_record(spec, fingerprint))
         queue.enqueue(
             spec.to_dict(), fingerprint, job_id=job_id, store_root=str(store.root)
         )
@@ -266,7 +271,7 @@ class TestWorkerUnit:
         queue = WorkQueue(tmp_path / "fabric")
         spec = RunSpec.from_dict(SCHEDULE_SPEC)
         fingerprint = spec_fingerprint(spec)
-        job_id = store.allocate_job_id(fingerprint)
+        job_id = store.record_job(queued_record(spec, fingerprint))
         task = queue.enqueue(
             spec.to_dict(), fingerprint, job_id=job_id, store_root=str(store.root)
         )
@@ -284,7 +289,7 @@ class TestWorkerUnit:
         fingerprint = spec_fingerprint(spec)
         store.put(run(spec), fingerprint)
         queue = WorkQueue(tmp_path / "fabric")
-        job_id = store.allocate_job_id(fingerprint)
+        job_id = store.record_job(queued_record(spec, fingerprint))
         queue.enqueue(
             spec.to_dict(), fingerprint, job_id=job_id, store_root=str(store.root)
         )
@@ -312,7 +317,7 @@ class TestWorkerUnit:
             queue.enqueue(
                 spec.to_dict(),
                 fingerprint,
-                job_id=store.allocate_job_id(fingerprint),
+                job_id=store.record_job(queued_record(spec, fingerprint)),
                 store_root=str(store.root),
             )
         seen = []

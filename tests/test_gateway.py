@@ -14,15 +14,17 @@ Covers the contract of `repro.api.gateway` / `auth` / `ratelimit` /
 * tenancy — separate store subtrees, id namespaces, and no cross-tenant
   reads;
 * disk tail — a gateway that does not run the job streams its persisted
-  log, and ends only with the terminal event;
+  log, and ends only with the terminal event; ``wait`` outlasts a stream
+  that ends at its deadline;
 * connections — a client's round trip reuses one kept-alive connection,
-  survives a gateway restart, and closes cleanly; the gateway ends idle
-  connections when it closes.
+  survives a gateway restart, and closes cleanly; a store hit's round trip
+  is two requests; the gateway ends idle connections when it closes.
 """
 
 import gc
 import json
 import socket
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -39,7 +41,7 @@ from repro.api.auth import (
 )
 from repro.api.client import GatewayClient, GatewayError
 from repro.api.events import TERMINAL_EVENTS, RunFinished, RunQueued, RunStarted
-from repro.api.gateway import SchedulingGateway
+from repro.api.gateway import SchedulingGateway, _GatewayHandler
 from repro.api.ratelimit import RateLimiter, TokenBucket
 from repro.api.service import (
     INTERACTIVE_WEIGHT,
@@ -329,6 +331,19 @@ def count_accepted(gateway) -> list:
     return accepted
 
 
+def count_requests(monkeypatch) -> list:
+    """Record ``(method, path)`` of every request the gateway serves from now on."""
+    requests = []
+    dispatch = _GatewayHandler._dispatch
+
+    def counting(handler, method):
+        requests.append((method, handler.path))
+        return dispatch(handler, method)
+
+    monkeypatch.setattr(_GatewayHandler, "_dispatch", counting)
+    return requests
+
+
 def raw_exchange(gateway, request: bytes) -> bytes:
     """Send one raw request on a fresh socket and read until the server closes."""
     with socket.create_connection(gateway.address, timeout=30) as sock:
@@ -349,6 +364,83 @@ class TestGatewayConnections:
         assert again["state"] == "done" and again["store_hit"] is True
         assert client.wait(again["job_id"])["store_hit"] is True
         assert len(accepted) == 1
+
+    def test_store_hit_round_trip_is_two_requests_and_a_miss_four(
+        self, gateway, client, monkeypatch
+    ):
+        requests = count_requests(monkeypatch)
+        miss = client.submit(SCHEDULE_SPEC)
+        assert client.wait(miss["job_id"])["state"] == "done"
+        client.result_text(miss["job_id"])
+        jobs = "/v1/acme/jobs"
+        assert requests == [
+            ("POST", f"{jobs}?priority=interactive"),
+            ("GET", f"{jobs}/{miss['job_id']}/events"),
+            ("GET", f"{jobs}/{miss['job_id']}"),
+            ("GET", f"{jobs}/{miss['job_id']}/result"),
+        ]
+        requests.clear()
+        hit = client.submit(SCHEDULE_SPEC)
+        final = client.wait(hit["job_id"])
+        client.result_text(hit["job_id"])
+        assert requests == [
+            ("POST", f"{jobs}?priority=interactive"),
+            ("GET", f"{jobs}/{hit['job_id']}/result"),
+        ]
+        # The record the POST returned is the one the gateway still serves.
+        assert final == hit == client.job(hit["job_id"])
+        assert final["state"] == "done" and final["store_hit"] is True
+
+    def test_terminal_records_are_kept_bounded_until_wait_pops_them(
+        self, gateway, client, monkeypatch
+    ):
+        monkeypatch.setattr(client, "MAX_TERMINAL", 2)
+        miss = client.submit(SCHEDULE_SPEC)
+        client.wait(miss["job_id"])
+        assert list(client._terminal) == []  # a queued record is not kept
+        hits = [client.submit(SCHEDULE_SPEC) for _ in range(3)]
+        # The oldest record went first.
+        assert list(client._terminal) == [hits[1]["job_id"], hits[2]["job_id"]]
+        requests = count_requests(monkeypatch)
+        assert client.wait(hits[2]["job_id"]) == hits[2]
+        assert requests == []
+        assert list(client._terminal) == [hits[1]["job_id"]]
+        # A record no longer kept is followed and fetched again.
+        assert client.wait(hits[0]["job_id"]) == hits[0]
+        assert [method for method, _ in requests] == ["GET", "GET"]
+        assert client.wait(hits[2]["job_id"]) == hits[2]  # popped, so fetched
+        assert len(requests) == 4
+
+    def test_threads_sharing_a_client_each_wait_on_their_own_hit(
+        self, gateway, client, monkeypatch
+    ):
+        client.wait(client.submit(SCHEDULE_SPEC)["job_id"])
+        requests = count_requests(monkeypatch)
+        errors = []
+
+        def submit_and_wait():
+            try:
+                for _ in range(10):
+                    record = client.submit(SCHEDULE_SPEC)
+                    assert client.wait(record["job_id"]) == record
+            except BaseException as error:  # re-raised by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submit_and_wait) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # Every wait was answered from the kept record, and none is left.
+        assert [method for method, _ in requests] == ["POST"] * 40
+        assert len(client._terminal) == 0
 
     def test_stale_connection_is_retried_after_a_restart(self, tmp_path):
         first = SchedulingGateway(tmp_path / "store").start()
@@ -457,10 +549,9 @@ class TestGatewayDiskTail:
         store = gateway.store_for("acme")
         spec = RunSpec.from_dict(SCHEDULE_SPEC)
         fingerprint = spec_fingerprint(spec)
-        job_id = store.allocate_job_id(fingerprint)
-        store.record_job(
+        job_id = store.record_job(
             job_record(
-                job_id, JobState.DONE, spec.to_dict(), fingerprint, "interactive",
+                None, JobState.DONE, spec.to_dict(), fingerprint, "interactive",
                 num_events=3,
             )
         )
@@ -485,6 +576,58 @@ class TestGatewayDiskTail:
             "run_finished",
         ]
 
+    def test_wait_outlasts_a_stream_that_ends_at_its_deadline(
+        self, gateway, client, monkeypatch
+    ):
+        tail = _GatewayHandler._tail_events
+        streams = []
+        second_stream = threading.Event()
+
+        def short_tail(handler, store, job_id):
+            streams.append(job_id)
+            if len(streams) == 2:
+                second_stream.set()
+            return tail(handler, store, job_id, timeout=0.2)
+
+        monkeypatch.setattr(_GatewayHandler, "_tail_events", short_tail)
+        store = gateway.store_for("acme")
+        spec = RunSpec.from_dict(SCHEDULE_SPEC)
+        fingerprint = spec_fingerprint(spec)
+
+        def record(job_id, state, num_events):
+            return job_record(
+                job_id, state, spec.to_dict(), fingerprint, "interactive",
+                num_events=num_events,
+            )
+
+        job_id = f"acme-job-000001-{fingerprint[:12]}"
+        store.record_job(record(job_id, JobState.RUNNING, 2))
+        store.record_events(
+            job_id,
+            [
+                RunQueued(job_id=job_id, seq=0, kind="schedule", spec_fingerprint=fingerprint),
+                RunStarted(job_id=job_id, seq=1),
+            ],
+        )
+
+        def finish():
+            # Only once the first stream has ended without a terminal event.
+            if second_stream.wait(30):
+                store.record_job(record(job_id, JobState.DONE, 3))
+                store.record_events(
+                    job_id, [RunFinished(job_id=job_id, seq=2, store_hit=False, result={})]
+                )
+
+        finisher = threading.Thread(target=finish, daemon=True)
+        finisher.start()
+        try:
+            final = client.wait(job_id)
+        finally:
+            second_stream.set()
+            finisher.join(timeout=30)
+        assert final["state"] == "done"
+        assert len(streams) >= 2
+
     def test_writer_paused_before_its_terminal_append(
         self, gateway, client, tmp_path, monkeypatch
     ):
@@ -502,7 +645,9 @@ class TestGatewayDiskTail:
         store = gateway.store_for("acme")
         spec = RunSpec.from_dict(SCHEDULE_SPEC)
         fingerprint = spec_fingerprint(spec)
-        job_id = store.allocate_job_id(fingerprint)
+        job_id = store.record_job(
+            job_record(None, JobState.QUEUED, spec.to_dict(), fingerprint, "interactive")
+        )
         WorkQueue(tmp_path / "fabric").enqueue(
             spec.to_dict(),
             fingerprint,

@@ -12,10 +12,13 @@ Covers the contract of `repro.api.service` / `events` / `store`:
 * the content-addressed result store — resubmitting an identical spec is a
   store hit that returns the stored envelope verbatim without invoking any
   scheduler; on the local backend it is answered at submit, with one record
-  write and one log append.
+  write and one log append, and creates two files.
 """
 
+import contextlib
 import json
+import os
+import sys
 import threading
 
 import pytest
@@ -30,7 +33,7 @@ from repro.api import (
     spec_fingerprint,
 )
 from repro.api.events import LayerScheduled, RunFailed, RunFinished, RunQueued, RunStarted
-from repro.api.service import JobCancelled, JobState, JobTimeout
+from repro.api.service import JobCancelled, JobState, JobTimeout, job_record
 from repro.api.store import ResultStore
 
 #: Cheap deterministic schedule run (seeded random search, tiny layer).
@@ -51,6 +54,31 @@ COMPARE_SPEC = {
         "hybrid_max_evaluations": 40,
     },
 }
+
+
+#: Paths ``open`` creates while a :func:`created_files` block runs (else ``None``).
+_created: list | None = None
+
+
+def _record_creations(event, args):
+    if event == "open" and _created is not None:
+        path, _, flags = args
+        if isinstance(path, (str, os.PathLike)) and flags & os.O_CREAT and not os.path.exists(path):
+            _created.append(os.fspath(path))
+
+
+sys.addaudithook(_record_creations)
+
+
+@contextlib.contextmanager
+def created_files():
+    """Collect every file path ``open``/``os.open`` creates inside the block."""
+    global _created
+    _created = []
+    try:
+        yield _created
+    finally:
+        _created = None
 
 
 def normalize_times(obj):
@@ -405,6 +433,24 @@ class TestResultStore:
             # Looked up once at submit; the worker does not count it again.
             assert (store.stats.hits, store.stats.misses) == (1, 2)
 
+    def test_store_hit_creates_only_its_record_and_its_log(self, tmp_path):
+        spec = RunSpec.from_dict(SCHEDULE_SPEC)
+        store = ResultStore(tmp_path / "store")
+        with SchedulingService(max_workers=1, store=store) as service:
+            service.submit(spec).result(timeout=300)
+            before = set(store.root.rglob("*"))
+            with created_files() as created:
+                hit = service.submit(spec)
+            assert hit.store_hit is True
+        record, log = store.jobs_dir / f"{hit.id}.json", store.events_path(hit.id)
+        # The first record goes through one temp file, linked to its name:
+        # no id placeholder, and no second temp file for the terminal record.
+        created = [path for path in created if path.startswith(str(store.root))]
+        assert len(created) == 2
+        assert created[1] == str(log)
+        assert set(store.root.rglob("*")) - before == {record, log}
+        assert json.loads(record.read_text()) == hit.to_dict()
+
     def test_store_roundtrips_plain_v1_envelopes(self, tmp_path):
         spec = RunSpec.from_dict(SCHEDULE_SPEC)
         store = ResultStore(tmp_path / "store")
@@ -455,20 +501,23 @@ class TestResultStore:
             "run_finished",
         ]
 
-    def test_allocate_job_id_reserves_exclusively(self, tmp_path):
+    def test_first_record_reserves_its_id_exclusively(self, tmp_path):
         # Two store handles on one directory (two "processes") can never
-        # mint the same id: the record file is created with O_EXCL.
+        # mint the same id: the first record is linked to its name, and the
+        # link refuses a name that exists.
         store_a = ResultStore(tmp_path / "store")
         store_b = ResultStore(tmp_path / "store")
-        minted = [
-            store_a.allocate_job_id("a" * 64),
-            store_b.allocate_job_id("a" * 64),
-            store_a.allocate_job_id("b" * 64),
-        ]
+
+        def first(store, fingerprint):
+            return store.record_job(
+                job_record(None, JobState.QUEUED, SCHEDULE_SPEC, fingerprint, "batch")
+            )
+
+        minted = [first(store_a, "a" * 64), first(store_b, "a" * 64), first(store_a, "b" * 64)]
         assert len(set(minted)) == 3
-        # Reserved-but-unwritten placeholders are invisible to listings.
-        assert store_a.load_jobs() == []
-        assert store_a.load_job(minted[0]) is None
+        # Each id is readable as its whole first record at once.
+        assert [record["job_id"] for record in store_a.load_jobs()] == sorted(minted)
+        assert store_a.load_job(minted[0])["priority"] == "batch"
 
     def test_read_events_resumes_past_a_torn_final_line(self, tmp_path):
         store = ResultStore(tmp_path / "store")

@@ -5,8 +5,9 @@ out of :mod:`repro.api.service` / :mod:`repro.api.store`:
 
 * a 0-byte or truncated ``job-*.json`` crashed every ``load_jobs`` call
   (now: skip with :class:`StoreRecordWarning`);
-* ``allocate_job_id`` re-globbed the whole jobs directory on every submit
-  (now: cached next ordinal, ``O_EXCL`` still arbitrates across processes);
+* minting a job id re-globbed the whole jobs directory on every submit
+  (now: cached next ordinal; the exclusive link of each job's first record
+  still arbitrates across processes);
 * identical specs submitted while the first was queued/running all executed
   (now: single-flight — followers wait and report ``store_hit``);
 * ``submit`` racing ``shutdown`` could enqueue a job behind the worker
@@ -14,6 +15,7 @@ out of :mod:`repro.api.service` / :mod:`repro.api.store`:
 """
 
 import json
+import os
 import threading
 
 import pytest
@@ -23,6 +25,7 @@ from repro.api.service import (
     JobCancelled,
     JobState,
     SchedulingService,
+    job_record,
 )
 from repro.api.store import ResultStore, StoreRecordWarning, spec_fingerprint
 
@@ -31,6 +34,11 @@ SCHEDULE_SPEC = {
     "workload": {"layers": ["3_4_8_16_1"]},
     "scheduler": {"name": "random", "options": {"num_valid": 2, "max_attempts": 500}},
 }
+
+
+def first_record(fingerprint: str) -> dict:
+    """A job's first record, without an id: ``record_job`` mints one."""
+    return job_record(None, JobState.QUEUED, SCHEDULE_SPEC, fingerprint, "interactive")
 
 
 def make_spec(max_attempts: int = 500) -> RunSpec:
@@ -48,8 +56,7 @@ class TestStoreRecordRepair:
         with SchedulingService(max_workers=1, store=store) as service:
             job = service.submit(make_spec())
             job.result(timeout=120)
-        # A crash between O_EXCL reservation and the placeholder write
-        # leaves a 0-byte record behind.
+        # A crashed writer or a damaged disk leaves a 0-byte record behind.
         torn = store.jobs_dir / "job-000099-deadbeef0000.json"
         torn.write_bytes(b"")
         truncated = store.jobs_dir / "job-000100-deadbeef0000.json"
@@ -67,10 +74,11 @@ class TestStoreRecordRepair:
 
     def test_placeholder_records_read_as_unknown_without_warning(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        fingerprint = "f" * 40
-        job_id = store.allocate_job_id(fingerprint)
-        # The freshly reserved placeholder ("{}") is valid JSON but not a
-        # record yet — silently invisible, no warning.
+        job_id = f"job-000001-{'f' * 12}"
+        store.jobs_dir.mkdir(parents=True)
+        (store.jobs_dir / f"{job_id}.json").write_text("{}\n")
+        # The id placeholder ("{}") that older stores reserved ids with is
+        # valid JSON but not a record — silently invisible, no warning.
         import warnings as warnings_module
 
         with warnings_module.catch_warnings():
@@ -106,7 +114,7 @@ class TestJobIdAllocation:
             return original(self)
 
         monkeypatch.setattr(ResultStore, "_scan_next_ordinal", counting_scan)
-        ids = [store.allocate_job_id(fingerprint) for _ in range(50)]
+        ids = [store.record_job(first_record(fingerprint)) for _ in range(50)]
         assert len(scans) == 1  # was: one full directory glob per submit
         assert ids == [f"job-{i:06d}-{fingerprint[:12]}" for i in range(1, 51)]
 
@@ -114,11 +122,36 @@ class TestJobIdAllocation:
         first = ResultStore(tmp_path / "store")
         fingerprint = "b" * 40
         for _ in range(3):
-            first.allocate_job_id(fingerprint)
+            first.record_job(first_record(fingerprint))
         second = ResultStore(tmp_path / "store")
-        assert second.allocate_job_id(fingerprint) == f"job-000004-{fingerprint[:12]}"
+        assert second.record_job(first_record(fingerprint)) == f"job-000004-{fingerprint[:12]}"
 
-    def test_o_excl_arbitrates_between_instances(self, tmp_path):
+    def test_taken_id_makes_the_link_collide_and_retry(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        fingerprint = "e" * 40
+        assert store.record_job(first_record(fingerprint)) == f"job-000001-{fingerprint[:12]}"
+        # Another process mints job-000002 behind this instance's cached ordinal.
+        taken = store.jobs_dir / f"job-000002-{fingerprint[:12]}.json"
+        taken.write_text('{"job_id": "theirs"}\n')
+        links = []
+        link = os.link
+
+        def counting_link(source, target):
+            links.append(os.path.basename(target))
+            return link(source, target)
+
+        monkeypatch.setattr(os, "link", counting_link)
+        job_id = store.record_job(first_record(fingerprint))
+        assert job_id == f"job-000003-{fingerprint[:12]}"
+        assert links == [taken.name, f"{job_id}.json"]  # collided once, then won
+        assert taken.read_text() == '{"job_id": "theirs"}\n'  # never overwritten
+        assert store.load_job(job_id)["job_id"] == job_id
+        assert store.record_job(first_record(fingerprint)) == f"job-000004-{fingerprint[:12]}"
+        assert sorted(os.listdir(store.jobs_dir)) == [
+            f"job-00000{index}-{fingerprint[:12]}.json" for index in range(1, 5)
+        ]  # no temp file left behind
+
+    def test_link_arbitrates_between_instances(self, tmp_path):
         """Two store instances on one directory never mint the same id."""
         root = tmp_path / "store"
         stores = [ResultStore(root), ResultStore(root)]
@@ -130,7 +163,7 @@ class TestJobIdAllocation:
         def mint(store):
             try:
                 for _ in range(25):
-                    job_id = store.allocate_job_id(fingerprint)
+                    job_id = store.record_job(first_record(fingerprint))
                     with lock:
                         minted.append(job_id)
             except BaseException as error:  # pragma: no cover
@@ -144,17 +177,20 @@ class TestJobIdAllocation:
         assert not errors
         assert len(minted) == 50
         assert len(set(minted)) == 50  # no collisions despite cached ordinals
+        assert [record["job_id"] for record in ResultStore(root).load_jobs()] == sorted(minted)
 
     def test_prefix_scopes_the_namespace(self, tmp_path):
         root = tmp_path / "store"
         fingerprint = "d" * 40
         plain = ResultStore(root)
         acme = ResultStore(root, job_prefix="acme-")
-        assert plain.allocate_job_id(fingerprint).startswith("job-000001-")
-        assert acme.allocate_job_id(fingerprint) == f"acme-job-000001-{fingerprint[:12]}"
+        plain_id = plain.record_job(first_record(fingerprint))
+        assert plain_id.startswith("job-000001-")
+        acme_id = acme.record_job(first_record(fingerprint))
+        assert acme_id == f"acme-job-000001-{fingerprint[:12]}"
         # Each namespace lists only its own records.
-        plain_store = ResultStore(root)
-        assert plain_store.load_jobs() == []  # placeholders are invisible
+        assert [record["job_id"] for record in ResultStore(root).load_jobs()] == [plain_id]
+        assert [record["job_id"] for record in acme.load_jobs()] == [acme_id]
 
 
 # ------------------------------------------------------------- single-flight

@@ -147,8 +147,9 @@ class TestSharedResultsRoot:
             spec_fingerprint(spec)
         )
         # ...while job records stay in each tenant's private subtree.
-        acme_id = acme.allocate_job_id(spec_fingerprint(spec))
-        acme.record_job({"job_id": acme_id, "state": "done"})
+        acme_id = acme.record_job(
+            {"job_id": None, "state": "done", "spec_fingerprint": spec_fingerprint(spec)}
+        )
         assert globex.load_jobs() == []
         assert acme.load_job(acme_id) is not None
         assert (tmp_path / "acme" / "jobs").is_dir()
