@@ -4,31 +4,34 @@ Reproduces the flavour of Fig. 6 on a handful of layers through the
 declarative facade: one ``kind="compare"`` :class:`~repro.api.specs.RunSpec`
 runs Random search, the Timeloop-Hybrid-style mapper and CoSA, evaluates all
 three on the analytical platform and reports per-layer and geomean speedups.
-Pass a cache file and a second run of this script performs no solves at all.
+Pass a result-store directory and every layer solved there is kept in the
+store's layer tier: a second run of this script performs no solves at all.
 
-Run:  python examples/resnet50_scheduling.py [num_layers] [jobs] [cache_file]
+Run:  python examples/resnet50_scheduling.py [num_layers] [jobs] [store_dir]
 """
 
 import sys
 
-from repro.api import RunSpec, run
+from repro.api import ResultStore, RunSpec, execute
 
 
-def main(num_layers: int = 5, jobs: int = 2, cache_file: str | None = None) -> None:
+def main(num_layers: int = 5, jobs: int = 2, store_dir: str | None = None) -> None:
     spec = RunSpec.from_dict(
         {
             "kind": "compare",
             "arch": "baseline-4x4",
             "workload": {"network": "resnet50", "first_layers": num_layers},
             "platform": {"name": "timeloop", "metric": "latency"},
-            "engine": {"jobs": jobs, "cache": cache_file},
+            "engine": {"jobs": jobs},
         }
     )
-    result = run(spec)
+    # execute() is the core behind run(); unlike run() it takes a store,
+    # whose layer tier serves and keeps per-layer solves.
+    result = execute(spec, store=ResultStore(store_dir) if store_dir is not None else None)
     data = result.data
 
-    # One shared cache serves all three schedulers: the cache key includes
-    # the scheduler identity, so there are no collisions.
+    # One layer tier serves all three schedulers: the key includes the
+    # scheduler identity, so there are no collisions.
     for name, stats in data["engine_stats"].items():
         print(
             f"[{name}] {stats['solves']} solves, {stats['cache_hits']} cache hits, "
@@ -43,8 +46,9 @@ def main(num_layers: int = 5, jobs: int = 2, cache_file: str | None = None) -> N
             f"{row['cosa_value']:12.3e} {row['cosa_speedup']:13.2f}x"
         )
     print(f"\ngeomean CoSA speedup over Random: {data['cosa_geomean']:.2f}x")
-    if cache_file is not None:
-        print(f"mapping cache written to {cache_file}")
+    if store_dir is not None:
+        solves = sum(stats["solves"] for stats in data["engine_stats"].values())
+        print(f"solves: {solves} (layer solves kept in {store_dir})")
 
 
 if __name__ == "__main__":

@@ -104,8 +104,9 @@ class LayerScheduled(Event):
 
     * ``cost[scheduler]`` — metric-name → value mapping (``None`` when the
       scheduler found no valid mapping),
-    * ``cache_hit[scheduler]`` — ``True`` when the mapping came from the
-      mapping cache rather than a fresh solve.
+    * ``cache_hit[scheduler]`` — ``True`` when the mapping was served from
+      the result store's layer tier (a layer an earlier run solved in the
+      same store) rather than a fresh solve.
 
     ``dedup`` is ``True`` when this layer was served by copying an identical
     layer's solve instead of solving again.

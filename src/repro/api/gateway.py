@@ -469,12 +469,6 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             spec = RunSpec.from_dict(payload)
         except (json.JSONDecodeError, ValueError, TypeError) as error:
             raise GatewayRequestError(400, f"invalid RunSpec: {error}") from None
-        if spec.engine.cache is not None:
-            # The mapping cache is a file the server would read and write
-            # at whatever path the spec names, outside the tenant's store.
-            raise GatewayRequestError(
-                400, "engine.cache names a server-side file; the gateway does not accept it"
-            )
         try:
             job = self.gateway.service.submit(
                 spec, priority=priority, store=self.gateway.store_for(tenant)

@@ -8,7 +8,7 @@ and returns a :class:`~repro.api.result.RunResult` stamped with the payload
 per-layer progress through an ``emit_layer`` callback — the hook the
 :class:`~repro.api.service.SchedulingService` turns into ``layer_scheduled``
 events.  :func:`execute_job` wraps it with the result-store lookup and write
-that service threads and fabric workers share.
+that service threads and fabric workers share, and hands it the job's store.
 
 :func:`run` is the synchronous convenience wrapper the public API promises:
 it submits the spec to a private single-worker service and blocks on
@@ -94,33 +94,30 @@ def run(spec: RunSpec) -> RunResult:
         service.shutdown(wait=False)
 
 
-def execute(spec: RunSpec, emit_layer=None) -> RunResult:
+def execute(spec: RunSpec, emit_layer=None, store=None) -> RunResult:
     """The synchronous core behind :func:`run` and every service job.
 
     ``emit_layer``, when given, is called with one JSON-compatible progress
     payload per input layer (in deterministic input order; see
     :class:`~repro.api.events.LayerScheduled` for the field contract).
+    ``store`` (a :class:`~repro.api.store.ResultStore`) serves layers solved
+    earlier from its layer tier and keeps every fresh solve there.
     """
     if not isinstance(spec, RunSpec):
         raise TypeError(f"execute() expects a RunSpec, got {type(spec).__name__}")
     accelerator = architectures.create(spec.arch.preset)
 
     cache = None
-    if spec.engine.cache is not None:
+    if store is not None:
         from repro.engine import MappingCache
 
-        cache = MappingCache(path=spec.engine.cache)
+        cache = MappingCache(store=store)
 
     if spec.kind == "compare":
-        result = _run_compare(spec, accelerator, cache, emit_layer)
-    elif spec.kind == "schedule":
-        result = _run_schedule(spec, accelerator, cache, emit_layer)
-    else:
-        result = _run_suite(spec, accelerator, cache, emit_layer)
-
-    if cache is not None:
-        cache.save()
-    return result
+        return _run_compare(spec, accelerator, cache, emit_layer)
+    if spec.kind == "schedule":
+        return _run_schedule(spec, accelerator, cache, emit_layer)
+    return _run_suite(spec, accelerator, cache, emit_layer)
 
 
 def execute_job(spec: RunSpec, fingerprint: str, store=None, emit_layer=None, *, count=True):
@@ -128,8 +125,9 @@ def execute_job(spec: RunSpec, fingerprint: str, store=None, emit_layer=None, *,
 
     The body every service worker thread and every fabric worker shares: a
     stored envelope under ``fingerprint`` is returned as is (no scheduler
-    runs); otherwise :func:`execute` runs and its envelope is put in the
-    store.  Returns ``(result, store_hit)``; ``store=None`` always executes.
+    runs); otherwise :func:`execute` runs against the store's layer tier
+    and its envelope is put in the store.  Returns ``(result, store_hit)``;
+    ``store=None`` always executes.
     ``count=False`` looks the store up without touching its hit/miss
     counters: the service counted this job's lookup at submit already.
     """
@@ -137,7 +135,7 @@ def execute_job(spec: RunSpec, fingerprint: str, store=None, emit_layer=None, *,
         result = store.get(spec, fingerprint) if count else store.load(fingerprint)
         if result is not None:
             return result, True
-    result = execute(spec, emit_layer=emit_layer)
+    result = execute(spec, emit_layer=emit_layer, store=store)
     if store is not None:
         store.put(result, fingerprint)
     return result, False
@@ -182,7 +180,7 @@ def _engine_observer(emit_layer, scheduler_name: str):
 
 def _register_layer_problems(layers) -> None:
     """Auto-register each layer's TensorProblem for name-based lookup, so
-    serialized mappings and cache entries of plugin problems load in this
+    serialized mappings and layer-tier entries of plugin problems load in this
     process without the author calling both register APIs."""
     from repro.workloads.problem import register_problem as register_ir_problem
 

@@ -2,7 +2,7 @@
 
 A :class:`RunSpec` is the declarative description of one experiment: pick an
 architecture, a workload, a scheduler and an evaluation platform, plus the
-engine knobs (parallelism, cache, batching, budgets).  Specs are plain
+engine knobs (parallelism, batching, budgets).  Specs are plain
 frozen dataclasses that round-trip losslessly through ``to_dict`` /
 ``from_dict`` / JSON, so the same object serves Python callers, spec files
 on disk (``repro run spec.json``) and the stamped ``spec`` echo inside every
@@ -318,7 +318,9 @@ class PlatformSpec:
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """Engine knobs: parallelism, mapping cache, batching and time budget.
+    """Engine knobs: parallelism, batching and time budget.
+
+    Serialized specs carry ``"cache": null`` so stored specs keep their bytes.
 
     ``fusion_options`` tunes the fused alignment search (currently only
     ``max_candidates``, the frontier-candidate cap — distinct from
@@ -332,7 +334,6 @@ class EngineSpec:
     FUSION_OPTION_KEYS = ("max_candidates",)
 
     jobs: int = 1
-    cache: str | None = None
     batch_size: int = 64
     time_budget: float | None = None
     executor: str = "thread"
@@ -340,8 +341,6 @@ class EngineSpec:
 
     def __post_init__(self) -> None:
         _check_int(self.jobs, "EngineSpec.jobs", minimum=1)
-        if self.cache is not None:
-            _check_str(self.cache, "EngineSpec.cache")
         _check_int(self.batch_size, "EngineSpec.batch_size", minimum=1)
         if self.time_budget is not None:
             _require(
@@ -366,7 +365,7 @@ class EngineSpec:
     def to_dict(self) -> dict:
         data = {
             "jobs": self.jobs,
-            "cache": self.cache,
+            "cache": None,
             "batch_size": self.batch_size,
             "time_budget": self.time_budget,
             "executor": self.executor,
@@ -390,6 +389,12 @@ class EngineSpec:
             ),
             "EngineSpec",
         )
+        _require(
+            data.get("cache") is None,
+            f"engine.cache must be null, got {data.get('cache')!r}: per-layer "
+            "solves are reused through a result store (--store DIR on `repro "
+            "schedule|compare|suite`, or a service's store), not a cache file",
+        )
         # Legacy key: specs, job records and fabric task files written while
         # the engine had a selectable evaluation backend still carry it.
         # Every backend was bit-identical, so the value is checked and dropped.
@@ -401,7 +406,6 @@ class EngineSpec:
         )
         return cls(
             jobs=data.get("jobs", 1),
-            cache=data.get("cache"),
             batch_size=data.get("batch_size", 64),
             time_budget=data.get("time_budget"),
             executor=data.get("executor", "thread"),

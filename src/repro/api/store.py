@@ -1,51 +1,54 @@
 """Content-addressed on-disk store of finished :class:`RunResult` envelopes.
 
 The paper's sweeps re-run the same experiments constantly — across shell
-sessions, CI jobs and notebook restarts — and the mapping cache only
-de-duplicates *per-layer solves inside one process tree*.  The
-:class:`ResultStore` closes the loop at the experiment level: every finished
-run is persisted under the **fingerprint of its spec**, so resubmitting an
+sessions, CI jobs and notebook restarts.  The :class:`ResultStore` persists
+every finished run under the **fingerprint of its spec**, so resubmitting an
 identical spec is a store hit that returns the stored envelope verbatim
-without invoking any scheduler.
+without invoking any scheduler.  Its **layer tier** keeps every successful
+per-layer solve under its :func:`~repro.engine.cache.cache_key`, so a
+*different* spec sharing a layer skips that layer's MIP or search: a job's
+:class:`~repro.engine.cache.MappingCache` reads and writes through to it.
 
 * Envelopes are the plain v1 :meth:`~repro.api.result.RunResult.to_dict`
   JSON — the store adds no wrapper, so a stored file round-trips through
   ``RunResult.from_json`` and is byte-for-byte what ``run()`` produced.
 * The key (:func:`spec_fingerprint`) hashes the *result-determining* part of
-  the spec: execution-only knobs (``jobs``, ``executor``, the mapping-cache
-  path) are excluded, so a 1-job and an 8-job run of the same experiment
-  share one entry, while everything that can change the payload (kind, axes,
-  seed, options, fusion options, evaluation batch size and time budget)
-  splits entries.
+  the spec: execution-only knobs (``jobs``, ``executor``) are excluded, so
+  a 1-job and an 8-job run of the same experiment share one entry, while
+  everything that can change the payload (kind, axes, seed, options, fusion
+  options, evaluation batch size and time budget) splits entries.
 * Writes go through :func:`repro.io_utils.atomic_write_json`, so concurrent
-  services sharing one store directory never tear an envelope.
+  services sharing one store directory never tear an entry.
 
 Layout (fingerprint-prefix sharded)
 -----------------------------------
 One flat directory stops scaling somewhere in the tens of thousands of
 entries (every lookup lists siblings, every backup walks one dir), so the
-results tier shards by the first two hex characters of the fingerprint —
+results and layer tiers shard by the first two hex characters of the key —
 the standard content-addressed trick (git objects, blob caches)::
 
     <results_root>/results/<fp[:2]>/<fp>.json      # RunResult envelopes
+    <results_root>/layers/<key[:2]>/<key>.json     # per-layer solves
     <root>/jobs/<job_id>.json                      # job records (tenant-private)
     <root>/jobs/<job_id>.events.ndjson             # append-only, one event per line
 
 ``results_root`` defaults to ``root`` but may point elsewhere: the gateway
 gives every tenant a private ``root`` (job records, event logs) while all
 tenants share one ``results_root`` — identical specs submitted by different
-tenants are **one** content-addressed entry, executed once.  A
-``store.json`` left beside ``results/`` by older versions is ignored.
+tenants are **one** content-addressed entry, executed once, and so is a
+layer solve.  A ``store.json`` left beside ``results/`` by older versions is
+ignored.
 
 Tiers, eviction, compaction
 ---------------------------
 A warm in-memory LRU tier (:data:`WARM_CAPACITY` parsed envelopes) fronts
 the disk tier; :class:`StoreStats` splits hits into ``warm_hits`` /
-``disk_hits``.  :meth:`gc` evicts least-recently-*used* envelopes — every
-disk hit refreshes the file's mtime — until the results tier fits a byte
-bound, and :meth:`compact` sweeps crashed writers' temp debris and empty
-shard directories.  ``repro store stats`` / ``repro store gc`` expose both
-from the shell.
+``disk_hits`` (layer lookups count in the engine's ``cache_hits``, not
+here).  :meth:`gc` evicts least-recently-*used* entries of both tiers —
+every disk hit refreshes the file's mtime — until they fit a byte bound,
+and :meth:`compact` sweeps crashed writers' temp debris and empty shard
+directories.  ``repro store stats`` / ``repro store gc`` expose both from
+the shell.
 
 Job ids: a job's first record mints its id and is published by hard-linking
 a complete temp file to ``<id>.json``; the link arbitrates between services
@@ -81,6 +84,7 @@ from repro.io_utils import append_bytes, atomic_write_json, read_ndjson
 #: (see the determinism notes in :mod:`repro.engine.engine`); they are
 #: excluded from the spec fingerprint.  ``fusion_options`` is *not* one of
 #: them: the frontier alignment search picks the fused groups' mappings.
+#: ``cache`` is always ``null``; excluding it keeps historic fingerprints.
 EXECUTION_ONLY_ENGINE_KEYS = ("jobs", "executor", "cache")
 
 #: Fingerprint-prefix characters used as the shard directory name.  Two hex
@@ -207,6 +211,10 @@ class ResultStore:
         return self.results_root / "results"
 
     @property
+    def layers_dir(self) -> Path:
+        return self.results_root / "layers"
+
+    @property
     def jobs_dir(self) -> Path:
         return self.root / "jobs"
 
@@ -214,10 +222,15 @@ class ResultStore:
         """The envelope path of ``fingerprint``."""
         return self.results_dir / fingerprint[:SHARD_DEPTH] / f"{fingerprint}.json"
 
-    def _iter_result_files(self):
-        if not self.results_dir.is_dir():
-            return
-        yield from self.results_dir.rglob("*.json")
+    def layer_path(self, key: str) -> Path:
+        """The layer-tier path of the per-layer solve ``key``."""
+        return self.layers_dir / key[:SHARD_DEPTH] / f"{key}.json"
+
+    @staticmethod
+    def _iter_files(pattern: str, *directories: Path):
+        for directory in directories:
+            if directory.is_dir():
+                yield from directory.rglob(pattern)
 
     # ------------------------------------------------------------- warm tier
     def _warm_get(self, fingerprint: str) -> RunResult | None:
@@ -285,26 +298,44 @@ class ResultStore:
         self._warm_put(fingerprint, result)
         return path
 
-    def __contains__(self, spec: RunSpec) -> bool:
-        """Membership test that does not touch the hit/miss counters."""
-        return self.result_path(spec_fingerprint(spec)).exists()
+    # ------------------------------------------------------------ layer tier
+    def load_layer(self, key: str) -> dict | None:
+        """The per-layer entry under ``key`` (``None``: missing or unreadable).
+
+        A hit refreshes the file's mtime for :meth:`gc`; no counter moves.
+        """
+        path = self.layer_path(key)
+        try:
+            entry = json.loads(path.read_text())
+        except (OSError, ValueError):
+            return None
+        try:
+            os.utime(path)
+        except OSError:
+            pass
+        return entry if isinstance(entry, dict) else None
+
+    def put_layer(self, key: str, entry: dict) -> Path:
+        """Persist one per-layer entry under ``key``, atomically."""
+        # Compact JSON: indenting takes several times as long to encode.
+        return atomic_write_json(self.layer_path(key), entry, indent=None)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._iter_result_files())
+        return sum(1 for _ in self._iter_files("*.json", self.results_dir))
 
     # ------------------------------------------------------- gc / compaction
     def gc(self, max_bytes: int | None = None, dry_run: bool = False) -> GCReport:
-        """Evict least-recently-used envelopes until the tier fits ``max_bytes``.
+        """Evict least-recently-used entries until the tiers fit ``max_bytes``.
 
-        ``None`` evicts nothing (the report still sizes the tier).  Recency
-        is file mtime, refreshed on every disk hit, so hot entries survive.
-        With ``dry_run`` the report lists what *would* go without touching
-        disk.
+        Envelopes and layer entries share the bound.  ``None`` evicts
+        nothing (the report still sizes the tiers).  Recency is file mtime,
+        refreshed on every disk hit.  With ``dry_run`` the report lists what
+        *would* go without touching disk.
         """
         report = GCReport(dry_run=dry_run)
         entries = []
         total = 0
-        for path in self._iter_result_files():
+        for path in self._iter_files("*.json", self.results_dir, self.layers_dir):
             try:
                 stat = path.stat()
             except OSError:
@@ -331,17 +362,17 @@ class ResultStore:
 
         Temp files (``.*.tmp`` siblings left by a writer that died between
         creating and publishing its scratch file) older than a minute are
-        removed — younger ones may belong to an in-flight write.  Shard
-        directories emptied by eviction are pruned so ``stats`` histograms
-        reflect reality.
+        removed from the results and layer tiers and from ``jobs/`` —
+        younger ones may belong to an in-flight write.  Shard directories
+        emptied by eviction are pruned so ``stats`` histograms reflect
+        reality.
         """
         import time
 
         report = GCReport(dry_run=dry_run)
-        if not self.results_dir.is_dir():
-            return report
         now = time.time()
-        for path in self.results_dir.rglob(".*.tmp"):
+        tiers = (self.results_dir, self.layers_dir)
+        for path in self._iter_files(".*.tmp", *tiers, self.jobs_dir):
             try:
                 if now - path.stat().st_mtime < 60:
                     continue
@@ -350,7 +381,7 @@ class ResultStore:
             report.removed_temp_files += 1
             if not dry_run:
                 path.unlink(missing_ok=True)
-        for path in sorted(self.results_dir.iterdir(), reverse=True):
+        for path in (shard for tier in tiers if tier.is_dir() for shard in tier.iterdir()):
             if path.is_dir() and not any(path.iterdir()):
                 report.removed_empty_shards += 1
                 if not dry_run:
@@ -358,7 +389,7 @@ class ResultStore:
                         path.rmdir()
                     except OSError:
                         pass
-        entries = list(self._iter_result_files())
+        entries = list(self._iter_files("*.json", *tiers))
         report.remaining_entries = len(entries)
         report.remaining_bytes = sum(p.stat().st_size for p in entries if p.exists())
         return report
@@ -368,7 +399,7 @@ class ResultStore:
         histogram: dict[str, int] = {}
         total_bytes = 0
         entries = 0
-        for path in self._iter_result_files():
+        for path in self._iter_files("*.json", self.results_dir):
             entries += 1
             try:
                 total_bytes += path.stat().st_size
@@ -389,6 +420,7 @@ class ResultStore:
                 "entries": warm_entries,
             },
             "counters": self.stats.to_dict(),
+            "layers": sum(1 for _ in self._iter_files("*.json", self.layers_dir)),
             "jobs": sum(1 for _ in self.jobs_dir.glob(f"{self.job_prefix}job-*.json"))
             if self.jobs_dir.is_dir()
             else 0,

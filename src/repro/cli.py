@@ -11,7 +11,7 @@ Python::
         --fusion-option seq=64 --fusion-option heads=4 \
         --fusion-option head_dim=32                  # fused QK/softmax/AV chain
     repro compare resnet50 --layers 4 --jobs 4   # three-scheduler comparison
-    repro suite --jobs 4 --cache mappings.json   # CoSA over all four networks
+    repro suite --jobs 4 --store .repro-store    # CoSA over all four networks
     repro run examples/specs/resnet50_compare.json --json
     repro run spec.json --follow                 # stream NDJSON events live
     repro submit spec.json                       # job into the result store
@@ -26,7 +26,8 @@ Python::
 (``python -m repro.cli`` works identically when the package is not
 installed.)  Every subcommand is a thin argument translator over the
 declarative facade: it builds a :class:`~repro.api.specs.RunSpec` and hands
-it to :func:`repro.api.run`, so anything registered through the
+it to :func:`repro.api.execute` (the core behind :func:`repro.api.run`),
+so anything registered through the
 :mod:`repro.api.registry` plugin registries — schedulers, architectures,
 platforms, workloads — is immediately reachable from the shell.  ``--json``
 output is the stamped :class:`~repro.api.result.RunResult` envelope
@@ -253,11 +254,11 @@ def _build_parser() -> argparse.ArgumentParser:
     store_stats.add_argument("--json", action="store_true", help="machine-readable output")
     _add_store_argument(store_stats)
     store_gc = store_sub.add_parser(
-        "gc", help="run eviction and compaction on the results tier"
+        "gc", help="run eviction and compaction on the results and layer tiers"
     )
     store_gc.add_argument(
         "--max-bytes", type=int, default=None, metavar="N",
-        help="evict least-recently-used envelopes until the tier fits N bytes",
+        help="evict least-recently-used envelopes and layer entries until they fit N bytes",
     )
     store_gc.add_argument(
         "--dry-run", action="store_true",
@@ -291,8 +292,9 @@ def _positive_int(value: str) -> int:
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_positive_int, default=1, help="parallel layer solves")
     parser.add_argument(
-        "--cache", metavar="FILE", default=None,
-        help="mapping-cache file, loaded before and saved after the run",
+        "--store", metavar="DIR", default=None,
+        help="result store whose layer tier serves and keeps per-layer solves "
+        "(default: none; the run's own envelope is never served from it)",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument(
@@ -364,7 +366,6 @@ def _gateway_client(args):
 def _engine_spec(args) -> EngineSpec:
     return EngineSpec(
         jobs=args.jobs,
-        cache=args.cache,
         batch_size=args.batch_size,
         time_budget=args.time_budget,
     )
@@ -376,7 +377,7 @@ def _engine_spec(args) -> EngineSpec:
 def _solve_description(outcome) -> str:
     """One-line solve summary matched to the scheduler kind."""
     if outcome.from_cache:
-        return f"{outcome.scheduler}: served from mapping cache"
+        return f"{outcome.scheduler}: served from the result store's layer tier"
     detail = outcome.detail
     if outcome.scheduler == "cosa":
         return f"CoSA solve: {detail.solution.status.value} in {outcome.solve_time_seconds:.1f}s"
@@ -523,10 +524,10 @@ def _render_result(result, as_json: bool, save: str | None = None) -> int:
     return _render_suite(result, as_json)
 
 
-def _execute(spec: RunSpec, as_json: bool, save: str | None = None) -> int:
+def _execute(spec: RunSpec, as_json: bool, save: str | None = None, store=None) -> int:
     """Run a spec and render it, turning spec/registry errors into exit 1."""
     try:
-        result = api.run(spec)
+        result = api.execute(spec, store=api.ResultStore(store) if store is not None else None)
     except (ValueError, api.UnknownNameError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -557,7 +558,7 @@ def _schedule(args) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    return _execute(spec, args.json, save=args.save)
+    return _execute(spec, args.json, save=args.save, store=args.store)
 
 
 def _compare(args) -> int:
@@ -569,7 +570,7 @@ def _compare(args) -> int:
         engine=_engine_spec(args),
         seed=args.seed,
     )
-    return _execute(spec, args.json)
+    return _execute(spec, args.json, store=args.store)
 
 
 def _suite(args) -> int:
@@ -580,7 +581,7 @@ def _suite(args) -> int:
         scheduler=SchedulerSpec(args.scheduler),
         engine=_engine_spec(args),
     )
-    return _execute(spec, args.json)
+    return _execute(spec, args.json, store=args.store)
 
 
 def _load_spec_or_fail(path) -> RunSpec | None:
@@ -865,7 +866,7 @@ def _store(args) -> int:
             return 0
         print(f"store {summary['root']}")
         print(f"  entries: {summary['entries']}  bytes: {summary['bytes']}"
-              f"  jobs: {summary['jobs']}")
+              f"  layers: {summary['layers']}  jobs: {summary['jobs']}")
         if summary["shards"]:
             width = max(count for count in summary["shards"].values())
             for shard, count in summary["shards"].items():
@@ -889,7 +890,7 @@ def _store(args) -> int:
         print(json.dumps(report, indent=2))
         return 0
     verb = "would evict" if args.dry_run else "evicted"
-    print(f"{verb} {len(evicted.evicted)} envelope(s) ({evicted.evicted_bytes} bytes); "
+    print(f"{verb} {len(evicted.evicted)} entry(ies) ({evicted.evicted_bytes} bytes); "
           f"removed {compacted.removed_temp_files} temp file(s), "
           f"{compacted.removed_empty_shards} empty shard dir(s); "
           f"{compacted.remaining_entries} entries remain")

@@ -7,7 +7,7 @@ experiment harness, the CLI, services):
 * :mod:`repro.engine.outcome` — the :class:`Scheduler` protocol and the
   scheduler-agnostic :class:`ScheduleOutcome` result,
 * :mod:`repro.engine.cache` — the content-addressed :class:`MappingCache`
-  (in-memory LRU + optional JSON persistence),
+  (in-memory LRU, optionally backed by a result store's layer tier),
 * :mod:`repro.engine.engine` — the :class:`SchedulingEngine` driving any
   scheduler over networks and suites with ``jobs=N`` parallelism and
   identical-layer de-duplication.

@@ -11,7 +11,7 @@ scheduler config fingerprint)``
 * the **layer** enters through :meth:`~repro.workloads.layer.Layer.key_dict`:
   conv layers contribute all seven loop bounds plus the stride (not just the
   paper's ``R_P_C_K_Stride`` shorthand, which ignores the batch size) in the
-  historic payload shape, so pre-IR cache files stay valid; other tensor
+  historic payload shape, so pre-IR keys stay valid; other tensor
   problems contribute their problem name plus every dimension bound,
 * the **architecture fingerprint** (:meth:`repro.arch.accelerator.Accelerator.fingerprint`)
   covers the memory hierarchy, PE array, NoC, precisions and energy table,
@@ -20,27 +20,22 @@ scheduler config fingerprint)``
 
 Two lookups with equal keys are therefore guaranteed to describe the same
 solve, so serving the stored mapping is exact, not approximate.  Entries
-live in a bounded in-memory LRU and can be persisted to a JSON file (via
-:mod:`repro.mapping.serialize`) so later processes skip the MIP entirely.
+live in a bounded in-memory LRU that can read and write through to a
+:class:`~repro.api.store.ResultStore`'s layer tier, so later processes,
+specs and tenants sharing the store skip the MIP entirely.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from repro.arch.accelerator import Accelerator
 from repro.digest import stable_digest
 from repro.engine.outcome import ScheduleOutcome, Scheduler
-from repro.io_utils import atomic_write_json
 from repro.mapping.serialize import mapping_from_dict, mapping_to_dict
 from repro.workloads.layer import Layer
-
-#: Schema version of the on-disk cache file.
-CACHE_FORMAT_VERSION = 1
 
 
 def cache_key(layer: Layer, accelerator: Accelerator, scheduler: Scheduler) -> str:
@@ -75,23 +70,19 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
 
-    @property
-    def lookups(self) -> int:
-        """Total number of cache queries."""
-        return self.hits + self.misses
-
     def to_dict(self) -> dict:
         return {"hits": self.hits, "misses": self.misses}
 
 
 class MappingCache:
-    """Bounded LRU of finished schedules with optional JSON persistence.
+    """Bounded LRU of finished schedules, optionally backed by a result store.
 
     Parameters
     ----------
-    path:
-        Optional JSON file backing the cache.  When it exists its entries
-        are loaded eagerly; :meth:`save` writes the current state back.
+    store:
+        Optional :class:`~repro.api.store.ResultStore` (``load_layer`` /
+        ``put_layer``): a key missing from memory is read from its layer
+        tier, and every :meth:`put` is written through, one file per key.
 
     At most :attr:`MAX_ENTRIES` entries stay in memory; the least recently
     used entry is evicted first.  The cache is thread-safe so a parallel
@@ -102,16 +93,21 @@ class MappingCache:
     #: In-memory LRU bound.
     MAX_ENTRIES = 4096
 
-    def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path is not None else None
+    def __init__(self, store=None):
+        self.store = store
         self.stats = CacheStats()
         self._entries: OrderedDict[str, dict] = OrderedDict()
         self._lock = threading.Lock()
-        if self.path is not None and self.path.exists():
-            self._load(self.path)
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def _remember(self, key: str, entry: dict) -> None:
+        with self._lock:
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.MAX_ENTRIES:
+                self._entries.popitem(last=False)
 
     # ------------------------------------------------------------------ lookup
     def get(self, key: str, layer: Layer | None = None) -> ScheduleOutcome | None:
@@ -123,24 +119,28 @@ class MappingCache:
         """
         with self._lock:
             entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+        if entry is None and self.store is not None:
+            entry = self.store.load_layer(key)
+            if entry is not None:
+                self._remember(key, entry)
+        if entry is not None:
+            try:
+                mapping = mapping_from_dict(entry["mapping"])
+            except (KeyError, TypeError, ValueError):
+                # Undeserializable entry — e.g. a v2 mapping whose TensorProblem
+                # is not registered in this process.  Degrade to a miss (and drop
+                # the entry) instead of crashing what should be a cache lookup.
+                entry = None
+        with self._lock:
             if entry is None:
                 self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-        try:
-            mapping = mapping_from_dict(entry["mapping"]) if entry["mapping"] is not None else None
-        except (KeyError, ValueError):
-            # Undeserializable entry — e.g. a v2 mapping whose TensorProblem
-            # is not registered in this process.  Degrade to a miss (and drop
-            # the entry) instead of crashing what should be a cache lookup.
-            with self._lock:
-                self.stats.hits -= 1
-                self.stats.misses += 1
                 self._entries.pop(key, None)
-            return None
-        outcome = ScheduleOutcome(
-            layer=layer if layer is not None else (mapping.layer if mapping else None),
+                return None
+            self.stats.hits += 1
+        return ScheduleOutcome(
+            layer=layer if layer is not None else mapping.layer,
             scheduler=entry["scheduler"],
             mapping=mapping,
             metrics=dict(entry.get("metrics", {})),
@@ -150,7 +150,6 @@ class MappingCache:
             num_evaluated=entry.get("num_evaluated", 0),
             from_cache=True,
         )
-        return outcome
 
     def put(self, key: str, outcome: ScheduleOutcome) -> None:
         """Store ``outcome`` under ``key`` (evicting the LRU entry if full).
@@ -168,43 +167,6 @@ class MappingCache:
             "num_sampled": outcome.num_sampled,
             "num_evaluated": outcome.num_evaluated,
         }
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.MAX_ENTRIES:
-                self._entries.popitem(last=False)
-
-    # ------------------------------------------------------------- persistence
-    def save(self, path: str | Path | None = None) -> Path:
-        """Write every entry to ``path`` (default: the constructor path).
-
-        The write is atomic (:func:`repro.io_utils.atomic_write_json`):
-        concurrent runs persisting to the same file — e.g. two parallel
-        ``jobs>1`` engine invocations sharing a cache path — can never leave
-        a torn, unloadable JSON file behind; readers see either the old or
-        the new snapshot.
-        """
-        target = Path(path) if path is not None else self.path
-        if target is None:
-            raise ValueError("no path given and the cache was created without one")
-        with self._lock:
-            payload = {
-                "version": CACHE_FORMAT_VERSION,
-                "entries": {key: entry for key, entry in self._entries.items()},
-            }
-        return atomic_write_json(target, payload)
-
-    def _load(self, path: Path) -> None:
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as error:
-            raise ValueError(f"{path} is not a mapping-cache file: {error}") from None
-        if not isinstance(data, dict):
-            raise ValueError(f"{path} is not a mapping-cache file")
-        version = data.get("version")
-        if version != CACHE_FORMAT_VERSION:
-            raise ValueError(f"unsupported cache format version {version!r}")
-        for key, entry in data.get("entries", {}).items():
-            self._entries[key] = entry
-        while len(self._entries) > self.MAX_ENTRIES:
-            self._entries.popitem(last=False)
+        self._remember(key, entry)
+        if self.store is not None:
+            self.store.put_layer(key, entry)

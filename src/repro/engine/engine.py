@@ -12,7 +12,8 @@ should not re-implement:
   duplicate.
 * **Caching** — with a :class:`~repro.engine.cache.MappingCache` attached,
   previously solved (layer, architecture, scheduler config) triples are
-  served from the cache instead of re-running the MIP or search.
+  served from the cache — or from the result store behind it — instead of
+  re-running the MIP or search.
 
 Determinism guarantees
 ----------------------

@@ -1,12 +1,11 @@
 """Crash-safe file writes shared by every on-disk artifact.
 
-Both persistent stores of the repository — the mapping cache
-(:mod:`repro.engine.cache`) and the result store (:mod:`repro.api.store`) —
-persist JSON snapshots that other processes may be reading or replacing at
-the same time.  The safe recipe is the same everywhere: write the full
-payload to a uniquely named temp file in the *target's own directory* (so
-the final step never crosses a filesystem boundary), then ``os.replace`` it
-over the destination.  Readers observe either the old snapshot or the new
+The result store (:mod:`repro.api.store`: envelopes, per-layer solves, job
+records) and the fabric's task files persist JSON snapshots that other
+processes may be reading or replacing at the same time.  The safe recipe is
+the same everywhere: write the full payload to a uniquely named temp file in
+the *target's own directory* (so the final step never crosses a filesystem
+boundary), then ``os.replace`` it over the destination.  Readers observe either the old snapshot or the new
 one, never a torn half-write, even if the writer dies mid-write or two
 writers race on the same path.
 

@@ -38,13 +38,19 @@ class ScipyMilpBackend:
             options["time_limit"] = self.time_limit_seconds
 
         start = time.perf_counter()
-        result = milp(
-            c=form.c,
-            constraints=constraints or None,
-            integrality=form.integrality,
-            bounds=Bounds(form.lower, form.upper),
-            options=options,
-        )
+        # HiGHS's presolve ends some small integer programs in "Solve error"
+        # (status 4; e.g. an infeasible 3-variable box with scipy 1.17); the
+        # same model solves cleanly without presolve.
+        for attempt in (options, {**options, "presolve": False}):
+            result = milp(
+                c=form.c,
+                constraints=constraints or None,
+                integrality=form.integrality,
+                bounds=Bounds(form.lower, form.upper),
+                options=attempt,
+            )
+            if result.status != 4:
+                break
         elapsed = time.perf_counter() - start
 
         if result.status == 0 and result.x is not None:

@@ -128,7 +128,7 @@ class TestSpecParsing:
             "kind": "suite",
             "scheduler": {"name": "random", "options": {"num_valid": 3}},
             "workload": {"first_layers": 2, "batch": 4},
-            "engine": {"jobs": 2, "cache": "m.json", "batch_size": 16, "time_budget": 1.5},
+            "engine": {"jobs": 2, "cache": None, "batch_size": 16, "time_budget": 1.5},
             "seed": 7,
         }
         spec = RunSpec.from_dict(payload)

@@ -1,15 +1,16 @@
-"""Concurrency tests for the mapping cache: eviction and JSON persistence
-under parallel ``jobs>1`` engine runs and under direct multi-threaded
-hammering (previously untested)."""
+"""Concurrency tests for the mapping cache: eviction and write-through to
+the result store's layer tier under parallel ``jobs>1`` engine runs and
+under direct multi-threaded hammering."""
 
 import json
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.api.store import ResultStore
 from repro.arch import simba_like
 from repro.baselines import RandomScheduler
 from repro.engine import MappingCache, SchedulingEngine
-from repro.engine.cache import CACHE_FORMAT_VERSION
 from repro.workloads import Layer
 
 ARCH = simba_like()
@@ -25,8 +26,8 @@ class TestEngineCacheConcurrency:
     def test_parallel_run_with_eviction_stays_bounded_and_persistable(self, tmp_path, monkeypatch):
         """jobs>1 + a tiny LRU: eviction races must not corrupt the cache."""
         monkeypatch.setattr(MappingCache, "MAX_ENTRIES", 4)
-        path = tmp_path / "cache.json"
-        cache = MappingCache(path=path)
+        store = ResultStore(tmp_path / "store")
+        cache = MappingCache(store=store)
         engine = SchedulingEngine(RandomScheduler(ARCH, num_valid=2), cache=cache)
         layers = distinct_layers(10)
 
@@ -34,19 +35,21 @@ class TestEngineCacheConcurrency:
         assert network.num_succeeded == len(layers)
         assert len(cache) <= 4
 
-        saved = cache.save()
-        data = json.loads(saved.read_text())
-        assert data["version"] == CACHE_FORMAT_VERSION
-        assert len(data["entries"]) <= 4
+        # The memory bound does not bound the store: every solve was written
+        # through, and each entry is a complete JSON file.
+        files = sorted(store.layers_dir.rglob("*.json"))
+        assert len(files) == len(layers)
+        assert all(json.loads(path.read_text())["mapping"] for path in files)
 
-        reloaded = MappingCache(path=path)
-        assert len(reloaded) == len(data["entries"])
-        # The reloaded entries really serve: the tail layers (most recently
-        # used survive LRU eviction) hit without a fresh solve.
+        reloaded = MappingCache(store=store)
+        assert len(reloaded) == 0  # read through lazily, not loaded eagerly
+        # The stored entries really serve: even the layers evicted from the
+        # first cache's memory hit without a fresh solve.
         engine2 = SchedulingEngine(RandomScheduler(ARCH, num_valid=2), cache=reloaded)
         rerun = engine2.schedule_network(layers, jobs=4, executor="thread")
         assert rerun.num_succeeded == len(layers)
-        assert rerun.stats.cache_hits >= 1
+        assert rerun.stats.cache_hits == len(layers)
+        assert len(reloaded) <= 4
 
     def test_parallel_and_serial_runs_agree_through_shared_cache(self):
         """A cache shared by concurrent workers returns the exact solve results."""
@@ -69,10 +72,10 @@ class TestEngineCacheConcurrency:
 
 class TestCacheHammer:
     def test_concurrent_put_get_save_keeps_invariants(self, tmp_path, monkeypatch):
-        """Direct hammering: puts, gets and saves race on one instance."""
+        """Direct hammering: puts, gets and store reads race on one instance."""
         monkeypatch.setattr(MappingCache, "MAX_ENTRIES", 8)
-        path = tmp_path / "hammer.json"
-        cache = MappingCache(path=path)
+        store = ResultStore(tmp_path / "store")
+        cache = MappingCache(store=store)
         layers = distinct_layers(10)
         scheduler = RandomScheduler(ARCH, num_valid=1)
         outcomes = [scheduler.schedule_outcome(layer) for layer in layers]
@@ -86,43 +89,49 @@ class TestCacheHammer:
                     index = (worker_id + round_) % len(layers)
                     cache.put(f"key-{index}", outcomes[index])
                     cache.get(f"key-{(index + 3) % len(layers)}", layers[index])
-                    if round_ % 5 == 0:
-                        cache.save()
+                    if round_ % 5 == 0:  # a fresh reader sees a whole entry
+                        assert MappingCache(store=store).get(f"key-{index}") is not None
             except Exception as error:  # pragma: no cover - failure diagnostics
                 errors.append(error)
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            list(pool.map(worker, range(8)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                list(pool.map(worker, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
 
         assert not errors
         assert len(cache) <= 8
-        # The last save (atomic temp-file + rename) must be a loadable snapshot.
-        cache.save()
-        reloaded = MappingCache(path=path)
+        # Every key that was put is in the store, whole (atomic temp-file +
+        # rename), for a fresh instance to serve.
+        reloaded = MappingCache(store=ResultStore(tmp_path / "store"))
+        for index, layer in enumerate(layers):
+            assert reloaded.get(f"key-{index}", layer) is not None
         assert len(reloaded) <= 8
-        for key in list(reloaded._entries):
-            assert reloaded.get(key) is not None
 
-    def test_concurrent_saves_to_one_path_never_tear_the_file(self, tmp_path):
-        """Two caches persisting to the same path: the file is always valid JSON."""
-        path = tmp_path / "shared.json"
+    def test_concurrent_writers_never_tear_an_entry(self, tmp_path):
+        """Two caches writing the same keys to one store: entries stay valid JSON."""
         layers = distinct_layers(4)
         scheduler = RandomScheduler(ARCH, num_valid=1)
-        caches = []
-        for offset in range(2):
-            cache = MappingCache()
-            for i, layer in enumerate(layers):
-                cache.put(f"key-{offset}-{i}", scheduler.schedule_outcome(layer))
-            caches.append(cache)
+        outcomes = [scheduler.schedule_outcome(layer) for layer in layers]
+        caches = [MappingCache(store=ResultStore(tmp_path / "store")) for _ in range(2)]
 
-        def saver(cache: MappingCache) -> None:
+        def writer(cache: MappingCache) -> None:
             for _ in range(25):
-                cache.save(path)
+                for i, outcome in enumerate(outcomes):
+                    cache.put(f"key-{i}", outcome)
 
         with ThreadPoolExecutor(max_workers=2) as pool:
-            list(pool.map(saver, caches))
+            list(pool.map(writer, caches))
 
-        data = json.loads(path.read_text())  # would raise on a torn write
-        assert data["version"] == CACHE_FORMAT_VERSION
-        assert len(data["entries"]) == len(layers)
-        assert MappingCache(path=path) is not None
+        store = ResultStore(tmp_path / "store")
+        files = list(store.layers_dir.rglob("*"))
+        assert sorted(path.name for path in files if path.is_file()) == sorted(
+            f"key-{i}.json" for i in range(len(layers))
+        )  # no temp debris either
+        for i, layer in enumerate(layers):
+            entry = json.loads(store.layer_path(f"key-{i}").read_text())  # torn -> raises
+            assert entry["scheduler"] == outcomes[i].scheduler
+            assert MappingCache(store=store).get(f"key-{i}", layer) is not None

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.api.store import ResultStore
 from repro.arch import simba_like
 from repro.baselines import RandomScheduler, TimeloopHybridScheduler, TVMLikeTuner
 from repro.core import CoSAScheduler
@@ -153,21 +154,21 @@ class TestEngineNetwork:
 
 class TestMappingCache:
     def test_disk_round_trip_and_hit(self, tmp_path):
-        path = tmp_path / "cache.json"
         scheduler = RandomScheduler(ARCH, num_valid=2)
-        engine = SchedulingEngine(scheduler, cache=MappingCache(path=path))
+        store = ResultStore(tmp_path / "store")
+        engine = SchedulingEngine(scheduler, cache=MappingCache(store=store))
         solved = engine.schedule_network([TINY]).outcomes[0]
         assert not solved.from_cache
-        engine.cache.save()
-        assert path.exists()
+        # Written through on put: no save step.
+        assert store.layer_path(cache_key(TINY, ARCH, scheduler)).exists()
 
-        # A fresh process-equivalent: new cache object loaded from disk.
-        reloaded = MappingCache(path=path)
-        assert len(reloaded) == 1
+        # A fresh process-equivalent: new cache object over the same store.
+        reloaded = MappingCache(store=ResultStore(tmp_path / "store"))
         engine2 = SchedulingEngine(RandomScheduler(ARCH, num_valid=2), cache=reloaded)
         hit = engine2.schedule_network([TINY]).outcomes[0]
         assert hit.from_cache
         assert reloaded.stats.hits == 1
+        assert len(reloaded) == 1
         assert hit.mapping.summary() == solved.mapping.summary()
         # The original solve time survives the round trip.
         assert hit.solve_time_seconds == pytest.approx(solved.solve_time_seconds)
@@ -206,11 +207,17 @@ class TestMappingCache:
         cache.put("key", ScheduleOutcome(layer=TINY, scheduler="x", mapping=None))
         assert len(cache) == 0
 
-    def test_unsupported_version_rejected(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"version": 99, "entries": {}}))
-        with pytest.raises(ValueError):
-            MappingCache(path=path)
+    def test_unreadable_store_entry_degrades_to_a_miss(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        scheduler = RandomScheduler(ARCH, num_valid=2)
+        key = cache_key(TINY, ARCH, scheduler)
+        store.put_layer(key, {"version": 99, "entries": {}})
+        engine = SchedulingEngine(scheduler, cache=MappingCache(store=store))
+        outcome = engine.schedule_network([TINY]).outcomes[0]
+        assert outcome.succeeded and not outcome.from_cache
+        assert engine.cache.stats.to_dict() == {"hits": 0, "misses": 1}
+        # The fresh solve overwrote the entry.
+        assert MappingCache(store=store).get(key, TINY) is not None
 
 
 class _FailingBackend:
@@ -270,9 +277,9 @@ class TestStatsNoneRegression:
 
 class TestEngineCLI:
     def test_compare_json_output(self, capsys, tmp_path):
-        cache_file = tmp_path / "cache.json"
+        store_dir = tmp_path / "store"
         args = ["compare", "alexnet", "--layers", "1", "--jobs", "2", "--json",
-                "--cache", str(cache_file)]
+                "--store", str(store_dir)]
         assert __import__("repro.cli", fromlist=["main"]).main(args) == 0
         envelope = json.loads(capsys.readouterr().out)
         assert envelope["schema_version"] == 1
@@ -282,9 +289,10 @@ class TestEngineCLI:
         assert data["label"] == "alexnet"
         assert len(data["comparisons"]) == 1
         assert {"random", "timeloop-hybrid", "cosa"} <= set(data["engine_stats"])
-        assert cache_file.exists()
+        assert ResultStore(store_dir).stats_summary()["layers"] == 3
+        assert len(ResultStore(store_dir)) == 0  # the verbs keep no envelope
 
-        # Second run against the persisted cache: zero fresh solves.
+        # Second run against the store's layer tier: zero fresh solves.
         assert __import__("repro.cli", fromlist=["main"]).main(args) == 0
         data = json.loads(capsys.readouterr().out)["data"]
         for stats in data["engine_stats"].values():
@@ -338,7 +346,7 @@ class TestLayerObserver:
 
     def test_reports_in_input_order_with_sources(self, tmp_path):
         scheduler = RandomScheduler(ARCH, num_valid=2, seed=0)
-        cache = MappingCache(path=tmp_path / "cache.json")
+        cache = MappingCache()
         engine = SchedulingEngine(scheduler, cache=cache)
         layers = [Layer(r=3, p=4, c=8, k=16, name="a"),
                   Layer(r=1, p=2, c=4, k=4, name="b"),

@@ -3,8 +3,9 @@
 A fused bert-base-block spec is submitted to a fabric-backend service and
 executed by an external-style :class:`FabricWorker` (in a thread, same code
 path as a ``repro worker`` subprocess).  The resulting envelope — schema
-version, fusion payload, per-group costs and all — must match the
-in-process ``run()`` byte for byte once wall-clock fields are zeroed, and a
+version, fusion payload, per-group costs and all — must match an
+in-process run against an empty store byte for byte once wall-clock fields
+are zeroed, and a
 resubmission must count as a **fused** store hit.
 """
 
@@ -12,8 +13,9 @@ import threading
 
 import pytest
 
-from repro.api import RunSpec, SchedulingService, run
+from repro.api import RunSpec, SchedulingService, execute
 from repro.api.service import JobState
+from repro.api.store import ResultStore
 from repro.fabric.worker import FabricWorker
 
 FUSED_SPEC = {
@@ -56,7 +58,7 @@ def fabric(tmp_path):
 
 
 class TestFusedFabric:
-    def test_fused_block_envelope_matches_local_run(self, fabric):
+    def test_fused_block_envelope_matches_local_run(self, fabric, tmp_path):
         service, _ = fabric
         job = service.submit(RunSpec.from_dict(FUSED_SPEC))
         fabric_result = job.result(timeout=300)
@@ -68,7 +70,11 @@ class TestFusedFabric:
         group = next(g for g in fusion["groups"] if g["fused"])
         assert group["traffic"]["consistent"] is True
 
-        local_result = run(RunSpec.from_dict(FUSED_SPEC))
+        # Against an empty store, like the worker's: the layer-tier
+        # provenance fields (cache_misses) agree too.
+        local_result = execute(
+            RunSpec.from_dict(FUSED_SPEC), store=ResultStore(tmp_path / "local")
+        )
         assert normalize_times(fabric_result.to_dict()) == normalize_times(
             local_result.to_dict()
         )

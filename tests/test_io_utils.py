@@ -61,12 +61,20 @@ class TestAtomicWriteJson:
 
 class TestMappingCacheUsesAtomicSave:
     def test_cache_save_has_trailing_newline_and_loads(self, tmp_path):
-        # The mapping cache now routes through the shared helper.
+        # The mapping cache writes through to the store's layer tier, which
+        # routes through the shared helper.
+        from repro.api.store import ResultStore
+        from repro.arch import simba_like
+        from repro.baselines import RandomScheduler
         from repro.engine import MappingCache
+        from repro.workloads import Layer
 
-        path = tmp_path / "cache.json"
-        cache = MappingCache(path=path)
-        cache.save()
+        layer = Layer(p=4, q=4, c=4, k=8)
+        outcome = RandomScheduler(simba_like(), num_valid=1).schedule_outcome(layer)
+        store = ResultStore(tmp_path / "store")
+        MappingCache(store=store).put("key", outcome)
+        path = store.layer_path("key")
         assert path.read_text().endswith("\n")
-        assert json.loads(path.read_text())["version"] == 1
-        MappingCache(path=path)  # reloads cleanly
+        assert json.loads(path.read_text())["scheduler"] == "random"
+        assert [p.name for p in path.parent.iterdir()] == ["key.json"]  # no temp left
+        assert MappingCache(store=store).get("key", layer) is not None  # reloads cleanly

@@ -104,10 +104,10 @@ def gate(monkeypatch):
     started, release = threading.Event(), threading.Event()
     original = runner_module.execute
 
-    def gated_execute(spec, emit_layer=None):
+    def gated_execute(spec, emit_layer=None, store=None):
         started.set()
         assert release.wait(60)
-        return original(spec, emit_layer=emit_layer)
+        return original(spec, emit_layer=emit_layer, store=store)
 
     monkeypatch.setattr(runner_module, "execute", gated_execute)
     yield started, release

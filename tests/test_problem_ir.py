@@ -333,12 +333,12 @@ class TestSerialization:
             def config_fingerprint(self):
                 return "{}"
 
+        from repro.api.store import ResultStore
+
         key = cache_key(layer, ARCH, _FakeScheduler())
-        path = tmp_path / "cache.json"
-        cache = MappingCache(path=path)
+        cache = MappingCache(store=ResultStore(tmp_path / "store"))
         cache.put(key, outcome)
-        cache.save()
-        reloaded = MappingCache(path=path)
+        reloaded = MappingCache(store=ResultStore(tmp_path / "store"))
         hit = reloaded.get(key, layer)
         assert hit is not None
         assert hit.mapping.summary() == mapping.summary()

@@ -115,18 +115,32 @@ class TestCLIFacade:
         assert "schedulers:" not in output
 
     def test_schedule_accepts_cache_and_jobs(self, capsys, tmp_path):
-        cache_file = tmp_path / "cache.json"
+        store_dir = tmp_path / "store"
         args = ["schedule", "3_13_256_256_1", "--scheduler", "random",
-                "--jobs", "2", "--cache", str(cache_file)]
+                "--jobs", "2", "--store", str(store_dir)]
         assert cli_main(args) == 0
         first = capsys.readouterr().out
         assert "Random search" in first
-        assert cache_file.exists()
+        assert (store_dir / "layers").is_dir()
 
-        # Second invocation reuses the persisted mapping cache.
+        # Second invocation reuses the layer the first one stored.
         assert cli_main(args) == 0
         second = capsys.readouterr().out
-        assert "served from mapping cache" in second
+        assert "served from the result store's layer tier" in second
+
+    def test_run_rejects_a_spec_naming_a_cache_file(self, capsys, tmp_path):
+        outside = tmp_path / "mappings.json"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "kind": "schedule",
+            "workload": {"layers": ["3_13_256_256_1"]},
+            "engine": {"cache": str(outside)},
+        }))
+        assert cli_main(["run", str(spec_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "engine.cache" in captured.err and "--store" in captured.err
+        assert not outside.exists()
 
     def test_run_subcommand_executes_spec_file(self, capsys, tmp_path):
         spec_path = tmp_path / "spec.json"

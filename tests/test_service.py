@@ -286,9 +286,9 @@ class TestEventProtocol:
 class TestEventDeterminism:
     """Satellite: per-layer events are deterministic even under jobs>1."""
 
-    def _layer_events(self, spec_dict):
+    def _layer_events(self, spec_dict, store=None):
         events = []
-        with SchedulingService(max_workers=1) as service:
+        with SchedulingService(max_workers=1, store=store) as service:
             submit_and_wait(service, spec_dict, on_event=events.append)
         return events
 
@@ -334,17 +334,19 @@ class TestEventDeterminism:
         spec = {
             **SCHEDULE_SPEC,
             "workload": {"layers": ["3_4_8_16_1", "3_4_8_16_1"]},
-            "engine": {"cache": str(tmp_path / "mappings.json")},
         }
+        # Same layers and scheduler, another experiment (so not a store hit).
+        other = {**spec, "platform": {"name": "timeloop", "metric": "energy"}}
+        store = ResultStore(tmp_path / "store")
         cold = [
-            e for e in self._layer_events(spec) if isinstance(e, LayerScheduled)
+            e for e in self._layer_events(spec, store) if isinstance(e, LayerScheduled)
         ]
         warm = [
-            e for e in self._layer_events(spec) if isinstance(e, LayerScheduled)
+            e for e in self._layer_events(other, store) if isinstance(e, LayerScheduled)
         ]
         assert [e.cache_hit["random"] for e in cold] == [False, False]
         assert [e.dedup for e in cold] == [False, True]
-        # Second run: the unique layer is a mapping-cache hit, its twin a dedup.
+        # Second spec: the unique layer is a layer-tier hit, its twin a dedup.
         assert [e.cache_hit["random"] for e in warm] == [True, False]
         assert [e.dedup for e in warm] == [False, True]
 
@@ -466,7 +468,7 @@ class TestResultStore:
         rewired = RunSpec.from_dict(
             {
                 **SCHEDULE_SPEC,
-                "engine": {"jobs": 8, "executor": "process", "cache": "x.json"},
+                "engine": {"jobs": 8, "executor": "process", "cache": None},
             }
         )
         assert spec_fingerprint(base) == spec_fingerprint(rewired)

@@ -204,10 +204,10 @@ class TestSingleFlight:
         original = runner_module.execute
         release = threading.Event()
 
-        def gated_execute(spec, emit_layer=None):
+        def gated_execute(spec, emit_layer=None, store=None):
             executions.append(spec)
             release.wait(timeout=60)
-            return original(spec, emit_layer=emit_layer)
+            return original(spec, emit_layer=emit_layer, store=store)
 
         monkeypatch.setattr(runner_module, "execute", gated_execute)
         with SchedulingService(max_workers=2, store=tmp_path / "store") as service:
@@ -260,9 +260,9 @@ class TestSingleFlight:
         gate = threading.Event()
         original = runner_module.execute
 
-        def gated_execute(spec, emit_layer=None):
+        def gated_execute(spec, emit_layer=None, store=None):
             gate.wait(timeout=60)
-            return original(spec, emit_layer=emit_layer)
+            return original(spec, emit_layer=emit_layer, store=store)
 
         monkeypatch.setattr(runner_module, "execute", gated_execute)
         with SchedulingService(max_workers=1) as service:
@@ -284,9 +284,9 @@ class TestSingleFlight:
         gate = threading.Event()
         original = runner_module.execute
 
-        def gated_execute(spec, emit_layer=None):
+        def gated_execute(spec, emit_layer=None, store=None):
             gate.wait(timeout=60)
-            return original(spec, emit_layer=emit_layer)
+            return original(spec, emit_layer=emit_layer, store=store)
 
         monkeypatch.setattr(runner_module, "execute", gated_execute)
         with SchedulingService(max_workers=1) as service:
@@ -317,9 +317,9 @@ class TestServiceRaces:
         executed = []
         original = runner_module.execute
 
-        def tracking_execute(spec, emit_layer=None):
+        def tracking_execute(spec, emit_layer=None, store=None):
             executed.append(spec)
-            return original(spec, emit_layer=emit_layer)
+            return original(spec, emit_layer=emit_layer, store=store)
 
         monkeypatch.setattr(runner_module, "execute", tracking_execute)
         with SchedulingService(max_workers=1) as service:

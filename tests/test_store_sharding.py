@@ -2,8 +2,9 @@
 
 Covers the fabric-era store features layered onto :class:`ResultStore`:
 fingerprint-prefix sharding, the warm in-memory LRU tier and its hit
-counters, size-bounded eviction (``gc``), temp-debris compaction, the stats
-summary, and cross-tenant envelope sharing through ``results_root``.
+counters, size-bounded eviction (``gc``), temp-debris compaction (results
+tier and ``jobs/``), the stats summary, and cross-tenant envelope sharing
+through ``results_root``.
 """
 
 import pytest
@@ -119,6 +120,26 @@ class TestGcAndCompaction:
         assert fresh.exists()  # young temp files may be in-flight writes
         assert not empty.exists()
         assert store.result_path(fingerprint).exists()
+
+    def test_compact_sweeps_stale_temp_files_in_jobs(self, tmp_path):
+        import os
+        import time
+
+        # A store with job records but no results tier yet.
+        store = ResultStore(tmp_path / "store")
+        store.jobs_dir.mkdir(parents=True)
+        stale = store.jobs_dir / ".new-job.1.2.tmp"  # a killed first-record write
+        stale.write_text("{}")
+        old = time.time() - 3600
+        os.utime(stale, (old, old))
+        fresh = store.jobs_dir / ".job-000001-abc.json.3.4.tmp"  # in flight
+        fresh.write_text("{}")
+
+        report = store.compact()
+        assert report.removed_temp_files == 1
+        assert not stale.exists()
+        assert fresh.exists()
+        assert not store.results_dir.exists()
 
     def test_stats_summary_snapshot(self, tmp_path, envelope):
         store = ResultStore(tmp_path / "store")
