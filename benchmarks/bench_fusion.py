@@ -40,7 +40,6 @@ import numpy as np
 from bench_utils import PARITY_TOLERANCE, positive_int
 
 from repro.api import architectures, geometric_mean
-from repro.engine.cache import MappingCache
 from repro.engine.engine import SchedulingEngine
 from repro.fusion import (
     attention_block,
@@ -74,7 +73,7 @@ def bench_block(name: str, plan, arch) -> dict:
     """Schedule one block under its fusion plan and summarize the groups."""
     from repro.core.scheduler import CoSAScheduler
 
-    engine = SchedulingEngine(CoSAScheduler(arch), cache=MappingCache())
+    engine = SchedulingEngine(CoSAScheduler(arch))
     start = time.perf_counter()
     network = engine.schedule_network(plan.layers, fusion=plan, label=name)
     wall = time.perf_counter() - start

@@ -45,8 +45,8 @@ def main() -> None:
     print(f"schema_version: {result.schema_version}")
     print(f"resolved spec : {result.spec.to_dict()}")
 
-    # 6. Whole networks scale the same way — parallel solves, identical-layer
-    #    dedup and caching are engine knobs on the spec.
+    # 6. Whole networks scale the same way — parallel solves and
+    #    identical-layer dedup are engine knobs on the spec.
     network = run(
         RunSpec.from_dict(
             {
@@ -62,7 +62,7 @@ def main() -> None:
         f"engine: {sum(1 for o in network.data['outcomes'] if o['succeeded'])}"
         f"/{len(network.data['outcomes'])} layers scheduled "
         f"in {stats['wall_time_seconds']:.1f}s "
-        f"({stats['solves']} solves, {stats['dedup_reuses']} reused)"
+        f"({stats['unique_layers']} unique, {stats['dedup_reuses']} reused)"
     )
 
 

@@ -31,11 +31,13 @@ def main(num_layers: int = 5, jobs: int = 2, store_dir: str | None = None) -> No
     data = result.data
 
     # One layer tier serves all three schedulers: the key includes the
-    # scheduler identity, so there are no collisions.
-    for name, stats in data["engine_stats"].items():
+    # scheduler identity, so there are no collisions.  Where a layer came
+    # from is not part of the envelope; the live engine stats count it.
+    engine_stats = result.artifacts["summary"].engine_stats
+    for name, stats in engine_stats.items():
         print(
-            f"[{name}] {stats['solves']} solves, {stats['cache_hits']} cache hits, "
-            f"{stats['dedup_reuses']} dedup reuses, {stats['wall_time_seconds']:.1f}s wall"
+            f"[{name}] {stats.solves} solves, {stats.cache_hits} cache hits, "
+            f"{stats.dedup_reuses} dedup reuses, {stats.wall_time_seconds:.1f}s wall"
         )
 
     print()
@@ -47,7 +49,7 @@ def main(num_layers: int = 5, jobs: int = 2, store_dir: str | None = None) -> No
         )
     print(f"\ngeomean CoSA speedup over Random: {data['cosa_geomean']:.2f}x")
     if store_dir is not None:
-        solves = sum(stats["solves"] for stats in data["engine_stats"].values())
+        solves = sum(stats.solves for stats in engine_stats.values())
         print(f"solves: {solves} (layer solves kept in {store_dir})")
 
 

@@ -55,7 +55,6 @@ __all__ = [
     "Mapping",
     "CoSAScheduler",
     "SchedulingEngine",
-    "MappingCache",
     "api",
     "run",
     "RunSpec",
@@ -71,10 +70,10 @@ def __getattr__(name: str):
         from repro.core.scheduler import CoSAScheduler
 
         return CoSAScheduler
-    if name in ("SchedulingEngine", "MappingCache"):
-        import repro.engine as engine
+    if name == "SchedulingEngine":
+        from repro.engine import SchedulingEngine
 
-        return getattr(engine, name)
+        return SchedulingEngine
     if name in ("api", "run", "RunSpec", "RunResult", "SchedulingService"):
         import repro.api as api
 

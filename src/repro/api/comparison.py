@@ -6,8 +6,8 @@ mapper and CoSA, evaluate all three on one evaluation platform and report
 per-layer and geometric-mean speedups relative to Random.  This module
 implements that pipeline once, as a thin wrapper over the
 :class:`~repro.engine.engine.SchedulingEngine`: one engine per scheduler
-drives the layers (optionally in parallel and against a shared mapping
-cache), and the pipeline only evaluates the resulting mappings on the chosen
+drives the layers (optionally in parallel and against a shared result
+store), and the pipeline only evaluates the resulting mappings on the chosen
 platform and shapes the comparison rows.
 
 Both axes that used to be hard-coded now resolve through the
@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 from repro.api.registry import platforms, schedulers
 from repro.arch.accelerator import Accelerator
 from repro.core.objectives import ObjectiveWeights
-from repro.engine import EngineStats, MappingCache, SchedulingEngine
+from repro.engine import EngineStats, SchedulingEngine
 from repro.mapping.mapping import Mapping
 from repro.workloads.layer import Layer
 
@@ -109,9 +109,9 @@ class LayerComparison:
     random_samples: int = 0
     hybrid_samples: int = 0
     hybrid_evaluations: int = 0
-    #: Whether each schedule was served by the mapping cache (not part of
-    #: the serialized row — the v1 payload shape is pinned by golden tests —
-    #: but surfaced in per-layer ``layer_scheduled`` service events).
+    #: Whether each schedule was served by the store's layer tier (not part
+    #: of the serialized row, so the envelope does not depend on the store's
+    #: contents; surfaced in per-layer ``layer_scheduled`` service events).
     random_cached: bool = False
     hybrid_cached: bool = False
     cosa_cached: bool = False
@@ -135,9 +135,9 @@ class LayerComparison:
 class SpeedupSummary:
     """Geometric-mean summary of a set of :class:`LayerComparison` rows.
 
-    ``engine_stats`` carries per-scheduler effort counters (solves, cache
-    hits/misses, de-duplication reuses) of the engines that produced the
-    comparison, keyed by scheduler name.
+    ``engine_stats`` carries the :class:`~repro.engine.engine.EngineStats`
+    of the engines that produced the comparison, keyed by scheduler name;
+    only the store-independent counters are serialized.
     """
 
     label: str
@@ -230,7 +230,7 @@ def compare_on_network(
     schedulers=None,
     evaluator: Callable[[Mapping | None], float] | None = None,
     jobs: int = 1,
-    cache: MappingCache | None = None,
+    store=None,
     executor: str = "thread",
 ) -> SpeedupSummary:
     """Run the comparison over every layer of a network.
@@ -240,10 +240,10 @@ def compare_on_network(
     jobs:
         Concurrent solves per scheduler (layers are independent; see
         :meth:`~repro.engine.engine.SchedulingEngine.schedule_network`).
-    cache:
-        Optional shared :class:`~repro.engine.cache.MappingCache`; the cache
-        key includes the scheduler identity, so one cache serves all three
-        schedulers at once.
+    store:
+        Optional :class:`~repro.api.store.ResultStore` whose layer tier
+        serves and keeps the solves; the key includes the scheduler
+        identity, so one store serves all three schedulers at once.
     executor:
         ``"thread"`` or ``"process"`` pool for ``jobs > 1``.
     """
@@ -258,7 +258,7 @@ def compare_on_network(
     summary = SpeedupSummary(label=label)
     networks = []
     for scheduler in scheduler_triple:
-        engine = SchedulingEngine(scheduler, cache=cache, evaluate_metrics=False)
+        engine = SchedulingEngine(scheduler, store=store, evaluate_metrics=False)
         network = engine.schedule_network(layers, jobs=jobs, executor=executor, label=label)
         networks.append(network)
         stats_key = scheduler.name

@@ -33,6 +33,11 @@ from repro.api.specs import RunSpec
 #: :func:`repro.api.runner._schema_version` (empty-workload suites now
 #: resolve the registered transformer presets and therefore stamp v2) — so
 #: v1 consumers keep working and the golden v1 envelopes stay frozen.
+#:
+#: Dropping the layer-reuse provenance from ``data`` (``from_cache`` on
+#: outcomes and groups; ``cache_hits``, ``cache_misses`` and ``solves`` in
+#: engine stats) only removed keys and kept both versions: ``from_dict``
+#: never validated ``data`` keys, so envelopes stored with them still load.
 SCHEMA_VERSION = 2
 
 #: The legacy conv-only envelope version.

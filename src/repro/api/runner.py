@@ -107,17 +107,11 @@ def execute(spec: RunSpec, emit_layer=None, store=None) -> RunResult:
         raise TypeError(f"execute() expects a RunSpec, got {type(spec).__name__}")
     accelerator = architectures.create(spec.arch.preset)
 
-    cache = None
-    if store is not None:
-        from repro.engine import MappingCache
-
-        cache = MappingCache(store=store)
-
     if spec.kind == "compare":
-        return _run_compare(spec, accelerator, cache, emit_layer)
+        return _run_compare(spec, accelerator, store, emit_layer)
     if spec.kind == "schedule":
-        return _run_schedule(spec, accelerator, cache, emit_layer)
-    return _run_suite(spec, accelerator, cache, emit_layer)
+        return _run_schedule(spec, accelerator, store, emit_layer)
+    return _run_suite(spec, accelerator, store, emit_layer)
 
 
 def execute_job(spec: RunSpec, fingerprint: str, store=None, emit_layer=None, *, count=True):
@@ -307,7 +301,7 @@ def _build_scheduler(spec: RunSpec, accelerator):
 # ----------------------------------------------------------------- run kinds
 
 
-def _run_schedule(spec: RunSpec, accelerator, cache, emit_layer=None) -> RunResult:
+def _run_schedule(spec: RunSpec, accelerator, store, emit_layer=None) -> RunResult:
     from repro.engine import SchedulingEngine
     from repro.mapping.loopnest import render_loop_nest
 
@@ -322,7 +316,7 @@ def _run_schedule(spec: RunSpec, accelerator, cache, emit_layer=None) -> RunResu
 
             plan = auto_group(layers)
     scheduler = _build_scheduler(spec, accelerator)
-    engine = SchedulingEngine(scheduler, cache=cache)
+    engine = SchedulingEngine(scheduler, store=store)
     network = engine.schedule_network(
         layers,
         jobs=spec.engine.jobs,
@@ -394,7 +388,7 @@ def _run_schedule(spec: RunSpec, accelerator, cache, emit_layer=None) -> RunResu
     )
 
 
-def _run_compare(spec: RunSpec, accelerator, cache, emit_layer=None) -> RunResult:
+def _run_compare(spec: RunSpec, accelerator, store, emit_layer=None) -> RunResult:
     from repro.api.comparison import ComparisonConfig, compare_on_network
 
     unknown = sorted(set(spec.options) - set(COMPARE_OPTIONS))
@@ -423,7 +417,7 @@ def _run_compare(spec: RunSpec, accelerator, cache, emit_layer=None) -> RunResul
         layers,
         config,
         jobs=spec.engine.jobs,
-        cache=cache,
+        store=store,
         executor=spec.engine.executor,
     )
 
@@ -471,7 +465,7 @@ def _run_compare(spec: RunSpec, accelerator, cache, emit_layer=None) -> RunResul
     )
 
 
-def _run_suite(spec: RunSpec, accelerator, cache, emit_layer=None) -> RunResult:
+def _run_suite(spec: RunSpec, accelerator, store, emit_layer=None) -> RunResult:
     from repro.engine import SchedulingEngine
 
     if spec.workload.fusion is not None:
@@ -481,7 +475,7 @@ def _run_suite(spec: RunSpec, accelerator, cache, emit_layer=None) -> RunResult:
         )
     suite = _resolve_suite(spec.workload)
     scheduler = _build_scheduler(spec, accelerator)
-    engine = SchedulingEngine(scheduler, cache=cache)
+    engine = SchedulingEngine(scheduler, store=store)
     result = engine.schedule_suite(
         suite,
         jobs=spec.engine.jobs,

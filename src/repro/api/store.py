@@ -7,7 +7,10 @@ identical spec is a store hit that returns the stored envelope verbatim
 without invoking any scheduler.  Its **layer tier** keeps every successful
 per-layer solve under its :func:`~repro.engine.cache.cache_key`, so a
 *different* spec sharing a layer skips that layer's MIP or search: a job's
-:class:`~repro.engine.cache.MappingCache` reads and writes through to it.
+:class:`~repro.engine.engine.SchedulingEngine` reads and writes it through
+:meth:`ResultStore.load_layer` / :meth:`ResultStore.put_layer`.  Where a
+layer came from never reaches the envelope, so a job's envelope does not
+depend on what the store held when it ran.
 
 * Envelopes are the plain v1 :meth:`~repro.api.result.RunResult.to_dict`
   JSON — the store adds no wrapper, so a stored file round-trips through
@@ -43,11 +46,12 @@ Tiers, eviction, compaction
 ---------------------------
 A warm in-memory LRU tier (:data:`WARM_CAPACITY` parsed envelopes) fronts
 the disk tier; :class:`StoreStats` splits hits into ``warm_hits`` /
-``disk_hits`` (layer lookups count in the engine's ``cache_hits``, not
-here).  :meth:`gc` evicts least-recently-*used* entries of both tiers —
-every disk hit refreshes the file's mtime — until they fit a byte bound,
-and :meth:`compact` sweeps crashed writers' temp debris and empty shard
-directories.  ``repro store stats`` / ``repro store gc`` expose both from
+``disk_hits`` (layer lookups are not counted here; the engine reports them
+as ``"cache"`` layer sources).  The layer tier has no memory tier: every
+lookup reads its file.  :meth:`gc` evicts least-recently-*used* entries of
+both tiers — every disk hit refreshes the file's mtime — until they fit a
+byte bound, and :meth:`compact` sweeps crashed writers' temp debris and
+empty shard directories.  ``repro store stats`` / ``repro store gc`` expose both from
 the shell.
 
 Job ids: a job's first record mints its id and is published by hard-linking
@@ -78,7 +82,9 @@ from pathlib import Path
 from repro.api.result import RunResult
 from repro.api.specs import RunSpec
 from repro.digest import stable_digest
+from repro.engine.outcome import ScheduleOutcome
 from repro.io_utils import append_bytes, atomic_write_json, read_ndjson
+from repro.mapping.serialize import mapping_from_dict, mapping_to_dict
 
 #: ``EngineSpec`` keys that steer execution but cannot change the payload
 #: (see the determinism notes in :mod:`repro.engine.engine`); they are
@@ -299,26 +305,53 @@ class ResultStore:
         return path
 
     # ------------------------------------------------------------ layer tier
-    def load_layer(self, key: str) -> dict | None:
-        """The per-layer entry under ``key`` (``None``: missing or unreadable).
+    def load_layer(self, key: str, layer) -> ScheduleOutcome | None:
+        """The solve stored under ``key``, re-attached to ``layer``.
 
-        A hit refreshes the file's mtime for :meth:`gc`; no counter moves.
+        ``None`` on a miss, and for an entry that cannot be read or
+        deserialized (a torn file, or a mapping whose tensor problem is not
+        registered in this process).  A hit refreshes the file's mtime for
+        :meth:`gc`; no counter moves.
         """
         path = self.layer_path(key)
         try:
             entry = json.loads(path.read_text())
-        except (OSError, ValueError):
+            scheduler, mapping = entry["scheduler"], mapping_from_dict(entry["mapping"])
+        except (OSError, KeyError, TypeError, ValueError):
             return None
         try:
             os.utime(path)
         except OSError:
             pass
-        return entry if isinstance(entry, dict) else None
+        return ScheduleOutcome(
+            layer=layer,
+            scheduler=scheduler,
+            mapping=mapping,
+            metrics=dict(entry.get("metrics", {})),
+            solve_time_seconds=entry.get("solve_time_seconds", 0.0),
+            num_sampled=entry.get("num_sampled", 0),
+            num_evaluated=entry.get("num_evaluated", 0),
+            from_cache=True,
+        )
 
-    def put_layer(self, key: str, entry: dict) -> Path:
-        """Persist one per-layer entry under ``key``, atomically."""
+    def put_layer(self, key: str, outcome: ScheduleOutcome) -> None:
+        """Persist ``outcome`` under ``key``, atomically.
+
+        Failed outcomes are not stored: a search that found nothing with one
+        budget says nothing definitive about the layer.
+        """
+        if outcome.mapping is None:
+            return
+        entry = {
+            "scheduler": outcome.scheduler,
+            "mapping": mapping_to_dict(outcome.mapping),
+            "metrics": dict(outcome.metrics),
+            "solve_time_seconds": outcome.solve_time_seconds,
+            "num_sampled": outcome.num_sampled,
+            "num_evaluated": outcome.num_evaluated,
+        }
         # Compact JSON: indenting takes several times as long to encode.
-        return atomic_write_json(self.layer_path(key), entry, indent=None)
+        atomic_write_json(self.layer_path(key), entry, indent=None)
 
     def __len__(self) -> int:
         return sum(1 for _ in self._iter_files("*.json", self.results_dir))

@@ -126,7 +126,7 @@ class Accelerator:
         hierarchy (capacities, tensor bindings, fanouts, bandwidths), the PE
         array, the NoC parameters, the datatype precisions and the energy
         table.  Two accelerators with equal fingerprints are interchangeable
-        for scheduling, which is what lets the mapping cache
+        for scheduling, which is what lets the layer tier
         (:mod:`repro.engine.cache`) key entries by architecture content
         instead of by preset name.
         """

@@ -57,14 +57,3 @@ class EnergyTable:
     def access_energy(self, level_name: str) -> float:
         """Energy (pJ) of a single word access at the named memory level."""
         return self.level_energy_pj.get(level_name, self.default_sram_pj)
-
-    def with_level_energy(self, level_name: str, energy_pj: float) -> "EnergyTable":
-        """Return a copy with the energy of one level overridden."""
-        table = dict(self.level_energy_pj)
-        table[level_name] = energy_pj
-        return EnergyTable(
-            level_energy_pj=table,
-            mac_energy_pj=self.mac_energy_pj,
-            noc_hop_energy_pj=self.noc_hop_energy_pj,
-            default_sram_pj=self.default_sram_pj,
-        )

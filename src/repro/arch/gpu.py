@@ -51,11 +51,6 @@ class GPUSpec:
         return self.cuda_cores // self.num_sms
 
     @property
-    def peak_flops_per_cycle(self) -> float:
-        """Fused multiply-adds the whole device can retire per cycle."""
-        return self.cuda_cores * self.fma_per_core_per_cycle
-
-    @property
     def dram_bytes_per_cycle(self) -> float:
         """Off-chip bandwidth expressed in bytes per core clock cycle."""
         return self.dram_bandwidth_gbps / self.clock_ghz

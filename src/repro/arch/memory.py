@@ -157,13 +157,6 @@ class MemoryHierarchy:
         """Indices of levels with a spatial fanout greater than one."""
         return [i for i, level in enumerate(self._levels) if level.spatial_fanout > 1]
 
-    def total_spatial_fanout(self) -> int:
-        """Product of all level fanouts (total parallel compute lanes)."""
-        total = 1
-        for level in self._levels:
-            total *= level.spatial_fanout
-        return total
-
     def instances_of(self, index: int) -> int:
         """Number of physical instances of the level at ``index``.
 
@@ -192,10 +185,3 @@ class MemoryHierarchy:
             fanout = f" fanout={level.spatial_fanout}" if level.spatial_fanout > 1 else ""
             lines.append(f"[{i}] {level.name:<18} cap={cap:<10} tensors={tensors}{fanout}")
         return "\n".join(lines)
-
-    def with_level(self, name: str, new_level: MemoryLevel) -> "MemoryHierarchy":
-        """Return a new hierarchy with the level called ``name`` replaced."""
-        index = self.index_of(name)
-        levels = list(self._levels)
-        levels[index] = new_level
-        return MemoryHierarchy(levels)

@@ -4,7 +4,7 @@ Besides the classic :class:`SearchResult`, this module hosts the shared
 adapter that makes every search baseline satisfy the engine's
 :class:`~repro.engine.outcome.Scheduler` protocol: a stable scheduler
 ``name``, a deterministic :meth:`SearchScheduler.config_fingerprint` (used in
-mapping-cache keys) and :meth:`SearchScheduler.schedule_outcome`, which
+layer-tier keys) and :meth:`SearchScheduler.schedule_outcome`, which
 converts the native :class:`SearchResult` into the unified
 :class:`~repro.engine.outcome.ScheduleOutcome`.
 
@@ -222,8 +222,8 @@ class SearchScheduler:
         """Deterministic description of this scheduler's configuration.
 
         Everything that can change the produced mapping — metric, budgets,
-        seeds — must appear here, because the fingerprint keys the mapping
-        cache (:func:`repro.engine.cache.cache_key`).
+        seeds — must appear here, because the fingerprint keys the layer
+        tier (:func:`repro.engine.cache.cache_key`).
         """
         return canonical_json(self._config())
 

@@ -58,7 +58,7 @@ class CoSAGPUScheduler:
         MIP backend override.
     """
 
-    #: Scheduler identifier (engine reports and mapping-cache keys).
+    #: Scheduler identifier (engine reports and layer-tier keys).
     name = "cosa-gpu"
 
     def __init__(self, gpu: GPUSpec | None = None, weights: ObjectiveWeights | None = None, backend=None):
@@ -85,7 +85,7 @@ class CoSAGPUScheduler:
 
     # -------------------------------------------------------- engine protocol
     def config_fingerprint(self) -> str:
-        """Deterministic configuration description (mapping-cache key part)."""
+        """Deterministic configuration description (layer-tier key part)."""
         return self._scheduler.config_fingerprint()
 
     def schedule_outcome(self, layer: Layer) -> ScheduleOutcome:

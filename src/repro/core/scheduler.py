@@ -79,7 +79,7 @@ class CoSAScheduler:
         :class:`~repro.core.formulation.CoSAFormulation`).
     """
 
-    #: Scheduler identifier (engine reports and mapping-cache keys).
+    #: Scheduler identifier (engine reports and layer-tier keys).
     name = "cosa"
 
     #: Default per-layer solver budget (seconds).
@@ -163,7 +163,7 @@ class CoSAScheduler:
 
     # -------------------------------------------------------- engine protocol
     def config_fingerprint(self) -> str:
-        """Deterministic configuration description (mapping-cache key part).
+        """Deterministic configuration description (layer-tier key part).
 
         The backend enters with its class name and every scalar attribute it
         carries (time limits, gaps, node budgets, ...), so two schedulers

@@ -1,7 +1,7 @@
 """Canonical content digests shared across the code base.
 
 Fingerprints (:meth:`repro.arch.accelerator.Accelerator.fingerprint`,
-``config_fingerprint`` on every scheduler), mapping-cache keys
+``config_fingerprint`` on every scheduler), layer-tier keys
 (:mod:`repro.engine.cache`) and per-layer RNG seeds
 (:func:`repro.baselines.base.stable_layer_seed`) all rely on the same
 recipe: serialize deterministically, then hash.  Keeping the recipe here —

@@ -1,4 +1,4 @@
-"""Unified scheduling engine: one protocol, parallel solves, a mapping cache.
+"""Unified scheduling engine: one protocol, parallel solves, layer reuse.
 
 This package is the seam between individual schedulers (CoSA's one-shot MIP,
 the search baselines) and everything that consumes schedules at scale (the
@@ -6,26 +6,28 @@ experiment harness, the CLI, services):
 
 * :mod:`repro.engine.outcome` — the :class:`Scheduler` protocol and the
   scheduler-agnostic :class:`ScheduleOutcome` result,
-* :mod:`repro.engine.cache` — the content-addressed :class:`MappingCache`
-  (in-memory LRU, optionally backed by a result store's layer tier),
+* :mod:`repro.engine.cache` — :func:`cache_key`, the content address of one
+  per-layer solve in a result store's layer tier,
 * :mod:`repro.engine.engine` — the :class:`SchedulingEngine` driving any
-  scheduler over networks and suites with ``jobs=N`` parallelism and
-  identical-layer de-duplication.
+  scheduler over networks and suites with ``jobs=N`` parallelism,
+  identical-layer de-duplication and, given a store, layer reuse.
 
 Quickstart::
 
     from repro import simba_like
+    from repro.api.store import ResultStore
     from repro.core import CoSAScheduler
-    from repro.engine import MappingCache, SchedulingEngine
+    from repro.engine import SchedulingEngine
     from repro.workloads import resnet50_layers
 
-    engine = SchedulingEngine(CoSAScheduler(simba_like()), cache=MappingCache())
+    store = ResultStore(".repro-store")
+    engine = SchedulingEngine(CoSAScheduler(simba_like()), store=store)
     network = engine.schedule_network(resnet50_layers(), jobs=4)
-    print(network.stats.to_dict())          # solves / cache hits / dedup reuses
+    print(network.stats.solves)             # 0 on a re-run over the same store
     print(network.outcomes[0].metrics)      # latency / energy / edp
 """
 
-from repro.engine.cache import CacheStats, MappingCache, cache_key
+from repro.engine.cache import cache_key
 from repro.engine.engine import (
     EngineStats,
     LayerReport,
@@ -36,8 +38,6 @@ from repro.engine.engine import (
 from repro.engine.outcome import ScheduleOutcome, Scheduler
 
 __all__ = [
-    "CacheStats",
-    "MappingCache",
     "cache_key",
     "EngineStats",
     "LayerReport",

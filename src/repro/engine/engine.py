@@ -10,10 +10,12 @@ should not re-implement:
   display name does not participate in :class:`~repro.workloads.layer.Layer`
   equality) are solved once and the outcome is fanned back out to every
   duplicate.
-* **Caching** — with a :class:`~repro.engine.cache.MappingCache` attached,
+* **Layer reuse** — with a :class:`~repro.api.store.ResultStore` attached,
   previously solved (layer, architecture, scheduler config) triples are
-  served from the cache — or from the result store behind it — instead of
-  re-running the MIP or search.
+  served from its layer tier instead of re-running the MIP or search.  A
+  served layer's envelope fields equal a fresh solve's (wall-clock times
+  aside); only :attr:`LayerReport.source` and the live counters tell them
+  apart.
 
 Determinism guarantees
 ----------------------
@@ -27,16 +29,16 @@ order, and the hosting process:
   state, so concurrent solves cannot interleave randomness;
 * results are collected positionally, so the output order is the input
   order, not completion order;
-* the cache key (:func:`repro.engine.cache.cache_key`) covers everything
-  that determines a solve, so a cache hit returns the exact mapping the
-  solve would have produced.
+* the layer key (:func:`repro.engine.cache.cache_key`) covers everything
+  that determines a solve, so a layer-tier hit returns the exact mapping
+  the solve would have produced.
 
 One caveat: a MIP solve that terminates on its **wall-clock limit** (rather
 than on optimality or the relative gap) returns the best incumbent at the
 deadline, which can depend on how much CPU the solve received — and
 ``jobs > 1`` shares the machine between solves.  The guarantee is therefore
 unconditional for the search baselines and for MIP solves that finish
-within the limit; for limit-capped solves, prefer the cache (exact by
+within the limit; for limit-capped solves, prefer a store (exact by
 construction) or a deterministic budget when bit-identical reruns matter.
 """
 
@@ -47,7 +49,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping as MappingT
 
-from repro.engine.cache import MappingCache, cache_key_from_parts
+from repro.engine.cache import cache_key_from_parts
 from repro.engine.outcome import ScheduleOutcome, Scheduler
 from repro.workloads.layer import Layer
 
@@ -68,8 +70,8 @@ class LayerReport:
     (see :mod:`repro.api.events`) are deterministic by construction.
 
     ``source`` records how the outcome was obtained: a fresh ``"solve"``, a
-    mapping-``"cache"`` hit, or a ``"dedup"`` copy of an identical layer's
-    outcome earlier in the same network.
+    ``"cache"`` hit in the store's layer tier, or a ``"dedup"`` copy of an
+    identical layer's outcome earlier in the same network.
     """
 
     network: str
@@ -103,9 +105,11 @@ def _solve_in_worker(layer: Layer) -> ScheduleOutcome:
 class EngineStats:
     """Effort summary of one engine run.
 
-    ``cache_hits``/``cache_misses`` count this run's lookups only (the
-    attached cache keeps global counters); ``dedup_reuses`` counts layers
-    served by copying another identical layer's fresh solve.
+    ``cache_hits``/``cache_misses`` count this run's layer-tier lookups and
+    ``solves`` its fresh solves; they depend on what the store held, so
+    :meth:`to_dict` leaves them out and only the CLI's text renderers show
+    them.  ``dedup_reuses`` counts layers served by copying another
+    identical layer's outcome; it depends on the layers alone.
     """
 
     num_layers: int = 0
@@ -135,9 +139,6 @@ class EngineStats:
             "num_layers": self.num_layers,
             "unique_layers": self.unique_layers,
             "dedup_reuses": self.dedup_reuses,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "solves": self.solves,
             "wall_time_seconds": self.wall_time_seconds,
             "jobs": self.jobs,
         }
@@ -207,10 +208,10 @@ class SchedulingEngine:
     scheduler:
         Any object satisfying the :class:`~repro.engine.outcome.Scheduler`
         protocol (all four shipped schedulers do).
-    cache:
-        Optional :class:`~repro.engine.cache.MappingCache` consulted before
-        and updated after every solve.  One cache instance may be shared by
-        several engines: the key includes the scheduler identity.
+    store:
+        Optional :class:`~repro.api.store.ResultStore` whose layer tier is
+        consulted before and updated after every solve.  One store may be
+        shared by several engines: the key includes the scheduler identity.
     evaluate_metrics:
         When ``True`` (default) every fresh mapping is evaluated once on the
         analytical cost model and the outcome's ``metrics`` dictionary is
@@ -220,7 +221,7 @@ class SchedulingEngine:
     def __init__(
         self,
         scheduler: Scheduler,
-        cache: MappingCache | None = None,
+        store=None,
         evaluate_metrics: bool = True,
     ):
         if not isinstance(scheduler, Scheduler):
@@ -229,7 +230,7 @@ class SchedulingEngine:
                 "(needs name, accelerator, schedule_outcome, config_fingerprint)"
             )
         self.scheduler = scheduler
-        self.cache = cache
+        self.store = store
         self.evaluate_metrics = evaluate_metrics
         self._cost_model = None
         if evaluate_metrics:
@@ -237,21 +238,19 @@ class SchedulingEngine:
 
             self._cost_model = CostModel(scheduler.accelerator)
         # The architecture and scheduler configuration are assumed fixed for
-        # the engine's lifetime; hash them once instead of per layer.  They
-        # are computed even without a cache so that attaching one later
-        # (``engine.cache = ...``) still produces collision-free keys.
+        # the engine's lifetime; hash them once instead of per layer.
         self._arch_fingerprint = scheduler.accelerator.fingerprint()
         self._config_fingerprint = scheduler.config_fingerprint()
 
     def _key(self, layer: Layer) -> str:
-        """Cache key of ``layer`` using the memoized invariant fingerprints."""
+        """Layer-tier key of ``layer`` using the memoized invariant fingerprints."""
         return cache_key_from_parts(
             layer, self._arch_fingerprint, self.scheduler.name, self._config_fingerprint
         )
 
     def _attach_metrics(self, outcome: ScheduleOutcome) -> None:
-        """Populate latency/energy/edp, including on cache hits whose entry
-        was stored by a metrics-less engine."""
+        """Populate latency/energy/edp, including on layer-tier hits whose
+        entry was stored by a metrics-less engine."""
         if self._cost_model is None or outcome.mapping is None or outcome.metrics:
             return
         cost = self._cost_model.evaluate(outcome.mapping)
@@ -304,7 +303,7 @@ class SchedulingEngine:
             Optional alignment-search knobs for the fused path (currently
             ``max_candidates``, the frontier-candidate cap).  They can
             change the fused groups' mappings, so they key the fused groups'
-            mapping-cache entries and are part of the spec fingerprint.
+            layer-tier entries and are part of the spec fingerprint.
         """
         if fusion is not None:
             from repro.fusion.schedule import schedule_fused_network
@@ -337,16 +336,16 @@ class SchedulingEngine:
 
         stats = EngineStats(num_layers=len(layers), unique_layers=len(unique_layers), jobs=jobs)
 
-        # Cache lookups are cheap; resolve them serially so the pool only
-        # receives layers that genuinely need a solve.
+        # Layer-tier lookups are cheap; resolve them serially so the pool
+        # only receives layers that genuinely need a solve.
         resolved: dict[Layer, ScheduleOutcome] = {}
         to_solve: list[Layer] = []
         keys: dict[Layer, str] = {}
         cached_layers: set[Layer] = set()
         for layer in unique_layers:
-            if self.cache is not None:
+            if self.store is not None:
                 keys[layer] = self._key(layer)
-                cached = self.cache.get(keys[layer], layer)
+                cached = self.store.load_layer(keys[layer], layer)
                 if cached is not None:
                     self._attach_metrics(cached)
                     resolved[layer] = cached
@@ -381,8 +380,8 @@ class SchedulingEngine:
                 solved_layer, outcome = next(solve_stream)
                 assert solved_layer is layer  # both follow first-occurrence order
                 self._attach_metrics(outcome)
-                if self.cache is not None:
-                    self.cache.put(keys[layer], outcome)
+                if self.store is not None:
+                    self.store.put_layer(keys[layer], outcome)
                 resolved[layer] = outcome
                 outcomes[index] = outcome
             if observer is not None:
@@ -445,7 +444,7 @@ class SchedulingEngine:
         """Schedule every network of a workload suite.
 
         ``suite`` defaults to the paper's four evaluated workloads
-        (:func:`repro.workloads.networks.workload_suite`).  The cache (when
+        (:func:`repro.workloads.networks.workload_suite`).  The store (when
         attached) is shared across the whole suite, so shapes repeated
         between networks — e.g. ResNet-50 and ResNeXt-50 share layers — are
         solved once.  ``observer`` receives one :class:`LayerReport` per

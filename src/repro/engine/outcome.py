@@ -11,7 +11,7 @@ through two requirements:
 
 * :meth:`Scheduler.schedule_outcome` returns a :class:`ScheduleOutcome`,
 * :meth:`Scheduler.config_fingerprint` deterministically identifies the
-  scheduler's configuration (used in the mapping-cache key, see
+  scheduler's configuration (used in the layer-tier key, see
   :mod:`repro.engine.cache`).
 
 Both are implemented once per scheduler family: a shared adapter on
@@ -49,20 +49,22 @@ class ScheduleOutcome:
         (``latency`` in cycles, ``energy`` in pJ, ``edp``).  Populated by the
         engine; empty when the mapping is missing or was never evaluated.
     wall_time_seconds:
-        Time-to-solution of the underlying solve/search.  For cache hits this
-        is the near-zero lookup time, not the original solve time (which is
-        preserved in :attr:`solve_time_seconds`).
+        Time-to-solution of the underlying solve/search.  For layer-tier
+        hits this is zero, not the original solve time (which is preserved
+        in :attr:`solve_time_seconds`).
     solve_time_seconds:
         Wall time of the original solve that produced the mapping (equal to
-        :attr:`wall_time_seconds` unless the outcome came from the cache).
+        :attr:`wall_time_seconds` unless the outcome came from the store).
     num_sampled / num_evaluated:
         The paper's "samples per layer" / "evaluations per layer" effort
         counters (both 1 for one-shot MIP schedulers).
     from_cache:
-        ``True`` when the outcome was served by a :class:`~repro.engine.cache.MappingCache`
-        instead of a fresh solve.
+        ``True`` when the outcome was served by a result store's layer tier
+        (:meth:`~repro.api.store.ResultStore.load_layer`) instead of a fresh
+        solve.  Live only: :meth:`to_dict` leaves it out, so an envelope does
+        not depend on what the store held.
     detail:
-        The scheduler's native result object (``None`` for cache hits).
+        The scheduler's native result object (``None`` for layer-tier hits).
     """
 
     layer: Layer
@@ -111,7 +113,6 @@ class ScheduleOutcome:
             "solve_time_seconds": self.solve_time_seconds,
             "num_sampled": self.num_sampled,
             "num_evaluated": self.num_evaluated,
-            "from_cache": self.from_cache,
         }
 
 
@@ -124,11 +125,11 @@ class Scheduler(Protocol):
     the engine.
     """
 
-    #: Stable scheduler identifier used in reports and cache keys.
+    #: Stable scheduler identifier used in reports and layer-tier keys.
     name: str
 
     #: Target architecture (the engine evaluates metrics and keys the
-    #: mapping cache against it).
+    #: layer tier against it).
     accelerator: Accelerator
 
     def schedule_outcome(self, layer: Layer) -> ScheduleOutcome:
@@ -140,6 +141,6 @@ class Scheduler(Protocol):
 
         Two scheduler instances with equal fingerprints must produce
         identical mappings for identical layers on identical architectures —
-        this string is part of the mapping-cache key.
+        this string is part of the layer-tier key.
         """
         ...

@@ -6,7 +6,7 @@ groups go through the per-operator path untouched; every multi-operator
 group is scheduled *as one unit*:
 
 1. **Standalone solves first** — each operator is solved independently by
-   the engine (with its normal de-duplication and mapping cache), giving
+   the engine (with its normal de-duplication and layer reuse), giving
    the per-operator baseline mappings.
 2. **Shared outer tiling** — the contracted dimensions of every fused edge
    are re-tiled to a common DRAM-level factor (the *round* count) so
@@ -16,10 +16,10 @@ group is scheduled *as one unit*:
    the candidates, prices them in **one batched fused evaluation**
    (:mod:`repro.model.fused_batch`), and keeps the fully-pinned candidate
    with the lowest DRAM traffic (EDP breaks ties).
-3. **Group cache** — retiled outcomes are stored under per-group cache keys
-   (the plain key extended with the group fingerprint, the operator's
-   position and the candidate cap), so re-running a fused network hits the
-   cache without re-deriving the alignment.
+3. **Group reuse** — with a store attached, retiled outcomes are stored in
+   its layer tier under per-group keys (the plain key extended with the
+   group fingerprint, the operator's position and the candidate cap), so
+   re-running a fused network is served without re-deriving the alignment.
 4. **NoC validation** — the savings claimed by the cost model are
    cross-checked against the reuse analysis of the final mappings
    (:func:`repro.noc.traffic.validate_fused_transfers`).
@@ -61,6 +61,7 @@ class GroupOutcome:
     indices: tuple[int, ...]
     cost: FusedGroupCost | None = None
     traffic: dict = field(default_factory=dict)
+    #: Served from the store's layer tier; live only, not serialized.
     from_cache: bool = False
     retiled: bool = False
 
@@ -77,7 +78,6 @@ class GroupOutcome:
             ],
             "indices": list(self.indices),
             "fused": self.fused,
-            "from_cache": self.from_cache,
             "retiled": self.retiled,
             "traffic": dict(self.traffic),
         }
@@ -91,7 +91,7 @@ def _max_candidates(options) -> int:
 
 
 def _group_key(engine, layer, group: FusionGroup, position: int, max_candidates: int) -> str:
-    """Cache key of one operator *inside* a fusion group.
+    """Layer-tier key of one operator *inside* a fusion group.
 
     Extends the engine's per-layer key with the group fingerprint and the
     operator's position, so fused mappings never collide with standalone
@@ -397,7 +397,7 @@ def schedule_fused_network(
     ``"auto"``, a :class:`~repro.fusion.plan.FusionPlan` or a single
     :class:`~repro.fusion.group.FusionGroup`.  ``fusion_options`` tunes the
     alignment search (``max_candidates``).  The cap can change the aligned
-    mappings, so it is part of the group cache keys (and of the spec
+    mappings, so it is part of the group keys (and of the spec
     fingerprint, see :data:`repro.api.store.EXECUTION_ONLY_ENGINE_KEYS`).
     """
     from repro.noc.traffic import validate_fused_transfers
@@ -444,9 +444,9 @@ def schedule_fused_network(
             for pos, layer in enumerate(group.layers)
         ]
         cached: list = []
-        if engine.cache is not None:
+        if engine.store is not None:
             for key, layer in zip(keys, group.layers):
-                hit = engine.cache.get(key, layer)
+                hit = engine.store.load_layer(key, layer)
                 if hit is None:
                     cached = []
                     break
@@ -491,8 +491,8 @@ def schedule_fused_network(
                 )
                 outcome = dataclasses.replace(outcome, mapping=mapping, metrics=metrics)
                 outcomes[indices[offset]] = outcome
-            if engine.cache is not None:
-                engine.cache.put(keys[offset], outcome)
+            if engine.store is not None:
+                engine.store.put_layer(keys[offset], outcome)
         groups.append(
             GroupOutcome(
                 group=group,

@@ -276,10 +276,6 @@ class Mapping:
         return True
 
     # ------------------------------------------------------------------- output
-    def permutation_at(self, level: int) -> tuple[str, ...]:
-        """Dimension order of the temporal loops at ``level``, innermost first."""
-        return tuple(loop.dim for loop in self.levels[level].temporal)
-
     def compact(self) -> "Mapping":
         """Return an equivalent mapping with all bound-1 loops dropped."""
         return Mapping(self.layer, [level.nontrivial() for level in self.levels])

@@ -8,7 +8,7 @@ dictionary (JSON-compatible) and provides file helpers.
 Two layer encodings exist:
 
 * conv layers keep the historic version-1 ``{r, s, p, q, c, k, n, stride}``
-  dict, so every pre-IR mapping file (and mapping-cache entry) still loads;
+  dict, so every pre-IR mapping file (and layer-tier entry) still loads;
 * layers of any other registered :class:`~repro.workloads.problem.TensorProblem`
   are written as version 2 with an explicit ``{"problem": name, "bounds":
   {...}}`` description and resolved through the problem registry on load.

@@ -20,7 +20,7 @@ from repro.arch.accelerator import Accelerator
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
 from repro.mapping.moves import MappingState, propose_move
 from repro.workloads.layer import Layer
-from repro.workloads.prime import count_factorizations, factorize
+from repro.workloads.prime import factorize
 
 #: A drawn loop before materialization: ``(dimension name, bound)``.
 DrawnLoop = tuple[str, int]
@@ -90,13 +90,6 @@ class SampleStats:
     sampled: int = 0
     valid: int = 0
 
-    @property
-    def validity_rate(self) -> float:
-        """Fraction of drawn samples that satisfied all hardware constraints."""
-        if self.sampled == 0:
-            return 0.0
-        return self.valid / self.sampled
-
 
 class MapSpace:
     """Random sampler over the scheduling space of ``layer`` on ``accelerator``."""
@@ -122,19 +115,6 @@ class MapSpace:
         )
 
     # ------------------------------------------------------------------- sizes
-    def tiling_space_size(self) -> int:
-        """Number of ordered per-level factorizations (ignoring permutations).
-
-        Each dimension can be split across ``num_levels`` temporal slots plus
-        one spatial slot per spatial level, so the count per dimension is the
-        number of ordered splits into that many parts.
-        """
-        slots = self.num_levels + len(self._spatial_levels)
-        total = 1
-        for bound in self.layer.bounds.values():
-            total *= count_factorizations(bound, slots)
-        return total
-
     def num_prime_factors(self) -> int:
         """Total number of prime factors to place."""
         return sum(len(f) for f in self._prime_factors.values())

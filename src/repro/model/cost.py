@@ -101,15 +101,3 @@ class CostModel:
             utilization=self._performance.utilization(mapping),
             noc_words=analysis.noc_boundary_words(),
         )
-
-    def best_of(self, mappings) -> tuple[Mapping | None, CostResult | None]:
-        """Evaluate an iterable of mappings and return the lowest-latency valid one."""
-        best_mapping = None
-        best_result = None
-        for mapping in mappings:
-            result = self.evaluate(mapping)
-            if not result.valid:
-                continue
-            if best_result is None or result.latency < best_result.latency:
-                best_mapping, best_result = mapping, result
-        return best_mapping, best_result

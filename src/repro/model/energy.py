@@ -30,11 +30,6 @@ class EnergyBreakdown:
         """Total energy in pJ."""
         return self.mac_energy + self.noc_energy + sum(self.level_energy.values())
 
-    @property
-    def total_uj(self) -> float:
-        """Total energy in microjoules."""
-        return self.total * 1e-6
-
 
 class EnergyModel:
     """Energy evaluation of mappings on a spatial accelerator."""

@@ -202,10 +202,6 @@ class FusedCostModel:
         self.memo_hits = 0
 
     # ------------------------------------------------------------ memoization
-    def clear_memo(self) -> None:
-        """Drop every memoized per-mapping entry (counters stay)."""
-        self._memo.clear()
-
     def _entry(self, mapping: Mapping) -> "_MemoEntry":
         entry = self._memo.get(mapping)
         if entry is None:

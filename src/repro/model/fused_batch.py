@@ -88,10 +88,6 @@ class FusedMappingBatch:
             )
         return cls(group, [MappingBatch.from_mappings(list(ms)) for ms in per_op])
 
-    def mappings_at(self, index: int) -> list:
-        """Materialize candidate ``index`` as the per-operator mapping list."""
-        return [batch.mapping_at(index) for batch in self.batches]
-
 
 @dataclass
 class BatchFusedResult:

@@ -153,7 +153,3 @@ class NoCSimulator:
             max_link_utilization=max_link_utilization,
             bound_by=bound_by,
         )
-
-    def evaluate_latency(self, mapping: Mapping) -> float:
-        """Convenience wrapper returning only the simulated latency."""
-        return self.simulate(mapping).latency

@@ -64,11 +64,6 @@ class TrafficGenerator:
         self.outer_loops: list[Loop] = [loop for _, loop in mapping.loops_above(self.noc_level)]
 
     # ------------------------------------------------------------------ layout
-    @property
-    def num_active_pes(self) -> int:
-        """PEs that receive work (product of the NoC-level spatial factors)."""
-        return prod((loop.bound for loop in self.spatial_loops), start=1)
-
     def pe_spatial_indices(self) -> list[tuple[int, ...]]:
         """Spatial loop index vector of every active PE (PE id = list position)."""
         if not self.spatial_loops:

@@ -96,7 +96,7 @@ class Layer:
         return CONV7
 
     def key_dict(self) -> dict:
-        """Content-hash payload for mapping-cache keys and serialization.
+        """Content-hash payload for layer-tier keys and serialization.
 
         Keeps the historic ``{r, s, p, q, c, k, n, stride}`` shape so cache
         keys and serialized conv mappings are unchanged by the IR refactor.
@@ -124,16 +124,6 @@ class Layer:
         if key not in DIMENSION_NAMES:
             raise KeyError(f"unknown layer dimension {dim!r}")
         return getattr(self, key.lower())
-
-    @property
-    def input_width(self) -> int:
-        """Input activation width ``W = (P - 1) * stride + R``."""
-        return (self.p - 1) * self.stride + self.r
-
-    @property
-    def input_height(self) -> int:
-        """Input activation height ``H = (Q - 1) * stride + S``."""
-        return (self.q - 1) * self.stride + self.s
 
     @property
     def macs(self) -> int:

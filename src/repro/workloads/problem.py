@@ -276,7 +276,7 @@ class ProblemLayer:
 
     # -------------------------------------------------------------- identity
     def key_dict(self) -> dict:
-        """Content-hash payload for mapping-cache keys and serialization."""
+        """Content-hash payload for layer-tier keys and serialization."""
         return {
             "problem": self.problem.name,
             "bounds": {dim: bound for dim, bound in self.bounds.items()},

@@ -1,5 +1,6 @@
 """Tests for the unified scheduling engine: protocol conformance, parallel
-equivalence, the mapping cache and the ``stats=None`` regression."""
+equivalence, layer reuse through a result store and the ``stats=None``
+regression."""
 
 import json
 
@@ -11,7 +12,7 @@ from repro.baselines import RandomScheduler, TimeloopHybridScheduler, TVMLikeTun
 from repro.core import CoSAScheduler
 from repro.core.gpu import CoSAGPUScheduler
 from repro.core.scheduler import ScheduleResult
-from repro.engine import MappingCache, SchedulingEngine, Scheduler, cache_key
+from repro.engine import SchedulingEngine, Scheduler, cache_key
 from repro.solver.solution import Solution, SolveStatus
 from repro.workloads import Layer, layer_from_name
 from repro.workloads.networks import resnet50_layers
@@ -19,6 +20,18 @@ from repro.workloads.networks import resnet50_layers
 ARCH = simba_like()
 
 TINY = Layer(r=3, p=4, q=4, s=3, c=8, k=16, name="tiny")
+
+
+def normalize_times(obj):
+    """Zero wall-clock float fields (solve times vary run to run)."""
+    if isinstance(obj, dict):
+        return {
+            key: 0.0 if "time" in key and isinstance(value, float) else normalize_times(value)
+            for key, value in obj.items()
+        }
+    if isinstance(obj, list):
+        return [normalize_times(value) for value in obj]
+    return obj
 
 
 class TestSchedulerProtocol:
@@ -108,12 +121,12 @@ class TestEngineNetwork:
         with pytest.raises(ValueError):
             engine.schedule_network([TINY], jobs=2, executor="gpu")
 
-    def test_cosa_parallel_matches_serial_on_resnet_slice(self):
+    def test_cosa_parallel_matches_serial_on_resnet_slice(self, tmp_path):
         """Acceptance: jobs=N returns mappings identical to the serial path,
-        and a second cache-enabled run performs zero MIP solves."""
+        and a second store-backed run performs zero MIP solves."""
         layers = resnet50_layers()[:4]
-        cache = MappingCache()
-        engine = SchedulingEngine(CoSAScheduler(ARCH), cache=cache, evaluate_metrics=False)
+        store = ResultStore(tmp_path / "store")
+        engine = SchedulingEngine(CoSAScheduler(ARCH), store=store, evaluate_metrics=False)
 
         first = engine.schedule_network(layers, jobs=1)
         assert first.stats.solves == 4
@@ -121,7 +134,7 @@ class TestEngineNetwork:
         assert first.stats.cache_hits == 0
         assert all(o.succeeded for o in first.outcomes)
 
-        # Second run: every layer is served from the cache, zero MIP solves.
+        # Second run: every layer is served from the store, zero MIP solves.
         second = engine.schedule_network(layers, jobs=1)
         assert second.stats.solves == 0
         assert second.stats.cache_hits == 4
@@ -130,20 +143,21 @@ class TestEngineNetwork:
         reference = [o.mapping.summary() for o in first.outcomes]
         assert [o.mapping.summary() for o in second.outcomes] == reference
 
-        # Parallel run without a cache: same mappings as the serial path.
+        # Parallel run without a store: same mappings as the serial path.
         parallel_engine = SchedulingEngine(CoSAScheduler(ARCH), evaluate_metrics=False)
         parallel = parallel_engine.schedule_network(layers, jobs=4)
         assert parallel.stats.solves == 4
         assert [o.mapping.summary() for o in parallel.outcomes] == reference
 
-    def test_suite_shares_cache_across_networks(self):
+    def test_suite_shares_cache_across_networks(self, tmp_path):
         # ResNet-50 and ResNeXt-50 share their first layer (7_112_3_64_2);
-        # with a shared cache the suite must solve it only once.
+        # with a store the suite must solve it only once.
         suite = {
             "resnet50": resnet50_layers()[:1],
             "resnext50": [layer_from_name("7_112_3_64_2")],
         }
-        engine = SchedulingEngine(RandomScheduler(ARCH, num_valid=2), cache=MappingCache())
+        store = ResultStore(tmp_path / "store")
+        engine = SchedulingEngine(RandomScheduler(ARCH, num_valid=2), store=store)
         result = engine.schedule_suite(suite)
         assert result.networks["resnet50"].stats.solves == 1
         assert result.networks["resnext50"].stats.cache_hits == 1
@@ -153,22 +167,25 @@ class TestEngineNetwork:
 
 
 class TestMappingCache:
+    """Per-layer solves kept in and served from a store's layer tier."""
+
     def test_disk_round_trip_and_hit(self, tmp_path):
         scheduler = RandomScheduler(ARCH, num_valid=2)
         store = ResultStore(tmp_path / "store")
-        engine = SchedulingEngine(scheduler, cache=MappingCache(store=store))
+        engine = SchedulingEngine(scheduler, store=store)
         solved = engine.schedule_network([TINY]).outcomes[0]
         assert not solved.from_cache
-        # Written through on put: no save step.
+        # Written through on the solve: no save step.
         assert store.layer_path(cache_key(TINY, ARCH, scheduler)).exists()
 
-        # A fresh process-equivalent: new cache object over the same store.
-        reloaded = MappingCache(store=ResultStore(tmp_path / "store"))
-        engine2 = SchedulingEngine(RandomScheduler(ARCH, num_valid=2), cache=reloaded)
-        hit = engine2.schedule_network([TINY]).outcomes[0]
+        # A fresh process-equivalent: a new store object over the same directory.
+        engine2 = SchedulingEngine(
+            RandomScheduler(ARCH, num_valid=2), store=ResultStore(tmp_path / "store")
+        )
+        network = engine2.schedule_network([TINY])
+        hit = network.outcomes[0]
         assert hit.from_cache
-        assert reloaded.stats.hits == 1
-        assert len(reloaded) == 1
+        assert network.stats.cache_hits == 1
         assert hit.mapping.summary() == solved.mapping.summary()
         # The original solve time survives the round trip.
         assert hit.solve_time_seconds == pytest.approx(solved.solve_time_seconds)
@@ -187,37 +204,27 @@ class TestMappingCache:
         batched = Layer(r=3, p=4, q=4, s=3, c=8, k=16, n=2)
         assert cache_key(batched, ARCH, random_a) != cache_key(TINY, ARCH, random_a)
 
-    def test_lru_eviction(self, monkeypatch):
-        monkeypatch.setattr(MappingCache, "MAX_ENTRIES", 2)
-        cache = MappingCache()
-        scheduler = RandomScheduler(ARCH, num_valid=1)
-        engine = SchedulingEngine(scheduler, cache=cache, evaluate_metrics=False)
-        layers = [Layer(c=4, k=4), Layer(c=8, k=4), Layer(c=16, k=4)]
-        for layer in layers:
-            engine.schedule_network([layer])
-        assert len(cache) == 2
-        # The first layer was evicted; the latest two are still hits.
-        assert cache.get(cache_key(layers[0], ARCH, scheduler)) is None
-        assert cache.get(cache_key(layers[2], ARCH, scheduler)) is not None
-
-    def test_failed_outcomes_are_not_cached(self):
-        cache = MappingCache()
+    def test_failed_outcomes_are_not_cached(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
         from repro.engine.outcome import ScheduleOutcome
 
-        cache.put("key", ScheduleOutcome(layer=TINY, scheduler="x", mapping=None))
-        assert len(cache) == 0
+        store.put_layer("key", ScheduleOutcome(layer=TINY, scheduler="x", mapping=None))
+        assert not store.layer_path("key").exists()
+        assert store.load_layer("key", TINY) is None
 
     def test_unreadable_store_entry_degrades_to_a_miss(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         scheduler = RandomScheduler(ARCH, num_valid=2)
         key = cache_key(TINY, ARCH, scheduler)
-        store.put_layer(key, {"version": 99, "entries": {}})
-        engine = SchedulingEngine(scheduler, cache=MappingCache(store=store))
-        outcome = engine.schedule_network([TINY]).outcomes[0]
+        store.layer_path(key).parent.mkdir(parents=True)
+        store.layer_path(key).write_text('{"version": 99, "entries": {}}')
+        engine = SchedulingEngine(scheduler, store=store)
+        network = engine.schedule_network([TINY])
+        outcome = network.outcomes[0]
         assert outcome.succeeded and not outcome.from_cache
-        assert engine.cache.stats.to_dict() == {"hits": 0, "misses": 1}
+        assert (network.stats.cache_hits, network.stats.cache_misses) == (0, 1)
         # The fresh solve overwrote the entry.
-        assert MappingCache(store=store).get(key, TINY) is not None
+        assert store.load_layer(key, TINY) is not None
 
 
 class _FailingBackend:
@@ -244,7 +251,7 @@ class TestStatsNoneRegression:
         assert not result.succeeded
         assert result.stats is None
 
-    def test_failing_solver_produces_guarded_result(self):
+    def test_failing_solver_produces_guarded_result(self, tmp_path):
         scheduler = CoSAScheduler(ARCH, backend=_FailingBackend())
         result = scheduler.schedule(TINY)
         assert not result.succeeded
@@ -252,11 +259,12 @@ class TestStatsNoneRegression:
         assert result.objective is None
 
         # The unified outcome and the engine handle the failure gracefully.
-        engine = SchedulingEngine(scheduler, cache=MappingCache())
+        store = ResultStore(tmp_path / "store")
+        engine = SchedulingEngine(scheduler, store=store)
         outcome = engine.schedule_network([TINY]).outcomes[0]
         assert not outcome.succeeded
         assert outcome.metrics == {}
-        assert len(engine.cache) == 0  # failures are never cached
+        assert store.stats_summary()["layers"] == 0  # failures are never stored
 
     def test_cli_reports_failure_through_summary_path(self, capsys, monkeypatch):
         import repro.cli as cli
@@ -292,12 +300,16 @@ class TestEngineCLI:
         assert ResultStore(store_dir).stats_summary()["layers"] == 3
         assert len(ResultStore(store_dir)) == 0  # the verbs keep no envelope
 
-        # Second run against the store's layer tier: zero fresh solves.
+        # Second run against the store's layer tier: zero fresh solves, and
+        # the same envelope (wall-clock times aside).
+        text_args = [arg for arg in args if arg != "--json"]
+        assert __import__("repro.cli", fromlist=["main"]).main(text_args) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "solves=" in line]
+        assert len(lines) == 3
+        assert all("solves=0 cache_hits=1 " in line for line in lines)
         assert __import__("repro.cli", fromlist=["main"]).main(args) == 0
-        data = json.loads(capsys.readouterr().out)["data"]
-        for stats in data["engine_stats"].values():
-            assert stats["solves"] == 0
-            assert stats["cache_hits"] == 1
+        rerun = json.loads(capsys.readouterr().out)
+        assert normalize_times(rerun) == normalize_times(envelope)
 
     def test_suite_json_output(self, capsys):
         from repro.cli import main as cli_main
@@ -346,8 +358,7 @@ class TestLayerObserver:
 
     def test_reports_in_input_order_with_sources(self, tmp_path):
         scheduler = RandomScheduler(ARCH, num_valid=2, seed=0)
-        cache = MappingCache()
-        engine = SchedulingEngine(scheduler, cache=cache)
+        engine = SchedulingEngine(scheduler, store=ResultStore(tmp_path / "store"))
         layers = [Layer(r=3, p=4, c=8, k=16, name="a"),
                   Layer(r=1, p=2, c=4, k=4, name="b"),
                   Layer(r=3, p=4, c=8, k=16, name="a2")]  # dup of "a"

@@ -4,8 +4,8 @@ These tests spawn real ``repro worker`` / ``repro serve`` subprocesses:
 
 * **SIGKILL recovery** — a worker is killed mid-solve; the lease expires, a
   second worker reclaims and re-executes, and the job completes **exactly
-  once** with an envelope equal to a single-process run against an empty
-  store (wall-clock floats aside).
+  once** with an envelope equal to a single-process ``run()`` (wall-clock
+  floats aside).
 * **SIGTERM drain** — a worker told to terminate mid-solve finishes its
   in-flight task, flushes the event log, and exits 0; an idle worker and a
   running gateway exit 0 immediately.
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import RunSpec, execute, spec_fingerprint
+from repro.api import RunSpec, run, spec_fingerprint
 from repro.api.auth import ApiKeyAuth
 from repro.api.client import GatewayClient
 from repro.api.gateway import SchedulingGateway
@@ -182,10 +182,9 @@ class TestWorkerDeathRecovery:
         assert events.count("run_started") == 2  # the killed attempt shows
 
         # The stored envelope equals a local single-process run of the same
-        # spec against an empty store, wall-clock floats aside: the killed
-        # attempt stored no layer, so the rescue ran cold.
+        # spec, wall-clock floats aside.
         stored = store.load(fingerprint)
-        local = execute(RunSpec.from_dict(SLOW_SPEC), store=ResultStore(tmp_path / "local"))
+        local = run(RunSpec.from_dict(SLOW_SPEC))
         assert normalize_times(stored.to_dict()) == normalize_times(local.to_dict())
 
 

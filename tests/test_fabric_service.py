@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.api import RunSpec, SchedulingService, execute, run, spec_fingerprint
+from repro.api import RunSpec, SchedulingService, run, spec_fingerprint
 from repro.api.service import JobState, job_record
 from repro.api.store import ResultStore
 from repro.fabric.queue import TaskState, WorkQueue
@@ -91,15 +91,11 @@ class TestFabricBackend:
         assert kinds[-1] == "RunFinished"
         assert [event.seq for event in job.events()] == list(range(len(kinds)))
 
-    def test_envelope_matches_local_run(self, fabric, tmp_path):
+    def test_envelope_matches_local_run(self, fabric):
         service, _ = fabric
         spec = RunSpec.from_dict(SCHEDULE_SPEC)
         fabric_result = service.submit(spec).result(timeout=120)
-        # Against an empty store, like the worker's: the layer-tier
-        # provenance fields (cache_misses) agree too.
-        local_result = execute(
-            RunSpec.from_dict(SCHEDULE_SPEC), store=ResultStore(tmp_path / "local")
-        )
+        local_result = run(RunSpec.from_dict(SCHEDULE_SPEC))
         assert normalize_times(fabric_result.to_dict()) == normalize_times(
             local_result.to_dict()
         )

@@ -146,7 +146,7 @@ class TestBatchedParity:
         candidates = random_candidates(group, 4, seed=1)
         batch = FusedMappingBatch.from_candidates(group, candidates)
         for i, candidate in enumerate(candidates):
-            assert [m.summary() for m in batch.mappings_at(i)] == [
+            assert [m.summary() for m in (b.mapping_at(i) for b in batch.batches)] == [
                 m.summary() for m in candidate
             ]
 
@@ -186,7 +186,7 @@ class TestFusedModelMemoization:
         model.evaluate_group(group, candidates[0])  # 3 entries via clears
         model.evaluate_group(group, candidates[0])
         assert model.memo_hits < len(group.layers)  # a clear dropped entries
-        model.clear_memo()
+        model._memo.clear()
         before = model.scalar_evaluations
         model.evaluate_group(group, candidates[0])  # memo emptied: all misses
         assert model.scalar_evaluations == before + len(group.layers)

@@ -4,7 +4,7 @@ Covers the whole fusion stack bottom-up: the group IR's legality rules and
 edge inference, the greedy auto-grouper and plan normalization, the
 buffer-sharing :class:`FusedCostModel` (including its bit-exact unfused
 fallback against the scalar oracle), the alignment/retiling machinery, the
-engine's fused network path with its per-group cache, and the API/CLI/store
+engine's fused network path with its per-group store reuse, and the API/CLI/store
 surface (specs, payloads, registries, ``fused_hits``).
 """
 
@@ -17,7 +17,6 @@ from repro.api.registry import ALL_REGISTRIES
 from repro.api.store import ResultStore
 from repro.arch.presets import simba_like
 from repro.core.scheduler import CoSAScheduler
-from repro.engine.cache import MappingCache
 from repro.engine.engine import SchedulingEngine
 from repro.fusion import (
     FusionEdge,
@@ -46,8 +45,8 @@ def small_attention():
     return attention_block(seq=32, heads=2, head_dim=16)
 
 
-def engine_with_cache():
-    return SchedulingEngine(CoSAScheduler(ARCH), cache=MappingCache())
+def cosa_engine():
+    return SchedulingEngine(CoSAScheduler(ARCH))
 
 
 # --------------------------------------------------------------------- the IR
@@ -178,7 +177,7 @@ class TestAutoGroup:
 
 class TestFusedCostModel:
     def solved(self, group):
-        engine = engine_with_cache()
+        engine = cosa_engine()
         network = engine.schedule_network(list(group.layers), observer=None)
         return [outcome.mapping for outcome in network.outcomes]
 
@@ -226,7 +225,7 @@ class TestFusedCostModel:
 class TestRetileOuter:
     def test_moves_the_outer_factor_to_dram(self):
         group = small_attention()
-        engine = engine_with_cache()
+        engine = cosa_engine()
         network = engine.schedule_network(list(group.layers), observer=None)
         mapping = network.outcomes[0].mapping
         dram = mapping.num_levels - 1
@@ -240,7 +239,7 @@ class TestRetileOuter:
 
     def test_refuses_non_divisors(self):
         group = small_attention()
-        engine = engine_with_cache()
+        engine = cosa_engine()
         network = engine.schedule_network(list(group.layers), observer=None)
         mapping = network.outcomes[0].mapping
         total = mapping.dim_product("M", include_spatial=False)
@@ -253,7 +252,7 @@ class TestRetileOuter:
 class TestFusedScheduling:
     def test_fused_attention_saves_dram_traffic(self):
         group = small_attention()
-        engine = engine_with_cache()
+        engine = cosa_engine()
         network = engine.schedule_network(list(group.layers), fusion=group)
         assert network.num_succeeded == 3
         assert len(network.groups) == 1
@@ -267,35 +266,36 @@ class TestFusedScheduling:
 
     def test_conv_bn_relu_fuses(self):
         group = conv_bn_relu(r=3, p=8, c=16, k=16)
-        engine = engine_with_cache()
+        engine = cosa_engine()
         network = engine.schedule_network(list(group.layers), fusion=group)
         outcome = network.groups[0]
         assert outcome.fused
         assert outcome.cost.dram_words < outcome.cost.unfused_dram_words
 
-    def test_group_cache_round_trips_deterministically(self):
+    def test_group_cache_round_trips_deterministically(self, tmp_path):
         group = small_attention()
-        cache = MappingCache()
-        engine = SchedulingEngine(CoSAScheduler(ARCH), cache=cache)
+        engine = SchedulingEngine(CoSAScheduler(ARCH), store=ResultStore(tmp_path / "store"))
         first = engine.schedule_network(list(group.layers), fusion=group)
         again = engine.schedule_network(list(group.layers), fusion=group)
         assert not first.groups[0].from_cache
         assert again.groups[0].from_cache
         assert again.groups[0].cost.dram_words == first.groups[0].cost.dram_words
         assert again.groups[0].cost.latency == first.groups[0].cost.latency
+        # Where the group came from stays off its payload.
+        assert again.groups[0].to_dict() == first.groups[0].to_dict()
         for a, b in zip(first.outcomes, again.outcomes):
             assert a.mapping.summary() == b.mapping.summary()
 
     def test_groups_are_omitted_from_legacy_payloads(self):
         layer = matmul(m=16, n=16, k=16)
-        engine = engine_with_cache()
+        engine = cosa_engine()
         network = engine.schedule_network([layer])
         assert network.groups == []
         assert "groups" not in network.to_dict()
 
     def test_noc_validation_flags_spilled_edges(self):
         group = small_attention()
-        engine = engine_with_cache()
+        engine = cosa_engine()
         network = engine.schedule_network(list(group.layers), observer=None)
         mappings = [outcome.mapping for outcome in network.outcomes]
         model = FusedCostModel(ARCH)

@@ -4,8 +4,7 @@ A fused bert-base-block spec is submitted to a fabric-backend service and
 executed by an external-style :class:`FabricWorker` (in a thread, same code
 path as a ``repro worker`` subprocess).  The resulting envelope — schema
 version, fusion payload, per-group costs and all — must match an
-in-process run against an empty store byte for byte once wall-clock fields
-are zeroed, and a
+in-process ``run()`` byte for byte once wall-clock fields are zeroed, and a
 resubmission must count as a **fused** store hit.
 """
 
@@ -13,9 +12,8 @@ import threading
 
 import pytest
 
-from repro.api import RunSpec, SchedulingService, execute
+from repro.api import RunSpec, SchedulingService, run
 from repro.api.service import JobState
-from repro.api.store import ResultStore
 from repro.fabric.worker import FabricWorker
 
 FUSED_SPEC = {
@@ -58,7 +56,7 @@ def fabric(tmp_path):
 
 
 class TestFusedFabric:
-    def test_fused_block_envelope_matches_local_run(self, fabric, tmp_path):
+    def test_fused_block_envelope_matches_local_run(self, fabric):
         service, _ = fabric
         job = service.submit(RunSpec.from_dict(FUSED_SPEC))
         fabric_result = job.result(timeout=300)
@@ -70,11 +68,7 @@ class TestFusedFabric:
         group = next(g for g in fusion["groups"] if g["fused"])
         assert group["traffic"]["consistent"] is True
 
-        # Against an empty store, like the worker's: the layer-tier
-        # provenance fields (cache_misses) agree too.
-        local_result = execute(
-            RunSpec.from_dict(FUSED_SPEC), store=ResultStore(tmp_path / "local")
-        )
+        local_result = run(RunSpec.from_dict(FUSED_SPEC))
         assert normalize_times(fabric_result.to_dict()) == normalize_times(
             local_result.to_dict()
         )

@@ -61,20 +61,19 @@ class TestAtomicWriteJson:
 
 class TestMappingCacheUsesAtomicSave:
     def test_cache_save_has_trailing_newline_and_loads(self, tmp_path):
-        # The mapping cache writes through to the store's layer tier, which
-        # routes through the shared helper.
+        # The store's layer tier writes per-layer solves through the shared
+        # helper.
         from repro.api.store import ResultStore
         from repro.arch import simba_like
         from repro.baselines import RandomScheduler
-        from repro.engine import MappingCache
         from repro.workloads import Layer
 
         layer = Layer(p=4, q=4, c=4, k=8)
         outcome = RandomScheduler(simba_like(), num_valid=1).schedule_outcome(layer)
         store = ResultStore(tmp_path / "store")
-        MappingCache(store=store).put("key", outcome)
+        store.put_layer("key", outcome)
         path = store.layer_path("key")
         assert path.read_text().endswith("\n")
         assert json.loads(path.read_text())["scheduler"] == "random"
         assert [p.name for p in path.parent.iterdir()] == ["key.json"]  # no temp left
-        assert MappingCache(store=store).get("key", layer) is not None  # reloads cleanly
+        assert ResultStore(tmp_path / "store").load_layer("key", layer) is not None

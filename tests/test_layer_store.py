@@ -1,12 +1,14 @@
 """Tests for the result store's layer tier: per-layer solves in ``ResultStore``.
 
-A job's :class:`~repro.engine.cache.MappingCache` reads through to the
-layer tier of its store on a miss and writes every fresh solve through to
-it, one file per :func:`~repro.engine.cache.cache_key`.  Covered here: the
-tier's layout and its place in ``gc``/``compact``/``stats``, that caches
-sharing a store never lose each other's entries, and that a spec sharing a
-layer with an earlier spec solves that layer zero times on both backends
-while its envelope otherwise equals a cold run.
+A job's :class:`~repro.engine.engine.SchedulingEngine` reads the layer tier
+of its store before solving and writes every fresh solve to it, one file
+per :func:`~repro.engine.cache.cache_key`.  Covered here: the tier's layout
+and its place in ``gc``/``compact``/``stats``, that stores sharing a
+directory never lose each other's entries, that a spec sharing a layer
+with an earlier spec solves that layer zero times on both backends, and
+that an envelope depends only on its spec: a cold ``run()``, a cold and a
+warm store-backed job and a fabric job give the same bytes once wall-clock
+times are zeroed.
 """
 
 import json
@@ -16,11 +18,15 @@ import time
 
 import pytest
 
-from repro.api import RunSpec, SchedulingService, run
+import repro.engine.engine as engine_module
+from repro.api import RunSpec, SchedulingService, run, spec_fingerprint
+from repro.api.events import LayerScheduled
+from repro.api.result import RunResult
 from repro.api.store import ResultStore
 from repro.arch import simba_like
 from repro.baselines import RandomScheduler
-from repro.engine import MappingCache, SchedulingEngine, cache_key
+from repro.cli import main as cli_main
+from repro.engine import SchedulingEngine, cache_key
 from repro.fabric.worker import FabricWorker
 from repro.workloads import Layer
 
@@ -31,21 +37,34 @@ SCHEDULER = {"name": "random", "options": {"num_valid": 2, "max_attempts": 500}}
 SPEC_A = {"kind": "schedule", "workload": {"layers": ["1_2_4_4_1", SHARED]}, "scheduler": SCHEDULER}
 SPEC_B = {"kind": "schedule", "workload": {"layers": [SHARED, "3_4_16_8_1"]}, "scheduler": SCHEDULER}
 
-#: Payload fields that say where a layer's mapping came from, not what it is.
-PROVENANCE = {"from_cache", "cache_hits", "cache_misses", "solves", "cache_hit"}
+#: Envelope fields that said where a layer's mapping came from, before
+#: that provenance left the envelope.
+PROVENANCE = ("from_cache", "cache_hits", "cache_misses", "solves")
 
 
-def normalize(obj):
-    """Zero wall-clock floats and drop provenance fields, recursively."""
+def normalize_times(obj):
+    """Zero wall-clock float fields (solve times vary run to run)."""
     if isinstance(obj, dict):
         return {
-            key: 0.0 if "time" in key and isinstance(value, float) else normalize(value)
+            key: 0.0 if "time" in key and isinstance(value, float) else normalize_times(value)
             for key, value in obj.items()
-            if key not in PROVENANCE
         }
     if isinstance(obj, list):
-        return [normalize(value) for value in obj]
+        return [normalize_times(value) for value in obj]
     return obj
+
+
+def envelope_bytes(result) -> str:
+    """The envelope's JSON with wall-clock times zeroed."""
+    return json.dumps(normalize_times(result.to_dict()), sort_keys=True)
+
+
+def has_provenance(obj) -> bool:
+    if isinstance(obj, dict):
+        return any(key in PROVENANCE or has_provenance(v) for key, v in obj.items())
+    if isinstance(obj, list):
+        return any(has_provenance(value) for value in obj)
+    return False
 
 
 def solved_entry(layer=Layer(p=4, q=4, c=4, k=8)):
@@ -63,7 +82,7 @@ class TestLayerTier:
     def test_entries_are_sharded_files_under_results_root(self, tmp_path):
         store = ResultStore(tmp_path / "tenant", results_root=tmp_path / "shared")
         key, outcome = solved_entry()
-        MappingCache(store=store).put(key, outcome)
+        store.put_layer(key, outcome)
         path = store.layer_path(key)
         assert path == tmp_path / "shared" / "layers" / key[:2] / f"{key}.json"
         assert json.loads(path.read_text())["scheduler"] == "random"
@@ -72,19 +91,18 @@ class TestLayerTier:
     def test_another_tenant_is_served_from_the_shared_tier(self, tmp_path):
         shared = tmp_path / "shared"
         key, outcome = solved_entry()
-        MappingCache(store=ResultStore(tmp_path / "acme", results_root=shared)).put(key, outcome)
-        globex = MappingCache(store=ResultStore(tmp_path / "globex", results_root=shared))
-        hit = globex.get(key, outcome.layer)
+        ResultStore(tmp_path / "acme", results_root=shared).put_layer(key, outcome)
+        globex = ResultStore(tmp_path / "globex", results_root=shared)
+        hit = globex.load_layer(key, outcome.layer)
         assert hit is not None and hit.from_cache
         assert hit.mapping.summary() == outcome.mapping.summary()
 
     def test_layer_lookups_leave_envelope_counters_alone(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         key, outcome = solved_entry()
-        cache = MappingCache(store=store)
-        assert cache.get(key) is None
-        cache.put(key, outcome)
-        assert MappingCache(store=store).get(key) is not None
+        assert store.load_layer(key, outcome.layer) is None
+        store.put_layer(key, outcome)
+        assert store.load_layer(key, outcome.layer) is not None
         assert store.stats.to_dict() == ResultStore(tmp_path / "other").stats.to_dict()
         assert len(store) == 0  # no envelope was written
 
@@ -93,23 +111,20 @@ class TestLayerTier:
         key, outcome = solved_entry()
         store.layer_path(key).parent.mkdir(parents=True)
         store.layer_path(key).write_text("{")
-        cache = MappingCache(store=store)
-        assert cache.get(key) is None
-        assert cache.stats.misses == 1 and cache.stats.hits == 0
-        cache.put(key, outcome)
-        assert MappingCache(store=store).get(key) is not None
+        assert store.load_layer(key, outcome.layer) is None
+        store.put_layer(key, outcome)
+        assert ResultStore(tmp_path / "store").load_layer(key, outcome.layer) is not None
 
     def test_two_caches_on_one_store_keep_both_keys(self, tmp_path):
         """Regression: a whole-file cache kept only the last saver's keys."""
         store_dir = tmp_path / "store"
         first_key, first = solved_entry(Layer(p=4, q=4, c=4, k=8))
         second_key, second = solved_entry(Layer(p=4, q=4, c=8, k=4))
-        MappingCache(store=ResultStore(store_dir)).put(first_key, first)
-        MappingCache(store=ResultStore(store_dir)).put(second_key, second)
-        fresh = MappingCache(store=ResultStore(store_dir))
-        assert fresh.get(first_key) is not None
-        assert fresh.get(second_key) is not None
-        assert fresh.stats.hits == 2
+        ResultStore(store_dir).put_layer(first_key, first)
+        ResultStore(store_dir).put_layer(second_key, second)
+        fresh = ResultStore(store_dir)
+        assert fresh.load_layer(first_key, first.layer) is not None
+        assert fresh.load_layer(second_key, second.layer) is not None
 
 
 class TestLayerTierMaintenance:
@@ -119,7 +134,7 @@ class TestLayerTierMaintenance:
         old_envelope = store.put(envelope)
         age(old_envelope, 300)
         key, outcome = solved_entry()
-        MappingCache(store=store).put(key, outcome)  # the newest entry
+        store.put_layer(key, outcome)  # the newest entry
         total = old_envelope.stat().st_size + store.layer_path(key).stat().st_size
         report = store.gc(max_bytes=total - 1)
         assert report.evicted == [old_envelope.stem]
@@ -131,7 +146,7 @@ class TestLayerTierMaintenance:
     def test_compact_sweeps_layer_debris_and_empty_layer_shards(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         key, outcome = solved_entry()
-        store.put_layer(key, {"scheduler": "random"})
+        store.put_layer(key, outcome)
         shard = store.layer_path(key).parent
         debris = shard / f".{key}.json.1.2.tmp"
         debris.write_text("{")
@@ -155,15 +170,11 @@ def _submit_both(service):
 
 def _check_reuse(result, job):
     assert job.store_hit is False  # B itself ran; only its layer was reused
-    data = result.to_dict()["data"]
-    shared, fresh = data["outcomes"]
-    assert shared["from_cache"] is True
-    assert fresh["from_cache"] is False
-    assert data["stats"]["solves"] == 1  # the shared layer was solved zero times
-    assert data["stats"]["cache_hits"] == 1
+    layers = [e for e in job.events(timeout=60) if isinstance(e, LayerScheduled)]
+    # The shared layer was solved zero times; the job's log says so.
+    assert [e.cache_hit["random"] for e in layers] == [True, False]
     cold = run(RunSpec.from_dict(SPEC_B))
-    assert cold.data["stats"]["solves"] == 2
-    assert normalize(result.to_dict()) == normalize(cold.to_dict())
+    assert envelope_bytes(result) == envelope_bytes(cold)
 
 
 class TestCrossSpecReuse:
@@ -190,21 +201,19 @@ class TestCrossSpecReuse:
     def test_run_without_a_store_reuses_nothing(self):
         run(RunSpec.from_dict(SPEC_A))
         result = run(RunSpec.from_dict(SPEC_B))
-        assert result.data["stats"]["solves"] == 2
-        assert result.data["stats"]["cache_hits"] == 0
+        stats = result.artifacts["network"].stats
+        assert (stats.solves, stats.cache_hits) == (2, 0)
 
 
 class TestEngineWriteThrough:
     def test_parallel_solves_all_land_in_the_store(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         layers = [Layer(p=4, q=4, c=c, k=k) for c, k in ((4, 8), (8, 4), (4, 16), (16, 4))]
-        engine = SchedulingEngine(
-            RandomScheduler(ARCH, num_valid=2), cache=MappingCache(store=store)
-        )
+        engine = SchedulingEngine(RandomScheduler(ARCH, num_valid=2), store=store)
         engine.schedule_network(layers, jobs=4, executor="thread")
         assert store.stats_summary()["layers"] == len(layers)
         rerun = SchedulingEngine(
-            RandomScheduler(ARCH, num_valid=2), cache=MappingCache(store=store)
+            RandomScheduler(ARCH, num_valid=2), store=ResultStore(tmp_path / "store")
         ).schedule_network(layers, jobs=4, executor="thread")
         assert rerun.stats.solves == 0
         assert rerun.stats.cache_hits == len(layers)
@@ -215,3 +224,122 @@ def test_spec_with_a_cache_path_is_rejected_with_a_pointer_to_store(value):
     with pytest.raises(ValueError, match="engine.cache") as excinfo:
         RunSpec.from_dict({**SPEC_A, "engine": {"cache": value}})
     assert "--store" in str(excinfo.value)
+
+
+COMPARE = {
+    "kind": "compare",
+    "workload": {"layers": [SHARED, "1_2_4_4_1"]},
+    "options": {
+        "random_valid": 2,
+        "hybrid_threads": 1,
+        "hybrid_termination": 8,
+        "hybrid_max_evaluations": 40,
+    },
+}
+FUSED = {
+    "kind": "schedule",
+    "workload": {"fusion": "bert-base-block", "fusion_options": {"seq": 64}},
+    "scheduler": SCHEDULER,
+}
+
+#: ``name -> (spec, warmer)``: the warmer is a *different* spec whose solves
+#: cover every layer of ``spec`` (for the fused spec, its groups too).
+ENVELOPE_SPECS = {
+    "schedule": (
+        {**SPEC_A, "workload": {"layers": [SHARED, "1_2_4_4_1"]}},
+        {**SPEC_A, "workload": {"layers": ["1_2_4_4_1", "3_4_16_8_1", SHARED]}},
+    ),
+    "compare": (
+        COMPARE,
+        {**COMPARE, "workload": {"layers": ["3_4_16_8_1", "1_2_4_4_1", SHARED]}},
+    ),
+    # The platform metric changes only the reported value, not the solves.
+    "fused": (FUSED, {**FUSED, "platform": {"name": "timeloop", "metric": "energy"}}),
+}
+
+
+def _fabric_result(tmp_path, spec):
+    service = SchedulingService(
+        store=tmp_path / "fabric-store", backend="fabric", fabric_root=tmp_path / "fabric"
+    )
+    worker = FabricWorker(tmp_path / "fabric", worker_id="w1", poll_interval=0.02)
+    thread = threading.Thread(target=worker.run, daemon=True)
+    thread.start()
+    try:
+        return service.submit(spec).result(timeout=300)
+    finally:
+        worker.stop()
+        thread.join(timeout=10)
+        service.shutdown()
+
+
+@pytest.mark.parametrize("name", sorted(ENVELOPE_SPECS))
+def test_envelope_depends_only_on_its_spec(name, tmp_path, monkeypatch):
+    """A cold run(), a cold and a warm store-backed job and a fabric job of
+    one spec give byte-identical envelopes once wall-clock times are zeroed."""
+    spec_dict, warmer = ENVELOPE_SPECS[name]
+    spec = RunSpec.from_dict(spec_dict)
+    cold_run = run(spec)
+
+    with SchedulingService(max_workers=1, store=tmp_path / "cold") as service:
+        cold_job = service.submit(spec).result(timeout=300)
+
+    solves = []
+    solve_one = engine_module._solve_one
+
+    def counting_solve(scheduler, layer):
+        solves.append(layer)
+        return solve_one(scheduler, layer)
+
+    monkeypatch.setattr(engine_module, "_solve_one", counting_solve)
+    with SchedulingService(max_workers=1, store=tmp_path / "warm") as service:
+        service.submit(RunSpec.from_dict(warmer)).result(timeout=300)
+        assert solves  # the warmer solved the layers
+        solves.clear()
+        job = service.submit(spec)
+        warm_job = job.result(timeout=300)
+    assert job.store_hit is False
+    assert solves == []  # every layer came from the layer tier
+    layer_events = [e for e in job.events(timeout=60) if isinstance(e, LayerScheduled)]
+    assert layer_events
+    assert all(all(e.cache_hit.values()) for e in layer_events)
+
+    fabric = _fabric_result(tmp_path, spec)
+
+    expected = envelope_bytes(cold_run)
+    assert not has_provenance(cold_run.to_dict())
+    assert envelope_bytes(cold_job) == expected
+    assert envelope_bytes(warm_job) == expected
+    assert envelope_bytes(fabric) == expected
+
+
+def test_stored_envelope_with_provenance_is_served_verbatim(tmp_path):
+    """An envelope stored while it still carried the provenance fields loads
+    and is served as a store hit, byte for byte."""
+    spec = RunSpec.from_dict(SPEC_A)
+    old = run(spec).to_dict()
+    old["data"]["stats"].update(cache_hits=0, cache_misses=2, solves=2)
+    for outcome in old["data"]["outcomes"]:
+        outcome["from_cache"] = False
+    ResultStore(tmp_path / "store").put(RunResult.from_dict(old))
+
+    with SchedulingService(max_workers=1, store=tmp_path / "store") as service:
+        job = service.submit(spec)
+        result = job.result(timeout=300)
+    assert job.store_hit is True
+    assert result.to_dict() == old
+    assert has_provenance(result.to_dict())
+    assert ResultStore(tmp_path / "store").load(spec_fingerprint(spec)).to_dict() == old
+
+
+def test_cli_schedule_json_is_the_same_cold_and_warm(tmp_path, capsys):
+    """Regression: a re-run over one store printed other engine counters."""
+    args = ["schedule", SHARED, "--scheduler", "random", "--store", str(tmp_path / "store")]
+    assert cli_main([*args, "--json"]) == 0
+    cold = json.loads(capsys.readouterr().out)
+    assert cli_main([*args, "--json"]) == 0
+    warm = json.loads(capsys.readouterr().out)
+    assert normalize_times(warm) == normalize_times(cold)
+    # The text renderer still says where the layer came from.
+    assert cli_main(args) == 0
+    assert "served from the result store's layer tier" in capsys.readouterr().out

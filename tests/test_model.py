@@ -1,11 +1,9 @@
 """Unit tests for the analytical cost model (nest analysis, latency, energy)."""
 
-import random
-
 import pytest
 
 from repro.arch import simba_like
-from repro.mapping import Mapping, MapSpace
+from repro.mapping import Mapping
 from repro.model import CostModel, EnergyModel, NestAnalysis, PerformanceModel
 from repro.workloads import Layer, layer_from_name
 from repro.workloads.layer import TensorKind
@@ -257,7 +255,6 @@ class TestEnergyModel:
         mapping = make_mapping(layer, [{"P": 4, "Q": 4}, {"C": 8}, {"K": 8}])
         b = EnergyModel(ARCH).evaluate(mapping)
         assert b.total == pytest.approx(b.mac_energy + b.noc_energy + sum(b.level_energy.values()))
-        assert b.total_uj == pytest.approx(b.total * 1e-6)
 
 
 class TestCostModel:
@@ -281,18 +278,6 @@ class TestCostModel:
         assert 0 < result.latency < float("inf")
         assert 0 < result.energy < float("inf")
         assert result.edp == pytest.approx(result.latency * result.energy)
-
-    def test_best_of_picks_lowest_latency(self):
-        layer = layer_from_name("3_7_64_64_1")
-        space = MapSpace(layer, ARCH)
-        mappings, _ = space.sample_valid(5, random.Random(0))
-        model = CostModel(ARCH)
-        best_mapping, best_result = model.best_of(mappings)
-        assert best_mapping is not None
-        for mapping in mappings:
-            result = model.evaluate(mapping)
-            if result.valid:
-                assert best_result.latency <= result.latency
 
     def test_level_count_mismatch_is_reported(self):
         layer = Layer(p=2)

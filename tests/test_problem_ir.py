@@ -300,23 +300,24 @@ class TestSerialization:
 
     def test_cache_degrades_to_miss_on_unregistered_problem(self, tmp_path):
         # A persisted v2 mapping whose TensorProblem is unknown to this
-        # process must surface as a cache miss, not crash the lookup.
-        from repro.engine.cache import MappingCache
+        # process must surface as a layer-tier miss, not crash the lookup.
+        from repro.api.store import ResultStore
 
         layer = matmul(m=4, n=4, k=4)
         mapping = Mapping.from_factors(
             layer, temporal_factors=[{"M": 4}, {"N": 4}, {}, {}, {"K": 4}, {}]
         )
-        cache = MappingCache()
+        store = ResultStore(tmp_path / "store")
         entry = mapping_to_dict(mapping)
         entry["layer"]["problem"] = "not-registered"
-        cache._entries["key"] = {"scheduler": "random", "mapping": entry, "metrics": {}}
-        assert cache.get("key", layer) is None
-        assert cache.stats.misses == 1 and cache.stats.hits == 0
-        assert "key" not in cache._entries
+        store.layer_path("key").parent.mkdir(parents=True)
+        store.layer_path("key").write_text(
+            json.dumps({"scheduler": "random", "mapping": entry, "metrics": {}})
+        )
+        assert store.load_layer("key", layer) is None
 
     def test_cache_round_trip_for_problem_layers(self, tmp_path):
-        from repro.engine.cache import MappingCache, cache_key
+        from repro.engine.cache import cache_key
         from repro.engine.outcome import ScheduleOutcome
 
         layer = matmul(m=4, n=4, k=4, name="cached")
@@ -336,10 +337,8 @@ class TestSerialization:
         from repro.api.store import ResultStore
 
         key = cache_key(layer, ARCH, _FakeScheduler())
-        cache = MappingCache(store=ResultStore(tmp_path / "store"))
-        cache.put(key, outcome)
-        reloaded = MappingCache(store=ResultStore(tmp_path / "store"))
-        hit = reloaded.get(key, layer)
+        ResultStore(tmp_path / "store").put_layer(key, outcome)
+        hit = ResultStore(tmp_path / "store").load_layer(key, layer)
         assert hit is not None
         assert hit.mapping.summary() == mapping.summary()
         assert hit.mapping.layer == layer

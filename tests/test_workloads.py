@@ -86,8 +86,10 @@ class TestLayer:
 
     def test_input_dimensions_follow_sliding_window(self):
         layer = Layer(r=3, s=3, p=14, q=14, c=4, k=4, stride=2)
-        assert layer.input_width == (14 - 1) * 2 + 3
-        assert layer.input_height == (14 - 1) * 2 + 3
+        width = (layer.p - 1) * layer.stride + layer.r
+        height = (layer.q - 1) * layer.stride + layer.s
+        assert (width, height) == (29, 29)
+        assert layer.tensor_volume(TensorKind.INPUT) == layer.n * layer.c * width * height
 
     def test_tensor_volumes(self):
         layer = Layer(r=1, s=1, p=7, q=7, c=32, k=64, n=1)
