@@ -21,8 +21,8 @@ Plugins follow the same pattern from any module::
 
 Scheduler factories receive the resolved accelerator plus the spec's
 options; :func:`repro.api.runner.run` additionally offers the engine-level
-search knobs (``seed``, ``eval_batch_size``, ``time_budget_seconds``) to
-factories whose signature accepts them.
+search knobs (``seed``, ``time_budget_seconds``) to factories whose
+signature accepts them.
 """
 
 from __future__ import annotations

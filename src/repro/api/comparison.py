@@ -66,10 +66,6 @@ class ComparisonConfig:
         Valid samples collected by the Random baseline (5 in the paper).
     seed:
         Base random seed shared by the baselines.
-    eval_batch_size:
-        Vectorized evaluation batch size for the search baselines (outcome
-        invariant — see :mod:`repro.model.batch`; ``None``/1 forces the
-        scalar reference path).
     time_budget_seconds:
         Optional per-layer wall-clock budget for the search baselines, so
         time-to-solution comparisons are apples-to-apples.
@@ -84,7 +80,6 @@ class ComparisonConfig:
     hybrid_max_evaluations: int = 800
     random_valid: int = 5
     seed: int = 0
-    eval_batch_size: int | None = 64
     time_budget_seconds: float | None = None
 
     def __post_init__(self) -> None:
@@ -188,7 +183,6 @@ def build_schedulers(config: ComparisonConfig):
     search = dict(
         metric=config.metric,
         seed=config.seed,
-        eval_batch_size=config.eval_batch_size,
         time_budget_seconds=config.time_budget_seconds,
     )
     random_scheduler = schedulers.create(

@@ -268,15 +268,14 @@ def _build_scheduler(spec: RunSpec, accelerator):
 
     Explicit ``SchedulerSpec.options`` are passed through verbatim (a typo
     raises the factory's ``TypeError``).  The engine-level search knobs —
-    ``seed``, ``eval_batch_size``, ``time_budget_seconds`` — are offered
-    only to factories whose signature accepts them, so one spec drives both
-    seeded search baselines and knob-free one-shot schedulers.
+    ``seed`` and ``time_budget_seconds`` — are offered only to factories
+    whose signature accepts them, so one spec drives both seeded search
+    baselines and knob-free one-shot schedulers.
     """
     factory = schedulers.get(spec.scheduler.name)
     options = dict(spec.scheduler.options)
     offered = {
         "seed": spec.seed,
-        "eval_batch_size": spec.engine.batch_size,
         "time_budget_seconds": spec.engine.time_budget,
     }
     parameters = inspect.signature(factory).parameters
@@ -408,7 +407,6 @@ def _run_compare(spec: RunSpec, accelerator, store, emit_layer=None) -> RunResul
         platform=spec.platform.name,
         metric=spec.platform.metric,
         seed=spec.seed,
-        eval_batch_size=spec.engine.batch_size,
         time_budget_seconds=spec.engine.time_budget,
         **spec.options,
     )

@@ -318,9 +318,10 @@ class PlatformSpec:
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """Engine knobs: parallelism, batching and time budget.
+    """Engine knobs: parallelism and time budget.
 
-    Serialized specs carry ``"cache": null`` so stored specs keep their bytes.
+    Serialized specs carry ``"cache": null`` and ``"batch_size": 64`` so
+    stored specs keep their bytes and fingerprints.
 
     ``fusion_options`` tunes the fused alignment search (currently only
     ``max_candidates``, the frontier-candidate cap — distinct from
@@ -334,14 +335,12 @@ class EngineSpec:
     FUSION_OPTION_KEYS = ("max_candidates",)
 
     jobs: int = 1
-    batch_size: int = 64
     time_budget: float | None = None
     executor: str = "thread"
     fusion_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         _check_int(self.jobs, "EngineSpec.jobs", minimum=1)
-        _check_int(self.batch_size, "EngineSpec.batch_size", minimum=1)
         if self.time_budget is not None:
             _require(
                 isinstance(self.time_budget, (int, float)) and self.time_budget >= 0,
@@ -366,7 +365,7 @@ class EngineSpec:
         data = {
             "jobs": self.jobs,
             "cache": None,
-            "batch_size": self.batch_size,
+            "batch_size": 64,
             "time_budget": self.time_budget,
             "executor": self.executor,
         }
@@ -404,9 +403,12 @@ class EngineSpec:
             f"EngineSpec.kernel_backend must be one of {legacy_backends[1:]}, "
             f"got {data.get('kernel_backend')!r}",
         )
+        # Legacy key: the search baselines once had a selectable scoring
+        # batch size.  Every size gave the same outcome, so the value is
+        # checked and dropped.
+        _check_int(data.get("batch_size", 64), "EngineSpec.batch_size", minimum=1)
         return cls(
             jobs=data.get("jobs", 1),
-            batch_size=data.get("batch_size", 64),
             time_budget=data.get("time_budget"),
             executor=data.get("executor", "thread"),
             fusion_options=dict(data.get("fusion_options") or {}),

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.arch.energy import EnergyTable
-from repro.arch.memory import MemoryHierarchy, MemoryLevel
+from repro.arch.memory import MemoryHierarchy
 from repro.arch.spatial import NoCSpec, PEArraySpec
 from repro.workloads.layer import TensorKind
 

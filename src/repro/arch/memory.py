@@ -15,7 +15,7 @@ declares
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 from repro.workloads.layer import TensorKind

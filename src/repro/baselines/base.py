@@ -8,24 +8,19 @@ layer-tier keys) and :meth:`SearchScheduler.schedule_outcome`, which
 converts the native :class:`SearchResult` into the unified
 :class:`~repro.engine.outcome.ScheduleOutcome`.
 
-It also hosts the two knobs shared by all search baselines:
+It also hosts what all search baselines share:
 
-* **Batched evaluation** (``eval_batch_size``): candidates are proposed in
-  batches and evaluated with the vectorized
-  :class:`~repro.model.batch.BatchCostModel` instead of one scalar
-  :class:`~repro.model.cost.CostModel` call per mapping.  The scalar path is
-  the reference oracle — a batched and an unbatched run of the same
-  budget-free configuration produce **identical** search outcomes (same
-  candidates, same winner, same sample/evaluation counters), which is why
-  ``eval_batch_size`` deliberately does *not* enter the config fingerprint
-  of budget-free runs: cache entries stay shareable across batch sizes.
+* **Scoring**: a batch of candidates is scored in one pass of the
+  vectorized :class:`~repro.model.batch.BatchCostModel`, which is
+  bit-identical to the scalar :class:`~repro.model.cost.CostModel` oracle
+  (the parity suite checks every baseline's winner and counters against a
+  loop of scalar evaluations over the same candidates).  A lone candidate
+  goes straight to the scalar model, which is faster for a batch of one.
 * **Wall-clock budget** (``time_budget_seconds``): the search stops once the
   budget is exhausted, regardless of how many iterations remain, so
   time-to-solution comparisons are apples-to-apples.  A budget-capped
   search stops wherever the clock catches it, which depends on machine
-  speed *and* on the batch size (faster evaluation buys more candidates
-  before the deadline), so with a budget set both the budget and
-  ``eval_batch_size`` enter the fingerprint.
+  speed, so with a budget set the budget enters the fingerprint.
 """
 
 from __future__ import annotations
@@ -34,12 +29,13 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from repro.arch.accelerator import Accelerator
 from repro.digest import canonical_json, stable_seed32
 from repro.engine.outcome import ScheduleOutcome
 from repro.mapping.mapping import Mapping
 from repro.mapping.space import MappingDraws
 from repro.model.batch import BatchCostModel
-from repro.model.cost import CostResult
+from repro.model.cost import CostModel, CostResult
 from repro.workloads.layer import Layer
 
 
@@ -93,13 +89,10 @@ class SearchScheduler:
 
     Parameters
     ----------
+    accelerator:
+        Target architecture; both cost models are built for it.
     metric:
         ``"latency"``, ``"energy"`` or ``"edp"``.
-    eval_batch_size:
-        Candidates evaluated per vectorized batch (``None``/``1`` keeps the
-        scalar reference path).  Outcome-invariant for budget-free runs —
-        see the module docstring — and therefore excluded from their
-        fingerprint (budget-capped runs include it).
     time_budget_seconds:
         Optional wall-clock budget per layer; the search stops at the first
         check point after the budget expires.  ``None`` means unbounded.
@@ -113,20 +106,19 @@ class SearchScheduler:
 
     def __init__(
         self,
+        accelerator: Accelerator,
         metric: str = "latency",
-        eval_batch_size: int | None = None,
         time_budget_seconds: float | None = None,
     ):
         if metric not in self.METRICS:
             raise ValueError(f"unknown metric {metric!r}; expected one of {self.METRICS}")
-        if eval_batch_size is not None and eval_batch_size < 1:
-            raise ValueError(f"eval_batch_size must be >= 1, got {eval_batch_size}")
         if time_budget_seconds is not None and time_budget_seconds < 0:
             raise ValueError(f"time_budget_seconds must be >= 0, got {time_budget_seconds}")
+        self.accelerator = accelerator
         self.metric = metric
-        self.eval_batch_size = eval_batch_size
         self.time_budget_seconds = time_budget_seconds
-        self._batch_model_cache: BatchCostModel | None = None
+        self._cost_model = CostModel(accelerator)
+        self._batch_model = BatchCostModel(accelerator)
 
     def score(self, cost: CostResult) -> float:
         """Scalar to minimise for a cost result (``inf`` for invalid mappings)."""
@@ -138,38 +130,23 @@ class SearchScheduler:
             return cost.energy
         return cost.edp
 
-    # ------------------------------------------------------ batched evaluation
-    @property
-    def batching_enabled(self) -> bool:
-        """True when candidates will be evaluated with the vectorized model."""
-        return bool(self.eval_batch_size and self.eval_batch_size > 1)
-
-    def _batch_model(self) -> BatchCostModel:
-        """The vectorized evaluator, built on first use."""
-        if self._batch_model_cache is None:
-            self._batch_model_cache = BatchCostModel(self.accelerator)
-        return self._batch_model_cache
-
+    # -------------------------------------------------------------- scoring
     def _scored(self, candidates: Iterable[Mapping]) -> Iterator[tuple[Mapping, bool, float]]:
         """Yield ``(mapping, valid, score)`` for every candidate, in order.
 
-        With batching enabled, the candidates are materialized up front and
-        evaluated in one vectorized pass; otherwise each is lazily evaluated
-        by the scalar oracle (so callers that break early never pay for the
-        rest).  Scores are bit-compatible between the two paths.
+        The candidates are materialized and scored in one vectorized pass;
+        a lone candidate goes to the scalar model instead.  Scores are
+        bit-identical either way.
         """
-        if self.batching_enabled:
-            mappings = list(candidates)
-            if len(mappings) > 1:
-                result = self._batch_model().evaluate_mappings(mappings)
-                scores = result.score(self.metric)
-                for i, mapping in enumerate(mappings):
-                    yield mapping, bool(result.valid[i]), float(scores[i])
-                return
-            candidates = mappings
-        for mapping in candidates:
-            cost = self._cost_model.evaluate(mapping)
-            yield mapping, cost.valid, self.score(cost)
+        mappings = list(candidates)
+        if len(mappings) == 1:
+            cost = self._cost_model.evaluate(mappings[0])
+            yield mappings[0], cost.valid, self.score(cost)
+        elif mappings:
+            result = self._batch_model.evaluate_mappings(mappings)
+            scores = result.score(self.metric)
+            for i, mapping in enumerate(mappings):
+                yield mapping, bool(result.valid[i]), float(scores[i])
 
     def _score_draws(self, draws: MappingDraws):
         """Score a :class:`MappingDraws` chunk: ``(valid, scores)`` sequences.
@@ -178,15 +155,11 @@ class SearchScheduler:
         candidates live as factor matrices; only winners are materialized by
         the caller via :meth:`MappingDraws.materialize`.
         """
-        if self.batching_enabled and len(draws) > 1:
-            result = self._batch_model().evaluate_draws(draws)
-            return result.valid, result.score(self.metric)
-        valid, scores = [], []
-        for mapping in draws.iter_mappings():
-            cost = self._cost_model.evaluate(mapping)
-            valid.append(cost.valid)
-            scores.append(self.score(cost))
-        return valid, scores
+        if len(draws) == 1:
+            cost = self._cost_model.evaluate(draws.materialize(0))
+            return [cost.valid], [self.score(cost)]
+        result = self._batch_model.evaluate_draws(draws)
+        return result.valid, result.score(self.metric)
 
     # --------------------------------------------------------- wall-clock budget
     def _deadline(self, start: float) -> float | None:
@@ -202,20 +175,10 @@ class SearchScheduler:
 
     # -------------------------------------------------------- engine protocol
     def _config(self) -> dict:
-        """Configuration entering the fingerprint (subclasses extend).
-
-        Without a wall-clock budget, ``eval_batch_size`` is intentionally
-        absent: batching is outcome-invariant (enforced by the parity test
-        suite), so cache entries are shared between batched and scalar runs.
-        A budget-capped search, however, stops wherever the clock catches it
-        — which depends on how fast candidates are evaluated and on where
-        the budget check points fall — so with a budget set the batch size
-        *does* key the cache, alongside the budget itself.
-        """
+        """Configuration entering the fingerprint (subclasses extend)."""
         config: dict = {"metric": self.metric}
         if self.time_budget_seconds is not None:
             config["time_budget_seconds"] = self.time_budget_seconds
-            config["eval_batch_size"] = self.eval_batch_size
         return config
 
     def config_fingerprint(self) -> str:

@@ -35,7 +35,6 @@ from repro.arch.accelerator import Accelerator
 from repro.baselines.base import SearchResult, SearchScheduler, stable_layer_seed
 from repro.mapping.moves import MappingState
 from repro.mapping.space import MapSpace
-from repro.model.cost import CostModel
 from repro.model.delta import DeltaCostResult, DeltaEvaluator
 from repro.workloads.layer import Layer
 
@@ -83,9 +82,8 @@ class LocalSearchScheduler(SearchScheduler):
         Soft lower bound on compute utilization; the shortfall
         ``max(0, target - utilization) / target`` is the violation of the
         ``"utilization"`` group.  ``0`` disables the group.
-    eval_batch_size / time_budget_seconds:
-        See :class:`~repro.baselines.base.SearchScheduler`; they affect the
-        initial sampling phase exactly as in the other baselines.
+    time_budget_seconds:
+        See :class:`~repro.baselines.base.SearchScheduler`.
     """
 
     name = "local-search"
@@ -103,14 +101,9 @@ class LocalSearchScheduler(SearchScheduler):
         perturbation: float = 0.1,
         restart_after: int = 30,
         utilization_target: float = 0.5,
-        eval_batch_size: int | None = None,
         time_budget_seconds: float | None = None,
     ):
-        super().__init__(
-            metric,
-            eval_batch_size=eval_batch_size,
-            time_budget_seconds=time_budget_seconds,
-        )
+        super().__init__(accelerator, metric, time_budget_seconds=time_budget_seconds)
         if max_evaluations < 1:
             raise ValueError(f"max_evaluations must be >= 1, got {max_evaluations}")
         if init_samples < 1:
@@ -125,7 +118,6 @@ class LocalSearchScheduler(SearchScheduler):
             raise ValueError(f"restart_after must be >= 1, got {restart_after}")
         if utilization_target < 0 or utilization_target > 1:
             raise ValueError("utilization_target must be within [0, 1]")
-        self.accelerator = accelerator
         self.seed = seed
         self.max_evaluations = max_evaluations
         self.init_samples = init_samples
@@ -135,7 +127,6 @@ class LocalSearchScheduler(SearchScheduler):
         self.perturbation = perturbation
         self.restart_after = restart_after
         self.utilization_target = utilization_target
-        self._cost_model = CostModel(accelerator)
 
     def _config(self) -> dict:
         return {

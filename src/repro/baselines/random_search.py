@@ -10,13 +10,11 @@ factor matrices (:meth:`~repro.mapping.space.MapSpace.sample_batch`) and
 scored by the vectorized :class:`~repro.model.batch.BatchCostModel`.  Each
 chunk is sized from the valid mappings the search still needs: twice the
 shortfall, with the multiplier doubling after every chunk that falls short,
-capped at ``eval_batch_size``, so a best-of-5 search on a layer where most
-draws are valid draws about 10 candidates instead of a full batch.  With
-batching off the chunk size is 1 and each draw goes through the scalar
-:class:`~repro.model.cost.CostModel`.  Every path reads the identical
-candidate stream and stops at the same candidate, so the winner and the
-counters do not depend on the batch size; only a wall-clock budget, checked
-once per chunk, can stop at a different point.
+capped at :data:`MAX_CHUNK`, so a best-of-5 search on a layer where most
+draws are valid draws about 10 candidates instead of a full batch.  The
+candidate stream does not depend on the chunk sizes, and the search stops at
+the same candidate whatever they are; only a wall-clock budget, checked once
+per chunk, can stop at a different point.
 """
 
 from __future__ import annotations
@@ -27,8 +25,10 @@ import time
 from repro.arch.accelerator import Accelerator
 from repro.baselines.base import SearchResult, SearchScheduler, stable_layer_seed
 from repro.mapping.space import MapSpace
-from repro.model.cost import CostModel
 from repro.workloads.layer import Layer
+
+#: Most candidates drawn and scored in one chunk.
+MAX_CHUNK = 64
 
 
 class RandomScheduler(SearchScheduler):
@@ -47,9 +47,9 @@ class RandomScheduler(SearchScheduler):
     seed:
         Base seed; each layer perturbs it with a content hash of its name so
         results are deterministic but layers are decorrelated.
-    eval_batch_size / time_budget_seconds:
-        See :class:`~repro.baselines.base.SearchScheduler`.  With a wall
-        clock budget set, the budget is checked once per proposed chunk.
+    time_budget_seconds:
+        See :class:`~repro.baselines.base.SearchScheduler`.  The budget is
+        checked once per proposed chunk.
     """
 
     name = "random"
@@ -61,19 +61,12 @@ class RandomScheduler(SearchScheduler):
         max_attempts: int = 20_000,
         metric: str = "latency",
         seed: int = 0,
-        eval_batch_size: int | None = None,
         time_budget_seconds: float | None = None,
     ):
-        super().__init__(
-            metric,
-            eval_batch_size=eval_batch_size,
-            time_budget_seconds=time_budget_seconds,
-        )
-        self.accelerator = accelerator
+        super().__init__(accelerator, metric, time_budget_seconds=time_budget_seconds)
         self.num_valid = num_valid
         self.max_attempts = max_attempts
         self.seed = seed
-        self._cost_model = CostModel(accelerator)
 
     def _config(self) -> dict:
         return {
@@ -89,7 +82,6 @@ class RandomScheduler(SearchScheduler):
         deadline = self._deadline(start)
         rng = random.Random(stable_layer_seed(self.seed, layer.canonical_name))
         space = MapSpace(layer, self.accelerator)
-        cap = self.eval_batch_size if self.batching_enabled else 1
         growth = 2
 
         best_draws = None
@@ -102,8 +94,8 @@ class RandomScheduler(SearchScheduler):
             and sampled < self.max_attempts
             and not self._out_of_time(deadline)
         ):
-            chunk = min(cap, growth * (self.num_valid - evaluated), self.max_attempts - sampled)
-            growth = min(2 * growth, cap)
+            chunk = min(MAX_CHUNK, growth * (self.num_valid - evaluated), self.max_attempts - sampled)
+            growth = min(2 * growth, MAX_CHUNK)
             draws = space.sample_batch(chunk, rng)
             valid, scores = self._score_draws(draws)
             for i in range(len(draws)):

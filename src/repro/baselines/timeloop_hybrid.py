@@ -30,7 +30,6 @@ from repro.arch.accelerator import Accelerator
 from repro.baselines.base import SearchResult, SearchScheduler, stable_layer_seed
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
 from repro.mapping.space import MapSpace
-from repro.model.cost import CostModel
 from repro.workloads.layer import Layer
 
 
@@ -55,13 +54,12 @@ class TimeloopHybridScheduler(SearchScheduler):
         ``"latency"``, ``"energy"`` or ``"edp"``.
     seed:
         Base seed for the random factorisations.
-    eval_batch_size / time_budget_seconds:
+    time_budget_seconds:
         See :class:`~repro.baselines.base.SearchScheduler`.  Each pruned
-        permutation sweep is the natural evaluation batch; the wall-clock
-        budget is checked once per drawn factorisation in both the scalar
-        and the batched path.  How many factorisations a budget buys still
-        depends on machine and evaluation speed, so budget-capped outcomes
-        are time-dependent.
+        permutation sweep is scored as one batch; the budget is checked once
+        per drawn factorisation.  How many factorisations a budget buys
+        depends on machine speed, so budget-capped outcomes are
+        time-dependent.
     """
 
     name = "timeloop-hybrid"
@@ -75,21 +73,14 @@ class TimeloopHybridScheduler(SearchScheduler):
         max_evaluations: int = 3000,
         metric: str = "latency",
         seed: int = 0,
-        eval_batch_size: int | None = None,
         time_budget_seconds: float | None = None,
     ):
-        super().__init__(
-            metric,
-            eval_batch_size=eval_batch_size,
-            time_budget_seconds=time_budget_seconds,
-        )
-        self.accelerator = accelerator
+        super().__init__(accelerator, metric, time_budget_seconds=time_budget_seconds)
         self.num_threads = num_threads
         self.termination_condition = termination_condition
         self.max_permutations = max_permutations
         self.max_evaluations = max_evaluations
         self.seed = seed
-        self._cost_model = CostModel(accelerator)
 
     @classmethod
     def paper_settings(cls, accelerator: Accelerator, metric: str = "latency", seed: int = 0):

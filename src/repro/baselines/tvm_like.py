@@ -19,7 +19,6 @@ from repro.arch.accelerator import Accelerator
 from repro.baselines.base import SearchResult, SearchScheduler, stable_layer_seed
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
 from repro.mapping.space import MapSpace
-from repro.model.cost import CostModel
 from repro.workloads.layer import Layer
 
 
@@ -33,10 +32,8 @@ class TVMLikeTuner(SearchScheduler):
     trials:
         Number of measurement trials (50 in the paper's TVM baseline).
     batch_size:
-        Candidates evaluated per trial.  Each trial's batch is the natural
-        unit of vectorized evaluation: with ``eval_batch_size`` set, the
-        whole batch is scored in one :class:`~repro.model.batch.BatchCostModel`
-        pass instead of one scalar evaluation per candidate.
+        Candidates evaluated per trial.  Each trial's batch is scored in one
+        :class:`~repro.model.batch.BatchCostModel` pass.
     exploration:
         Fraction of each batch drawn at random instead of mutated from the
         incumbent population.
@@ -44,11 +41,10 @@ class TVMLikeTuner(SearchScheduler):
         ``"latency"``, ``"energy"`` or ``"edp"``.
     seed:
         Base random seed.
-    eval_batch_size / time_budget_seconds:
-        See :class:`~repro.baselines.base.SearchScheduler`.  The wall-clock
-        budget is checked once per trial in both the scalar and the batched
-        path; the number of trials a budget buys still depends on machine
-        and evaluation speed, so budget-capped outcomes are time-dependent.
+    time_budget_seconds:
+        See :class:`~repro.baselines.base.SearchScheduler`.  The budget is
+        checked once per trial; the number of trials it buys depends on
+        machine speed, so budget-capped outcomes are time-dependent.
     """
 
     name = "tvm-like"
@@ -61,24 +57,17 @@ class TVMLikeTuner(SearchScheduler):
         exploration: float = 0.3,
         metric: str = "latency",
         seed: int = 0,
-        eval_batch_size: int | None = None,
         time_budget_seconds: float | None = None,
     ):
-        super().__init__(
-            metric,
-            eval_batch_size=eval_batch_size,
-            time_budget_seconds=time_budget_seconds,
-        )
+        super().__init__(accelerator, metric, time_budget_seconds=time_budget_seconds)
         if trials < 1 or batch_size < 1:
             raise ValueError("trials and batch_size must be positive")
         if not 0.0 <= exploration <= 1.0:
             raise ValueError("exploration must be within [0, 1]")
-        self.accelerator = accelerator
         self.trials = trials
         self.batch_size = batch_size
         self.exploration = exploration
         self.seed = seed
-        self._cost_model = CostModel(accelerator)
 
     def _config(self) -> dict:
         return {

@@ -298,11 +298,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument(
-        "--batch-size", type=_positive_int, default=64, metavar="N",
-        help="vectorized evaluation batch size for the search baselines "
-        "(1 = scalar reference path; outcomes are identical either way)",
-    )
-    parser.add_argument(
         "--time-budget", type=float, default=None, metavar="SECONDS",
         help="per-layer wall-clock budget for the search baselines",
     )
@@ -366,7 +361,6 @@ def _gateway_client(args):
 def _engine_spec(args) -> EngineSpec:
     return EngineSpec(
         jobs=args.jobs,
-        batch_size=args.batch_size,
         time_budget=args.time_budget,
     )
 

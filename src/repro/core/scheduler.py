@@ -8,7 +8,7 @@ solve — no iterative search, no simulation feedback — exactly the
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.arch.accelerator import Accelerator
 from repro.core.formulation import CoSAFormulation, FormulationStats

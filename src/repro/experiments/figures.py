@@ -21,7 +21,6 @@ from repro.api.comparison import (
     ComparisonConfig,
     SpeedupSummary,
     build_schedulers,
-    compare_on_layer,
     compare_on_network,
     geometric_mean,
 )

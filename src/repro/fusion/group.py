@@ -31,7 +31,7 @@ bound alone, and ``None`` is returned when no complete bijection exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.workloads.layer import TensorKind
 from repro.workloads.problem import Window

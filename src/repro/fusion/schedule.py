@@ -41,7 +41,7 @@ from math import gcd
 from repro.engine.cache import cache_key_from_parts
 from repro.engine.engine import LayerReport, NetworkSchedule
 from repro.fusion.group import FusionGroup
-from repro.fusion.plan import FusionPlan, plan_for
+from repro.fusion.plan import plan_for
 from repro.model.fused import FusedCostModel, FusedGroupCost
 
 #: Default cap on frontier candidates priced per group alignment (override

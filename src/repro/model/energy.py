@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from repro.arch.accelerator import Accelerator
 from repro.mapping.mapping import Mapping
 from repro.model.nest import NestAnalysis
-from repro.workloads.layer import TensorKind
 
 
 @dataclass

@@ -41,24 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isfinite
 
-from typing import TYPE_CHECKING
-
 from repro.arch.accelerator import Accelerator
 from repro.model.cost import CostModel, CostResult
 from repro.model.nest import NestAnalysis
 from repro.workloads.layer import TensorKind
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.mapping.mapping import Mapping
-
-
-@dataclass
-class _MemoEntry:
-    """Per-mapping memo: the scalar result plus lazily built derived views."""
-
-    result: CostResult
-    analysis: NestAnalysis | None = None
-    traffic: tuple[float, float] | None = None
 
 
 @dataclass
@@ -181,48 +167,13 @@ def dram_boundary_traffic(analysis: NestAnalysis) -> tuple[float, float]:
 class FusedCostModel:
     """Evaluate fusion groups with pinned on-chip intermediates.
 
-    Per-mapping scalar results, nest analyses, and DRAM boundary traffic are
-    memoized across :meth:`evaluate_group` calls (keyed by mapping object
-    identity — :class:`~repro.mapping.mapping.Mapping` is identity-hashed):
-    alignment search re-evaluates a group many times while disturbing only
-    one equivalence class per step, so the untouched operators hit the memo.
-    ``scalar_evaluations`` / ``memo_hits`` expose the counters for tests.
+    Each call prices every mapping from scratch: one scalar result, one nest
+    analysis and one DRAM-traffic sum per operator.
     """
-
-    #: Memo entries kept before the cache resets (identity-keyed entries are
-    #: only reusable while the caller holds the same Mapping objects, so a
-    #: bounded reset is enough).
-    MEMO_LIMIT = 8192
 
     def __init__(self, accelerator: Accelerator):
         self.accelerator = accelerator
         self.scalar = CostModel(accelerator)
-        self._memo: dict[Mapping, _MemoEntry] = {}
-        self.scalar_evaluations = 0
-        self.memo_hits = 0
-
-    # ------------------------------------------------------------ memoization
-    def _entry(self, mapping: Mapping) -> "_MemoEntry":
-        entry = self._memo.get(mapping)
-        if entry is None:
-            if len(self._memo) >= self.MEMO_LIMIT:
-                self._memo.clear()
-            self.scalar_evaluations += 1
-            entry = _MemoEntry(self.scalar.evaluate(mapping))
-            self._memo[mapping] = entry
-        else:
-            self.memo_hits += 1
-        return entry
-
-    def _analysis(self, mapping: Mapping, entry: "_MemoEntry") -> NestAnalysis:
-        if entry.analysis is None:
-            entry.analysis = NestAnalysis(mapping, self.accelerator)
-        return entry.analysis
-
-    def _traffic(self, mapping: Mapping, entry: "_MemoEntry") -> tuple[float, float]:
-        if entry.traffic is None:
-            entry.traffic = dram_boundary_traffic(self._analysis(mapping, entry))
-        return entry.traffic
 
     # -------------------------------------------------------------- alignment
     @staticmethod
@@ -260,8 +211,7 @@ class FusedCostModel:
                 f"group {group.name!r} has {len(group.layers)} operators but "
                 f"{len(mappings)} mappings were given"
             )
-        entries = [self._entry(mapping) for mapping in mappings]
-        per_op = [entry.result for entry in entries]
+        per_op = [self.scalar.evaluate(mapping) for mapping in mappings]
         invalid = [i for i, result in enumerate(per_op) if not result.valid]
         if invalid:
             return FusedGroupCost(
@@ -274,12 +224,8 @@ class FusedCostModel:
                 ],
             )
 
-        analyses = [
-            self._analysis(mapping, entry) for mapping, entry in zip(mappings, entries)
-        ]
-        traffic = [
-            self._traffic(mapping, entry) for mapping, entry in zip(mappings, entries)
-        ]
+        analyses = [NestAnalysis(mapping, self.accelerator) for mapping in mappings]
+        traffic = [dram_boundary_traffic(analysis) for analysis in analyses]
         unfused_latency = sum(result.latency for result in per_op)
         unfused_energy = sum(result.energy for result in per_op)
         unfused_words = sum(words for words, _ in traffic)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
 
 from repro.arch.accelerator import Accelerator
 from repro.mapping.mapping import Mapping

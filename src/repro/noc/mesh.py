@@ -10,7 +10,7 @@ the congestion effect the analytical model cannot see.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.arch.spatial import NoCSpec, PEArraySpec
 from repro.noc.packet import Packet, TrafficDirection

@@ -16,14 +16,13 @@ are periodic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.arch.accelerator import Accelerator
 from repro.mapping.mapping import Mapping
 from repro.noc.dram import DramModel
 from repro.noc.mesh import MeshNetwork
 from repro.noc.traffic import TrafficGenerator
-from repro.workloads.layer import TensorKind
 
 
 @dataclass

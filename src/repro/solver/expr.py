@@ -8,7 +8,7 @@ constraints (the comparison returns a :class:`repro.solver.model.Constraint`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 

@@ -148,6 +148,19 @@ class TestSpecParsing:
                 {**payload, "engine": {**payload["engine"], "kernel_backend": "cuda"}}
             )
 
+    def test_legacy_batch_size_is_checked_then_dropped(self):
+        # Specs written while the search baselines had a selectable scoring
+        # batch size still parse and share the default spec's fingerprint.
+        base = {"kind": "schedule", "workload": {"layers": ["3_4_8_16_1"]}}
+        legacy = RunSpec.from_dict({**base, "engine": {"batch_size": 16}})
+        default = RunSpec.from_dict(base)
+        assert legacy == default
+        assert legacy.to_dict()["engine"]["batch_size"] == 64
+        assert spec_fingerprint(legacy) == spec_fingerprint(default)
+        for bad in (0, -1, 1.5, True):
+            with pytest.raises(ValueError, match="EngineSpec.batch_size"):
+                RunSpec.from_dict({**base, "engine": {"batch_size": bad}})
+
     def test_unknown_top_level_key_lists_allowed(self):
         with pytest.raises(ValueError, match=r"'schedulers'.*allowed keys.*scheduler"):
             RunSpec.from_dict({"kind": "compare", "workload": "alexnet", "schedulers": []})

@@ -4,15 +4,16 @@ import math
 
 import pytest
 
-from repro.arch import simba_like
+from repro.arch import gpu_k80, simba_like
 from repro.arch.gpu import gpu_as_accelerator
-from repro.baselines import RandomScheduler, TimeloopHybridScheduler, TVMLikeTuner
+from repro.baselines import RandomScheduler, TimeloopHybridScheduler, TVMLikeTuner, random_search
 from repro.baselines.base import SearchScheduler
 from repro.engine import SchedulingEngine
-from repro.mapping import MapSpace, mapping_to_dict
-from repro.model import CostModel
+from repro.mapping import MapSpace
+from repro.model import BatchCostModel, CostModel
 from repro.workloads import Layer, layer_from_name
 from repro.workloads.problem import matmul
+from scalar_reference import assert_same_outcome, scalar_reference
 
 ARCH = simba_like()
 SMALL_LAYER = Layer(r=3, s=3, p=4, q=4, c=8, k=16, name="small")
@@ -72,7 +73,8 @@ class TestRandomChunking:
     """Random search draws only about the candidates it reads.
 
     Chunks are sized from the valid mappings still needed, so the draw
-    count depends on the batch size while the winner and counters do not.
+    count depends on the chunk cap while the winner and counters do not.
+    The reference search draws and scores one candidate per chunk.
     """
 
     @staticmethod
@@ -88,30 +90,33 @@ class TestRandomChunking:
         return sizes
 
     @staticmethod
-    def assert_same_search(a, b):
-        assert (a.num_sampled, a.num_evaluated) == (b.num_sampled, b.num_evaluated)
-        assert mapping_to_dict(a.mapping) == mapping_to_dict(b.mapping)
+    def reference(monkeypatch, layer):
+        with monkeypatch.context() as patch:
+            patch.setattr(random_search, "MAX_CHUNK", 1)
+            return scalar_reference(RandomScheduler)(ARCH).schedule(layer)
 
     def test_best_of_five_draws_less_than_one_batch(self, monkeypatch):
         layer = layer_from_name("3_56_64_64_1")  # a ResNet-50 conv
-        scalar = RandomScheduler(ARCH, eval_batch_size=1).schedule(layer)
+        reference = self.reference(monkeypatch, layer)
         sizes = self.chunk_sizes(monkeypatch)
-        batched = RandomScheduler(ARCH, eval_batch_size=64).schedule(layer)
-        assert sum(sizes) < 64
+        batched = RandomScheduler(ARCH).schedule(layer)
+        assert sum(sizes) < random_search.MAX_CHUNK
         assert sizes[0] == 10  # twice the five valid mappings needed
-        self.assert_same_search(scalar, batched)
+        assert_same_outcome(reference, batched)
 
     def test_low_validity_layer_needs_logarithmically_many_chunks(self, monkeypatch):
         layer = matmul(1 << 14, 1 << 14, 1 << 14)  # well under 1% of draws fit
-        scalar = RandomScheduler(ARCH, eval_batch_size=1).schedule(layer)
+        reference = self.reference(monkeypatch, layer)
+        # Lift the cap so the doubling alone sizes the chunks.
+        monkeypatch.setattr(random_search, "MAX_CHUNK", 1 << 14)
         sizes = self.chunk_sizes(monkeypatch)
-        batched = RandomScheduler(ARCH, eval_batch_size=1 << 14).schedule(layer)
-        assert scalar.num_sampled > 500
+        batched = RandomScheduler(ARCH).schedule(layer)
+        assert reference.num_sampled > 500
         # Each chunk at least doubles the multiplier, so K chunks draw at
         # least 2**(K + 1) - 2 candidates.
         assert len(sizes) <= math.log2(sum(sizes) + 2)
-        assert sum(sizes) < 2 * scalar.num_sampled + 10
-        self.assert_same_search(scalar, batched)
+        assert sum(sizes) < 2 * reference.num_sampled + 10
+        assert_same_outcome(reference, batched)
 
 
 class TestTimeloopHybridScheduler:
@@ -190,6 +195,21 @@ class TestTVMLikeTuner:
         result = tuner.schedule(SMALL_LAYER)
         assert result.mapping.is_consistent()
 
+    def test_direct_construction_scores_in_batches(self, monkeypatch):
+        # Fig. 11 builds the tuner directly on the K80 target: each trial's
+        # candidates go through one vectorized pass.
+        calls = []
+        evaluate_mappings = BatchCostModel.evaluate_mappings
+
+        def spy(model, mappings):
+            calls.append(len(mappings))
+            return evaluate_mappings(model, mappings)
+
+        monkeypatch.setattr(BatchCostModel, "evaluate_mappings", spy)
+        result = TVMLikeTuner(gpu_k80(), trials=3, seed=1).schedule(MEDIUM_LAYER)
+        assert calls == [8, 8, 8]
+        assert result.num_sampled == sum(calls)
+
 
 class TestWallClockBudget:
     """The search baselines must honor a wall-clock budget, not only their
@@ -220,13 +240,8 @@ class TestWallClockBudget:
         assert elapsed < 5.0  # generous CI headroom over the 0.2 s budget
 
     def test_budget_applies_to_batched_path_too(self):
-        scheduler = RandomScheduler(
-            ARCH,
-            max_attempts=10**9,
-            num_valid=10**9,
-            time_budget_seconds=0.2,
-            eval_batch_size=64,
-        )
+        # Every TVM trial is one scored batch; the budget stops the trials.
+        scheduler = TVMLikeTuner(ARCH, trials=10**9, time_budget_seconds=0.2)
         result = scheduler.schedule(MEDIUM_LAYER)
         assert 0 < result.num_sampled < 10**6
         assert result.elapsed_seconds < 5.0
@@ -234,8 +249,6 @@ class TestWallClockBudget:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             RandomScheduler(ARCH, time_budget_seconds=-1.0)
-        with pytest.raises(ValueError):
-            RandomScheduler(ARCH, eval_batch_size=0)
 
     def test_unbudgeted_runs_keep_their_fingerprint(self):
         # Budget-free configurations fingerprint exactly as before, so

@@ -14,8 +14,7 @@ Three layers of protection:
   arrays of :meth:`MappingBatch.from_mappings` for the same candidates.
 * **Search parity** — every search baseline must produce the *identical*
   outcome (same winner mapping, same sample/evaluation counters, same best
-  cost) with batching on and off, which is what justifies keeping
-  ``eval_batch_size`` out of the cache-key fingerprint.
+  cost) as a loop of scalar evaluations over the same candidate stream.
 """
 
 import random
@@ -24,8 +23,8 @@ import numpy as np
 import pytest
 
 from repro.arch import architecture_presets, gpu_k80, simba_like
-from repro.baselines import RandomScheduler, TimeloopHybridScheduler, TVMLikeTuner
-from repro.mapping import MapSpace, Mapping, mapping_to_dict
+from repro.baselines import RandomScheduler, TimeloopHybridScheduler, TVMLikeTuner, random_search
+from repro.mapping import MapSpace, Mapping
 from repro.model import CostModel, BatchCostModel, MappingBatch
 from repro.workloads import (
     Layer,
@@ -36,6 +35,7 @@ from repro.workloads import (
     layer_from_name,
     matmul,
 )
+from scalar_reference import assert_same_outcome, scalar_reference
 
 ARCH = simba_like()
 REL = 1e-9
@@ -306,63 +306,38 @@ class TestBuiltinProblems:
 
 
 class TestSearchParity:
-    """Batching on vs off: identical scheduler outcomes."""
+    """Each baseline against a scalar loop over the same candidates."""
 
     LAYERS = ("3_7_64_64_1", "1_14_256_256_1")
 
-    def assert_same_outcome(self, scalar_result, batched_result):
-        assert scalar_result.num_sampled == batched_result.num_sampled
-        assert scalar_result.num_evaluated == batched_result.num_evaluated
-        assert (scalar_result.mapping is None) == (batched_result.mapping is None)
-        if scalar_result.mapping is not None:
-            assert mapping_to_dict(scalar_result.mapping) == mapping_to_dict(
-                batched_result.mapping
-            )
-            assert scalar_result.cost.latency == batched_result.cost.latency
-            assert scalar_result.cost.energy == batched_result.cost.energy
-
     @pytest.mark.parametrize("layer_name", LAYERS)
-    def test_random_scheduler(self, layer_name):
+    def test_random_scheduler(self, layer_name, monkeypatch):
         layer = layer_from_name(layer_name)
-        scalar = RandomScheduler(ARCH, num_valid=5, max_attempts=2000).schedule(layer)
-        for batch_size in (8, 64, 512):
-            batched = RandomScheduler(
-                ARCH, num_valid=5, max_attempts=2000, eval_batch_size=batch_size
-            ).schedule(layer)
-            self.assert_same_outcome(scalar, batched)
+        kwargs = dict(num_valid=5, max_attempts=2000)
+        batched = RandomScheduler(ARCH, **kwargs).schedule(layer)
+        # One draw per chunk: the candidate stream must not depend on chunking.
+        monkeypatch.setattr(random_search, "MAX_CHUNK", 1)
+        reference = scalar_reference(RandomScheduler)(ARCH, **kwargs).schedule(layer)
+        assert_same_outcome(reference, batched)
 
     @pytest.mark.parametrize("layer_name", LAYERS)
     def test_tvm_like_tuner(self, layer_name):
         layer = layer_from_name(layer_name)
-        scalar = TVMLikeTuner(ARCH, trials=8, batch_size=8).schedule(layer)
-        batched = TVMLikeTuner(ARCH, trials=8, batch_size=8, eval_batch_size=64).schedule(layer)
-        self.assert_same_outcome(scalar, batched)
+        kwargs = dict(trials=8, batch_size=8)
+        reference = scalar_reference(TVMLikeTuner)(ARCH, **kwargs).schedule(layer)
+        batched = TVMLikeTuner(ARCH, **kwargs).schedule(layer)
+        assert_same_outcome(reference, batched)
 
     @pytest.mark.parametrize("layer_name", LAYERS)
     def test_timeloop_hybrid(self, layer_name):
         layer = layer_from_name(layer_name)
         kwargs = dict(num_threads=2, termination_condition=32, max_evaluations=250)
-        scalar = TimeloopHybridScheduler(ARCH, **kwargs).schedule(layer)
-        batched = TimeloopHybridScheduler(ARCH, eval_batch_size=64, **kwargs).schedule(layer)
-        self.assert_same_outcome(scalar, batched)
-
-    def test_batch_size_not_in_fingerprint(self):
-        """Cache entries must be shareable across batch sizes."""
-        scalar = RandomScheduler(ARCH, seed=3)
-        batched = RandomScheduler(ARCH, seed=3, eval_batch_size=256)
-        assert scalar.config_fingerprint() == batched.config_fingerprint()
+        reference = scalar_reference(TimeloopHybridScheduler)(ARCH, **kwargs).schedule(layer)
+        batched = TimeloopHybridScheduler(ARCH, **kwargs).schedule(layer)
+        assert_same_outcome(reference, batched)
 
     def test_time_budget_is_in_fingerprint(self):
         """A budget-capped search is machine-dependent: it must key the cache."""
         free = RandomScheduler(ARCH, seed=3)
         capped = RandomScheduler(ARCH, seed=3, time_budget_seconds=1.0)
         assert free.config_fingerprint() != capped.config_fingerprint()
-
-    def test_budgeted_runs_key_by_batch_size(self):
-        """Under a budget, batch size changes where the clock stops the
-        search, so budgeted fingerprints must include it."""
-        scalar = RandomScheduler(ARCH, seed=3, time_budget_seconds=1.0)
-        batched = RandomScheduler(
-            ARCH, seed=3, time_budget_seconds=1.0, eval_batch_size=256
-        )
-        assert scalar.config_fingerprint() != batched.config_fingerprint()

@@ -5,12 +5,12 @@ the batched combiner (:mod:`repro.model.fused_batch`) must agree with it
 **bit-for-bit** on every preset fusion group — headline numbers and per-edge
 detail alike.
 
-Also covered here: the scalar model's memoization counters, the divisor /
-frontier helpers of :mod:`repro.fusion.schedule` (including ``_retile_outer``
-leftover handling), the frontier alignment search itself (it must fully pin
-the small attention chain, never lose to the unfused baseline, and pick the
-winner the scalar oracle picks), and the ``EngineSpec.fusion_options``
-knob (round-trip, and its place in the store fingerprint).
+Also covered here: the divisor / frontier helpers of
+:mod:`repro.fusion.schedule` (including ``_retile_outer`` leftover
+handling), the frontier alignment search itself (it must fully pin the small
+attention chain, never lose to the unfused baseline, and pick the winner the
+scalar oracle picks), and the ``EngineSpec.fusion_options`` knob
+(round-trip, and its place in the store fingerprint).
 """
 
 import dataclasses
@@ -157,40 +157,6 @@ class TestBatchedParity:
             FusedMappingBatch.from_candidates(group, [])
         with pytest.raises(ValueError, match="operators"):
             FusedMappingBatch.from_candidates(group, [c[:2] for c in candidates])
-
-
-# ------------------------------------------------- scalar memoization
-
-
-class TestFusedModelMemoization:
-    def test_repeat_evaluation_hits_the_memo(self):
-        group = attention_block(seq=32, heads=2, head_dim=16)
-        candidates = random_candidates(group, 2, seed=5)
-        model = FusedCostModel(ARCH)
-        first = model.evaluate_group(group, candidates[0])
-        evaluations = model.scalar_evaluations
-        assert evaluations == len(group.layers)
-        assert model.memo_hits == 0
-        second = model.evaluate_group(group, candidates[0])
-        assert model.scalar_evaluations == evaluations  # no new scalar work
-        assert model.memo_hits == len(group.layers)
-        assert second.latency == first.latency
-        assert second.energy == first.energy
-        assert second.dram_words == first.dram_words
-
-    def test_memo_clears_at_the_limit(self):
-        group = attention_block(seq=32, heads=2, head_dim=16)
-        candidates = random_candidates(group, 2, seed=6)
-        model = FusedCostModel(ARCH)
-        model.MEMO_LIMIT = 2  # instance override, class default untouched
-        model.evaluate_group(group, candidates[0])  # 3 entries via clears
-        model.evaluate_group(group, candidates[0])
-        assert model.memo_hits < len(group.layers)  # a clear dropped entries
-        model._memo.clear()
-        before = model.scalar_evaluations
-        model.evaluate_group(group, candidates[0])  # memo emptied: all misses
-        assert model.scalar_evaluations == before + len(group.layers)
-        assert FusedCostModel.MEMO_LIMIT > 2
 
 
 # ------------------------------------------------- frontier helpers

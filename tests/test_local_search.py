@@ -5,8 +5,9 @@ Four layers of contract:
 * **End-to-end** — ``local-search`` is registered, schedules conv and
   matmul layers through ``schedule_outcome`` and the declarative ``run()``
   path, and its winner validates against the layer.
-* **Outcome invariance** — ``eval_batch_size`` is a pure speed knob: same
-  seed, same winner, same cost, same config fingerprint (the mapping-cache
+* **Outcome invariance** — batched scoring of the initial draws gives the
+  winner, cost and counters of a loop of scalar evaluations, and only
+  result-determining options split the config fingerprint (the layer-tier
   key).
 * **Quality** — under an equal evaluation budget the guided search is never
   worse than random search on a spread of ResNet-50 layers (and strictly
@@ -30,8 +31,8 @@ from repro.api import (
 from repro.api.store import ResultStore
 from repro.arch import simba_like
 from repro.baselines import LocalSearchScheduler, RandomScheduler
-from repro.mapping import mapping_to_dict
 from repro.workloads import layer_from_name, matmul
+from scalar_reference import assert_same_outcome, scalar_reference
 
 ARCH = simba_like()
 
@@ -46,10 +47,10 @@ LOCAL_SEARCH_SPEC = {
 }
 
 
-def small_scheduler(**overrides):
+def small_scheduler(scheduler_class=LocalSearchScheduler, **overrides):
     options = {"max_evaluations": 400, "init_samples": 64, "seed": 3}
     options.update(overrides)
-    return LocalSearchScheduler(ARCH, **options)
+    return scheduler_class(ARCH, **options)
 
 
 class TestEndToEnd:
@@ -87,21 +88,15 @@ class TestEndToEnd:
 
 
 class TestOutcomeInvariance:
-    def test_batch_size_does_not_change_the_winner(self):
+    def test_matches_the_scalar_reference(self):
         layer = layer_from_name("3_14_32_64_1")
-        reference = small_scheduler().schedule(layer)
-        for overrides in (
-            {"eval_batch_size": 1},  # scalar reference path
-            {"eval_batch_size": 8},
-            {"eval_batch_size": 256},
-        ):
-            result = small_scheduler(**overrides).schedule(layer)
-            assert mapping_to_dict(result.mapping) == mapping_to_dict(reference.mapping), overrides
-            assert result.cost.latency == reference.cost.latency
+        reference = small_scheduler(scalar_reference(LocalSearchScheduler)).schedule(layer)
+        assert_same_outcome(reference, small_scheduler().schedule(layer))
 
     def test_fingerprint_ignores_execution_knobs_when_budget_free(self):
         reference = small_scheduler().config_fingerprint()
-        assert small_scheduler(eval_batch_size=16).config_fingerprint() == reference
+        # How candidates are scored does not enter it.
+        assert small_scheduler(scalar_reference(LocalSearchScheduler)).config_fingerprint() == reference
         # Result-determining knobs do split the fingerprint.
         assert small_scheduler(seed=9).config_fingerprint() != reference
         assert small_scheduler(moves_per_step=4).config_fingerprint() != reference

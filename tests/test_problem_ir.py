@@ -50,6 +50,7 @@ from repro.workloads.problem import (
     grouped_conv,
     matmul,
 )
+from scalar_reference import assert_same_outcome, scalar_reference
 
 
 def conv7_layer(layer: Layer) -> ProblemLayer:
@@ -166,10 +167,20 @@ class TestEverySchedulerOnEveryProblem:
     def _options(name: str) -> dict:
         # Small search budgets keep the smoke test fast; CoSA needs none.
         return {
-            "random": {"num_valid": 2, "max_attempts": 2000, "eval_batch_size": 32},
+            "random": {"num_valid": 2, "max_attempts": 2000},
             "hybrid": {"num_threads": 1, "termination_condition": 4, "max_evaluations": 20},
-            "tvm": {"trials": 8, "batch_size": 4, "eval_batch_size": 8},
+            "tvm": {"trials": 8, "batch_size": 4},
+            "local-search": {"max_evaluations": 100, "init_samples": 16},
         }.get(name, {})
+
+    @pytest.mark.parametrize("name", ["random", "hybrid", "tvm", "local-search"])
+    def test_search_baselines_match_the_scalar_reference(self, name):
+        from repro.api import schedulers
+
+        scheduler = schedulers.create(name, ARCH, **self._options(name))
+        reference = scalar_reference(type(scheduler))(ARCH, **self._options(name))
+        for layer in _small_problem_layers():
+            assert_same_outcome(reference.schedule(layer), scheduler.schedule(layer))
 
     def test_batched_fast_path_matches_oracle_on_new_problems(self):
         from repro.model.batch import BatchCostModel, MappingBatch

@@ -114,6 +114,12 @@ class TestCLIFacade:
         assert "timeloop" in output and "noc" in output
         assert "schedulers:" not in output
 
+    def test_schedule_rejects_the_removed_batch_size_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["schedule", "3_13_256_256_1", "--scheduler", "random", "--batch-size", "8"])
+        assert excinfo.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
+
     def test_schedule_accepts_cache_and_jobs(self, capsys, tmp_path):
         store_dir = tmp_path / "store"
         args = ["schedule", "3_13_256_256_1", "--scheduler", "random",
