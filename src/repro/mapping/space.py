@@ -5,10 +5,6 @@ prime factors to (memory level, spatial/temporal) slots together with a loop
 permutation per level.  This module provides uniform random sampling of that
 space (used by the Random baseline and by the Fig. 1 histogram experiment)
 plus size estimates.
-
-Validity (buffer capacities, spatial fanouts) is checked with the analytical
-model from :mod:`repro.model`; the import is done lazily to keep the package
-import graph acyclic.
 """
 
 from __future__ import annotations
@@ -81,14 +77,6 @@ class MappingDraws:
         """Materialize every draw in order (scalar reference path)."""
         for index in range(len(self)):
             yield self.materialize(index)
-
-
-@dataclass
-class SampleStats:
-    """Bookkeeping of a sampling run (samples drawn vs. valid mappings kept)."""
-
-    sampled: int = 0
-    valid: int = 0
 
 
 class MapSpace:
@@ -253,62 +241,6 @@ class MapSpace:
             seen.add(move)
             moves.append(move)
         return moves
-
-    def is_valid(self, mapping: Mapping) -> bool:
-        """True when the mapping satisfies the layer bounds, fanouts and buffer capacities."""
-        from repro.model.nest import NestAnalysis  # lazy import, avoids a package cycle
-
-        if not mapping.is_consistent():
-            return False
-        for level_index, fanout in self._spatial_levels.items():
-            if mapping.spatial_product_at(level_index) > fanout:
-                return False
-        for level_index in range(self.num_levels):
-            if level_index not in self._spatial_levels and mapping.spatial_product_at(level_index) > 1:
-                return False
-        analysis = NestAnalysis(mapping, self.accelerator)
-        return analysis.fits_buffers()
-
-    def sample(self, count: int, rng: random.Random | None = None) -> tuple[list[Mapping], SampleStats]:
-        """Draw ``count`` random mappings and report how many were valid.
-
-        All drawn mappings are returned (valid or not); use
-        :meth:`sample_valid` to collect only valid ones.
-        """
-        rng = rng or random.Random(0)
-        stats = SampleStats()
-        mappings = []
-        for _ in range(count):
-            mapping = self.random_mapping(rng)
-            stats.sampled += 1
-            if self.is_valid(mapping):
-                stats.valid += 1
-            mappings.append(mapping)
-        return mappings, stats
-
-    def sample_valid(
-        self,
-        count: int,
-        rng: random.Random | None = None,
-        max_attempts: int | None = None,
-    ) -> tuple[list[Mapping], SampleStats]:
-        """Draw random mappings until ``count`` valid ones are found.
-
-        ``max_attempts`` bounds the total number of draws (default
-        ``200 * count``); fewer than ``count`` mappings are returned if the
-        budget is exhausted first.
-        """
-        rng = rng or random.Random(0)
-        max_attempts = max_attempts or 200 * count
-        stats = SampleStats()
-        valid: list[Mapping] = []
-        while len(valid) < count and stats.sampled < max_attempts:
-            mapping = self.random_mapping(rng)
-            stats.sampled += 1
-            if self.is_valid(mapping):
-                stats.valid += 1
-                valid.append(mapping)
-        return valid, stats
 
 
 def random_mapping(layer: Layer, accelerator: Accelerator, seed: int = 0) -> Mapping:

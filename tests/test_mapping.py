@@ -186,18 +186,6 @@ class TestMapSpace:
             for index, level in enumerate(self.arch.hierarchy):
                 assert mapping.spatial_product_at(index) <= level.spatial_fanout
 
-    def test_sampling_reports_validity_rate(self):
-        mappings, stats = self.space.sample(50, random.Random(3))
-        assert stats.sampled == 50
-        assert 0 <= stats.valid <= 50
-        assert len(mappings) == 50
-
-    def test_sample_valid_returns_only_valid(self):
-        valid, stats = self.space.sample_valid(3, random.Random(4), max_attempts=2000)
-        assert len(valid) <= 3
-        for mapping in valid:
-            assert self.space.is_valid(mapping)
-
     def test_tiling_space_is_large(self):
         # The paper reports billions of schedules for realistic layers.
         # Each dimension splits into ordered factors over every temporal

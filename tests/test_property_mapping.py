@@ -88,16 +88,6 @@ class TestSamplingProperties:
             for a, b in zip(sequential, chunked):
                 assert mapping_to_dict(a) == mapping_to_dict(b)
 
-    def test_sample_valid_only_returns_valid(self):
-        rng = random.Random(3)
-        layer = random_layer(rng)
-        space = MapSpace(layer, ARCH)
-        valid, stats = space.sample_valid(3, rng, max_attempts=500)
-        assert stats.valid == len(valid)
-        assert stats.sampled <= 500
-        for mapping in valid:
-            assert space.is_valid(mapping)
-
     def test_factorize_products_reconstruct(self):
         rng = random.Random(4)
         for _ in range(50):
