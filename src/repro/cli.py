@@ -823,15 +823,19 @@ def _worker(args) -> int:
     from repro.fabric.worker import FabricWorker
 
     log = (lambda message: None) if args.quiet else (lambda message: print(message, flush=True))
-    worker = FabricWorker(
-        args.fabric_root,
-        worker_id=args.worker_id,
-        lease_ttl=args.lease_ttl,
-        heartbeat_interval=args.heartbeat_interval,
-        poll_interval=args.poll_interval,
-        max_tasks=args.max_tasks,
-        log=log,
-    )
+    try:
+        worker = FabricWorker(
+            args.fabric_root,
+            worker_id=args.worker_id,
+            lease_ttl=args.lease_ttl,
+            heartbeat_interval=args.heartbeat_interval,
+            poll_interval=args.poll_interval,
+            max_tasks=args.max_tasks,
+            log=log,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
     # SIGTERM/SIGINT: stop claiming, let the in-flight lease finish (the
     # drain default), flush the event log, exit 0.  A second signal raises

@@ -83,9 +83,12 @@ class FabricWorker:
     worker_id:
         Name recorded in leases and the journal; defaults to ``host-pid``.
     lease_ttl / heartbeat_interval:
-        Claim TTL and renewal period (default: ``ttl / 3``).
+        Claim TTL and renewal period (default: ``ttl / 3``).  The period
+        must lie in ``(0, lease_ttl)``: a longer one lets the lease lapse
+        between renewals, and another worker's sweep reclaims the task.
     poll_interval:
-        Idle sleep between empty claim scans.
+        Idle sleep between empty claim scans; must be positive, or an idle
+        worker busy-polls the queue.
     max_tasks:
         Exit after this many executed tasks (``None`` = run until stopped);
         the knob subprocess tests and bounded CI smoke runs use.
@@ -114,6 +117,13 @@ class FabricWorker:
             if heartbeat_interval is not None
             else self.queue.lease_ttl / 3
         )
+        if not 0 < self.heartbeat_interval < self.queue.lease_ttl:
+            raise ValueError(
+                f"heartbeat_interval must be in (0, lease_ttl={self.queue.lease_ttl}), "
+                f"got {self.heartbeat_interval}"
+            )
+        if poll_interval <= 0:
+            raise ValueError(f"poll_interval must be > 0, got {poll_interval}")
         self.poll_interval = poll_interval
         self.max_tasks = max_tasks
         self.drain = drain

@@ -19,6 +19,7 @@ import pytest
 from repro.api import RunSpec, SchedulingService, run, spec_fingerprint
 from repro.api.service import JobState, job_record
 from repro.api.store import ResultStore
+from repro.cli import main as cli_main
 from repro.fabric.queue import TaskState, WorkQueue
 from repro.fabric.worker import FabricWorker
 
@@ -336,3 +337,50 @@ class TestWorkerUnit:
         )
         worker.run()
         assert sorted(seen) == [("run_failed", "failed"), ("run_finished", "done")]
+
+
+#: Out-of-range worker intervals: (constructor kwargs, CLI flags, message).
+BAD_INTERVALS = [
+    ({"poll_interval": -1}, ["--poll-interval", "-1"], "poll_interval must be > 0"),
+    ({"poll_interval": 0}, ["--poll-interval", "0"], "poll_interval must be > 0"),
+    (
+        {"lease_ttl": 10, "heartbeat_interval": 10},
+        ["--lease-ttl", "10", "--heartbeat-interval", "10"],
+        "heartbeat_interval must be in",
+    ),
+    ({"heartbeat_interval": 45}, ["--heartbeat-interval", "45"], "heartbeat_interval must be in"),
+    ({"heartbeat_interval": 0}, ["--heartbeat-interval", "0"], "heartbeat_interval must be in"),
+    ({"lease_ttl": 0}, ["--lease-ttl", "0"], "lease_ttl must be > 0"),
+]
+BAD_INTERVAL_IDS = [
+    "poll-negative",
+    "poll-zero",
+    "heartbeat-at-ttl",
+    "heartbeat-above-ttl",
+    "heartbeat-zero",
+    "ttl-zero",
+]
+
+
+class TestWorkerIntervals:
+    """Intervals that would busy-poll or let a held lease lapse are refused
+    before the worker starts (no test here runs a worker loop)."""
+
+    @pytest.mark.parametrize("kwargs, flags, message", BAD_INTERVALS, ids=BAD_INTERVAL_IDS)
+    def test_constructor_rejects(self, tmp_path, kwargs, flags, message):
+        with pytest.raises(ValueError, match=message):
+            FabricWorker(tmp_path / "fabric", worker_id="w1", **kwargs)
+
+    @pytest.mark.parametrize("kwargs, flags, message", BAD_INTERVALS, ids=BAD_INTERVAL_IDS)
+    def test_cli_exits_1_with_an_error_line(self, tmp_path, capsys, kwargs, flags, message):
+        assert cli_main(["worker", str(tmp_path / "fabric"), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_in_range_intervals_are_kept(self, tmp_path):
+        worker = FabricWorker(
+            tmp_path / "fabric", lease_ttl=10, heartbeat_interval=9.5, poll_interval=0.01
+        )
+        assert (worker.heartbeat_interval, worker.poll_interval) == (9.5, 0.01)
+        assert FabricWorker(tmp_path / "fabric", lease_ttl=9).heartbeat_interval == 3
