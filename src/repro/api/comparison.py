@@ -225,7 +225,6 @@ def compare_on_network(
     evaluator: Callable[[Mapping | None], float] | None = None,
     jobs: int = 1,
     store=None,
-    executor: str = "thread",
 ) -> SpeedupSummary:
     """Run the comparison over every layer of a network.
 
@@ -238,8 +237,6 @@ def compare_on_network(
         Optional :class:`~repro.api.store.ResultStore` whose layer tier
         serves and keeps the solves; the key includes the scheduler
         identity, so one store serves all three schedulers at once.
-    executor:
-        ``"thread"`` or ``"process"`` pool for ``jobs > 1``.
     """
     layers = list(layers)
     scheduler_triple = schedulers or build_schedulers(config)
@@ -253,7 +250,7 @@ def compare_on_network(
     networks = []
     for scheduler in scheduler_triple:
         engine = SchedulingEngine(scheduler, store=store, evaluate_metrics=False)
-        network = engine.schedule_network(layers, jobs=jobs, executor=executor, label=label)
+        network = engine.schedule_network(layers, jobs=jobs, label=label)
         networks.append(network)
         stats_key = scheduler.name
         while stats_key in summary.engine_stats:

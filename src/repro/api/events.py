@@ -25,11 +25,11 @@ payload shapes bumps :data:`EVENT_SCHEMA_VERSION`.
 Determinism
 -----------
 ``layer_scheduled`` payloads are **deterministic**: for a fixed spec (seed
-included) the emitted sequence is byte-identical regardless of ``jobs``, the
-executor kind and the hosting process, because the engine reports layers in
-input order and every cost value is seed-stable (see the determinism notes
-in :mod:`repro.engine.engine`).  Wall-clock readings deliberately live only
-in the ``run_finished`` envelope, never in per-layer events.
+included) the emitted sequence is byte-identical regardless of ``jobs`` and
+the hosting process, because the engine reports layers in input order and
+every cost value is seed-stable (see the determinism notes in
+:mod:`repro.engine.engine`).  Wall-clock readings deliberately live only in
+the ``run_finished`` envelope, never in per-layer events.
 """
 
 from __future__ import annotations

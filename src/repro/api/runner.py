@@ -319,7 +319,6 @@ def _run_schedule(spec: RunSpec, accelerator, store, emit_layer=None) -> RunResu
     network = engine.schedule_network(
         layers,
         jobs=spec.engine.jobs,
-        executor=spec.engine.executor,
         label=label,
         observer=_engine_observer(emit_layer, scheduler.name),
         fusion=plan,
@@ -410,14 +409,7 @@ def _run_compare(spec: RunSpec, accelerator, store, emit_layer=None) -> RunResul
         time_budget_seconds=spec.engine.time_budget,
         **spec.options,
     )
-    summary = compare_on_network(
-        label,
-        layers,
-        config,
-        jobs=spec.engine.jobs,
-        store=store,
-        executor=spec.engine.executor,
-    )
+    summary = compare_on_network(label, layers, config, jobs=spec.engine.jobs, store=store)
 
     if emit_layer is not None:
         # One merged event per input layer, all three schedulers' values in
@@ -477,7 +469,6 @@ def _run_suite(spec: RunSpec, accelerator, store, emit_layer=None) -> RunResult:
     result = engine.schedule_suite(
         suite,
         jobs=spec.engine.jobs,
-        executor=spec.engine.executor,
         observer=_engine_observer(emit_layer, scheduler.name),
     )
 

@@ -394,7 +394,7 @@ class TwoLevelPriorityQueue:
 
 
 class SchedulingService:
-    """Bounded-concurrency job executor with events and a result store.
+    """Bounded-concurrency job runner with events and a result store.
 
     Parameters
     ----------

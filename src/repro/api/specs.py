@@ -27,9 +27,6 @@ RUN_KINDS = ("schedule", "compare", "suite")
 #: Platform metrics a spec may request.
 METRICS = ("latency", "energy", "edp")
 
-#: Executor kinds accepted by the engine.
-EXECUTORS = ("thread", "process")
-
 
 def _require_keys(data: Mapping, allowed: tuple[str, ...], where: str) -> None:
     if not isinstance(data, Mapping):
@@ -320,8 +317,9 @@ class PlatformSpec:
 class EngineSpec:
     """Engine knobs: parallelism and time budget.
 
-    Serialized specs carry ``"cache": null`` and ``"batch_size": 64`` so
-    stored specs keep their bytes and fingerprints.
+    Serialized specs carry ``"cache": null``, ``"batch_size": 64`` and
+    ``"executor": "thread"`` so stored specs keep their bytes and
+    fingerprints.
 
     ``fusion_options`` tunes the fused alignment search (currently only
     ``max_candidates``, the frontier-candidate cap — distinct from
@@ -336,7 +334,6 @@ class EngineSpec:
 
     jobs: int = 1
     time_budget: float | None = None
-    executor: str = "thread"
     fusion_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -346,10 +343,6 @@ class EngineSpec:
                 isinstance(self.time_budget, (int, float)) and self.time_budget >= 0,
                 f"EngineSpec.time_budget must be a non-negative number, got {self.time_budget!r}",
             )
-        _require(
-            self.executor in EXECUTORS,
-            f"EngineSpec.executor must be one of {EXECUTORS}, got {self.executor!r}",
-        )
         _require_keys(
             self.fusion_options, self.FUSION_OPTION_KEYS, "EngineSpec.fusion_options"
         )
@@ -367,7 +360,7 @@ class EngineSpec:
             "cache": None,
             "batch_size": 64,
             "time_budget": self.time_budget,
-            "executor": self.executor,
+            "executor": "thread",
         }
         if self.fusion_options:
             data["fusion_options"] = dict(self.fusion_options)
@@ -407,10 +400,18 @@ class EngineSpec:
         # batch size.  Every size gave the same outcome, so the value is
         # checked and dropped.
         _check_int(data.get("batch_size", 64), "EngineSpec.batch_size", minimum=1)
+        # Legacy key: the engine once offered a process pool beside its
+        # thread pool.  Both gave the same mappings, so the value is checked
+        # and dropped.
+        legacy_executors = ("thread", "process")
+        _require(
+            data.get("executor", "thread") in legacy_executors,
+            f"EngineSpec.executor must be one of {legacy_executors}, "
+            f"got {data.get('executor')!r}",
+        )
         return cls(
             jobs=data.get("jobs", 1),
             time_budget=data.get("time_budget"),
-            executor=data.get("executor", "thread"),
             fusion_options=dict(data.get("fusion_options") or {}),
         )
 

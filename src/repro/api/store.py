@@ -16,10 +16,10 @@ depend on what the store held when it ran.
   JSON — the store adds no wrapper, so a stored file round-trips through
   ``RunResult.from_json`` and is byte-for-byte what ``run()`` produced.
 * The key (:func:`spec_fingerprint`) hashes the *result-determining* part of
-  the spec: execution-only knobs (``jobs``, ``executor``) are excluded, so
-  a 1-job and an 8-job run of the same experiment share one entry, while
-  everything that can change the payload (kind, axes, seed, options, fusion
-  options, evaluation batch size and time budget) splits entries.
+  the spec: the execution-only ``jobs`` is excluded, so a 1-job and an
+  8-job run of the same experiment share one entry, while everything that
+  can change the payload (kind, axes, seed, options, fusion options and
+  time budget) splits entries.
 * Writes go through :func:`repro.io_utils.atomic_write_json`, so concurrent
   services sharing one store directory never tear an entry.
 
@@ -90,7 +90,8 @@ from repro.mapping.serialize import mapping_from_dict, mapping_to_dict
 #: (see the determinism notes in :mod:`repro.engine.engine`); they are
 #: excluded from the spec fingerprint.  ``fusion_options`` is *not* one of
 #: them: the frontier alignment search picks the fused groups' mappings.
-#: ``cache`` is always ``null``; excluding it keeps historic fingerprints.
+#: ``cache`` is always ``null`` and the legacy ``executor`` always
+#: ``"thread"``; excluding them keeps historic fingerprints.
 EXECUTION_ONLY_ENGINE_KEYS = ("jobs", "executor", "cache")
 
 #: Fingerprint-prefix characters used as the shard directory name.  Two hex

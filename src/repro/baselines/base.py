@@ -46,8 +46,8 @@ def stable_layer_seed(*parts) -> int:
     ``hash((seed, layer.canonical_name))``, which changes between processes
     under string-hash randomisation.  A content hash makes per-layer seeds
     reproducible across processes — a prerequisite for the engine's
-    guarantee that serial, threaded and process-pool runs produce identical
-    mappings.
+    guarantee that serial and threaded runs, reruns and separate worker
+    processes produce identical mappings.
     """
     return stable_seed32(*parts)
 

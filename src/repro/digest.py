@@ -31,7 +31,7 @@ def stable_seed32(*parts) -> int:
 
     Unlike ``hash()``, the result does not change between processes under
     string-hash randomisation, so seeds derived from it are reproducible
-    across serial, threaded and process-pool runs.
+    across runs and processes.
     """
     blob = "\x1f".join(str(part) for part in parts).encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:4], "big")

@@ -4,8 +4,8 @@ The engine owns the three production concerns that individual schedulers
 should not re-implement:
 
 * **Parallelism** — layers of a network are independent solves, so
-  :meth:`SchedulingEngine.schedule_network` fans them out over a thread or
-  process pool (``jobs=N``) and reassembles results in input order.
+  :meth:`SchedulingEngine.schedule_network` fans them out over a thread
+  pool (``jobs=N``) and reassembles results in input order.
 * **De-duplication** — equal layers (same seven loop bounds and stride; the
   display name does not participate in :class:`~repro.workloads.layer.Layer`
   equality) are solved once and the outcome is fanned back out to every
@@ -20,8 +20,8 @@ should not re-implement:
 Determinism guarantees
 ----------------------
 For a fixed scheduler configuration (including its seed) the engine returns
-**identical mappings** regardless of ``jobs``, the executor kind, the layer
-order, and the hosting process:
+**identical mappings** regardless of ``jobs``, the layer order, and the
+hosting process:
 
 * every scheduler derives its per-layer RNG from a stable content hash of
   ``(scheduler seed, layer canonical name)`` (see
@@ -45,16 +45,13 @@ construction) or a deterministic budget when bit-identical reruns matter.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping as MappingT
 
 from repro.engine.cache import cache_key_from_parts
 from repro.engine.outcome import ScheduleOutcome, Scheduler
 from repro.workloads.layer import Layer
-
-#: Supported executor kinds for ``jobs > 1``.
-EXECUTORS = ("thread", "process")
 
 #: How a layer's outcome was obtained (see :class:`LayerReport.source`).
 LAYER_SOURCES = ("solve", "cache", "dedup")
@@ -66,8 +63,8 @@ class LayerReport:
 
     Handed to the ``observer`` callback of :meth:`SchedulingEngine.schedule_network`
     exactly once per input layer, **in input order** — duplicates included —
-    regardless of ``jobs`` and the executor kind, so downstream event streams
-    (see :mod:`repro.api.events`) are deterministic by construction.
+    regardless of ``jobs``, so downstream event streams (see
+    :mod:`repro.api.events`) are deterministic by construction.
 
     ``source`` records how the outcome was obtained: a fresh ``"solve"``, a
     ``"cache"`` hit in the store's layer tier, or a ``"dedup"`` copy of an
@@ -82,23 +79,8 @@ class LayerReport:
 
 
 def _solve_one(scheduler: Scheduler, layer: Layer) -> ScheduleOutcome:
-    """Module-level solve entry point (importable, hence process-pool safe)."""
+    """Solve one layer; the single entry point of the serial and threaded paths."""
     return scheduler.schedule_outcome(layer)
-
-
-#: Per-worker scheduler installed by :func:`_init_worker` (process pools).
-_WORKER_SCHEDULER: Scheduler | None = None
-
-
-def _init_worker(scheduler: Scheduler) -> None:
-    """Install the scheduler once per pool worker (instead of per task)."""
-    global _WORKER_SCHEDULER
-    _WORKER_SCHEDULER = scheduler
-
-
-def _solve_in_worker(layer: Layer) -> ScheduleOutcome:
-    """Solve one layer with the worker's installed scheduler."""
-    return _WORKER_SCHEDULER.schedule_outcome(layer)
 
 
 @dataclass
@@ -262,7 +244,6 @@ class SchedulingEngine:
         self,
         layers: Iterable[Layer],
         jobs: int = 1,
-        executor: str = "thread",
         label: str = "",
         observer=None,
         fusion=None,
@@ -275,12 +256,11 @@ class SchedulingEngine:
         layers:
             The network's layers, in order.
         jobs:
-            Concurrent solves; ``1`` runs serially in the calling thread.
-        executor:
-            ``"thread"`` or ``"process"``.  Both return mappings identical
-            to the serial path (see the module docstring); the process pool
-            buys real parallelism for the pure-Python search baselines at
-            the price of per-task pickling.
+            Concurrent solves; ``1`` runs serially in the calling thread,
+            more run on a thread pool.  The MIP solver releases the GIL, so
+            CoSA solves overlap; the pure-Python search baselines gain
+            little.  Mappings are identical either way (see the module
+            docstring).
         label:
             Display name recorded on the returned :class:`NetworkSchedule`.
         observer:
@@ -313,15 +293,12 @@ class SchedulingEngine:
                 layers,
                 fusion,
                 jobs=jobs,
-                executor=executor,
                 label=label,
                 observer=observer,
                 fusion_options=fusion_options,
             )
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
         layers = list(layers)
         start = time.perf_counter()
 
@@ -364,8 +341,8 @@ class SchedulingEngine:
         # off the stream is always the layer the walk is waiting for: the
         # observer sees every layer in input order *while later solves are
         # still running*, and the emitted payloads are identical for any
-        # ``jobs``/executor combination.
-        solve_stream = zip(to_solve, self._run(to_solve, jobs, executor))
+        # ``jobs``.
+        solve_stream = zip(to_solve, self._run(to_solve, jobs))
         first_index = {layer: indices[0] for layer, indices in groups.items()}
         outcomes: list[ScheduleOutcome] = [None] * len(layers)  # type: ignore[list-item]
         for index, layer in enumerate(layers):
@@ -397,13 +374,13 @@ class SchedulingEngine:
         stats.wall_time_seconds = time.perf_counter() - start
         return NetworkSchedule(label=label, outcomes=outcomes, stats=stats)
 
-    def _run(self, layers: list[Layer], jobs: int, executor: str):
+    def _run(self, layers: list[Layer], jobs: int):
         """Solve ``layers`` with the configured parallelism, yielding outcomes
         lazily in input order.
 
-        The pools submit every task eagerly (full ``jobs`` parallelism) but
-        results are *yielded* as they arrive, so callers can stream per-layer
-        progress while later layers are still solving.
+        The thread pool submits every task eagerly (full ``jobs``
+        parallelism) but results are *yielded* as they arrive, so callers can
+        stream per-layer progress while later layers are still solving.
         """
         if not layers:
             return
@@ -411,26 +388,7 @@ class SchedulingEngine:
             for layer in layers:
                 yield _solve_one(self.scheduler, layer)
             return
-        workers = min(jobs, len(layers))
-        if executor == "process":
-            import multiprocessing
-
-            # A forked worker inherits sys.path and the loaded modules, so the
-            # engine works from un-installed source checkouts; without fork
-            # (e.g. Windows / macOS spawn) fall back to threads.
-            if "fork" in multiprocessing.get_all_start_methods():
-                context = multiprocessing.get_context("fork")
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=context,
-                    initializer=_init_worker,
-                    initargs=(self.scheduler,),
-                ) as pool:
-                    # The scheduler ships once per worker via the initializer;
-                    # tasks carry only their layer.
-                    yield from pool.map(_solve_in_worker, layers)
-                return
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(jobs, len(layers))) as pool:
             yield from pool.map(_solve_one, [self.scheduler] * len(layers), layers)
 
     # ------------------------------------------------------------------- suite
@@ -438,7 +396,6 @@ class SchedulingEngine:
         self,
         suite: MappingT[str, Iterable[Layer]] | None = None,
         jobs: int = 1,
-        executor: str = "thread",
         observer=None,
     ) -> SuiteSchedule:
         """Schedule every network of a workload suite.
@@ -457,6 +414,6 @@ class SchedulingEngine:
         result = SuiteSchedule()
         for name, layers in suite.items():
             result.networks[name] = self.schedule_network(
-                layers, jobs=jobs, executor=executor, label=name, observer=observer
+                layers, jobs=jobs, label=name, observer=observer
             )
         return result

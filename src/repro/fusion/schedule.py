@@ -386,7 +386,6 @@ def schedule_fused_network(
     layers,
     fusion,
     jobs: int = 1,
-    executor: str = "thread",
     label: str = "",
     observer=None,
     fusion_options=None,
@@ -406,9 +405,7 @@ def schedule_fused_network(
     plan = plan_for(layers, fusion)
     start = time.perf_counter()
 
-    base = engine.schedule_network(
-        layers, jobs=jobs, executor=executor, label=label, observer=None
-    )
+    base = engine.schedule_network(layers, jobs=jobs, label=label, observer=None)
     outcomes = list(base.outcomes)
     stats = base.stats
     fused_model = FusedCostModel(engine.scheduler.accelerator)

@@ -161,6 +161,18 @@ class TestSpecParsing:
             with pytest.raises(ValueError, match="EngineSpec.batch_size"):
                 RunSpec.from_dict({**base, "engine": {"batch_size": bad}})
 
+    def test_legacy_executor_is_checked_then_dropped(self):
+        # Specs written while the engine offered a process pool still parse
+        # and share the default spec's fingerprint.
+        base = {"kind": "schedule", "workload": {"layers": ["3_4_8_16_1"]}}
+        legacy = RunSpec.from_dict({**base, "engine": {"executor": "process"}})
+        default = RunSpec.from_dict(base)
+        assert legacy == default
+        assert legacy.to_dict()["engine"]["executor"] == "thread"
+        assert spec_fingerprint(legacy) == spec_fingerprint(default)
+        with pytest.raises(ValueError, match="EngineSpec.executor must be one of"):
+            RunSpec.from_dict({**base, "engine": {"executor": "fiber"}})
+
     def test_unknown_top_level_key_lists_allowed(self):
         with pytest.raises(ValueError, match=r"'schedulers'.*allowed keys.*scheduler"):
             RunSpec.from_dict({"kind": "compare", "workload": "alexnet", "schedulers": []})
@@ -204,8 +216,6 @@ class TestSpecParsing:
             EngineSpec(jobs=0)
         with pytest.raises(ValueError, match="PlatformSpec.metric must be one of"):
             PlatformSpec(metric="throughput")
-        with pytest.raises(ValueError, match="EngineSpec.executor must be one of"):
-            EngineSpec(executor="fiber")
         with pytest.raises(ValueError, match="RunSpec.seed must be an integer"):
             RunSpec(kind="suite", seed=1.5)
 

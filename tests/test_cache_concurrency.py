@@ -29,7 +29,7 @@ class TestEngineCacheConcurrency:
         engine = SchedulingEngine(RandomScheduler(ARCH, num_valid=2), store=store)
         layers = distinct_layers(10)
 
-        network = engine.schedule_network(layers, jobs=4, executor="thread")
+        network = engine.schedule_network(layers, jobs=4)
         assert network.num_succeeded == len(layers)
 
         # Every solve was written through, and each entry is a complete JSON file.
@@ -42,7 +42,7 @@ class TestEngineCacheConcurrency:
         engine2 = SchedulingEngine(
             RandomScheduler(ARCH, num_valid=2), store=ResultStore(tmp_path / "store")
         )
-        rerun = engine2.schedule_network(layers, jobs=4, executor="thread")
+        rerun = engine2.schedule_network(layers, jobs=4)
         assert rerun.num_succeeded == len(layers)
         assert rerun.stats.cache_hits == len(layers)
         assert rerun.stats.solves == 0
@@ -56,12 +56,12 @@ class TestEngineCacheConcurrency:
 
         store = ResultStore(tmp_path / "store")
         engine = SchedulingEngine(RandomScheduler(ARCH, num_valid=2), store=store)
-        parallel = engine.schedule_network(layers, jobs=6, executor="thread")
+        parallel = engine.schedule_network(layers, jobs=6)
         reference = [o.mapping.summary() for o in serial.outcomes]
         assert [o.mapping.summary() for o in parallel.outcomes] == reference
 
         # Second pass: all hits, identical mappings again.
-        second = engine.schedule_network(layers, jobs=6, executor="thread")
+        second = engine.schedule_network(layers, jobs=6)
         assert second.stats.cache_hits == len(layers)
         assert [o.mapping.summary() for o in second.outcomes] == reference
 

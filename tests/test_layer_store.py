@@ -210,11 +210,11 @@ class TestEngineWriteThrough:
         store = ResultStore(tmp_path / "store")
         layers = [Layer(p=4, q=4, c=c, k=k) for c, k in ((4, 8), (8, 4), (4, 16), (16, 4))]
         engine = SchedulingEngine(RandomScheduler(ARCH, num_valid=2), store=store)
-        engine.schedule_network(layers, jobs=4, executor="thread")
+        engine.schedule_network(layers, jobs=4)
         assert store.stats_summary()["layers"] == len(layers)
         rerun = SchedulingEngine(
             RandomScheduler(ARCH, num_valid=2), store=ResultStore(tmp_path / "store")
-        ).schedule_network(layers, jobs=4, executor="thread")
+        ).schedule_network(layers, jobs=4)
         assert rerun.stats.solves == 0
         assert rerun.stats.cache_hits == len(layers)
 
