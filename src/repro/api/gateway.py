@@ -59,6 +59,7 @@ See ``docs/gateway.md`` for curl examples and the
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -94,7 +95,9 @@ class GatewayRequestError(Exception):
         self.headers = headers or {}
 
 
+@functools.cache
 def _package_version() -> str:
+    """The installed package version, looked up once per process."""
     from importlib import metadata
 
     try:

@@ -24,13 +24,18 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import islice, permutations
+from itertools import chain, islice, permutations
 
 from repro.arch.accelerator import Accelerator
 from repro.baselines.base import SearchResult, SearchScheduler, stable_layer_seed
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
 from repro.mapping.space import MapSpace
 from repro.workloads.layer import Layer
+
+#: Factorisations a search thread draws, with their permutation sweeps,
+#: before scoring them together: each batched cost-model call carries a
+#: fixed cost that one sweep of a few candidates does not amortise.
+BASES_PER_BATCH = 8
 
 
 class TimeloopHybridScheduler(SearchScheduler):
@@ -55,9 +60,10 @@ class TimeloopHybridScheduler(SearchScheduler):
     seed:
         Base seed for the random factorisations.
     time_budget_seconds:
-        See :class:`~repro.baselines.base.SearchScheduler`.  Each pruned
-        permutation sweep is scored as one batch; the budget is checked once
-        per drawn factorisation.  How many factorisations a budget buys
+        See :class:`~repro.baselines.base.SearchScheduler`.  The pruned
+        permutation sweeps of up to :data:`BASES_PER_BATCH` factorisations
+        are scored as one batch; the budget is checked once per drawn
+        factorisation.  How many factorisations a budget buys
         depends on machine speed, so budget-capped outcomes are
         time-dependent.
     """
@@ -129,28 +135,41 @@ class TimeloopHybridScheduler(SearchScheduler):
                 and evaluated < self.max_evaluations
                 and not self._out_of_time(deadline)
             ):
-                base = space.random_mapping(rng)
-                sampled += 1
-                for candidate, ok, score in self._scored(
-                    self._permutation_sweep(base, noc_level, rng)
-                ):
-                    sampled += 1
-                    if not ok:
-                        continue
-                    evaluated += 1
-                    score = float(score)
-                    if score < thread_best:
-                        thread_best = score
-                        consecutive_suboptimal = 0
-                    else:
-                        consecutive_suboptimal += 1
-                    if score < best_score:
-                        best_mapping, best_score = candidate, score
+                # Draw several bases and their sweeps in the order a
+                # one-base-at-a-time search would, score them in one batch,
+                # then replay the bookkeeping up to where that search stops.
+                sweeps = []
+                for _ in range(BASES_PER_BATCH):
+                    if sweeps and self._out_of_time(deadline):
+                        break
+                    base = space.random_mapping(rng)
+                    sweeps.append(list(self._permutation_sweep(base, noc_level, rng)))
+                scored = self._scored(chain.from_iterable(sweeps))
+                for sweep in sweeps:
                     if (
                         consecutive_suboptimal >= self.termination_condition
                         or evaluated >= self.max_evaluations
                     ):
                         break
+                    sampled += 1
+                    for candidate, ok, score in islice(scored, len(sweep)):
+                        sampled += 1
+                        if not ok:
+                            continue
+                        evaluated += 1
+                        score = float(score)
+                        if score < thread_best:
+                            thread_best = score
+                            consecutive_suboptimal = 0
+                        else:
+                            consecutive_suboptimal += 1
+                        if score < best_score:
+                            best_mapping, best_score = candidate, score
+                        if (
+                            consecutive_suboptimal >= self.termination_condition
+                            or evaluated >= self.max_evaluations
+                        ):
+                            break
 
         best_cost = self._cost_model.evaluate(best_mapping) if best_mapping is not None else None
         return SearchResult(

@@ -3,10 +3,10 @@
 The original CoSA uses Gurobi.  This subpackage provides the replacement
 (documented in DESIGN.md): a small declarative modelling layer —
 variables, linear expressions, constraints and objectives — and its exact
-solver, :class:`~repro.solver.scipy_backend.ScipyMilpBackend`, which wraps
-:func:`scipy.optimize.milp` (the HiGHS branch-and-cut solver shipped with
-SciPy).  The solver tests check HiGHS against exhaustive enumeration of
-small integer programs.
+solver, :class:`~repro.solver.scipy_backend.ScipyMilpBackend`, which drives
+the HiGHS branch-and-cut solver object bundled with SciPy directly, without
+importing ``scipy.optimize``.  The solver tests check HiGHS against
+exhaustive enumeration of small integer programs.
 """
 
 from repro.solver.expr import LinearExpr, Variable

@@ -17,7 +17,7 @@ class Backend(Protocol):
 
 
 def default_backend() -> "Backend":
-    """Return the default backend: ``scipy.optimize.milp`` (HiGHS)."""
+    """Return the default backend: SciPy's bundled HiGHS, without a time limit or gap."""
     from repro.solver.scipy_backend import ScipyMilpBackend
 
     return ScipyMilpBackend()

@@ -27,7 +27,7 @@ class Variable:
     """A single decision variable.
 
     Variables are created through :meth:`repro.solver.model.MIPModel.add_var`
-    which assigns the ``index`` used by the matrix backends.
+    which assigns the ``index``: the variable's column in the solver's matrix.
     """
 
     name: str
@@ -164,10 +164,6 @@ class LinearExpr:
     def coefficient(self, var: Variable) -> float:
         """Coefficient of ``var`` (0 if absent)."""
         return self.terms.get(var, 0.0)
-
-    def variables(self) -> list[Variable]:
-        """Variables with a non-zero coefficient."""
-        return [v for v, c in self.terms.items() if c != 0.0]
 
     def evaluate(self, values: Mapping[Variable, float]) -> float:
         """Value of the expression under an assignment."""

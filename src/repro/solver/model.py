@@ -1,16 +1,13 @@
 """Declarative MIP model.
 
 :class:`MIPModel` collects variables, linear constraints and a linear
-objective, and hands a matrix form (`numpy` arrays) to whichever backend is
-asked to solve it.
+objective; the backend that solves it lowers it to the solver's own form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from repro.solver.expr import LinearExpr, Variable, VarKind
 
@@ -49,26 +46,6 @@ class Constraint:
         if self.sense is Sense.GE:
             return lhs >= self.bound - tolerance
         return abs(lhs - self.bound) <= tolerance
-
-
-@dataclass
-class MatrixForm:
-    """Dense matrix representation handed to the solver backends.
-
-    Rows of ``a_ub``/``b_ub`` encode ``A x <= b``; rows of ``a_eq``/``b_eq``
-    encode ``A x == b``.  ``integrality`` follows scipy's convention
-    (0 = continuous, 1 = integer).
-    """
-
-    variables: list[Variable]
-    c: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    integrality: np.ndarray
 
 
 class MIPModel:
@@ -125,49 +102,6 @@ class MIPModel:
             expr = expr.to_expr()
         self.objective = expr
         self.minimize = minimize
-
-    # ------------------------------------------------------------ matrix form
-    def to_matrix_form(self) -> MatrixForm:
-        """Lower the model to the dense arrays used by the backends."""
-        num_vars = len(self.variables)
-        c = np.zeros(num_vars)
-        for var, coeff in self.objective.terms.items():
-            c[var.index] += coeff
-        if not self.minimize:
-            c = -c
-
-        ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-        for constraint in self.constraints:
-            row = np.zeros(num_vars)
-            for var, coeff in constraint.expr.terms.items():
-                row[var.index] += coeff
-            bound = constraint.bound
-            if constraint.sense is Sense.LE:
-                ub_rows.append(row)
-                ub_rhs.append(bound)
-            elif constraint.sense is Sense.GE:
-                ub_rows.append(-row)
-                ub_rhs.append(-bound)
-            else:
-                eq_rows.append(row)
-                eq_rhs.append(bound)
-
-        lower = np.array([v.lower for v in self.variables], dtype=float)
-        upper = np.array([v.upper for v in self.variables], dtype=float)
-        integrality = np.array(
-            [0 if v.kind == VarKind.CONTINUOUS else 1 for v in self.variables], dtype=float
-        )
-        return MatrixForm(
-            variables=list(self.variables),
-            c=c,
-            a_ub=np.array(ub_rows) if ub_rows else np.zeros((0, num_vars)),
-            b_ub=np.array(ub_rhs) if ub_rhs else np.zeros(0),
-            a_eq=np.array(eq_rows) if eq_rows else np.zeros((0, num_vars)),
-            b_eq=np.array(eq_rhs) if eq_rhs else np.zeros(0),
-            lower=lower,
-            upper=upper,
-            integrality=integrality,
-        )
 
     # ------------------------------------------------------------------ solve
     def solve(self, backend=None):

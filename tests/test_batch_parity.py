@@ -17,6 +17,7 @@ Three layers of protection:
   cost) as a loop of scalar evaluations over the same candidate stream.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -35,7 +36,7 @@ from repro.workloads import (
     layer_from_name,
     matmul,
 )
-from scalar_reference import assert_same_outcome, scalar_reference
+from scalar_reference import SequentialTimeloopHybrid, assert_same_outcome, scalar_reference
 
 ARCH = simba_like()
 REL = 1e-9
@@ -305,6 +306,17 @@ class TestBuiltinProblems:
         assert model._layer_consts[layer][0] is tables
 
 
+#: ResNet-50 shapes covering 1x1, 3x3 and strided 7x7 convolutions.
+HYBRID_PARITY_LAYERS = (
+    "7_112_3_64_2",
+    "3_56_64_64_1",
+    "1_56_64_256_1",
+    "3_28_128_128_1",
+    "1_14_256_1024_1",
+    "3_7_512_512_1",
+)
+
+
 class TestSearchParity:
     """Each baseline against a scalar loop over the same candidates."""
 
@@ -335,6 +347,23 @@ class TestSearchParity:
         reference = scalar_reference(TimeloopHybridScheduler)(ARCH, **kwargs).schedule(layer)
         batched = TimeloopHybridScheduler(ARCH, **kwargs).schedule(layer)
         assert_same_outcome(reference, batched)
+
+    @pytest.mark.parametrize("preset", ["baseline-4x4", "pe-8x8"])
+    @pytest.mark.parametrize("metric", ["latency", "energy", "edp"])
+    def test_timeloop_hybrid_matches_one_sweep_per_batch(self, preset, metric):
+        """Scoring several factorisations per batch replays the one-sweep-
+        per-call search exactly: same winner, cost and counters."""
+        arch = architecture_presets()[preset]
+        # Threads stop on the termination window, then on the evaluation cap.
+        budgets = [
+            dict(num_threads=2, termination_condition=24, max_evaluations=200),
+            dict(num_threads=2, termination_condition=1000, max_evaluations=45),
+        ]
+        for layer_name, budget in itertools.product(HYBRID_PARITY_LAYERS, budgets):
+            layer = layer_from_name(layer_name)
+            reference = SequentialTimeloopHybrid(arch, metric=metric, **budget).schedule(layer)
+            batched = TimeloopHybridScheduler(arch, metric=metric, **budget).schedule(layer)
+            assert_same_outcome(reference, batched)
 
     def test_time_budget_is_in_fingerprint(self):
         """A budget-capped search is machine-dependent: it must key the cache."""

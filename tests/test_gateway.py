@@ -232,6 +232,27 @@ class TestGatewayEndToEnd:
         assert {"schedulers", "architectures", "platforms", "workloads"} <= set(listing)
         assert "cosa" in listing["schedulers"]
 
+    def test_healthz_reads_package_metadata_once(self, gateway, client, monkeypatch):
+        from importlib import metadata
+
+        from repro.api import gateway as gateway_module
+
+        lookups = []
+        real_version = metadata.version
+
+        def counting_version(name):
+            lookups.append(name)
+            return real_version(name)
+
+        monkeypatch.setattr(metadata, "version", counting_version)
+        gateway_module._package_version.cache_clear()
+        try:
+            first, second = client.health(), client.health()
+        finally:
+            gateway_module._package_version.cache_clear()
+        assert first == second
+        assert lookups == ["cosa-repro"]
+
     def test_submit_stream_fetch_round_trip(self, gateway, client):
         record = client.submit(SCHEDULE_SPEC)
         assert record["state"] == "queued"

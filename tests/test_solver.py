@@ -2,7 +2,12 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +21,7 @@ from repro.solver import (
     default_backend,
 )
 from repro.solver.expr import Variable, VarKind, lin_sum
+from repro.solver.scipy_backend import _core, _lower
 
 
 class TestExpressions:
@@ -88,15 +94,33 @@ class TestModel:
         with pytest.raises(TypeError):
             model.add_constraint(True)
 
-    def test_matrix_form_senses(self):
+    def test_lowering_row_order_and_signs(self):
+        """Rows reach HiGHS as scipy.optimize.milp lays them out: the <= and
+        >= rows in model order (>= negated), then the == rows."""
         model = MIPModel()
-        x, y = model.add_continuous("x"), model.add_continuous("y")
-        model.add_constraint(x + y <= 4)
-        model.add_constraint(x - y >= 1)
-        model.add_constraint(x + 2 * y == 3)
-        form = model.to_matrix_form()
-        assert form.a_ub.shape == (2, 2)
-        assert form.a_eq.shape == (1, 2)
+        x, y, z = model.add_continuous("x"), model.add_integer("y"), model.add_binary("z")
+        model.add_constraint(x + y <= 4)  # row 0
+        model.add_constraint(x + 2 * y == 3)  # row 3
+        model.add_constraint(x - y + 0 * z >= 1)  # row 1, negated; 0*z dropped
+        model.add_constraint(3 * z <= 5 + x)  # row 2
+        model.set_objective(2 * x - z, minimize=False)
+        cost, lp = _lower(model)
+        matrix = lp.a_matrix_
+        assert (lp.num_col_, lp.num_row_) == (3, 4)
+        assert matrix.format_ == _core.MatrixFormat.kColwise
+        assert list(matrix.start_) == [0, 4, 7, 8]
+        assert list(matrix.index_) == [0, 1, 2, 3, 0, 1, 3, 2]
+        assert list(matrix.value_) == [1, -1, -1, 1, 1, 1, 2, 3]
+        assert list(lp.row_lower_) == [-_core.kHighsInf] * 3 + [3]
+        assert list(lp.row_upper_) == [4, -1, 5, 3]
+        assert list(cost) == list(lp.col_cost_) == [-2, 0, 1]
+        assert list(lp.col_lower_) == [0, 0, 0]
+        assert list(lp.col_upper_) == [_core.kHighsInf, _core.kHighsInf, 1]
+        assert list(lp.integrality_) == [
+            _core.HighsVarType.kContinuous,
+            _core.HighsVarType.kInteger,
+            _core.HighsVarType.kInteger,
+        ]
 
     def test_constraint_satisfaction_helper(self):
         model = MIPModel()
@@ -342,3 +366,83 @@ class TestDefaultBackend:
         solution = model.solve()
         assert solution.is_optimal
         assert solution.rounded(x) == 1
+
+
+def _run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter with ``src`` importable."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+class TestHighsCore:
+    """The backend drives SciPy's private ``_core`` extension directly, so a
+    SciPy release that moves or renames any part of it must fail here."""
+
+    def test_core_is_loaded_under_its_canonical_name(self):
+        assert _core.__name__ == "scipy.optimize._highspy._core"
+        assert sys.modules[_core.__name__] is _core
+
+    def test_every_name_the_backend_uses_exists(self):
+        for name in ("_Highs", "HighsLp", "HighsVarType", "MatrixFormat",
+                     "HighsModelStatus", "HighsStatus", "kHighsInf"):
+            assert hasattr(_core, name), name
+        for name in ("setOptionValue", "passModel", "run", "getModelStatus",
+                     "getInfo", "getSolution", "version"):
+            assert callable(getattr(_core._Highs, name, None)), name
+        for name in ("kOptimal", "kTimeLimit", "kIterationLimit", "kSolutionLimit",
+                     "kInfeasible", "kModelError", "kUnbounded"):
+            assert hasattr(_core.HighsModelStatus, name), name
+        assert hasattr(_core.HighsVarType, "kContinuous")
+        assert hasattr(_core.HighsVarType, "kInteger")
+        assert hasattr(_core.MatrixFormat, "kColwise")
+        assert hasattr(_core.HighsStatus, "kOk") and hasattr(_core.HighsStatus, "kError")
+        info = _core.HighsInfo()
+        assert hasattr(info, "objective_function_value") and hasattr(info, "mip_node_count")
+        matrix = _core.HighsLp().a_matrix_
+        for name in ("num_col_", "num_row_", "format_", "start_", "index_", "value_"):
+            assert hasattr(matrix, name), name
+        assert _core.kHighsInf == math.inf
+
+    def test_cosa_run_does_not_import_scipy_optimize(self):
+        out = _run_python("""
+            import sys
+            from repro.api import RunSpec, run
+            spec = RunSpec.from_dict({
+                "kind": "schedule",
+                "scheduler": "cosa",
+                "workload": {"layers": ["1_1_4_4_1"]},
+            })
+            result = run(spec)
+            assert result.succeeded, result.data
+            print("scipy.optimize" in sys.modules)
+        """)
+        assert out.split() == ["False"]
+
+    @pytest.mark.parametrize("backend_first", [True, False], ids=["backend-first", "scipy-first"])
+    def test_one_core_module_in_either_import_order(self, backend_first):
+        load_backend = "from repro.solver.scipy_backend import ScipyMilpBackend, _core"
+        load_scipy = "from scipy.optimize import milp; from scipy.optimize._highspy import _core as scipy_core"
+        first, second = (load_backend, load_scipy) if backend_first else (load_scipy, load_backend)
+        out = _run_python(f"""
+            import sys
+            {first}
+            {second}
+            import numpy as np
+            from repro.solver import MIPModel
+            model = MIPModel()
+            x = model.add_integer("x", upper=3)
+            model.add_constraint(x <= 2)
+            model.set_objective(x.to_expr(), minimize=False)
+            ours = model.solve(ScipyMilpBackend())
+            theirs = milp(c=[-1.0], integrality=[1], bounds=(0, 3),
+                          constraints=(np.array([[1.0]]), -np.inf, 2.0))
+            print(_core is scipy_core is sys.modules["scipy.optimize._highspy._core"],
+                  ours.objective, -theirs.fun)
+        """)
+        assert out.split() == ["True", "2.0", "2.0"]
