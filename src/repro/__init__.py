@@ -38,11 +38,25 @@ Quickstart (imperative)::
     print(CostModel(arch).evaluate(mapping).latency)
 """
 
+import functools
+
 from repro.arch import Accelerator, simba_like, pe_array_8x8, large_buffers
 from repro.workloads import Layer, layer_from_name, workload_suite
 from repro.mapping import Mapping
 
 __version__ = "1.0.0"
+
+
+@functools.cache
+def package_version() -> str:
+    """The installed distribution version (else the source tree's), looked up once."""
+    from importlib import metadata
+
+    try:
+        return metadata.version("cosa-repro")
+    except metadata.PackageNotFoundError:
+        return __version__
+
 
 __all__ = [
     "Accelerator",

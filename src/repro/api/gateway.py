@@ -59,7 +59,6 @@ See ``docs/gateway.md`` for curl examples and the
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import re
@@ -70,6 +69,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
+from repro import package_version
 from repro.api.auth import ApiKeyAuth, AuthError
 from repro.api.ratelimit import RateLimiter
 from repro.api.events import TERMINAL_EVENTS
@@ -93,19 +93,6 @@ class GatewayRequestError(Exception):
         super().__init__(message)
         self.status = status
         self.headers = headers or {}
-
-
-@functools.cache
-def _package_version() -> str:
-    """The installed package version, looked up once per process."""
-    from importlib import metadata
-
-    try:
-        return metadata.version("cosa-repro")
-    except metadata.PackageNotFoundError:
-        from repro import __version__
-
-        return __version__
 
 
 def registry_listing() -> dict:
@@ -429,7 +416,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
 
         if parts == ["healthz"] and method == "GET":
             self._send_json(
-                200, {"status": "ok", "version": _package_version()}
+                200, {"status": "ok", "version": package_version()}
             )
             return
         if parts == ["v1", "registry"] and method == "GET":

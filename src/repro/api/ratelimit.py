@@ -34,8 +34,8 @@ class TokenBucket:
         self._updated = clock()
         self._lock = threading.Lock()
 
-    def try_acquire(self, tokens: float = 1.0) -> float:
-        """Take ``tokens`` if available.
+    def try_acquire(self) -> float:
+        """Take one token if available.
 
         Returns ``0.0`` when admitted, otherwise the number of seconds until
         the bucket will have refilled enough — the ``Retry-After`` value.
@@ -44,10 +44,10 @@ class TokenBucket:
             now = self._clock()
             self._tokens = min(self.burst, self._tokens + (now - self._updated) * self.rate)
             self._updated = now
-            if self._tokens >= tokens:
-                self._tokens -= tokens
+            if self._tokens >= 1.0:
+                self._tokens -= 1.0
                 return 0.0
-            return (tokens - self._tokens) / self.rate
+            return (1.0 - self._tokens) / self.rate
 
 
 class RateLimiter:

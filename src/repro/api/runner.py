@@ -322,7 +322,6 @@ def _run_schedule(spec: RunSpec, accelerator, store, emit_layer=None) -> RunResu
         label=label,
         observer=_engine_observer(emit_layer, scheduler.name),
         fusion=plan,
-        fusion_options=spec.engine.fusion_options or None,
     )
     # The engine already evaluated the analytical metrics once per mapping,
     # and the built-in "timeloop" platform reports exactly those — only other

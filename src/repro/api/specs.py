@@ -2,7 +2,7 @@
 
 A :class:`RunSpec` is the declarative description of one experiment: pick an
 architecture, a workload, a scheduler and an evaluation platform, plus the
-engine knobs (parallelism, batching, budgets).  Specs are plain
+engine knobs (parallelism, budgets).  Specs are plain
 frozen dataclasses that round-trip losslessly through ``to_dict`` /
 ``from_dict`` / JSON, so the same object serves Python callers, spec files
 on disk (``repro run spec.json``) and the stamped ``spec`` echo inside every
@@ -320,21 +320,10 @@ class EngineSpec:
     Serialized specs carry ``"cache": null``, ``"batch_size": 64`` and
     ``"executor": "thread"`` so stored specs keep their bytes and
     fingerprints.
-
-    ``fusion_options`` tunes the fused alignment search (currently only
-    ``max_candidates``, the frontier-candidate cap — distinct from
-    ``WorkloadSpec.fusion_options``, which carries a fusion group factory's
-    *workload* options).  It can change the fused groups' mappings, so it
-    is part of the store fingerprint; it is omitted from serialized specs
-    when empty, so specs without it keep their fingerprints.
     """
-
-    #: Recognised ``fusion_options`` keys.
-    FUSION_OPTION_KEYS = ("max_candidates",)
 
     jobs: int = 1
     time_budget: float | None = None
-    fusion_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         _check_int(self.jobs, "EngineSpec.jobs", minimum=1)
@@ -343,28 +332,15 @@ class EngineSpec:
                 isinstance(self.time_budget, (int, float)) and self.time_budget >= 0,
                 f"EngineSpec.time_budget must be a non-negative number, got {self.time_budget!r}",
             )
-        _require_keys(
-            self.fusion_options, self.FUSION_OPTION_KEYS, "EngineSpec.fusion_options"
-        )
-        if "max_candidates" in self.fusion_options:
-            _check_int(
-                self.fusion_options["max_candidates"],
-                "EngineSpec.fusion_options['max_candidates']",
-                minimum=1,
-            )
-        object.__setattr__(self, "fusion_options", dict(self.fusion_options))
 
     def to_dict(self) -> dict:
-        data = {
+        return {
             "jobs": self.jobs,
             "cache": None,
             "batch_size": 64,
             "time_budget": self.time_budget,
             "executor": "thread",
         }
-        if self.fusion_options:
-            data["fusion_options"] = dict(self.fusion_options)
-        return data
 
     @classmethod
     def from_dict(cls, data) -> "EngineSpec":
@@ -409,11 +385,19 @@ class EngineSpec:
             f"EngineSpec.executor must be one of {legacy_executors}, "
             f"got {data.get('executor')!r}",
         )
-        return cls(
-            jobs=data.get("jobs", 1),
-            time_budget=data.get("time_budget"),
-            fusion_options=dict(data.get("fusion_options") or {}),
+        # Legacy key: the fused alignment search once had a settable
+        # frontier-candidate cap.  Another cap can change the fused groups'
+        # mappings, so only the fixed one
+        # (:data:`repro.fusion.schedule.MAX_CANDIDATES`) is accepted, then
+        # dropped.
+        legacy_fusion = data.get("fusion_options") or {}
+        _require(
+            legacy_fusion in ({}, {"max_candidates": 256}),
+            f"engine.fusion_options must be {{}} or {{'max_candidates': 256}}, "
+            f"got {legacy_fusion!r}: the fused alignment search's candidate cap "
+            "is no longer settable",
         )
+        return cls(jobs=data.get("jobs", 1), time_budget=data.get("time_budget"))
 
 
 @dataclass(frozen=True)

@@ -88,10 +88,9 @@ from repro.mapping.serialize import mapping_from_dict, mapping_to_dict
 
 #: ``EngineSpec`` keys that steer execution but cannot change the payload
 #: (see the determinism notes in :mod:`repro.engine.engine`); they are
-#: excluded from the spec fingerprint.  ``fusion_options`` is *not* one of
-#: them: the frontier alignment search picks the fused groups' mappings.
-#: ``cache`` is always ``null`` and the legacy ``executor`` always
-#: ``"thread"``; excluding them keeps historic fingerprints.
+#: excluded from the spec fingerprint.  ``cache`` is always ``null`` and
+#: the legacy ``executor`` always ``"thread"``; excluding them keeps
+#: historic fingerprints.
 EXECUTION_ONLY_ENGINE_KEYS = ("jobs", "executor", "cache")
 
 #: Fingerprint-prefix characters used as the shard directory name.  Two hex

@@ -15,7 +15,7 @@ declares
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.workloads.layer import TensorKind
@@ -68,21 +68,6 @@ class MemoryLevel:
     def is_unbounded(self) -> bool:
         """True for backing-store levels without a capacity limit."""
         return self.capacity_bytes is None
-
-    def scaled(self, capacity_scale: float = 1.0, fanout: int | None = None) -> "MemoryLevel":
-        """Return a copy with a scaled capacity and/or replaced fanout.
-
-        Used by the architecture presets to derive the Fig. 9 variants from
-        the baseline.
-        """
-        capacity = self.capacity_bytes
-        if capacity is not None:
-            capacity = int(round(capacity * capacity_scale))
-        return replace(
-            self,
-            capacity_bytes=capacity,
-            spatial_fanout=self.spatial_fanout if fanout is None else fanout,
-        )
 
 
 class MemoryHierarchy:

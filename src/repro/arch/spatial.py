@@ -47,10 +47,6 @@ class PEArraySpec:
         """Aggregate MAC throughput of the whole array per cycle."""
         return self.num_pes * self.macs_per_pe * self.mac_throughput
 
-    def scaled(self, rows: int | None = None, cols: int | None = None) -> "PEArraySpec":
-        """Return a copy with a different mesh size (used by Fig. 9a)."""
-        return replace(self, rows=self.rows if rows is None else rows, cols=self.cols if cols is None else cols)
-
 
 @dataclass(frozen=True)
 class NoCSpec:

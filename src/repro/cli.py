@@ -53,10 +53,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-from repro import api
+from repro import api, package_version
 from repro.api import (
     ALL_REGISTRIES,
     ArchSpec,
@@ -77,22 +78,10 @@ from repro.api import (
 DEFAULT_STORE = ".repro-store"
 
 
-def _package_version() -> str:
-    """The installed distribution version, falling back to the source tree's."""
-    from importlib import metadata
-
-    try:
-        return metadata.version("cosa-repro")
-    except metadata.PackageNotFoundError:
-        from repro import __version__
-
-        return __version__
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {_package_version()}"
+        "--version", action="version", version=f"%(prog)s {package_version()}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -519,12 +508,24 @@ def _render_result(result, as_json: bool, save: str | None = None) -> int:
 
 
 def _execute(spec: RunSpec, as_json: bool, save: str | None = None, store=None) -> int:
-    """Run a spec and render it, turning spec/registry errors into exit 1."""
+    """Run a spec and render it, turning spec/registry errors into exit 1.
+
+    The run sees fd 1 pointed at fd 2.  HiGHS writes some diagnostics to
+    fd 1 from C++, whatever its output options say, and stdout must carry
+    only the rendered result (one JSON document under ``--json``).
+    """
+    sys.stdout.flush()
+    real_stdout = os.dup(1)
+    os.dup2(2, 1)
     try:
         result = api.execute(spec, store=api.ResultStore(store) if store is not None else None)
     except (ValueError, api.UnknownNameError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    finally:
+        sys.stdout.flush()
+        os.dup2(real_stdout, 1)
+        os.close(real_stdout)
     return _render_result(result, as_json, save=save)
 
 
@@ -837,9 +838,9 @@ def _worker(args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
 
-    # SIGTERM/SIGINT: stop claiming, let the in-flight lease finish (the
-    # drain default), flush the event log, exit 0.  A second signal raises
-    # and kills the process the hard way.
+    # SIGTERM/SIGINT: stop claiming, let the in-flight lease finish, flush
+    # the event log, exit 0.  A second signal raises and kills the process
+    # the hard way.
     def on_signal(signum, frame):
         if worker.stopping:
             raise KeyboardInterrupt

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch.gpu import GPUSpec, gpu_as_accelerator
+from repro.arch.gpu import gpu_as_accelerator
 from repro.core.objectives import ObjectiveWeights
 from repro.core.scheduler import CoSAScheduler, ScheduleResult
 from repro.engine.outcome import ScheduleOutcome
@@ -48,10 +48,11 @@ class GPUScheduleResult:
 class CoSAGPUScheduler:
     """One-shot constrained-optimization scheduling of DNN layers on a GPU.
 
+    The target is the paper's K80-like GPU (the default
+    :class:`~repro.arch.gpu.GPUSpec`).
+
     Parameters
     ----------
-    gpu:
-        GPU description (defaults to the K80-like target of the paper).
     weights:
         Objective weights; defaults to :data:`GPU_OBJECTIVE_WEIGHTS`.
     backend:
@@ -61,9 +62,8 @@ class CoSAGPUScheduler:
     #: Scheduler identifier (engine reports and layer-tier keys).
     name = "cosa-gpu"
 
-    def __init__(self, gpu: GPUSpec | None = None, weights: ObjectiveWeights | None = None, backend=None):
-        self.gpu = gpu or GPUSpec()
-        self.accelerator = gpu_as_accelerator(self.gpu)
+    def __init__(self, weights: ObjectiveWeights | None = None, backend=None):
+        self.accelerator = gpu_as_accelerator()
         self._scheduler = CoSAScheduler(
             self.accelerator,
             weights=weights or GPU_OBJECTIVE_WEIGHTS,

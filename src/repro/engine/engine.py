@@ -247,7 +247,6 @@ class SchedulingEngine:
         label: str = "",
         observer=None,
         fusion=None,
-        fusion_options=None,
     ) -> NetworkSchedule:
         """Schedule every layer of a network.
 
@@ -279,23 +278,12 @@ class SchedulingEngine:
             one :class:`~repro.fusion.schedule.GroupOutcome` per group.
             The fused path reports ``"solve"``/``"cache"`` layer sources
             only (no ``"dedup"``).
-        fusion_options:
-            Optional alignment-search knobs for the fused path (currently
-            ``max_candidates``, the frontier-candidate cap).  They can
-            change the fused groups' mappings, so they key the fused groups'
-            layer-tier entries and are part of the spec fingerprint.
         """
         if fusion is not None:
             from repro.fusion.schedule import schedule_fused_network
 
             return schedule_fused_network(
-                self,
-                layers,
-                fusion,
-                jobs=jobs,
-                label=label,
-                observer=observer,
-                fusion_options=fusion_options,
+                self, layers, fusion, jobs=jobs, label=label, observer=observer
             )
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")

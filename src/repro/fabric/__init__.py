@@ -13,7 +13,7 @@ package is the scale-out layer underneath both:
 * :mod:`repro.fabric.worker` — the ``repro worker`` process: claim, execute
   through the same :mod:`repro.api.runner` path as a local ``run()``
   (envelopes are bit-identical), stream the typed event protocol into the
-  job's NDJSON log, heartbeat while solving, release cleanly on SIGTERM.
+  job's NDJSON log, heartbeat while solving, finish cleanly on SIGTERM.
 
 :class:`~repro.api.service.SchedulingService` (and therefore the gateway)
 gains ``backend="fabric"``: submissions enqueue here instead of onto the
@@ -23,7 +23,7 @@ in-process pool, and N external ``repro worker`` processes drain them.  See
 
 from repro.fabric.queue import (
     DEFAULT_LEASE_TTL,
-    DEFAULT_MAX_ATTEMPTS,
+    MAX_ATTEMPTS,
     Claim,
     TaskState,
     WorkQueue,
@@ -33,8 +33,8 @@ from repro.fabric.worker import FabricWorker
 __all__ = [
     "Claim",
     "DEFAULT_LEASE_TTL",
-    "DEFAULT_MAX_ATTEMPTS",
     "FabricWorker",
+    "MAX_ATTEMPTS",
     "TaskState",
     "WorkQueue",
 ]

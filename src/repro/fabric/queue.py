@@ -22,7 +22,7 @@ Correctness recipe
   *renamed* to a per-sweeper tombstone (so two sweepers cannot both win),
   re-checked for expiry, then the task returns to ``pending`` with
   ``attempts`` incremented — or to ``dead`` (dead-letter) past
-  ``max_attempts``.  An unexpired steal is restored.
+  the record's ``max_attempts``.  An unexpired steal is restored.
 * **Crash-safe journal.**  Transitions append single-``write`` NDJSON lines
   (:func:`repro.io_utils.append_ndjson`); a writer killed mid-append leaves
   at most one torn tail line, which readers skip.
@@ -58,7 +58,8 @@ from repro.io_utils import append_ndjson, atomic_write_json, read_ndjson
 DEFAULT_LEASE_TTL = 30.0
 
 #: Claims per task before it is dead-lettered (first attempt included).
-DEFAULT_MAX_ATTEMPTS = 3
+#: Each task record carries the value it was enqueued with.
+MAX_ATTEMPTS = 3
 
 
 class TaskState:
@@ -97,8 +98,6 @@ class WorkQueue:
         The fabric root directory (created on demand).
     lease_ttl:
         Seconds a claim survives without renewal before reclaim.
-    max_attempts:
-        Claims per task before dead-lettering.
     """
 
     def __init__(
@@ -106,15 +105,11 @@ class WorkQueue:
         root: str | Path,
         *,
         lease_ttl: float = DEFAULT_LEASE_TTL,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ):
         if lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be > 0, got {lease_ttl}")
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.root = Path(root)
         self.lease_ttl = lease_ttl
-        self.max_attempts = max_attempts
         self._alloc_lock = threading.Lock()
         self._next_ordinal: int | None = None
         self._streak = 0  # consecutive interactive claims (per instance)
@@ -233,7 +228,7 @@ class WorkQueue:
             "results_root": None if results_root is None else str(results_root),
             "job_prefix": job_prefix,
             "attempts": 0,
-            "max_attempts": self.max_attempts,
+            "max_attempts": MAX_ATTEMPTS,
             "leader": leader,
             "error": None,
             "store_hit": False,
@@ -484,22 +479,6 @@ class WorkQueue:
                 job_id=claim.task["job_id"],
             )
         return failed
-
-    def release(self, claim: Claim) -> bool:
-        """Return a claimed task to ``pending`` (graceful worker shutdown)."""
-        if not self.heartbeat(claim):
-            return False
-        task = self.load_task(claim.task_id)
-        if task is None or task["state"] != TaskState.RUNNING:
-            claim.lease_path.unlink(missing_ok=True)
-            return False
-        task["state"] = TaskState.PENDING
-        task["worker"] = None
-        task["attempts"] = max(0, task["attempts"] - 1)  # a release is not a strike
-        self._write_task(task)
-        claim.lease_path.unlink(missing_ok=True)
-        self.journal("released", claim.task_id, worker=claim.worker_id)
-        return True
 
     # ---------------------------------------------------------- cancellation
     def cancel(self, task_id: str) -> bool:

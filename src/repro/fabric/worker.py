@@ -29,9 +29,8 @@ and job bookkeeping belong to whoever re-dispatched it — the job completes
 exactly once.
 
 Lifecycle: :meth:`FabricWorker.stop` (wired to SIGTERM/SIGINT by the CLI)
-stops new claims; the in-flight task finishes — or, when ``drain=False``,
-is released back to ``pending`` for another worker — the event log is
-flushed, and :meth:`run` returns cleanly with exit code 0.
+stops new claims; the in-flight task finishes, the event log is flushed,
+and :meth:`run` returns cleanly with exit code 0.
 """
 
 from __future__ import annotations
@@ -92,9 +91,6 @@ class FabricWorker:
     max_tasks:
         Exit after this many executed tasks (``None`` = run until stopped);
         the knob subprocess tests and bounded CI smoke runs use.
-    drain:
-        On :meth:`stop`, ``True`` finishes the in-flight task first (the
-        SIGTERM default); ``False`` releases it back to the queue.
     """
 
     def __init__(
@@ -106,7 +102,6 @@ class FabricWorker:
         heartbeat_interval: float | None = None,
         poll_interval: float = 0.2,
         max_tasks: int | None = None,
-        drain: bool = True,
         log=None,
     ):
         queue_kwargs = {} if lease_ttl is None else {"lease_ttl": lease_ttl}
@@ -126,7 +121,6 @@ class FabricWorker:
             raise ValueError(f"poll_interval must be > 0, got {poll_interval}")
         self.poll_interval = poll_interval
         self.max_tasks = max_tasks
-        self.drain = drain
         self.tasks_done = 0
         self._log = log or (lambda message: None)
         self._stop = threading.Event()
@@ -134,7 +128,7 @@ class FabricWorker:
 
     # -------------------------------------------------------------- lifecycle
     def stop(self) -> None:
-        """Request a graceful exit: no new claims; see ``drain`` for in-flight."""
+        """Request a graceful exit: no new claims; the in-flight task finishes."""
         self._stop.set()
 
     @property
@@ -188,10 +182,6 @@ class FabricWorker:
 
     def _run_task(self, claim: Claim, store: ResultStore, events: _EventAppender) -> None:
         task = claim.task
-        if self._stop.is_set() and not self.drain:
-            # Stopped between claim and start: hand the task back untouched.
-            self.queue.release(claim)
-            return
         spec = RunSpec.from_dict(task["spec"])
         self._record_job(store, task, JobState.RUNNING, num_events=events.seq + 1)
         events.emit(RunStarted)

@@ -16,7 +16,7 @@ The buffer-sharing cost model lives with the other models in
 """
 
 from repro.fusion.group import FusionEdge, FusionError, FusionGroup, infer_edge
-from repro.fusion.plan import DEFAULT_MAX_GROUP_SIZE, FusionPlan, auto_group, plan_for
+from repro.fusion.plan import FusionPlan, auto_group, plan_for
 from repro.fusion.presets import (
     attention_block,
     bert_base_block_plan,
@@ -26,7 +26,6 @@ from repro.fusion.presets import (
 from repro.fusion.schedule import GroupOutcome, schedule_fused_network
 
 __all__ = [
-    "DEFAULT_MAX_GROUP_SIZE",
     "FusionEdge",
     "FusionError",
     "FusionGroup",

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from repro.fusion.group import FusionEdge, FusionGroup, FusionError, infer_edge
 
-#: Default cap on operators per auto-grouped chain.
-DEFAULT_MAX_GROUP_SIZE = 8
+#: Cap on operators per auto-grouped chain.
+MAX_GROUP_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,11 @@ def _group_name(layers, start: int) -> str:
     return f"{label}..{last.name or last.canonical_name}"
 
 
-def auto_group(layers, max_group_size: int = DEFAULT_MAX_GROUP_SIZE) -> FusionPlan:
+def auto_group(layers) -> FusionPlan:
     """Greedy legality-driven chain fusion over consecutive operators."""
     layers = list(layers)
     if not layers:
         raise FusionError("auto_group needs at least one operator")
-    if max_group_size < 1:
-        raise ValueError(f"max_group_size must be >= 1, got {max_group_size}")
     groups: list[FusionGroup] = []
     chain: list = [layers[0]]
     chain_edges: list[FusionEdge] = []
@@ -111,7 +109,7 @@ def auto_group(layers, max_group_size: int = DEFAULT_MAX_GROUP_SIZE) -> FusionPl
     for index in range(1, len(layers)):
         previous, nxt = layers[index - 1], layers[index]
         edge = None
-        if len(chain) < max_group_size and previous != nxt:
+        if len(chain) < MAX_GROUP_SIZE and previous != nxt:
             edge = infer_edge(
                 previous, nxt, producer_index=len(chain) - 1, consumer_index=len(chain)
             )

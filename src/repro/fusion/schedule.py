@@ -12,7 +12,7 @@ group is scheduled *as one unit*:
    are re-tiled to a common DRAM-level factor (the *round* count) so
    producer and consumer stream the intermediate tile-by-tile.  The search
    enumerates the whole divisor *frontier* (every per-class outer-target
-   combination, capped by ``fusion_options["max_candidates"]``), re-tiles
+   combination, capped at :data:`MAX_CANDIDATES`), re-tiles
    the candidates, prices them in **one batched fused evaluation**
    (:mod:`repro.model.fused_batch`), and keeps the fully-pinned candidate
    with the lowest DRAM traffic (EDP breaks ties).
@@ -43,10 +43,10 @@ from repro.engine.engine import LayerReport, NetworkSchedule
 from repro.fusion.group import FusionGroup
 from repro.fusion.plan import plan_for
 from repro.model.fused import FusedCostModel, FusedGroupCost
+from repro.workloads.prime import divisors
 
-#: Default cap on frontier candidates priced per group alignment (override
-#: with ``fusion_options={"max_candidates": ...}``).
-DEFAULT_MAX_CANDIDATES = 256
+#: Cap on frontier candidates priced per group alignment.
+MAX_CANDIDATES = 256
 
 #: Cap on the raw divisor cross-product before per-class down-sampling kicks
 #: in (a backstop against pathological highly-composite bounds).
@@ -85,25 +85,21 @@ class GroupOutcome:
         return payload
 
 
-def _max_candidates(options) -> int:
-    """The frontier-candidate cap ``options`` resolves to."""
-    return max(int((options or {}).get("max_candidates", DEFAULT_MAX_CANDIDATES)), 1)
-
-
-def _group_key(engine, layer, group: FusionGroup, position: int, max_candidates: int) -> str:
+def _group_key(engine, layer, group: FusionGroup, position: int) -> str:
     """Layer-tier key of one operator *inside* a fusion group.
 
     Extends the engine's per-layer key with the group fingerprint and the
     operator's position, so fused mappings never collide with standalone
-    mappings of the same layer (the alignment is a group property), and
-    with the candidate cap, which decides the alignment the search finds.
+    mappings of the same layer (the alignment is a group property).  The
+    key still names the candidate cap, from when it was settable, so
+    stored fused entries keep serving.
     """
     return cache_key_from_parts(
         layer,
         engine._arch_fingerprint,
         engine.scheduler.name,
         f"{engine._config_fingerprint}|fusion:{group.fingerprint()}#{position}"
-        f"|max_candidates:{max_candidates}",
+        f"|max_candidates:{MAX_CANDIDATES}",
     )
 
 
@@ -162,29 +158,6 @@ def _retile_outer(mapping, targets: dict[str, int]):
     return Mapping.from_factors(mapping.layer, temporal, spatial, permutations)
 
 
-def _smallest_prime_factor(value: int) -> int:
-    if value % 2 == 0:
-        return 2
-    probe = 3
-    while probe * probe <= value:
-        if value % probe == 0:
-            return probe
-        probe += 2
-    return value
-
-
-def _divisors(value: int) -> list[int]:
-    small, large = [], []
-    probe = 1
-    while probe * probe <= value:
-        if value % probe == 0:
-            small.append(probe)
-            if probe != value // probe:
-                large.append(value // probe)
-        probe += 1
-    return small + large[::-1]
-
-
 class _SharedDims:
     """Union-find over ``(operator, dimension)`` pairs tied by fused edges.
 
@@ -228,8 +201,8 @@ def _frontier_combos(caps, starts, max_candidates: int) -> list[tuple[int, ...]]
     """
     per_class: list[list[int]] = []
     for cap, start in zip(caps, starts):
-        divisors = [d for d in _divisors(cap) if d >= start]
-        per_class.append(divisors or [cap])
+        frontier = [d for d in divisors(cap) if d >= start]
+        per_class.append(frontier or [cap])
 
     def cross_size() -> int:
         size = 1
@@ -299,19 +272,17 @@ def _align_group(
     group: FusionGroup,
     base_mappings,
     fused_model: FusedCostModel,
-    options=None,
 ):
     """Batched frontier search for the shared outer tiling of ``group``.
 
     Enumerates the divisor frontier of every shared-dimension class (capped
-    by ``options["max_candidates"]``), re-tiles each combination, prices
+    at :data:`MAX_CANDIDATES`), re-tiles each combination, prices
     all of them in one batched fused evaluation, and keeps the fully-pinned
     candidate with the lowest DRAM traffic.  Returns ``(mappings, cost,
     retiled)``: the final per-operator mappings (the originals when no
     candidate pinned everything), the group cost under those mappings, and
     whether any operator was re-tiled.
     """
-    max_candidates = _max_candidates(options)
     dram = base_mappings[0].num_levels - 1
     shared = _SharedDims(group)
     classes = shared.classes()
@@ -335,7 +306,7 @@ def _align_group(
             base_mappings[op].levels[dram].factor(dim, include_spatial=False)
             for op, dim in members
         )
-        start = next((d for d in _divisors(cap) if d >= current), cap)
+        start = next((d for d in divisors(cap) if d >= current), cap)
         caps.append(cap)
         starts.append(start)
 
@@ -347,7 +318,7 @@ def _align_group(
     # many combos disturb only one class, so most operators are shared).
     retile_memo: dict[tuple[int, tuple], object] = {}
     candidates: list[list] = []
-    for combo in _frontier_combos(caps, starts, max_candidates):
+    for combo in _frontier_combos(caps, starts, MAX_CANDIDATES):
         targets_per_op: list[dict[str, int]] = [{} for _ in group.layers]
         for members, outer in zip(classes, combo):
             for op, dim in members:
@@ -388,16 +359,12 @@ def schedule_fused_network(
     jobs: int = 1,
     label: str = "",
     observer=None,
-    fusion_options=None,
 ) -> NetworkSchedule:
     """Schedule ``layers`` under a fusion plan (see module docstring).
 
     ``fusion`` is anything :func:`~repro.fusion.plan.plan_for` accepts:
     ``"auto"``, a :class:`~repro.fusion.plan.FusionPlan` or a single
-    :class:`~repro.fusion.group.FusionGroup`.  ``fusion_options`` tunes the
-    alignment search (``max_candidates``).  The cap can change the aligned
-    mappings, so it is part of the group keys (and of the spec
-    fingerprint, see :data:`repro.api.store.EXECUTION_ONLY_ENGINE_KEYS`).
+    :class:`~repro.fusion.group.FusionGroup`.
     """
     from repro.noc.traffic import validate_fused_transfers
 
@@ -409,7 +376,6 @@ def schedule_fused_network(
     outcomes = list(base.outcomes)
     stats = base.stats
     fused_model = FusedCostModel(engine.scheduler.accelerator)
-    max_candidates = _max_candidates(fusion_options)
     groups: list[GroupOutcome] = []
 
     position = 0
@@ -437,7 +403,7 @@ def schedule_fused_network(
             continue
 
         keys = [
-            _group_key(engine, layer, group, pos, max_candidates)
+            _group_key(engine, layer, group, pos)
             for pos, layer in enumerate(group.layers)
         ]
         cached: list = []
@@ -474,9 +440,7 @@ def schedule_fused_network(
             continue
 
         base_mappings = [outcome.mapping for outcome in group_outcomes]
-        mappings, cost, retiled = _align_group(
-            engine, group, base_mappings, fused_model, options=fusion_options
-        )
+        mappings, cost, retiled = _align_group(engine, group, base_mappings, fused_model)
         for offset, mapping in enumerate(mappings):
             outcome = group_outcomes[offset]
             if mapping is not outcome.mapping:

@@ -24,6 +24,9 @@ from repro.noc.dram import DramModel
 from repro.noc.mesh import MeshNetwork
 from repro.noc.traffic import TrafficGenerator
 
+#: Outer-loop rounds simulated explicitly before the steady-state round
+#: latency is extrapolated to the rest.
+MAX_SIMULATED_ROUNDS = 64
 
 @dataclass
 class NoCResult:
@@ -67,14 +70,10 @@ class NoCSimulator:
     ----------
     accelerator:
         Target architecture.
-    max_simulated_rounds:
-        Number of outer-loop rounds to simulate explicitly before switching
-        to steady-state extrapolation.
     """
 
-    def __init__(self, accelerator: Accelerator, max_simulated_rounds: int = 64):
+    def __init__(self, accelerator: Accelerator):
         self.accelerator = accelerator
-        self.max_simulated_rounds = max_simulated_rounds
 
     def simulate(self, mapping: Mapping) -> NoCResult:
         """Simulate ``mapping`` and return the latency breakdown."""
@@ -92,7 +91,7 @@ class NoCSimulator:
         dram_limited = 0.0
         noc_bytes = 0.0
 
-        for round_obj in generator.rounds(max_rounds=self.max_simulated_rounds):
+        for round_obj in generator.rounds(max_rounds=MAX_SIMULATED_ROUNDS):
             round_start = elapsed
             noc_finish = round_start
             for packet in round_obj.packets:

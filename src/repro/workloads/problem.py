@@ -252,11 +252,6 @@ class ProblemLayer:
         """Number of elements of ``tensor`` touched by the layer."""
         return int(self.problem.footprint(tensor, self.bounds, self.stride))
 
-    @property
-    def total_data_volume(self) -> int:
-        """Sum of the three tensor volumes (elements)."""
-        return sum(self.tensor_volume(t) for t in TensorKind)
-
     # ----------------------------------------------------------- factorisation
     def prime_factors(self) -> dict[str, list[int]]:
         """Prime factors of each loop bound, keyed by dimension name."""

@@ -39,16 +39,6 @@ class TestMemoryLevel:
         with pytest.raises(ValueError):
             MemoryLevel("Bad", 16, frozenset(TensorKind), bandwidth_words_per_cycle=0)
 
-    def test_scaled(self):
-        level = MemoryLevel("Buf", 1000, frozenset({TensorKind.INPUT}))
-        doubled = level.scaled(capacity_scale=2.0)
-        assert doubled.capacity_bytes == 2000
-        assert level.capacity_bytes == 1000  # original untouched
-
-    def test_scaled_preserves_unbounded(self):
-        dram = MemoryLevel("DRAM", None, frozenset(TensorKind))
-        assert dram.scaled(capacity_scale=8.0).capacity_bytes is None
-
 
 class TestMemoryHierarchy:
     def _hierarchy(self):
@@ -113,7 +103,6 @@ class TestSpatialSpecs:
         array = PEArraySpec(rows=4, cols=4, macs_per_pe=64)
         assert array.num_pes == 16
         assert array.peak_macs_per_cycle == 1024
-        assert array.scaled(rows=8, cols=8).num_pes == 64
 
     def test_pe_array_validation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.api.service import INTERACTIVE_WEIGHT
-from repro.fabric.queue import Claim, TaskState, WorkQueue
+from repro.fabric.queue import MAX_ATTEMPTS, Claim, TaskState, WorkQueue
 from repro.io_utils import append_ndjson, read_ndjson
 
 SPEC = {"kind": "schedule", "workload": {"layers": ["3_4_8_16_1"]}}
@@ -93,19 +93,6 @@ class TestLifecycle:
         assert final["state"] == TaskState.FAILED
         assert final["error"] == {"type": "ValueError", "message": "boom"}
 
-    def test_release_returns_task_without_a_strike(self, tmp_path):
-        queue = WorkQueue(tmp_path / "fabric")
-        task = enqueue(queue)
-        claim = queue.claim("w1")
-        assert claim.task["attempts"] == 1
-        assert queue.release(claim) is True
-        restored = queue.load_task(task["task_id"])
-        assert restored["state"] == TaskState.PENDING
-        assert restored["attempts"] == 0  # a graceful release is not a strike
-        # And it is immediately claimable again.
-        again = queue.claim("w2")
-        assert again is not None and again.task_id == task["task_id"]
-
 
 class TestLeases:
     def test_heartbeat_extends_deadline(self, tmp_path):
@@ -144,9 +131,11 @@ class TestLeases:
     def test_dead_letter_after_max_attempts(self, tmp_path):
         import time
 
-        queue = WorkQueue(tmp_path / "fabric", lease_ttl=0.01, max_attempts=2)
+        queue = WorkQueue(tmp_path / "fabric", lease_ttl=0.01)
         task = enqueue(queue)
-        for _ in range(2):
+        assert task["max_attempts"] == MAX_ATTEMPTS
+        for attempt in range(MAX_ATTEMPTS):
+            assert queue.load_task(task["task_id"])["state"] == TaskState.PENDING, attempt
             claim = queue.claim("w1")
             assert claim is not None
             time.sleep(0.05)
@@ -156,6 +145,18 @@ class TestLeases:
         assert final["error"]["type"] == "LeaseExpired"
         assert queue.claim("w2") is None  # dead tasks are never re-dispatched
         assert "dead" in [line["event"] for line in queue.read_journal()]
+
+    def test_dead_letter_reads_the_cap_from_the_task_record(self, tmp_path):
+        import time
+
+        queue = WorkQueue(tmp_path / "fabric", lease_ttl=0.01)
+        task = enqueue(queue)
+        # A task file written with another cap keeps it.
+        queue._write_task({**task, "max_attempts": 1})
+        assert queue.claim("w1") is not None
+        time.sleep(0.05)
+        queue.reclaim_expired(sweeper="test")
+        assert queue.load_task(task["task_id"])["state"] == TaskState.DEAD
 
     def test_stale_lease_of_a_done_task_is_swept(self, tmp_path):
         queue = WorkQueue(tmp_path / "fabric", lease_ttl=0.01)
@@ -275,8 +276,6 @@ class TestJournal:
     def test_validation_rejects_bad_parameters(self, tmp_path):
         with pytest.raises(ValueError):
             WorkQueue(tmp_path, lease_ttl=0)
-        with pytest.raises(ValueError):
-            WorkQueue(tmp_path, max_attempts=0)
 
     def test_stats_counts_states_and_lanes(self, tmp_path):
         queue = WorkQueue(tmp_path / "fabric")

@@ -20,7 +20,7 @@ from repro.api import RunSpec, SchedulingService, run, spec_fingerprint
 from repro.api.service import JobState, job_record
 from repro.api.store import ResultStore
 from repro.cli import main as cli_main
-from repro.fabric.queue import TaskState, WorkQueue
+from repro.fabric.queue import MAX_ATTEMPTS, TaskState, WorkQueue
 from repro.fabric.worker import FabricWorker
 
 SCHEDULE_SPEC = {
@@ -214,7 +214,7 @@ class TestFabricBackend:
             # Simulate workers dying mid-claim until the queue gives up: a
             # short-TTL queue handle claims without ever heartbeating.
             queue = WorkQueue(tmp_path / "fabric", lease_ttl=0.01)
-            for _ in range(queue.max_attempts):
+            for _ in range(MAX_ATTEMPTS):
                 claim = queue.claim("doomed")
                 assert claim is not None
                 time.sleep(0.05)
@@ -266,23 +266,6 @@ class TestWorkerUnit:
         assert worker.tasks_done == 1
         assert store.load(fingerprint) is not None
         assert store.load_job(job_id)["state"] == "done"
-
-    def test_stopped_worker_without_drain_releases_its_claim(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        queue = WorkQueue(tmp_path / "fabric")
-        spec = RunSpec.from_dict(SCHEDULE_SPEC)
-        fingerprint = spec_fingerprint(spec)
-        job_id = store.record_job(queued_record(spec, fingerprint))
-        task = queue.enqueue(
-            spec.to_dict(), fingerprint, job_id=job_id, store_root=str(store.root)
-        )
-        worker = FabricWorker(tmp_path / "fabric", worker_id="w1", drain=False)
-        worker.stop()  # stop lands between claim and execution
-        assert worker.run_one() is True
-        restored = queue.load_task(task["task_id"])
-        assert restored["state"] == TaskState.PENDING
-        assert restored["attempts"] == 0
-        assert store.load(fingerprint) is None  # nothing executed
 
     def test_store_hit_task_completes_without_executing(self, tmp_path):
         store = ResultStore(tmp_path / "store")

@@ -5,12 +5,12 @@ the batched combiner (:mod:`repro.model.fused_batch`) must agree with it
 **bit-for-bit** on every preset fusion group — headline numbers and per-edge
 detail alike.
 
-Also covered here: the divisor / frontier helpers of
-:mod:`repro.fusion.schedule` (including ``_retile_outer`` leftover
-handling), the frontier alignment search itself (it must fully pin the small
-attention chain, never lose to the unfused baseline, and pick the winner the
-scalar oracle picks), and the ``EngineSpec.fusion_options`` knob
-(round-trip, and its place in the store fingerprint).
+Also covered here: the frontier helpers of :mod:`repro.fusion.schedule`
+(including ``_retile_outer`` leftover handling), the frontier alignment
+search itself (it must fully pin the small attention chain, never lose to
+the unfused baseline, and pick the winner the scalar oracle picks), the
+fused layer-tier key, and the legacy ``engine.fusion_options`` spec key
+(parsed and dropped).
 """
 
 import dataclasses
@@ -20,7 +20,7 @@ import pytest
 
 from repro.api import RunSpec
 from repro.api.specs import EngineSpec
-from repro.api.store import EXECUTION_ONLY_ENGINE_KEYS, spec_fingerprint
+from repro.api.store import spec_fingerprint
 from repro.arch.presets import simba_like
 from repro.core.scheduler import CoSAScheduler
 from repro.engine.engine import SchedulingEngine
@@ -32,12 +32,11 @@ from repro.fusion.presets import (
 )
 from repro.fusion import schedule as fusion_schedule
 from repro.fusion.schedule import (
-    DEFAULT_MAX_CANDIDATES,
+    MAX_CANDIDATES,
     _align_group,
-    _divisors,
     _frontier_combos,
+    _group_key,
     _retile_outer,
-    _smallest_prime_factor,
 )
 from repro.mapping.mapping import Mapping
 from repro.mapping.space import MapSpace
@@ -163,24 +162,6 @@ class TestBatchedParity:
 
 
 class TestFrontierHelpers:
-    def test_divisors_edge_cases(self):
-        assert _divisors(1) == [1]
-        assert _divisors(7) == [1, 7]  # prime
-        assert _divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
-        assert _divisors(97) == [1, 97]  # larger prime
-        large = _divisors(2 * 3 * 5 * 7 * 11 * 13)  # 30030, highly composite
-        assert len(large) == 64
-        assert large == sorted(large)
-        assert all(30030 % d == 0 for d in large)
-
-    def test_smallest_prime_factor(self):
-        assert _smallest_prime_factor(1) == 1
-        assert _smallest_prime_factor(2) == 2
-        assert _smallest_prime_factor(9) == 3
-        assert _smallest_prime_factor(91) == 7  # 7 * 13
-        assert _smallest_prime_factor(97) == 97
-        assert _smallest_prime_factor(2**20) == 2
-
     def test_frontier_combos_sorted_and_thinned(self):
         combos = _frontier_combos([12], [1], max_candidates=100)
         assert combos == [(1,), (2,), (3,), (4,), (6,), (12,)]
@@ -281,70 +262,57 @@ class TestFrontierAlignment:
         assert slow.latency == fast.latency
         assert slow.energy == fast.energy
 
-    def test_max_candidates_caps_the_search(self):
+    def test_max_candidates_caps_the_search(self, monkeypatch):
         group = attention_block(seq=32, heads=2, head_dim=16)
         engine, base_mappings = self._base(group)
-        capped = _align_group(
-            engine, group, base_mappings, FusedCostModel(ARCH),
-            options={"max_candidates": 1},
-        )
         full = _align_group(engine, group, base_mappings, FusedCostModel(ARCH))
+        monkeypatch.setattr(fusion_schedule, "MAX_CANDIDATES", 1)
+        capped = _align_group(engine, group, base_mappings, FusedCostModel(ARCH))
         # the capped search sees a subset of the frontier: it can never beat
-        # the full search, and both must beat (or match) the unfused baseline
+        # the full search
         assert full[1].dram_words <= capped[1].dram_words
-        assert DEFAULT_MAX_CANDIDATES > 1
+        assert MAX_CANDIDATES > 1
+
+    def test_group_key_is_pinned(self):
+        """Fused layer-tier keys still name the candidate cap, so entries
+        stored while it was settable keep serving."""
+        engine = SchedulingEngine(CoSAScheduler(ARCH))
+        group = next(g for g in bert_base_block_plan().groups if not g.is_singleton)
+        assert group.name == "bert_base_attention_128_h12"
+        assert _group_key(engine, group.layers[0], group, 0) == (
+            "1ea3f7e3c7d686f6ca019331bd43d6a3b6564d2d502f7bbe9fa63b07738307a0"
+        )
 
 
 # ------------------------------------------------- the spec surface
 
 
 class TestEngineSpecFusionOptions:
+    """``engine.fusion_options`` is a legacy key: the fixed cap parses and is
+    dropped, any other value is refused."""
+
     def test_round_trip_and_defaults(self):
-        spec = EngineSpec(fusion_options={"max_candidates": 32})
-        data = spec.to_dict()
-        assert data["fusion_options"] == {"max_candidates": 32}
-        assert EngineSpec.from_dict(data) == spec
-        # unset -> omitted, so legacy spec files stay byte-identical
         assert "fusion_options" not in EngineSpec().to_dict()
-        assert EngineSpec.from_dict({}) == EngineSpec()
+        assert EngineSpec.from_dict(EngineSpec().to_dict()) == EngineSpec()
+        for legacy in ({}, {"max_candidates": MAX_CANDIDATES}):
+            assert EngineSpec.from_dict({"fusion_options": legacy}) == EngineSpec()
 
     def test_rejects_unknown_and_invalid_options(self):
-        with pytest.raises(ValueError, match="fusion_options"):
-            EngineSpec(fusion_options={"bogus": 1})
-        with pytest.raises(ValueError, match="max_candidates"):
-            EngineSpec(fusion_options={"max_candidates": 0})
-        with pytest.raises(ValueError, match="EngineSpec.fusion_options"):
-            EngineSpec(fusion_options=[("max_candidates", 4)])
+        for legacy in ({"max_candidates": 1}, {"max_candidates": 0}, {"bogus": 1}):
+            with pytest.raises(ValueError, match="no longer settable"):
+                EngineSpec.from_dict({"fusion_options": legacy})
 
-    def test_fusion_options_split_the_fingerprint_and_the_store(self, tmp_path):
-        """The candidate cap changes the fused mappings, so it keys the store:
-        a default submit after a ``max_candidates: 1`` run is a miss."""
-        from repro.api import SchedulingService
-
-        assert "fusion_options" not in EXECUTION_ONLY_ENGINE_KEYS
+    def test_legacy_cap_keeps_the_default_fingerprint(self):
         base = {
             "kind": "schedule",
             "workload": {"fusion": "bert-base-block"},
             "scheduler": "random",
         }
         plain = RunSpec.from_dict(base)
-        capped = RunSpec.from_dict(
-            {**base, "engine": {"fusion_options": {"max_candidates": 1}}}
+        legacy = RunSpec.from_dict(
+            {**base, "engine": {"fusion_options": {"max_candidates": MAX_CANDIDATES}}}
         )
-        # Specs without fusion_options keep their earlier fingerprints.
-        assert spec_fingerprint(plain) == (
+        assert legacy == plain
+        assert spec_fingerprint(legacy) == (
             "8fd028b89ab50f619cba382da3706563732a8a895f3c89f274ab22dda7269add"
         )
-        assert spec_fingerprint(plain) != spec_fingerprint(capped)
-
-        def saved_words(result):
-            return result.data["fusion"]["saved_dram_words"]
-
-        with SchedulingService(max_workers=1, store=tmp_path / "store") as service:
-            first = service.submit(capped)
-            assert saved_words(first.result(timeout=300)) == 0.0
-            second = service.submit(plain)
-            result = second.result(timeout=300)
-        assert second.store_hit is False
-        assert saved_words(result) == 786432.0
-        assert "fusion_options" not in result.spec.to_dict()["engine"]

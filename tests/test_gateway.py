@@ -235,7 +235,7 @@ class TestGatewayEndToEnd:
     def test_healthz_reads_package_metadata_once(self, gateway, client, monkeypatch):
         from importlib import metadata
 
-        from repro.api import gateway as gateway_module
+        import repro
 
         lookups = []
         real_version = metadata.version
@@ -245,11 +245,11 @@ class TestGatewayEndToEnd:
             return real_version(name)
 
         monkeypatch.setattr(metadata, "version", counting_version)
-        gateway_module._package_version.cache_clear()
+        repro.package_version.cache_clear()
         try:
             first, second = client.health(), client.health()
         finally:
-            gateway_module._package_version.cache_clear()
+            repro.package_version.cache_clear()
         assert first == second
         assert lookups == ["cosa-repro"]
 

@@ -21,7 +21,7 @@ from repro.api import RunSpec, SchedulingService, UnknownNameError
 from repro.api.events import TERMINAL_EVENTS
 from repro.api.service import JobCancelled, JobState
 from repro.api.store import ResultStore
-from repro.fabric.queue import WorkQueue
+from repro.fabric.queue import MAX_ATTEMPTS, WorkQueue
 from repro.fabric.worker import FabricWorker
 
 
@@ -193,7 +193,7 @@ def test_dead_letter_fabric(tmp_path):
         job = service.submit(make_spec(), on_event=observer)
         # Workers that die mid-claim, until the queue gives up on the task.
         queue = WorkQueue(tmp_path / "fabric", lease_ttl=0.01)
-        for _ in range(queue.max_attempts):
+        for _ in range(MAX_ATTEMPTS):
             assert queue.claim("doomed") is not None
             time.sleep(0.05)
             queue.reclaim_expired(sweeper="test")

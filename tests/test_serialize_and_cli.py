@@ -148,6 +148,26 @@ class TestCLIFacade:
         assert "engine.cache" in captured.err and "--store" in captured.err
         assert not outside.exists()
 
+    def test_json_stdout_survives_native_writes_to_fd_1(self, capfd, monkeypatch):
+        """HiGHS writes some diagnostics straight to fd 1 from C++; under
+        ``--json`` stdout must still hold exactly one JSON document."""
+        import os
+
+        from repro import api
+
+        real_execute = api.execute
+
+        def noisy_execute(*args, **kwargs):
+            os.write(1, b"native solver noise\n")
+            return real_execute(*args, **kwargs)
+
+        monkeypatch.setattr(api, "execute", noisy_execute)
+        args = ["schedule", "3_13_256_256_1", "--scheduler", "random", "--json"]
+        assert cli_main(args) == 0
+        captured = capfd.readouterr()
+        assert json.loads(captured.out)["kind"] == "schedule"
+        assert "native solver noise" in captured.err
+
     def test_run_subcommand_executes_spec_file(self, capsys, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({
