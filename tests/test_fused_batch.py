@@ -162,6 +162,18 @@ class TestBatchedParity:
 
 
 class TestFrontierHelpers:
+    def test_divisors_edge_cases(self):
+        # The frontier is built from the divisors the search imports.
+        divisors = fusion_schedule.divisors
+        assert divisors(1) == (1,)
+        assert divisors(7) == (1, 7)  # prime
+        assert divisors(36) == (1, 2, 3, 4, 6, 9, 12, 18, 36)
+        assert divisors(97) == (1, 97)  # larger prime
+        large = divisors(2 * 3 * 5 * 7 * 11 * 13)  # 30030, highly composite
+        assert len(large) == 64
+        assert list(large) == sorted(large)
+        assert all(30030 % d == 0 for d in large)
+
     def test_frontier_combos_sorted_and_thinned(self):
         combos = _frontier_combos([12], [1], max_candidates=100)
         assert combos == [(1,), (2,), (3,), (4,), (6,), (12,)]
