@@ -60,8 +60,9 @@ class ComparisonConfig:
     cosa_weights:
         Objective weights handed to CoSA (``None`` = calibrated defaults).
     hybrid_threads / hybrid_termination / hybrid_max_evaluations:
-        Budget of the Timeloop-Hybrid mapper (scaled-down defaults; see
-        :meth:`~repro.baselines.timeloop_hybrid.TimeloopHybridScheduler.paper_settings`).
+        Budget of the Timeloop-Hybrid mapper (scaled-down defaults; the
+        paper's budget is in
+        :class:`~repro.baselines.timeloop_hybrid.TimeloopHybridScheduler`).
     random_valid:
         Valid samples collected by the Random baseline (5 in the paper).
     seed:

@@ -266,8 +266,9 @@ def _resolve_suite(workload: WorkloadSpec) -> dict:
 def _build_scheduler(spec: RunSpec, accelerator):
     """Build the spec's scheduler through the registry.
 
-    Explicit ``SchedulerSpec.options`` are passed through verbatim (a typo
-    raises the factory's ``TypeError``).  The engine-level search knobs —
+    Explicit ``SchedulerSpec.options`` are passed through verbatim; one the
+    scheduler does not take is a spec error (``ValueError`` naming it), like
+    an unknown registry name.  The engine-level search knobs —
     ``seed`` and ``time_budget_seconds`` — are offered only to factories
     whose signature accepts them, so one spec drives both seeded search
     baselines and knob-free one-shot schedulers.
@@ -285,7 +286,17 @@ def _build_scheduler(spec: RunSpec, accelerator):
     for name, value in offered.items():
         if name not in options and (accepts_any or name in parameters):
             options[name] = value
-    scheduler = factory(accelerator, **options)
+    try:
+        scheduler = factory(accelerator, **options)
+    except TypeError as error:
+        # Binding errors quote the rejected keyword; any other TypeError is a bug.
+        rejected = [name for name in spec.scheduler.options if f"'{name}'" in str(error)]
+        if not rejected:
+            raise
+        raise ValueError(
+            f"scheduler {spec.scheduler.name!r} does not take option(s) "
+            + ", ".join(map(repr, rejected))
+        ) from error
 
     if scheduler.accelerator.fingerprint() != accelerator.fingerprint():
         raise ValueError(

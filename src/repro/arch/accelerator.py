@@ -93,16 +93,6 @@ class Accelerator:
         """Aggregate arithmetic throughput of the accelerator."""
         return self.pe_array.peak_macs_per_cycle
 
-    def level_capacity_words(self, index: int, tensor: TensorKind) -> float:
-        """Capacity of level ``index`` expressed in elements of ``tensor``.
-
-        Returns ``inf`` for unbounded levels.
-        """
-        level = self.hierarchy[index]
-        if level.is_unbounded:
-            return float("inf")
-        return level.capacity_bytes / self.precision.bytes_for(tensor)
-
     def pe_level_index(self) -> int:
         """Index of the memory level that distributes tiles across the PE array.
 

@@ -142,18 +142,6 @@ class MemoryHierarchy:
         """Indices of levels with a spatial fanout greater than one."""
         return [i for i, level in enumerate(self._levels) if level.spatial_fanout > 1]
 
-    def instances_of(self, index: int) -> int:
-        """Number of physical instances of the level at ``index``.
-
-        A level is replicated once for every unit of fanout of the levels
-        *above* it: e.g. with a global buffer feeding 16 PEs, the per-PE
-        weight buffer has 16 instances.
-        """
-        count = 1
-        for level in self._levels[index + 1:]:
-            count *= level.spatial_fanout
-        return count
-
     def innermost_level_for(self, tensor: TensorKind) -> int:
         """Index of the innermost level that may hold ``tensor``."""
         holding = self.levels_holding(tensor)

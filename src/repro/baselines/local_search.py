@@ -16,10 +16,12 @@ term stays finite even for invalid states, so the search can cross
 infeasible regions instead of rejecting them outright.  On a plateau (no
 proposed move improves the guidance), weight is *transferred* from the
 maximum-weight satisfied group to every violated group
-(``weight_transfer * donor + weight_increment`` each), re-shaping the
+(``WEIGHT_TRANSFER * donor + WEIGHT_INCREMENT`` each), re-shaping the
 landscape until the violated constraints dominate and the search is pushed
-back into the feasible region; with a small ``perturbation`` probability the
-best proposal is committed anyway (random-walk escape).
+back into the feasible region; with a small :data:`PERTURBATION` probability
+the best proposal is committed anyway (random-walk escape).  The transfer
+rule and its parameters are fixed, as in DDFW itself: they are module
+constants, not options.
 
 The final winner is always re-costed by the scalar
 :class:`~repro.model.cost.CostModel` oracle.
@@ -44,9 +46,38 @@ CONSTRAINT_GROUPS = ("capacity", "spatial", "utilization")
 #: Weights never decay below this floor, so no group is ever ignored.
 MIN_WEIGHT = 0.1
 
+#: Candidate moves previewed per step; the best by guidance is committed
+#: when it improves on the current state.
+MOVES_PER_STEP = 8
+
+#: DDFW transfer rule: on a plateau every violated group receives
+#: ``WEIGHT_TRANSFER * donor_weight + WEIGHT_INCREMENT`` from the
+#: maximum-weight satisfied group (or just the increment when every group
+#: is violated).
+WEIGHT_TRANSFER = 0.2
+WEIGHT_INCREMENT = 1.0
+
+#: Probability of committing the best proposal on a plateau even though it
+#: worsens the guidance (random-walk escape).
+PERTURBATION = 0.1
+
+#: Steps without improving the best valid cost before the search restarts
+#: from a fresh best-of-``init_samples`` seed with reset weights (escapes
+#: basins no single move leads out of).
+RESTART_AFTER = 30
+
+#: Soft lower bound on compute utilization; the shortfall
+#: ``max(0, target - utilization) / target`` is the violation of the
+#: ``"utilization"`` group.
+UTILIZATION_TARGET = 0.5
+
 
 class LocalSearchScheduler(SearchScheduler):
     """Delta-evaluated local search guided by adaptive constraint weights.
+
+    The moves previewed per step, the DDFW transfer rule, the perturbation
+    probability, the restart window and the utilization target are the
+    module constants above, not options.
 
     Parameters
     ----------
@@ -63,25 +94,6 @@ class LocalSearchScheduler(SearchScheduler):
     init_samples:
         Random draws scored to pick the starting state (the best valid draw,
         else the first).
-    moves_per_step:
-        Candidate moves previewed per step; the best by guidance is
-        committed when it improves on the current state.
-    weight_transfer / weight_increment:
-        DDFW transfer rule: on a plateau every violated group receives
-        ``weight_transfer * donor_weight + weight_increment`` from the
-        maximum-weight satisfied group (or just the increment when every
-        group is violated).
-    perturbation:
-        Probability of committing the best proposal on a plateau even though
-        it worsens the guidance (random-walk escape).
-    restart_after:
-        Steps without improving the best valid cost before the search
-        restarts from a fresh best-of-``init_samples`` seed with reset
-        weights (escapes basins no single move leads out of).
-    utilization_target:
-        Soft lower bound on compute utilization; the shortfall
-        ``max(0, target - utilization) / target`` is the violation of the
-        ``"utilization"`` group.  ``0`` disables the group.
     time_budget_seconds:
         See :class:`~repro.baselines.base.SearchScheduler`.
     """
@@ -95,12 +107,6 @@ class LocalSearchScheduler(SearchScheduler):
         seed: int = 0,
         max_evaluations: int = 4000,
         init_samples: int = 64,
-        moves_per_step: int = 8,
-        weight_transfer: float = 0.2,
-        weight_increment: float = 1.0,
-        perturbation: float = 0.1,
-        restart_after: int = 30,
-        utilization_target: float = 0.5,
         time_budget_seconds: float | None = None,
     ):
         super().__init__(accelerator, metric, time_budget_seconds=time_budget_seconds)
@@ -108,25 +114,9 @@ class LocalSearchScheduler(SearchScheduler):
             raise ValueError(f"max_evaluations must be >= 1, got {max_evaluations}")
         if init_samples < 1:
             raise ValueError(f"init_samples must be >= 1, got {init_samples}")
-        if moves_per_step < 1:
-            raise ValueError(f"moves_per_step must be >= 1, got {moves_per_step}")
-        if weight_transfer < 0 or weight_increment < 0:
-            raise ValueError("weight_transfer and weight_increment must be >= 0")
-        if not 0.0 <= perturbation <= 1.0:
-            raise ValueError("perturbation must be within [0, 1]")
-        if restart_after < 1:
-            raise ValueError(f"restart_after must be >= 1, got {restart_after}")
-        if utilization_target < 0 or utilization_target > 1:
-            raise ValueError("utilization_target must be within [0, 1]")
         self.seed = seed
         self.max_evaluations = max_evaluations
         self.init_samples = init_samples
-        self.moves_per_step = moves_per_step
-        self.weight_transfer = weight_transfer
-        self.weight_increment = weight_increment
-        self.perturbation = perturbation
-        self.restart_after = restart_after
-        self.utilization_target = utilization_target
 
     def _config(self) -> dict:
         return {
@@ -134,12 +124,13 @@ class LocalSearchScheduler(SearchScheduler):
             "seed": self.seed,
             "max_evaluations": self.max_evaluations,
             "init_samples": self.init_samples,
-            "moves_per_step": self.moves_per_step,
-            "weight_transfer": self.weight_transfer,
-            "weight_increment": self.weight_increment,
-            "perturbation": self.perturbation,
-            "restart_after": self.restart_after,
-            "utilization_target": self.utilization_target,
+            # The constants stay in the fingerprint so stored layer entries keep serving.
+            "moves_per_step": MOVES_PER_STEP,
+            "weight_transfer": WEIGHT_TRANSFER,
+            "weight_increment": WEIGHT_INCREMENT,
+            "perturbation": PERTURBATION,
+            "restart_after": RESTART_AFTER,
+            "utilization_target": UTILIZATION_TARGET,
         }
 
     # ----------------------------------------------------------------- search
@@ -184,7 +175,7 @@ class LocalSearchScheduler(SearchScheduler):
                 continue
 
             budget = self.max_evaluations - evaluations
-            moves = space.neighborhood(state, rng, min(self.moves_per_step, budget))
+            moves = space.neighborhood(state, rng, min(MOVES_PER_STEP, budget))
             if not moves:
                 break  # frozen state: every loop bound is 1
 
@@ -205,7 +196,7 @@ class LocalSearchScheduler(SearchScheduler):
                     improved_best = True
 
             stalled = 0 if improved_best else stalled + 1
-            if stalled >= self.restart_after:
+            if stalled >= RESTART_AFTER:
                 state = None  # basin exhausted: restart from a fresh seed
                 continue
             if best_move is None:
@@ -217,7 +208,7 @@ class LocalSearchScheduler(SearchScheduler):
             # Plateau: re-shape the landscape (DDFW weight transfer), then
             # optionally random-walk through it.
             self._transfer_weights(weights, current)
-            if rng.random() < self.perturbation:
+            if rng.random() < PERTURBATION:
                 current, _ = evaluator.apply(best_move)
 
         best_mapping = best_state.to_mapping() if best_state is not None else None
@@ -233,14 +224,11 @@ class LocalSearchScheduler(SearchScheduler):
     # --------------------------------------------------------------- guidance
     def _violations(self, result: DeltaCostResult) -> dict[str, float]:
         """Per-group violation magnitudes of a (possibly invalid) state."""
-        shortfall = 0.0
-        if self.utilization_target > 0:
-            shortfall = max(0.0, self.utilization_target - result.raw_utilization)
-            shortfall /= self.utilization_target
+        shortfall = max(0.0, UTILIZATION_TARGET - result.raw_utilization)
         return {
             "capacity": result.capacity_violation,
             "spatial": result.spatial_violation,
-            "utilization": shortfall,
+            "utilization": shortfall / UTILIZATION_TARGET,
         }
 
     def _guidance(self, result: DeltaCostResult, weights: dict, ref: float) -> float:
@@ -261,13 +249,13 @@ class LocalSearchScheduler(SearchScheduler):
         if satisfied:
             donor = max(satisfied, key=lambda g: weights[g])
             for group in violated:
-                amount = self.weight_transfer * weights[donor] + self.weight_increment
+                amount = WEIGHT_TRANSFER * weights[donor] + WEIGHT_INCREMENT
                 amount = min(amount, weights[donor] - MIN_WEIGHT)
                 if amount > 0:
                     weights[donor] -= amount
                     weights[group] += amount
                 else:
-                    weights[group] += self.weight_increment
+                    weights[group] += WEIGHT_INCREMENT
         else:
             for group in violated:
-                weights[group] += self.weight_increment
+                weights[group] += WEIGHT_INCREMENT

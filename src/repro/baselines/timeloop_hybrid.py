@@ -16,8 +16,8 @@ returned.
 
 The paper runs 32 threads with a 500-mapping termination window, visiting
 67 M samples and 16 K+ valid mappings per layer; the defaults here are scaled
-down so a full four-network sweep stays practical in pure Python, and
-:meth:`TimeloopHybridScheduler.paper_settings` restores the original budget.
+down so a full four-network sweep stays practical in pure Python (see
+:class:`TimeloopHybridScheduler` for the paper's numbers).
 """
 
 from __future__ import annotations
@@ -37,9 +37,16 @@ from repro.workloads.layer import Layer
 #: fixed cost that one sweep of a few candidates does not amortise.
 BASES_PER_BATCH = 8
 
+#: Cap on permutations explored per factorisation (pruning).
+MAX_PERMUTATIONS = 24
+
 
 class TimeloopHybridScheduler(SearchScheduler):
     """Random-factorisation + pruned-permutation search (Timeloop hybrid mapper).
+
+    The paper's budget is 32 threads, a 500-mapping termination window, 64
+    permutations per factorisation and 20,000 evaluations per layer; the
+    defaults are scaled down, and :data:`MAX_PERMUTATIONS` is fixed at 24.
 
     Parameters
     ----------
@@ -51,8 +58,6 @@ class TimeloopHybridScheduler(SearchScheduler):
     termination_condition:
         A thread stops after this many consecutive valid mappings that did
         not improve its best.
-    max_permutations:
-        Cap on permutations explored per factorisation (pruning).
     max_evaluations:
         Global cap on valid-mapping evaluations per layer (safety budget).
     metric:
@@ -75,7 +80,6 @@ class TimeloopHybridScheduler(SearchScheduler):
         accelerator: Accelerator,
         num_threads: int = 4,
         termination_condition: int = 96,
-        max_permutations: int = 24,
         max_evaluations: int = 3000,
         metric: str = "latency",
         seed: int = 0,
@@ -84,29 +88,16 @@ class TimeloopHybridScheduler(SearchScheduler):
         super().__init__(accelerator, metric, time_budget_seconds=time_budget_seconds)
         self.num_threads = num_threads
         self.termination_condition = termination_condition
-        self.max_permutations = max_permutations
         self.max_evaluations = max_evaluations
         self.seed = seed
-
-    @classmethod
-    def paper_settings(cls, accelerator: Accelerator, metric: str = "latency", seed: int = 0):
-        """The full-size configuration used by the paper (32 threads, 500-window)."""
-        return cls(
-            accelerator,
-            num_threads=32,
-            termination_condition=500,
-            max_permutations=64,
-            max_evaluations=20_000,
-            metric=metric,
-            seed=seed,
-        )
 
     def _config(self) -> dict:
         return {
             **super()._config(),
             "num_threads": self.num_threads,
             "termination_condition": self.termination_condition,
-            "max_permutations": self.max_permutations,
+            # The constant stays in the fingerprint so stored layer entries keep serving.
+            "max_permutations": MAX_PERMUTATIONS,
             "max_evaluations": self.max_evaluations,
             "seed": self.seed,
         }
@@ -187,9 +178,9 @@ class TimeloopHybridScheduler(SearchScheduler):
         if len(merged) <= 1:
             yield base
             return
-        orders = list(islice(permutations(merged), self.max_permutations * 4))
+        orders = list(islice(permutations(merged), MAX_PERMUTATIONS * 4))
         rng.shuffle(orders)
-        for order in orders[: self.max_permutations]:
+        for order in orders[:MAX_PERMUTATIONS]:
             yield self._with_outer_order(base, noc_level, list(order))
 
     @staticmethod

@@ -21,6 +21,10 @@ from repro.mapping.mapping import LevelMapping, Loop, Mapping
 from repro.mapping.space import MapSpace
 from repro.workloads.layer import Layer
 
+#: Fraction of each batch drawn at random instead of mutated from the
+#: incumbent population.
+EXPLORATION = 0.3
+
 
 class TVMLikeTuner(SearchScheduler):
     """Feedback-driven autotuner in the style of AutoTVM.
@@ -34,9 +38,6 @@ class TVMLikeTuner(SearchScheduler):
     batch_size:
         Candidates evaluated per trial.  Each trial's batch is scored in one
         :class:`~repro.model.batch.BatchCostModel` pass.
-    exploration:
-        Fraction of each batch drawn at random instead of mutated from the
-        incumbent population.
     metric:
         ``"latency"``, ``"energy"`` or ``"edp"``.
     seed:
@@ -54,7 +55,6 @@ class TVMLikeTuner(SearchScheduler):
         accelerator: Accelerator,
         trials: int = 50,
         batch_size: int = 8,
-        exploration: float = 0.3,
         metric: str = "latency",
         seed: int = 0,
         time_budget_seconds: float | None = None,
@@ -62,11 +62,8 @@ class TVMLikeTuner(SearchScheduler):
         super().__init__(accelerator, metric, time_budget_seconds=time_budget_seconds)
         if trials < 1 or batch_size < 1:
             raise ValueError("trials and batch_size must be positive")
-        if not 0.0 <= exploration <= 1.0:
-            raise ValueError("exploration must be within [0, 1]")
         self.trials = trials
         self.batch_size = batch_size
-        self.exploration = exploration
         self.seed = seed
 
     def _config(self) -> dict:
@@ -74,7 +71,8 @@ class TVMLikeTuner(SearchScheduler):
             **super()._config(),
             "trials": self.trials,
             "batch_size": self.batch_size,
-            "exploration": self.exploration,
+            # The constant stays in the fingerprint so stored layer entries keep serving.
+            "exploration": EXPLORATION,
             "seed": self.seed,
         }
 
@@ -96,7 +94,7 @@ class TVMLikeTuner(SearchScheduler):
                 break
             batch: list[Mapping] = []
             for _ in range(self.batch_size):
-                if population and rng.random() > self.exploration:
+                if population and rng.random() > EXPLORATION:
                     _, parent = population[rng.randrange(min(len(population), 4))]
                     batch.append(self._mutate(parent, space, rng))
                 else:

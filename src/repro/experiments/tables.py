@@ -55,7 +55,7 @@ def table6_time_to_solution(
 
     The hybrid-mapper budget is configurable; the paper uses the full 32
     threads x 500-window budget (see
-    :meth:`~repro.baselines.timeloop_hybrid.TimeloopHybridScheduler.paper_settings`).
+    :class:`~repro.baselines.timeloop_hybrid.TimeloopHybridScheduler`).
     """
     accelerator = accelerator or simba_like()
     config = ComparisonConfig(

@@ -190,14 +190,15 @@ class _SharedDims:
         return [by_root[root] for root in sorted(by_root)]
 
 
-def _frontier_combos(caps, starts, max_candidates: int) -> list[tuple[int, ...]]:
+def _frontier_combos(caps, starts) -> list[tuple[int, ...]]:
     """Outer-target combinations on the divisor frontier, deterministically.
 
     Per class, the frontier is every divisor of the class cap at or above
     the start point.  The cross product is down-sampled (longest class
     first, even stride keeping the endpoints) until it fits
     :data:`_FRONTIER_ENUM_CAP`, then — sorted by total round count — thinned
-    to ``max_candidates`` evenly spaced combos including the first and last.
+    to :data:`MAX_CANDIDATES` evenly spaced combos including the first and
+    last.
     """
     per_class: list[list[int]] = []
     for cap, start in zip(caps, starts):
@@ -227,19 +228,16 @@ def _frontier_combos(caps, starts, max_candidates: int) -> list[tuple[int, ...]]
         return size
 
     combos.sort(key=lambda combo: (rounds(combo), combo))
-    if len(combos) > max_candidates:
-        if max_candidates == 1:
-            combos = combos[:1]
-        else:
-            step = (len(combos) - 1) / (max_candidates - 1)
-            picked = []
-            seen: set[int] = set()
-            for i in range(max_candidates):
-                index = round(i * step)
-                if index not in seen:
-                    seen.add(index)
-                    picked.append(combos[index])
-            combos = picked
+    if len(combos) > MAX_CANDIDATES:
+        step = (len(combos) - 1) / (MAX_CANDIDATES - 1)
+        picked = []
+        seen: set[int] = set()
+        for i in range(MAX_CANDIDATES):
+            index = round(i * step)
+            if index not in seen:
+                seen.add(index)
+                picked.append(combos[index])
+        combos = picked
     return combos
 
 
@@ -318,7 +316,7 @@ def _align_group(
     # many combos disturb only one class, so most operators are shared).
     retile_memo: dict[tuple[int, tuple], object] = {}
     candidates: list[list] = []
-    for combo in _frontier_combos(caps, starts, MAX_CANDIDATES):
+    for combo in _frontier_combos(caps, starts):
         targets_per_op: list[dict[str, int]] = [{} for _ in group.layers]
         for members, outer in zip(classes, combo):
             for op, dim in members:

@@ -73,13 +73,3 @@ def render_loop_nest(mapping: Mapping, level_names: list[str] | None = None) -> 
             )
             depth += 1
     return "\n".join(lines)
-
-
-def nest_depth(mapping: Mapping) -> int:
-    """Number of non-trivial loops in the rendered nest."""
-    return sum(
-        1
-        for level in mapping.levels
-        for loop in level.all_loops
-        if loop.bound > 1
-    )

@@ -56,11 +56,6 @@ class FactorMove:
     dst_pos: int = -1
 
     @property
-    def is_spatial_flip(self) -> bool:
-        """True when the move toggles temporal/spatial without changing level."""
-        return self.src_level == self.dst_level and self.src_spatial != self.dst_spatial
-
-    @property
     def touches_temporal(self) -> bool:
         return not (self.src_spatial and self.dst_spatial)
 
@@ -102,22 +97,6 @@ class MappingState:
             num_levels=draws.num_levels,
             temporal=[[[d, b] for d, b in level] for level in draws.temporal[index]],
             spatial=[[[d, b] for d, b in level] for level in draws.spatial[index]],
-        )
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping) -> "MappingState":
-        """Seed a state from an existing mapping (bound-1 loops dropped)."""
-        return cls(
-            layer=mapping.layer,
-            num_levels=mapping.num_levels,
-            temporal=[
-                [[loop.dim, loop.bound] for loop in level.temporal if loop.bound > 1]
-                for level in mapping.levels
-            ],
-            spatial=[
-                [[loop.dim, loop.bound] for loop in level.spatial if loop.bound > 1]
-                for level in mapping.levels
-            ],
         )
 
     def clone(self) -> "MappingState":

@@ -89,7 +89,6 @@ class MappingBatch:
         loop_level,
         loop_dim,
         loop_bound,
-        source=None,
     ):
         self.layer = layer
         self.temporal = temporal
@@ -97,7 +96,6 @@ class MappingBatch:
         self.loop_level = loop_level
         self.loop_dim = loop_dim
         self.loop_bound = loop_bound
-        self._source = source
         self.size = int(temporal.shape[0])
         self.num_levels = int(temporal.shape[1])
 
@@ -109,7 +107,7 @@ class MappingBatch:
     def from_draws(cls, draws: "MappingDraws") -> "MappingBatch":
         """Pack sampled factor placements (no ``Mapping`` objects involved)."""
         return cls._pack(
-            draws.layer, draws.num_levels, draws.temporal, draws.spatial, draws, merged=True
+            draws.layer, draws.num_levels, draws.temporal, draws.spatial, merged=True
         )
 
     @classmethod
@@ -132,10 +130,10 @@ class MappingBatch:
             [[(loop.dim, loop.bound) for loop in level.spatial] for level in mapping.levels]
             for mapping in mappings
         ]
-        return cls._pack(layer, num_levels, temporal, spatial, list(mappings), merged=False)
+        return cls._pack(layer, num_levels, temporal, spatial, merged=False)
 
     @classmethod
-    def _pack(cls, layer, num_levels, temporal_loops, spatial_loops, source, merged):
+    def _pack(cls, layer, num_levels, temporal_loops, spatial_loops, merged):
         """Build the batch arrays with flat index lists and one scatter each.
 
         The flattened loop order is level-major within each candidate, so
@@ -197,20 +195,7 @@ class MappingBatch:
         _, s_rows, s_levels, s_dims, s_bounds = flatten(spatial_loops)
         if len(s_dims):
             scatter(sf, s_rows, s_levels, s_dims, s_bounds)
-        return cls(layer, tf, sf, loop_level, loop_dim, loop_bound, source=source)
-
-    # ----------------------------------------------------------- materialization
-    def mapping_at(self, index: int) -> Mapping:
-        """Materialize candidate ``index`` as a full :class:`Mapping` object.
-
-        Only the winning candidates of a search ever need this; the rest of
-        the batch lives and dies as matrix rows.
-        """
-        if self._source is None:
-            raise ValueError("this batch was built without a materialization source")
-        if isinstance(self._source, list):
-            return self._source[index]
-        return self._source.materialize(index)
+        return cls(layer, tf, sf, loop_level, loop_dim, loop_bound)
 
 
 class _ProblemTables:

@@ -126,10 +126,6 @@ class NestAnalysis:
                 violations.append((i, used, float(level.capacity_bytes)))
         return violations
 
-    def fits_buffers(self) -> bool:
-        """True when no bounded buffer level overflows."""
-        return not self.buffer_violations()
-
     # ------------------------------------------------------------------ reuse
     def storage_levels(self, tensor: TensorKind) -> list[int]:
         """Indices of levels storing ``tensor``, innermost first."""

@@ -45,9 +45,3 @@ class DramModel:
         self._free_at = completion
         self.total_bytes += num_bytes
         return completion
-
-    def service_time(self, num_bytes: float) -> float:
-        """Unloaded service time of a transfer (no queueing)."""
-        if num_bytes <= 0:
-            return 0.0
-        return self.latency_cycles + num_bytes / self.bandwidth_bytes_per_cycle

@@ -146,7 +146,3 @@ class MeshNetwork:
         if not self._links:
             return 0.0
         return max(state.busy_cycles for state in self._links.values())
-
-    def total_link_cycles(self) -> float:
-        """Sum of busy cycles over every link (energy/traffic proxy)."""
-        return sum(state.busy_cycles for state in self._links.values())

@@ -96,9 +96,7 @@ class NoCSimulator:
             noc_finish = round_start
             for packet in round_obj.packets:
                 noc_finish = max(noc_finish, mesh.deliver(packet, round_start))
-                noc_bytes += packet.payload_bytes * (
-                    1 if packet.direction.name == "COLLECT" else 1
-                )
+                noc_bytes += packet.payload_bytes
             dram_finish = dram.transfer(round_obj.dram_bytes, round_start)
 
             transfer_time = max(noc_finish, dram_finish) - round_start

@@ -128,7 +128,7 @@ class TrafficGenerator:
         the innermost output-relevant outer loop)."""
         return self.analysis.reduction_pending_above(self.noc_level)
 
-    def rounds(self, max_rounds: int | None = None):
+    def rounds(self, max_rounds: int):
         """Yield :class:`TransferRound` objects, at most ``max_rounds`` of them.
 
         The odometer over the outer loops determines, per round, which
@@ -138,7 +138,7 @@ class TrafficGenerator:
         very last round).
         """
         total = self.total_rounds
-        limit = total if max_rounds is None else min(total, max_rounds)
+        limit = min(total, max_rounds)
         compute_cycles = self.compute_cycles_per_round()
         reduction_pending = self._reduction_pending()
 

@@ -158,11 +158,6 @@ class Layer:
         """
         return f"{self.r}_{self.p}_{self.c}_{self.k}_{self.stride}"
 
-    @property
-    def is_fully_connected(self) -> bool:
-        """True for 1x1 spatial output layers (FC / projection layers)."""
-        return self.r == 1 and self.s == 1 and self.p == 1 and self.q == 1
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         label = self.name or self.canonical_name
         return (

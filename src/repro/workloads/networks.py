@@ -270,8 +270,3 @@ def figure4_layer(batch: int = 1) -> Layer:
 def figure8_layer(batch: int = 1) -> Layer:
     """ResNet-50 layer 3_7_512_512_1 used in the Fig. 8 objective breakdown."""
     return layer_from_name("3_7_512_512_1", batch=batch)
-
-
-def listing1_layer() -> Layer:
-    """The small example layer of Listing 1 (R=S=3, P=Q=28, C=8, K=4, N=3)."""
-    return Layer(r=3, s=3, p=28, q=28, c=8, k=4, n=3, stride=1, name="listing1")

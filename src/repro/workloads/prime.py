@@ -82,33 +82,3 @@ def all_factorizations(value: int, num_parts: int) -> list[tuple[int, ...]]:
 def product(values) -> int:
     """Integer product of an iterable (empty product is 1)."""
     return prod(values, start=1)
-
-
-def count_factorizations(value: int, num_parts: int) -> int:
-    """Number of ordered splits of ``value`` into ``num_parts`` factors.
-
-    Computed combinatorially (stars and bars per prime) instead of by
-    enumeration so it stays cheap for large bounds; used to report the size of
-    the tiling space.
-    """
-    from math import comb
-
-    total = 1
-    for multiplicity in prime_factor_multiset(value).values():
-        total *= comb(multiplicity + num_parts - 1, num_parts - 1)
-    return total
-
-
-def random_factorization(value: int, num_parts: int, rng) -> tuple[int, ...]:
-    """Draw one uniform-ish random ordered split of ``value`` into ``num_parts``.
-
-    Each prime factor is assigned to a uniformly random part, which matches
-    how the Timeloop hybrid mapper randomises a factorisation.  ``rng`` is a
-    :class:`random.Random`-like object providing ``randrange``.
-    """
-    if num_parts < 1:
-        raise ValueError(f"num_parts must be >= 1, got {num_parts}")
-    parts = [1] * num_parts
-    for factor in factorize(value):
-        parts[rng.randrange(num_parts)] *= factor
-    return tuple(parts)

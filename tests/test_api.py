@@ -8,6 +8,7 @@ end-to-end plugin path — a scheduler registered in this file is usable via
 """
 
 import json
+import re
 
 import pytest
 
@@ -323,6 +324,24 @@ class TestCustomSchedulerEndToEnd:
         finally:
             schedulers.unregister("outermost")
 
+    def test_factory_type_error_is_not_blamed_on_the_spec(self):
+        @register_scheduler("broken", description="test-only plugin")
+        def _make(accelerator, *, seed=0):
+            raise TypeError("internal bug")
+
+        try:
+            spec = RunSpec.from_dict(
+                {
+                    "kind": "schedule",
+                    "workload": {"layers": ["3_4_8_16_1"]},
+                    "scheduler": {"name": "broken", "options": {"seed": 1}},
+                }
+            )
+            with pytest.raises(TypeError, match="internal bug"):
+                run(spec)
+        finally:
+            schedulers.unregister("broken")
+
     def test_plugin_architecture_via_runspec(self):
         from repro.arch.presets import simba_like
 
@@ -343,3 +362,45 @@ class TestCustomSchedulerEndToEnd:
             assert result.data["succeeded"] is True
         finally:
             architectures.unregister("mini-2x2")
+
+
+#: Options the search baselines took before they became module constants.
+REMOVED_SCHEDULER_OPTIONS = [
+    ("local-search", "moves_per_step"),
+    ("local-search", "weight_transfer"),
+    ("local-search", "weight_increment"),
+    ("local-search", "perturbation"),
+    ("local-search", "restart_after"),
+    ("local-search", "utilization_target"),
+    ("tvm", "exploration"),
+    ("hybrid", "max_permutations"),
+]
+
+
+class TestRejectedSchedulerOptions:
+    """An option the scheduler does not take fails the spec by name; it is
+    never silently ignored."""
+
+    @staticmethod
+    def _spec(scheduler, option):
+        return RunSpec.from_dict(
+            {
+                "kind": "schedule",
+                "workload": {"layers": ["3_4_8_16_1"]},
+                "scheduler": {"name": scheduler, "options": {option: 1}},
+            }
+        )
+
+    @pytest.mark.parametrize("scheduler,option", REMOVED_SCHEDULER_OPTIONS)
+    def test_removed_option_is_named_in_the_error(self, scheduler, option):
+        message = f"{scheduler!r} does not take option(s) {option!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(self._spec(scheduler, option))
+
+    def test_service_job_fails_with_the_same_message(self):
+        from repro.api import SchedulingService
+
+        with SchedulingService(max_workers=1) as service:
+            job = service.submit(self._spec("tvm", "exploration"))
+            with pytest.raises(ValueError, match="does not take option"):
+                job.result(timeout=60)

@@ -17,6 +17,9 @@ from repro.arch import (
     pe_array_8x8,
     simba_like,
 )
+from repro.mapping import Mapping
+from repro.model import NestAnalysis
+from repro.workloads import Layer
 from repro.workloads.layer import TensorKind
 
 
@@ -70,8 +73,7 @@ class TestMemoryHierarchy:
     def test_spatial_levels_and_fanout(self):
         h = self._hierarchy()
         assert h.spatial_levels() == [0, 2]
-        assert h.instances_of(0) == 4  # replicated by GB fanout
-        assert h.instances_of(2) == 1
+        assert [h[i].spatial_fanout for i in h.spatial_levels()] == [8, 4]
 
     def test_requires_unbounded_outermost(self):
         with pytest.raises(ValueError):
@@ -199,11 +201,39 @@ class TestPresets:
         arch = simba_like()
         assert arch.hierarchy[arch.pe_level_index()].name == "GlobalBuffer"
 
+    @staticmethod
+    def _below_global_buffer(arch, layer, spatial=None):
+        """Analysis of ``layer`` with its ``spatial`` factors at the global
+        buffer and every other loop just below it, so the global buffer
+        holds the whole tile."""
+        spatial = spatial or {}
+        gb = arch.hierarchy.index_of("GlobalBuffer")
+        temporal_factors = [{} for _ in range(arch.num_memory_levels)]
+        spatial_factors = [{} for _ in range(arch.num_memory_levels)]
+        temporal_factors[gb - 1] = {d: b for d, b in layer.bounds.items() if d not in spatial}
+        spatial_factors[gb] = spatial
+        return NestAnalysis(Mapping.from_factors(layer, temporal_factors, spatial_factors), arch)
+
     def test_capacity_in_words_respects_precision(self):
+        # 128 KiB holds 65536 one-byte words but only 43690 three-byte
+        # outputs: a 65536-output tile overflows the global buffer.
         arch = simba_like()
         gb = arch.hierarchy.index_of("GlobalBuffer")
-        assert arch.level_capacity_words(gb, TensorKind.OUTPUT) == 128 * 1024 / 3
-        assert arch.level_capacity_words(arch.hierarchy.dram_index, TensorKind.WEIGHT) == float("inf")
+        fits = self._below_global_buffer(arch, Layer(p=16, k=2048))
+        assert fits.tile_elements(TensorKind.OUTPUT, gb) == 32768
+        assert fits.buffer_violations() == []
+        overflows = self._below_global_buffer(arch, Layer(p=16, k=4096))
+        assert overflows.tile_elements(TensorKind.OUTPUT, gb) == 65536
+        # 65536 outputs at 3 B plus 16 one-byte inputs; DRAM never overflows.
+        assert overflows.buffer_violations() == [(gb, 3 * 65536 + 16, 128 * 1024)]
+
+    def test_global_buffer_fanout_replicates_the_levels_below(self):
+        arch = simba_like()
+        gb = arch.hierarchy.index_of("GlobalBuffer")
+        analysis = self._below_global_buffer(arch, Layer(k=16), spatial={"K": 16})
+        assert [analysis.active_instances(i) for i in range(arch.num_memory_levels)] == (
+            [16] * gb + [1, 1]
+        )
 
     def test_describe(self):
         assert "GlobalBuffer" in simba_like().describe()

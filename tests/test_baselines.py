@@ -157,11 +157,6 @@ class TestTimeloopHybridScheduler:
         ).schedule(MEDIUM_LAYER)
         assert energy_result.cost.energy <= latency_result.cost.energy * 1.001
 
-    def test_paper_settings_configuration(self):
-        scheduler = TimeloopHybridScheduler.paper_settings(ARCH)
-        assert scheduler.num_threads == 32
-        assert scheduler.termination_condition == 500
-
     def test_permutation_sweep_preserves_consistency(self):
         scheduler = TimeloopHybridScheduler(ARCH, num_threads=1, termination_condition=8,
                                             max_evaluations=40, seed=1)
@@ -174,7 +169,7 @@ class TestTVMLikeTuner:
         with pytest.raises(ValueError):
             TVMLikeTuner(ARCH, trials=0)
         with pytest.raises(ValueError):
-            TVMLikeTuner(ARCH, exploration=1.5)
+            TVMLikeTuner(ARCH, batch_size=0)
 
     def test_tunes_on_gpu_target(self):
         gpu = gpu_as_accelerator()

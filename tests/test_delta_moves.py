@@ -23,7 +23,7 @@ import pytest
 
 from repro.arch import architecture_presets, simba_like
 from repro.mapping import MapSpace, mapping_to_dict
-from repro.mapping.moves import FactorMove, MappingState, PermutationSwap, propose_move
+from repro.mapping.moves import FactorMove, PermutationSwap, propose_move
 from repro.model import CostModel
 from repro.model.batch import BatchCostModel
 from repro.model.delta import DeltaEvaluator
@@ -217,23 +217,14 @@ class TestMappingStateMechanics:
                     draws.materialize(index)
                 )
 
-    def test_from_mapping_round_trips(self):
-        rng = random.Random(8)
-        layer = layer_from_name("3_7_64_64_1")
-        mapping = MapSpace(layer, ARCH).random_mapping(rng)
-        state = MappingState.from_mapping(mapping)
-        assert mapping_to_dict(state.to_mapping()) == mapping_to_dict(mapping)
-
     def test_spatial_flip_and_move_classification(self):
         flip = FactorMove(
             dim="C", factor=2, src_level=1, src_spatial=False, dst_level=1, dst_spatial=True
         )
-        assert flip.is_spatial_flip
         assert flip.touches_temporal and flip.touches_spatial
         hop = FactorMove(
             dim="C", factor=2, src_level=0, src_spatial=False, dst_level=3, dst_spatial=False
         )
-        assert not hop.is_spatial_flip
         assert hop.touches_temporal and not hop.touches_spatial
 
     def test_apply_rejects_bad_factor_and_missing_entry(self):

@@ -40,6 +40,7 @@ from repro.fusion.schedule import (
 )
 from repro.mapping.mapping import Mapping
 from repro.mapping.space import MapSpace
+from repro.model.batch import MappingBatch
 from repro.model.fused import FusedCostModel
 from repro.model.fused_batch import (
     BatchFusedCostModel,
@@ -144,10 +145,14 @@ class TestBatchedParity:
         group = attention_block(seq=32, heads=2, head_dim=16)
         candidates = random_candidates(group, 4, seed=1)
         batch = FusedMappingBatch.from_candidates(group, candidates)
+        # Row i of operator j's batch packs exactly candidate i's mapping j.
         for i, candidate in enumerate(candidates):
-            assert [m.summary() for m in (b.mapping_at(i) for b in batch.batches)] == [
-                m.summary() for m in candidate
-            ]
+            for op_batch, mapping in zip(batch.batches, candidate, strict=True):
+                alone = MappingBatch.from_mappings([mapping])
+                for field in ("temporal", "spatial", "loop_level", "loop_dim", "loop_bound"):
+                    row = getattr(op_batch, field)[i]
+                    width = getattr(alone, field).shape[-1]
+                    assert (row[..., :width] == getattr(alone, field)[0]).all()
 
     def test_batch_guards(self):
         group = attention_block(seq=32, heads=2, head_dim=16)
@@ -175,16 +180,17 @@ class TestFrontierHelpers:
         assert all(30030 % d == 0 for d in large)
 
     def test_frontier_combos_sorted_and_thinned(self):
-        combos = _frontier_combos([12], [1], max_candidates=100)
+        combos = _frontier_combos([12], [1])
         assert combos == [(1,), (2,), (3,), (4,), (6,), (12,)]
-        combos = _frontier_combos([12], [3], max_candidates=100)
+        combos = _frontier_combos([12], [3])
         assert combos == [(3,), (4,), (6,), (12,)]  # frontier starts at 3
-        thinned = _frontier_combos([12], [1], max_candidates=3)
-        assert thinned[0] == (1,) and thinned[-1] == (12,)  # endpoints survive
-        assert len(thinned) == 3
-        assert _frontier_combos([12], [1], max_candidates=1) == [(1,)]
+        # 10! = 2^8 3^4 5^2 7 has 270 divisors, more than MAX_CANDIDATES
+        thinned = _frontier_combos([3628800], [1])
+        assert thinned[0] == (1,) and thinned[-1] == (3628800,)  # endpoints survive
+        assert len(thinned) == MAX_CANDIDATES
+        assert thinned == sorted(thinned)
         # two classes: sorted by total round count, ties by combo
-        combos = _frontier_combos([4, 4], [1, 1], max_candidates=100)
+        combos = _frontier_combos([4, 4], [1, 1])
         assert combos[0] == (1, 1) and combos[-1] == (4, 4)
         products = [a * b for a, b in combos]
         assert products == sorted(products)
@@ -278,7 +284,8 @@ class TestFrontierAlignment:
         group = attention_block(seq=32, heads=2, head_dim=16)
         engine, base_mappings = self._base(group)
         full = _align_group(engine, group, base_mappings, FusedCostModel(ARCH))
-        monkeypatch.setattr(fusion_schedule, "MAX_CANDIDATES", 1)
+        # The smallest cap the even thinning supports: the two endpoints.
+        monkeypatch.setattr(fusion_schedule, "MAX_CANDIDATES", 2)
         capped = _align_group(engine, group, base_mappings, FusedCostModel(ARCH))
         # the capped search sees a subset of the frontier: it can never beat
         # the full search

@@ -1,20 +1,18 @@
 """Unit tests for the mapping IR (loops, mappings, loop-nest rendering, map space)."""
 
 import random
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import simba_like
 from repro.mapping import LevelMapping, Loop, Mapping, MapSpace, render_loop_nest
-from repro.mapping.loopnest import nest_depth
 from repro.mapping.space import random_mapping
 from repro.workloads import Layer, layer_from_name
 from repro.workloads.layer import TensorKind
 from repro.workloads.problem import CONV7
-from repro.workloads.networks import listing1_layer
-from repro.workloads.prime import count_factorizations
+from repro.workloads.prime import prime_factor_multiset
 
 
 class TestLoop:
@@ -116,7 +114,8 @@ class TestMapping:
     def test_compact_drops_unit_loops(self):
         layer = Layer(p=2)
         mapping = Mapping.from_factors(layer, temporal_factors=[{"P": 2, "K": 1}, {}])
-        assert nest_depth(mapping.compact()) == 1
+        loops = [loop for level in mapping.compact().levels for loop in level.all_loops]
+        assert loops == [Loop("P", 2)]
 
     def test_summary_and_repr(self):
         text = _simple_mapping().summary()
@@ -125,7 +124,8 @@ class TestMapping:
 
 class TestLoopNestRendering:
     def test_listing1_style_output(self):
-        layer = listing1_layer()
+        # The small example layer of Listing 1.
+        layer = Layer(r=3, s=3, p=28, q=28, c=8, k=4, n=3, stride=1, name="listing1")
         mapping = Mapping.from_factors(
             layer,
             temporal_factors=[
@@ -193,7 +193,16 @@ class TestMapSpace:
         big_layer = layer_from_name("3_14_256_256_1")
         hierarchy = self.arch.hierarchy
         slots = self.arch.num_memory_levels + len(hierarchy.spatial_levels())
-        size = prod(count_factorizations(bound, slots) for bound in big_layer.bounds.values())
+
+        def ordered_splits(value):
+            # Stars and bars per prime: each prime's multiplicity spreads
+            # over the slots independently.
+            return prod(
+                comb(multiplicity + slots - 1, slots - 1)
+                for multiplicity in prime_factor_multiset(value).values()
+            )
+
+        size = prod(ordered_splits(bound) for bound in big_layer.bounds.values())
         assert size > 1e9
 
     def test_convenience_wrapper(self):

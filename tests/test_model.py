@@ -82,7 +82,8 @@ class TestBufferChecks:
     def test_small_mapping_fits(self):
         layer = Layer(p=4, q=4, c=4, k=4)
         mapping = make_mapping(layer, [{"P": 4, "Q": 4}, {"C": 4}, {"K": 4}])
-        assert NestAnalysis(mapping, ARCH).fits_buffers()
+        assert NestAnalysis(mapping, ARCH).buffer_violations() == []
+        assert CostModel(ARCH).evaluate(mapping).valid
 
     def test_oversized_accumulation_tile_is_rejected(self):
         # 64x64 outputs kept below the accumulation buffer (3 KB at 3 B each)
@@ -90,9 +91,9 @@ class TestBufferChecks:
         layer = Layer(p=64, q=64, c=1, k=1)
         mapping = make_mapping(layer, [{"P": 64, "Q": 64}])
         analysis = NestAnalysis(mapping, ARCH)
-        assert not analysis.fits_buffers()
         violated_levels = [v[0] for v in analysis.buffer_violations()]
         assert LEVEL["AccumulationBuffer"] in violated_levels
+        assert not CostModel(ARCH).evaluate(mapping).valid
 
 
 class TestRefetchFactors:

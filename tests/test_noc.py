@@ -74,18 +74,18 @@ class TestMesh:
         t_mc = with_mc.deliver(packet, 0.0)
         t_uc = without_mc.deliver(packet, 0.0)
         assert t_mc <= t_uc
-        assert with_mc.total_link_cycles() < without_mc.total_link_cycles()
+        # Unicasts queue 16 packets on the global buffer's injection link.
+        assert with_mc.max_link_busy_cycles() < without_mc.max_link_busy_cycles()
 
     def test_collection_packets_route_to_global_buffer(self):
         packet = Packet(TensorKind.OUTPUT, TrafficDirection.COLLECT, 32.0, (15,))
         completion = self.mesh.deliver(packet, 0.0)
         assert completion > 0
-        assert self.mesh.total_link_cycles() > 0
+        assert self.mesh.max_link_busy_cycles() > 0
 
     def test_reset_clears_state(self):
         self.mesh.deliver(Packet(TensorKind.WEIGHT, TrafficDirection.DISTRIBUTE, 64.0, (3,)), 0.0)
         self.mesh.reset()
-        assert self.mesh.total_link_cycles() == 0
         assert self.mesh.max_link_busy_cycles() == 0
 
 
@@ -103,9 +103,10 @@ class TestPacket:
 
 class TestDram:
     def test_service_time(self):
+        # An unloaded transfer takes latency plus bytes over bandwidth.
         dram = DramModel(bandwidth_bytes_per_cycle=8.0, latency_cycles=100)
-        assert dram.service_time(0) == 0
-        assert dram.service_time(800) == 100 + 100
+        assert dram.transfer(0, 5.0) == 5.0
+        assert dram.transfer(800, 5.0) == 5.0 + 100 + 100
 
     def test_back_to_back_requests_serialise(self):
         dram = DramModel(bandwidth_bytes_per_cycle=8.0, latency_cycles=10)
@@ -142,12 +143,12 @@ class TestTrafficGenerator:
     def test_round_count_matches_outer_loops(self):
         gen = self._generator()
         assert gen.total_rounds == 2  # single K loop of bound 2 at the GB level
-        rounds = list(gen.rounds())
+        rounds = list(gen.rounds(gen.total_rounds))
         assert len(rounds) == 2
 
     def test_first_round_transfers_everything(self):
         gen = self._generator()
-        first = next(gen.rounds())
+        first = next(gen.rounds(gen.total_rounds))
         tensors = {p.tensor for p in first.packets}
         assert TensorKind.WEIGHT in tensors
         assert TensorKind.INPUT in tensors
@@ -156,7 +157,7 @@ class TestTrafficGenerator:
         # K at the outer level is irrelevant to inputs, so inputs transfer
         # only in round 0; weights (K-relevant) transfer every round.
         gen = self._generator()
-        rounds = list(gen.rounds())
+        rounds = list(gen.rounds(gen.total_rounds))
         second = rounds[1]
         tensors = [p.tensor for p in second.packets if p.direction is TrafficDirection.DISTRIBUTE]
         assert TensorKind.WEIGHT in tensors
@@ -164,7 +165,7 @@ class TestTrafficGenerator:
 
     def test_outputs_collected_in_final_round(self):
         gen = self._generator()
-        rounds = list(gen.rounds())
+        rounds = list(gen.rounds(gen.total_rounds))
         collects = [
             p for p in rounds[-1].packets if p.direction is TrafficDirection.COLLECT
         ]

@@ -148,6 +148,19 @@ class TestCLIFacade:
         assert "engine.cache" in captured.err and "--store" in captured.err
         assert not outside.exists()
 
+    def test_run_rejects_an_option_the_scheduler_does_not_take(self, capsys, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "kind": "schedule",
+            "workload": {"layers": ["3_13_256_256_1"]},
+            "scheduler": {"name": "local-search", "options": {"moves_per_stpe": 4}},
+        }))
+        assert cli_main(["run", str(spec_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "'moves_per_stpe'" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_json_stdout_survives_native_writes_to_fd_1(self, capfd, monkeypatch):
         """HiGHS writes some diagnostics straight to fd 1 from C++; under
         ``--json`` stdout must still hold exactly one JSON document."""

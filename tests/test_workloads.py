@@ -1,5 +1,7 @@
 """Unit tests for the workload (layer / prime / networks) subpackage."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,7 +22,7 @@ from repro.workloads import (
 from repro.workloads.layer import DIMENSION_NAMES, conv_layer
 from repro.workloads.problem import CONV7
 from repro.workloads.networks import figure1_layer, figure3_layer, figure4_layer, figure8_layer
-from repro.workloads.prime import count_factorizations, product, random_factorization
+from repro.workloads.prime import product
 
 
 class TestFactorize:
@@ -64,17 +66,13 @@ class TestDivisorsAndFactorizations:
             assert len(parts) == 3
 
     def test_all_factorizations_count_matches_formula(self):
+        # Stars and bars per prime: C(multiplicity + parts - 1, parts - 1).
         for value in (1, 2, 12, 36, 64):
             for parts in (1, 2, 3, 4):
-                assert len(all_factorizations(value, parts)) == count_factorizations(value, parts)
-
-    @given(st.integers(min_value=1, max_value=512), st.integers(min_value=1, max_value=5))
-    def test_random_factorization_is_valid_split(self, value, parts):
-        import random
-
-        split = random_factorization(value, parts, random.Random(7))
-        assert len(split) == parts
-        assert product(split) == value
+                expected = 1
+                for multiplicity in prime_factor_multiset(value).values():
+                    expected *= comb(multiplicity + parts - 1, parts - 1)
+                assert len(all_factorizations(value, parts)) == expected
 
 
 class TestLayer:
@@ -121,8 +119,11 @@ class TestLayer:
         assert layer.stride == 2
 
     def test_fc_layer_detection(self):
-        assert layer_from_name("1_1_2048_1000_1").is_fully_connected
-        assert not layer_from_name("3_7_512_512_1").is_fully_connected
+        # An FC layer is a 1x1 convolution over a 1x1 output: only C and K exceed 1.
+        fc = layer_from_name("1_1_2048_1000_1")
+        assert {dim for dim, bound in fc.bounds.items() if bound > 1} == {"C", "K"}
+        conv = layer_from_name("3_7_512_512_1")
+        assert {dim for dim, bound in conv.bounds.items() if bound > 1} > {"C", "K"}
 
     @given(
         st.integers(min_value=1, max_value=7),
