@@ -168,6 +168,9 @@ class TestKnobValidation:
             {"init_samples": 0},
             {"metric": "throughput"},
         ],
+        # Each row keeps the id it had when the list also held the six DDFW
+        # values that are now module constants.
+        ids=["kwargs0", "kwargs1", "kwargs8"],
     )
     def test_bad_knobs_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
