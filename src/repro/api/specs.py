@@ -18,6 +18,7 @@ plugin is imported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -313,13 +314,61 @@ class PlatformSpec:
         return cls(name=data.get("name", "timeloop"), metric=data.get("metric", "latency"))
 
 
+def _legacy_values(*accepted, message: str):
+    """Check of a legacy engine key: ``accepted`` values pass, any other is
+    refused with ``message`` (formatted with ``value``)."""
+
+    def check(value) -> None:
+        _require(value in accepted, message.format(value=value))
+
+    return check
+
+
+#: Engine keys that specs, job records and fabric task files written by
+#: earlier versions still carry.  No run reads them: a value the key could
+#: take is checked, then dropped, so such a spec equals (and fingerprints
+#: like) the same spec without the key; any other value is refused.
+LEGACY_ENGINE_KEYS = {
+    # Per-layer solves moved from a cache file to a store's layer tier.
+    "cache": _legacy_values(
+        None,
+        message="engine.cache must be null, got {value!r}: per-layer solves are "
+        "reused through a result store (--store DIR on `repro "
+        "schedule|compare|suite`, or a service's store), not a cache file",
+    ),
+    # Every selectable evaluation backend was bit-identical.
+    "kernel_backend": _legacy_values(
+        None, "numpy", "numba", "off",
+        message="EngineSpec.kernel_backend must be one of ('numpy', 'numba', "
+        "'off'), got {value!r}",
+    ),
+    # Any positive integer: every scoring batch size of the search
+    # baselines gave the same outcome.
+    "batch_size": lambda value: _check_int(value, "EngineSpec.batch_size", minimum=1),
+    # The process pool gave the same mappings as the thread pool.
+    "executor": _legacy_values(
+        "thread", "process",
+        message="EngineSpec.executor must be one of ('thread', 'process'), got {value!r}",
+    ),
+    # Another frontier-candidate cap can change the fused groups' mappings,
+    # so only an empty (false) value or the fixed cap
+    # (:data:`repro.fusion.schedule.MAX_CANDIDATES`) passes.
+    "fusion_options": _legacy_values(
+        None, False, "", [], {}, {"max_candidates": 256},
+        message="engine.fusion_options must be {{}} or {{'max_candidates': 256}}, "
+        "got {value!r}: the fused alignment search's candidate cap is no "
+        "longer settable",
+    ),
+}
+
+
 @dataclass(frozen=True)
 class EngineSpec:
     """Engine knobs: parallelism and time budget.
 
-    Serialized specs carry ``"cache": null``, ``"batch_size": 64`` and
-    ``"executor": "thread"`` so stored specs keep their bytes and
-    fingerprints.
+    A spec serializes only what a run reads.  ``jobs`` cannot change the
+    result, so the store's spec fingerprint leaves it out; keys that earlier
+    versions wrote are accepted through :data:`LEGACY_ENGINE_KEYS` and dropped.
     """
 
     jobs: int = 1
@@ -329,74 +378,23 @@ class EngineSpec:
         _check_int(self.jobs, "EngineSpec.jobs", minimum=1)
         if self.time_budget is not None:
             _require(
-                isinstance(self.time_budget, (int, float)) and self.time_budget >= 0,
-                f"EngineSpec.time_budget must be a non-negative number, got {self.time_budget!r}",
+                isinstance(self.time_budget, (int, float))
+                and not isinstance(self.time_budget, bool)
+                and math.isfinite(self.time_budget)
+                and self.time_budget >= 0,
+                "EngineSpec.time_budget must be a finite non-negative number, "
+                f"got {self.time_budget!r}",
             )
 
     def to_dict(self) -> dict:
-        return {
-            "jobs": self.jobs,
-            "cache": None,
-            "batch_size": 64,
-            "time_budget": self.time_budget,
-            "executor": "thread",
-        }
+        return {"jobs": self.jobs, "time_budget": self.time_budget}
 
     @classmethod
     def from_dict(cls, data) -> "EngineSpec":
-        _require_keys(
-            data,
-            (
-                "jobs",
-                "cache",
-                "batch_size",
-                "time_budget",
-                "executor",
-                "kernel_backend",
-                "fusion_options",
-            ),
-            "EngineSpec",
-        )
-        _require(
-            data.get("cache") is None,
-            f"engine.cache must be null, got {data.get('cache')!r}: per-layer "
-            "solves are reused through a result store (--store DIR on `repro "
-            "schedule|compare|suite`, or a service's store), not a cache file",
-        )
-        # Legacy key: specs, job records and fabric task files written while
-        # the engine had a selectable evaluation backend still carry it.
-        # Every backend was bit-identical, so the value is checked and dropped.
-        legacy_backends = (None, "numpy", "numba", "off")
-        _require(
-            data.get("kernel_backend") in legacy_backends,
-            f"EngineSpec.kernel_backend must be one of {legacy_backends[1:]}, "
-            f"got {data.get('kernel_backend')!r}",
-        )
-        # Legacy key: the search baselines once had a selectable scoring
-        # batch size.  Every size gave the same outcome, so the value is
-        # checked and dropped.
-        _check_int(data.get("batch_size", 64), "EngineSpec.batch_size", minimum=1)
-        # Legacy key: the engine once offered a process pool beside its
-        # thread pool.  Both gave the same mappings, so the value is checked
-        # and dropped.
-        legacy_executors = ("thread", "process")
-        _require(
-            data.get("executor", "thread") in legacy_executors,
-            f"EngineSpec.executor must be one of {legacy_executors}, "
-            f"got {data.get('executor')!r}",
-        )
-        # Legacy key: the fused alignment search once had a settable
-        # frontier-candidate cap.  Another cap can change the fused groups'
-        # mappings, so only the fixed one
-        # (:data:`repro.fusion.schedule.MAX_CANDIDATES`) is accepted, then
-        # dropped.
-        legacy_fusion = data.get("fusion_options") or {}
-        _require(
-            legacy_fusion in ({}, {"max_candidates": 256}),
-            f"engine.fusion_options must be {{}} or {{'max_candidates': 256}}, "
-            f"got {legacy_fusion!r}: the fused alignment search's candidate cap "
-            "is no longer settable",
-        )
+        _require_keys(data, ("jobs", "time_budget", *LEGACY_ENGINE_KEYS), "EngineSpec")
+        for key, check in LEGACY_ENGINE_KEYS.items():
+            if key in data:
+                check(data[key])
         return cls(jobs=data.get("jobs", 1), time_budget=data.get("time_budget"))
 
 

@@ -15,11 +15,11 @@ depend on what the store held when it ran.
 * Envelopes are the plain v1 :meth:`~repro.api.result.RunResult.to_dict`
   JSON — the store adds no wrapper, so a stored file round-trips through
   ``RunResult.from_json`` and is byte-for-byte what ``run()`` produced.
-* The key (:func:`spec_fingerprint`) hashes the *result-determining* part of
-  the spec: the execution-only ``jobs`` is excluded, so a 1-job and an
-  8-job run of the same experiment share one entry, while everything that
-  can change the payload (kind, axes, seed, options, fusion options and
-  time budget) splits entries.
+* The key (:func:`spec_fingerprint`) hashes everything a spec serializes
+  except ``engine.jobs``, which cannot change the payload: a 1-job and an
+  8-job run of the same experiment share one entry, while kind, axes, seed,
+  options and time budget split entries.  A spec serializes only what a run
+  reads, so no other key needs filtering.
 * Writes go through :func:`repro.io_utils.atomic_write_json`, so concurrent
   services sharing one store directory never tear an entry.
 
@@ -86,13 +86,6 @@ from repro.engine.outcome import ScheduleOutcome
 from repro.io_utils import append_bytes, atomic_write_json, read_ndjson
 from repro.mapping.serialize import mapping_from_dict, mapping_to_dict
 
-#: ``EngineSpec`` keys that steer execution but cannot change the payload
-#: (see the determinism notes in :mod:`repro.engine.engine`); they are
-#: excluded from the spec fingerprint.  ``cache`` is always ``null`` and
-#: the legacy ``executor`` always ``"thread"``; excluding them keeps
-#: historic fingerprints.
-EXECUTION_ONLY_ENGINE_KEYS = ("jobs", "executor", "cache")
-
 #: Fingerprint-prefix characters used as the shard directory name.  Two hex
 #: chars give 256 shards.
 SHARD_DEPTH = 2
@@ -102,13 +95,9 @@ WARM_CAPACITY = 128
 
 
 def spec_fingerprint(spec: RunSpec) -> str:
-    """Content hash of the result-determining part of ``spec``."""
+    """Content hash of ``spec``: every serialized key except ``engine.jobs``."""
     payload = spec.to_dict()
-    payload["engine"] = {
-        key: value
-        for key, value in payload["engine"].items()
-        if key not in EXECUTION_ONLY_ENGINE_KEYS
-    }
+    del payload["engine"]["jobs"]
     return stable_digest(payload)
 
 

@@ -39,8 +39,6 @@ from repro.workloads.problem import (
 )
 from repro.workloads.prime import (
     factorize,
-    prime_factor_multiset,
-    all_factorizations,
     divisors,
 )
 from repro.workloads.networks import (
@@ -70,8 +68,6 @@ __all__ = [
     "get_problem",
     "available_problems",
     "factorize",
-    "prime_factor_multiset",
-    "all_factorizations",
     "divisors",
     "alexnet_layers",
     "resnet50_layers",

@@ -135,44 +135,21 @@ class TestSpecParsing:
         spec = RunSpec.from_dict(payload)
         restored = RunSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert restored == spec
-        # Specs stored while the engine had a selectable evaluation backend
-        # still parse: the legacy key is checked, then dropped.
-        for backend in ("numpy", "numba", "off"):
-            legacy = RunSpec.from_dict(
-                {**payload, "engine": {**payload["engine"], "kernel_backend": backend}}
-            )
-            assert legacy == spec
-            assert "kernel_backend" not in legacy.to_dict()["engine"]
-            assert spec_fingerprint(legacy) == spec_fingerprint(spec)
-        with pytest.raises(ValueError, match="kernel_backend must be one of"):
-            RunSpec.from_dict(
-                {**payload, "engine": {**payload["engine"], "kernel_backend": "cuda"}}
-            )
 
-    def test_legacy_batch_size_is_checked_then_dropped(self):
-        # Specs written while the search baselines had a selectable scoring
-        # batch size still parse and share the default spec's fingerprint.
-        base = {"kind": "schedule", "workload": {"layers": ["3_4_8_16_1"]}}
-        legacy = RunSpec.from_dict({**base, "engine": {"batch_size": 16}})
-        default = RunSpec.from_dict(base)
-        assert legacy == default
-        assert legacy.to_dict()["engine"]["batch_size"] == 64
-        assert spec_fingerprint(legacy) == spec_fingerprint(default)
-        for bad in (0, -1, 1.5, True):
-            with pytest.raises(ValueError, match="EngineSpec.batch_size"):
-                RunSpec.from_dict({**base, "engine": {"batch_size": bad}})
-
-    def test_legacy_executor_is_checked_then_dropped(self):
-        # Specs written while the engine offered a process pool still parse
-        # and share the default spec's fingerprint.
-        base = {"kind": "schedule", "workload": {"layers": ["3_4_8_16_1"]}}
-        legacy = RunSpec.from_dict({**base, "engine": {"executor": "process"}})
-        default = RunSpec.from_dict(base)
-        assert legacy == default
-        assert legacy.to_dict()["engine"]["executor"] == "thread"
-        assert spec_fingerprint(legacy) == spec_fingerprint(default)
-        with pytest.raises(ValueError, match="EngineSpec.executor must be one of"):
-            RunSpec.from_dict({**base, "engine": {"executor": "fiber"}})
+    @pytest.mark.parametrize(
+        "text",
+        ["true", "false", "Infinity", "-Infinity", "NaN"],
+    )
+    def test_time_budget_refuses_bools_and_non_finite_numbers(self, text):
+        # json.loads takes the non-standard Infinity/NaN tokens, as spec
+        # files read with json.load do; echoing them back would write JSON
+        # that strict parsers reject.
+        payload = json.loads(
+            '{"kind": "schedule", "workload": {"layers": ["3_4_8_16_1"]},'
+            f' "engine": {{"time_budget": {text}}}}}'
+        )
+        with pytest.raises(ValueError, match=r"^EngineSpec\.time_budget must be"):
+            RunSpec.from_dict(payload)
 
     def test_unknown_top_level_key_lists_allowed(self):
         with pytest.raises(ValueError, match=r"'schedulers'.*allowed keys.*scheduler"):
@@ -404,3 +381,157 @@ class TestRejectedSchedulerOptions:
             job = service.submit(self._spec("tvm", "exploration"))
             with pytest.raises(ValueError, match="does not take option"):
                 job.result(timeout=60)
+
+
+_CACHE_HINT = (
+    ": per-layer solves are reused through a result store (--store DIR on "
+    "`repro schedule|compare|suite`, or a service's store), not a cache file"
+)
+_CAP_HINT = ": the fused alignment search's candidate cap is no longer settable"
+_CAP = "engine.fusion_options must be {} or {'max_candidates': 256}, got "
+
+#: Every legacy engine key: values it still takes, and values it refuses
+#: with the message each refusal carries, word for word.
+LEGACY_ENGINE_VALUES = {
+    "cache": (
+        [None],
+        [
+            ("mappings.json", f"engine.cache must be null, got 'mappings.json'{_CACHE_HINT}"),
+            ("", f"engine.cache must be null, got ''{_CACHE_HINT}"),
+        ],
+    ),
+    "kernel_backend": (
+        [None, "numpy", "numba", "off"],
+        [
+            ("cuda", "EngineSpec.kernel_backend must be one of ('numpy', 'numba', "
+             "'off'), got 'cuda'"),
+        ],
+    ),
+    "batch_size": (
+        [1, 16, 64],
+        [
+            (0, "EngineSpec.batch_size must be >= 1, got 0"),
+            (-1, "EngineSpec.batch_size must be >= 1, got -1"),
+            (1.5, "EngineSpec.batch_size must be an integer, got 1.5"),
+            (True, "EngineSpec.batch_size must be an integer, got True"),
+            (None, "EngineSpec.batch_size must be an integer, got None"),
+        ],
+    ),
+    "executor": (
+        ["thread", "process"],
+        [
+            ("fiber", "EngineSpec.executor must be one of ('thread', 'process'), "
+             "got 'fiber'"),
+            (None, "EngineSpec.executor must be one of ('thread', 'process'), got None"),
+        ],
+    ),
+    "fusion_options": (
+        [None, False, 0, "", [], {}, {"max_candidates": 256}],
+        [
+            ({"max_candidates": 1}, _CAP + "{'max_candidates': 1}" + _CAP_HINT),
+            ({"max_candidates": 0}, _CAP + "{'max_candidates': 0}" + _CAP_HINT),
+            ({"bogus": 1}, _CAP + "{'bogus': 1}" + _CAP_HINT),
+        ],
+    ),
+}
+
+
+def _legacy_id(key, value) -> str:
+    shown = value if isinstance(value, str) else json.dumps(value, separators=(",", ":"))
+    return f"{key}-{shown}"
+
+
+ACCEPTED_LEGACY = [
+    pytest.param(key, value, id=_legacy_id(key, value))
+    for key, (accepted, _) in LEGACY_ENGINE_VALUES.items()
+    for value in accepted
+]
+REFUSED_LEGACY = [
+    pytest.param(key, value, message, id=_legacy_id(key, value))
+    for key, (_, refused) in LEGACY_ENGINE_VALUES.items()
+    for value, message in refused
+]
+
+#: Every legacy key at an accepted value, as records written before the keys
+#: were dropped carry them.
+EVERY_LEGACY_KEY = {
+    "jobs": 1,
+    "cache": None,
+    "batch_size": 64,
+    "time_budget": None,
+    "executor": "thread",
+    "kernel_backend": "numpy",
+    "fusion_options": {},
+}
+LEGACY_BASE = {
+    "kind": "schedule",
+    "workload": {"layers": ["3_4_8_16_1"]},
+    "scheduler": {"name": "random", "options": {"num_valid": 2}},
+}
+
+
+class TestLegacyEngineKeys:
+    """A legacy engine key at a value it could take is dropped, so the spec
+    equals and fingerprints like the spec without it; any other value is
+    refused with the message it always had."""
+
+    def test_every_table_row_is_covered(self):
+        from repro.api.specs import LEGACY_ENGINE_KEYS
+
+        assert set(LEGACY_ENGINE_VALUES) == set(LEGACY_ENGINE_KEYS)
+
+    @pytest.mark.parametrize("key,value", ACCEPTED_LEGACY)
+    def test_accepted_value_is_dropped(self, key, value):
+        legacy = RunSpec.from_dict({**LEGACY_BASE, "engine": {key: value}})
+        plain = RunSpec.from_dict(LEGACY_BASE)
+        assert legacy == plain
+        assert legacy.to_dict()["engine"] == {"jobs": 1, "time_budget": None}
+        assert spec_fingerprint(legacy) == spec_fingerprint(plain)
+
+    @pytest.mark.parametrize("key,value,message", REFUSED_LEGACY)
+    def test_refused_value_keeps_its_message(self, key, value, message):
+        with pytest.raises(ValueError) as excinfo:
+            RunSpec.from_dict({**LEGACY_BASE, "engine": {key: value}})
+        assert str(excinfo.value) == message
+
+    def test_spec_with_every_legacy_key_runs_like_the_plain_spec(self):
+        result = run(RunSpec.from_dict({**LEGACY_BASE, "engine": EVERY_LEGACY_KEY}))
+        assert result.spec == RunSpec.from_dict(LEGACY_BASE)
+        assert result.data["succeeded"] is True
+        assert result.to_dict()["spec"]["engine"] == {"jobs": 1, "time_budget": None}
+
+    def test_record_filed_under_its_old_fingerprint_still_serves(self, tmp_path, capsys):
+        from repro.api.service import JobState, job_record
+        from repro.api.store import ResultStore
+        from repro.cli import main as cli_main
+        from repro.digest import stable_digest
+
+        # Write the envelope and job record as they were written while specs
+        # serialized the legacy keys and the fingerprint hashed `batch_size`
+        # and `time_budget` of the engine.
+        envelope = run(RunSpec.from_dict(LEGACY_BASE)).to_dict()
+        envelope["spec"]["engine"] = dict(EVERY_LEGACY_KEY)
+        del envelope["spec"]["engine"]["kernel_backend"]
+        del envelope["spec"]["engine"]["fusion_options"]
+        old_fingerprint = stable_digest(
+            {**envelope["spec"], "engine": {"batch_size": 64, "time_budget": None}}
+        )
+        assert old_fingerprint == (
+            "83e71406438efa1b924055b25bc2b5911606c89f4b4c3ed331eea6e9519ee07f"
+        )
+        assert old_fingerprint != spec_fingerprint(RunSpec.from_dict(LEGACY_BASE))
+        store = ResultStore(tmp_path / "store")
+        path = store.result_path(old_fingerprint)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(envelope))
+        job_id = store.record_job(
+            job_record(None, JobState.DONE, envelope["spec"], old_fingerprint, "interactive")
+        )
+
+        record = store.load_job(job_id)
+        stored = store.load(record["spec_fingerprint"])
+        assert stored == RunResult.from_dict(envelope)
+        assert cli_main(["result", job_id, "--store", str(tmp_path / "store")]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == stored.to_dict()
+        assert printed["data"] == envelope["data"]

@@ -333,5 +333,5 @@ class TestEngineSpecFusionOptions:
         )
         assert legacy == plain
         assert spec_fingerprint(legacy) == (
-            "8fd028b89ab50f619cba382da3706563732a8a895f3c89f274ab22dda7269add"
+            "ca1b27c22e44df693b46ed84d274fdd2042f35f4a3bb14f4ebc9c925dbfb0366"
         )

@@ -13,9 +13,9 @@ Four layers of contract:
   worse than random search on a spread of ResNet-50 layers (and strictly
   better on some).
 * **Store identity** — legacy specs that still carry the removed
-  ``engine.kernel_backend`` key parse, drop it, and share the spec
-  fingerprint (and therefore the result-store entry) of the same spec
-  without it.
+  ``engine.kernel_backend`` key share the result-store entry of the same
+  spec without it (the key's parsing is covered with the other legacy
+  engine keys in ``test_api.py``).
 """
 
 import pytest
@@ -26,7 +26,6 @@ from repro.api import (
     SchedulingService,
     run,
     schedulers,
-    spec_fingerprint,
 )
 from repro.api.store import ResultStore
 from repro.arch import simba_like
@@ -78,14 +77,6 @@ class TestEndToEnd:
         assert result.data["succeeded"] is True
         assert result.data["outcomes"][0]["scheduler"] == "local-search"
 
-    def test_legacy_kernel_backend_spec_still_runs(self):
-        spec = RunSpec.from_dict(
-            {**LOCAL_SEARCH_SPEC, "engine": {"kernel_backend": "numpy"}}
-        )
-        result = run(spec)
-        assert result.data["succeeded"] is True
-        assert not hasattr(result.artifacts["scheduler"], "kernel_backend")
-
 
 class TestOutcomeInvariance:
     def test_matches_the_scalar_reference(self):
@@ -131,17 +122,6 @@ class TestSpecAndStoreIdentity:
         assert "kernel_backend" not in legacy.to_dict()
         with pytest.raises(ValueError, match="kernel_backend must be one of"):
             EngineSpec.from_dict({"kernel_backend": "cuda"})
-
-    def test_spec_fingerprint_ignores_kernel_backend(self):
-        base = RunSpec.from_dict(LOCAL_SEARCH_SPEC)
-        numpy_spec = RunSpec.from_dict(
-            {**LOCAL_SEARCH_SPEC, "engine": {"kernel_backend": "numpy"}}
-        )
-        numba_spec = RunSpec.from_dict(
-            {**LOCAL_SEARCH_SPEC, "engine": {"kernel_backend": "numba"}}
-        )
-        assert spec_fingerprint(base) == spec_fingerprint(numpy_spec)
-        assert spec_fingerprint(base) == spec_fingerprint(numba_spec)
 
     def test_backend_switch_is_a_store_hit(self, tmp_path):
         store = ResultStore(tmp_path / "store")

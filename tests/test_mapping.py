@@ -1,6 +1,7 @@
 """Unit tests for the mapping IR (loops, mappings, loop-nest rendering, map space)."""
 
 import random
+from collections import Counter
 from math import comb, prod
 
 import pytest
@@ -12,7 +13,7 @@ from repro.mapping.space import random_mapping
 from repro.workloads import Layer, layer_from_name
 from repro.workloads.layer import TensorKind
 from repro.workloads.problem import CONV7
-from repro.workloads.prime import prime_factor_multiset
+from repro.workloads.prime import factorize
 
 
 class TestLoop:
@@ -199,7 +200,7 @@ class TestMapSpace:
             # over the slots independently.
             return prod(
                 comb(multiplicity + slots - 1, slots - 1)
-                for multiplicity in prime_factor_multiset(value).values()
+                for multiplicity in Counter(factorize(value)).values()
             )
 
         size = prod(ordered_splits(bound) for bound in big_layer.bounds.values())

@@ -120,6 +120,15 @@ class TestCLIFacade:
         assert excinfo.value.code == 2
         assert "--batch-size" in capsys.readouterr().err
 
+    def test_infinite_time_budget_exits_1_with_one_error_line(self, capsys):
+        args = ["schedule", "3_13_256_256_1", "--scheduler", "random", "--time-budget", "inf"]
+        assert cli_main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: EngineSpec.time_budget must be a finite non-negative number, got inf\n"
+        )
+
     def test_schedule_accepts_cache_and_jobs(self, capsys, tmp_path):
         store_dir = tmp_path / "store"
         args = ["schedule", "3_13_256_256_1", "--scheduler", "random",

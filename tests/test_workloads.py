@@ -1,6 +1,7 @@
 """Unit tests for the workload (layer / prime / networks) subpackage."""
 
-from math import comb
+from collections import Counter
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,13 +9,11 @@ from hypothesis import given, strategies as st
 from repro.workloads import (
     Layer,
     TensorKind,
-    all_factorizations,
     alexnet_layers,
     deepbench_layers,
     divisors,
     factorize,
     layer_from_name,
-    prime_factor_multiset,
     resnet50_layers,
     resnext50_layers,
     workload_suite,
@@ -22,7 +21,6 @@ from repro.workloads import (
 from repro.workloads.layer import DIMENSION_NAMES, conv_layer
 from repro.workloads.problem import CONV7
 from repro.workloads.networks import figure1_layer, figure3_layer, figure4_layer, figure8_layer
-from repro.workloads.prime import product
 
 
 class TestFactorize:
@@ -41,7 +39,7 @@ class TestFactorize:
 
     @given(st.integers(min_value=1, max_value=100_000))
     def test_product_of_factors_reconstructs_value(self, value):
-        assert product(factorize(value)) == value
+        assert prod(factorize(value)) == value
 
     @given(st.integers(min_value=2, max_value=100_000))
     def test_factors_are_prime(self, value):
@@ -50,8 +48,8 @@ class TestFactorize:
             assert all(factor % d != 0 for d in range(2, int(factor**0.5) + 1))
 
     def test_multiset(self):
-        assert prime_factor_multiset(360) == {2: 3, 3: 2, 5: 1}
-        assert prime_factor_multiset(1) == {}
+        assert Counter(factorize(360)) == {2: 3, 3: 2, 5: 1}
+        assert Counter(factorize(1)) == {}
 
 
 class TestDivisorsAndFactorizations:
@@ -59,20 +57,6 @@ class TestDivisorsAndFactorizations:
         assert divisors(1) == (1,)
         assert divisors(12) == (1, 2, 3, 4, 6, 12)
         assert divisors(97) == (1, 97)
-
-    def test_all_factorizations_cover_value(self):
-        for parts in all_factorizations(24, 3):
-            assert product(parts) == 24
-            assert len(parts) == 3
-
-    def test_all_factorizations_count_matches_formula(self):
-        # Stars and bars per prime: C(multiplicity + parts - 1, parts - 1).
-        for value in (1, 2, 12, 36, 64):
-            for parts in (1, 2, 3, 4):
-                expected = 1
-                for multiplicity in prime_factor_multiset(value).values():
-                    expected *= comb(multiplicity + parts - 1, parts - 1)
-                assert len(all_factorizations(value, parts)) == expected
 
 
 class TestLayer:
@@ -109,7 +93,7 @@ class TestLayer:
         layer = layer_from_name("3_14_256_256_1")
         factors = layer.prime_factors()
         for dim, bound in layer.bounds.items():
-            assert product(factors[dim]) == bound
+            assert prod(factors[dim]) == bound
 
     def test_canonical_name_roundtrip(self):
         layer = layer_from_name("3_7_512_512_2")
