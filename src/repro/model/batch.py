@@ -17,9 +17,12 @@ operations instead:
   existing mappings.
 * :class:`BatchCostModel` — validates and evaluates every candidate of a
   batch at once, producing per-candidate ``valid``/``latency``/``energy``
-  arrays.  Architecture constants are bound at construction; problem tables
-  and per-layer constants are cached on the instance, so a search that
-  evaluates thousands of batches of one layer pays for them once.
+  arrays plus the unmasked values and violation totals local search reads.
+  Architecture constants and the index arrays of the boundary flows are
+  bound at construction; problem tables and per-layer constants are cached
+  on the instance, so a search that evaluates thousands of batches of one
+  layer pays for them once, and a call runs a fixed number of array
+  operations however many flows, walks and levels the architecture has.
 
 Equivalence with the scalar model
 ---------------------------------
@@ -28,14 +31,13 @@ the same equations over a batch axis and mirrors the scalar code's exact
 floating-point expression structure (association order of products, order of
 accumulation over boundary flows, tensors and levels) so results agree
 bit-for-bit wherever intermediate values are exactly representable, and to
-within 1e-9 relative everywhere else.  Three reductions are fused rather
-than written as Python loops, each provably bit-equal to the sequential
-scalar walk: the stationarity product (``multiply.reduce`` traverses the
-loop axis in order and every intermediate is an exact integer), the
-per-level latency maximum (``max`` is order-invariant over identical
-quotients) and the per-level access sum (numpy reduces the length-3 tensor
-axis sequentially).  ``tests/test_batch_parity.py`` locks the two paths
-together; ``docs/cost_model.md`` maps every scalar method to its vectorized
+within 1e-9 relative everywhere else.  Products of factors (footprints,
+tiles, instance counts, lanes, re-fetch factors) are exact integers, so any
+association gives the scalar's value; the per-level latency maximum is
+order-invariant over identical quotients; and every ``+=`` walk of the
+scalar code is one left-to-right add per term (:func:`_fold`).
+``tests/test_batch_parity.py`` locks the two paths together;
+``docs/cost_model.md`` maps every scalar method to its vectorized
 counterpart.
 """
 
@@ -49,7 +51,7 @@ import numpy as np
 from repro.arch.accelerator import Accelerator
 from repro.mapping.mapping import Mapping
 from repro.workloads.layer import Layer, TensorKind
-from repro.workloads.problem import TensorProblem
+from repro.workloads.problem import TensorProblem, Window
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mapping.space import MappingDraws
@@ -140,14 +142,14 @@ class MappingBatch:
         the (candidate, position, level) index columns are pure arithmetic
         over the per-(candidate, level) loop counts — only the dimension ids
         and bounds need the Python walk, which runs once per loop and keeps
-        its body to two appends.  ``merged`` candidates (sampled draws) hold
-        at most one loop per (level, dim), so the factor matrices take a
-        plain assignment; otherwise repeated dims multiply in loop order.
+        its body to two appends.  ``merged`` candidates (sampled draws and
+        local-search states) hold at most one loop per (level, dim), so the
+        factor matrices take a plain assignment; otherwise repeated dims
+        multiply in loop order.
         """
         size = len(temporal_loops)
         dim_index = {dim: i for i, dim in enumerate(layer.problem.dims)}
         L, D = num_levels, len(dim_index)
-        level_ids = np.tile(np.arange(L, dtype=np.int64), size)
 
         def flatten(candidates):
             counts: list[int] = []
@@ -161,84 +163,153 @@ class MappingBatch:
                         add_dim(dim_index[dim])
                         add_bound(bound)
             counts_arr = np.array(counts, dtype=np.int64)
-            per_candidate = counts_arr.reshape(size, L).sum(axis=1)
-            rows = np.repeat(np.arange(size, dtype=np.int64), per_candidate)
-            levels_of = np.repeat(level_ids, counts_arr)
+            # The (candidate * L + level) cell of every loop.
+            cells = np.arange(size * L, dtype=np.int64).repeat(counts_arr)
             return (
-                per_candidate,
-                rows,
-                levels_of,
+                counts_arr,
+                cells,
                 np.array(dims, dtype=np.int64),
                 np.array(bounds, dtype=np.float64),
             )
 
-        def scatter(factors, rows, levels_of, dims, bounds):
+        def scatter(factors, cells, dims, bounds):
+            index = cells * D + dims
             if merged:
-                factors[rows, levels_of, dims] = bounds
+                factors.put(index, bounds)
             else:
-                np.multiply.at(factors, (rows, levels_of, dims), bounds)
+                np.multiply.at(factors.reshape(-1), index, bounds)
 
-        t_per, t_rows, t_levels, t_dims, t_bounds = flatten(temporal_loops)
-        max_loops = max(int(t_per.max(initial=0)), 1)
+        t_counts, t_cells, t_dims, t_bounds = flatten(temporal_loops)
+        per_candidate = t_counts.reshape(size, L).sum(axis=1)
+        max_loops = max(int(per_candidate.max(initial=0)), 1)
         tf = np.ones((size, L, D), dtype=np.float64)
         sf = np.ones((size, L, D), dtype=np.float64)
         loop_level = np.full((size, max_loops), PAD, dtype=np.int64)
         loop_dim = np.full((size, max_loops), PAD, dtype=np.int64)
         loop_bound = np.ones((size, max_loops), dtype=np.float64)
         if len(t_dims):
-            starts = np.concatenate([[0], np.cumsum(t_per)[:-1]])
-            cols = np.arange(len(t_rows), dtype=np.int64) - np.repeat(starts, t_per)
-            scatter(tf, t_rows, t_levels, t_dims, t_bounds)
-            loop_level[t_rows, cols] = t_levels
-            loop_dim[t_rows, cols] = t_dims
-            loop_bound[t_rows, cols] = t_bounds
-        _, s_rows, s_levels, s_dims, s_bounds = flatten(spatial_loops)
+            rows = t_cells // L
+            # Loop i of the flat list sits at position i - (loops before its
+            # candidate) of its candidate's row.
+            shift = rows * max_loops - (per_candidate.cumsum() - per_candidate)[rows]
+            slots = np.arange(len(t_cells), dtype=np.int64) + shift
+            scatter(tf, t_cells, t_dims, t_bounds)
+            loop_level.put(slots, t_cells % L)
+            loop_dim.put(slots, t_dims)
+            loop_bound.put(slots, t_bounds)
+        _, s_cells, s_dims, s_bounds = flatten(spatial_loops)
         if len(s_dims):
-            scatter(sf, s_rows, s_levels, s_dims, s_bounds)
+            scatter(sf, s_cells, s_dims, s_bounds)
         return cls(layer, tf, sf, loop_level, loop_dim, loop_bound)
 
 
-class _ProblemTables:
-    """Problem-dependent constants of the vectorized model.
+def _fold(terms):
+    """Sum ``terms`` over its first axis left to right, as the scalar ``+=`` walks do.
 
-    Built once per layer and cached on the :class:`BatchCostModel`: the
-    dimension index of the factor
-    matrices, the ``bool[D, T]`` relevance matrix derived from the projection
-    tables, the per-tensor irrelevant-dimension masks used by the multicast /
-    spatial-reduction factors, and the ``bool[D]`` reduction-dimension mask.
+    One add per term, so the order is fixed whatever the axis length
+    (``sum`` is pairwise on long axes), and each add is one vector op over
+    the remaining axes.
+    """
+    total = terms[0]
+    for k in range(1, len(terms)):
+        total = total + terms[k]
+    return total
+
+
+def _padded(rows: list[list[int]], pad: int) -> "np.ndarray":
+    """``int64[len(rows), width]`` with each row right-padded with ``pad``."""
+    width = max(1, max((len(row) for row in rows), default=0))
+    return np.array([row + [pad] * (width - len(row)) for row in rows], dtype=np.int64)
+
+
+class _ProblemTables:
+    """Problem-dependent index tables of the vectorized model.
+
+    Built once per layer and cached on the :class:`BatchCostModel`, for its
+    architecture's boundary flows ``f`` (``BatchCostModel._flow_pairs``):
+
+    * ``walk_rel[d, w]``: dimension ``d`` is relevant to stationarity walk
+      ``w``.  Walk ``f < F`` follows the tensor of flow ``f`` (its re-fetch
+      factor); walk ``F + f`` follows the output from the child of flow
+      ``f`` (its pending reduction), and is empty unless ``f`` is an output
+      flow.  ``is_reduction[d]`` marks the reduction dimensions.  Both have
+      one extra ``False`` row last, so a loop array's ``PAD`` (-1) reads as
+      an irrelevant, non-reduction dimension.
+    * ``lane_index[k, f]``: the rows of the flattened ``[L * D]`` spatial
+      factors whose product is flow ``f``'s multicast / spatial-reduction
+      lane count (the tensor-irrelevant dimensions at levels
+      ``(child, parent]``), padded with row ``L * D``, a one.
+    * ``window_outer`` / ``window_inner`` and ``term_index[k, t]``: the
+      projection programs.  Tile ``t`` is the product, in projection order,
+      of the extent rows ``term_index[:, t]`` names: the ``D`` footprints,
+      then one row per distinct ``Window`` term, then a row of ones that
+      pads the shorter programs.
     """
 
-    def __init__(self, problem: TensorProblem):
+    def __init__(self, problem: TensorProblem, model: "BatchCostModel"):
         self.problem = problem
         self.dims = problem.dims
         self.dim_index = {dim: i for i, dim in enumerate(problem.dims)}
-        rel = np.zeros((len(problem.dims), len(TensorKind)), dtype=bool)
-        for dim in problem.dims:
+        D, L = len(problem.dims), model.num_levels
+        rel = np.zeros((D + 1, len(TensorKind)), dtype=bool)
+        for dim, i in self.dim_index.items():
             for tensor in TensorKind:
-                rel[self.dim_index[dim], int(tensor)] = problem.relevance(dim, tensor)
-        self.rel = rel
-        self.irrelevant_dims = {tensor: ~rel[:, int(tensor)] for tensor in TensorKind}
-        self.is_reduction_dim = np.zeros(len(problem.dims), dtype=bool)
-        self.is_reduction_dim[[self.dim_index[dim] for dim in problem.reduction_dims]] = True
+                rel[i, int(tensor)] = problem.relevance(dim, tensor)
+        self.walk_rel = np.concatenate(
+            [rel[:, model._flow_tensor], rel[:, [int(TensorKind.OUTPUT)]] & model._flow_is_output],
+            axis=1,
+        )
+        self.is_reduction = np.zeros(D + 1, dtype=bool)
+        self.is_reduction[[self.dim_index[dim] for dim in problem.reduction_dims]] = True
+        self.lane_index = _padded(
+            [
+                [
+                    level * D + d
+                    for level in range(child + 1, parent + 1)
+                    for d in range(D)
+                    if not rel[d, int(tensor)]
+                ]
+                for tensor, child, parent in model._flow_pairs
+            ],
+            pad=L * D,
+        ).T
 
-    def tiles(self, f: dict, stride: float) -> dict:
-        """Per-tensor footprint matrices from the projection tables.
-
-        ``f`` maps dimension name to its ``[B, L]`` footprint matrix.
-        :meth:`TensorProblem.footprint` multiplies the terms left-associated
-        in projection order — the exact float expression structure of the
-        scalar model, so conv results stay bit-for-bit identical to the
-        historic hardcoded formulas.
-        """
-        tiles = {}
+        windows: list[Window] = []
+        programs = []
         for tensor in TensorKind:
-            value = self.problem.footprint(tensor, f, stride)
-            if len(self.problem.projection(tensor)) == 1:
-                # A single plain-dim term aliases the footprint matrix; the
-                # caller mutates tiles in place, so detach the view.
-                value = value.copy()
-            tiles[tensor] = value
-        return tiles
+            program = []
+            for term in problem.projection(tensor):
+                if isinstance(term, Window):
+                    if term not in windows:
+                        windows.append(term)
+                    program.append(D + windows.index(term))
+                else:
+                    program.append(self.dim_index[term])
+            programs.append(program)
+        self.window_outer = np.array([self.dim_index[w.outer] for w in windows], dtype=np.int64)
+        self.window_inner = np.array([self.dim_index[w.window] for w in windows], dtype=np.int64)
+        self.term_index = _padded(programs, pad=D + len(windows)).T
+
+    def tiles(self, prefix, tf, stride: float):
+        """``float64[T, B, L]`` tile sizes from the level-prefix factor products.
+
+        The footprint of dimension ``d`` at level ``l`` is its factors below
+        ``l`` times its spatial factor at ``l`` (``NestAnalysis.
+        _dim_footprint_below``): ``prefix / tf``, an exact integer quotient.
+        A ``Window`` extent is ``(f[outer] - 1) * stride + f[window]``, and a
+        tile multiplies its extents left to right in projection order,
+        :meth:`TensorProblem.footprint`'s expression, so conv results stay
+        bit-for-bit identical to the historic hardcoded formulas.
+        """
+        B, L, D = tf.shape
+        W = len(self.window_outer)
+        extents = np.empty((D + W + 1, B, L))
+        footprint = np.divide(prefix.transpose(2, 0, 1), tf.transpose(2, 0, 1), out=extents[:D])
+        if W:
+            outer = footprint.take(self.window_outer, axis=0)
+            extents[D:-1] = (outer - 1) * stride + footprint.take(self.window_inner, axis=0)
+        extents[-1] = 1.0
+        return np.multiply.reduce(extents.take(self.term_index, axis=0), axis=0)
 
 
 @dataclass
@@ -289,12 +360,22 @@ class BatchCostResult:
 
     Invalid candidates carry ``inf`` latency and energy so they lose every
     comparison, exactly like the scalar :class:`~repro.model.cost.CostResult`.
+    The ``raw_*`` twins hold the unmasked values, so an invalid candidate can
+    still be ranked against its neighbours, and the two violation totals say
+    by how much it breaks the buffer capacities and the spatial fanouts:
+    the sum over levels, in level order, of ``excess / limit`` (0 when the
+    constraint holds).  Local search guides its walk with these.
     """
 
     valid: "np.ndarray"
     latency: "np.ndarray"
     energy: "np.ndarray"
     utilization: "np.ndarray"
+    raw_latency: "np.ndarray"
+    raw_energy: "np.ndarray"
+    raw_utilization: "np.ndarray"
+    capacity_violation: "np.ndarray"
+    spatial_violation: "np.ndarray"
 
     @property
     def edp(self) -> "np.ndarray":
@@ -311,33 +392,42 @@ class BatchCostResult:
 
     def score(self, metric: str) -> "np.ndarray":
         """Scalar-to-minimise per candidate under ``metric`` (inf when invalid)."""
-        if metric == "latency":
-            return self.latency
-        if metric == "energy":
-            return self.energy
-        if metric == "edp":
-            return self.edp
-        raise ValueError(f"unknown metric {metric!r}")
+        return _metric(metric, self.latency, self.energy)
+
+    def raw_score(self, metric: str) -> "np.ndarray":
+        """Like :meth:`score`, from the unmasked values (finite when invalid)."""
+        return _metric(metric, self.raw_latency, self.raw_energy)
+
+
+def _metric(metric: str, latency, energy):
+    if metric == "latency":
+        return latency
+    if metric == "energy":
+        return energy
+    if metric == "edp":
+        return energy * latency
+    raise ValueError(f"unknown metric {metric!r}")
 
 
 class BatchCostModel:
     """Evaluate batches of mappings of one architecture with numpy.
 
     The constructor precomputes every architecture-dependent constant (level
-    capacities, bandwidths, tensor bindings, storage-level pairs of the
-    boundary flows, energy constants); problem tables and per-layer
-    constants are built on first use and cached on the instance, so
-    :meth:`evaluate_batch` only runs array arithmetic.
+    capacities, bandwidths, tensor bindings, energy constants) and the index
+    arrays of the boundary flows; problem tables and per-layer constants are
+    built on first use and cached on the instance.  A call then runs a fixed
+    number of array operations, whatever the batch size or the number of
+    flows: a batch of eight costs little more than a batch of one.
     """
 
     def __init__(self, accelerator: Accelerator):
         self.accelerator = accelerator
         hierarchy = accelerator.hierarchy
-        self.num_levels = len(hierarchy)
+        self.num_levels = L = len(hierarchy)
         self.dram_index = hierarchy.dram_index
         self.pe_level = accelerator.pe_level_index()
-        #: Per-layer constants (problem tables, bounds vector, tensor
-        #: volumes, macs, stride), computed once per layer.
+        #: Per-layer constants (problem tables, bounds vector, tile masks,
+        #: macs, stride), computed once per layer.
         self._layer_consts: dict[Layer, tuple] = {}
         # Per-level constants.
         self._fanout = np.array([level.spatial_fanout for level in hierarchy], dtype=np.float64)
@@ -351,96 +441,108 @@ class BatchCostModel:
         self._bandwidth = np.array(
             [level.bandwidth_words_per_cycle for level in hierarchy], dtype=np.float64
         )
-        self._bytes = {tensor: float(accelerator.precision.bytes_for(tensor)) for tensor in TensorKind}
-        self._holds = {
-            tensor: np.array([level.holds(tensor) for level in hierarchy], dtype=bool)
-            for tensor in TensorKind
-        }
-        # Boundary-flow structure: (tensor, child, parent) pairs are a pure
-        # function of the architecture, in the same order NestAnalysis
-        # iterates them (tensors in TensorKind order, levels innermost first).
+        self._limits = np.stack((self._fanout, self._capacity))[:, None, :]  # [2, 1, L]
+        self._bytes = np.array(
+            [float(accelerator.precision.bytes_for(tensor)) for tensor in TensorKind]
+        )
+        self._holds = np.array(
+            [[level.holds(tensor) for tensor in TensorKind] for level in hierarchy], dtype=bool
+        )
+        # Boundary flows: (tensor, child, parent) triples are a pure function
+        # of the architecture, in the order NestAnalysis iterates them
+        # (tensors in TensorKind order, levels innermost first).
         self._flow_pairs: list[tuple[TensorKind, int, int]] = []
         for tensor in TensorKind:
             levels = hierarchy.levels_holding(tensor)
             for child, parent in zip(levels, levels[1:]):
                 self._flow_pairs.append((tensor, child, parent))
-        self._tensors_at_child: dict[int, list[TensorKind]] = {}
-        for tensor, child, _ in self._flow_pairs:
-            self._tensors_at_child.setdefault(child, []).append(tensor)
-        self._innermost = {tensor: hierarchy.innermost_level_for(tensor) for tensor in TensorKind}
+        self._flow_tensor = np.array([int(t) for t, _, _ in self._flow_pairs], dtype=np.int64)
+        self._flow_child = np.array([c for _, c, _ in self._flow_pairs], dtype=np.int64)
+        self._flow_is_output = self._flow_tensor == int(TensorKind.OUTPUT)
+        self._walk_child = np.concatenate([self._flow_child, self._flow_child])
+        self._dram_flows = {
+            tensor: f
+            for f, (tensor, _, parent) in enumerate(self._flow_pairs)
+            if parent == self.dram_index
+        }
+        self._cell_terms = self._accumulation_cells()
         self._multicast = accelerator.noc.multicast
         # Energy constants.
         table = accelerator.energy
-        self._level_energy_pj = [table.access_energy(level.name) for level in hierarchy]
+        self._level_energy_pj = np.array([table.access_energy(level.name) for level in hierarchy])
         self._mac_pj = table.mac_energy_pj
         self._hop_pj = table.noc_hop_energy_pj
         rows, cols = accelerator.pe_array.rows, accelerator.pe_array.cols
         self._average_hops = (rows + cols) / 2.0
         self._total_lanes = accelerator.pe_array.num_pes * accelerator.pe_array.macs_per_pe
 
+    def _accumulation_cells(self):
+        """Which per-flow terms each accumulated cell adds, in scalar order.
+
+        Every flow ``f`` contributes five ``[B]`` terms, laid out as rows
+        ``k * F + f`` of one matrix: words into the child (k=0), read from
+        the parent (1), written back to the parent (2), served by the parent
+        (3) and crossing the NoC (4); row ``5F`` holds the layer's MACs and
+        ``5F + 1`` a zero.  The cells are the ``(level, tensor)`` reads, then
+        the ``(level, tensor)`` writes, then the words served per level, then
+        the NoC words per tensor.  Column ``c`` lists cell ``c``'s rows in the
+        order the scalar walk adds them (flow order, the compute-side MACs
+        last), padded with the zero row, so one gather and one
+        left-to-right fold give every cell bit-for-bit.
+        """
+        L, T, F = self.num_levels, len(TensorKind), len(self._flow_pairs)
+        w_in, w_read, w_written, served, noc = (k * F for k in range(5))
+        macs, zero = 5 * F, 5 * F + 1
+        reads = [[[] for _ in range(T)] for _ in range(L)]
+        writes = [[[] for _ in range(T)] for _ in range(L)]
+        served_at = [[] for _ in range(L)]
+        noc_of = [[] for _ in range(T)]
+        hierarchy = self.accelerator.hierarchy
+        for f, (tensor, child, parent) in enumerate(self._flow_pairs):
+            t = int(tensor)
+            writes[child][t].append(w_in + f)
+            reads[parent][t].append(w_read + f)
+            if tensor is TensorKind.OUTPUT:
+                writes[parent][t].append(w_written + f)
+                reads[child][t].append(w_written + f)
+            served_at[parent].append(served + f)
+            if child < self.pe_level <= parent:
+                noc_of[t].append(noc + f)
+        for tensor in TensorKind:
+            innermost = hierarchy.innermost_level_for(tensor)
+            reads[innermost][int(tensor)].append(macs)
+            if tensor is TensorKind.OUTPUT:
+                writes[innermost][int(tensor)].append(macs)
+        cells = [c for level in reads for c in level] + [c for level in writes for c in level]
+        cells += served_at + noc_of
+        return _padded(cells, pad=zero).T
+
     # ------------------------------------------------------------------ helpers
     def _consts(self, layer: Layer) -> tuple:
-        """Cached per-layer constants: tables, bounds, volumes, macs, stride."""
+        """Cached per-layer constants: tables, bounds, tile masks, macs, stride.
+
+        ``tile_kept[t, 0, l]`` marks the on-chip levels holding tensor ``t``;
+        elsewhere a tile is ``tile_fixed[t, 0, l]``: the tensor's volume at
+        DRAM when DRAM holds it, else 0.
+        """
         consts = self._layer_consts.get(layer)
         if consts is None:
-            tables = _ProblemTables(layer.problem)
+            tables = _ProblemTables(layer.problem, self)
             layer_bounds = layer.bounds
+            on_chip = np.arange(self.num_levels) != self.dram_index
+            volumes = np.array([float(layer.tensor_volume(tensor)) for tensor in TensorKind])
+            tile_fixed = np.zeros(self._holds.shape)
+            tile_fixed[self.dram_index] = np.where(self._holds[self.dram_index], volumes, 0.0)
             consts = (
                 tables,
                 np.array([layer_bounds[dim] for dim in tables.dims], dtype=np.float64),
-                {tensor: float(layer.tensor_volume(tensor)) for tensor in TensorKind},
+                (self._holds & on_chip[:, None]).T[:, None, :],
+                tile_fixed.T[:, None, :],
                 float(layer.macs),
                 float(layer.stride),
             )
             self._layer_consts[layer] = consts
         return consts
-
-    def _refetch_and_pending(self, batch: MappingBatch, tables: _ProblemTables):
-        """Per-candidate re-fetch factors and pending-reduction flags.
-
-        Returns ``refetch[(tensor, child)] -> float64[B]`` for every boundary
-        flow plus ``pending[child] -> bool[B]`` for the output flows.  The
-        walk is the scalar stationarity rule vectorized: within the loop
-        sequence restricted to levels ``>= child``, every loop at-or-outside
-        the innermost tensor-relevant loop contributes its bound.  The
-        product is one ``multiply.reduce`` along the loop axis, which runs
-        in the scalar walk's sequential order over exact integers, so the
-        float rounding matches the oracle exactly.
-        """
-        level = batch.loop_level  # [B, M]
-        dim = batch.loop_dim
-        bound = batch.loop_bound
-        B = level.shape[0]
-        present = dim >= 0
-        dim_safe = np.where(present, dim, 0)
-        rel = tables.rel[dim_safe]  # [B, M, T]
-        is_reduction = tables.is_reduction_dim[dim_safe] & present
-
-        refetch: dict[tuple[TensorKind, int], np.ndarray] = {}
-        pending: dict[int, np.ndarray] = {}
-        for child in sorted(self._tensors_at_child):
-            mask = (level >= child) & present  # loops_above(child)
-            for tensor in self._tensors_at_child[child]:
-                relevant = rel[:, :, int(tensor)] & mask
-                seen = np.logical_or.accumulate(relevant, axis=1)
-                refetch[(tensor, child)] = np.where(seen & mask, bound, 1.0).prod(axis=1)
-            # reduction_pending_above(child): a reduction-dim temporal loop
-            # strictly outside the innermost output-relevant loop.
-            relevant = rel[:, :, int(TensorKind.OUTPUT)] & mask
-            seen = np.logical_or.accumulate(relevant, axis=1)
-            seen_before = np.concatenate(
-                [np.zeros((B, 1), dtype=bool), seen[:, :-1]], axis=1
-            )
-            pending[child] = np.any(seen_before & mask & is_reduction, axis=1)
-        return refetch, pending
-
-    def _spatial_factor_between(
-        self, sf, child: int, parent: int, tensor: TensorKind, tables: _ProblemTables
-    ):
-        """Product of tensor-irrelevant spatial factors at levels ``(child, parent]``."""
-        dims = tables.irrelevant_dims[tensor]
-        span = sf[:, child + 1 : parent + 1, :][:, :, dims]
-        return span.reshape(span.shape[0], -1).prod(axis=1)
 
     # ----------------------------------------------------------------- evaluate
     def evaluate_batch(self, batch: MappingBatch) -> BatchCostResult:
@@ -475,10 +577,10 @@ class BatchCostModel:
 
     def _evaluate(self, batch: MappingBatch, want_detail: bool):
         layer = batch.layer
-        tables, bounds, volumes, macs, stride = self._consts(layer)
+        tables, bounds, tile_kept, tile_fixed, macs, stride = self._consts(layer)
         B = batch.size
         tf, sf = batch.temporal, batch.spatial
-        L, D = self.num_levels, len(tables.dims)
+        L, D, T = self.num_levels, len(tables.dims), len(TensorKind)
         if tf.shape[2] != D:
             raise ValueError(
                 f"batch factor matrices have {tf.shape[2]} dimension columns; "
@@ -487,148 +589,150 @@ class BatchCostModel:
             )
 
         if batch.num_levels != self.num_levels:
-            inf = np.full(B, np.inf)
+            inf, zero = np.full(B, np.inf), np.zeros(B)
             result = BatchCostResult(
                 valid=np.zeros(B, dtype=bool),
                 latency=inf,
-                energy=inf.copy(),
-                utilization=np.zeros(B),
+                energy=inf,
+                utilization=zero,
+                raw_latency=inf,
+                raw_energy=inf,
+                raw_utilization=zero,
+                capacity_violation=zero,
+                spatial_violation=zero,
             )
             return result, None
 
         total = tf * sf  # per-level per-dim factor products
+        # Every factor product below is an exact integer, so no association
+        # order matters until the word counts divide by the lane counts.
+        prefix = np.multiply.accumulate(total, axis=1)  # factors at levels <= l, per dim
 
         # -------------------------------------------------------- validation
-        dim_products = total.prod(axis=1)  # [B, D]
-        consistent = np.all(dim_products == bounds, axis=1)
-        spatial_per_level = sf.prod(axis=2)  # [B, L]
-        fanout_ok = np.all(spatial_per_level <= self._fanout, axis=1)
+        consistent = np.logical_and.reduce(prefix[:, -1] == bounds, axis=1)
+        spatial_per_level = np.multiply.reduce(sf, axis=2)  # [B, L]
 
         # ------------------------------------------------------- tile sizes
-        # footprint[b, l, d]: product of d-factors below level l plus the
-        # spatial factors at l itself (NestAnalysis._dim_footprint_below).
-        below = np.ones((B, L, D), dtype=np.float64)
-        if L > 1:
-            below[:, 1:, :] = np.cumprod(total, axis=1)[:, :-1, :]
-        footprint = below * sf
-
-        f = {dim: footprint[:, :, tables.dim_index[dim]] for dim in tables.dims}
-        tiles = tables.tiles(f, stride)
-        for tensor in TensorKind:
-            tile = tiles[tensor]
-            tile[:, ~self._holds[tensor]] = 0.0
-            if self._holds[tensor][self.dram_index]:
-                tile[:, self.dram_index] = volumes[tensor]
-
+        # From here on the batch axis is last: [T, B, L], [F, B], ...
+        tiles = np.where(tile_kept, tables.tiles(prefix, tf, stride), tile_fixed)
         # Buffer occupancy (utilization_bytes, summed in TensorKind order).
-        used_bytes = np.zeros((B, L), dtype=np.float64)
-        for tensor in TensorKind:
-            used_bytes = used_bytes + tiles[tensor] * self._bytes[tensor]
-        buffers_ok = np.all(used_bytes <= self._capacity, axis=1)
+        used_bytes = _fold(tiles * self._bytes[:, None, None])  # [B, L]
 
-        valid = consistent & fanout_ok & buffers_ok
+        # The two per-level limits, fanout and capacity, checked together.
+        loads = np.array((spatial_per_level, used_bytes))  # [2, B, L]
+        within = np.logical_and.reduce(loads <= self._limits, axis=2)
+        valid = consistent & within[0] & within[1]
+        excess = np.maximum(loads - self._limits, 0.0) / self._limits
+
+        # ------------------------------------------------ stationarity walks
+        # Walk w starts at level c = _walk_child[w]; first[w, b] is the
+        # position of the innermost loop at levels >= c relevant to it (M
+        # when there is none: a sentinel column closes every row).  Flow f's
+        # re-fetch factor is the product of the bounds from first[f] on:
+        # the loop sequence is level-major, so every later loop is in scope,
+        # PAD loops carry bound 1, and the suffix products are exact
+        # integers.
+        level, loop_dim = batch.loop_level, batch.loop_dim
+        M = level.shape[1]
+        relevant = tables.walk_rel.T.take(loop_dim, axis=1) & (
+            level >= self._walk_child[:, None, None]
+        )  # [W, B, M]
+        sentinel = np.ones(relevant.shape[:2] + (1,), dtype=bool)
+        first = np.concatenate([relevant, sentinel], axis=2).argmax(axis=2)  # [W, B]
+        suffix = np.ones((B, M + 1))
+        suffix[:, :M] = np.multiply.accumulate(batch.loop_bound[:, ::-1], axis=1)[:, ::-1]
+        F = len(self._flow_pairs)
+        refetch = suffix.take(first[:F] + np.arange(0, B * (M + 1), M + 1))  # [F, B]
+        # reduction_pending_above(c): a reduction-dim loop strictly outside
+        # the innermost output-relevant loop at levels >= c.  Any loop after
+        # that one is in scope, so the last reduction loop decides.
+        reduction = tables.is_reduction.take(loop_dim)  # [B, M]
+        last_reduction = np.maximum.reduce(np.where(reduction, np.arange(M), -1), axis=1)
+        pending = last_reduction > first[F:]  # [F, B]
 
         # --------------------------------------------------- boundary flows
-        refetch, pending = self._refetch_and_pending(batch, tables)
         # active_instances(l): product of spatial factors at levels > l.
-        instances = np.ones((B, L), dtype=np.float64)
-        if L > 1:
-            suffix = np.cumprod(spatial_per_level[:, ::-1], axis=1)[:, ::-1]
-            instances[:, :-1] = suffix[:, 1:]
-
-        reads = np.zeros((B, L, len(TensorKind)), dtype=np.float64)
-        writes = np.zeros((B, L, len(TensorKind)), dtype=np.float64)
-        # Per-parent-level words served downward+upward (performance model)
-        # and per-tensor NoC boundary words (energy model), accumulated flow
-        # by flow in the scalar iteration order.
-        words_served = np.zeros((B, L), dtype=np.float64)
-        noc_words = {tensor: np.zeros(B, dtype=np.float64) for tensor in TensorKind}
-        dram_flows: dict[TensorKind, DramBoundaryFlowBatch] = {}
-
-        for tensor, child, parent in self._flow_pairs:
-            t = int(tensor)
-            tile = tiles[tensor][:, child]
-            words_into_child = tile * refetch[(tensor, child)] * instances[:, child]
-            raw_lanes = self._spatial_factor_between(sf, child, parent, tensor, tables)
-            multicast = raw_lanes if self._multicast else np.ones(B, dtype=np.float64)
-            words_read_from_parent = words_into_child / np.maximum(multicast, 1.0)
-            words_written_to_parent = np.zeros(B, dtype=np.float64)
-            words_read_back = np.zeros(B, dtype=np.float64)
-            if tensor is TensorKind.OUTPUT:
-                reduction_lanes = np.maximum(raw_lanes, 1.0)
-                words_written_to_parent = words_into_child / reduction_lanes
-                words_read_back = np.where(pending[child], words_written_to_parent, 0.0)
-                words_into_child = words_read_back * reduction_lanes
-                words_read_from_parent = words_read_back
-
-            if want_detail and parent == self.dram_index:
-                dram_flows[tensor] = DramBoundaryFlowBatch(
-                    tensor=tensor,
-                    child_level=child,
-                    words_into_child=words_into_child,
-                    words_read_from_parent=words_read_from_parent,
-                    words_written_to_parent=words_written_to_parent,
-                )
-
-            writes[:, child, t] += words_into_child
-            reads[:, parent, t] += words_read_from_parent
-            writes[:, parent, t] += words_written_to_parent
-            reads[:, child, t] += words_written_to_parent
-
-            words_served[:, parent] = words_served[:, parent] + (
-                words_read_from_parent + words_written_to_parent
-            )
-            if child < self.pe_level <= parent:
-                noc_words[tensor] = noc_words[tensor] + (
-                    words_into_child + words_written_to_parent + words_read_back
-                )
-
-        # Compute-side accesses at the innermost storing level of each tensor.
-        for tensor in TensorKind:
-            innermost = self._innermost[tensor]
-            t = int(tensor)
-            reads[:, innermost, t] += macs
-            if tensor is TensorKind.OUTPUT:
-                writes[:, innermost, t] += macs
+        spatial_prefix = np.multiply.accumulate(spatial_per_level, axis=1)
+        instances = spatial_prefix[:, -1:] / spatial_prefix  # [B, L]
+        # Multicast / spatial-reduction lanes of each flow.
+        spatial = np.empty((L * D + 1, B))
+        spatial[:-1] = sf.reshape(B, L * D).T
+        spatial[-1] = 1.0
+        lanes = np.maximum(np.multiply.reduce(spatial.take(tables.lane_index, axis=0), axis=0), 1.0)
+        child = self._flow_child
+        w_in = tiles[self._flow_tensor, :, child] * refetch * instances.T[child]  # [F, B]
+        w_read = w_in / lanes if self._multicast else w_in
+        # Output flows: partial sums go up through the reduction lanes and
+        # come back down only while a reduction is pending above the child
+        # (never, for the other flows).
+        is_output = self._flow_is_output[:, None]
+        w_written = np.where(is_output, w_in / lanes, 0.0)
+        w_back = np.where(pending, w_written, 0.0)
+        w_in = np.where(is_output, w_back * lanes, w_in)
+        w_read = np.where(is_output, w_back, w_read)
+        terms = np.concatenate(
+            [
+                w_in,
+                w_read,
+                w_written,
+                w_read + w_written,
+                (w_in + w_written) + w_back,
+                np.full((1, B), macs),
+                np.zeros((1, B)),
+            ]
+        )
+        cells = _fold(terms.take(self._cell_terms, axis=0))  # [cells, B]
+        LT = L * T
+        words_served = cells[2 * LT : 2 * LT + L]  # [L, B]
 
         # ------------------------------------------------------------ latency
         # max() is order-invariant and each cycles term is the scalar's
-        # quotient, so one row-wise max equals the per-level maximum walk.
-        compute_cycles = tf.reshape(B, -1).prod(axis=1)
-        cycles = words_served / (self._bandwidth * instances)
-        latency = np.maximum(compute_cycles, cycles.max(axis=1))
+        # quotient, so one max over levels equals the per-level maximum walk.
+        compute_cycles = np.multiply.reduce(tf.reshape(B, L * D), axis=1)
+        cycles = words_served / (self._bandwidth[:, None] * instances.T)
+        latency = np.maximum(compute_cycles, np.maximum.reduce(cycles, axis=0))
 
         # ------------------------------------------------------------- energy
-        # accesses[b, l] sums (reads + writes) over the short tensor axis;
-        # numpy reduces a length-3 axis sequentially (no pairwise split), so
-        # the accumulation order matches the scalar TensorKind walk.
-        mac_energy = macs * self._mac_pj
-        accesses = (reads + writes).sum(axis=2)
-        level_energy_sum = np.zeros(B, dtype=np.float64)
-        for index in range(L):
-            level_energy_sum = level_energy_sum + accesses[:, index] * self._level_energy_pj[index]
-        total_noc_words = np.zeros(B, dtype=np.float64)
-        for tensor in TensorKind:
-            total_noc_words = total_noc_words + noc_words[tensor]
-        noc_energy = total_noc_words * self._average_hops * self._hop_pj
-        energy = (mac_energy + noc_energy) + level_energy_sum
+        accesses = _fold((cells[:LT] + cells[LT : 2 * LT]).reshape(L, T, B).transpose(1, 0, 2))
+        # Three sums over the levels in one fold: the fanout and capacity
+        # violation totals (excess / limit) and the access energy.
+        per_level = np.concatenate(
+            [excess.transpose(2, 0, 1), (accesses * self._level_energy_pj[:, None])[:, None]], axis=1
+        )  # [L, 3, B]
+        spatial_violation, capacity_violation, level_energy_sum = _fold(per_level)
+        noc_energy = _fold(cells[2 * LT + L :]) * self._average_hops * self._hop_pj
+        energy = (macs * self._mac_pj + noc_energy) + level_energy_sum
 
-        utilization = np.minimum(1.0, sf.reshape(B, -1).prod(axis=1) / self._total_lanes)
+        utilization = np.minimum(1.0, spatial_prefix[:, -1] / self._total_lanes)
 
         result = BatchCostResult(
             valid=valid,
             latency=np.where(valid, latency, np.inf),
             energy=np.where(valid, energy, np.inf),
             utilization=np.where(valid, utilization, 0.0),
+            raw_latency=latency,
+            raw_energy=energy,
+            raw_utilization=utilization,
+            capacity_violation=capacity_violation,
+            spatial_violation=spatial_violation,
         )
         detail = None
         if want_detail:
             detail = BatchEvalDetail(
                 result=result,
                 compute_cycles=compute_cycles,
-                words_served=words_served,
+                words_served=words_served.T,
                 instances=instances,
                 used_bytes=used_bytes,
-                dram_flows=dram_flows,
+                dram_flows={
+                    tensor: DramBoundaryFlowBatch(
+                        tensor=tensor,
+                        child_level=int(child[f]),
+                        words_into_child=w_in[f],
+                        words_read_from_parent=w_read[f],
+                        words_written_to_parent=w_written[f],
+                    )
+                    for tensor, f in self._dram_flows.items()
+                },
             )
         return result, detail

@@ -17,6 +17,7 @@ Three layers of protection:
   cost) as a loop of scalar evaluations over the same candidate stream.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -230,6 +231,15 @@ class TestCostParityRandom:
         for _, arch in sorted(architecture_presets().items()):
             draws = MapSpace(layer, arch).sample_batch(48, random.Random(3))
             assert_draws_match_scalar_exactly(arch, draws)
+
+    def test_parity_without_noc_multicast(self):
+        # Without multicast every word a child reads leaves its parent once
+        # per instance: the read counts take the unscaled branch.
+        arch = dataclasses.replace(ARCH, noc=dataclasses.replace(ARCH.noc, multicast=False))
+        for layer in builtin_problem_layers():
+            draws = MapSpace(layer, arch).sample_batch(24, random.Random(12))
+            result = assert_draws_match_scalar_exactly(arch, draws)
+            assert result.num_valid, f"no valid draw for {layer.name}: weak test"
 
     def test_draws_match_materialized_mappings(self):
         """from_draws and from_mappings agree on the same candidates."""
