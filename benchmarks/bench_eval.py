@@ -1,33 +1,39 @@
 #!/usr/bin/env python
-"""Benchmark: scalar vs vectorized vs delta mapping evaluation.
+"""Benchmark: scalar vs vectorized vs neighbourhood vs delta mapping evaluation.
 
 For each ResNet-50 conv layer (plus transformer-style tensor problems), draw
 one fixed set of random candidates, timing the draw
 (:meth:`~repro.mapping.space.MapSpace.sample_batch` candidates per second),
-and time three evaluation pipelines over identical inputs:
+and time the evaluation pipelines over identical inputs:
 
 * **scalar** — one :class:`repro.model.cost.CostModel` call per mapping (the
   bit-exact reference oracle),
 * **vectorized** — one :meth:`repro.model.batch.BatchCostModel.evaluate_draws`
   pass (packing included in the timing; the evaluator's per-layer constants
-  are warm, as they are for every batch after a search's first),
+  are warm, as they are for every batch after a search's first), plus the
+  cost of one such call at 1, 8 and 64 candidates,
+* **neighbourhood** — local search's step: ``MOVES_PER_STEP`` moves of one
+  state priced in one ``evaluate_draws`` call
+  (:func:`~repro.baselines.local_search.neighbourhood_draws`), against the
+  batch-of-one path for the same moves (apply, pack a one-draw batch, run
+  the vectorized evaluator, undo),
 * **delta** — single-move re-evaluation through the
-  :class:`~repro.model.delta.DeltaEvaluator`, compared against the honest
-  full path for the same move (apply, pack a one-draw batch, run the
-  vectorized evaluator, undo).
+  :class:`~repro.model.delta.DeltaEvaluator`, against the same batch-of-one
+  path.
 
 Every timing doubles as a parity audit: vectorized results must match the
 scalar oracle, the draws packing must match the mappings packing
-bit-for-bit, and each delta preview must equal the full re-evaluation of the
-moved state exactly — a speedup claim is meaningless if the fast path
-disagrees with the oracle.  The per-layer throughput, speedups and
-cross-layer geomeans are printed as a table and written (atomically) to
-``BENCH_eval.json`` (default under ``benchmarks/results/``)::
+bit-for-bit, and each neighbourhood row and each delta preview must equal the
+batch-of-one evaluation of the moved state exactly — a speedup claim is
+meaningless if the fast path disagrees with the oracle.  The per-layer
+throughput, speedups and cross-layer geomeans are printed as a table and
+written (atomically) to ``BENCH_eval.json`` (default under
+``benchmarks/results/``)::
 
     python benchmarks/bench_eval.py                  # full sweep (23 layers)
     python benchmarks/bench_eval.py --quick          # 6-layer subset
     python benchmarks/bench_eval.py --check 16       # exit 1 below 16x vectorized geomean
-    python benchmarks/bench_eval.py --check 16 --check-delta 3
+    python benchmarks/bench_eval.py --check 16 --check-neighbourhood 3
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from bench_utils import PARITY_TOLERANCE, positive_int
 
 from repro.api import geometric_mean
 from repro.arch import simba_like
+from repro.baselines.local_search import MOVES_PER_STEP, neighbourhood_draws
 from repro.io_utils import atomic_write_json
 from repro.mapping.moves import MappingState, propose_move
 from repro.mapping.space import MapSpace, MappingDraws
@@ -60,6 +67,11 @@ DEFAULT_OUT = Path(__file__).resolve().parent / "results" / "BENCH_eval.json"
 #: Timed repeats of each layer's draw; a single pass of a few ms is at the
 #: mercy of one collector pause.
 DRAW_REPEATS = 3
+
+#: Batch sizes whose per-call cost is reported, and the calls timed per
+#: repeat (the fastest of ``DRAW_REPEATS`` repeats counts).
+CALL_SIZES = (1, 8, 64)
+CALLS_PER_REPEAT = 20
 
 #: Quick subset: the 3x3 conv layers plus the stem (covers small and large shapes).
 QUICK_LAYERS = (
@@ -84,14 +96,22 @@ def benchmark_layers(quick: bool) -> list:
     ]
 
 
+#: Fields that must agree bitwise between two pricings of one moved state.
+EXACT_FIELDS = (
+    "valid", "latency", "energy", "utilization", "raw_latency", "raw_energy",
+    "raw_utilization", "capacity_violation", "spatial_violation",
+)
+
+
 def _delta_matches_full(delta, full, index: int) -> bool:
     """Exact (bitwise) agreement of one delta preview with the full evaluation."""
-    if delta.valid != bool(full.valid[index]):
-        return False
-    return (
-        delta.latency == float(full.latency[index])
-        and delta.energy == float(full.energy[index])
-        and delta.utilization == float(full.utilization[index])
+    return all(getattr(delta, name) == getattr(full, name)[index] for name in EXACT_FIELDS)
+
+
+def _rows_match(result, index: int, full, full_index: int) -> bool:
+    """Exact agreement of row ``index`` of ``result`` with row ``full_index`` of ``full``."""
+    return all(
+        getattr(result, name)[index] == getattr(full, name)[full_index] for name in EXACT_FIELDS
     )
 
 
@@ -105,13 +125,14 @@ def _single_draw(state: MappingState) -> MappingDraws:
     )
 
 
-def bench_delta(arch, layer, space: MapSpace, draws, valid, seed: int, num_moves: int) -> dict:
-    """Time delta vs full re-evaluation over identical single-factor moves.
+def bench_moves(arch, layer, space: MapSpace, draws, valid, seed: int, num_moves: int) -> dict:
+    """Time neighbourhood and delta pricing vs the batch-of-one path.
 
     The state is seeded from the first valid draw (else draw 0); every move
-    is proposed against that fixed state, so the two timed pipelines see the
-    exact same move sequence.  Each preview is audited bitwise against the
-    full path before the timing runs.
+    is proposed against that fixed state, so the timed pipelines see the
+    exact same move sequence, cut into neighbourhoods of ``MOVES_PER_STEP``.
+    Each neighbourhood row and each delta preview is audited bitwise against
+    the batch-of-one path before the timing runs.
     """
     seed_index = next((i for i in range(len(draws)) if valid[i]), 0)
     state = MappingState.from_draws(draws, seed_index)
@@ -130,21 +151,37 @@ def bench_delta(arch, layer, space: MapSpace, draws, valid, seed: int, num_moves
         moves.append(move)
     if not moves:
         return {"delta_moves_per_sec": 0.0, "full_moves_per_sec": 0.0,
-                "delta_speedup": 1.0, "delta_mismatches": 0, "num_moves": 0}
+                "neighbourhood_moves_per_sec": 0.0, "delta_speedup": 1.0,
+                "neighbourhood_speedup": 1.0, "delta_mismatches": 0,
+                "neighbourhood_mismatches": 0, "num_moves": 0}
+    steps = [moves[i : i + MOVES_PER_STEP] for i in range(0, len(moves), MOVES_PER_STEP)]
 
     mismatches = 0
+    full_results = []
     for move in moves:
         preview = evaluator.preview(move)
         record = state.apply(move)
         full = model.evaluate_draws(_single_draw(state))
         state.undo(record)
+        full_results.append(full)
         if not _delta_matches_full(preview, full, 0):
             mismatches += 1
+    neighbourhood_mismatches = 0
+    for index, step in enumerate(steps):
+        result = model.evaluate_draws(neighbourhood_draws(state, step))
+        for row in range(len(step)):
+            full = full_results[index * MOVES_PER_STEP + row]
+            neighbourhood_mismatches += not _rows_match(result, row, full, 0)
 
     start = time.perf_counter()
     for move in moves:
         evaluator.preview(move)
     delta_seconds = time.perf_counter() - start
+
+    start = time.perf_counter()
+    for step in steps:
+        model.evaluate_draws(neighbourhood_draws(state, step))
+    neighbourhood_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     for move in moves:
@@ -156,10 +193,33 @@ def bench_delta(arch, layer, space: MapSpace, draws, valid, seed: int, num_moves
     return {
         "delta_moves_per_sec": len(moves) / delta_seconds,
         "full_moves_per_sec": len(moves) / full_seconds,
+        "neighbourhood_moves_per_sec": len(moves) / neighbourhood_seconds,
         "delta_speedup": full_seconds / delta_seconds,
+        "neighbourhood_speedup": full_seconds / neighbourhood_seconds,
         "delta_mismatches": mismatches,
+        "neighbourhood_mismatches": neighbourhood_mismatches,
         "num_moves": len(moves),
     }
+
+
+def bench_calls(model, draws) -> dict:
+    """Microseconds per ``evaluate_draws`` call at each of :data:`CALL_SIZES` candidates."""
+    costs = {}
+    for size in CALL_SIZES:
+        subset = MappingDraws(
+            layer=draws.layer,
+            num_levels=draws.num_levels,
+            temporal=draws.temporal[:size],
+            spatial=draws.spatial[:size],
+        )
+        best = float("inf")
+        for _ in range(DRAW_REPEATS):
+            start = time.perf_counter()
+            for _ in range(CALLS_PER_REPEAT):
+                model.evaluate_draws(subset)
+            best = min(best, (time.perf_counter() - start) / CALLS_PER_REPEAT)
+        costs[f"call_us_{size}"] = best * 1e6
+    return costs
 
 
 def bench_layer(arch, layer, samples: int, seed: int, num_moves: int) -> dict:
@@ -214,7 +274,8 @@ def bench_layer(arch, layer, samples: int, seed: int, num_moves: int) -> dict:
         "max_rel_diff": max_rel,
         "packing_exact": packing_exact,
     }
-    row.update(bench_delta(arch, layer, space, draws, result.valid, seed, num_moves))
+    row.update(bench_calls(model, draws))
+    row.update(bench_moves(arch, layer, space, draws, result.valid, seed, num_moves))
     return row
 
 
@@ -230,6 +291,7 @@ def bench_report(layers, samples: int, seed: int, num_moves: int, quick: bool) -
     speedups = [row["speedup"] for row in rows]
     draw_rates = [row["draws_per_sec"] for row in rows]
     delta = [row["delta_speedup"] for row in rows]
+    neighbourhood = [row["neighbourhood_speedup"] for row in rows]
     return {
         "benchmark": "vectorized-mapping-evaluation",
         "network": "resnet50+transformer",
@@ -244,8 +306,15 @@ def bench_report(layers, samples: int, seed: int, num_moves: int, quick: bool) -
         "max_speedup": max(speedups),
         "geomean_delta_speedup": geometric_mean(delta),
         "min_delta_speedup": min(delta),
+        "geomean_neighbourhood_speedup": geometric_mean(neighbourhood),
+        "min_neighbourhood_speedup": min(neighbourhood),
+        **{
+            f"geomean_call_us_{size}": geometric_mean([r[f"call_us_{size}"] for r in rows])
+            for size in CALL_SIZES
+        },
         "total_validity_mismatches": sum(r["validity_mismatches"] for r in rows),
         "total_delta_mismatches": sum(r["delta_mismatches"] for r in rows),
+        "total_neighbourhood_mismatches": sum(r["neighbourhood_mismatches"] for r in rows),
         "packing_exact": all(r["packing_exact"] for r in rows),
         "max_rel_diff": max(r["max_rel_diff"] for r in rows),
     }
@@ -257,16 +326,18 @@ def render_row(row: dict) -> str:
         f"{row['layer']:<20} draws {row['draws_per_sec']:>7.0f}/s   "
         f"scalar {row['scalar_mappings_per_sec']:>9.0f}/s   "
         f"vectorized {row['vectorized_mappings_per_sec']:>10.0f}/s ({row['speedup']:5.1f}x)   "
+        f"call {row['call_us_1']:4.0f}/{row['call_us_8']:4.0f}/{row['call_us_64']:5.0f} us   "
+        f"neighbourhood {row['neighbourhood_speedup']:5.1f}x   "
         f"delta {row['delta_speedup']:5.1f}x   "
         f"valid {row['num_valid']}/{row['samples']}"
     )
 
 
-def check_report(report: dict, check=None, check_delta=None) -> list[str]:
+def check_report(report: dict, check=None, check_neighbourhood=None) -> list[str]:
     """Validate a finished report; returns human-readable failure strings.
 
     Parity failures are always fatal; the two optional floors gate the
-    vectorized and delta geomean speedups respectively.
+    vectorized and neighbourhood geomean speedups respectively.
     """
     failures = []
     if report["total_validity_mismatches"]:
@@ -282,14 +353,21 @@ def check_report(report: dict, check=None, check_delta=None) -> list[str]:
         )
     if report["total_delta_mismatches"]:
         failures.append("PARITY FAILURE: delta evaluation disagrees with full re-evaluation")
+    if report["total_neighbourhood_mismatches"]:
+        failures.append(
+            "PARITY FAILURE: a neighbourhood priced in one call disagrees with full re-evaluation"
+        )
     if check is not None and report["geomean_speedup"] < check:
         failures.append(
             f"speedup check failed: geomean {report['geomean_speedup']:.1f}x < {check}x"
         )
-    if check_delta is not None and report["geomean_delta_speedup"] < check_delta:
+    if (
+        check_neighbourhood is not None
+        and report["geomean_neighbourhood_speedup"] < check_neighbourhood
+    ):
         failures.append(
-            "delta speedup check failed: geomean "
-            f"{report['geomean_delta_speedup']:.1f}x < {check_delta}x"
+            "neighbourhood speedup check failed: geomean "
+            f"{report['geomean_neighbourhood_speedup']:.1f}x < {check_neighbourhood}x"
         )
     return failures
 
@@ -298,7 +376,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="6-layer subset, fewer samples")
     parser.add_argument("--samples", type=positive_int, default=None, help="candidates per layer")
-    parser.add_argument("--moves", type=positive_int, default=96, help="delta moves timed per layer")
+    parser.add_argument(
+        "--moves", type=positive_int, default=96, help="moves timed per layer (neighbourhood and delta)"
+    )
     parser.add_argument("--seed", type=int, default=0, help="sampling seed")
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT, help="JSON report path")
     parser.add_argument(
@@ -306,8 +386,8 @@ def main(argv=None) -> int:
         help="exit 1 when the vectorized geomean speedup falls below MIN",
     )
     parser.add_argument(
-        "--check-delta", type=float, default=None, metavar="MIN",
-        help="exit 1 when the delta-vs-full geomean speedup falls below MIN",
+        "--check-neighbourhood", type=float, default=None, metavar="MIN",
+        help="exit 1 when the neighbourhood-vs-batch-of-one geomean speedup falls below MIN",
     )
     args = parser.parse_args(argv)
 
@@ -320,11 +400,16 @@ def main(argv=None) -> int:
     print(
         f"\ngeomean draws {report['geomean_draws_per_sec']:.0f}/s; "
         f"speedup over scalar: vectorized {report['geomean_speedup']:.1f}x; "
-        f"delta vs full re-eval {report['geomean_delta_speedup']:.1f}x "
+        f"per call {report['geomean_call_us_1']:.0f}/{report['geomean_call_us_8']:.0f}/"
+        f"{report['geomean_call_us_64']:.0f} us at {'/'.join(map(str, CALL_SIZES))} candidates; "
+        f"vs batch-of-one moves: neighbourhood {report['geomean_neighbourhood_speedup']:.1f}x, "
+        f"delta {report['geomean_delta_speedup']:.1f}x "
         f"over {len(report['layers'])} layers -> {args.out}"
     )
 
-    failures = check_report(report, check=args.check, check_delta=args.check_delta)
+    failures = check_report(
+        report, check=args.check, check_neighbourhood=args.check_neighbourhood
+    )
     for failure in failures:
         print(failure, file=sys.stderr)
     return 1 if failures else 0

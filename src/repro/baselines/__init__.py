@@ -11,9 +11,9 @@
   feedback-driven tuner standing in for TVM's XGBoost tuner in the GPU
   experiment (Sec. V-D),
 * :class:`~repro.baselines.local_search.LocalSearchScheduler` — move-based
-  local search over the map space, costing candidate moves incrementally
-  with the delta evaluator and steering through infeasible regions with
-  DDFW-style adaptive constraint weights.
+  local search over the map space, pricing each step's candidate moves in
+  one batched call and steering through infeasible regions with DDFW-style
+  adaptive constraint weights.
 """
 
 from repro.baselines.base import SearchResult, SearchScheduler, stable_layer_seed

@@ -4,9 +4,12 @@ Instead of redrawing whole mappings, this scheduler walks the map space one
 *move* at a time — relocating a single prime factor between (level,
 temporal/spatial) slots, swapping two temporal loops, or flipping a factor
 between temporal and spatial at one level (:mod:`repro.mapping.moves`).
-Candidate moves are costed incrementally by the
-:class:`~repro.model.delta.DeltaEvaluator`, which re-derives only the
-per-level terms a move touches and is bit-identical to a full re-evaluation.
+Each step prices its whole neighbourhood in one call of the vectorized
+:class:`~repro.model.batch.BatchCostModel`: every proposed move is applied,
+the moved state's factor lists are copied into one
+:class:`~repro.mapping.space.MappingDraws`, and the move is undone.  The
+batch model is bit-identical to the scalar oracle and also reports the
+unmasked cost and the violation totals of invalid states.
 
 Guidance borrows the *divide and distribute fixed weights* (DDFW) idea from
 SAT local search: each constraint group — buffer **capacity**, spatial
@@ -32,12 +35,13 @@ from __future__ import annotations
 import math
 import random
 import time
+from typing import NamedTuple
 
 from repro.arch.accelerator import Accelerator
 from repro.baselines.base import SearchResult, SearchScheduler, stable_layer_seed
 from repro.mapping.moves import MappingState
-from repro.mapping.space import MapSpace
-from repro.model.delta import DeltaCostResult, DeltaEvaluator
+from repro.mapping.space import MappingDraws, MapSpace
+from repro.model.batch import BatchCostResult
 from repro.workloads.layer import Layer
 
 #: Constraint groups carrying DDFW weights.
@@ -46,8 +50,8 @@ CONSTRAINT_GROUPS = ("capacity", "spatial", "utilization")
 #: Weights never decay below this floor, so no group is ever ignored.
 MIN_WEIGHT = 0.1
 
-#: Candidate moves previewed per step; the best by guidance is committed
-#: when it improves on the current state.
+#: Candidate moves priced per step (in one batch); the best by guidance is
+#: committed when it improves on the current state.
 MOVES_PER_STEP = 8
 
 #: DDFW transfer rule: on a plateau every violated group receives
@@ -72,10 +76,36 @@ RESTART_AFTER = 30
 UTILIZATION_TARGET = 0.5
 
 
-class LocalSearchScheduler(SearchScheduler):
-    """Delta-evaluated local search guided by adaptive constraint weights.
+def neighbourhood_draws(state: MappingState, moves) -> MappingDraws:
+    """The states ``moves`` lead to, as one batch of draws.
 
-    The moves previewed per step, the DDFW transfer rule, the perturbation
+    Each move is applied, the moved state's factor lists are copied into
+    the batch, and the move is undone, so ``state`` ends as it started.
+    """
+    draws = MappingDraws(layer=state.layer, num_levels=state.num_levels)
+    for move in moves:
+        undo = state.apply(move)
+        draws.temporal.append([[tuple(loop) for loop in loops] for loops in state.temporal])
+        draws.spatial.append([[tuple(loop) for loop in loops] for loops in state.spatial])
+        state.undo(undo)
+    return draws
+
+
+class _Priced(NamedTuple):
+    """One priced candidate state, as the Python floats the guidance reads."""
+
+    valid: bool
+    score: float
+    raw_score: float
+    capacity_violation: float
+    spatial_violation: float
+    raw_utilization: float
+
+
+class LocalSearchScheduler(SearchScheduler):
+    """Batch-priced local search guided by adaptive constraint weights.
+
+    The moves priced per step, the DDFW transfer rule, the perturbation
     probability, the restart window and the utilization target are the
     module constants above, not options.
 
@@ -89,7 +119,7 @@ class LocalSearchScheduler(SearchScheduler):
         Base seed; perturbed per layer like the other baselines.
     max_evaluations:
         Total cost-evaluation budget per layer (initial samples plus one per
-        previewed move) — the unit for equal-budget comparisons against the
+        priced move) — the unit for equal-budget comparisons against the
         sampling baselines.
     init_samples:
         Random draws scored to pick the starting state (the best valid draw,
@@ -145,7 +175,7 @@ class LocalSearchScheduler(SearchScheduler):
         evaluations = 0
         best_state: MappingState | None = None
         best_score = float("inf")
-        state = evaluator = current = None
+        state = current = None
         ref = 1.0
         weights = {group: 1.0 for group in CONSTRAINT_GROUPS}
         stalled = 0
@@ -155,19 +185,18 @@ class LocalSearchScheduler(SearchScheduler):
                 # (Re)seed: best valid of a random batch, else the first draw.
                 num_init = min(self.init_samples, self.max_evaluations - evaluations)
                 draws = space.sample_batch(num_init, rng)
-                valid, scores = self._score_draws(draws)
+                priced = self._price(draws)
                 evaluations += num_init
                 seed_index = 0
                 seed_score = float("inf")
-                for i in range(len(draws)):
-                    if valid[i] and scores[i] < seed_score:
-                        seed_index, seed_score = i, float(scores[i])
+                for i, candidate in enumerate(priced):
+                    if candidate.valid and candidate.score < seed_score:
+                        seed_index, seed_score = i, candidate.score
                 state = space.initial_state(draws, seed_index)
-                evaluator = DeltaEvaluator(state, self.accelerator)
-                current = evaluator.evaluate()
-                if current.valid and current.score(self.metric) < best_score:
-                    best_state, best_score = state.clone(), current.score(self.metric)
-                ref = current.raw_score(self.metric)
+                current = priced[seed_index]
+                if current.valid and current.score < best_score:
+                    best_state, best_score = state.clone(), current.score
+                ref = current.raw_score
                 if not math.isfinite(ref) or ref <= 0.0:
                     ref = 1.0
                 weights = {group: 1.0 for group in CONSTRAINT_GROUPS}
@@ -179,20 +208,20 @@ class LocalSearchScheduler(SearchScheduler):
             if not moves:
                 break  # frozen state: every loop bound is 1
 
+            neighbours = neighbourhood_draws(state, moves)
+            priced = self._price(neighbours)
+            evaluations += len(moves)
+
             improved_best = False
             best_move = None
-            best_result: DeltaCostResult | None = None
+            best_result: _Priced | None = None
             best_guidance = float("inf")
-            for move in moves:
-                result = evaluator.preview(move)
-                evaluations += 1
+            for i, (move, result) in enumerate(zip(moves, priced)):
                 guidance = self._guidance(result, weights, ref)
                 if guidance < best_guidance:
                     best_move, best_result, best_guidance = move, result, guidance
-                if result.valid and result.score(self.metric) < best_score:
-                    undo = state.apply(move)
-                    best_state, best_score = state.clone(), result.score(self.metric)
-                    state.undo(undo)
+                if result.valid and result.score < best_score:
+                    best_state, best_score = space.initial_state(neighbours, i), result.score
                     improved_best = True
 
             stalled = 0 if improved_best else stalled + 1
@@ -202,14 +231,16 @@ class LocalSearchScheduler(SearchScheduler):
             if best_move is None:
                 continue
             if best_guidance < self._guidance(current, weights, ref):
-                current, _ = evaluator.apply(best_move)
+                state.apply(best_move)
+                current = best_result
                 continue
 
             # Plateau: re-shape the landscape (DDFW weight transfer), then
             # optionally random-walk through it.
             self._transfer_weights(weights, current)
             if rng.random() < PERTURBATION:
-                current, _ = evaluator.apply(best_move)
+                state.apply(best_move)
+                current = best_result
 
         best_mapping = best_state.to_mapping() if best_state is not None else None
         best_cost = self._cost_model.evaluate(best_mapping) if best_mapping is not None else None
@@ -222,7 +253,22 @@ class LocalSearchScheduler(SearchScheduler):
         )
 
     # --------------------------------------------------------------- guidance
-    def _violations(self, result: DeltaCostResult) -> dict[str, float]:
+    def _price(self, draws: MappingDraws) -> list[_Priced]:
+        """Price every candidate of ``draws`` in one batch-model call."""
+        result: BatchCostResult = self._batch_model.evaluate_draws(draws)
+        return list(
+            map(
+                _Priced,
+                result.valid.tolist(),
+                result.score(self.metric).tolist(),
+                result.raw_score(self.metric).tolist(),
+                result.capacity_violation.tolist(),
+                result.spatial_violation.tolist(),
+                result.raw_utilization.tolist(),
+            )
+        )
+
+    def _violations(self, result: _Priced) -> dict[str, float]:
         """Per-group violation magnitudes of a (possibly invalid) state."""
         shortfall = max(0.0, UTILIZATION_TARGET - result.raw_utilization)
         return {
@@ -231,15 +277,15 @@ class LocalSearchScheduler(SearchScheduler):
             "utilization": shortfall / UTILIZATION_TARGET,
         }
 
-    def _guidance(self, result: DeltaCostResult, weights: dict, ref: float) -> float:
+    def _guidance(self, result: _Priced, weights: dict, ref: float) -> float:
         """Weighted objective: normalized raw cost plus weighted violations."""
         violations = self._violations(result)
-        guidance = result.raw_score(self.metric) / ref
+        guidance = result.raw_score / ref
         for group in CONSTRAINT_GROUPS:
             guidance += weights[group] * violations[group]
         return guidance
 
-    def _transfer_weights(self, weights: dict, current: DeltaCostResult) -> None:
+    def _transfer_weights(self, weights: dict, current: _Priced) -> None:
         """DDFW plateau rule: move weight from satisfied onto violated groups."""
         violations = self._violations(current)
         violated = [g for g in CONSTRAINT_GROUPS if violations[g] > 0]

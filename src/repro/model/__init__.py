@@ -12,8 +12,8 @@ analytical model.  This subpackage re-implements the same style of analysis:
   above, used by every scheduler and experiment,
 * :mod:`repro.model.batch` — the vectorized evaluator pricing whole
   batches of candidate mappings at once,
-* :mod:`repro.model.delta` — incremental (move-based) re-evaluation for the
-  local-search scheduler.
+* :mod:`repro.model.delta` — incremental (move-based) re-evaluation, which
+  no scheduler calls any more (kept for the end-to-end benchmark's tracer).
 """
 
 from repro.model.nest import NestAnalysis, BoundaryFlow

@@ -1,4 +1,12 @@
-"""Incremental (delta) mapping evaluation for move-based local search.
+"""Incremental (delta) mapping evaluation under local-search moves.
+
+No product code calls this module any more: local search prices each step's
+neighbourhood in one :class:`~repro.model.batch.BatchCostModel` call.  It
+stays only because the end-to-end benchmark's tracer (``e2ebench/tracer.py``)
+imports and wraps :class:`DeltaEvaluator`, as ``repro.model.kernels`` stays
+for its aliases; delete both classes once the tracer no longer names them.
+Until then the tests use it as an independent, pure-Python copy of the cost
+expression to check the batched neighbourhoods against.
 
 A local-search step changes one small thing about a mapping — relocates a
 prime factor, swaps two loops, flips a factor between temporal and spatial —
@@ -24,11 +32,10 @@ expression here mirrors the batched model's association order exactly, and
 ``tests/test_delta_moves.py`` asserts equality with ``==`` after random move
 sequences on every built-in problem.
 
-Invalid states are not dead ends for the search: the result carries the
+Invalid states are not dead ends for a search: the result carries the
 *raw* latency/energy/utilization plus normalized capacity/fanout violation
-totals, which the DDFW-style weights of
-:class:`~repro.baselines.local_search.LocalSearchScheduler` turn into a
-guidance score.
+totals, the same guidance inputs
+:class:`~repro.model.batch.BatchCostResult` reports.
 """
 
 from __future__ import annotations

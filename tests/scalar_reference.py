@@ -4,8 +4,10 @@ The search baselines score their candidates in vectorized batches.
 :func:`scalar_reference` derives, from a baseline class, a variant that
 scores the same candidate stream with a plain loop of
 :meth:`~repro.model.cost.CostModel.evaluate` calls, one candidate at a time
-and lazily (a search that stops early never scores the rest).  A baseline
-and its reference must agree on the winner and on every counter.
+and lazily (a search that stops early never scores the rest); local search's
+seeds and neighbourhoods go through the pure-Python delta evaluator one
+state at a time.  A baseline and its reference must agree on the winner and
+on every counter.
 
 :class:`SequentialTimeloopHybrid` is the Timeloop-Hybrid search as it ran
 before it scored several factorisations per batch: one base and its
@@ -16,9 +18,12 @@ import random
 import time
 
 from repro.baselines.base import SearchResult, stable_layer_seed
+from repro.baselines.local_search import _Priced
 from repro.baselines.timeloop_hybrid import TimeloopHybridScheduler
 from repro.mapping import MapSpace, mapping_to_dict
+from repro.mapping.moves import MappingState
 from repro.model.cost import CostModel
+from repro.model.delta import DeltaEvaluator
 
 
 def scalar_reference(scheduler_class):
@@ -35,6 +40,26 @@ def scalar_reference(scheduler_class):
             model = CostModel(self.accelerator)
             costs = [model.evaluate(mapping) for mapping in draws.iter_mappings()]
             return [cost.valid for cost in costs], [self.score(cost) for cost in costs]
+
+        def _price(self, draws):
+            # Local search also reads the unmasked cost and the violation
+            # totals, which the scalar model does not report: price each
+            # draw alone with the pure-Python delta evaluator.
+            priced = []
+            for index in range(len(draws)):
+                state = MappingState.from_draws(draws, index)
+                result = DeltaEvaluator(state, self.accelerator).evaluate()
+                priced.append(
+                    _Priced(
+                        result.valid,
+                        result.score(self.metric),
+                        result.raw_score(self.metric),
+                        result.capacity_violation,
+                        result.spatial_violation,
+                        result.raw_utilization,
+                    )
+                )
+            return priced
 
     ScalarReference.__name__ = f"Scalar{scheduler_class.__name__}"
     return ScalarReference

@@ -1,4 +1,4 @@
-"""Property tests: delta evaluation under random move sequences.
+"""Property tests: delta and batched evaluation under random move sequences.
 
 Hand-rolled generators (seeded ``random.Random``, no external property
 testing dependency — the coverage CI job installs none) drive long random
@@ -10,7 +10,13 @@ delta-accumulated result equals
   invalid states are checked too),
 * the scalar :class:`~repro.model.cost.CostModel` oracle on the
   materialized mapping, with ``==`` (bit-for-bit, no tolerance),
-* and, when numpy is present, the batched evaluator.
+* and the batched evaluator.
+
+Local search prices each step's neighbourhood in one batched call
+(:func:`~repro.baselines.local_search.neighbourhood_draws`); every row of
+that batch, raw values and violation totals included, must equal the delta
+preview of its move and the scalar oracle, on every registered problem and
+every architecture preset.
 
 Plus the mechanics underneath: ``preview`` leaves state and caches
 untouched, ``apply``/``undo`` round-trips restore both, and
@@ -21,7 +27,8 @@ import random
 
 import pytest
 
-from repro.arch import architecture_presets, simba_like
+from repro.arch import architecture_presets, gpu_k80, simba_like
+from repro.baselines.local_search import MOVES_PER_STEP, neighbourhood_draws
 from repro.mapping import MapSpace, mapping_to_dict
 from repro.mapping.moves import FactorMove, PermutationSwap, propose_move
 from repro.model import CostModel
@@ -35,6 +42,7 @@ from repro.workloads import (
     layer_from_name,
     matmul,
 )
+from repro.workloads.problem import available_problems, bn_relu, softmax
 
 ARCH = simba_like()
 
@@ -273,3 +281,85 @@ class TestMappingStateMechanics:
         assert sorted(map(tuple, after)) == sorted(map(tuple, before))
         state.undo(record)
         assert [list(e) for e in state.temporal[level]] == before
+
+
+def assert_step_parity(state, moves, arch, evaluator, scalar, batch_model):
+    """One batched neighbourhood against the delta previews and the oracle."""
+    shape = snapshot(state)
+    result = batch_model.evaluate_draws(neighbourhood_draws(state, moves))
+    assert snapshot(state) == shape, "pricing a neighbourhood mutated the state"
+    assert len(result) == len(moves)
+    for i, move in enumerate(moves):
+        preview = evaluator.preview(move)
+        assert bool(result.valid[i]) == preview.valid
+        assert result.latency[i] == preview.latency
+        assert result.energy[i] == preview.energy
+        assert result.utilization[i] == preview.utilization
+        assert result.raw_latency[i] == preview.raw_latency
+        assert result.raw_energy[i] == preview.raw_energy
+        assert result.raw_utilization[i] == preview.raw_utilization
+        assert result.capacity_violation[i] == preview.capacity_violation
+        assert result.spatial_violation[i] == preview.spatial_violation
+
+        record = state.apply(move)
+        cost = scalar.evaluate(state.to_mapping())
+        state.undo(record)
+        assert bool(result.valid[i]) == cost.valid
+        assert result.latency[i] == cost.latency
+        assert result.energy[i] == cost.energy
+        assert result.utilization[i] == cost.utilization
+
+
+def every_arch_preset():
+    return [*sorted(architecture_presets().items()), ("gpu-k80", gpu_k80())]
+
+
+class TestBatchedNeighbourhood:
+    def walk(self, layer, arch, rng, steps):
+        space = MapSpace(layer, arch)
+        state = space.initial_state(space.sample_batch(1, rng), 0)
+        evaluator = DeltaEvaluator(state, arch)
+        scalar, batch_model = CostModel(arch), BatchCostModel(arch)
+        priced = 0
+        for _ in range(steps):
+            moves = space.neighborhood(state, rng, MOVES_PER_STEP)
+            if not moves:
+                break
+            assert_step_parity(state, moves, arch, evaluator, scalar, batch_model)
+            priced += len(moves)
+            evaluator.apply(moves[rng.randrange(len(moves))])
+        return priced
+
+    def test_steps_on_every_registered_problem(self):
+        rng = random.Random(33)
+        layers = builtin_problem_layers() + [
+            softmax(seq=16, heads=2, name="step_softmax"),
+            bn_relu(p=8, k=16, name="step_bn_relu"),
+        ]
+        assert {layer.problem.name for layer in layers} == set(available_problems())
+        for layer in layers:
+            assert self.walk(layer, ARCH, rng, steps=12) >= 48, f"{layer.name}: walk froze"
+
+    def test_steps_on_every_architecture_preset(self):
+        rng = random.Random(34)
+        layers = (layer_from_name("3_14_32_64_1"), matmul(m=16, n=32, k=64, name="step_mm"))
+        for name, arch in every_arch_preset():
+            for layer in layers:
+                assert self.walk(layer, arch, rng, steps=10) >= 40, f"{name}/{layer.name}"
+
+    def test_violation_totals_sum_every_level_in_order(self):
+        # States past several limits at once: the totals are the level-order
+        # sums of excess / limit, as the delta evaluator accumulates them.
+        rng = random.Random(35)
+        layer = layer_from_name("3_28_128_128_1")
+        space = MapSpace(layer, ARCH)
+        draws = space.sample_batch(64, rng)
+        result = BatchCostModel(ARCH).evaluate_draws(draws)
+        over = 0
+        for i in range(len(draws)):
+            delta = DeltaEvaluator(space.initial_state(draws, i), ARCH).evaluate()
+            assert result.capacity_violation[i] == delta.capacity_violation
+            assert result.spatial_violation[i] == delta.spatial_violation
+            assert result.raw_energy[i] == delta.raw_energy
+            over += delta.capacity_violation > 0
+        assert over, "no draw overflows a buffer: weak test"

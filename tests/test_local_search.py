@@ -1,17 +1,20 @@
 """Tests for the DDFW-style local-search scheduler and its plumbing.
 
-Four layers of contract:
+Five layers of contract:
 
 * **End-to-end** — ``local-search`` is registered, schedules conv and
   matmul layers through ``schedule_outcome`` and the declarative ``run()``
   path, and its winner validates against the layer.
-* **Outcome invariance** — batched scoring of the initial draws gives the
-  winner, cost and counters of a loop of scalar evaluations, and only
-  result-determining options split the config fingerprint (the layer-tier
-  key).
+* **Outcome invariance** — batched pricing of the seed draws and the
+  neighbourhoods gives the winner, cost and counters of pricing each state
+  alone, and only result-determining options split the config fingerprint
+  (the layer-tier key).
 * **Quality** — under an equal evaluation budget the guided search is never
   worse than random search on a spread of ResNet-50 layers (and strictly
   better on some).
+* **Pinned outcomes** — the winners, costs and evaluation counts of five
+  default-budget searches are fixed: pricing a step one move at a time or
+  as one batch must not move them.
 * **Store identity** — legacy specs that still carry the removed
   ``engine.kernel_backend`` key share the result-store entry of the same
   spec without it (the key's parsing is covered with the other legacy
@@ -28,7 +31,7 @@ from repro.api import (
     schedulers,
 )
 from repro.api.store import ResultStore
-from repro.arch import simba_like
+from repro.arch import architecture_presets, gpu_k80, simba_like
 from repro.baselines import LocalSearchScheduler, RandomScheduler
 from repro.workloads import layer_from_name, matmul
 from scalar_reference import assert_same_outcome, scalar_reference
@@ -112,6 +115,60 @@ class TestBeatsRandomAtEqualBudget:
             assert local.cost.latency <= rand.cost.latency, name
             wins += local.cost.latency < rand.cost.latency
         assert wins >= 1, "guided search should strictly beat random somewhere"
+
+
+#: Default-budget searches (seed 0, 4000 evaluations) whose outcomes are
+#: pinned: the two ``search-eval`` layers of the end-to-end benchmark, a
+#: matmul under EDP, a strided (``Window``) conv under energy and a GPU layer.
+PINNED = [
+    (
+        "baseline-4x4", "latency", "1_28_512_256_1",
+        "L0: s[P7 C8] t[Q7 P2 C4] | L1: s[-] t[K4] | L2: s[-] t[Q2 K4] | L3: s[-] t[C2] "
+        "| L4: s[C8 K2] t[K8 Q2 P2] | L5: s[-] t[-]",
+        140800.0, 638633410.5600001,
+    ),
+    (
+        "baseline-4x4", "latency", "1_7_512_2048_1",
+        "L0: s[Q7 C4 K2] t[C2 P7 K4] | L1: s[-] t[K2 C2] | L2: s[-] t[K4] | L3: s[-] t[C8 K2] "
+        "| L4: s[C4 K4] t[-] | L5: s[-] t[K4]",
+        146752.0, 478798510.08000004,
+    ),
+    (
+        "baseline-4x4", "edp", "matmul",
+        "L0: s[M16 N4] t[M4 K24] | L1: s[-] t[K4 N8] | L2: s[-] t[-] | L3: s[-] t[K2] "
+        "| L4: s[M2 N2 K4] t[N3] | L5: s[-] t[N4]",
+        98304.0, 439888773.12000006,
+    ),
+    (
+        "baseline-4x4", "energy", "3_28_128_128_2",
+        "L0: s[R3 P7 Q2] t[Q7 K4] | L1: s[-] t[C8 S3 K2] | L2: s[-] t[Q2 K2] | L3: s[-] t[K8 C2] "
+        "| L4: s[C4] t[C2 P4] | L5: s[-] t[-]",
+        688128.0, 636896020.4800001,
+    ),
+    (
+        "gpu-k80", "latency", "3_14_256_256_1",
+        "L0: s[P2 Q14 C32] t[K128] | L1: s[-] t[C8] | L2: s[R3 S3] t[P7] | L3: s[-] t[K2]",
+        42560.0, 567988633.6,
+    ),
+]
+
+
+class TestPinnedOutcomes:
+    @pytest.mark.parametrize(
+        "arch_name, metric, layer_name, summary, latency, energy",
+        PINNED,
+        ids=[f"{row[0]}-{row[2]}-{row[1]}" for row in PINNED],
+    )
+    def test_default_search_outcome(self, arch_name, metric, layer_name, summary, latency, energy):
+        arch = {**architecture_presets(), "gpu-k80": gpu_k80()}[arch_name]
+        if layer_name == "matmul":
+            layer = matmul(m=128, n=768, k=768, name="pin_matmul")
+        else:
+            layer = layer_from_name(layer_name)
+        result = LocalSearchScheduler(arch, metric=metric).schedule(layer)
+        assert result.mapping.summary() == summary
+        assert (result.cost.latency, result.cost.energy) == (latency, energy)
+        assert result.num_evaluated == 4000
 
 
 class TestSpecAndStoreIdentity:
