@@ -198,6 +198,7 @@ class SearchScheduler:
             layer=layer,
             scheduler=self.name,
             mapping=mapping,
+            cost=result.cost if mapping is not None else None,
             wall_time_seconds=result.elapsed_seconds,
             solve_time_seconds=result.elapsed_seconds,
             num_sampled=result.num_sampled,

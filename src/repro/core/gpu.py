@@ -95,6 +95,7 @@ class CoSAGPUScheduler:
             layer=layer,
             scheduler=self.name,
             mapping=result.mapping,
+            cost=result.result.cost,
             wall_time_seconds=result.solve_time_seconds,
             solve_time_seconds=result.solve_time_seconds,
             num_sampled=1,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.arch.accelerator import Accelerator
 from repro.core.formulation import CoSAFormulation, FormulationStats
@@ -18,6 +19,9 @@ from repro.engine.outcome import ScheduleOutcome
 from repro.mapping.mapping import Mapping
 from repro.solver.solution import Solution, SolveStatus
 from repro.workloads.layer import Layer
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.model.cost import CostResult
 
 
 @dataclass
@@ -42,6 +46,9 @@ class ScheduleResult:
     stats:
         Size of the generated MIP, or ``None`` when no formulation could be
         built (every capacity fraction failed before producing one).
+    cost:
+        The cost model's result for ``mapping`` (the validity check prices
+        it), or ``None`` without a mapping.
     """
 
     layer: Layer
@@ -50,6 +57,7 @@ class ScheduleResult:
     objective: ObjectiveBreakdown | None
     solve_time_seconds: float
     stats: FormulationStats | None
+    cost: CostResult | None = None
 
     @property
     def succeeded(self) -> bool:
@@ -133,6 +141,7 @@ class CoSAScheduler:
         formulation = None
         solution = None
         mapping = None
+        cost = None
         objective = None
         for fraction in fractions:
             formulation = CoSAFormulation(
@@ -149,7 +158,8 @@ class CoSAScheduler:
             candidate = formulation.decode(solution)
             objective = formulation.objective_breakdown(solution)
             mapping = candidate
-            if cost_model.evaluate(candidate).valid:
+            cost = cost_model.evaluate(candidate)
+            if cost.valid:
                 break
         elapsed = time.perf_counter() - start
         return ScheduleResult(
@@ -159,6 +169,7 @@ class CoSAScheduler:
             objective=objective,
             solve_time_seconds=elapsed,
             stats=formulation.stats if formulation is not None else None,
+            cost=cost,
         )
 
     # -------------------------------------------------------- engine protocol
@@ -194,6 +205,7 @@ class CoSAScheduler:
             layer=layer,
             scheduler=self.name,
             mapping=result.mapping,
+            cost=result.cost,
             wall_time_seconds=result.solve_time_seconds,
             solve_time_seconds=result.solve_time_seconds,
             num_sampled=1,

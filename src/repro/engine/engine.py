@@ -231,11 +231,17 @@ class SchedulingEngine:
         )
 
     def _attach_metrics(self, outcome: ScheduleOutcome) -> None:
-        """Populate latency/energy/edp, including on layer-tier hits whose
-        entry was stored by a metrics-less engine."""
+        """Populate latency/energy/edp.
+
+        A fresh solve carries the scheduler's own pricing of its mapping
+        (``outcome.cost``); only a layer-tier hit stored by a metrics-less
+        engine is priced here.
+        """
         if self._cost_model is None or outcome.mapping is None or outcome.metrics:
             return
-        cost = self._cost_model.evaluate(outcome.mapping)
+        cost = outcome.cost
+        if cost is None:
+            cost = self._cost_model.evaluate(outcome.mapping)
         if cost.valid:
             outcome.metrics.update(latency=cost.latency, energy=cost.energy, edp=cost.edp)
 

@@ -48,6 +48,11 @@ class ScheduleOutcome:
         Metric values of the mapping under the analytical cost model
         (``latency`` in cycles, ``energy`` in pJ, ``edp``).  Populated by the
         engine; empty when the mapping is missing or was never evaluated.
+    cost:
+        The scheduler's own :class:`~repro.model.cost.CostResult` of
+        ``mapping``, when it priced it, so the engine fills ``metrics`` from
+        it instead of pricing the mapping a second time.  Live only, like
+        ``from_cache``.
     wall_time_seconds:
         Time-to-solution of the underlying solve/search.  For layer-tier
         hits this is zero, not the original solve time (which is preserved
@@ -76,6 +81,7 @@ class ScheduleOutcome:
     num_sampled: int = 0
     num_evaluated: int = 0
     from_cache: bool = False
+    cost: Any = None
     detail: Any = None
 
     @property

@@ -8,11 +8,17 @@ import pytest
 
 from repro.api.store import ResultStore
 from repro.arch import simba_like
-from repro.baselines import RandomScheduler, TimeloopHybridScheduler, TVMLikeTuner
+from repro.baselines import (
+    LocalSearchScheduler,
+    RandomScheduler,
+    TimeloopHybridScheduler,
+    TVMLikeTuner,
+)
 from repro.core import CoSAScheduler
 from repro.core.gpu import CoSAGPUScheduler
 from repro.core.scheduler import ScheduleResult
 from repro.engine import SchedulingEngine, Scheduler, cache_key
+from repro.model import CostModel
 from repro.solver.solution import Solution, SolveStatus
 from repro.workloads import Layer, layer_from_name
 from repro.workloads.networks import resnet50_layers
@@ -103,6 +109,41 @@ class TestEngineNetwork:
         assert outcome.metrics["edp"] == pytest.approx(
             outcome.metrics["latency"] * outcome.metrics["energy"]
         )
+
+    @pytest.mark.parametrize(
+        "make_scheduler",
+        [
+            lambda: CoSAScheduler(ARCH),
+            lambda: LocalSearchScheduler(ARCH, max_evaluations=200, init_samples=16),
+        ],
+        ids=["cosa", "local-search"],
+    )
+    def test_each_fresh_layer_is_priced_once(self, make_scheduler, monkeypatch):
+        # The engine takes the scheduler's own pricing of its mapping: one
+        # scalar CostModel.evaluate per freshly solved layer, not two.
+        calls = []
+        evaluate = CostModel.evaluate
+
+        def spy(self, mapping):
+            calls.append(mapping.layer)
+            return evaluate(self, mapping)
+
+        monkeypatch.setattr(CostModel, "evaluate", spy)
+        layers = [TINY, Layer(c=8, k=16, name="pointwise"), TINY]
+        network = SchedulingEngine(make_scheduler()).schedule_network(layers)
+        assert calls == [TINY, layers[1]]
+        monkeypatch.setattr(CostModel, "evaluate", evaluate)
+        for outcome in network.outcomes:
+            cost = CostModel(ARCH).evaluate(outcome.mapping)
+            assert outcome.metrics == {"latency": cost.latency, "energy": cost.energy, "edp": cost.edp}
+
+    def test_a_stored_layer_without_metrics_is_priced_on_load(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        scheduler = RandomScheduler(ARCH, num_valid=2)
+        SchedulingEngine(scheduler, store=store, evaluate_metrics=False).schedule_network([TINY])
+        hit = SchedulingEngine(scheduler, store=store).schedule_network([TINY]).outcomes[0]
+        assert hit.from_cache and hit.cost is None
+        assert hit.metrics["latency"] == CostModel(ARCH).evaluate(hit.mapping).latency
 
     def test_threads_match_serial_for_search(self):
         layers = [Layer(c=8, k=8), Layer(p=4, k=16), Layer(c=16, k=4), Layer(p=8, c=4)]
