@@ -732,8 +732,11 @@ def _result(args) -> int:
     if record is None:
         print(f"error: no job {args.job_id!r} recorded in {args.store}", file=sys.stderr)
         return 1
-    result = store.load(record["spec_fingerprint"])
-    if result is None:
+    # The stored file is the envelope; print its bytes as the gateway's
+    # /result serves them, not a re-serialisation of the parsed result.
+    try:
+        text = store.result_path(record["spec_fingerprint"]).read_text()
+    except FileNotFoundError:
         error = record.get("error") or {}
         detail = f": {error.get('type')}: {error.get('message')}" if error else ""
         print(
@@ -742,7 +745,7 @@ def _result(args) -> int:
             file=sys.stderr,
         )
         return 1
-    print(result.to_json())
+    print(text, end="")
     return 0
 
 

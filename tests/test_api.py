@@ -532,6 +532,6 @@ class TestLegacyEngineKeys:
         stored = store.load(record["spec_fingerprint"])
         assert stored == RunResult.from_dict(envelope)
         assert cli_main(["result", job_id, "--store", str(tmp_path / "store")]) == 0
-        printed = json.loads(capsys.readouterr().out)
-        assert printed == stored.to_dict()
-        assert printed["data"] == envelope["data"]
+        printed = capsys.readouterr().out
+        assert printed == path.read_text()
+        assert json.loads(printed)["data"] == envelope["data"]
