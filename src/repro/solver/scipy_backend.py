@@ -45,12 +45,15 @@ def _load_core():
 
 _core = _load_core()
 _Status = _core.HighsModelStatus
-# How scipy reads a HiGHS model status (``_highs_to_scipy_status_message``);
-# any other is its status 4: retried once without presolve, then an error.
+# How a HiGHS model status reads; any other is retried once without
+# presolve, then an error.  Every limit a MIP can hit maps to TIME_LIMIT and
+# keeps its incumbent: HiGHS 1.12 reports a reached ``mip_max_nodes`` as
+# ``kSolutionLimit``.
 _STATUS = {
     _Status.kOptimal: SolveStatus.OPTIMAL,
     _Status.kTimeLimit: SolveStatus.TIME_LIMIT,
     _Status.kIterationLimit: SolveStatus.TIME_LIMIT,
+    _Status.kSolutionLimit: SolveStatus.TIME_LIMIT,
     _Status.kInfeasible: SolveStatus.INFEASIBLE,
     _Status.kModelError: SolveStatus.INFEASIBLE,
     _Status.kUnbounded: SolveStatus.UNBOUNDED,
@@ -138,16 +141,19 @@ class ScipyMilpBackend:
             objective = float(cost @ x)
         return Solution(status, objective, values, elapsed, iterations=nodes)
 
-    def _attempt(self, lp, is_mip: bool, presolve: bool):
-        """One HiGHS run: ``(model status, x or None, branch-and-bound nodes)``."""
-        highs = _core._Highs()
-        options = {
+    def _options(self, presolve: bool) -> dict:
+        """HiGHS options of one attempt, by name (``None`` leaves the default)."""
+        return {
             "log_to_console": False,
             "mip_rel_gap": self.mip_rel_gap,
             "time_limit": self.time_limit_seconds,
             "presolve": None if presolve else "off",
         }
-        for name, value in options.items():
+
+    def _attempt(self, lp, is_mip: bool, presolve: bool):
+        """One HiGHS run: ``(model status, x or None, branch-and-bound nodes)``."""
+        highs = _core._Highs()
+        for name, value in self._options(presolve).items():
             if value is not None and highs.setOptionValue(name, value) != _core.HighsStatus.kOk:
                 raise ValueError(f"HiGHS rejected option {name}={value!r}")
 

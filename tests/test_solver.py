@@ -446,3 +446,37 @@ class TestHighsCore:
                   ours.objective, -theirs.fun)
         """)
         assert out.split() == ["True", "2.0", "2.0"]
+
+
+class _NodeCappedBackend(ScipyMilpBackend):
+    """HiGHS with ``mip_max_nodes`` set, counting its attempts."""
+
+    def __init__(self, max_nodes: int, **kwargs):
+        super().__init__(**kwargs)
+        self.max_nodes = max_nodes
+        self.attempts = 0
+
+    def _options(self, presolve: bool) -> dict:
+        return {**super()._options(presolve), "mip_max_nodes": self.max_nodes}
+
+    def _attempt(self, lp, is_mip: bool, presolve: bool):
+        self.attempts += 1
+        return super()._attempt(lp, is_mip, presolve)
+
+
+class TestLimitStatuses:
+    def test_node_capped_solve_keeps_its_incumbent_after_one_attempt(self):
+        from repro.arch import simba_like
+        from repro.core.formulation import CoSAFormulation
+        from repro.workloads import layer_from_name
+
+        formulation = CoSAFormulation(layer_from_name("1_28_512_256_1"), simba_like())
+        backend = _NodeCappedBackend(1, mip_rel_gap=0.02)
+        solution = formulation.solve(backend)
+        # HiGHS reports the reached node cap as kSolutionLimit: a limit that
+        # keeps its incumbent, not a failure retried without presolve.
+        assert backend.attempts == 1
+        assert solution.status is SolveStatus.TIME_LIMIT
+        assert math.isfinite(solution.objective)
+        assert solution.values
+        formulation.decode(solution).validate_against_layer()
