@@ -108,11 +108,9 @@ def _delta_matches_full(delta, full, index: int) -> bool:
     return all(getattr(delta, name) == getattr(full, name)[index] for name in EXACT_FIELDS)
 
 
-def _rows_match(result, index: int, full, full_index: int) -> bool:
-    """Exact agreement of row ``index`` of ``result`` with row ``full_index`` of ``full``."""
-    return all(
-        getattr(result, name)[index] == getattr(full, name)[full_index] for name in EXACT_FIELDS
-    )
+def _row_matches_full(result, index: int, full) -> bool:
+    """Exact agreement of row ``index`` of ``result`` with a one-row full evaluation."""
+    return all(getattr(result, name)[index] == getattr(full, name)[0] for name in EXACT_FIELDS)
 
 
 def _single_draw(state: MappingState) -> MappingDraws:
@@ -171,7 +169,7 @@ def bench_moves(arch, layer, space: MapSpace, draws, valid, seed: int, num_moves
         result = model.evaluate_draws(neighbourhood_draws(state, step))
         for row in range(len(step)):
             full = full_results[index * MOVES_PER_STEP + row]
-            neighbourhood_mismatches += not _rows_match(result, row, full, 0)
+            neighbourhood_mismatches += not _row_matches_full(result, row, full)
 
     start = time.perf_counter()
     for move in moves:

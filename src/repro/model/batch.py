@@ -249,10 +249,10 @@ class _ProblemTables:
     def __init__(self, problem: TensorProblem, model: "BatchCostModel"):
         self.problem = problem
         self.dims = problem.dims
-        self.dim_index = {dim: i for i, dim in enumerate(problem.dims)}
+        dim_index = {dim: i for i, dim in enumerate(problem.dims)}
         D, L = len(problem.dims), model.num_levels
         rel = np.zeros((D + 1, len(TensorKind)), dtype=bool)
-        for dim, i in self.dim_index.items():
+        for dim, i in dim_index.items():
             for tensor in TensorKind:
                 rel[i, int(tensor)] = problem.relevance(dim, tensor)
         self.walk_rel = np.concatenate(
@@ -260,7 +260,7 @@ class _ProblemTables:
             axis=1,
         )
         self.is_reduction = np.zeros(D + 1, dtype=bool)
-        self.is_reduction[[self.dim_index[dim] for dim in problem.reduction_dims]] = True
+        self.is_reduction[[dim_index[dim] for dim in problem.reduction_dims]] = True
         self.lane_index = _padded(
             [
                 [
@@ -284,10 +284,10 @@ class _ProblemTables:
                         windows.append(term)
                     program.append(D + windows.index(term))
                 else:
-                    program.append(self.dim_index[term])
+                    program.append(dim_index[term])
             programs.append(program)
-        self.window_outer = np.array([self.dim_index[w.outer] for w in windows], dtype=np.int64)
-        self.window_inner = np.array([self.dim_index[w.window] for w in windows], dtype=np.int64)
+        self.window_outer = np.array([dim_index[w.outer] for w in windows], dtype=np.int64)
+        self.window_inner = np.array([dim_index[w.window] for w in windows], dtype=np.int64)
         self.term_index = _padded(programs, pad=D + len(windows)).T
 
     def tiles(self, prefix, tf, stride: float):
@@ -429,19 +429,17 @@ class BatchCostModel:
         #: Per-layer constants (problem tables, bounds vector, tile masks,
         #: macs, stride), computed once per layer.
         self._layer_consts: dict[Layer, tuple] = {}
-        # Per-level constants.
-        self._fanout = np.array([level.spatial_fanout for level in hierarchy], dtype=np.float64)
-        self._capacity = np.array(
+        # Per-level constants: the fanout and capacity limits as one
+        # [2, 1, L] array, checked together.
+        self._limits = np.array(
             [
-                np.inf if level.is_unbounded else float(level.capacity_bytes)
-                for level in hierarchy
-            ],
-            dtype=np.float64,
-        )
+                [float(level.spatial_fanout) for level in hierarchy],
+                [np.inf if level.is_unbounded else float(level.capacity_bytes) for level in hierarchy],
+            ]
+        )[:, None, :]
         self._bandwidth = np.array(
             [level.bandwidth_words_per_cycle for level in hierarchy], dtype=np.float64
         )
-        self._limits = np.stack((self._fanout, self._capacity))[:, None, :]  # [2, 1, L]
         self._bytes = np.array(
             [float(accelerator.precision.bytes_for(tensor)) for tensor in TensorKind]
         )
@@ -618,8 +616,7 @@ class BatchCostModel:
         # Buffer occupancy (utilization_bytes, summed in TensorKind order).
         used_bytes = _fold(tiles * self._bytes[:, None, None])  # [B, L]
 
-        # The two per-level limits, fanout and capacity, checked together.
-        loads = np.array((spatial_per_level, used_bytes))  # [2, B, L]
+        loads = np.array((spatial_per_level, used_bytes))  # [2, B, L], as _limits
         within = np.logical_and.reduce(loads <= self._limits, axis=2)
         valid = consistent & within[0] & within[1]
         excess = np.maximum(loads - self._limits, 0.0) / self._limits
