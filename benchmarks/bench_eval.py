@@ -12,11 +12,13 @@ and time the evaluation pipelines over identical inputs:
   pass (packing included in the timing; the evaluator's per-layer constants
   are warm, as they are for every batch after a search's first), plus the
   cost of one such call at 1, 8 and 64 candidates,
-* **neighbourhood** — local search's step: ``MOVES_PER_STEP`` moves of one
-  state priced in one ``evaluate_draws`` call
-  (:func:`~repro.baselines.local_search.neighbourhood_draws`), against the
+* **neighbourhood** — local search's pricing along a plateau: a chain of up
+  to ``LOOKAHEAD`` neighbourhoods of ``MOVES_PER_STEP`` moves of one state,
+  packed straight from the moves and priced in one call
+  (:meth:`~repro.model.batch.MappingBatch.from_moves`), against the
   batch-of-one path for the same moves (apply, pack a one-draw batch, run
-  the vectorized evaluator, undo),
+  the vectorized evaluator, undo); plus the process CPU of one
+  local-search step on that path, neighbourhood draw included,
 * **delta** — single-move re-evaluation through the
   :class:`~repro.model.delta.DeltaEvaluator`, against the same batch-of-one
   path.
@@ -52,11 +54,11 @@ from bench_utils import PARITY_TOLERANCE, positive_int
 
 from repro.api import geometric_mean
 from repro.arch import simba_like
-from repro.baselines.local_search import MOVES_PER_STEP, neighbourhood_draws
+from repro.baselines.local_search import LOOKAHEAD, MOVES_PER_STEP
 from repro.io_utils import atomic_write_json
-from repro.mapping.moves import MappingState, propose_move
+from repro.mapping.moves import MappingState
 from repro.mapping.space import MapSpace, MappingDraws
-from repro.model import BatchCostModel, CostModel
+from repro.model import BatchCostModel, CostModel, MappingBatch
 from repro.model.delta import DeltaEvaluator
 from repro.workloads import layer_from_name
 from repro.workloads.networks import RESNET50_LAYER_STRINGS
@@ -123,36 +125,54 @@ def _single_draw(state: MappingState) -> MappingDraws:
     )
 
 
+def draw_chains(space: MapSpace, state: MappingState, rng, num_moves: int) -> list:
+    """Local search's lookahead chains of one fixed state, ``num_moves`` moves in all.
+
+    Each chain holds up to ``LOOKAHEAD`` neighbourhoods of up to
+    ``MOVES_PER_STEP`` moves, drawn as local search draws them along a
+    plateau; the last chain may be shorter.
+    """
+    chains: list[list] = []
+    drawn = 0
+    while drawn < num_moves:
+        if not chains or len(chains[-1]) == LOOKAHEAD:
+            chains.append([])
+        step = space.neighborhood(state, rng, min(MOVES_PER_STEP, num_moves - drawn))
+        if not step:
+            break
+        chains[-1].append(step)
+        drawn += len(step)
+    return [chain for chain in chains if chain]
+
+
 def bench_moves(arch, layer, space: MapSpace, draws, valid, seed: int, num_moves: int) -> dict:
     """Time neighbourhood and delta pricing vs the batch-of-one path.
 
     The state is seeded from the first valid draw (else draw 0); every move
-    is proposed against that fixed state, so the timed pipelines see the
-    exact same move sequence, cut into neighbourhoods of ``MOVES_PER_STEP``.
-    Each neighbourhood row and each delta preview is audited bitwise against
-    the batch-of-one path before the timing runs.
+    is drawn against that fixed state, as local search draws a plateau's
+    neighbourhoods, so the timed pipelines see the exact same moves.  The
+    neighbourhood path prices each chain of up to ``LOOKAHEAD``
+    neighbourhoods in one call, packed straight from the moves
+    (:meth:`~repro.model.batch.MappingBatch.from_moves`).  ``step_cpu_us``
+    is the process CPU of one local-search step on that path: drawing its
+    neighbourhood plus its share of the chain's pricing call.  Each
+    neighbourhood row and each delta preview is audited bitwise against the
+    batch-of-one path before the timing runs.
     """
     seed_index = next((i for i in range(len(draws)) if valid[i]), 0)
     state = MappingState.from_draws(draws, seed_index)
     evaluator = DeltaEvaluator(state, arch)
     model = BatchCostModel(arch)
-    fanouts = space.spatial_fanouts
 
-    rng = random.Random(seed + 1)
-    moves = []
-    for _ in range(4 * num_moves):
-        if len(moves) >= num_moves:
-            break
-        move = propose_move(state, fanouts, rng)
-        if move is None:
-            break
-        moves.append(move)
+    chains = draw_chains(space, state, random.Random(seed + 1), num_moves)
+    chained = [[move for step in chain for move in step] for chain in chains]
+    moves = [move for chain in chained for move in chain]
     if not moves:
         return {"delta_moves_per_sec": 0.0, "full_moves_per_sec": 0.0,
                 "neighbourhood_moves_per_sec": 0.0, "delta_speedup": 1.0,
-                "neighbourhood_speedup": 1.0, "delta_mismatches": 0,
+                "neighbourhood_speedup": 1.0, "step_cpu_us": 0.0, "delta_mismatches": 0,
                 "neighbourhood_mismatches": 0, "num_moves": 0}
-    steps = [moves[i : i + MOVES_PER_STEP] for i in range(0, len(moves), MOVES_PER_STEP)]
+    num_steps = sum(len(chain) for chain in chains)
 
     mismatches = 0
     full_results = []
@@ -165,11 +185,13 @@ def bench_moves(arch, layer, space: MapSpace, draws, valid, seed: int, num_moves
         if not _delta_matches_full(preview, full, 0):
             mismatches += 1
     neighbourhood_mismatches = 0
-    for index, step in enumerate(steps):
-        result = model.evaluate_draws(neighbourhood_draws(state, step))
-        for row in range(len(step)):
-            full = full_results[index * MOVES_PER_STEP + row]
+    offset = 0
+    for chain in chained:
+        result = model.evaluate_batch(MappingBatch.from_moves(state, chain))
+        for row in range(len(chain)):
+            full = full_results[offset + row]
             neighbourhood_mismatches += not _row_matches_full(result, row, full)
+        offset += len(chain)
 
     start = time.perf_counter()
     for move in moves:
@@ -177,9 +199,16 @@ def bench_moves(arch, layer, space: MapSpace, draws, valid, seed: int, num_moves
     delta_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    for step in steps:
-        model.evaluate_draws(neighbourhood_draws(state, step))
+    for chain in chained:
+        model.evaluate_batch(MappingBatch.from_moves(state, chain))
     neighbourhood_seconds = time.perf_counter() - start
+
+    start = time.process_time()
+    rng = random.Random(seed + 1)
+    for chain in chains:
+        steps = [space.neighborhood(state, rng, len(step)) for step in chain]
+        model.evaluate_batch(MappingBatch.from_moves(state, [m for step in steps for m in step]))
+    step_seconds = (time.process_time() - start) / num_steps
 
     start = time.perf_counter()
     for move in moves:
@@ -194,6 +223,7 @@ def bench_moves(arch, layer, space: MapSpace, draws, valid, seed: int, num_moves
         "neighbourhood_moves_per_sec": len(moves) / neighbourhood_seconds,
         "delta_speedup": full_seconds / delta_seconds,
         "neighbourhood_speedup": full_seconds / neighbourhood_seconds,
+        "step_cpu_us": step_seconds * 1e6,
         "delta_mismatches": mismatches,
         "neighbourhood_mismatches": neighbourhood_mismatches,
         "num_moves": len(moves),
@@ -306,6 +336,7 @@ def bench_report(layers, samples: int, seed: int, num_moves: int, quick: bool) -
         "min_delta_speedup": min(delta),
         "geomean_neighbourhood_speedup": geometric_mean(neighbourhood),
         "min_neighbourhood_speedup": min(neighbourhood),
+        "geomean_step_cpu_us": geometric_mean([row["step_cpu_us"] for row in rows]),
         **{
             f"geomean_call_us_{size}": geometric_mean([r[f"call_us_{size}"] for r in rows])
             for size in CALL_SIZES
@@ -326,6 +357,7 @@ def render_row(row: dict) -> str:
         f"vectorized {row['vectorized_mappings_per_sec']:>10.0f}/s ({row['speedup']:5.1f}x)   "
         f"call {row['call_us_1']:4.0f}/{row['call_us_8']:4.0f}/{row['call_us_64']:5.0f} us   "
         f"neighbourhood {row['neighbourhood_speedup']:5.1f}x   "
+        f"step {row['step_cpu_us']:4.0f} us   "
         f"delta {row['delta_speedup']:5.1f}x   "
         f"valid {row['num_valid']}/{row['samples']}"
     )
@@ -400,6 +432,7 @@ def main(argv=None) -> int:
         f"speedup over scalar: vectorized {report['geomean_speedup']:.1f}x; "
         f"per call {report['geomean_call_us_1']:.0f}/{report['geomean_call_us_8']:.0f}/"
         f"{report['geomean_call_us_64']:.0f} us at {'/'.join(map(str, CALL_SIZES))} candidates; "
+        f"local-search step {report['geomean_step_cpu_us']:.0f} us CPU; "
         f"vs batch-of-one moves: neighbourhood {report['geomean_neighbourhood_speedup']:.1f}x, "
         f"delta {report['geomean_delta_speedup']:.1f}x "
         f"over {len(report['layers'])} layers -> {args.out}"

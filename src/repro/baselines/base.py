@@ -10,7 +10,8 @@ converts the native :class:`SearchResult` into the unified
 
 It also hosts what all search baselines share:
 
-* **Scoring**: a batch of candidates is scored in one pass of the
+* **Scoring**: a batch of candidates, kept as the per-level loop lists of a
+  :class:`~repro.mapping.space.MappingDraws`, is scored in one pass of the
   vectorized :class:`~repro.model.batch.BatchCostModel`, which is
   bit-identical to the scalar :class:`~repro.model.cost.CostModel` oracle
   (the parity suite checks every baseline's winner and counters against a
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from repro.arch.accelerator import Accelerator
 from repro.digest import canonical_json, stable_seed32
@@ -131,35 +131,20 @@ class SearchScheduler:
         return cost.edp
 
     # -------------------------------------------------------------- scoring
-    def _scored(self, candidates: Iterable[Mapping]) -> Iterator[tuple[Mapping, bool, float]]:
-        """Yield ``(mapping, valid, score)`` for every candidate, in order.
-
-        The candidates are materialized and scored in one vectorized pass;
-        a lone candidate goes to the scalar model instead.  Scores are
-        bit-identical either way.
-        """
-        mappings = list(candidates)
-        if len(mappings) == 1:
-            cost = self._cost_model.evaluate(mappings[0])
-            yield mappings[0], cost.valid, self.score(cost)
-        elif mappings:
-            result = self._batch_model.evaluate_mappings(mappings)
-            scores = result.score(self.metric)
-            for i, mapping in enumerate(mappings):
-                yield mapping, bool(result.valid[i]), float(scores[i])
-
-    def _score_draws(self, draws: MappingDraws):
-        """Score a :class:`MappingDraws` chunk: ``(valid, scores)`` sequences.
+    def _score_draws(self, draws: MappingDraws) -> tuple[list[bool], list[float]]:
+        """Score a :class:`MappingDraws` chunk: ``(valid, scores)`` lists, in order.
 
         The vectorized path never materializes :class:`Mapping` objects —
         candidates live as factor matrices; only winners are materialized by
-        the caller via :meth:`MappingDraws.materialize`.
+        the caller via :meth:`MappingDraws.materialize`.  A lone candidate
+        goes to the scalar model instead, which is faster for a batch of
+        one; scores are bit-identical either way.
         """
         if len(draws) == 1:
             cost = self._cost_model.evaluate(draws.materialize(0))
             return [cost.valid], [self.score(cost)]
         result = self._batch_model.evaluate_draws(draws)
-        return result.valid, result.score(self.metric)
+        return result.valid.tolist(), result.score(self.metric).tolist()
 
     # --------------------------------------------------------- wall-clock budget
     def _deadline(self, start: float) -> float | None:

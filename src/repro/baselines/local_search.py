@@ -6,10 +6,20 @@ temporal/spatial) slots, swapping two temporal loops, or flipping a factor
 between temporal and spatial at one level (:mod:`repro.mapping.moves`).
 Each step prices its whole neighbourhood in one call of the vectorized
 :class:`~repro.model.batch.BatchCostModel`: every proposed move is applied,
-the moved state's factor lists are copied into one
-:class:`~repro.mapping.space.MappingDraws`, and the move is undone.  The
-batch model is bit-identical to the scalar oracle and also reports the
-unmasked cost and the violation totals of invalid states.
+the moved state's loops are written straight into the batch
+(:meth:`~repro.model.batch.MappingBatch.from_moves`), and the move is
+undone.  The batch model is bit-identical to the scalar oracle and also
+reports the unmasked cost and the violation totals of invalid states.
+
+Most steps are plateau steps that leave the state unchanged, so the search
+draws ahead: while the perturbation draw, taken early, says a plateau would
+not commit, the next step's neighbourhood is drawn from the same state, up
+to :data:`LOOKAHEAD` steps, and the chain is priced in one call.  The steps
+are then replayed one at a time.  A step that leaves the chain (an
+improving commit, a restart, no move with finite guidance) puts the rng
+back to the state saved before its perturbation draw, so the walk, its
+winner and its evaluation count are those of a search that draws and
+prices one step at a time.
 
 Guidance borrows the *divide and distribute fixed weights* (DDFW) idea from
 SAT local search: each constraint group — buffer **capacity**, spatial
@@ -41,7 +51,7 @@ from repro.arch.accelerator import Accelerator
 from repro.baselines.base import SearchResult, SearchScheduler, stable_layer_seed
 from repro.mapping.moves import MappingState
 from repro.mapping.space import MappingDraws, MapSpace
-from repro.model.batch import BatchCostResult
+from repro.model.batch import BatchCostResult, MappingBatch
 from repro.workloads.layer import Layer
 
 #: Constraint groups carrying DDFW weights.
@@ -65,6 +75,12 @@ WEIGHT_INCREMENT = 1.0
 #: worsens the guidance (random-walk escape).
 PERTURBATION = 0.1
 
+#: Plateau steps drawn ahead and priced in one batch call.  While the state
+#: is unchanged, the next step's neighbourhood is drawn from the same state,
+#: so a run of plateau steps costs one evaluator call per ``LOOKAHEAD``
+#: steps; the steps are then replayed one at a time.
+LOOKAHEAD = 4
+
 #: Steps without improving the best valid cost before the search restarts
 #: from a fresh best-of-``init_samples`` seed with reset weights (escapes
 #: basins no single move leads out of).
@@ -74,21 +90,6 @@ RESTART_AFTER = 30
 #: ``max(0, target - utilization) / target`` is the violation of the
 #: ``"utilization"`` group.
 UTILIZATION_TARGET = 0.5
-
-
-def neighbourhood_draws(state: MappingState, moves) -> MappingDraws:
-    """The states ``moves`` lead to, as one batch of draws.
-
-    Each move is applied, the moved state's factor lists are copied into
-    the batch, and the move is undone, so ``state`` ends as it started.
-    """
-    draws = MappingDraws(layer=state.layer, num_levels=state.num_levels)
-    for move in moves:
-        undo = state.apply(move)
-        draws.temporal.append([[tuple(loop) for loop in loops] for loops in state.temporal])
-        draws.spatial.append([[tuple(loop) for loop in loops] for loops in state.spatial])
-        state.undo(undo)
-    return draws
 
 
 class _Priced(NamedTuple):
@@ -185,7 +186,7 @@ class LocalSearchScheduler(SearchScheduler):
                 # (Re)seed: best valid of a random batch, else the first draw.
                 num_init = min(self.init_samples, self.max_evaluations - evaluations)
                 draws = space.sample_batch(num_init, rng)
-                priced = self._price(draws)
+                priced = self._price_draws(draws)
                 evaluations += num_init
                 seed_index = 0
                 seed_score = float("inf")
@@ -203,44 +204,60 @@ class LocalSearchScheduler(SearchScheduler):
                 stalled = 0
                 continue
 
-            budget = self.max_evaluations - evaluations
-            moves = space.neighborhood(state, rng, min(MOVES_PER_STEP, budget))
-            if not moves:
-                break  # frozen state: every loop bound is 1
+            steps = self._draw_chain(space, state, rng, evaluations, stalled, deadline)
+            chained = [move for moves, _, _ in steps for move in moves]
+            priced = self._price_moves(state, chained) if chained else []
 
-            neighbours = neighbourhood_draws(state, moves)
-            priced = self._price(neighbours)
-            evaluations += len(moves)
+            # Replay the chain one step at a time.  A step that changes the
+            # state, restarts or finds no finite guidance leaves the chain:
+            # the rng goes back to where that step's perturbation draw was
+            # taken ahead, and the steps drawn after it are dropped.
+            frozen = False
+            offset = 0
+            for moves, rng_state, draw in steps:
+                if not moves:
+                    frozen = True  # every loop bound is 1, or no move could be drawn
+                    break
+                step_priced = priced[offset : offset + len(moves)]
+                offset += len(moves)
+                evaluations += len(moves)
 
-            improved_best = False
-            best_move = None
-            best_result: _Priced | None = None
-            best_guidance = float("inf")
-            for i, (move, result) in enumerate(zip(moves, priced)):
-                guidance = self._guidance(result, weights, ref)
-                if guidance < best_guidance:
-                    best_move, best_result, best_guidance = move, result, guidance
-                if result.valid and result.score < best_score:
-                    best_state, best_score = space.initial_state(neighbours, i), result.score
-                    improved_best = True
+                improved_best = False
+                best_move = None
+                best_result: _Priced | None = None
+                best_guidance = float("inf")
+                for move, result in zip(moves, step_priced):
+                    guidance = self._guidance(result, weights, ref)
+                    if guidance < best_guidance:
+                        best_move, best_result, best_guidance = move, result, guidance
+                    if result.valid and result.score < best_score:
+                        best_state, best_score = state.clone(), result.score
+                        best_state.apply(move)
+                        improved_best = True
 
-            stalled = 0 if improved_best else stalled + 1
-            if stalled >= RESTART_AFTER:
-                state = None  # basin exhausted: restart from a fresh seed
-                continue
-            if best_move is None:
-                continue
-            if best_guidance < self._guidance(current, weights, ref):
-                state.apply(best_move)
-                current = best_result
-                continue
-
-            # Plateau: re-shape the landscape (DDFW weight transfer), then
-            # optionally random-walk through it.
-            self._transfer_weights(weights, current)
-            if rng.random() < PERTURBATION:
-                state.apply(best_move)
-                current = best_result
+                stalled = 0 if improved_best else stalled + 1
+                if stalled >= RESTART_AFTER:
+                    state = None  # basin exhausted: restart from a fresh seed
+                elif best_move is None:
+                    pass  # no move has finite guidance: the state stays
+                elif best_guidance < self._guidance(current, weights, ref):
+                    state.apply(best_move)
+                    current = best_result
+                else:
+                    # Plateau: re-shape the landscape (DDFW weight transfer),
+                    # then optionally random-walk through it.
+                    self._transfer_weights(weights, current)
+                    if draw is None:
+                        draw = rng.random()
+                    if draw < PERTURBATION:
+                        state.apply(best_move)  # the chain's last step
+                        current = best_result
+                    continue
+                if rng_state is not None:
+                    rng.setstate(rng_state)
+                break
+            if frozen:
+                break
 
         best_mapping = best_state.to_mapping() if best_state is not None else None
         best_cost = self._cost_model.evaluate(best_mapping) if best_mapping is not None else None
@@ -252,10 +269,48 @@ class LocalSearchScheduler(SearchScheduler):
             elapsed_seconds=time.perf_counter() - start,
         )
 
-    # --------------------------------------------------------------- guidance
-    def _price(self, draws: MappingDraws) -> list[_Priced]:
+    def _draw_chain(self, space, state, rng, evaluations, stalled, deadline) -> list:
+        """Draw the neighbourhoods of the next steps from the unchanged ``state``.
+
+        Returns ``[(moves, rng_state, draw)]``.  Each step but the last has
+        its plateau perturbation draw taken ahead: ``draw``, with
+        ``rng_state`` the rng state just before it.  Drawing goes on only
+        while that draw would leave a plateau unchanged, and the chain ends
+        after :data:`LOOKAHEAD` steps, at an empty neighbourhood, at a step
+        that could spend the last of the budget or restart the walk, and
+        after one step under a wall-clock budget.
+        """
+        steps = []
+        while True:
+            count = min(MOVES_PER_STEP, self.max_evaluations - evaluations)
+            moves = space.neighborhood(state, rng, count)
+            evaluations += len(moves)
+            if (
+                not moves
+                or deadline is not None
+                or len(steps) + 1 == LOOKAHEAD
+                or evaluations >= self.max_evaluations
+                or stalled + len(steps) + 1 >= RESTART_AFTER
+            ):
+                steps.append((moves, None, None))
+                return steps
+            rng_state = rng.getstate()
+            draw = rng.random()
+            steps.append((moves, rng_state, draw))
+            if draw < PERTURBATION:
+                return steps
+
+    # ---------------------------------------------------------------- pricing
+    def _price_draws(self, draws: MappingDraws) -> list[_Priced]:
         """Price every candidate of ``draws`` in one batch-model call."""
-        result: BatchCostResult = self._batch_model.evaluate_draws(draws)
+        return self._priced(self._batch_model.evaluate_draws(draws))
+
+    def _price_moves(self, state: MappingState, moves) -> list[_Priced]:
+        """Price the states ``moves`` lead to from ``state`` in one batch-model call."""
+        return self._priced(self._batch_model.evaluate_batch(MappingBatch.from_moves(state, moves)))
+
+    def _priced(self, result: BatchCostResult) -> list[_Priced]:
+        """The rows of ``result`` as the Python floats the guidance reads."""
         return list(
             map(
                 _Priced,
@@ -268,26 +323,26 @@ class LocalSearchScheduler(SearchScheduler):
             )
         )
 
-    def _violations(self, result: _Priced) -> dict[str, float]:
-        """Per-group violation magnitudes of a (possibly invalid) state."""
+    # --------------------------------------------------------------- guidance
+    @staticmethod
+    def _violations(result: _Priced) -> tuple[float, float, float]:
+        """Violations of a (possibly invalid) state, in :data:`CONSTRAINT_GROUPS` order."""
         shortfall = max(0.0, UTILIZATION_TARGET - result.raw_utilization)
-        return {
-            "capacity": result.capacity_violation,
-            "spatial": result.spatial_violation,
-            "utilization": shortfall / UTILIZATION_TARGET,
-        }
+        return result.capacity_violation, result.spatial_violation, shortfall / UTILIZATION_TARGET
 
     def _guidance(self, result: _Priced, weights: dict, ref: float) -> float:
         """Weighted objective: normalized raw cost plus weighted violations."""
-        violations = self._violations(result)
-        guidance = result.raw_score / ref
-        for group in CONSTRAINT_GROUPS:
-            guidance += weights[group] * violations[group]
-        return guidance
+        capacity, spatial, utilization = self._violations(result)
+        return (
+            result.raw_score / ref
+            + weights["capacity"] * capacity
+            + weights["spatial"] * spatial
+            + weights["utilization"] * utilization
+        )
 
     def _transfer_weights(self, weights: dict, current: _Priced) -> None:
         """DDFW plateau rule: move weight from satisfied onto violated groups."""
-        violations = self._violations(current)
+        violations = dict(zip(CONSTRAINT_GROUPS, self._violations(current)))
         violated = [g for g in CONSTRAINT_GROUPS if violations[g] > 0]
         satisfied = [g for g in CONSTRAINT_GROUPS if violations[g] == 0]
         if not violated:

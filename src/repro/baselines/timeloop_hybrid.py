@@ -14,6 +14,12 @@ and self-terminates after a run of ``termination_condition`` consecutive
 valid-yet-suboptimal mappings.  The best mapping over all threads is
 returned.
 
+Bases and their permutations stay per-level ``(dim, bound)`` loop lists, the
+form :meth:`~repro.mapping.space.MapSpace.sample_batch` draws; the sweeps of
+up to :data:`BASES_PER_BATCH` bases are scored as one
+:class:`~repro.mapping.space.MappingDraws`, and only the winner is
+materialized as a :class:`~repro.mapping.mapping.Mapping`.
+
 The paper runs 32 threads with a 500-mapping termination window, visiting
 67 M samples and 16 K+ valid mappings per layer; the defaults here are scaled
 down so a full four-network sweep stays practical in pure Python (see
@@ -24,12 +30,11 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import chain, islice, permutations
+from itertools import islice, permutations
 
 from repro.arch.accelerator import Accelerator
 from repro.baselines.base import SearchResult, SearchScheduler, stable_layer_seed
-from repro.mapping.mapping import LevelMapping, Loop, Mapping
-from repro.mapping.space import MapSpace
+from repro.mapping.space import DrawnLoop, DrawnMapping, MappingDraws, MapSpace
 from repro.workloads.layer import Layer
 
 #: Factorisations a search thread draws, with their permutation sweeps,
@@ -110,7 +115,7 @@ class TimeloopHybridScheduler(SearchScheduler):
         space = MapSpace(layer, self.accelerator)
         noc_level = self.accelerator.pe_level_index()
 
-        best_mapping = None
+        best: tuple[MappingDraws, int] | None = None
         best_score = float("inf")
         sampled = 0
         evaluated = 0
@@ -129,39 +134,48 @@ class TimeloopHybridScheduler(SearchScheduler):
                 # Draw several bases and their sweeps in the order a
                 # one-base-at-a-time search would, score them in one batch,
                 # then replay the bookkeeping up to where that search stops.
-                sweeps = []
+                batch = MappingDraws(layer=layer, num_levels=space.num_levels)
+                sweep_sizes = []
                 for _ in range(BASES_PER_BATCH):
-                    if sweeps and self._out_of_time(deadline):
+                    if sweep_sizes and self._out_of_time(deadline):
                         break
-                    base = space.random_mapping(rng)
-                    sweeps.append(list(self._permutation_sweep(base, noc_level, rng)))
-                scored = self._scored(chain.from_iterable(sweeps))
-                for sweep in sweeps:
+                    drawn = space.sample_batch(1, rng)
+                    base = drawn.temporal[0], drawn.spatial[0]
+                    sweep = self._permutation_sweep(base, noc_level, rng)
+                    for temporal, spatial in sweep:
+                        batch.temporal.append(temporal)
+                        batch.spatial.append(spatial)
+                    sweep_sizes.append(len(sweep))
+                valid, scores = self._score_draws(batch)
+                offset = 0
+                for sweep_size in sweep_sizes:
                     if (
                         consecutive_suboptimal >= self.termination_condition
                         or evaluated >= self.max_evaluations
                     ):
                         break
                     sampled += 1
-                    for candidate, ok, score in islice(scored, len(sweep)):
+                    for index in range(offset, offset + sweep_size):
                         sampled += 1
-                        if not ok:
+                        if not valid[index]:
                             continue
                         evaluated += 1
-                        score = float(score)
+                        score = float(scores[index])
                         if score < thread_best:
                             thread_best = score
                             consecutive_suboptimal = 0
                         else:
                             consecutive_suboptimal += 1
                         if score < best_score:
-                            best_mapping, best_score = candidate, score
+                            best, best_score = (batch, index), score
                         if (
                             consecutive_suboptimal >= self.termination_condition
                             or evaluated >= self.max_evaluations
                         ):
                             break
+                    offset += sweep_size
 
+        best_mapping = best[0].materialize(best[1]) if best is not None else None
         best_cost = self._cost_model.evaluate(best_mapping) if best_mapping is not None else None
         return SearchResult(
             mapping=best_mapping,
@@ -172,32 +186,29 @@ class TimeloopHybridScheduler(SearchScheduler):
         )
 
     # ------------------------------------------------------------ permutations
-    def _permutation_sweep(self, base: Mapping, noc_level: int, rng: random.Random):
-        """Yield the base mapping under every (pruned) NoC-level loop permutation."""
+    def _permutation_sweep(self, base: DrawnMapping, noc_level: int, rng: random.Random) -> list:
+        """The base candidate under every (pruned) NoC-level loop permutation."""
         merged = self._merged_outer_loops(base, noc_level)
         if len(merged) <= 1:
-            yield base
-            return
+            return [base]
         orders = list(islice(permutations(merged), MAX_PERMUTATIONS * 4))
         rng.shuffle(orders)
-        for order in orders[:MAX_PERMUTATIONS]:
-            yield self._with_outer_order(base, noc_level, list(order))
+        return [
+            self._with_outer_order(base, noc_level, order) for order in orders[:MAX_PERMUTATIONS]
+        ]
 
     @staticmethod
-    def _merged_outer_loops(mapping: Mapping, noc_level: int) -> list[Loop]:
+    def _merged_outer_loops(candidate: DrawnMapping, noc_level: int) -> list[DrawnLoop]:
         """NoC-level temporal loops merged per dimension (permutation pruning)."""
         merged: dict[str, int] = {}
-        for loop in mapping.levels[noc_level].temporal:
-            merged[loop.dim] = merged.get(loop.dim, 1) * loop.bound
-        return [Loop(dim=dim, bound=bound) for dim, bound in merged.items() if bound > 1]
+        for dim, bound in candidate[0][noc_level]:
+            merged[dim] = merged.get(dim, 1) * bound
+        return [(dim, bound) for dim, bound in merged.items() if bound > 1]
 
     @staticmethod
-    def _with_outer_order(mapping: Mapping, noc_level: int, order: list[Loop]) -> Mapping:
-        """Copy of ``mapping`` with the NoC-level temporal loops replaced by ``order``."""
-        levels = []
-        for index, level in enumerate(mapping.levels):
-            if index == noc_level:
-                levels.append(LevelMapping(temporal=list(order), spatial=list(level.spatial)))
-            else:
-                levels.append(LevelMapping(temporal=list(level.temporal), spatial=list(level.spatial)))
-        return Mapping(mapping.layer, levels)
+    def _with_outer_order(candidate: DrawnMapping, noc_level: int, order) -> DrawnMapping:
+        """Copy of ``candidate`` with the NoC-level temporal loops replaced by ``order``."""
+        temporal, spatial = candidate
+        temporal = list(temporal)
+        temporal[noc_level] = list(order)
+        return temporal, spatial

@@ -8,6 +8,12 @@ feedback-driven autotuner: it alternates exploration (random candidates)
 with exploitation (mutations of the best schedules found so far), spending a
 fixed number of "measurement" trials, each of which evaluates a small batch
 of candidates.
+
+Candidates stay per-level ``(dim, bound)`` loop lists, the form
+:meth:`~repro.mapping.space.MapSpace.sample_batch` draws: mutations copy and
+edit the lists, each trial's batch is scored as one
+:class:`~repro.mapping.space.MappingDraws`, and only the winner is
+materialized as a :class:`~repro.mapping.mapping.Mapping`.
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ import time
 
 from repro.arch.accelerator import Accelerator
 from repro.baselines.base import SearchResult, SearchScheduler, stable_layer_seed
-from repro.mapping.mapping import LevelMapping, Loop, Mapping
-from repro.mapping.space import MapSpace
+from repro.mapping.space import DrawnMapping, MappingDraws, MapSpace
 from repro.workloads.layer import Layer
+from repro.workloads.prime import factorize
 
 #: Fraction of each batch drawn at random instead of mutated from the
 #: incumbent population.
@@ -83,8 +89,8 @@ class TVMLikeTuner(SearchScheduler):
         rng = random.Random(stable_layer_seed(self.seed, layer.canonical_name))
         space = MapSpace(layer, self.accelerator)
 
-        population: list[tuple[float, Mapping]] = []
-        best_mapping = None
+        population: list[tuple[float, DrawnMapping]] = []
+        best: tuple[MappingDraws, int] | None = None
         best_score = float("inf")
         sampled = 0
         evaluated = 0
@@ -92,25 +98,30 @@ class TVMLikeTuner(SearchScheduler):
         for _ in range(self.trials):
             if self._out_of_time(deadline):
                 break
-            batch: list[Mapping] = []
+            batch = MappingDraws(layer=layer, num_levels=space.num_levels)
             for _ in range(self.batch_size):
                 if population and rng.random() > EXPLORATION:
                     _, parent = population[rng.randrange(min(len(population), 4))]
-                    batch.append(self._mutate(parent, space, rng))
+                    temporal, spatial = self._mutate(parent, rng)
                 else:
-                    batch.append(space.random_mapping(rng))
-            for candidate, ok, score in self._scored(batch):
+                    drawn = space.sample_batch(1, rng)
+                    temporal, spatial = drawn.temporal[0], drawn.spatial[0]
+                batch.temporal.append(temporal)
+                batch.spatial.append(spatial)
+            valid, scores = self._score_draws(batch)
+            for index, (ok, score) in enumerate(zip(valid, scores)):
                 sampled += 1
                 if not ok:
                     continue
                 evaluated += 1
                 score = float(score)
-                population.append((score, candidate))
+                population.append((score, (batch.temporal[index], batch.spatial[index])))
                 if score < best_score:
-                    best_mapping, best_score = candidate, score
+                    best, best_score = (batch, index), score
             population.sort(key=lambda item: item[0])
             del population[16:]
 
+        best_mapping = best[0].materialize(best[1]) if best is not None else None
         best_cost = self._cost_model.evaluate(best_mapping) if best_mapping is not None else None
         return SearchResult(
             mapping=best_mapping,
@@ -121,49 +132,42 @@ class TVMLikeTuner(SearchScheduler):
         )
 
     # ---------------------------------------------------------------- mutation
-    def _mutate(self, mapping: Mapping, space: MapSpace, rng: random.Random) -> Mapping:
+    def _mutate(self, candidate: DrawnMapping, rng: random.Random) -> DrawnMapping:
         """Local perturbation: move one prime factor to a different level or
         shuffle one level's loop order."""
         if rng.random() < 0.5:
-            return self._shuffle_level(mapping, rng)
-        return self._move_factor(mapping, space, rng)
+            return self._shuffle_level(candidate, rng)
+        return self._move_factor(candidate, rng)
 
     @staticmethod
-    def _shuffle_level(mapping: Mapping, rng: random.Random) -> Mapping:
-        levels = [
-            LevelMapping(temporal=list(l.temporal), spatial=list(l.spatial))
-            for l in mapping.levels
-        ]
-        candidates = [i for i, l in enumerate(levels) if len(l.temporal) > 1]
-        if candidates:
-            index = rng.choice(candidates)
-            rng.shuffle(levels[index].temporal)
-        return Mapping(mapping.layer, levels)
+    def _shuffle_level(candidate: DrawnMapping, rng: random.Random) -> DrawnMapping:
+        temporal, spatial = candidate
+        temporal = [list(loops) for loops in temporal]
+        levels = [i for i, loops in enumerate(temporal) if len(loops) > 1]
+        if levels:
+            rng.shuffle(temporal[rng.choice(levels)])
+        return temporal, spatial
 
     @staticmethod
-    def _move_factor(mapping: Mapping, space: MapSpace, rng: random.Random) -> Mapping:
-        levels = [
-            LevelMapping(temporal=list(l.temporal), spatial=list(l.spatial))
-            for l in mapping.levels
-        ]
+    def _move_factor(candidate: DrawnMapping, rng: random.Random) -> DrawnMapping:
+        temporal, spatial = candidate
+        temporal = [list(loops) for loops in temporal]
         sources = [
             (i, j)
-            for i, level in enumerate(levels)
-            for j, loop in enumerate(level.temporal)
-            if loop.bound > 1
+            for i, loops in enumerate(temporal)
+            for j, (_, bound) in enumerate(loops)
+            if bound > 1
         ]
         if not sources:
-            return Mapping(mapping.layer, levels)
+            return temporal, spatial
         level_index, loop_index = rng.choice(sources)
-        loop = levels[level_index].temporal.pop(loop_index)
+        dim, bound = temporal[level_index].pop(loop_index)
         # Split off one prime factor of the loop and move it elsewhere.
-        from repro.workloads.prime import factorize
-
-        primes = factorize(loop.bound)
-        moved = rng.choice(primes)
-        remaining = loop.bound // moved
+        moved = rng.choice(factorize(bound))
+        remaining = bound // moved
         if remaining > 1:
-            levels[level_index].temporal.insert(loop_index, Loop(loop.dim, remaining))
-        target = rng.randrange(len(levels))
-        levels[target].temporal.append(Loop(loop.dim, moved))
-        return Mapping(mapping.layer, levels)
+            temporal[level_index].insert(loop_index, (dim, remaining))
+        # The target level may already hold a loop of ``dim``: the two stay
+        # separate loops.
+        temporal[rng.randrange(len(temporal))].append((dim, moved))
+        return temporal, spatial

@@ -12,6 +12,8 @@ whole mappings.  This module provides the pieces:
   (level, temporal/spatial) slots.  A move with ``src_level == dst_level``
   and flipped spatial flags is a *spatial flip*.
 * :class:`PermutationSwap` — exchange two temporal loops of one level.
+* :class:`ProposalTable` — draws random moves of one state from tables
+  built once per state; :func:`propose_move` is its one-move case.
 
 Moves conserve the per-dimension factor product by construction, so a state
 seeded from a consistent draw stays consistent forever; only fanout and
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
 from repro.workloads.prime import factorize
@@ -31,6 +34,7 @@ __all__ = [
     "FactorMove",
     "PermutationSwap",
     "MappingState",
+    "ProposalTable",
     "propose_move",
 ]
 
@@ -43,7 +47,7 @@ class FactorMove:
     (removing the entry when its bound reaches 1) and multiplied into the
     ``dim`` entry at ``(dst_level, dst_spatial)``, creating it at position
     ``dst_pos`` (``-1`` appends) when absent.  ``factor`` must divide the
-    source entry's bound, which :func:`propose_move` guarantees by drawing
+    source entry's bound, which :class:`ProposalTable` guarantees by drawing
     it from the bound's prime factorization.
     """
 
@@ -189,68 +193,109 @@ class MappingState:
             target[:] = snapshot
 
 
-def propose_move(
-    state: MappingState,
-    fanouts: dict[int, int],
-    rng: random.Random,
-    swap_probability: float = 0.25,
-    overflow_probability: float = 0.1,
-    max_attempts: int = 16,
-):
-    """Draw one random move for ``state``, or ``None`` when the state is frozen.
+#: Probability of proposing a :class:`PermutationSwap` when some level has
+#: two or more temporal loops.
+SWAP_PROBABILITY = 0.25
 
-    With probability ``swap_probability`` (when some level has two or more
-    temporal loops) a :class:`PermutationSwap` is proposed; otherwise a
-    :class:`FactorMove` relocating one prime factor of a random movable
-    entry to a random other slot.  Spatial destinations normally respect the
-    remaining fanout budget, but with ``overflow_probability`` an
-    over-subscribing move is allowed through so the search can cross
-    infeasible regions — the DDFW weights on the spatial constraint group
-    then steer it back out.
+#: Probability that a spatial destination without fanout budget for the
+#: factor is taken anyway, so the search can cross infeasible regions — the
+#: DDFW weights on the spatial constraint group then steer it back out.
+OVERFLOW_PROBABILITY = 0.1
+
+#: Draws of (source, factor, destination) before a :class:`FactorMove`
+#: proposal gives up.
+MAX_ATTEMPTS = 16
+
+
+@lru_cache(maxsize=4096)
+def _prime_factors(bound: int) -> tuple[int, ...]:
+    """:func:`factorize`, cached: proposals factorize the same few bounds over and over."""
+    return tuple(factorize(bound))
+
+
+class ProposalTable:
+    """What move proposals read of one state, built once.
+
+    The swappable levels, the movable entries with their prime factors, the
+    destination slots of each source slot and the remaining fanout budgets
+    are functions of the state alone, so every proposal of a neighbourhood
+    draws from one table.  The state must not change while the table is in
+    use.
     """
-    swappable = [
-        level for level in range(state.num_levels) if len(state.temporal[level]) >= 2
-    ]
-    if swappable and rng.random() < swap_probability:
-        level = swappable[rng.randrange(len(swappable))]
-        loops = state.temporal[level]
-        i = rng.randrange(len(loops))
-        j = rng.randrange(len(loops) - 1)
-        if j >= i:
-            j += 1
-        return PermutationSwap(level=level, i=i, j=j)
 
-    sources = []
-    for level in range(state.num_levels):
-        for entry in state.temporal[level]:
-            sources.append((level, False, entry))
-        for entry in state.spatial[level]:
-            sources.append((level, True, entry))
-    if not sources:
+    def __init__(self, state: MappingState, fanouts: dict[int, int]):
+        self.state = state
+        num_levels = state.num_levels
+        self.swappable = [level for level in range(num_levels) if len(state.temporal[level]) >= 2]
+        self.sources = []
+        for level in range(num_levels):
+            for dim, bound in state.temporal[level]:
+                self.sources.append((level, False, dim, _prime_factors(bound)))
+            for dim, bound in state.spatial[level]:
+                self.sources.append((level, True, dim, _prime_factors(bound)))
+        self.slots = [(level, False) for level in range(num_levels)]
+        self.slots += [(level, True) for level in fanouts]
+        self.budgets = {
+            level: fanout // state.spatial_product_at(level) for level, fanout in fanouts.items()
+        }
+        self._destinations: dict[tuple[int, bool], list] = {}
+
+    def propose(self, rng: random.Random):
+        """Draw one random move, or ``None`` when the state is frozen.
+
+        With probability :data:`SWAP_PROBABILITY` (when some level has two
+        or more temporal loops) a :class:`PermutationSwap` is proposed;
+        otherwise a :class:`FactorMove` relocating one prime factor of a
+        random movable entry to a random other slot.  A spatial destination
+        must have fanout budget for the factor, except with probability
+        :data:`OVERFLOW_PROBABILITY`.  ``None`` also comes back when
+        :data:`MAX_ATTEMPTS` draws all fail that check.
+        """
+        state = self.state
+        swappable = self.swappable
+        if swappable and rng.random() < SWAP_PROBABILITY:
+            level = swappable[rng.randrange(len(swappable))]
+            num_loops = len(state.temporal[level])
+            i = rng.randrange(num_loops)
+            j = rng.randrange(num_loops - 1)
+            if j >= i:
+                j += 1
+            return PermutationSwap(level=level, i=i, j=j)
+
+        sources = self.sources
+        if not sources:
+            return None
+        for _ in range(MAX_ATTEMPTS):
+            level, spatial, dim, primes = sources[rng.randrange(len(sources))]
+            factor = primes[rng.randrange(len(primes))]
+            slots = self._destinations.get((level, spatial))
+            if slots is None:
+                slots = [slot for slot in self.slots if slot != (level, spatial)]
+                self._destinations[(level, spatial)] = slots
+            dst_level, dst_spatial = slots[rng.randrange(len(slots))]
+            if (
+                dst_spatial
+                and self.budgets[dst_level] < factor
+                and rng.random() >= OVERFLOW_PROBABILITY
+            ):
+                continue
+            dst_pos = rng.randrange(len(state._list(dst_level, dst_spatial)) + 1)
+            return FactorMove(
+                dim=dim,
+                factor=factor,
+                src_level=level,
+                src_spatial=spatial,
+                dst_level=dst_level,
+                dst_spatial=dst_spatial,
+                dst_pos=dst_pos,
+            )
         return None
 
-    for _ in range(max_attempts):
-        level, spatial, entry = sources[rng.randrange(len(sources))]
-        dim, bound = entry
-        primes = factorize(bound)
-        factor = primes[rng.randrange(len(primes))]
 
-        slots = [(lvl, False) for lvl in range(state.num_levels)]
-        slots += [(lvl, True) for lvl in fanouts]
-        slots = [slot for slot in slots if slot != (level, spatial)]
-        dst_level, dst_spatial = slots[rng.randrange(len(slots))]
-        if dst_spatial:
-            budget = fanouts.get(dst_level, 1) // state.spatial_product_at(dst_level)
-            if budget < factor and rng.random() >= overflow_probability:
-                continue
-        dst_pos = rng.randrange(len(state._list(dst_level, dst_spatial)) + 1)
-        return FactorMove(
-            dim=dim,
-            factor=factor,
-            src_level=level,
-            src_spatial=spatial,
-            dst_level=dst_level,
-            dst_spatial=dst_spatial,
-            dst_pos=dst_pos,
-        )
-    return None
+def propose_move(state: MappingState, fanouts: dict[int, int], rng: random.Random):
+    """Draw one random move for ``state``, or ``None`` when the state is frozen.
+
+    The one-move case of a :class:`ProposalTable`; see
+    :meth:`ProposalTable.propose`.
+    """
+    return ProposalTable(state, fanouts).propose(rng)

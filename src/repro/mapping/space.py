@@ -14,12 +14,16 @@ from dataclasses import dataclass, field
 
 from repro.arch.accelerator import Accelerator
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
-from repro.mapping.moves import MappingState, propose_move
+from repro.mapping.moves import MappingState, ProposalTable
 from repro.workloads.layer import Layer
 from repro.workloads.prime import factorize
 
 #: A drawn loop before materialization: ``(dimension name, bound)``.
 DrawnLoop = tuple[str, int]
+
+#: One drawn candidate before materialization: its per-level temporal and
+#: spatial loop lists.
+DrawnMapping = tuple[list[list[DrawnLoop]], list[list[DrawnLoop]]]
 
 
 @dataclass
@@ -212,28 +216,21 @@ class MapSpace:
         """Seed a mutable :class:`~repro.mapping.moves.MappingState` from a draw."""
         return MappingState.from_draws(draws, index)
 
-    def random_move(self, state: MappingState, rng: random.Random, **kwargs):
-        """One random local-search move for ``state`` (``None`` when frozen).
-
-        Thin wrapper over :func:`~repro.mapping.moves.propose_move` that
-        supplies this space's fanout budgets; keyword arguments
-        (``swap_probability``, ``overflow_probability``, ...) pass through.
-        """
-        return propose_move(state, self._spatial_levels, rng, **kwargs)
-
-    def neighborhood(self, state: MappingState, rng: random.Random, count: int, **kwargs) -> list:
+    def neighborhood(self, state: MappingState, rng: random.Random, count: int) -> list:
         """Up to ``count`` distinct random moves applicable to ``state``.
 
-        Moves are drawn via :meth:`random_move` and deduplicated (they are
-        frozen dataclasses, hence hashable); fewer than ``count`` moves are
-        returned when the state is frozen or proposals keep colliding.
+        Every move is drawn from one :class:`~repro.mapping.moves.ProposalTable`
+        of ``state`` and deduplicated (moves are frozen dataclasses, hence
+        hashable); fewer than ``count`` moves are returned when the state is
+        frozen or proposals keep colliding.
         """
+        propose = ProposalTable(state, self._spatial_levels).propose
         moves: list = []
         seen: set = set()
         for _ in range(4 * count):
             if len(moves) >= count:
                 break
-            move = self.random_move(state, rng, **kwargs)
+            move = propose(rng)
             if move is None:
                 break
             if move in seen:

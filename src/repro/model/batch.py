@@ -13,7 +13,8 @@ operations instead:
   flattened, permutation-ordered temporal-loop sequence
   (``loop_level/loop_dim/loop_bound[B, M]``) that the stationarity rules
   need.  Batches are built from :class:`~repro.mapping.space.MappingDraws`
-  (no :class:`~repro.mapping.mapping.Mapping` objects are created) or from
+  or from the moves of one local-search state (no
+  :class:`~repro.mapping.mapping.Mapping` objects are created), or from
   existing mappings.
 * :class:`BatchCostModel` — validates and evaluates every candidate of a
   batch at once, producing per-candidate ``valid``/``latency``/``energy``
@@ -54,6 +55,7 @@ from repro.workloads.layer import Layer, TensorKind
 from repro.workloads.problem import TensorProblem, Window
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.mapping.moves import MappingState
     from repro.mapping.space import MappingDraws
 
 #: Padding sentinel used in the flattened loop arrays.
@@ -108,9 +110,7 @@ class MappingBatch:
     @classmethod
     def from_draws(cls, draws: "MappingDraws") -> "MappingBatch":
         """Pack sampled factor placements (no ``Mapping`` objects involved)."""
-        return cls._pack(
-            draws.layer, draws.num_levels, draws.temporal, draws.spatial, merged=True
-        )
+        return cls._pack_loops(draws.layer, draws.num_levels, draws.temporal, draws.spatial)
 
     @classmethod
     def from_mappings(cls, mappings: Sequence[Mapping]) -> "MappingBatch":
@@ -132,36 +132,57 @@ class MappingBatch:
             [[(loop.dim, loop.bound) for loop in level.spatial] for level in mapping.levels]
             for mapping in mappings
         ]
-        return cls._pack(layer, num_levels, temporal, spatial, merged=False)
+        return cls._pack_loops(layer, num_levels, temporal, spatial)
 
     @classmethod
-    def _pack(cls, layer, num_levels, temporal_loops, spatial_loops, merged):
-        """Build the batch arrays with flat index lists and one scatter each.
+    def from_moves(cls, state: "MappingState", moves) -> "MappingBatch":
+        """Pack the states ``moves`` lead to from ``state``, one candidate per move.
 
-        The flattened loop order is level-major within each candidate, so
-        the (candidate, position, level) index columns are pure arithmetic
-        over the per-(candidate, level) loop counts — only the dimension ids
-        and bounds need the Python walk, which runs once per loop and keeps
-        its body to two appends.  ``merged`` candidates (sampled draws and
-        local-search states) hold at most one loop per (level, dim), so the
-        factor matrices take a plain assignment; otherwise repeated dims
-        multiply in loop order.
+        Each move is applied, the moved state's loops are written straight
+        into the flat index lists, and the move is undone, so ``state`` ends
+        as it started and no moved state is copied.
         """
-        size = len(temporal_loops)
-        dim_index = {dim: i for i, dim in enumerate(layer.problem.dims)}
-        L, D = num_levels, len(dim_index)
-
-        def flatten(candidates):
-            counts: list[int] = []
-            dims: list[int] = []
-            bounds: list[int] = []
-            add_count, add_dim, add_bound = counts.append, dims.append, bounds.append
-            for levels in candidates:
+        dim_index = _dim_index(state.layer)
+        flat = ([], [], []), ([], [], [])  # (counts, dims, bounds), temporal then spatial
+        apply, undo = state.apply, state.undo
+        for move in moves:
+            record = apply(move)
+            for levels, (counts, dims, bounds) in zip((state.temporal, state.spatial), flat):
                 for loops in levels:
-                    add_count(len(loops))
+                    counts.append(len(loops))
                     for dim, bound in loops:
-                        add_dim(dim_index[dim])
-                        add_bound(bound)
+                        dims.append(dim_index[dim])
+                        bounds.append(bound)
+            undo(record)
+        return cls._pack(state.layer, state.num_levels, len(moves), *flat)
+
+    @classmethod
+    def _pack_loops(cls, layer, num_levels, temporal, spatial):
+        """Pack per-candidate, per-level ``(dim, bound)`` loop lists."""
+        dim_index = _dim_index(layer)
+        return cls._pack(
+            layer,
+            num_levels,
+            len(temporal),
+            _flatten(dim_index, temporal),
+            _flatten(dim_index, spatial),
+        )
+
+    @classmethod
+    def _pack(cls, layer, num_levels, size, temporal, spatial):
+        """Build the batch arrays from flat loop lists with one scatter each.
+
+        ``temporal`` and ``spatial`` are ``(counts, dims, bounds)``: the
+        loop count of every (candidate, level) cell, candidate-major, then
+        the dimension index and bound of every loop in that order.  The
+        (candidate, position, level) index columns are pure arithmetic over
+        the counts.  Loops of one dimension that share a level (a tuner
+        mutation can append a second one) multiply in loop order.
+        """
+        L, D = num_levels, len(layer.problem.dims)
+
+        def arrays(flat):
+            counts, dims, bounds = flat
             counts_arr = np.array(counts, dtype=np.int64)
             # The (candidate * L + level) cell of every loop.
             cells = np.arange(size * L, dtype=np.int64).repeat(counts_arr)
@@ -172,14 +193,7 @@ class MappingBatch:
                 np.array(bounds, dtype=np.float64),
             )
 
-        def scatter(factors, cells, dims, bounds):
-            index = cells * D + dims
-            if merged:
-                factors.put(index, bounds)
-            else:
-                np.multiply.at(factors.reshape(-1), index, bounds)
-
-        t_counts, t_cells, t_dims, t_bounds = flatten(temporal_loops)
+        t_counts, t_cells, t_dims, t_bounds = arrays(temporal)
         per_candidate = t_counts.reshape(size, L).sum(axis=1)
         max_loops = max(int(per_candidate.max(initial=0)), 1)
         tf = np.ones((size, L, D), dtype=np.float64)
@@ -193,14 +207,34 @@ class MappingBatch:
             # candidate) of its candidate's row.
             shift = rows * max_loops - (per_candidate.cumsum() - per_candidate)[rows]
             slots = np.arange(len(t_cells), dtype=np.int64) + shift
-            scatter(tf, t_cells, t_dims, t_bounds)
+            np.multiply.at(tf.reshape(-1), t_cells * D + t_dims, t_bounds)
             loop_level.put(slots, t_cells % L)
             loop_dim.put(slots, t_dims)
             loop_bound.put(slots, t_bounds)
-        _, s_cells, s_dims, s_bounds = flatten(spatial_loops)
+        _, s_cells, s_dims, s_bounds = arrays(spatial)
         if len(s_dims):
-            scatter(sf, s_cells, s_dims, s_bounds)
+            np.multiply.at(sf.reshape(-1), s_cells * D + s_dims, s_bounds)
         return cls(layer, tf, sf, loop_level, loop_dim, loop_bound)
+
+
+def _dim_index(layer: Layer) -> dict[str, int]:
+    """Column of each problem dimension in the factor matrices."""
+    return {dim: i for i, dim in enumerate(layer.problem.dims)}
+
+
+def _flatten(dim_index: dict[str, int], candidates) -> tuple[list, list, list]:
+    """``(counts, dims, bounds)`` of per-candidate, per-level ``(dim, bound)`` loop lists."""
+    counts: list[int] = []
+    dims: list[int] = []
+    bounds: list[int] = []
+    add_count, add_dim, add_bound = counts.append, dims.append, bounds.append
+    for levels in candidates:
+        for loops in levels:
+            add_count(len(loops))
+            for dim, bound in loops:
+                add_dim(dim_index[dim])
+                add_bound(bound)
+    return counts, dims, bounds
 
 
 def _fold(terms):

@@ -194,13 +194,13 @@ class TestTVMLikeTuner:
         # Fig. 11 builds the tuner directly on the K80 target: each trial's
         # candidates go through one vectorized pass.
         calls = []
-        evaluate_mappings = BatchCostModel.evaluate_mappings
+        evaluate_draws = BatchCostModel.evaluate_draws
 
-        def spy(model, mappings):
-            calls.append(len(mappings))
-            return evaluate_mappings(model, mappings)
+        def spy(model, draws):
+            calls.append(len(draws))
+            return evaluate_draws(model, draws)
 
-        monkeypatch.setattr(BatchCostModel, "evaluate_mappings", spy)
+        monkeypatch.setattr(BatchCostModel, "evaluate_draws", spy)
         result = TVMLikeTuner(gpu_k80(), trials=3, seed=1).schedule(MEDIUM_LAYER)
         assert calls == [8, 8, 8]
         assert result.num_sampled == sum(calls)

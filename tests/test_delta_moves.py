@@ -12,9 +12,10 @@ delta-accumulated result equals
   materialized mapping, with ``==`` (bit-for-bit, no tolerance),
 * and the batched evaluator.
 
-Local search prices each step's neighbourhood in one batched call
-(:func:`~repro.baselines.local_search.neighbourhood_draws`); every row of
-that batch, raw values and violation totals included, must equal the delta
+Local search prices a chain of up to ``LOOKAHEAD`` neighbourhoods of one
+state in one batched call, packed straight from the moves
+(:meth:`~repro.model.batch.MappingBatch.from_moves`); every row of that
+batch, raw values and violation totals included, must equal the delta
 preview of its move and the scalar oracle, on every registered problem and
 every architecture preset.
 
@@ -28,11 +29,11 @@ import random
 import pytest
 
 from repro.arch import architecture_presets, gpu_k80, simba_like
-from repro.baselines.local_search import MOVES_PER_STEP, neighbourhood_draws
+from repro.baselines.local_search import LOOKAHEAD, MOVES_PER_STEP
 from repro.mapping import MapSpace, mapping_to_dict
 from repro.mapping.moves import FactorMove, PermutationSwap, propose_move
 from repro.model import CostModel
-from repro.model.batch import BatchCostModel
+from repro.model.batch import BatchCostModel, MappingBatch
 from repro.model.delta import DeltaEvaluator
 from repro.workloads import (
     attention_av,
@@ -284,9 +285,9 @@ class TestMappingStateMechanics:
 
 
 def assert_step_parity(state, moves, arch, evaluator, scalar, batch_model):
-    """One batched neighbourhood against the delta previews and the oracle."""
+    """One batched chain of neighbourhoods against the delta previews and the oracle."""
     shape = snapshot(state)
-    result = batch_model.evaluate_draws(neighbourhood_draws(state, moves))
+    result = batch_model.evaluate_batch(MappingBatch.from_moves(state, moves))
     assert snapshot(state) == shape, "pricing a neighbourhood mutated the state"
     assert len(result) == len(moves)
     for i, move in enumerate(moves):
@@ -322,7 +323,11 @@ class TestBatchedNeighbourhood:
         scalar, batch_model = CostModel(arch), BatchCostModel(arch)
         priced = 0
         for _ in range(steps):
-            moves = space.neighborhood(state, rng, MOVES_PER_STEP)
+            moves = [
+                move
+                for _ in range(LOOKAHEAD)
+                for move in space.neighborhood(state, rng, MOVES_PER_STEP)
+            ]
             if not moves:
                 break
             assert_step_parity(state, moves, arch, evaluator, scalar, batch_model)

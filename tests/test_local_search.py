@@ -21,6 +21,8 @@ Five layers of contract:
   engine keys in ``test_api.py``).
 """
 
+import itertools
+
 import pytest
 
 from repro.api import (
@@ -32,9 +34,11 @@ from repro.api import (
 )
 from repro.api.store import ResultStore
 from repro.arch import architecture_presets, gpu_k80, simba_like
-from repro.baselines import LocalSearchScheduler, RandomScheduler
+from repro.baselines import LocalSearchScheduler, RandomScheduler, SearchScheduler
+from repro.baselines.local_search import LOOKAHEAD
+from repro.mapping import MapSpace
 from repro.workloads import layer_from_name, matmul
-from scalar_reference import assert_same_outcome, scalar_reference
+from scalar_reference import SequentialLocalSearch, assert_same_outcome, scalar_reference
 
 ARCH = simba_like()
 
@@ -83,9 +87,17 @@ class TestEndToEnd:
 
 class TestOutcomeInvariance:
     def test_matches_the_scalar_reference(self):
-        layer = layer_from_name("3_14_32_64_1")
-        reference = small_scheduler(scalar_reference(LocalSearchScheduler)).schedule(layer)
-        assert_same_outcome(reference, small_scheduler().schedule(layer))
+        # The second walk starts from an invalid seed (one initial sample),
+        # so the DDFW weights on the violation totals steer it: a wrong
+        # capacity or fanout total moves its winner.
+        for layer_name, overrides in (
+            ("3_14_32_64_1", {}),
+            ("3_28_128_128_2", {"init_samples": 1, "seed": 0}),
+        ):
+            layer = layer_from_name(layer_name)
+            reference = small_scheduler(scalar_reference(LocalSearchScheduler), **overrides)
+            result = small_scheduler(**overrides).schedule(layer)
+            assert_same_outcome(reference.schedule(layer), result)
 
     def test_fingerprint_ignores_execution_knobs_when_budget_free(self):
         reference = small_scheduler().config_fingerprint()
@@ -94,6 +106,81 @@ class TestOutcomeInvariance:
         # Result-determining knobs do split the fingerprint.
         assert small_scheduler(seed=9).config_fingerprint() != reference
         assert small_scheduler(init_samples=16).config_fingerprint() != reference
+
+
+def every_arch():
+    return {**architecture_presets(), "gpu-k80": gpu_k80()}
+
+
+class ChainRecorder(LocalSearchScheduler):
+    """Local search that records the length of every chain it draws."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.chains = []
+
+    def _draw_chain(self, *args):
+        steps = super()._draw_chain(*args)
+        self.chains.append(len(steps))
+        return steps
+
+
+def assert_same_walk(expected, result):
+    assert_same_outcome(expected, result)
+    assert expected.mapping.summary() == result.mapping.summary()
+
+
+class TestLookahead:
+    """Pricing plateau steps ahead replays the step-at-a-time walk exactly."""
+
+    LAYER = layer_from_name("3_4_8_16_1")
+
+    @pytest.mark.parametrize("metric", SearchScheduler.METRICS)
+    @pytest.mark.parametrize("arch_name", sorted(every_arch()))
+    def test_matches_a_step_at_a_time_walk(self, arch_name, metric):
+        arch = every_arch()[arch_name]
+        chains = []
+        for seed, budget in itertools.product((0, 1, 2), (45, 150, 400)):
+            options = dict(metric=metric, seed=seed, max_evaluations=budget, init_samples=8)
+            expected = SequentialLocalSearch(arch, **options).schedule(self.LAYER)
+            scheduler = ChainRecorder(arch, **options)
+            assert_same_walk(expected, scheduler.schedule(self.LAYER))
+            chains += scheduler.chains
+        assert max(chains) == LOOKAHEAD
+
+    def test_an_empty_neighbourhood_ends_the_search_only_when_reached(self, monkeypatch):
+        # Both walks see an empty neighbourhood at the same rng positions; the
+        # lookahead also draws some its replay never reaches.
+        draw_moves = MapSpace.neighborhood
+        empty = {"hit": 0}
+
+        def sometimes_empty(space, state, rng, count):
+            if hash(rng.getstate()[1]) % 17 == 0:
+                empty["hit"] += 1
+                return []
+            return draw_moves(space, state, rng, count)
+
+        monkeypatch.setattr(MapSpace, "neighborhood", sometimes_empty)
+        reached = drawn = 0
+        for arch_name, seed in itertools.product(sorted(every_arch()), range(6)):
+            options = dict(seed=seed, max_evaluations=400, init_samples=8)
+            empty["hit"] = 0
+            expected = SequentialLocalSearch(every_arch()[arch_name], **options).schedule(
+                self.LAYER
+            )
+            reached += empty["hit"]
+            empty["hit"] = 0
+            result = LocalSearchScheduler(every_arch()[arch_name], **options).schedule(self.LAYER)
+            drawn += empty["hit"]
+            assert_same_walk(expected, result)
+        assert 0 < reached < drawn
+
+    def test_a_wall_clock_budget_prices_one_step_per_call(self):
+        options = dict(max_evaluations=400, init_samples=8, seed=1, time_budget_seconds=600.0)
+        expected = SequentialLocalSearch(ARCH, **options).schedule(self.LAYER)
+        scheduler = ChainRecorder(ARCH, **options)
+        assert_same_walk(expected, scheduler.schedule(self.LAYER))
+        assert set(scheduler.chains) == {1}
 
 
 class TestBeatsRandomAtEqualBudget:
