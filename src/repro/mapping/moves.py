@@ -144,22 +144,20 @@ class MappingState:
     def apply(self, move) -> tuple:
         """Apply ``move`` in place; returns an undo record for :meth:`undo`.
 
-        The record snapshots the (at most two) edited lists, so undo restores
-        the exact permutation positions.
+        The record names only the entries the move changed: the swapped
+        positions, or where the factor left the source list (divided out of
+        an entry, or the entry removed) and where it joined the destination
+        (multiplied in, or a new entry inserted), so undo restores the exact
+        permutation positions without copying either list.
         """
         if isinstance(move, PermutationSwap):
             loops = self.temporal[move.level]
-            record = ((loops, [list(e) for e in loops]),)
             loops[move.i], loops[move.j] = loops[move.j], loops[move.i]
-            return record
+            return (loops, move.i, move.j)
 
         src = self._list(move.src_level, move.src_spatial)
         dst = self._list(move.dst_level, move.dst_spatial)
-        record = ((src, [list(e) for e in src]),)
-        if dst is not src:
-            record = record + ((dst, [list(e) for e in dst]),)
-
-        for index, entry in enumerate(src):
+        for src_index, entry in enumerate(src):
             if entry[0] == move.dim:
                 if entry[1] % move.factor != 0:
                     raise ValueError(
@@ -167,8 +165,9 @@ class MappingState:
                         f"bound {entry[1]} at level {move.src_level}"
                     )
                 entry[1] //= move.factor
-                if entry[1] == 1:
-                    del src[index]
+                removed = entry if entry[1] == 1 else None
+                if removed is not None:
+                    del src[src_index]
                 break
         else:
             raise ValueError(
@@ -176,21 +175,35 @@ class MappingState:
                 f"({'spatial' if move.src_spatial else 'temporal'})"
             )
 
-        for entry in dst:
+        for dst_index, entry in enumerate(dst):
             if entry[0] == move.dim:
                 entry[1] *= move.factor
+                inserted = False
                 break
         else:
-            pos = move.dst_pos
-            if pos < 0 or pos > len(dst):
-                pos = len(dst)
-            dst.insert(pos, [move.dim, move.factor])
-        return record
+            dst_index = move.dst_pos
+            if dst_index < 0 or dst_index > len(dst):
+                dst_index = len(dst)
+            dst.insert(dst_index, [move.dim, move.factor])
+            inserted = True
+        return (move.factor, src, src_index, removed, dst, dst_index, inserted)
 
     def undo(self, record: tuple) -> None:
-        """Restore the lists snapshotted by :meth:`apply`."""
-        for target, snapshot in record:
-            target[:] = snapshot
+        """Revert the move :meth:`apply` returned ``record`` for."""
+        if len(record) == 3:
+            loops, i, j = record
+            loops[i], loops[j] = loops[j], loops[i]
+            return
+        factor, src, src_index, removed, dst, dst_index, inserted = record
+        if inserted:
+            del dst[dst_index]
+        else:
+            dst[dst_index][1] //= factor
+        if removed is not None:
+            removed[1] = factor
+            src.insert(src_index, removed)
+        else:
+            src[src_index][1] *= factor
 
 
 #: Probability of proposing a :class:`PermutationSwap` when some level has
