@@ -7,7 +7,7 @@ loops at the NoC-facing levels:
 
 * :mod:`repro.core.constants` — the relevance matrices ``A`` (dimension ->
   tensor) and ``B`` (memory level -> tensor) of Table IV,
-* :mod:`repro.core.variables` — the binary decision matrix ``X``, the
+* :mod:`repro.core.variables` — the prime copy-count matrix ``X``, the
   permutation ranks and the auxiliary traffic variables,
 * :mod:`repro.core.constraints` — buffer-capacity and spatial-resource
   constraints (Sec. III-C),

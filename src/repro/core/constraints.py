@@ -1,9 +1,9 @@
 """Constraints of the CoSA MIP (Sec. III-C of the paper).
 
-Five groups:
+Five groups, all over the copy counts ``X`` of each distinct prime:
 
-* **assignment** — every prime factor occupies exactly one (level, kind)
-  slot (the intent of Eq. 3),
+* **assignment** — the copies of every prime fill its multiplicity exactly
+  (the intent of Eq. 3),
 * **spatial resources** — the product of the factors mapped spatially at a
   level may not exceed its fanout (Eq. 4, in logarithms),
 * **buffer capacity** — the per-tensor tile built from the factors below a
@@ -13,10 +13,9 @@ Five groups:
   temporal factors take exactly one permutation rank, ranks hold at most one
   dimension and are used contiguously; the running-OR variables ``Y`` obey
   Eq. 9 and the per-(tensor, dimension) contributions linearise the
-  traffic-iteration term of Eq. 10,
-* **symmetry breaking** — interchangeable prime factors (same dimension and
-  value) are forced into a canonical order, which shrinks the
-  branch-and-bound tree without excluding any distinct schedule.
+  traffic-iteration term of Eq. 10; a tensor the NoC boundary does not
+  store is charged a DRAM re-fetch per NoC-boundary loop once one of its
+  relevant loops sits temporally inside the PE.
 """
 
 from __future__ import annotations
@@ -30,10 +29,10 @@ from repro.workloads.layer import TensorKind
 
 
 def add_assignment_constraints(model: MIPModel, variables: CoSAVariables) -> None:
-    """Each prime factor is assigned to exactly one (memory level, kind) slot."""
+    """The copies of each prime fill its multiplicity across the (level, kind) slots."""
     for factor in variables.factors:
         model.add_constraint(
-            lin_sum(variables.assignment_vars(factor)) == 1,
+            lin_sum(variables.assignment_vars(factor)) == factor.multiplicity,
             name=f"assign[{factor.dim}{factor.ordinal}]",
         )
 
@@ -109,21 +108,24 @@ def add_permutation_constraints(model: MIPModel, variables: CoSAVariables) -> No
     A dimension takes exactly one rank slot if and only if it owns at least
     one temporal factor at the NoC boundary; each slot holds at most one
     dimension and slots are used contiguously from the innermost outward.
+    A count reaches its prime's multiplicity, hence the scaled
+    ``rank_if_outer`` rows.
     """
     noc_level = variables.noc_level
     for dim in variables.active_dims:
         rank_sum = lin_sum(
             variables.rank[(dim, slot)] for slot in range(variables.num_ranks)
         )
-        outer_factors = [
-            variables.temporal_at(factor, noc_level) for factor in variables.factors_of_dim(dim)
-        ]
+        factors = variables.factors_of_dim(dim)
+        outer_counts = [variables.temporal_at(factor, noc_level) for factor in factors]
         model.add_constraint(rank_sum <= 1, name=f"one_rank[{dim}]")
         model.add_constraint(
-            rank_sum <= lin_sum(outer_factors), name=f"rank_only_if_outer[{dim}]"
+            rank_sum <= lin_sum(outer_counts), name=f"rank_only_if_outer[{dim}]"
         )
-        for outer in outer_factors:
-            model.add_constraint(rank_sum >= outer.to_expr(), name=f"rank_if_outer[{dim}]")
+        for factor, outer in zip(factors, outer_counts):
+            model.add_constraint(
+                factor.multiplicity * rank_sum >= outer.to_expr(), name=f"rank_if_outer[{dim}]"
+            )
 
     slot_occupancy = [
         lin_sum(variables.rank[(dim, slot)] for dim in variables.active_dims)
@@ -180,21 +182,32 @@ def add_traffic_linking_constraints(model: MIPModel, variables: CoSAVariables) -
             )
 
 
-def add_symmetry_breaking_constraints(model: MIPModel, variables: CoSAVariables) -> None:
-    """Order interchangeable prime factors canonically.
+def add_bypass_refetch_constraints(model: MIPModel, variables: CoSAVariables) -> None:
+    """DRAM re-fetch of the tensors the NoC-boundary level does not store.
 
-    Two factors with the same dimension and the same prime value produce
-    identical schedules under exchange; forcing their slot codes to be
-    non-decreasing along the run eliminates the duplicated branches without
-    excluding any distinct schedule.
+    Such a tensor's buffers inside the PE refill straight from DRAM.  Once a
+    relevant factor sits temporally at one of ``variables.bypass_levels[v]``,
+    the tile changes inside every NoC-boundary iteration, so every
+    NoC-boundary loop re-fetches it: ``B[v]`` is forced to 1 and each
+    ``E[v, d]`` is pushed up to the log of dimension ``d``'s NoC-boundary
+    loop bound (the same lower big-M envelope as ``T[v, d]``).
     """
-    for run in variables.identical_factor_runs():
-        for first, second in zip(run, run[1:]):
-            first_code = lin_sum(code * var for code, var in variables.slot_catalogue(first))
-            second_code = lin_sum(code * var for code, var in variables.slot_catalogue(second))
+    for tensor, levels in variables.bypass_levels.items():
+        flag = variables.bypass[tensor]
+        for factor in variables.factors:
+            if not variables.problem.relevance(factor.dim, tensor):
+                continue
+            for level in levels:
+                model.add_constraint(
+                    factor.multiplicity * flag >= variables.temporal_at(factor, level).to_expr(),
+                    name=f"bypass[{tensor.short_name},{factor.dim}:{factor.value},L{level}]",
+                )
+        for dim in variables.active_dims:
+            big_m = max(variables.dim_log_bound[dim], 1e-9)
             model.add_constraint(
-                first_code <= second_code,
-                name=f"sym_slot[{first.dim}{first.ordinal}<={second.ordinal}]",
+                variables.refetch_term[(tensor, dim)]
+                >= variables.outer_log_expression(dim) - big_m * (1 - flag),
+                name=f"refetch_term[{tensor.short_name},{dim}]",
             )
 
 
@@ -209,4 +222,4 @@ def add_all_constraints(
     add_buffer_capacity_constraints(model, variables, capacity_fraction)
     add_permutation_constraints(model, variables)
     add_traffic_linking_constraints(model, variables)
-    add_symmetry_breaking_constraints(model, variables)
+    add_bypass_refetch_constraints(model, variables)

@@ -2,8 +2,10 @@
 
 Decoding rules
 --------------
-* A factor whose spatial assignment variable is 1 becomes a ``spatial_for``
-  loop at that level.
+* The copy counts expand back into one loop per prime copy: the copies of a
+  prime take consecutive ordinals, filled into the temporal slots from the
+  innermost level outward and then into the spatial slots.
+* A copy in a spatial slot becomes a ``spatial_for`` loop at that level.
 * Temporal factors at levels **below** the NoC boundary become temporal loops
   at their level; within a level they are ordered by a stationarity
   heuristic — loops irrelevant to the level's resident tensor are placed
@@ -72,27 +74,21 @@ def decode_solution(variables: CoSAVariables, solution: Solution) -> Mapping:
     outer_temporal: list[PrimeFactor] = []
 
     for factor in variables.factors:
-        assigned = False
+        placed = 0
         for level in variables.temporal_levels:
-            if solution.rounded(variables.temporal_at(factor, level)) == 1:
-                if level == noc_level:
-                    outer_temporal.append(factor)
-                else:
-                    inner_temporal[level].append(factor)
-                assigned = True
-                break
-        if assigned:
-            continue
+            for _ in range(solution.rounded(variables.temporal_at(factor, level))):
+                copy = PrimeFactor(factor.dim, factor.value, 1, factor.ordinal + placed, factor.index)
+                (outer_temporal if level == noc_level else inner_temporal[level]).append(copy)
+                placed += 1
         for level in variables.spatial_fanouts:
             var = variables.spatial_at(factor, level)
-            if var is not None and solution.rounded(var) == 1:
+            for _ in range(solution.rounded(var) if var is not None else 0):
                 spatial_loops[level].append(Loop(dim=factor.dim, bound=factor.value, spatial=True))
-                assigned = True
-                break
-        if not assigned:
+                placed += 1
+        if placed != factor.multiplicity:
             raise ValueError(
-                f"prime factor {factor.dim}{factor.ordinal}={factor.value} has no assignment "
-                "in the solution"
+                f"prime {factor.value} of {factor.dim} has {placed} of its "
+                f"{factor.multiplicity} copies assigned in the solution"
             )
 
     outer_sorted = sorted(

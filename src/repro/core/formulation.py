@@ -100,7 +100,7 @@ class CoSAFormulation:
     def stats(self) -> FormulationStats:
         """Problem-size statistics of the generated MIP."""
         return FormulationStats(
-            num_prime_factors=len(self.variables.factors),
+            num_prime_factors=self.variables.num_primes,
             num_variables=self.model.num_variables,
             num_constraints=self.model.num_constraints,
         )

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from repro.arch.accelerator import Accelerator
-from repro.core.variables import CoSAVariables
+from repro.core.variables import CoSAVariables, bypass_levels
 from repro.mapping.mapping import Mapping
 from repro.solver.expr import LinearExpr, lin_sum
 from repro.workloads.layer import TensorKind
@@ -132,6 +132,8 @@ def traffic_expression(variables: CoSAVariables) -> LinearExpr:
         # linearised per dimension through the G / traffic-term variables.
         for dim in variables.active_dims:
             terms.append(1.0 * variables.traffic_term[(tensor, dim)])
+            if tensor in variables.bypass:
+                terms.append(1.0 * variables.refetch_term[(tensor, dim)])
     return lin_sum(terms)
 
 
@@ -169,9 +171,11 @@ def mapping_compute(mapping: Mapping) -> float:
 
 
 def mapping_traffic(mapping: Mapping, accelerator: Accelerator) -> float:
-    """Eq. 11 evaluated on a finished mapping."""
+    """Eq. 11 evaluated on a finished mapping, with the bypass re-fetch term."""
     noc_level = accelerator.pe_level_index()
+    bypassed = bypass_levels(accelerator)
     problem = mapping.layer.problem
+    outer_loops = mapping.loops_above(noc_level)
     total = 0.0
     for tensor in TensorKind:
         # D_v: transfer size below the NoC boundary.
@@ -182,11 +186,20 @@ def mapping_traffic(mapping: Mapping, accelerator: Accelerator) -> float:
                 total += math.log(loop.bound)
         # T_v: outer temporal loops at-or-outside the innermost relevant loop.
         relevant_seen = False
-        for _, loop in mapping.loops_above(noc_level):
+        for _, loop in outer_loops:
             if not relevant_seen and loop.relevant_to(tensor, problem):
                 relevant_seen = True
             if relevant_seen:
                 total += math.log(loop.bound)
+        # E_v: a tensor the NoC level does not store is re-fetched from DRAM
+        # by every outer loop once a relevant loop runs temporally between
+        # the buffer DRAM refills and the NoC boundary.
+        if any(
+            loop.relevant_to(tensor, problem)
+            for level in bypassed.get(tensor, ())
+            for loop in mapping.levels[level].temporal
+        ):
+            total += sum(math.log(loop.bound) for _, loop in outer_loops)
     return total
 
 

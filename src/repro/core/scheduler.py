@@ -77,11 +77,11 @@ class CoSAScheduler:
         architecture and can be re-calibrated per architecture as the paper
         does with micro-benchmarks.
     backend:
-        MIP backend; defaults to scipy's HiGHS MILP solver with a small
-        optimality gap and a time limit — CoSA's schedule quality does not
-        hinge on proving the last fraction of a percent of optimality, and
-        the limit keeps the one-shot property ("seconds per layer") that the
-        paper reports for Gurobi.
+        MIP backend; defaults to scipy's HiGHS MILP solver, run to proven
+        optimality (gap 0) under a time limit that keeps the one-shot
+        property ("seconds per layer") the paper reports for Gurobi.  A
+        schedule is then the objective's optimum, not whichever incumbent
+        the solver held when its bound came close enough.
     capacity_fraction:
         Buffer-capacity derating used inside the MIP (see
         :class:`~repro.core.formulation.CoSAFormulation`).
@@ -92,8 +92,6 @@ class CoSAScheduler:
 
     #: Default per-layer solver budget (seconds).
     DEFAULT_TIME_LIMIT = 20.0
-    #: Default relative MIP gap at which the solver may stop.
-    DEFAULT_MIP_GAP = 0.02
     #: Default buffer-capacity derating inside the MIP.
     DEFAULT_CAPACITY_FRACTION = 0.8
     #: Successive deratings tried when the decoded mapping overflows a buffer
@@ -112,9 +110,7 @@ class CoSAScheduler:
         if backend is None:
             from repro.solver.scipy_backend import ScipyMilpBackend
 
-            backend = ScipyMilpBackend(
-                time_limit_seconds=self.DEFAULT_TIME_LIMIT, mip_rel_gap=self.DEFAULT_MIP_GAP
-            )
+            backend = ScipyMilpBackend(time_limit_seconds=self.DEFAULT_TIME_LIMIT)
         self.backend = backend
         self.capacity_fraction = (
             self.DEFAULT_CAPACITY_FRACTION if capacity_fraction is None else capacity_fraction

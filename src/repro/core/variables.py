@@ -3,12 +3,17 @@
 The scheduling space is encoded as a prime-factor allocation problem
 (Sec. III-B of the paper):
 
-* every prime factor of every loop bound becomes a :class:`PrimeFactor`,
-* the binary matrix ``X`` assigns each factor to one (memory level,
-  spatial/temporal) slot.  Temporal slots exist at every level up to and
-  including the NoC boundary (the global buffer); loops above that boundary
-  are equivalent for every cost the models measure, so the redundant DRAM
-  temporal slots are dropped to shrink the search space,
+* every distinct prime of every loop bound becomes a :class:`PrimeFactor`
+  carrying its multiplicity (``8 = 2^3`` is one factor of multiplicity 3),
+* the integer matrix ``X`` counts how many copies of each prime sit in each
+  (memory level, spatial/temporal) slot, ``0 <= X <= multiplicity``.  Copies
+  of one prime in one dimension are interchangeable, so counting them
+  instead of placing each copy with its own binary removes the symmetric
+  branches the solver would otherwise explore.  Temporal slots exist at
+  every level up to and including the NoC boundary (the global buffer);
+  loops above that boundary are equivalent for every cost the models
+  measure, so the redundant DRAM temporal slots are dropped to shrink the
+  search space,
 * the **permutation** of the NoC-boundary loops is modelled per *dimension*:
   rank binaries ``R[d, z]`` order the dimensions that own at least one
   NoC-boundary temporal factor.  Grouping the factors of one dimension next
@@ -19,16 +24,22 @@ The scheduling space is encoded as a prime-factor allocation problem
   smaller than a per-factor one,
 * the running-OR variables ``Y`` (Eq. 9), the "outside" indicators
   ``G[v, d]`` and the per-(tensor, dimension) traffic contributions
-  ``T[v, d]`` linearise the traffic-iteration term of Eq. 10.
+  ``T[v, d]`` linearise the traffic-iteration term of Eq. 10,
+* for every tensor the NoC-boundary level does not store (weights on the
+  Simba-like presets, whose weight buffer refills straight from DRAM), the
+  binary ``B[v]`` marks a relevant temporal loop between that buffer and the
+  NoC boundary, and the contributions ``E[v, d]`` then charge every
+  NoC-boundary loop as a DRAM re-fetch of the tensor's tile.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.arch.accelerator import Accelerator
-from repro.solver.expr import Variable
+from repro.solver.expr import LinearExpr, Variable, lin_sum
 from repro.solver.model import MIPModel
 from repro.workloads.layer import Layer, TensorKind
 from repro.workloads.prime import factorize
@@ -36,7 +47,7 @@ from repro.workloads.prime import factorize
 
 @dataclass(frozen=True)
 class PrimeFactor:
-    """One prime factor of one layer dimension.
+    """One distinct prime of one layer dimension, with its multiplicity.
 
     Attributes
     ----------
@@ -44,14 +55,18 @@ class PrimeFactor:
         Layer dimension name.
     value:
         The prime value.
+    multiplicity:
+        How often the prime divides the dimension's bound.
     ordinal:
-        Position among the factors of the same dimension.
+        Position of the prime's first copy among the factors of the same
+        dimension (copies take the ordinals that follow).
     index:
         Global index across all factors (used to key variables).
     """
 
     dim: str
     value: int
+    multiplicity: int
     ordinal: int
     index: int
 
@@ -59,6 +74,36 @@ class PrimeFactor:
     def log_value(self) -> float:
         """Natural logarithm of the prime (all CoSA expressions are in log space)."""
         return math.log(self.value)
+
+
+def _max_copies(prime: int, multiplicity: int, fanout: int) -> int:
+    """Copies of ``prime`` (at most ``multiplicity``) whose product fits ``fanout``."""
+    copies, product = 0, prime
+    while copies < multiplicity and product <= fanout:
+        copies += 1
+        product *= prime
+    return copies
+
+
+def bypass_levels(accelerator: Accelerator) -> dict[TensorKind, range]:
+    """Levels at which a relevant temporal loop makes DRAM re-fetch a tensor.
+
+    For each tensor the NoC-boundary level does not store, its outermost
+    buffer below that boundary refills straight from DRAM, and a temporal
+    loop at level ``I`` iterates level-``I`` tiles.  A relevant temporal loop
+    anywhere from that buffer up to, not including, the NoC boundary
+    therefore changes the buffer's tile inside every NoC-boundary iteration,
+    and every NoC-boundary loop re-fetches the tile from DRAM.  Tensors the
+    boundary stores (or with no buffer below it) are absent.
+    """
+    hierarchy = accelerator.hierarchy
+    noc_level = accelerator.pe_level_index()
+    levels = {}
+    for tensor in TensorKind:
+        inside = [level for level in hierarchy.levels_holding(tensor) if level < noc_level]
+        if inside and not hierarchy[noc_level].holds(tensor):
+            levels[tensor] = range(inside[-1], noc_level)
+    return levels
 
 
 class CoSAVariables:
@@ -91,6 +136,10 @@ class CoSAVariables:
         }
         #: Levels that may receive temporal loops (registers .. NoC boundary).
         self.temporal_levels: list[int] = list(range(self.noc_level + 1))
+        #: Tensors the NoC-boundary level does not store, mapped to the
+        #: levels whose relevant temporal loops make every NoC-boundary loop
+        #: re-fetch the tensor from DRAM (see :func:`bypass_levels`).
+        self.bypass_levels: dict[TensorKind, range] = bypass_levels(accelerator)
 
         self.factors: list[PrimeFactor] = self._enumerate_factors(layer)
         #: Dimensions that actually have factors to place (bound > 1).
@@ -104,7 +153,7 @@ class CoSAVariables:
             dim: math.log(layer.bound(dim)) for dim in self.problem.dims
         }
 
-        # X matrix, split into the temporal and the spatial halves.
+        # X matrix (copy counts), split into the temporal and the spatial halves.
         self.x_temporal: dict[tuple[int, int], Variable] = {}
         self.x_spatial: dict[tuple[int, int], Variable] = {}
         # Dimension-level permutation ranks and traffic auxiliaries.
@@ -112,6 +161,9 @@ class CoSAVariables:
         self.y: dict[tuple[TensorKind, int], Variable] = {}
         self.outside: dict[tuple[TensorKind, str], Variable] = {}
         self.traffic_term: dict[tuple[TensorKind, str], Variable] = {}
+        # DRAM re-fetch of the tensors the NoC boundary does not store.
+        self.bypass: dict[TensorKind, Variable] = {}
+        self.refetch_term: dict[tuple[TensorKind, str], Variable] = {}
 
         self._create_assignment_variables()
         self._create_permutation_variables()
@@ -122,21 +174,31 @@ class CoSAVariables:
     def _enumerate_factors(layer: Layer) -> list[PrimeFactor]:
         factors: list[PrimeFactor] = []
         for dim in layer.problem.dims:
-            for ordinal, prime in enumerate(factorize(layer.bound(dim))):
-                factors.append(PrimeFactor(dim=dim, value=prime, ordinal=ordinal, index=len(factors)))
+            ordinal = 0
+            for prime, multiplicity in Counter(factorize(layer.bound(dim))).items():
+                factors.append(PrimeFactor(dim, prime, multiplicity, ordinal, len(factors)))
+                ordinal += multiplicity
         return factors
+
+    @property
+    def num_primes(self) -> int:
+        """Prime factors of the layer counted with multiplicity (Table VI)."""
+        return sum(factor.multiplicity for factor in self.factors)
 
     # --------------------------------------------------------------- variables
     def _create_assignment_variables(self) -> None:
         for factor in self.factors:
+            label = f"{factor.dim}:{factor.value}^{factor.multiplicity}"
             for level in self.temporal_levels:
-                name = f"X_t[{factor.dim}{factor.ordinal}={factor.value},L{level}]"
-                self.x_temporal[(factor.index, level)] = self.model.add_binary(name)
+                self.x_temporal[(factor.index, level)] = self.model.add_integer(
+                    f"X_t[{label},L{level}]", upper=factor.multiplicity
+                )
             for level, fanout in self.spatial_fanouts.items():
-                if factor.value > fanout:
-                    continue
-                name = f"X_s[{factor.dim}{factor.ordinal}={factor.value},L{level}]"
-                self.x_spatial[(factor.index, level)] = self.model.add_binary(name)
+                copies = _max_copies(factor.value, factor.multiplicity, fanout)
+                if copies:
+                    self.x_spatial[(factor.index, level)] = self.model.add_integer(
+                        f"X_s[{label},L{level}]", upper=copies
+                    )
 
     def _create_permutation_variables(self) -> None:
         for dim in self.active_dims:
@@ -158,10 +220,18 @@ class CoSAVariables:
                     lower=0.0,
                     upper=max(self.dim_log_bound[dim], 1e-9),
                 )
+        for tensor in self.bypass_levels:
+            self.bypass[tensor] = self.model.add_binary(f"B[{tensor.short_name}]")
+            for dim in self.active_dims:
+                self.refetch_term[(tensor, dim)] = self.model.add_continuous(
+                    f"E[{tensor.short_name},{dim}]",
+                    lower=0.0,
+                    upper=max(self.dim_log_bound[dim], 1e-9),
+                )
 
     # ----------------------------------------------------------------- queries
     def assignment_vars(self, factor: PrimeFactor) -> list[Variable]:
-        """Every (level, kind) assignment variable of ``factor``."""
+        """Every (level, kind) copy-count variable of ``factor``."""
         variables = [self.x_temporal[(factor.index, level)] for level in self.temporal_levels]
         variables += [
             self.x_spatial[(factor.index, level)]
@@ -170,52 +240,24 @@ class CoSAVariables:
         ]
         return variables
 
-    def slot_catalogue(self, factor: PrimeFactor) -> list[tuple[int, Variable]]:
-        """The factor's assignment variables paired with a canonical slot code.
-
-        Temporal slots are numbered by level; spatial slots follow.  The codes
-        are used by the symmetry-breaking constraints to order interchangeable
-        (same dimension, same prime) factors.
-        """
-        catalogue: list[tuple[int, Variable]] = []
-        code = 0
-        for level in self.temporal_levels:
-            catalogue.append((code, self.x_temporal[(factor.index, level)]))
-            code += 1
-        for level in sorted(self.spatial_fanouts):
-            var = self.x_spatial.get((factor.index, level))
-            if var is not None:
-                catalogue.append((code, var))
-            code += 1
-        return catalogue
-
     def temporal_at(self, factor: PrimeFactor, level: int) -> Variable:
-        """The temporal assignment variable of ``factor`` at ``level``."""
+        """The temporal copy count of ``factor`` at ``level``."""
         return self.x_temporal[(factor.index, level)]
 
     def spatial_at(self, factor: PrimeFactor, level: int) -> Variable | None:
-        """The spatial assignment variable of ``factor`` at ``level`` (``None`` if disallowed)."""
+        """The spatial copy count of ``factor`` at ``level`` (``None`` if disallowed)."""
         return self.x_spatial.get((factor.index, level))
 
     def factors_of_dim(self, dim: str) -> list[PrimeFactor]:
-        """All prime factors belonging to layer dimension ``dim``."""
+        """All distinct prime factors belonging to layer dimension ``dim``."""
         return [f for f in self.factors if f.dim == dim]
 
-    def outer_log_expression(self, dim: str):
+    def outer_log_expression(self, dim: str) -> LinearExpr:
         """Linear expression: log of the NoC-boundary temporal bound of ``dim``."""
-        from repro.solver.expr import lin_sum
-
         return lin_sum(
             factor.log_value * self.temporal_at(factor, self.noc_level)
             for factor in self.factors_of_dim(dim)
         )
-
-    def identical_factor_runs(self) -> list[list[PrimeFactor]]:
-        """Groups of interchangeable factors (same dimension and prime value)."""
-        runs: dict[tuple[str, int], list[PrimeFactor]] = {}
-        for factor in self.factors:
-            runs.setdefault((factor.dim, factor.value), []).append(factor)
-        return [run for run in runs.values() if len(run) > 1]
 
     @property
     def num_variables(self) -> int:
@@ -227,4 +269,6 @@ class CoSAVariables:
             + len(self.y)
             + len(self.outside)
             + len(self.traffic_term)
+            + len(self.bypass)
+            + len(self.refetch_term)
         )

@@ -58,10 +58,31 @@ class TestVariables:
         layer = Layer(r=3, s=3, p=4, q=4, c=8, k=16, n=1)
         model = MIPModel()
         variables = CoSAVariables(model, layer, ARCH)
-        # 1 + 1 + 2 + 2 + 3 + 4 + 0 prime factors.
-        assert len(variables.factors) == 13
-        assert len(variables.factors_of_dim("K")) == 4
+        # One factor per distinct prime of each dimension: 3, 3, 2^2, 2^2, 2^3, 2^4.
+        assert len(variables.factors) == 6
+        # 1 + 1 + 2 + 2 + 3 + 4 + 0 prime factors counted with multiplicity.
+        assert variables.num_primes == 13
+        (k_factor,) = variables.factors_of_dim("K")
+        assert (k_factor.value, k_factor.multiplicity) == (2, 4)
         assert all(f.log_value == pytest.approx(math.log(f.value)) for f in variables.factors)
+
+    def test_distinct_primes_of_one_dimension_take_consecutive_ordinals(self):
+        layer = Layer(c=12)  # 2^2 * 3
+        variables = CoSAVariables(MIPModel(), layer, ARCH)
+        assert [(f.value, f.multiplicity, f.ordinal) for f in variables.factors] == [(2, 2, 0), (3, 1, 2)]
+
+    def test_counts_are_integers_bounded_by_multiplicity_and_fanout(self):
+        layer = Layer(c=8, k=128)  # 2^3 and 2^7
+        variables = CoSAVariables(MIPModel(), layer, ARCH)
+        c_factor, k_factor = variables.factors
+        gb = ARCH.pe_level_index()
+        for level in variables.temporal_levels:
+            var = variables.temporal_at(k_factor, level)
+            assert (var.kind, var.upper) == ("integer", 7)
+        # 16 PEs take at most four copies of 2; 64 MAC lanes at most six.
+        assert variables.spatial_at(k_factor, gb).upper == 4
+        assert variables.spatial_at(k_factor, 0).upper == 6
+        assert variables.spatial_at(c_factor, 0).upper == 3
 
     def test_spatial_variables_respect_fanout(self):
         # A prime factor of 7 cannot be mapped across a 4x4=16-PE array level
@@ -86,18 +107,20 @@ class TestVariables:
         assert variables.active_dims == ["P", "K"]
         assert variables.num_ranks == 2
 
-    def test_identical_factor_runs(self):
-        layer = Layer(c=8)  # three factors of 2
-        variables = CoSAVariables(MIPModel(), layer, ARCH)
-        runs = variables.identical_factor_runs()
-        assert len(runs) == 1
-        assert len(runs[0]) == 3
-
     def test_variable_count_matches_registry(self):
         layer = Layer(p=4, c=4, k=4)
         model = MIPModel()
         variables = CoSAVariables(model, layer, ARCH)
         assert variables.num_variables == model.num_variables
+        # Three factors (2^2 each): 5 temporal + 2 spatial counts apiece, 3x3
+        # ranks, 3x3 Y, 3x3 G and 3x3 T, one weight bypass flag and 3 E.
+        assert variables.num_variables == 3 * 7 + 9 + 9 + 9 + 9 + 1 + 3
+
+    def test_weights_bypass_the_global_buffer(self):
+        variables = CoSAVariables(MIPModel(), Layer(k=8), ARCH)
+        wbuf = ARCH.hierarchy.index_of("WeightBuffer")
+        assert variables.bypass_levels == {TensorKind.WEIGHT: range(wbuf, ARCH.pe_level_index())}
+        assert set(variables.bypass) == {TensorKind.WEIGHT}
 
 
 class TestFormulationSolutions:
@@ -136,11 +159,29 @@ class TestFormulationSolutions:
         for constraint in formulation.model.constraints:
             assert constraint.satisfied_by(solution.values), constraint.name
 
-    def test_objective_breakdown_matches_decoded_mapping(self):
+    @pytest.mark.parametrize("refetch", [False, True], ids=["free", "weight-refetch"])
+    def test_objective_breakdown_matches_decoded_mapping(self, refetch):
         """The MIP's objective terms must agree with the direct evaluation of the
-        decoded mapping (they encode the same Eq. 5/6/11 quantities)."""
+        decoded mapping (they encode the same Eq. 5/6/11 quantities).
+
+        The ``weight-refetch`` case pins R's prime temporally at the weight
+        buffer and P's at the NoC boundary, so ``B[W] = 1`` and the DRAM
+        re-fetch term is non-zero on both sides."""
         layer = Layer(r=3, p=4, c=8, k=8)
-        formulation, solution, mapping = self._schedule(layer)
+        formulation = CoSAFormulation(layer, ARCH, capacity_fraction=0.5)
+        variables = formulation.variables
+        if refetch:
+            (r_prime,) = variables.factors_of_dim("R")
+            (p_prime,) = variables.factors_of_dim("P")
+            wbuf = ARCH.hierarchy.index_of("WeightBuffer")
+            formulation.model.add_constraint(variables.temporal_at(r_prime, wbuf) >= 1)
+            formulation.model.add_constraint(variables.temporal_at(p_prime, variables.noc_level) >= 1)
+        solution = formulation.solve()
+        assert solution.status is SolveStatus.OPTIMAL
+        mapping = formulation.decode(solution)
+        refetched = sum(solution.value(term) for term in variables.refetch_term.values())
+        assert solution.rounded(variables.bypass[TensorKind.WEIGHT]) == int(refetch)
+        assert (refetched > 0.5) is refetch
         solver_side = formulation.objective_breakdown(solution)
         mapping_side = mapping_objective_breakdown(mapping, ARCH)
         assert solver_side.compute == pytest.approx(mapping_side.compute, abs=1e-6)
@@ -161,7 +202,9 @@ class TestFormulationSolutions:
         layer = Layer(c=16, k=16)
         formulation = CoSAFormulation(layer, ARCH)
         stats = formulation.stats
+        # Two factors (2^4 each), eight primes counted with multiplicity.
         assert stats.num_prime_factors == 8
+        assert len(formulation.variables.factors) == 2
         assert stats.num_variables > 0
         assert stats.num_constraints > 0
 

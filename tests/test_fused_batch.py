@@ -299,7 +299,7 @@ class TestFrontierAlignment:
         group = next(g for g in bert_base_block_plan().groups if not g.is_singleton)
         assert group.name == "bert_base_attention_128_h12"
         assert _group_key(engine, group.layers[0], group, 0) == (
-            "1ea3f7e3c7d686f6ca019331bd43d6a3b6564d2d502f7bbe9fa63b07738307a0"
+            "fea0d13a563caa6a147c986e155b71cb000d7fa15dfc278ff0bd361a7c03627f"
         )
 
 

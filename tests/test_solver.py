@@ -470,8 +470,10 @@ class TestLimitStatuses:
         from repro.core.formulation import CoSAFormulation
         from repro.workloads import layer_from_name
 
-        formulation = CoSAFormulation(layer_from_name("1_28_512_256_1"), simba_like())
-        backend = _NodeCappedBackend(1, mip_rel_gap=0.02)
+        # A layer whose gap-0 solve branches (37 nodes uncapped), so one
+        # node cannot close it.
+        formulation = CoSAFormulation(layer_from_name("3_28_128_128_2"), simba_like())
+        backend = _NodeCappedBackend(1)
         solution = formulation.solve(backend)
         # HiGHS reports the reached node cap as kSolutionLimit: a limit that
         # keeps its incumbent, not a failure retried without presolve.
