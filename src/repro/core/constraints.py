@@ -15,7 +15,8 @@ Five groups, all over the copy counts ``X`` of each distinct prime:
   Eq. 9 and the per-(tensor, dimension) contributions linearise the
   traffic-iteration term of Eq. 10; a tensor the NoC boundary does not
   store is charged a DRAM re-fetch per NoC-boundary loop once one of its
-  relevant loops sits temporally inside the PE.
+  relevant loops sits temporally between its DRAM-refilled buffer and the
+  NoC boundary.
 """
 
 from __future__ import annotations
@@ -185,12 +186,13 @@ def add_traffic_linking_constraints(model: MIPModel, variables: CoSAVariables) -
 def add_bypass_refetch_constraints(model: MIPModel, variables: CoSAVariables) -> None:
     """DRAM re-fetch of the tensors the NoC-boundary level does not store.
 
-    Such a tensor's buffers inside the PE refill straight from DRAM.  Once a
-    relevant factor sits temporally at one of ``variables.bypass_levels[v]``,
-    the tile changes inside every NoC-boundary iteration, so every
-    NoC-boundary loop re-fetches it: ``B[v]`` is forced to 1 and each
-    ``E[v, d]`` is pushed up to the log of dimension ``d``'s NoC-boundary
-    loop bound (the same lower big-M envelope as ``T[v, d]``).
+    Such a tensor's outermost buffer below the boundary refills straight
+    from DRAM.  Once a relevant factor sits temporally at one of
+    ``variables.bypass_levels[v]``, that buffer's tile changes inside every
+    NoC-boundary iteration, so every NoC-boundary loop re-fetches it:
+    ``B[v]`` is forced to 1 and each ``E[v, d]`` is pushed up to the log of
+    dimension ``d``'s NoC-boundary loop bound (the same lower big-M
+    envelope as ``T[v, d]``).
     """
     for tensor, levels in variables.bypass_levels.items():
         flag = variables.bypass[tensor]

@@ -159,34 +159,36 @@ class TestFormulationSolutions:
         for constraint in formulation.model.constraints:
             assert constraint.satisfied_by(solution.values), constraint.name
 
-    @pytest.mark.parametrize("refetch", [False, True], ids=["free", "weight-refetch"])
-    def test_objective_breakdown_matches_decoded_mapping(self, refetch):
+    def test_objective_breakdown_matches_decoded_mapping(self):
         """The MIP's objective terms must agree with the direct evaluation of the
         decoded mapping (they encode the same Eq. 5/6/11 quantities).
 
-        The ``weight-refetch`` case pins R's prime temporally at the weight
-        buffer and P's at the NoC boundary, so ``B[W] = 1`` and the DRAM
-        re-fetch term is non-zero on both sides."""
+        The second solve pins R's prime temporally at the weight buffer and
+        P's at the NoC boundary, so ``B[W] = 1`` and the DRAM re-fetch term
+        is non-zero on both sides."""
         layer = Layer(r=3, p=4, c=8, k=8)
-        formulation = CoSAFormulation(layer, ARCH, capacity_fraction=0.5)
-        variables = formulation.variables
-        if refetch:
-            (r_prime,) = variables.factors_of_dim("R")
-            (p_prime,) = variables.factors_of_dim("P")
-            wbuf = ARCH.hierarchy.index_of("WeightBuffer")
-            formulation.model.add_constraint(variables.temporal_at(r_prime, wbuf) >= 1)
-            formulation.model.add_constraint(variables.temporal_at(p_prime, variables.noc_level) >= 1)
-        solution = formulation.solve()
-        assert solution.status is SolveStatus.OPTIMAL
-        mapping = formulation.decode(solution)
-        refetched = sum(solution.value(term) for term in variables.refetch_term.values())
-        assert solution.rounded(variables.bypass[TensorKind.WEIGHT]) == int(refetch)
-        assert (refetched > 0.5) is refetch
-        solver_side = formulation.objective_breakdown(solution)
-        mapping_side = mapping_objective_breakdown(mapping, ARCH)
-        assert solver_side.compute == pytest.approx(mapping_side.compute, abs=1e-6)
-        assert solver_side.utilization == pytest.approx(mapping_side.utilization, abs=1e-6)
-        assert solver_side.traffic == pytest.approx(mapping_side.traffic, abs=1e-6)
+        for refetch in (False, True):
+            formulation = CoSAFormulation(layer, ARCH, capacity_fraction=0.5)
+            variables = formulation.variables
+            if refetch:
+                (r_prime,) = variables.factors_of_dim("R")
+                (p_prime,) = variables.factors_of_dim("P")
+                wbuf = ARCH.hierarchy.index_of("WeightBuffer")
+                formulation.model.add_constraint(variables.temporal_at(r_prime, wbuf) >= 1)
+                formulation.model.add_constraint(
+                    variables.temporal_at(p_prime, variables.noc_level) >= 1
+                )
+            solution = formulation.solve()
+            assert solution.status is SolveStatus.OPTIMAL
+            mapping = formulation.decode(solution)
+            refetched = sum(solution.value(term) for term in variables.refetch_term.values())
+            assert solution.rounded(variables.bypass[TensorKind.WEIGHT]) == int(refetch)
+            assert (refetched > 0.5) is refetch
+            solver_side = formulation.objective_breakdown(solution)
+            mapping_side = mapping_objective_breakdown(mapping, ARCH)
+            assert solver_side.compute == pytest.approx(mapping_side.compute, abs=1e-6)
+            assert solver_side.utilization == pytest.approx(mapping_side.utilization, abs=1e-6)
+            assert solver_side.traffic == pytest.approx(mapping_side.traffic, abs=1e-6)
 
     def test_decoded_mapping_is_valid_under_cost_model(self):
         from repro.model import CostModel
