@@ -40,12 +40,10 @@ from repro.api.registry import (
 
 
 @schedulers.register("cosa", description="one-shot constrained-optimization (MIP) scheduler")
-def _make_cosa(accelerator, *, weights=None, backend=None, capacity_fraction=None):
+def _make_cosa(accelerator, *, weights=None, backend=None):
     from repro.core.scheduler import CoSAScheduler
 
-    return CoSAScheduler(
-        accelerator, weights=weights, backend=backend, capacity_fraction=capacity_fraction
-    )
+    return CoSAScheduler(accelerator, weights=weights, backend=backend)
 
 
 @schedulers.register("random", description="best of N random valid mappings (Random 5x baseline)")

@@ -19,7 +19,9 @@ depend on what the store held when it ran.
   except ``engine.jobs``, which cannot change the payload: a 1-job and an
   8-job run of the same experiment share one entry, while kind, axes, seed,
   options and time budget split entries.  A spec serializes only what a run
-  reads, so no other key needs filtering.
+  reads, so no other key needs filtering.  :data:`~repro.digest.RESULTS_VERSION`
+  enters the key too, so envelopes stored by code that produced other
+  results are not served.
 * Writes go through :func:`repro.io_utils.atomic_write_json`, so concurrent
   services sharing one store directory never tear an entry.
 
@@ -81,7 +83,7 @@ from pathlib import Path
 
 from repro.api.result import RunResult
 from repro.api.specs import RunSpec
-from repro.digest import stable_digest
+from repro.digest import RESULTS_VERSION, stable_digest
 from repro.engine.outcome import ScheduleOutcome
 from repro.io_utils import append_bytes, atomic_write_json, read_ndjson
 from repro.mapping.serialize import mapping_from_dict, mapping_to_dict
@@ -95,9 +97,11 @@ WARM_CAPACITY = 128
 
 
 def spec_fingerprint(spec: RunSpec) -> str:
-    """Content hash of ``spec``: every serialized key except ``engine.jobs``."""
+    """Content hash of ``spec`` (every serialized key except ``engine.jobs``)
+    and of :data:`~repro.digest.RESULTS_VERSION`."""
     payload = spec.to_dict()
     del payload["engine"]["jobs"]
+    payload["results_version"] = RESULTS_VERSION
     return stable_digest(payload)
 
 

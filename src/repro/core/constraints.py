@@ -7,8 +7,9 @@ Five groups, all over the copy counts ``X`` of each distinct prime:
 * **spatial resources** — the product of the factors mapped spatially at a
   level may not exceed its fanout (Eq. 4, in logarithms),
 * **buffer capacity** — the per-tensor tile built from the factors below a
-  buffer (plus the spatial factors at the buffer itself) must fit in the
-  share of the buffer reserved for that tensor (Eq. 2, in logarithms),
+  buffer (plus the spatial factors at the buffer itself), with a stride
+  term per sliding window, must fit in the share of the buffer reserved
+  for that tensor (Eq. 2, in logarithms),
 * **permutation / traffic linking** — dimensions owning NoC-boundary
   temporal factors take exactly one permutation rank, ranks hold at most one
   dimension and are used contiguously; the running-OR variables ``Y`` obey
@@ -27,6 +28,7 @@ from repro.core.variables import CoSAVariables
 from repro.solver.expr import lin_sum
 from repro.solver.model import MIPModel
 from repro.workloads.layer import TensorKind
+from repro.workloads.problem import Window
 
 
 def add_assignment_constraints(model: MIPModel, variables: CoSAVariables) -> None:
@@ -53,6 +55,26 @@ def add_spatial_resource_constraints(model: MIPModel, variables: CoSAVariables) 
             )
 
 
+def _tile_terms(variables: CoSAVariables, factors, level_index: int) -> list:
+    """Log of the tile extent of ``factors`` at ``level_index``.
+
+    A level's tile spans the factors assigned below it (either kind) plus
+    the spatial factors at the level itself, as in the cost model.
+    """
+    terms = []
+    for factor in factors:
+        for below in range(level_index):
+            if below in variables.temporal_levels:
+                terms.append(factor.log_value * variables.temporal_at(factor, below))
+            spatial_below = variables.spatial_at(factor, below)
+            if spatial_below is not None:
+                terms.append(factor.log_value * spatial_below)
+        spatial_here = variables.spatial_at(factor, level_index)
+        if spatial_here is not None:
+            terms.append(factor.log_value * spatial_here)
+    return terms
+
+
 def add_buffer_capacity_constraints(
     model: MIPModel,
     variables: CoSAVariables,
@@ -62,45 +84,54 @@ def add_buffer_capacity_constraints(
 
     The tile of tensor ``v`` at level ``I`` is the product of the relevant
     factors assigned to levels below ``I`` (either kind) plus the relevant
-    spatial factors at ``I`` itself.  Shared buffers are split equally
-    between the tensors they store (the log transform cannot express a sum
-    of tensor footprints); ``capacity_fraction`` additionally derates every
-    capacity to absorb the input-halo growth the log model cannot see.
+    spatial factors at ``I`` itself.  A sliding window of stride ``s``
+    spans ``(f_o - 1)·s + f_w <= f_o·max(s, f_w)`` elements, so each window
+    term adds ``log s · (1 - Z)`` to the row, with one binary ``Z`` per
+    (window, level) that may be 1 only once the window factor ``f_w`` of
+    the tile reaches ``s``.  A window whose bound stays below ``s`` adds the
+    constant ``log s``; one whose outer bound is 1 spans ``f_w`` and adds
+    nothing.  The rows are then upper bounds on the cost model's
+    footprints.  Shared buffers are split equally between the tensors they
+    store (the log transform cannot express a sum of tensor footprints),
+    and ``capacity_fraction`` derates only those shares.
     """
     accelerator = variables.accelerator
+    problem = variables.problem
+    stride = variables.layer.stride
+    log_stride = math.log(stride)
     for level_index, level in enumerate(accelerator.hierarchy):
         if level.is_unbounded:
             continue
         stored = [tensor for tensor in TensorKind if level.holds(tensor)]
-        if not stored:
-            continue
         for tensor in stored:
-            # The derating only needs to cover effects the log model cannot
-            # express: footprints sharing one buffer and the input halo.  A
-            # buffer dedicated to a halo-free tensor can be filled exactly.
-            needs_derating = len(stored) > 1 or tensor is TensorKind.INPUT
-            share = (capacity_fraction if needs_derating else 1.0) / len(stored)
+            share = (capacity_fraction if len(stored) > 1 else 1.0) / len(stored)
             capacity_words = level.capacity_bytes * share / accelerator.precision.bytes_for(tensor)
             if capacity_words < 1.0:
                 capacity_words = 1.0
-            terms = []
-            for factor in variables.factors:
-                if not variables.problem.relevance(factor.dim, tensor):
+            relevant = [f for f in variables.factors if problem.relevance(f.dim, tensor)]
+            terms = _tile_terms(variables, relevant, level_index)
+            if not terms:
+                continue
+            windows = [t for t in problem.projection(tensor) if isinstance(t, Window)]
+            for window in windows if stride > 1 else []:
+                if variables.layer.bound(window.outer) == 1:
                     continue
-                for below in range(level_index):
-                    if below in variables.temporal_levels:
-                        terms.append(factor.log_value * variables.temporal_at(factor, below))
-                    spatial_below = variables.spatial_at(factor, below)
-                    if spatial_below is not None:
-                        terms.append(factor.log_value * spatial_below)
-                spatial_here = variables.spatial_at(factor, level_index)
-                if spatial_here is not None:
-                    terms.append(factor.log_value * spatial_here)
-            if terms:
-                model.add_constraint(
-                    lin_sum(terms) <= math.log(capacity_words),
-                    name=f"buffer[{level.name},{tensor.short_name}]",
+                if variables.layer.bound(window.window) < stride:
+                    terms.append(log_stride)
+                    continue
+                reached = model.add_binary(f"Z[{window.window},L{level_index}]")
+                window_tile = _tile_terms(
+                    variables, variables.factors_of_dim(window.window), level_index
                 )
+                model.add_constraint(
+                    lin_sum(window_tile) >= log_stride * reached,
+                    name=f"window_reaches_stride[{window.window},L{level_index}]",
+                )
+                terms.append(log_stride * (1 - reached))
+            model.add_constraint(
+                lin_sum(terms) <= math.log(capacity_words),
+                name=f"buffer[{level.name},{tensor.short_name}]",
+            )
 
 
 def add_permutation_constraints(model: MIPModel, variables: CoSAVariables) -> None:

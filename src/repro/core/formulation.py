@@ -48,9 +48,12 @@ class CoSAFormulation:
     weights:
         Objective weights (Eq. 12).
     capacity_fraction:
-        Derating applied to every buffer capacity in the MIP; keeps the
-        decoded mapping valid under the cost model's stricter accounting
-        (input halos, shared-buffer packing).
+        Derating of the per-tensor shares of shared buffers.  The capacity
+        rows bound every footprint from above, window halos included, and
+        the equal split of a shared buffer is sound, so every fraction up
+        to 1 decodes to a mapping that fits; the derating is a ranking
+        constant that steers the log-space objective away from filling
+        shared buffers.  A buffer holding one tensor is never derated.
     """
 
     def __init__(

@@ -33,9 +33,8 @@ class ScheduleResult:
     layer:
         The scheduled layer.
     mapping:
-        The decoded schedule (``None`` only if the MIP was infeasible, which
-        cannot happen for well-formed architectures — every factor can always
-        be placed temporally at the outermost level).
+        The decoded schedule (``None`` when the solver returned no
+        solution).
     solution:
         Raw solver solution.
     objective:
@@ -44,8 +43,7 @@ class ScheduleResult:
         Wall-clock time spent building + solving the MIP (the paper's
         time-to-solution metric).
     stats:
-        Size of the generated MIP, or ``None`` when no formulation could be
-        built (every capacity fraction failed before producing one).
+        Size of the generated MIP.
     cost:
         The cost model's result for ``mapping`` (the validity check prices
         it), or ``None`` without a mapping.
@@ -56,7 +54,7 @@ class ScheduleResult:
     solution: Solution
     objective: ObjectiveBreakdown | None
     solve_time_seconds: float
-    stats: FormulationStats | None
+    stats: FormulationStats
     cost: CostResult | None = None
 
     @property
@@ -83,8 +81,8 @@ class CoSAScheduler:
         schedule is then the objective's optimum, not whichever incumbent
         the solver held when its bound came close enough.
     capacity_fraction:
-        Buffer-capacity derating used inside the MIP (see
-        :class:`~repro.core.formulation.CoSAFormulation`).
+        Derating of the per-tensor shares of shared buffers inside the MIP
+        (see :class:`~repro.core.formulation.CoSAFormulation`).
     """
 
     #: Scheduler identifier (engine reports and layer-tier keys).
@@ -92,11 +90,8 @@ class CoSAScheduler:
 
     #: Default per-layer solver budget (seconds).
     DEFAULT_TIME_LIMIT = 20.0
-    #: Default buffer-capacity derating inside the MIP.
+    #: Default derating of the per-tensor shares of shared buffers.
     DEFAULT_CAPACITY_FRACTION = 0.8
-    #: Successive deratings tried when the decoded mapping overflows a buffer
-    #: under the cost model's exact (halo- and sharing-aware) accounting.
-    FALLBACK_FRACTIONS = (0.5, 0.3)
 
     def __init__(
         self,
@@ -117,54 +112,40 @@ class CoSAScheduler:
         )
 
     def schedule(self, layer: Layer) -> ScheduleResult:
-        """Produce a schedule for ``layer``.
+        """Produce a schedule for ``layer`` with one MIP solve.
 
-        Normally this is a single MIP solve.  Because the MIP's log-space
-        capacity model slightly under-approximates input halos and
-        shared-buffer packing, the decoded mapping is re-validated against
-        the exact cost model; in the rare case it overflows a buffer, the MIP
-        is re-solved with a tighter capacity derating (still no iterative
-        *search* — at most a couple of additional one-shot solves).
+        The capacity rows bound the cost model's footprints from above, so
+        the decoded mapping fits every buffer.  It is still priced by the
+        cost model; a mapping the model rejects is a formulation defect and
+        raises ``RuntimeError`` naming the layer.
         """
         from repro.model.cost import CostModel
 
         start = time.perf_counter()
-        cost_model = CostModel(self.accelerator)
-        fractions = (self.capacity_fraction,) + tuple(
-            f for f in self.FALLBACK_FRACTIONS if f < self.capacity_fraction
+        formulation = CoSAFormulation(
+            layer,
+            self.accelerator,
+            weights=self.weights,
+            capacity_fraction=self.capacity_fraction,
         )
-
-        formulation = None
-        solution = None
-        mapping = None
-        cost = None
-        objective = None
-        for fraction in fractions:
-            formulation = CoSAFormulation(
-                layer,
-                self.accelerator,
-                weights=self.weights,
-                capacity_fraction=fraction,
-            )
-            solution = formulation.solve(self.backend)
-            if solution.status not in (SolveStatus.OPTIMAL, SolveStatus.TIME_LIMIT):
-                continue
-            if not solution.values:
-                continue
-            candidate = formulation.decode(solution)
+        solution = formulation.solve(self.backend)
+        mapping = objective = cost = None
+        if solution.status in (SolveStatus.OPTIMAL, SolveStatus.TIME_LIMIT) and solution.values:
+            mapping = formulation.decode(solution)
             objective = formulation.objective_breakdown(solution)
-            mapping = candidate
-            cost = cost_model.evaluate(candidate)
-            if cost.valid:
-                break
-        elapsed = time.perf_counter() - start
+            cost = CostModel(self.accelerator).evaluate(mapping)
+            if not cost.valid:
+                raise RuntimeError(
+                    f"CoSA's mapping of layer {layer.name or layer.canonical_name} on "
+                    f"{self.accelerator.name} is invalid: {'; '.join(cost.violations)}"
+                )
         return ScheduleResult(
             layer=layer,
             mapping=mapping,
             solution=solution,
             objective=objective,
-            solve_time_seconds=elapsed,
-            stats=formulation.stats if formulation is not None else None,
+            solve_time_seconds=time.perf_counter() - start,
+            stats=formulation.stats,
             cost=cost,
         )
 
@@ -188,7 +169,6 @@ class CoSAScheduler:
                 "traffic": self.weights.traffic,
             },
             "capacity_fraction": self.capacity_fraction,
-            "fallback_fractions": list(self.FALLBACK_FRACTIONS),
             "backend": type(self.backend).__name__,
             "backend_config": backend_config,
         }

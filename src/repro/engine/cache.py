@@ -6,7 +6,7 @@ every harness re-run re-solves the exact same problems.  A finished schedule
 is keyed by everything that determines it:
 
 ``key = sha256(layer dimensions, architecture fingerprint, scheduler name,
-scheduler config fingerprint)``
+scheduler config fingerprint, results version)``
 
 * the **layer** enters through :meth:`~repro.workloads.layer.Layer.key_dict`:
   conv layers contribute all seven loop bounds plus the stride (not just the
@@ -16,7 +16,9 @@ scheduler config fingerprint)``
 * the **architecture fingerprint** (:meth:`repro.arch.accelerator.Accelerator.fingerprint`)
   covers the memory hierarchy, PE array, NoC, precisions and energy table,
 * the **scheduler config fingerprint** covers objective weights, budgets,
-  metrics and seeds (see :meth:`repro.engine.outcome.Scheduler.config_fingerprint`).
+  metrics and seeds (see :meth:`repro.engine.outcome.Scheduler.config_fingerprint`),
+* the **results version** (:data:`repro.digest.RESULTS_VERSION`) moves when
+  the formulation or the cost model changes what a solve produces.
 
 Two lookups with equal keys are therefore guaranteed to describe the same
 solve, so serving the stored mapping is exact, not approximate.  The solves
@@ -28,7 +30,7 @@ entirely.
 from __future__ import annotations
 
 from repro.arch.accelerator import Accelerator
-from repro.digest import stable_digest
+from repro.digest import RESULTS_VERSION, stable_digest
 from repro.engine.outcome import Scheduler
 from repro.workloads.layer import Layer
 
@@ -54,5 +56,6 @@ def cache_key_from_parts(
         "arch": arch_fingerprint,
         "scheduler": scheduler_name,
         "config": config_fingerprint,
+        "results_version": RESULTS_VERSION,
     }
     return stable_digest(payload)

@@ -105,17 +105,17 @@ def _lower(model):
 class ScipyMilpBackend:
     """Exact MILP solver using SciPy's bundled HiGHS.
 
+    HiGHS runs at relative gap 0, so a solve that ends ``OPTIMAL`` is proven
+    optimal.
+
     Parameters
     ----------
     time_limit_seconds:
         Optional wall-clock limit handed to HiGHS.
-    mip_rel_gap:
-        Relative optimality gap at which HiGHS may stop (0 = prove optimal).
     """
 
-    def __init__(self, time_limit_seconds: float | None = None, mip_rel_gap: float = 0.0):
+    def __init__(self, time_limit_seconds: float | None = None):
         self.time_limit_seconds = time_limit_seconds
-        self.mip_rel_gap = mip_rel_gap
 
     def solve(self, model) -> Solution:
         """Solve ``model`` and translate the HiGHS result into a :class:`Solution`."""
@@ -145,7 +145,7 @@ class ScipyMilpBackend:
         """HiGHS options of one attempt, by name (``None`` leaves the default)."""
         return {
             "log_to_console": False,
-            "mip_rel_gap": self.mip_rel_gap,
+            "mip_rel_gap": 0.0,
             "time_limit": self.time_limit_seconds,
             "presolve": None if presolve else "off",
         }

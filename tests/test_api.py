@@ -351,6 +351,7 @@ REMOVED_SCHEDULER_OPTIONS = [
     ("local-search", "utilization_target"),
     ("tvm", "exploration"),
     ("hybrid", "max_permutations"),
+    ("cosa", "capacity_fraction"),
 ]
 
 

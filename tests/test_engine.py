@@ -1,6 +1,6 @@
 """Tests for the unified scheduling engine: protocol conformance, parallel
-equivalence, layer reuse through a result store and the ``stats=None``
-regression."""
+equivalence, layer reuse through a result store and the handling of a
+failed solve."""
 
 import json
 
@@ -16,7 +16,6 @@ from repro.baselines import (
 )
 from repro.core import CoSAScheduler
 from repro.core.gpu import CoSAGPUScheduler
-from repro.core.scheduler import ScheduleResult
 from repro.engine import SchedulingEngine, Scheduler, cache_key
 from repro.model import CostModel
 from repro.solver.solution import Solution, SolveStatus
@@ -268,25 +267,18 @@ class _FailingBackend:
     """MIP backend that never returns a usable solution."""
 
     time_limit_seconds = None
-    mip_rel_gap = 0.0
 
     def solve(self, model) -> Solution:
         return Solution(status=SolveStatus.ERROR)
 
 
 class TestStatsNoneRegression:
-    def test_schedule_result_allows_missing_stats(self):
-        # Regression for the type lie: ScheduleResult.stats is optional.
-        result = ScheduleResult(
-            layer=TINY,
-            mapping=None,
-            solution=Solution(status=SolveStatus.ERROR),
-            objective=None,
-            solve_time_seconds=0.0,
-            stats=None,
-        )
+    def test_failed_solve_reports_its_formulation_stats(self):
+        # One formulation is built per layer, so a failed solve still sizes it.
+        result = CoSAScheduler(ARCH, backend=_FailingBackend()).schedule(TINY)
         assert not result.succeeded
-        assert result.stats is None
+        assert result.stats.num_variables > 0
+        assert result.stats.num_constraints > 0
 
     def test_failing_solver_produces_guarded_result(self, tmp_path):
         scheduler = CoSAScheduler(ARCH, backend=_FailingBackend())

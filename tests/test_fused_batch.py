@@ -293,13 +293,14 @@ class TestFrontierAlignment:
         assert MAX_CANDIDATES > 1
 
     def test_group_key_is_pinned(self):
-        """Fused layer-tier keys still name the candidate cap, so entries
-        stored while it was settable keep serving."""
+        """Fused layer-tier keys still name the candidate cap, from when it
+        was settable.  The pin moves with ``RESULTS_VERSION`` and CoSA's
+        config fingerprint, and with nothing else."""
         engine = SchedulingEngine(CoSAScheduler(ARCH))
         group = next(g for g in bert_base_block_plan().groups if not g.is_singleton)
         assert group.name == "bert_base_attention_128_h12"
         assert _group_key(engine, group.layers[0], group, 0) == (
-            "fea0d13a563caa6a147c986e155b71cb000d7fa15dfc278ff0bd361a7c03627f"
+            "055dba5c87998fcf9c9a9ca1807aad3238799466a73fe07b75742eee8cd68368"
         )
 
 
@@ -333,5 +334,5 @@ class TestEngineSpecFusionOptions:
         )
         assert legacy == plain
         assert spec_fingerprint(legacy) == (
-            "ca1b27c22e44df693b46ed84d274fdd2042f35f4a3bb14f4ebc9c925dbfb0366"
+            "892f7a5fb75e240a7ac8b0c70dc69dc16c2985aff724a08f81d5d45ea8841635"
         )

@@ -6,7 +6,9 @@ optimum must equal the smallest ``mapping_objective_breakdown`` total among
 the mappings that fit the fanouts and the derated capacities.  A row that
 cuts off the true optimum (an over-tight symmetry row, a tightened big-M)
 makes the MIP optimum larger than the enumerated minimum; a missing row
-(a dropped capacity constraint) makes it smaller.
+(a dropped capacity constraint) makes it smaller.  Every fitting mapping
+must also be valid under the cost model, so the capacity rule, stride-2 and
+stride-3 windows included, bounds the footprints the model checks.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from collections import Counter
 
 import pytest
 
+import repro.core.constraints as constraints_module
 from repro.arch import Accelerator, MemoryHierarchy, MemoryLevel, PEArraySpec
 from repro.core.formulation import CoSAFormulation
 from repro.core.objectives import mapping_objective_breakdown
@@ -27,6 +30,7 @@ from repro.solver.solution import SolveStatus
 from repro.workloads import Layer
 from repro.workloads.layer import TensorKind
 from repro.workloads.prime import factorize
+from repro.workloads.problem import Window
 
 W, I, O = TensorKind.WEIGHT, TensorKind.INPUT, TensorKind.OUTPUT
 CAPACITY_FRACTION = 0.8
@@ -63,11 +67,31 @@ def _shared_arch() -> Accelerator:
     )
 
 
+def _input_arch() -> Accelerator:
+    """Four levels; the input has a buffer to itself below the NoC boundary."""
+    return Accelerator(
+        name="tiny-input",
+        hierarchy=MemoryHierarchy(
+            [
+                MemoryLevel("Registers", 4, frozenset({W, O}), spatial_fanout=2),
+                MemoryLevel("InputBuffer", 6, frozenset({I})),
+                MemoryLevel("GlobalBuffer", 36, frozenset({I, O}), spatial_fanout=4),
+                MemoryLevel("DRAM", None, frozenset(TensorKind)),
+            ]
+        ),
+        pe_array=PEArraySpec(rows=2, cols=2, macs_per_pe=2),
+    )
+
+
 #: Buffers small enough that capacity rows bind at each case's optimum.
 CASES = {
     "bypass-p2-q2-c4-k4": (_bypass_arch, Layer(p=2, q=2, c=4, k=4)),
     "bypass-r3-p4-c2-k4": (_bypass_arch, Layer(r=3, p=4, c=2, k=4)),
     "bypass-p8-c4-k4": (_bypass_arch, Layer(p=8, c=4, k=4)),
+    "bypass-s2-r3-p4-c2-k4": (_bypass_arch, Layer(r=3, p=4, c=2, k=4, stride=2)),
+    "bypass-s3-p6-c4-k4": (_bypass_arch, Layer(p=6, c=4, k=4, stride=3)),
+    "input-s2-p4-c2-k4": (_input_arch, Layer(p=4, c=2, k=4, stride=2)),
+    "input-s3-r3-p9-c4-k2": (_input_arch, Layer(r=3, p=9, c=4, k=2, stride=3)),
     "shared-p4-c4-k3": (_shared_arch, Layer(p=4, c=4, k=3)),
     "shared-r3-p4-c2-k2": (_shared_arch, Layer(r=3, p=4, c=2, k=2)),
 }
@@ -84,29 +108,47 @@ def _splits(copies: int, slots: int):
 
 
 def _fits_derated_capacities(arch, layer, temporal, spatial) -> bool:
-    """The MIP's capacity rule, restated: per-tensor share of each buffer."""
-    problem = layer.problem
+    """The MIP's capacity rule, restated.
+
+    Each tensor gets an equal share of a buffer, derated only when the
+    buffer is shared.  Its tile is the product of the relevant factors below
+    the level and the spatial ones at it, times ``stride`` for every window
+    whose outer bound exceeds 1 and whose window factor stays below
+    ``stride`` (the ``Z`` rows at their best setting).
+    """
+    problem, stride = layer.problem, layer.stride
     for index, level in enumerate(arch.hierarchy):
         if level.is_unbounded:
             continue
         stored = [t for t in TensorKind if level.holds(t)]
+        extent = {
+            dim: spatial[index][dim]
+            * math.prod(temporal[below][dim] * spatial[below][dim] for below in range(index))
+            for dim in problem.dims
+        }
         for tensor in stored:
-            derated = len(stored) > 1 or tensor is I
-            share = (CAPACITY_FRACTION if derated else 1.0) / len(stored)
+            share = (CAPACITY_FRACTION if len(stored) > 1 else 1.0) / len(stored)
             words = max(level.capacity_bytes * share / arch.precision.bytes_for(tensor), 1.0)
-            tile = 1
-            for dim in problem.dims:
-                if problem.relevance(dim, tensor):
-                    tile *= spatial[index][dim]
-                    for below in range(index):
-                        tile *= temporal[below][dim] * spatial[below][dim]
+            tile = math.prod(extent[d] for d in problem.dims if problem.relevance(d, tensor))
+            for term in problem.projection(tensor):
+                if (
+                    isinstance(term, Window)
+                    and layer.bound(term.outer) > 1
+                    and extent[term.window] < stride
+                ):
+                    tile *= stride
             if math.log(tile) > math.log(words) + 1e-9:
                 return False
     return True
 
 
 def _enumerated_minimum(arch, layer) -> tuple[float, int]:
-    """Smallest objective total over every fitting mapping, and their count."""
+    """Smallest objective total over every fitting mapping, and their count.
+
+    Every fitting mapping must also be valid under the cost model: the rule
+    is an upper bound on the footprints the model checks.
+    """
+    model = CostModel(arch)
     noc = arch.pe_level_index()
     levels = arch.num_memory_levels
     fanouts = {i: arch.hierarchy[i].spatial_fanout for i in arch.hierarchy.spatial_levels()}
@@ -146,7 +188,10 @@ def _enumerated_minimum(arch, layer) -> tuple[float, int]:
                         spatial=[Loop(d, spatial[level][d], spatial=True) for d in dims if spatial[level][d] > 1],
                     )
                 )
-            total = mapping_objective_breakdown(Mapping(layer, level_maps), arch).total
+            mapping = Mapping(layer, level_maps)
+            if order == tuple(outer):
+                assert model.validate(mapping) == [], mapping
+            total = mapping_objective_breakdown(mapping, arch).total
             best = min(best, total)
     return best, fitting
 
@@ -183,3 +228,15 @@ def test_the_refetch_rows_bind_in_the_bypass_cases(case):
         row for row in relaxed.model.constraints if not row.name.startswith(("bypass[", "refetch_term["))
     ]
     assert relaxed.solve().objective < full.solve().objective - 1e-3
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c][1].stride > 1))
+def test_the_window_rows_bind_in_the_stride_cases(case, monkeypatch):
+    """Without the stride term of the window rows the optimum drops, so the
+    enumeration above checks ``Z`` and its rows, not only the plain tiles."""
+    build_arch, layer = CASES[case]
+    arch = build_arch()
+    full = CoSAFormulation(layer, arch, capacity_fraction=CAPACITY_FRACTION).solve()
+    monkeypatch.setattr(constraints_module, "Window", type("NoWindow", (), {}))
+    relaxed = CoSAFormulation(layer, arch, capacity_fraction=CAPACITY_FRACTION).solve()
+    assert relaxed.objective < full.objective - 1e-3

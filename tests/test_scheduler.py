@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.constraints as constraints_module
 from repro.arch import simba_like
 from repro.arch.gpu import GPUSpec, gpu_as_accelerator
 from repro.core import CoSAScheduler
@@ -10,9 +11,21 @@ from repro.core.objectives import ObjectiveWeights
 from repro.engine import SchedulingEngine
 from repro.model import CostModel
 from repro.noc import NoCSimulator
+from repro.solver.scipy_backend import ScipyMilpBackend
+from repro.solver.solution import SolveStatus
 from repro.workloads import Layer, layer_from_name
 
 ARCH = simba_like()
+
+
+class _CountingBackend(ScipyMilpBackend):
+    """The default backend, counting its solves."""
+
+    solves = 0
+
+    def solve(self, model):
+        self.solves += 1
+        return super().solve(model)
 
 
 class TestCoSAScheduler:
@@ -68,14 +81,22 @@ class TestCoSAScheduler:
             >= util_heavy.mapping.total_spatial_product()
         )
 
-    def test_capacity_fraction_fallback_produces_valid_mapping(self):
-        # Even with an aggressive (too optimistic) derating the scheduler must
-        # hand back a mapping that the exact cost model accepts, thanks to the
-        # re-solve fallback.
-        layer = layer_from_name("3_27_128_128_1")
-        scheduler = CoSAScheduler(ARCH, capacity_fraction=1.0)
-        result = scheduler.schedule(layer)
+    def test_one_solve_at_full_capacity_gives_a_valid_mapping(self):
+        # Shares left at full size still decode to a mapping the exact cost
+        # model accepts: the capacity rows bound every footprint from above.
+        backend = _CountingBackend()
+        scheduler = CoSAScheduler(ARCH, backend=backend, capacity_fraction=1.0)
+        result = scheduler.schedule(layer_from_name("3_27_128_128_1"))
+        assert backend.solves == 1
+        assert result.solution.status is SolveStatus.OPTIMAL
         assert CostModel(ARCH).evaluate(result.mapping).valid
+
+    def test_a_decoded_overflow_raises_naming_the_layer(self, monkeypatch):
+        # Without the stride term of its input rows the MIP under-sizes this
+        # layer's input tiles; the scheduler reports it instead of re-solving.
+        monkeypatch.setattr(constraints_module, "Window", type("NoWindow", (), {}))
+        with pytest.raises(RuntimeError, match="1_14_512_1024_2 .* InputBuffer"):
+            CoSAScheduler(ARCH).schedule(layer_from_name("1_14_512_1024_2"))
 
 
 class TestCoSAGPUScheduler:
