@@ -300,7 +300,7 @@ class TestFrontierAlignment:
         group = next(g for g in bert_base_block_plan().groups if not g.is_singleton)
         assert group.name == "bert_base_attention_128_h12"
         assert _group_key(engine, group.layers[0], group, 0) == (
-            "055dba5c87998fcf9c9a9ca1807aad3238799466a73fe07b75742eee8cd68368"
+            "b2f3a2f99e04736df4f5734e37436fc346da905565465d1fd4fe5000508d21eb"
         )
 
 
@@ -334,5 +334,5 @@ class TestEngineSpecFusionOptions:
         )
         assert legacy == plain
         assert spec_fingerprint(legacy) == (
-            "892f7a5fb75e240a7ac8b0c70dc69dc16c2985aff724a08f81d5d45ea8841635"
+            "19b4f214ef29bb09d3f3321e0597edd4276e90276b4e08be93652613a89d8d8d"
         )
