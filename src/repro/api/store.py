@@ -19,9 +19,8 @@ depend on what the store held when it ran.
   except ``engine.jobs``, which cannot change the payload: a 1-job and an
   8-job run of the same experiment share one entry, while kind, axes, seed,
   options and time budget split entries.  A spec serializes only what a run
-  reads, so no other key needs filtering.  :data:`~repro.digest.RESULTS_VERSION`
-  enters the key too, so envelopes stored by code that produced other
-  results are not served.
+  reads, so no other key needs filtering.  The key also carries
+  :data:`~repro.digest.RESULTS_VERSION`.
 * Writes go through :func:`repro.io_utils.atomic_write_json`, so concurrent
   services sharing one store directory never tear an entry.
 
@@ -97,8 +96,7 @@ WARM_CAPACITY = 128
 
 
 def spec_fingerprint(spec: RunSpec) -> str:
-    """Content hash of ``spec`` (every serialized key except ``engine.jobs``)
-    and of :data:`~repro.digest.RESULTS_VERSION`."""
+    """Content hash of ``spec`` (all keys but ``engine.jobs``) and ``RESULTS_VERSION``."""
     payload = spec.to_dict()
     del payload["engine"]["jobs"]
     payload["results_version"] = RESULTS_VERSION

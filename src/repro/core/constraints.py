@@ -7,9 +7,8 @@ Five groups, all over the copy counts ``X`` of each distinct prime:
 * **spatial resources** — the product of the factors mapped spatially at a
   level may not exceed its fanout (Eq. 4, in logarithms),
 * **buffer capacity** — the per-tensor tile built from the factors below a
-  buffer (plus the spatial factors at the buffer itself), with a stride
-  term per sliding window, must fit in the share of the buffer reserved
-  for that tensor (Eq. 2, in logarithms),
+  buffer (plus the spatial ones at it, and a stride term per window) must
+  fit in the share of the buffer reserved for that tensor (Eq. 2, in logs),
 * **permutation / traffic linking** — dimensions owning NoC-boundary
   temporal factors take exactly one permutation rank, ranks hold at most one
   dimension and are used contiguously; the running-OR variables ``Y`` obey
@@ -56,11 +55,7 @@ def add_spatial_resource_constraints(model: MIPModel, variables: CoSAVariables) 
 
 
 def _tile_terms(variables: CoSAVariables, factors, level_index: int) -> list:
-    """Log of the tile extent of ``factors`` at ``level_index``.
-
-    A level's tile spans the factors assigned below it (either kind) plus
-    the spatial factors at the level itself, as in the cost model.
-    """
+    """Log-weighted counts of ``factors`` below ``level_index`` (either kind) and spatial at it."""
     terms = []
     for factor in factors:
         for below in range(level_index):
@@ -84,21 +79,17 @@ def add_buffer_capacity_constraints(
 
     The tile of tensor ``v`` at level ``I`` is the product of the relevant
     factors assigned to levels below ``I`` (either kind) plus the relevant
-    spatial factors at ``I`` itself.  A sliding window of stride ``s``
-    spans ``(f_o - 1)·s + f_w <= f_o·max(s, f_w)`` elements, so each window
-    term adds ``log s · (1 - Z)`` to the row, with one binary ``Z`` per
-    (window, level) that may be 1 only once the window factor ``f_w`` of
-    the tile reaches ``s``.  A window whose bound stays below ``s`` adds the
-    constant ``log s``; one whose outer bound is 1 spans ``f_w`` and adds
-    nothing.  The rows are then upper bounds on the cost model's
-    footprints.  Shared buffers are split equally between the tensors they
-    store (the log transform cannot express a sum of tensor footprints),
-    and ``capacity_fraction`` derates only those shares.
+    spatial factors at ``I`` itself.  A window of stride ``s`` spans
+    ``(f_o - 1)·s + f_w <= f_o·max(s, f_w)`` elements, so it adds
+    ``log s · (1 - Z)``, where the binary ``Z`` of that (window, level) may
+    be 1 only once ``f_w`` reaches ``s`` (a window whose bound stays below
+    ``s`` adds ``log s``; one whose outer bound is 1 adds nothing).  The
+    rows thus bound the cost model's footprints.  Shared buffers are split
+    equally between their tensors (the log transform cannot express a sum
+    of footprints), and ``capacity_fraction`` derates only those shares.
     """
-    accelerator = variables.accelerator
-    problem = variables.problem
-    stride = variables.layer.stride
-    log_stride = math.log(stride)
+    accelerator, problem, layer = variables.accelerator, variables.problem, variables.layer
+    log_stride = math.log(layer.stride)
     for level_index, level in enumerate(accelerator.hierarchy):
         if level.is_unbounded:
             continue
@@ -112,17 +103,14 @@ def add_buffer_capacity_constraints(
             terms = _tile_terms(variables, relevant, level_index)
             if not terms:
                 continue
-            windows = [t for t in problem.projection(tensor) if isinstance(t, Window)]
-            for window in windows if stride > 1 else []:
-                if variables.layer.bound(window.outer) == 1:
+            for window in problem.projection(tensor):
+                if not isinstance(window, Window) or layer.stride == 1 or layer.bound(window.outer) == 1:
                     continue
-                if variables.layer.bound(window.window) < stride:
+                if layer.bound(window.window) < layer.stride:
                     terms.append(log_stride)
                     continue
                 reached = model.add_binary(f"Z[{window.window},L{level_index}]")
-                window_tile = _tile_terms(
-                    variables, variables.factors_of_dim(window.window), level_index
-                )
+                window_tile = _tile_terms(variables, variables.factors_of_dim(window.window), level_index)
                 model.add_constraint(
                     lin_sum(window_tile) >= log_stride * reached,
                     name=f"window_reaches_stride[{window.window},L{level_index}]",

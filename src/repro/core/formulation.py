@@ -48,12 +48,9 @@ class CoSAFormulation:
     weights:
         Objective weights (Eq. 12).
     capacity_fraction:
-        Derating of the per-tensor shares of shared buffers.  The capacity
-        rows bound every footprint from above, window halos included, and
-        the equal split of a shared buffer is sound, so every fraction up
-        to 1 decodes to a mapping that fits; the derating is a ranking
-        constant that steers the log-space objective away from filling
-        shared buffers.  A buffer holding one tensor is never derated.
+        Derating of the per-tensor shares of shared buffers.  The rows
+        bound every footprint, so any fraction up to 1 decodes to a mapping
+        that fits; the derating only ranks mappings.
     """
 
     def __init__(

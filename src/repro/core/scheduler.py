@@ -33,8 +33,7 @@ class ScheduleResult:
     layer:
         The scheduled layer.
     mapping:
-        The decoded schedule (``None`` when the solver returned no
-        solution).
+        The decoded schedule (``None`` when the solver found none).
     solution:
         Raw solver solution.
     objective:
@@ -98,7 +97,7 @@ class CoSAScheduler:
         accelerator: Accelerator,
         weights: ObjectiveWeights | None = None,
         backend=None,
-        capacity_fraction: float | None = None,
+        capacity_fraction: float = DEFAULT_CAPACITY_FRACTION,
     ):
         self.accelerator = accelerator
         self.weights = weights or ObjectiveWeights()
@@ -107,17 +106,14 @@ class CoSAScheduler:
 
             backend = ScipyMilpBackend(time_limit_seconds=self.DEFAULT_TIME_LIMIT)
         self.backend = backend
-        self.capacity_fraction = (
-            self.DEFAULT_CAPACITY_FRACTION if capacity_fraction is None else capacity_fraction
-        )
+        self.capacity_fraction = capacity_fraction
 
     def schedule(self, layer: Layer) -> ScheduleResult:
         """Produce a schedule for ``layer`` with one MIP solve.
 
-        The capacity rows bound the cost model's footprints from above, so
-        the decoded mapping fits every buffer.  It is still priced by the
-        cost model; a mapping the model rejects is a formulation defect and
-        raises ``RuntimeError`` naming the layer.
+        The capacity rows bound the cost model's footprints, so a decoded
+        mapping the model rejects is a formulation defect: it raises
+        ``RuntimeError`` naming the layer.
         """
         from repro.model.cost import CostModel
 

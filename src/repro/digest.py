@@ -15,13 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 
-#: Version of the results this code produces.  It enters both store keys
-#: (:func:`repro.api.store.spec_fingerprint` for envelopes,
-#: :func:`repro.engine.cache.cache_key_from_parts` for per-layer solves), so
-#: a store filled by code that produced other results misses and refills
-#: instead of serving them.  A change that moves any mapping, envelope,
-#: golden or figure file bumps it; ``tests/test_results_version.py`` pins it
-#: together with a digest of those files.
+#: Version of the results this code produces.  Both store keys carry it, so
+#: a store filled by code that produced other results refills.  A change that
+#: moves any mapping, envelope, golden or figure file bumps it.
 RESULTS_VERSION = 2
 
 

@@ -17,8 +17,7 @@ scheduler config fingerprint, results version)``
   covers the memory hierarchy, PE array, NoC, precisions and energy table,
 * the **scheduler config fingerprint** covers objective weights, budgets,
   metrics and seeds (see :meth:`repro.engine.outcome.Scheduler.config_fingerprint`),
-* the **results version** (:data:`repro.digest.RESULTS_VERSION`) moves when
-  the formulation or the cost model changes what a solve produces.
+* the **results version** (:data:`repro.digest.RESULTS_VERSION`) moves with what a solve produces.
 
 Two lookups with equal keys are therefore guaranteed to describe the same
 solve, so serving the stored mapping is exact, not approximate.  The solves

@@ -103,10 +103,7 @@ def _lower(model):
 
 
 class ScipyMilpBackend:
-    """Exact MILP solver using SciPy's bundled HiGHS.
-
-    HiGHS runs at relative gap 0, so a solve that ends ``OPTIMAL`` is proven
-    optimal.
+    """Exact MILP solver using SciPy's bundled HiGHS, at relative gap 0 (proven optimal).
 
     Parameters
     ----------
