@@ -1,11 +1,12 @@
-"""Schedule the 23 ResNet-50 layers with CoSA on three presets and check every solve.
+"""Schedule the 23 ResNet-50 layers with CoSA on four presets and check every solve.
 
-The presets are ``baseline-4x4``, ``pe-8x8`` and ``large-buffers``.  Exits 1
+The presets are ``baseline-4x4``, ``pe-8x8`` and ``large-buffers`` through
+``CoSAScheduler``, and ``gpu-k80`` through ``CoSAGPUScheduler``.  Exits 1
 unless every layer's one MIP solve ends ``OPTIMAL`` (proven, gap 0) and
 decodes to a mapping the cost model accepts.  Prints one line per layer,
 then per preset the p50 and max time-to-solution and the largest
-branch-and-bound node count, so the margin to
-``CoSAScheduler.DEFAULT_TIME_LIMIT`` stays visible.
+branch-and-bound node count, so the margin to the solver's node cap
+(``repro.solver.scipy_backend.NODE_LIMIT``) stays visible.
 
 Run:  PYTHONPATH=src python scripts/check_cosa_solves.py
 """
@@ -16,21 +17,29 @@ import statistics
 import sys
 
 from repro.api import architectures
+from repro.core.gpu import CoSAGPUScheduler
 from repro.core.scheduler import CoSAScheduler
+from repro.solver.scipy_backend import NODE_LIMIT
 from repro.solver.solution import SolveStatus
 from repro.workloads.networks import resnet50_layers
 
-PRESETS = ("baseline-4x4", "pe-8x8", "large-buffers")
+
+def _schedulers():
+    """``(preset, scheduler)`` pairs, in the order they are checked."""
+    for preset in ("baseline-4x4", "pe-8x8", "large-buffers"):
+        yield preset, CoSAScheduler(architectures.get(preset)())
+    yield "gpu-k80", CoSAGPUScheduler()
 
 
 def main() -> int:
     failures = []
-    for preset in PRESETS:
-        scheduler = CoSAScheduler(architectures.get(preset)())
+    for preset, scheduler in _schedulers():
         seconds, nodes = [], []
         for layer in resnet50_layers():
             try:
+                # ``CoSAGPUScheduler`` wraps the ``ScheduleResult`` in ``.result``.
                 result = scheduler.schedule(layer)
+                result = getattr(result, "result", result)
             except RuntimeError as error:
                 print(f"{preset:<14} {layer.canonical_name:<18} {error}")
                 failures.append(f"{preset}/{layer.canonical_name}")
@@ -48,8 +57,7 @@ def main() -> int:
         if seconds:
             print(
                 f"{preset}: {len(seconds)} layers, p50 {statistics.median(seconds):.2f} s, "
-                f"max {max(seconds):.2f} s (limit {CoSAScheduler.DEFAULT_TIME_LIMIT:.0f} s), "
-                f"max {max(nodes)} nodes"
+                f"max {max(seconds):.2f} s, max {max(nodes)} nodes (limit {NODE_LIMIT:,})"
             )
     if failures:
         print(f"not OPTIMAL with a valid mapping: {', '.join(failures)}")

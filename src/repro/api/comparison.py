@@ -250,7 +250,7 @@ def compare_on_network(
     summary = SpeedupSummary(label=label)
     networks = []
     for scheduler in scheduler_triple:
-        engine = SchedulingEngine(scheduler, store=store, evaluate_metrics=False)
+        engine = SchedulingEngine(scheduler, store=store)
         network = engine.schedule_network(layers, jobs=jobs, label=label)
         networks.append(network)
         stats_key = scheduler.name

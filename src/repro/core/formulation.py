@@ -75,7 +75,7 @@ class CoSAFormulation:
             + weights.compute * self._compute
             + weights.traffic * self._traffic
         )
-        self.model.set_objective(objective, minimize=True)
+        self.model.set_objective(objective)
 
     # ------------------------------------------------------------------ solve
     def solve(self, backend=None) -> Solution:

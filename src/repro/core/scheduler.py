@@ -17,6 +17,7 @@ from repro.core.objectives import ObjectiveBreakdown, ObjectiveWeights
 from repro.digest import canonical_json
 from repro.engine.outcome import ScheduleOutcome
 from repro.mapping.mapping import Mapping
+from repro.solver.scipy_backend import ScipyMilpBackend
 from repro.solver.solution import Solution, SolveStatus
 from repro.workloads.layer import Layer
 
@@ -75,10 +76,10 @@ class CoSAScheduler:
         does with micro-benchmarks.
     backend:
         MIP backend; defaults to scipy's HiGHS MILP solver, run to proven
-        optimality (gap 0) under a time limit that keeps the one-shot
-        property ("seconds per layer") the paper reports for Gurobi.  A
-        schedule is then the objective's optimum, not whichever incumbent
-        the solver held when its bound came close enough.
+        optimality (gap 0) under a branch-and-bound node cap
+        (:data:`~repro.solver.scipy_backend.NODE_LIMIT`), never a clock.  A
+        schedule is then the objective's optimum and depends only on the
+        layer, the architecture and the weights, not on host speed.
     capacity_fraction:
         Derating of the per-tensor shares of shared buffers inside the MIP
         (see :class:`~repro.core.formulation.CoSAFormulation`).
@@ -87,8 +88,6 @@ class CoSAScheduler:
     #: Scheduler identifier (engine reports and layer-tier keys).
     name = "cosa"
 
-    #: Default per-layer solver budget (seconds).
-    DEFAULT_TIME_LIMIT = 20.0
     #: Default derating of the per-tensor shares of shared buffers.
     DEFAULT_CAPACITY_FRACTION = 0.8
 
@@ -101,11 +100,7 @@ class CoSAScheduler:
     ):
         self.accelerator = accelerator
         self.weights = weights or ObjectiveWeights()
-        if backend is None:
-            from repro.solver.scipy_backend import ScipyMilpBackend
-
-            backend = ScipyMilpBackend(time_limit_seconds=self.DEFAULT_TIME_LIMIT)
-        self.backend = backend
+        self.backend = backend or ScipyMilpBackend()
         self.capacity_fraction = capacity_fraction
 
     def schedule(self, layer: Layer) -> ScheduleResult:
@@ -126,7 +121,7 @@ class CoSAScheduler:
         )
         solution = formulation.solve(self.backend)
         mapping = objective = cost = None
-        if solution.status in (SolveStatus.OPTIMAL, SolveStatus.TIME_LIMIT) and solution.values:
+        if solution.status in (SolveStatus.OPTIMAL, SolveStatus.LIMIT) and solution.values:
             mapping = formulation.decode(solution)
             objective = formulation.objective_breakdown(solution)
             cost = CostModel(self.accelerator).evaluate(mapping)
@@ -149,15 +144,9 @@ class CoSAScheduler:
     def config_fingerprint(self) -> str:
         """Deterministic configuration description (layer-tier key part).
 
-        The backend enters with its class name and every scalar attribute it
-        carries (time limits, gaps, node budgets, ...), so two schedulers
-        with differently-budgeted backends never share a cache key.
+        The backend enters by class name; it carries no settings, and a change
+        to its constants that moves a result bumps ``RESULTS_VERSION``.
         """
-        backend_config = {
-            name: value
-            for name, value in sorted(vars(self.backend).items())
-            if isinstance(value, (bool, int, float, str, type(None)))
-        }
         config = {
             "weights": {
                 "utilization": self.weights.utilization,
@@ -166,7 +155,6 @@ class CoSAScheduler:
             },
             "capacity_fraction": self.capacity_fraction,
             "backend": type(self.backend).__name__,
-            "backend_config": backend_config,
         }
         return canonical_json(config)
 

@@ -31,15 +31,10 @@ hosting process:
   order, not completion order;
 * the layer key (:func:`repro.engine.cache.cache_key`) covers everything
   that determines a solve, so a layer-tier hit returns the exact mapping
-  the solve would have produced.
-
-One caveat: a MIP solve that terminates on its **wall-clock limit** (rather
-than on optimality or the relative gap) returns the best incumbent at the
-deadline, which can depend on how much CPU the solve received — and
-``jobs > 1`` shares the machine between solves.  The guarantee is therefore
-unconditional for the search baselines and for MIP solves that finish
-within the limit; for limit-capped solves, prefer a store (exact by
-construction) or a deterministic budget when bit-identical reruns matter.
+  the solve would have produced;
+* a MIP solve stops on proven optimality or on a node count
+  (:data:`~repro.solver.scipy_backend.NODE_LIMIT`), never on the clock, so
+  the CPU a solve receives cannot change its result.
 """
 
 from __future__ import annotations
@@ -194,18 +189,12 @@ class SchedulingEngine:
         Optional :class:`~repro.api.store.ResultStore` whose layer tier is
         consulted before and updated after every solve.  One store may be
         shared by several engines: the key includes the scheduler identity.
-    evaluate_metrics:
-        When ``True`` (default) every fresh mapping is evaluated once on the
-        analytical cost model and the outcome's ``metrics`` dictionary is
-        populated with ``latency``, ``energy`` and ``edp``.
+
+    Every outcome's ``metrics`` carries the ``latency``, ``energy`` and
+    ``edp`` of its mapping.
     """
 
-    def __init__(
-        self,
-        scheduler: Scheduler,
-        store=None,
-        evaluate_metrics: bool = True,
-    ):
+    def __init__(self, scheduler: Scheduler, store=None):
         if not isinstance(scheduler, Scheduler):
             raise TypeError(
                 f"{type(scheduler).__name__} does not satisfy the Scheduler protocol "
@@ -213,12 +202,6 @@ class SchedulingEngine:
             )
         self.scheduler = scheduler
         self.store = store
-        self.evaluate_metrics = evaluate_metrics
-        self._cost_model = None
-        if evaluate_metrics:
-            from repro.model.cost import CostModel
-
-            self._cost_model = CostModel(scheduler.accelerator)
         # The architecture and scheduler configuration are assumed fixed for
         # the engine's lifetime; hash them once instead of per layer.
         self._arch_fingerprint = scheduler.accelerator.fingerprint()
@@ -234,14 +217,16 @@ class SchedulingEngine:
         """Populate latency/energy/edp.
 
         A fresh solve carries the scheduler's own pricing of its mapping
-        (``outcome.cost``); only a layer-tier hit stored by a metrics-less
-        engine is priced here.
+        (``outcome.cost``); only a layer-tier hit stored without metrics is
+        priced here.
         """
-        if self._cost_model is None or outcome.mapping is None or outcome.metrics:
+        if outcome.mapping is None or outcome.metrics:
             return
         cost = outcome.cost
         if cost is None:
-            cost = self._cost_model.evaluate(outcome.mapping)
+            from repro.model.cost import CostModel
+
+            cost = CostModel(self.scheduler.accelerator).evaluate(outcome.mapping)
         if cost.valid:
             outcome.metrics.update(latency=cost.latency, energy=cost.energy, edp=cost.edp)
 

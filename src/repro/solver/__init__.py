@@ -13,7 +13,7 @@ from repro.solver.expr import LinearExpr, Variable
 from repro.solver.model import Constraint, MIPModel, Sense
 from repro.solver.solution import Solution, SolveStatus
 from repro.solver.scipy_backend import ScipyMilpBackend
-from repro.solver.backend import Backend, default_backend
+from repro.solver.backend import Backend
 
 __all__ = [
     "Variable",
@@ -25,5 +25,4 @@ __all__ = [
     "SolveStatus",
     "ScipyMilpBackend",
     "Backend",
-    "default_backend",
 ]

@@ -1,4 +1,4 @@
-"""Backend protocol and default backend selection."""
+"""The protocol a MIP backend satisfies."""
 
 from __future__ import annotations
 
@@ -15,9 +15,3 @@ class Backend(Protocol):
         """Solve ``model`` and return a :class:`Solution`."""
         ...
 
-
-def default_backend() -> "Backend":
-    """Return the default backend: SciPy's bundled HiGHS, without a time limit or gap."""
-    from repro.solver.scipy_backend import ScipyMilpBackend
-
-    return ScipyMilpBackend()

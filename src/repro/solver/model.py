@@ -1,7 +1,8 @@
 """Declarative MIP model.
 
 :class:`MIPModel` collects variables, linear constraints and a linear
-objective; the backend that solves it lowers it to the solver's own form.
+objective to minimise; the backend that solves it lowers it to the solver's
+own form.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ class MIPModel:
         self.variables: list[Variable] = []
         self.constraints: list[Constraint] = []
         self.objective: LinearExpr = LinearExpr()
-        self.minimize = True
 
     # -------------------------------------------------------------- variables
     def add_var(
@@ -96,23 +96,20 @@ class MIPModel:
         return constraint
 
     # --------------------------------------------------------------- objective
-    def set_objective(self, expr: LinearExpr | Variable, minimize: bool = True) -> None:
-        """Set the (linear) objective and its direction."""
+    def set_objective(self, expr: LinearExpr | Variable) -> None:
+        """Set the (linear) objective, which the solve minimises."""
         if isinstance(expr, Variable):
             expr = expr.to_expr()
         self.objective = expr
-        self.minimize = minimize
 
     # ------------------------------------------------------------------ solve
     def solve(self, backend=None):
         """Solve with ``backend`` (defaults to the scipy HiGHS MILP backend)."""
-        from repro.solver.backend import default_backend
+        if backend is None:
+            from repro.solver.scipy_backend import ScipyMilpBackend
 
-        backend = backend or default_backend()
-        solution = backend.solve(self)
-        if not self.minimize and solution.is_optimal:
-            solution.objective = -solution.objective
-        return solution
+            backend = ScipyMilpBackend()
+        return backend.solve(self)
 
     # ------------------------------------------------------------------ stats
     @property

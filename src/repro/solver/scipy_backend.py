@@ -43,17 +43,23 @@ def _load_core():
     return _core
 
 
+#: Branch-and-bound nodes a MIP may explore before it stops with
+#: :attr:`SolveStatus.LIMIT` and its incumbent.  A count, not a time, so a
+#: result never depends on host speed; CoSA's largest ResNet-50 solve needs
+#: about 1,150.  A change that moves a result bumps ``RESULTS_VERSION``.
+NODE_LIMIT = 10_000
+
 _core = _load_core()
 _Status = _core.HighsModelStatus
 # How a HiGHS model status reads; any other is retried once without
-# presolve, then an error.  Every limit a MIP can hit maps to TIME_LIMIT and
-# keeps its incumbent: HiGHS 1.12 reports a reached ``mip_max_nodes`` as
+# presolve, then an error.  Every limit a MIP can hit maps to LIMIT and keeps
+# its incumbent: HiGHS 1.12 reports a reached ``mip_max_nodes`` as
 # ``kSolutionLimit``.
 _STATUS = {
     _Status.kOptimal: SolveStatus.OPTIMAL,
-    _Status.kTimeLimit: SolveStatus.TIME_LIMIT,
-    _Status.kIterationLimit: SolveStatus.TIME_LIMIT,
-    _Status.kSolutionLimit: SolveStatus.TIME_LIMIT,
+    _Status.kTimeLimit: SolveStatus.LIMIT,
+    _Status.kIterationLimit: SolveStatus.LIMIT,
+    _Status.kSolutionLimit: SolveStatus.LIMIT,
     _Status.kInfeasible: SolveStatus.INFEASIBLE,
     _Status.kModelError: SolveStatus.INFEASIBLE,
     _Status.kUnbounded: SolveStatus.UNBOUNDED,
@@ -72,8 +78,6 @@ def _lower(model):
     cost = np.zeros(len(model.variables))
     for var, coeff in model.objective.terms.items():
         cost[var.index] += coeff
-    if not model.minimize:
-        cost = -cost
 
     columns = [[] for _ in model.variables]  # (row, value) entries, rows ascending
     row_lower, row_upper = [], []
@@ -105,14 +109,9 @@ def _lower(model):
 class ScipyMilpBackend:
     """Exact MILP solver using SciPy's bundled HiGHS, at relative gap 0 (proven optimal).
 
-    Parameters
-    ----------
-    time_limit_seconds:
-        Optional wall-clock limit handed to HiGHS.
+    A solve stops at :data:`NODE_LIMIT` branch-and-bound nodes, never on the
+    clock, so its result depends only on the model.
     """
-
-    def __init__(self, time_limit_seconds: float | None = None):
-        self.time_limit_seconds = time_limit_seconds
 
     def solve(self, model) -> Solution:
         """Solve ``model`` and translate the HiGHS result into a :class:`Solution`."""
@@ -129,7 +128,7 @@ class ScipyMilpBackend:
         elapsed = time.perf_counter() - start
 
         status = _STATUS.get(model_status, SolveStatus.ERROR)
-        if x is None and status in (SolveStatus.OPTIMAL, SolveStatus.TIME_LIMIT):
+        if x is None and status in (SolveStatus.OPTIMAL, SolveStatus.LIMIT):
             status = SolveStatus.ERROR
         values, objective = {}, float("nan")
         if x is not None:
@@ -143,7 +142,7 @@ class ScipyMilpBackend:
         return {
             "log_to_console": False,
             "mip_rel_gap": 0.0,
-            "time_limit": self.time_limit_seconds,
+            "mip_max_nodes": NODE_LIMIT,
             "presolve": None if presolve else "off",
         }
 

@@ -14,7 +14,7 @@ class SolveStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-    TIME_LIMIT = "time_limit"
+    LIMIT = "limit"  # a solver limit (the node cap) ended the solve; the incumbent stands
     ERROR = "error"
 
 

@@ -50,9 +50,9 @@ class TestEngineCacheConcurrency:
     def test_parallel_and_serial_runs_agree_through_shared_cache(self, tmp_path):
         """A store shared by concurrent workers returns the exact solve results."""
         layers = distinct_layers(6)
-        serial = SchedulingEngine(
-            RandomScheduler(ARCH, num_valid=2), evaluate_metrics=False
-        ).schedule_network(layers, jobs=1)
+        serial = SchedulingEngine(RandomScheduler(ARCH, num_valid=2)).schedule_network(
+            layers, jobs=1
+        )
 
         store = ResultStore(tmp_path / "store")
         engine = SchedulingEngine(RandomScheduler(ARCH, num_valid=2), store=store)

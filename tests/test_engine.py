@@ -139,14 +139,14 @@ class TestEngineNetwork:
     def test_a_stored_layer_without_metrics_is_priced_on_load(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         scheduler = RandomScheduler(ARCH, num_valid=2)
-        SchedulingEngine(scheduler, store=store, evaluate_metrics=False).schedule_network([TINY])
+        store.put_layer(cache_key(TINY, ARCH, scheduler), scheduler.schedule_outcome(TINY))
         hit = SchedulingEngine(scheduler, store=store).schedule_network([TINY]).outcomes[0]
         assert hit.from_cache and hit.cost is None
         assert hit.metrics["latency"] == CostModel(ARCH).evaluate(hit.mapping).latency
 
     def test_threads_match_serial_for_search(self):
         layers = [Layer(c=8, k=8), Layer(p=4, k=16), Layer(c=16, k=4), Layer(p=8, c=4)]
-        engine = SchedulingEngine(RandomScheduler(ARCH, num_valid=2), evaluate_metrics=False)
+        engine = SchedulingEngine(RandomScheduler(ARCH, num_valid=2))
         serial = engine.schedule_network(layers, jobs=1)
         threaded = engine.schedule_network(layers, jobs=4)
         reference = [o.mapping.summary() for o in serial.outcomes]
@@ -162,7 +162,7 @@ class TestEngineNetwork:
         and a second store-backed run performs zero MIP solves."""
         layers = resnet50_layers()[:4]
         store = ResultStore(tmp_path / "store")
-        engine = SchedulingEngine(CoSAScheduler(ARCH), store=store, evaluate_metrics=False)
+        engine = SchedulingEngine(CoSAScheduler(ARCH), store=store)
 
         first = engine.schedule_network(layers, jobs=1)
         assert first.stats.solves == 4
@@ -180,7 +180,7 @@ class TestEngineNetwork:
         assert [o.mapping.summary() for o in second.outcomes] == reference
 
         # Parallel run without a store: same mappings as the serial path.
-        parallel_engine = SchedulingEngine(CoSAScheduler(ARCH), evaluate_metrics=False)
+        parallel_engine = SchedulingEngine(CoSAScheduler(ARCH))
         parallel = parallel_engine.schedule_network(layers, jobs=4)
         assert parallel.stats.solves == 4
         assert [o.mapping.summary() for o in parallel.outcomes] == reference
@@ -265,8 +265,6 @@ class TestMappingCache:
 
 class _FailingBackend:
     """MIP backend that never returns a usable solution."""
-
-    time_limit_seconds = None
 
     def solve(self, model) -> Solution:
         return Solution(status=SolveStatus.ERROR)

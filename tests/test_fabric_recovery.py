@@ -208,7 +208,9 @@ class TestGracefulSignals:
     def test_sigterm_on_an_idle_worker_exits_zero(self, tmp_path):
         worker = start_worker(tmp_path / "fabric", "--poll-interval", "0.05")
         try:
-            time.sleep(1.0)  # let it reach the claim loop
+            # Printed by ``FabricWorker.run``, after the signal handlers are installed.
+            banner = worker.stdout.readline()
+            assert " draining " in banner, banner
             worker.send_signal(signal.SIGTERM)
             assert worker.wait(timeout=30) == 0
         finally:

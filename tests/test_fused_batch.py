@@ -300,7 +300,7 @@ class TestFrontierAlignment:
         group = next(g for g in bert_base_block_plan().groups if not g.is_singleton)
         assert group.name == "bert_base_attention_128_h12"
         assert _group_key(engine, group.layers[0], group, 0) == (
-            "b2f3a2f99e04736df4f5734e37436fc346da905565465d1fd4fe5000508d21eb"
+            "84464cd55b36dd6103869b32ee0da193b848cd3bac273de2eb2238b30a2c5f4c"
         )
 
 

@@ -18,10 +18,10 @@ from repro.solver import (
     ScipyMilpBackend,
     Sense,
     SolveStatus,
-    default_backend,
 )
+from repro.solver import scipy_backend
 from repro.solver.expr import Variable, VarKind, lin_sum
-from repro.solver.scipy_backend import _core, _lower
+from repro.solver.scipy_backend import NODE_LIMIT, _core, _lower
 
 
 class TestExpressions:
@@ -84,7 +84,7 @@ class TestModel:
         x = model.add_binary("x")
         y = model.add_integer("y", upper=4)
         model.add_constraint(x + y <= 4)
-        model.set_objective(x + y, minimize=False)
+        model.set_objective(-x - y)
         assert model.num_variables == 2
         assert model.num_constraints == 1
 
@@ -103,7 +103,7 @@ class TestModel:
         model.add_constraint(x + 2 * y == 3)  # row 3
         model.add_constraint(x - y + 0 * z >= 1)  # row 1, negated; 0*z dropped
         model.add_constraint(3 * z <= 5 + x)  # row 2
-        model.set_objective(2 * x - z, minimize=False)
+        model.set_objective(z - 2 * x)
         cost, lp = _lower(model)
         matrix = lp.a_matrix_
         assert (lp.num_col_, lp.num_row_) == (3, 4)
@@ -148,13 +148,12 @@ def enumerated_optimum(model):
     for var in model.variables:
         assert var.kind != VarKind.CONTINUOUS and math.isfinite(var.upper), var.name
         boxes.append(range(int(var.lower), int(var.upper) + 1))
-    sign = 1 if model.minimize else -1
     best = None
     for point in itertools.product(*boxes):
         values = dict(zip(model.variables, point))
         if all(constraint.satisfied_by(values) for constraint in model.constraints):
             objective = model.objective.evaluate(values)
-            if best is None or sign * objective < sign * best:
+            if best is None or objective < best:
                 best = objective
     return best
 
@@ -171,12 +170,12 @@ def assert_highs_matches_enumeration(build):
 
 
 def _knapsack(model):
-    """0/1 knapsack with known optimum 11 (items 1 and 2)."""
+    """0/1 knapsack with known optimum value 11 (items 1 and 2), minimised as -11."""
     values = [6, 5, 6, 1]
     weights = [4, 3, 3, 1]
     xs = [model.add_binary(f"x{i}") for i in range(4)]
     model.add_constraint(lin_sum(w * x for w, x in zip(weights, xs)) <= 6)
-    model.set_objective(lin_sum(v * x for v, x in zip(values, xs)), minimize=False)
+    model.set_objective(lin_sum(-v * x for v, x in zip(values, xs)))
     return xs
 
 
@@ -192,7 +191,7 @@ def _equality(model):
     y = model.add_integer("y", upper=10)
     model.add_constraint(x + y == 7)
     model.add_constraint(x - y <= 1)
-    model.set_objective(x.to_expr(), minimize=False)
+    model.set_objective(-x)
     return x, y
 
 
@@ -217,7 +216,7 @@ class TestBackends:
     def test_knapsack_optimum(self, backend):
         _, xs, solution = _solve_with(backend, _knapsack)
         assert solution.is_optimal
-        assert solution.objective == pytest.approx(11)
+        assert solution.objective == pytest.approx(-11)
         chosen = [i for i, x in enumerate(xs) if solution.rounded(x) == 1]
         assert chosen == [1, 2]
 
@@ -226,12 +225,12 @@ class TestBackends:
             x = model.add_continuous("x", upper=10)
             y = model.add_continuous("y", upper=10)
             model.add_constraint(x + y <= 7)
-            model.set_objective(2 * x + 3 * y, minimize=False)
+            model.set_objective(-2 * x - 3 * y)
             return x, y
 
         _, (x, y), solution = _solve_with(backend, build)
         assert solution.is_optimal
-        assert solution.objective == pytest.approx(21)
+        assert solution.objective == pytest.approx(-21)
         assert solution.value(y) == pytest.approx(7)
 
     def test_infeasible_detected(self, backend):
@@ -256,14 +255,14 @@ class TestBackends:
             x = model.add_integer("x", upper=5)
             y = model.add_continuous("y", upper=5)
             model.add_constraint(x + y <= 4.5)
-            model.set_objective(3 * x + 2 * y, minimize=False)
+            model.set_objective(-3 * x - 2 * y)
             return x, y
 
         _, (x, y), solution = _solve_with(backend, build)
         assert solution.is_optimal
         assert solution.rounded(x) == 4
         assert solution.value(y) == pytest.approx(0.5)
-        assert solution.objective == pytest.approx(13)
+        assert solution.objective == pytest.approx(-13)
 
     def test_solution_reports_all_constraints_satisfied(self, backend):
         model, _, solution = _solve_with(backend, _knapsack)
@@ -275,7 +274,7 @@ class TestBackendAgreement:
 
     @pytest.mark.parametrize(
         "build, optimum",
-        [(_knapsack, 11), (_infeasible, None), (_equality, 4), (_assignment, 5)],
+        [(_knapsack, -11), (_infeasible, None), (_equality, -4), (_assignment, 5)],
         ids=["knapsack", "infeasible", "equality", "assignment"],
     )
     def test_hand_built_programs_agree(self, build, optimum):
@@ -293,7 +292,7 @@ class TestBackendAgreement:
         def build(model):
             xs = [model.add_binary(f"x{i}") for i in range(num_items)]
             model.add_constraint(lin_sum(w * x for w, x in zip(weights, xs)) <= capacity)
-            model.set_objective(lin_sum(v * x for v, x in zip(values, xs)), minimize=False)
+            model.set_objective(lin_sum(-v * x for v, x in zip(values, xs)))
             return xs
 
         assert assert_highs_matches_enumeration(build) is not None
@@ -335,7 +334,9 @@ class TestBackendAgreement:
             coefficients = [rng.randint(-4, 6) for _ in range(num_vars)]
             rows.append((coefficients, rng.choice(("<=", ">=", "==")), rng.randint(0, 12)))
         costs = [rng.randint(-5, 5) for _ in range(num_vars)]
-        minimize = rng.random() < 0.5
+        # Half the programs maximise: they minimise the negated costs.
+        if rng.random() >= 0.5:
+            costs = [-c for c in costs]
 
         def build(model):
             xs = [model.add_integer(f"x{i}", upper=u) for i, u in enumerate(uppers)]
@@ -347,25 +348,31 @@ class TestBackendAgreement:
                     model.add_constraint(expr >= rhs)
                 else:
                     model.add_constraint(expr == rhs)
-            model.set_objective(lin_sum(c * x for c, x in zip(costs, xs)), minimize=minimize)
+            model.set_objective(lin_sum(c * x for c, x in zip(costs, xs)))
             return xs
 
         assert_highs_matches_enumeration(build)
 
 
 class TestDefaultBackend:
-    def test_default_backend_is_usable(self):
-        backend = default_backend()
-        _, _, solution = _solve_with(backend, _knapsack)
-        assert solution.is_optimal
-
     def test_model_solve_uses_default_backend(self):
         model = MIPModel()
         x = model.add_binary("x")
-        model.set_objective(x.to_expr(), minimize=False)
+        model.set_objective(-x)
         solution = model.solve()
         assert solution.is_optimal
         assert solution.rounded(x) == 1
+
+    def test_default_cosa_backend_caps_nodes_and_not_time(self):
+        from repro.arch import simba_like
+        from repro.core import CoSAScheduler
+
+        backend = CoSAScheduler(simba_like()).backend
+        assert type(backend) is ScipyMilpBackend and vars(backend) == {}
+        for presolve in (True, False):
+            options = backend._options(presolve)
+            assert options["mip_max_nodes"] == NODE_LIMIT
+            assert "time_limit" not in options
 
 
 def _run_python(code: str) -> str:
@@ -438,26 +445,21 @@ class TestHighsCore:
             model = MIPModel()
             x = model.add_integer("x", upper=3)
             model.add_constraint(x <= 2)
-            model.set_objective(x.to_expr(), minimize=False)
+            model.set_objective(-x)
             ours = model.solve(ScipyMilpBackend())
             theirs = milp(c=[-1.0], integrality=[1], bounds=(0, 3),
                           constraints=(np.array([[1.0]]), -np.inf, 2.0))
             print(_core is scipy_core is sys.modules["scipy.optimize._highspy._core"],
-                  ours.objective, -theirs.fun)
+                  ours.objective, theirs.fun)
         """)
-        assert out.split() == ["True", "2.0", "2.0"]
+        assert out.split() == ["True", "-2.0", "-2.0"]
 
 
-class _NodeCappedBackend(ScipyMilpBackend):
-    """HiGHS with ``mip_max_nodes`` set, counting its attempts."""
+class _CountingBackend(ScipyMilpBackend):
+    """HiGHS, counting its attempts."""
 
-    def __init__(self, max_nodes: int, **kwargs):
-        super().__init__(**kwargs)
-        self.max_nodes = max_nodes
+    def __init__(self):
         self.attempts = 0
-
-    def _options(self, presolve: bool) -> dict:
-        return {**super()._options(presolve), "mip_max_nodes": self.max_nodes}
 
     def _attempt(self, lp, is_mip: bool, presolve: bool):
         self.attempts += 1
@@ -465,20 +467,21 @@ class _NodeCappedBackend(ScipyMilpBackend):
 
 
 class TestLimitStatuses:
-    def test_node_capped_solve_keeps_its_incumbent_after_one_attempt(self):
+    def test_node_capped_solve_keeps_its_incumbent_after_one_attempt(self, monkeypatch):
         from repro.arch import simba_like
         from repro.core.formulation import CoSAFormulation
         from repro.workloads import layer_from_name
 
-        # A layer whose gap-0 solve branches (37 nodes uncapped), so one
+        # A layer whose gap-0 solve branches (44 nodes uncapped), so one
         # node cannot close it.
         formulation = CoSAFormulation(layer_from_name("3_28_128_128_2"), simba_like())
-        backend = _NodeCappedBackend(1)
+        monkeypatch.setattr(scipy_backend, "NODE_LIMIT", 1)
+        backend = _CountingBackend()
         solution = formulation.solve(backend)
         # HiGHS reports the reached node cap as kSolutionLimit: a limit that
         # keeps its incumbent, not a failure retried without presolve.
         assert backend.attempts == 1
-        assert solution.status is SolveStatus.TIME_LIMIT
+        assert solution.status is SolveStatus.LIMIT
         assert math.isfinite(solution.objective)
         assert solution.values
         formulation.decode(solution).validate_against_layer()
