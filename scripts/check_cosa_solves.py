@@ -3,10 +3,13 @@
 The presets are ``baseline-4x4``, ``pe-8x8`` and ``large-buffers`` through
 ``CoSAScheduler``, and ``gpu-k80`` through ``CoSAGPUScheduler``.  Exits 1
 unless every layer's one MIP solve ends ``OPTIMAL`` (proven, gap 0) and
-decodes to a mapping the cost model accepts.  Prints one line per layer,
-then per preset the p50 and max time-to-solution and the largest
-branch-and-bound node count, so the margin to the solver's node cap
-(``repro.solver.scipy_backend.NODE_LIMIT``) stays visible.
+decodes to a mapping the cost model accepts.  Prints one line per layer
+with a short digest of its mapping summary, then per preset the p50 and max
+time-to-solution and the largest branch-and-bound node count, so the margin
+to the solver's node cap (``repro.solver.scipy_backend.NODE_LIMIT``) stays
+visible.  The last line is one digest over every preset, layer, status,
+node count and mapping (no times): two trees that print the same one
+produce byte-identical CoSA results on these presets.
 
 Run:  PYTHONPATH=src python scripts/check_cosa_solves.py
 """
@@ -19,6 +22,7 @@ import sys
 from repro.api import architectures
 from repro.core.gpu import CoSAGPUScheduler
 from repro.core.scheduler import CoSAScheduler
+from repro.digest import stable_digest
 from repro.solver.scipy_backend import NODE_LIMIT
 from repro.solver.solution import SolveStatus
 from repro.workloads.networks import resnet50_layers
@@ -33,6 +37,7 @@ def _schedulers():
 
 def main() -> int:
     failures = []
+    records = []
     for preset, scheduler in _schedulers():
         seconds, nodes = [], []
         for layer in resnet50_layers():
@@ -42,15 +47,19 @@ def main() -> int:
                 result = getattr(result, "result", result)
             except RuntimeError as error:
                 print(f"{preset:<14} {layer.canonical_name:<18} {error}")
+                records.append([preset, layer.canonical_name, "error", str(error)])
                 failures.append(f"{preset}/{layer.canonical_name}")
                 continue
             status = result.solution.status
             valid = result.cost is not None and result.cost.valid
             seconds.append(result.solve_time_seconds)
             nodes.append(result.solution.iterations)
+            summary = result.mapping.summary() if result.mapping is not None else None
+            records.append([preset, layer.canonical_name, status.value, nodes[-1], summary])
             print(
                 f"{preset:<14} {layer.canonical_name:<18} {status.value:<10} "
-                f"valid={valid!s:<5} {result.solve_time_seconds:6.2f} s {nodes[-1]:>5} nodes"
+                f"valid={valid!s:<5} {result.solve_time_seconds:6.2f} s {nodes[-1]:>5} nodes "
+                f"mapping {stable_digest(summary)[:12]}"
             )
             if status is not SolveStatus.OPTIMAL or not valid:
                 failures.append(f"{preset}/{layer.canonical_name}")
@@ -59,6 +68,7 @@ def main() -> int:
                 f"{preset}: {len(seconds)} layers, p50 {statistics.median(seconds):.2f} s, "
                 f"max {max(seconds):.2f} s, max {max(nodes)} nodes (limit {NODE_LIMIT:,})"
             )
+    print(f"combined digest {stable_digest(records)[:16]} over {len(records)} layers")
     if failures:
         print(f"not OPTIMAL with a valid mapping: {', '.join(failures)}")
         return 1
