@@ -26,7 +26,7 @@ def build_mapping(layer, spatial_dim: str):
     return Mapping.from_factors(
         layer,
         temporal_factors=[
-            {"R": layer.r, "S": layer.s},
+            {"R": layer.bound("R"), "S": layer.bound("S")},
             {"C": 4},
             {"C": remaining["C"] // 4},
             {"P": remaining["P"], "Q": remaining["Q"]},

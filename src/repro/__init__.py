@@ -41,7 +41,7 @@ Quickstart (imperative)::
 import functools
 
 from repro.arch import Accelerator, simba_like, pe_array_8x8, large_buffers
-from repro.workloads import Layer, layer_from_name, workload_suite
+from repro.workloads import ProblemLayer, layer_from_name, workload_suite
 from repro.mapping import Mapping
 
 __version__ = "1.0.0"
@@ -63,7 +63,7 @@ __all__ = [
     "simba_like",
     "pe_array_8x8",
     "large_buffers",
-    "Layer",
+    "ProblemLayer",
     "layer_from_name",
     "workload_suite",
     "Mapping",

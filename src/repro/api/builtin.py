@@ -233,13 +233,9 @@ def _make_conv_problem(
     stride: int = 1,
     name: str = "",
 ):
-    from repro.workloads.layer import Layer
+    from repro.workloads.layer import conv_layer
 
-    return Layer(
-        r=r, s=s if s is not None else r,
-        p=p, q=q if q is not None else p,
-        c=c, k=k, n=batch, stride=stride, name=name,
-    )
+    return conv_layer(r=r, p=p, c=c, k=k, stride=stride, n=batch, name=name, s=s, q=q)
 
 
 @problems.register("matmul", description="matrix multiplication C[m,n] = A[m,k] @ B[k,n]")

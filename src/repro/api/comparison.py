@@ -33,7 +33,7 @@ from repro.arch.accelerator import Accelerator
 from repro.core.objectives import ObjectiveWeights
 from repro.engine import EngineStats, SchedulingEngine
 from repro.mapping.mapping import Mapping
-from repro.workloads.layer import Layer
+from repro.workloads.problem import ProblemLayer
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -202,7 +202,7 @@ def build_schedulers(config: ComparisonConfig):
 
 
 def compare_on_layer(
-    layer: Layer,
+    layer: ProblemLayer,
     config: ComparisonConfig,
     schedulers=None,
     evaluator: Callable[[Mapping | None], float] | None = None,
@@ -220,7 +220,7 @@ def compare_on_layer(
 
 def compare_on_network(
     label: str,
-    layers: Iterable[Layer],
+    layers: Iterable[ProblemLayer],
     config: ComparisonConfig,
     schedulers=None,
     evaluator: Callable[[Mapping | None], float] | None = None,

@@ -11,7 +11,7 @@ Factory contracts per axis:
 
 =============  ============================================================
 architecture   ``factory() -> Accelerator``
-workload       ``factory(batch=1) -> list[Layer]``
+workload       ``factory(batch=1) -> list[ProblemLayer]``
 scheduler      ``factory(accelerator, **options) -> Scheduler`` (the
                engine protocol of :mod:`repro.engine.outcome`)
 platform       ``factory(accelerator, metric="latency") ->
@@ -168,7 +168,7 @@ def register_platform(name: str, *, description: str = "", replace: bool = False
 
 
 def register_workload(name: str, *, description: str = "", replace: bool = False):
-    """Decorator registering a workload factory: ``f(batch=1) -> list[Layer]``."""
+    """Decorator registering a workload factory: ``f(batch=1) -> list[ProblemLayer]``."""
     return workloads.register(name, description=description, replace=replace)
 
 

@@ -36,7 +36,7 @@ from repro.mapping.mapping import Mapping
 from repro.mapping.space import MappingDraws
 from repro.model.batch import BatchCostModel
 from repro.model.cost import CostModel, CostResult
-from repro.workloads.layer import Layer
+from repro.workloads.problem import ProblemLayer
 
 
 def stable_layer_seed(*parts) -> int:
@@ -175,7 +175,7 @@ class SearchScheduler:
         """
         return canonical_json(self._config())
 
-    def schedule_outcome(self, layer: Layer) -> ScheduleOutcome:
+    def schedule_outcome(self, layer: ProblemLayer) -> ScheduleOutcome:
         """Run :meth:`schedule` and report the unified outcome."""
         result = self.schedule(layer)
         mapping = result.mapping if result.succeeded else None

@@ -52,7 +52,7 @@ from repro.baselines.base import SearchResult, SearchScheduler, stable_layer_see
 from repro.mapping.moves import MappingState
 from repro.mapping.space import MappingDraws, MapSpace
 from repro.model.batch import BatchCostResult, MappingBatch
-from repro.workloads.layer import Layer
+from repro.workloads.problem import ProblemLayer
 
 #: Constraint groups carrying DDFW weights.
 CONSTRAINT_GROUPS = ("capacity", "spatial", "utilization")
@@ -165,7 +165,7 @@ class LocalSearchScheduler(SearchScheduler):
         }
 
     # ----------------------------------------------------------------- search
-    def schedule(self, layer: Layer) -> SearchResult:
+    def schedule(self, layer: ProblemLayer) -> SearchResult:
         """Run the weighted local search for ``layer``."""
         start = time.perf_counter()
         deadline = self._deadline(start)

@@ -25,7 +25,7 @@ import time
 from repro.arch.accelerator import Accelerator
 from repro.baselines.base import SearchResult, SearchScheduler, stable_layer_seed
 from repro.mapping.space import MapSpace
-from repro.workloads.layer import Layer
+from repro.workloads.problem import ProblemLayer
 
 #: Most candidates drawn and scored in one chunk.
 MAX_CHUNK = 64
@@ -76,7 +76,7 @@ class RandomScheduler(SearchScheduler):
             "seed": self.seed,
         }
 
-    def schedule(self, layer: Layer) -> SearchResult:
+    def schedule(self, layer: ProblemLayer) -> SearchResult:
         """Search for the best of ``num_valid`` random valid schedules of ``layer``."""
         start = time.perf_counter()
         deadline = self._deadline(start)

@@ -35,7 +35,7 @@ from itertools import islice, permutations
 from repro.arch.accelerator import Accelerator
 from repro.baselines.base import SearchResult, SearchScheduler, stable_layer_seed
 from repro.mapping.space import DrawnLoop, DrawnMapping, MappingDraws, MapSpace
-from repro.workloads.layer import Layer
+from repro.workloads.problem import ProblemLayer
 
 #: Factorisations a search thread draws, with their permutation sweeps,
 #: before scoring them together: each batched cost-model call carries a
@@ -108,7 +108,7 @@ class TimeloopHybridScheduler(SearchScheduler):
         }
 
     # ----------------------------------------------------------------- search
-    def schedule(self, layer: Layer) -> SearchResult:
+    def schedule(self, layer: ProblemLayer) -> SearchResult:
         """Run the hybrid search for ``layer`` and return the best mapping found."""
         start = time.perf_counter()
         deadline = self._deadline(start)

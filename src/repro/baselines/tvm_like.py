@@ -24,7 +24,7 @@ import time
 from repro.arch.accelerator import Accelerator
 from repro.baselines.base import SearchResult, SearchScheduler, stable_layer_seed
 from repro.mapping.space import DrawnMapping, MappingDraws, MapSpace
-from repro.workloads.layer import Layer
+from repro.workloads.problem import ProblemLayer
 from repro.workloads.prime import factorize
 
 #: Fraction of each batch drawn at random instead of mutated from the
@@ -82,7 +82,7 @@ class TVMLikeTuner(SearchScheduler):
             "seed": self.seed,
         }
 
-    def schedule(self, layer: Layer) -> SearchResult:
+    def schedule(self, layer: ProblemLayer) -> SearchResult:
         """Tune ``layer`` for ``trials`` measurement rounds and return the best mapping."""
         start = time.perf_counter()
         deadline = self._deadline(start)

@@ -24,7 +24,7 @@ from repro.core.variables import CoSAVariables
 from repro.mapping.mapping import Mapping
 from repro.solver.model import MIPModel
 from repro.solver.solution import Solution
-from repro.workloads.layer import Layer
+from repro.workloads.problem import ProblemLayer
 
 
 @dataclass
@@ -55,7 +55,7 @@ class CoSAFormulation:
 
     def __init__(
         self,
-        layer: Layer,
+        layer: ProblemLayer,
         accelerator: Accelerator,
         weights: ObjectiveWeights = ObjectiveWeights(),
         capacity_fraction: float = 1.0,

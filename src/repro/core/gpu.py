@@ -19,7 +19,7 @@ from repro.arch.gpu import gpu_as_accelerator
 from repro.core.objectives import ObjectiveWeights
 from repro.core.scheduler import CoSAScheduler, ScheduleResult
 from repro.engine.outcome import ScheduleOutcome
-from repro.workloads.layer import Layer
+from repro.workloads.problem import ProblemLayer
 
 
 #: Default objective weights used for GPU targets (traffic-heavy).
@@ -71,7 +71,7 @@ class CoSAGPUScheduler:
             capacity_fraction=0.5,
         )
 
-    def schedule(self, layer: Layer) -> GPUScheduleResult:
+    def schedule(self, layer: ProblemLayer) -> GPUScheduleResult:
         """Schedule ``layer`` and derive the CUDA launch shape of the result."""
         result = self._scheduler.schedule(layer)
         threads = 1
@@ -88,7 +88,7 @@ class CoSAGPUScheduler:
         """Deterministic configuration description (layer-tier key part)."""
         return self._scheduler.config_fingerprint()
 
-    def schedule_outcome(self, layer: Layer) -> ScheduleOutcome:
+    def schedule_outcome(self, layer: ProblemLayer) -> ScheduleOutcome:
         """Run :meth:`schedule` and report the unified engine outcome."""
         result = self.schedule(layer)
         return ScheduleOutcome(

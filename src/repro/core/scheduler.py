@@ -19,7 +19,7 @@ from repro.engine.outcome import ScheduleOutcome
 from repro.mapping.mapping import Mapping
 from repro.solver.scipy_backend import ScipyMilpBackend
 from repro.solver.solution import Solution, SolveStatus
-from repro.workloads.layer import Layer
+from repro.workloads.problem import ProblemLayer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.model.cost import CostResult
@@ -49,7 +49,7 @@ class ScheduleResult:
         it), or ``None`` without a mapping.
     """
 
-    layer: Layer
+    layer: ProblemLayer
     mapping: Mapping | None
     solution: Solution
     objective: ObjectiveBreakdown | None
@@ -103,7 +103,7 @@ class CoSAScheduler:
         self.backend = backend or ScipyMilpBackend()
         self.capacity_fraction = capacity_fraction
 
-    def schedule(self, layer: Layer) -> ScheduleResult:
+    def schedule(self, layer: ProblemLayer) -> ScheduleResult:
         """Produce a schedule for ``layer`` with one MIP solve.
 
         The capacity rows bound the cost model's footprints, so a decoded
@@ -158,7 +158,7 @@ class CoSAScheduler:
         }
         return canonical_json(config)
 
-    def schedule_outcome(self, layer: Layer) -> ScheduleOutcome:
+    def schedule_outcome(self, layer: ProblemLayer) -> ScheduleOutcome:
         """Run :meth:`schedule` and report the unified engine outcome."""
         result = self.schedule(layer)
         return ScheduleOutcome(

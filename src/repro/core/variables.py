@@ -41,7 +41,8 @@ from dataclasses import dataclass
 from repro.arch.accelerator import Accelerator
 from repro.solver.expr import LinearExpr, Variable, lin_sum
 from repro.solver.model import MIPModel
-from repro.workloads.layer import Layer, TensorKind
+from repro.workloads.layer import TensorKind
+from repro.workloads.problem import ProblemLayer
 from repro.workloads.prime import factorize
 
 
@@ -119,7 +120,7 @@ class CoSAVariables:
         The target architecture (defines levels, fanouts, the NoC boundary).
     """
 
-    def __init__(self, model: MIPModel, layer: Layer, accelerator: Accelerator):
+    def __init__(self, model: MIPModel, layer: ProblemLayer, accelerator: Accelerator):
         self.model = model
         self.layer = layer
         #: The tensor-problem IR the variables are enumerated from: its
@@ -171,7 +172,7 @@ class CoSAVariables:
 
     # ----------------------------------------------------------------- factors
     @staticmethod
-    def _enumerate_factors(layer: Layer) -> list[PrimeFactor]:
+    def _enumerate_factors(layer: ProblemLayer) -> list[PrimeFactor]:
         factors: list[PrimeFactor] = []
         for dim in layer.problem.dims:
             ordinal = 0

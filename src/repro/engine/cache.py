@@ -8,7 +8,7 @@ is keyed by everything that determines it:
 ``key = sha256(layer dimensions, architecture fingerprint, scheduler name,
 scheduler config fingerprint, results version)``
 
-* the **layer** enters through :meth:`~repro.workloads.layer.Layer.key_dict`:
+* the **layer** enters through :meth:`~repro.workloads.problem.ProblemLayer.key_dict`:
   conv layers contribute all seven loop bounds plus the stride (not just the
   paper's ``R_P_C_K_Stride`` shorthand, which ignores the batch size) in the
   historic payload shape, so pre-IR keys stay valid; other tensor
@@ -31,10 +31,10 @@ from __future__ import annotations
 from repro.arch.accelerator import Accelerator
 from repro.digest import RESULTS_VERSION, stable_digest
 from repro.engine.outcome import Scheduler
-from repro.workloads.layer import Layer
+from repro.workloads.problem import ProblemLayer
 
 
-def cache_key(layer: Layer, accelerator: Accelerator, scheduler: Scheduler) -> str:
+def cache_key(layer: ProblemLayer, accelerator: Accelerator, scheduler: Scheduler) -> str:
     """Content hash identifying one (layer, architecture, scheduler) solve."""
     return cache_key_from_parts(
         layer, accelerator.fingerprint(), scheduler.name, scheduler.config_fingerprint()
@@ -42,7 +42,7 @@ def cache_key(layer: Layer, accelerator: Accelerator, scheduler: Scheduler) -> s
 
 
 def cache_key_from_parts(
-    layer: Layer, arch_fingerprint: str, scheduler_name: str, config_fingerprint: str
+    layer: ProblemLayer, arch_fingerprint: str, scheduler_name: str, config_fingerprint: str
 ) -> str:
     """:func:`cache_key` with the layer-invariant parts precomputed.
 

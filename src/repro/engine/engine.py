@@ -6,9 +6,9 @@ should not re-implement:
 * **Parallelism** — layers of a network are independent solves, so
   :meth:`SchedulingEngine.schedule_network` fans them out over a thread
   pool (``jobs=N``) and reassembles results in input order.
-* **De-duplication** — equal layers (same seven loop bounds and stride; the
-  display name does not participate in :class:`~repro.workloads.layer.Layer`
-  equality) are solved once and the outcome is fanned back out to every
+* **De-duplication** — equal layers (same problem, loop bounds and stride;
+  the display name does not participate in
+  :class:`~repro.workloads.problem.ProblemLayer` equality) are solved once and the outcome is fanned back out to every
   duplicate.
 * **Layer reuse** — with a :class:`~repro.api.store.ResultStore` attached,
   previously solved (layer, architecture, scheduler config) triples are
@@ -46,7 +46,7 @@ from typing import Iterable, Mapping as MappingT
 
 from repro.engine.cache import cache_key_from_parts
 from repro.engine.outcome import ScheduleOutcome, Scheduler
-from repro.workloads.layer import Layer
+from repro.workloads.problem import ProblemLayer
 
 #: How a layer's outcome was obtained (see :class:`LayerReport.source`).
 LAYER_SOURCES = ("solve", "cache", "dedup")
@@ -68,12 +68,12 @@ class LayerReport:
 
     network: str
     index: int
-    layer: Layer
+    layer: ProblemLayer
     outcome: ScheduleOutcome
     source: str
 
 
-def _solve_one(scheduler: Scheduler, layer: Layer) -> ScheduleOutcome:
+def _solve_one(scheduler: Scheduler, layer: ProblemLayer) -> ScheduleOutcome:
     """Solve one layer; the single entry point of the serial and threaded paths."""
     return scheduler.schedule_outcome(layer)
 
@@ -207,7 +207,7 @@ class SchedulingEngine:
         self._arch_fingerprint = scheduler.accelerator.fingerprint()
         self._config_fingerprint = scheduler.config_fingerprint()
 
-    def _key(self, layer: Layer) -> str:
+    def _key(self, layer: ProblemLayer) -> str:
         """Layer-tier key of ``layer`` using the memoized invariant fingerprints."""
         return cache_key_from_parts(
             layer, self._arch_fingerprint, self.scheduler.name, self._config_fingerprint
@@ -233,7 +233,7 @@ class SchedulingEngine:
     # ----------------------------------------------------------------- network
     def schedule_network(
         self,
-        layers: Iterable[Layer],
+        layers: Iterable[ProblemLayer],
         jobs: int = 1,
         label: str = "",
         observer=None,
@@ -282,8 +282,8 @@ class SchedulingEngine:
         start = time.perf_counter()
 
         # Group equal layers: solve the first occurrence, fan out to the rest.
-        unique_layers: list[Layer] = []
-        groups: dict[Layer, list[int]] = {}
+        unique_layers: list[ProblemLayer] = []
+        groups: dict[ProblemLayer, list[int]] = {}
         for index, layer in enumerate(layers):
             if layer not in groups:
                 groups[layer] = []
@@ -294,10 +294,10 @@ class SchedulingEngine:
 
         # Layer-tier lookups are cheap; resolve them serially so the pool
         # only receives layers that genuinely need a solve.
-        resolved: dict[Layer, ScheduleOutcome] = {}
-        to_solve: list[Layer] = []
-        keys: dict[Layer, str] = {}
-        cached_layers: set[Layer] = set()
+        resolved: dict[ProblemLayer, ScheduleOutcome] = {}
+        to_solve: list[ProblemLayer] = []
+        keys: dict[ProblemLayer, str] = {}
+        cached_layers: set[ProblemLayer] = set()
         for layer in unique_layers:
             if self.store is not None:
                 keys[layer] = self._key(layer)
@@ -353,7 +353,7 @@ class SchedulingEngine:
         stats.wall_time_seconds = time.perf_counter() - start
         return NetworkSchedule(label=label, outcomes=outcomes, stats=stats)
 
-    def _run(self, layers: list[Layer], jobs: int):
+    def _run(self, layers: list[ProblemLayer], jobs: int):
         """Solve ``layers`` with the configured parallelism, yielding outcomes
         lazily in input order.
 
@@ -373,7 +373,7 @@ class SchedulingEngine:
     # ------------------------------------------------------------------- suite
     def schedule_suite(
         self,
-        suite: MappingT[str, Iterable[Layer]] | None = None,
+        suite: MappingT[str, Iterable[ProblemLayer]] | None = None,
         jobs: int = 1,
         observer=None,
     ) -> SuiteSchedule:

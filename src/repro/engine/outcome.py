@@ -28,7 +28,7 @@ from typing import Any, Protocol, runtime_checkable
 
 from repro.arch.accelerator import Accelerator
 from repro.mapping.mapping import Mapping
-from repro.workloads.layer import Layer
+from repro.workloads.problem import ProblemLayer
 
 
 @dataclass
@@ -72,7 +72,7 @@ class ScheduleOutcome:
         The scheduler's native result object (``None`` for layer-tier hits).
     """
 
-    layer: Layer
+    layer: ProblemLayer
     scheduler: str
     mapping: Mapping | None
     metrics: dict[str, float] = field(default_factory=dict)
@@ -89,7 +89,7 @@ class ScheduleOutcome:
         """True when a mapping was produced."""
         return self.mapping is not None
 
-    def with_layer(self, layer: Layer) -> "ScheduleOutcome":
+    def with_layer(self, layer: ProblemLayer) -> "ScheduleOutcome":
         """Copy of this outcome re-attached to an equal layer.
 
         Used when de-duplicated layers fan a single solve back out to every
@@ -138,7 +138,7 @@ class Scheduler(Protocol):
     #: layer tier against it).
     accelerator: Accelerator
 
-    def schedule_outcome(self, layer: Layer) -> ScheduleOutcome:
+    def schedule_outcome(self, layer: ProblemLayer) -> ScheduleOutcome:
         """Schedule ``layer`` and report the unified outcome."""
         ...
 

@@ -28,7 +28,7 @@ from repro.mapping.mapping import Mapping
 from repro.mapping.space import MapSpace
 from repro.model.cost import CostModel
 from repro.noc.simulator import NoCSimulator
-from repro.workloads.layer import Layer
+from repro.workloads.problem import ProblemLayer
 from repro.workloads.networks import (
     NETWORK_DISPLAY_NAMES,
     figure1_layer,
@@ -116,7 +116,7 @@ class PermutationPoint:
     latency_mcycles: float
 
 
-def _fig3_mapping(layer: Layer, order: tuple[str, ...]) -> Mapping:
+def _fig3_mapping(layer: ProblemLayer, order: tuple[str, ...]) -> Mapping:
     """Fixed tiling/spatial mapping of the Fig. 3 layer with a chosen GB loop order.
 
     The loop order is given outermost-first (the paper's ``CKP`` notation);
@@ -163,7 +163,7 @@ class SpatialPoint:
     latency_mcycles: float
 
 
-def _fig4_mapping(layer: Layer, spatial_split: dict[str, int]) -> Mapping:
+def _fig4_mapping(layer: ProblemLayer, spatial_split: dict[str, int]) -> Mapping:
     """Fixed mapping of the Fig. 4 layer with the studied P/C/K factors split
     between spatial and temporal execution at the global-buffer level."""
     study = {"P": 4, "C": 4, "K": 4}

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from repro.workloads.layer import Layer, TensorKind
+from repro.workloads.layer import TensorKind
+from repro.workloads.problem import ProblemLayer
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ class Mapping:
         architecture.
     """
 
-    def __init__(self, layer: Layer, level_mappings: Sequence[LevelMapping]):
+    def __init__(self, layer: ProblemLayer, level_mappings: Sequence[LevelMapping]):
         self.layer = layer
         self.levels: tuple[LevelMapping, ...] = tuple(level_mappings)
         if not self.levels:
@@ -152,7 +153,7 @@ class Mapping:
     @classmethod
     def from_factors(
         cls,
-        layer: Layer,
+        layer: ProblemLayer,
         temporal_factors: Sequence[dict[str, int]],
         spatial_factors: Sequence[dict[str, int]] | None = None,
         permutations: Sequence[Sequence[str]] | None = None,

@@ -7,11 +7,14 @@ dictionary (JSON-compatible) and provides file helpers.
 
 Two layer encodings exist:
 
-* conv layers keep the historic version-1 ``{r, s, p, q, c, k, n, stride}``
-  dict, so every pre-IR mapping file (and layer-tier entry) still loads;
+* conv layers (:data:`~repro.workloads.problem.CONV7` layers) keep the
+  historic version-1 ``{r, s, p, q, c, k, n, stride}`` dict, so every pre-IR
+  mapping file (and layer-tier entry) still loads;
 * layers of any other registered :class:`~repro.workloads.problem.TensorProblem`
   are written as version 2 with an explicit ``{"problem": name, "bounds":
   {...}}`` description and resolved through the problem registry on load.
+  A version-2 ``conv7`` record loads to the same layer as its version-1
+  twin.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import json
 from pathlib import Path
 
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
-from repro.workloads.layer import Layer
-from repro.workloads.problem import ProblemLayer, get_problem
+from repro.workloads.layer import conv_layer
+from repro.workloads.problem import CONV7, ProblemLayer, get_problem
 
 #: Schema version written into serialised conv mappings (legacy layout).
 FORMAT_VERSION = 1
@@ -36,7 +39,7 @@ SUPPORTED_FORMAT_VERSIONS = (FORMAT_VERSION, PROBLEM_FORMAT_VERSION)
 def mapping_to_dict(mapping: Mapping) -> dict:
     """Convert a mapping (including its layer) to a JSON-compatible dictionary."""
     layer = mapping.layer
-    version = FORMAT_VERSION if isinstance(layer, Layer) else PROBLEM_FORMAT_VERSION
+    version = FORMAT_VERSION if layer.problem is CONV7 else PROBLEM_FORMAT_VERSION
     return {
         "version": version,
         "layer": {"name": layer.name, **layer.key_dict()},
@@ -52,7 +55,7 @@ def mapping_to_dict(mapping: Mapping) -> dict:
 
 def _layer_from_dict(version: int, layer_data: dict):
     if version == FORMAT_VERSION:
-        return Layer(
+        return conv_layer(
             r=layer_data["r"],
             s=layer_data["s"],
             p=layer_data["p"],

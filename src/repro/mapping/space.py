@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.arch.accelerator import Accelerator
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
 from repro.mapping.moves import MappingState, ProposalTable
-from repro.workloads.layer import Layer
+from repro.workloads.problem import ProblemLayer
 from repro.workloads.prime import factorize
 
 #: A drawn loop before materialization: ``(dimension name, bound)``.
@@ -47,7 +47,7 @@ class MappingDraws:
         ``spatial`` likewise for spatial loops.
     """
 
-    layer: Layer
+    layer: ProblemLayer
     num_levels: int
     temporal: list[list[list[DrawnLoop]]] = field(default_factory=list)
     spatial: list[list[list[DrawnLoop]]] = field(default_factory=list)
@@ -86,7 +86,7 @@ class MappingDraws:
 class MapSpace:
     """Random sampler over the scheduling space of ``layer`` on ``accelerator``."""
 
-    def __init__(self, layer: Layer, accelerator: Accelerator):
+    def __init__(self, layer: ProblemLayer, accelerator: Accelerator):
         self.layer = layer
         self.accelerator = accelerator
         self.num_levels = accelerator.num_memory_levels
@@ -240,7 +240,7 @@ class MapSpace:
         return moves
 
 
-def random_mapping(layer: Layer, accelerator: Accelerator, seed: int = 0) -> Mapping:
+def random_mapping(layer: ProblemLayer, accelerator: Accelerator, seed: int = 0) -> Mapping:
     """Convenience wrapper: one random mapping of ``layer`` on ``accelerator``."""
     return MapSpace(layer, accelerator).random_mapping(random.Random(seed))
 

@@ -51,8 +51,8 @@ import numpy as np
 
 from repro.arch.accelerator import Accelerator
 from repro.mapping.mapping import Mapping
-from repro.workloads.layer import Layer, TensorKind
-from repro.workloads.problem import TensorProblem, Window
+from repro.workloads.layer import TensorKind
+from repro.workloads.problem import ProblemLayer, TensorProblem, Window
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mapping.moves import MappingState
@@ -87,7 +87,7 @@ class MappingBatch:
 
     def __init__(
         self,
-        layer: Layer,
+        layer: ProblemLayer,
         temporal,
         spatial,
         loop_level,
@@ -217,7 +217,7 @@ class MappingBatch:
         return cls(layer, tf, sf, loop_level, loop_dim, loop_bound)
 
 
-def _dim_index(layer: Layer) -> dict[str, int]:
+def _dim_index(layer: ProblemLayer) -> dict[str, int]:
     """Column of each problem dimension in the factor matrices."""
     return {dim: i for i, dim in enumerate(layer.problem.dims)}
 
@@ -462,7 +462,7 @@ class BatchCostModel:
         self.pe_level = accelerator.pe_level_index()
         #: Per-layer constants (problem tables, bounds vector, tile masks,
         #: macs, stride), computed once per layer.
-        self._layer_consts: dict[Layer, tuple] = {}
+        self._layer_consts: dict[ProblemLayer, tuple] = {}
         # Per-level constants: the fanout and capacity limits as one
         # [2, 1, L] array, checked together.
         self._limits = np.array(
@@ -550,7 +550,7 @@ class BatchCostModel:
         return _padded(cells, pad=zero).T
 
     # ------------------------------------------------------------------ helpers
-    def _consts(self, layer: Layer) -> tuple:
+    def _consts(self, layer: ProblemLayer) -> tuple:
         """Cached per-layer constants: tables, bounds, tile masks, macs, stride.
 
         ``tile_kept[t, 0, l]`` marks the on-chip levels holding tensor ``t``;

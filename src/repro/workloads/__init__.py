@@ -13,8 +13,8 @@ This subpackage provides:
   IR (named dimensions, projection tables, sliding-window couplings,
   reduction markers), the generic :class:`~repro.workloads.problem.ProblemLayer`
   operator and constructors for matmul / depthwise / grouped conv / attention.
-* :class:`~repro.workloads.layer.Layer` — the conv layer specification plus
-  derived quantities (input width/height, MAC counts, tensor volumes).
+* :func:`~repro.workloads.layer.conv_layer` — builds a conv layer, a
+  ``ProblemLayer`` of ``CONV7``.
 * :mod:`~repro.workloads.prime` — prime factorisation helpers used by the
   prime-factor-allocation formulation of CoSA.
 * :mod:`~repro.workloads.networks` — the exact layer tables used in the
@@ -22,7 +22,7 @@ This subpackage provides:
   transformer-block presets built from matmul/attention problems.
 """
 
-from repro.workloads.layer import Layer, TensorKind
+from repro.workloads.layer import TensorKind, conv_layer
 from repro.workloads.problem import (
     CONV7,
     ProblemLayer,
@@ -53,7 +53,7 @@ from repro.workloads.networks import (
 )
 
 __all__ = [
-    "Layer",
+    "conv_layer",
     "TensorKind",
     "TensorProblem",
     "ProblemLayer",

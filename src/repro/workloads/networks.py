@@ -9,13 +9,13 @@ exact layer strings for the four evaluated workloads:
 * **ResNeXt-50 (32x4d)** (25 unique layers),
 * **DeepBench** convolution kernels (OCR + face recognition, 9 layers).
 
-Each function returns fresh :class:`~repro.workloads.layer.Layer` objects so
+Each function returns fresh :class:`~repro.workloads.problem.ProblemLayer` objects so
 callers can mutate-by-replacement without affecting the module tables.
 """
 
 from __future__ import annotations
 
-from repro.workloads.layer import Layer, conv_layer
+from repro.workloads.layer import conv_layer
 from repro.workloads.problem import ProblemLayer, attention_av, attention_qk, matmul, softmax
 
 #: ``R_P_C_K_Stride`` strings, in the order they appear on the paper's x-axes.
@@ -112,8 +112,8 @@ NETWORK_DISPLAY_NAMES: dict[str, str] = {
 }
 
 
-def layer_from_name(name: str, batch: int = 1) -> Layer:
-    """Parse a paper-style ``R_P_C_K_Stride`` layer string into a :class:`Layer`."""
+def layer_from_name(name: str, batch: int = 1) -> ProblemLayer:
+    """Parse a paper-style ``R_P_C_K_Stride`` layer string into a conv layer."""
     parts = name.split("_")
     if len(parts) != 5:
         raise ValueError(f"expected an R_P_C_K_Stride string, got {name!r}")
@@ -121,7 +121,7 @@ def layer_from_name(name: str, batch: int = 1) -> Layer:
     return conv_layer(r=r, p=p, c=c, k=k, stride=stride, n=batch, name=name)
 
 
-def _layers_for(network: str, batch: int) -> list[Layer]:
+def _layers_for(network: str, batch: int) -> list[ProblemLayer]:
     try:
         strings = _NETWORK_TABLES[network]
     except KeyError:
@@ -131,27 +131,27 @@ def _layers_for(network: str, batch: int) -> list[Layer]:
     return [layer_from_name(s, batch=batch) for s in strings]
 
 
-def alexnet_layers(batch: int = 1) -> list[Layer]:
+def alexnet_layers(batch: int = 1) -> list[ProblemLayer]:
     """The 8 unique AlexNet layers evaluated in the paper."""
     return _layers_for("alexnet", batch)
 
 
-def resnet50_layers(batch: int = 1) -> list[Layer]:
+def resnet50_layers(batch: int = 1) -> list[ProblemLayer]:
     """The 23 unique ResNet-50 layers evaluated in the paper."""
     return _layers_for("resnet50", batch)
 
 
-def resnext50_layers(batch: int = 1) -> list[Layer]:
+def resnext50_layers(batch: int = 1) -> list[ProblemLayer]:
     """The 25 unique ResNeXt-50 (32x4d) layers evaluated in the paper."""
     return _layers_for("resnext50", batch)
 
 
-def deepbench_layers(batch: int = 1) -> list[Layer]:
+def deepbench_layers(batch: int = 1) -> list[ProblemLayer]:
     """The 9 DeepBench (OCR + face recognition) convolution layers."""
     return _layers_for("deepbench", batch)
 
 
-def workload_suite(batch: int = 1) -> dict[str, list[Layer]]:
+def workload_suite(batch: int = 1) -> dict[str, list[ProblemLayer]]:
     """All four evaluated workloads keyed by network id, in paper order."""
     return {network: _layers_for(network, batch) for network in _NETWORK_TABLES}
 
@@ -252,21 +252,21 @@ def gpt2_small_block_fused_layers(batch: int = 1, seq: int = 1024) -> list[Probl
 
 # -- Layers used by the motivation / ablation figures ------------------------
 
-def figure1_layer(batch: int = 1) -> Layer:
+def figure1_layer(batch: int = 1) -> ProblemLayer:
     """ResNet-50 3x3 layer used in Fig. 1 (C = K = 256, P = Q = 14)."""
     return conv_layer(r=3, p=14, c=256, k=256, stride=1, n=batch, name="fig1_3_14_256_256_1")
 
 
-def figure3_layer(batch: int = 1) -> Layer:
+def figure3_layer(batch: int = 1) -> ProblemLayer:
     """Layer of Fig. 3 (permutation study): R=S=3, P=Q=8, C=32, K=1024."""
     return conv_layer(r=3, p=8, c=32, k=1024, stride=1, n=batch, name="fig3_3_8_32_1024_1")
 
 
-def figure4_layer(batch: int = 1) -> Layer:
+def figure4_layer(batch: int = 1) -> ProblemLayer:
     """Layer of Fig. 4 (spatial-mapping study): R=S=1, P=Q=16, C=256, K=1024."""
     return conv_layer(r=1, p=16, c=256, k=1024, stride=1, n=batch, name="fig4_1_16_256_1024_1")
 
 
-def figure8_layer(batch: int = 1) -> Layer:
+def figure8_layer(batch: int = 1) -> ProblemLayer:
     """ResNet-50 layer 3_7_512_512_1 used in the Fig. 8 objective breakdown."""
     return layer_from_name("3_7_512_512_1", batch=batch)

@@ -206,11 +206,12 @@ class TensorProblem:
 class ProblemLayer:
     """One schedulable operator: a :class:`TensorProblem` with concrete bounds.
 
-    Implements the same protocol as the historic conv
-    :class:`~repro.workloads.layer.Layer` (``bounds``, ``bound``, ``macs``,
-    ``tensor_volume``, ``prime_factors``, ``canonical_name``, ``stride``,
-    value equality/hash for engine de-duplication), so every subsystem
-    schedules it unchanged.
+    Every subsystem schedules layers through this one protocol (``bounds``,
+    ``bound``, ``macs``, ``tensor_volume``, ``prime_factors``,
+    ``canonical_name``, ``key_dict``, ``stride``, value equality/hash for
+    engine de-duplication).  Conv layers are layers of :data:`CONV7`
+    (built by :func:`~repro.workloads.layer.conv_layer`) and keep their
+    historic key payload and ``R_P_C_K_Stride`` name.
     """
 
     problem: TensorProblem
@@ -264,14 +265,27 @@ class ProblemLayer:
     # ------------------------------------------------------------------ naming
     @property
     def canonical_name(self) -> str:
-        """Stable shape identifier: problem name plus the bound vector."""
+        """Stable shape identifier: problem name plus the bound vector.
+
+        A conv layer keeps the paper's x-axis name ``R_P_C_K_Stride`` (every
+        evaluated workload is square, so this 5-tuple identifies it).
+        """
+        if self.problem is CONV7:
+            r, _, p, _, c, k, _ = self.dim_bounds
+            return f"{r}_{p}_{c}_{k}_{self.stride}"
         dims = "x".join(str(b) for b in self.dim_bounds)
         suffix = f"_s{self.stride}" if self.stride != 1 else ""
         return f"{self.problem.name}_{dims}{suffix}"
 
     # -------------------------------------------------------------- identity
     def key_dict(self) -> dict:
-        """Content-hash payload for layer-tier keys and serialization."""
+        """Content-hash payload for layer-tier keys and serialization.
+
+        A conv layer keeps the historic ``{r, s, p, q, c, k, n, stride}``
+        payload, so its keys and version-1 mapping files never change.
+        """
+        if self.problem is CONV7:
+            return {**{dim.lower(): bound for dim, bound in self.bounds.items()}, "stride": self.stride}
         return {
             "problem": self.problem.name,
             "bounds": {dim: bound for dim, bound in self.bounds.items()},

@@ -19,7 +19,7 @@ from repro.arch import (
 )
 from repro.mapping import Mapping
 from repro.model import NestAnalysis
-from repro.workloads import Layer
+from repro.workloads import conv_layer
 from repro.workloads.layer import TensorKind
 
 
@@ -219,10 +219,10 @@ class TestPresets:
         # outputs: a 65536-output tile overflows the global buffer.
         arch = simba_like()
         gb = arch.hierarchy.index_of("GlobalBuffer")
-        fits = self._below_global_buffer(arch, Layer(p=16, k=2048))
+        fits = self._below_global_buffer(arch, conv_layer(r=1, p=16, c=1, k=2048, q=1))
         assert fits.tile_elements(TensorKind.OUTPUT, gb) == 32768
         assert fits.buffer_violations() == []
-        overflows = self._below_global_buffer(arch, Layer(p=16, k=4096))
+        overflows = self._below_global_buffer(arch, conv_layer(r=1, p=16, c=1, k=4096, q=1))
         assert overflows.tile_elements(TensorKind.OUTPUT, gb) == 65536
         # 65536 outputs at 3 B plus 16 one-byte inputs; DRAM never overflows.
         assert overflows.buffer_violations() == [(gb, 3 * 65536 + 16, 128 * 1024)]
@@ -230,7 +230,7 @@ class TestPresets:
     def test_global_buffer_fanout_replicates_the_levels_below(self):
         arch = simba_like()
         gb = arch.hierarchy.index_of("GlobalBuffer")
-        analysis = self._below_global_buffer(arch, Layer(k=16), spatial={"K": 16})
+        analysis = self._below_global_buffer(arch, conv_layer(r=1, p=1, c=1, k=16), spatial={"K": 16})
         assert [analysis.active_instances(i) for i in range(arch.num_memory_levels)] == (
             [16] * gb + [1, 1]
         )

@@ -11,12 +11,12 @@ from repro.baselines.base import SearchScheduler
 from repro.engine import SchedulingEngine
 from repro.mapping import MapSpace
 from repro.model import BatchCostModel, CostModel
-from repro.workloads import Layer, layer_from_name
+from repro.workloads import conv_layer, layer_from_name
 from repro.workloads.problem import matmul
 from scalar_reference import assert_same_outcome, scalar_reference
 
 ARCH = simba_like()
-SMALL_LAYER = Layer(r=3, s=3, p=4, q=4, c=8, k=16, name="small")
+SMALL_LAYER = conv_layer(r=3, p=4, c=8, k=16, name="small")
 MEDIUM_LAYER = layer_from_name("3_14_128_256_1")
 
 

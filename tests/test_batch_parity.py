@@ -29,9 +29,9 @@ from repro.baselines import RandomScheduler, TimeloopHybridScheduler, TVMLikeTun
 from repro.mapping import MapSpace, Mapping
 from repro.model import CostModel, BatchCostModel, MappingBatch
 from repro.workloads import (
-    Layer,
     attention_av,
     attention_qk,
+    conv_layer,
     depthwise_conv,
     grouped_conv,
     layer_from_name,
@@ -132,7 +132,7 @@ class TestCostParityHandBuilt:
         assert_batch_matches_scalar(ARCH, cases)
 
     def test_small_layer_variants(self):
-        layer = Layer(p=4, q=4, c=8, k=16)
+        layer = conv_layer(r=1, p=4, c=8, k=16)
         cases = [
             make_mapping(ARCH, layer, [{"P": 4, "Q": 4}, {"C": 8}, {}, {}, {"K": 16}, {}]),
             make_mapping(
@@ -154,18 +154,18 @@ class TestCostParityHandBuilt:
         assert_batch_matches_scalar(ARCH, cases)
 
     def test_strided_input_halo(self):
-        layer = Layer(r=3, s=3, p=4, q=4, c=1, k=1, stride=2)
+        layer = conv_layer(r=3, p=4, c=1, k=1, stride=2)
         cases = [make_mapping(ARCH, layer, [{"R": 3, "S": 3, "P": 4, "Q": 4}])]
         assert_batch_matches_scalar(ARCH, cases)
 
     def test_invalid_mappings_rejected_identically(self):
-        oversized = make_mapping(ARCH, Layer(p=64, q=64), [{"P": 64, "Q": 64}])
+        oversized = make_mapping(ARCH, conv_layer(r=1, p=64, c=1, k=1), [{"P": 64, "Q": 64}])
         overfanout = make_mapping(
-            ARCH, Layer(k=32), [{}] * 6, spatial=[{}, {}, {}, {}, {"K": 32}, {}]
+            ARCH, conv_layer(r=1, p=1, c=1, k=32), [{}] * 6, spatial=[{}, {}, {}, {}, {"K": 32}, {}]
         )
-        inconsistent = make_mapping(ARCH, Layer(p=4, k=4), [{"P": 2, "K": 4}])
+        inconsistent = make_mapping(ARCH, conv_layer(r=1, p=4, c=1, k=4, q=1), [{"P": 2, "K": 4}])
         valid = make_mapping(
-            ARCH, Layer(p=4, q=4, c=8, k=16),
+            ARCH, conv_layer(r=1, p=4, c=8, k=16),
             [{"P": 4, "Q": 4}, {"C": 8}, {}, {}, {"K": 4}, {}],
             spatial=[{}, {}, {}, {}, {"K": 4}, {}],
         )
@@ -176,7 +176,7 @@ class TestCostParityHandBuilt:
         assert mixed.num_valid == 2
 
     def test_level_count_mismatch_marks_all_invalid(self):
-        layer = Layer(p=2)
+        layer = conv_layer(r=1, p=2, c=1, k=1, q=1)
         short = Mapping.from_factors(layer, temporal_factors=[{"P": 2}])
         result = BatchCostModel(ARCH).evaluate_mappings([short, short])
         assert not result.valid.any()
@@ -287,7 +287,7 @@ class TestBuiltinProblems:
             assert fast.layer is draws.layer
 
     def test_from_mappings_multiplies_repeated_dims(self):
-        layer = Layer(p=4, q=4, c=8, k=16)
+        layer = conv_layer(r=1, p=4, c=8, k=16)
         split = make_mapping(
             ARCH, layer,
             [{"P": 4, "Q": 4}, {"C": 8}, {}, {}, {"K": 16}, {}],

@@ -11,15 +11,15 @@ from repro.api.store import ResultStore
 from repro.arch import simba_like
 from repro.baselines import RandomScheduler
 from repro.engine import SchedulingEngine
-from repro.workloads import Layer
+from repro.workloads import ProblemLayer, conv_layer
 
 ARCH = simba_like()
 
 
-def distinct_layers(count: int) -> list[Layer]:
+def distinct_layers(count: int) -> list[ProblemLayer]:
     """Small distinct layers (distinct layer keys, fast to schedule)."""
     dims = [(4, 8), (8, 4), (4, 16), (16, 4), (8, 8), (2, 16), (16, 2), (4, 4), (2, 8), (8, 2)]
-    return [Layer(p=4, q=4, c=c, k=k, name=f"l{c}x{k}") for c, k in dims[:count]]
+    return [conv_layer(r=1, p=4, c=c, k=k, name=f"l{c}x{k}") for c, k in dims[:count]]
 
 
 class TestEngineCacheConcurrency:

@@ -19,8 +19,8 @@ from repro.core.objectives import (
 from repro.core.variables import CoSAVariables
 from repro.solver.model import MIPModel
 from repro.solver.solution import SolveStatus
-from repro.workloads import Layer, layer_from_name
-from repro.workloads.layer import DIMENSION_NAMES, TensorKind
+from repro.workloads import conv_layer, layer_from_name
+from repro.workloads.layer import TensorKind
 from repro.workloads.problem import CONV7
 
 ARCH = simba_like()
@@ -32,11 +32,11 @@ class TestConstantMatrices:
         assert a.shape == (7, 3)
         # Weight column: R, S, C, K.
         assert list(np.flatnonzero(a[:, TensorKind.WEIGHT])) == [
-            DIMENSION_NAMES.index(d) for d in ("R", "S", "C", "K")
+            CONV7.dim_index(d) for d in ("R", "S", "C", "K")
         ]
         # Output column: P, Q, K, N.
         assert list(np.flatnonzero(a[:, TensorKind.OUTPUT])) == [
-            DIMENSION_NAMES.index(d) for d in ("P", "Q", "K", "N")
+            CONV7.dim_index(d) for d in ("P", "Q", "K", "N")
         ]
 
     def test_storage_matrix_matches_hierarchy(self):
@@ -55,7 +55,7 @@ class TestConstantMatrices:
 
 class TestVariables:
     def test_factor_enumeration(self):
-        layer = Layer(r=3, s=3, p=4, q=4, c=8, k=16, n=1)
+        layer = conv_layer(r=3, p=4, c=8, k=16, n=1)
         model = MIPModel()
         variables = CoSAVariables(model, layer, ARCH)
         # One factor per distinct prime of each dimension: 3, 3, 2^2, 2^2, 2^3, 2^4.
@@ -67,12 +67,12 @@ class TestVariables:
         assert all(f.log_value == pytest.approx(math.log(f.value)) for f in variables.factors)
 
     def test_distinct_primes_of_one_dimension_take_consecutive_ordinals(self):
-        layer = Layer(c=12)  # 2^2 * 3
+        layer = conv_layer(r=1, p=1, c=12, k=1)  # 2^2 * 3
         variables = CoSAVariables(MIPModel(), layer, ARCH)
         assert [(f.value, f.multiplicity, f.ordinal) for f in variables.factors] == [(2, 2, 0), (3, 1, 2)]
 
     def test_counts_are_integers_bounded_by_multiplicity_and_fanout(self):
-        layer = Layer(c=8, k=128)  # 2^3 and 2^7
+        layer = conv_layer(r=1, p=1, c=8, k=128)  # 2^3 and 2^7
         variables = CoSAVariables(MIPModel(), layer, ARCH)
         c_factor, k_factor = variables.factors
         gb = ARCH.pe_level_index()
@@ -87,7 +87,7 @@ class TestVariables:
     def test_spatial_variables_respect_fanout(self):
         # A prime factor of 7 cannot be mapped across a 4x4=16-PE array level
         # only when it exceeds the fanout; 7 <= 16 so it can, but 17 could not.
-        layer = Layer(p=7, c=17)
+        layer = conv_layer(r=1, p=7, c=17, k=1, q=1)
         model = MIPModel()
         variables = CoSAVariables(model, layer, ARCH)
         seven = variables.factors_of_dim("P")[0]
@@ -97,18 +97,18 @@ class TestVariables:
         assert variables.spatial_at(seventeen, gb) is None
 
     def test_temporal_levels_stop_at_noc_boundary(self):
-        layer = Layer(k=8)
+        layer = conv_layer(r=1, p=1, c=1, k=8)
         variables = CoSAVariables(MIPModel(), layer, ARCH)
         assert variables.temporal_levels == list(range(ARCH.pe_level_index() + 1))
 
     def test_active_dims_and_ranks(self):
-        layer = Layer(p=4, k=8)
+        layer = conv_layer(r=1, p=4, c=1, k=8, q=1)
         variables = CoSAVariables(MIPModel(), layer, ARCH)
         assert variables.active_dims == ["P", "K"]
         assert variables.num_ranks == 2
 
     def test_variable_count_matches_registry(self):
-        layer = Layer(p=4, c=4, k=4)
+        layer = conv_layer(r=1, p=4, c=4, k=4, q=1)
         model = MIPModel()
         variables = CoSAVariables(model, layer, ARCH)
         assert variables.num_variables == model.num_variables
@@ -117,7 +117,7 @@ class TestVariables:
         assert variables.num_variables == 3 * 7 + 9 + 9 + 9 + 9 + 1 + 3
 
     def test_weights_bypass_the_global_buffer(self):
-        variables = CoSAVariables(MIPModel(), Layer(k=8), ARCH)
+        variables = CoSAVariables(MIPModel(), conv_layer(r=1, p=1, c=1, k=8), ARCH)
         wbuf = ARCH.hierarchy.index_of("WeightBuffer")
         assert variables.bypass_levels == {TensorKind.WEIGHT: range(wbuf, ARCH.pe_level_index())}
         assert set(variables.bypass) == {TensorKind.WEIGHT}
@@ -134,13 +134,13 @@ class TestFormulationSolutions:
         return formulation, solution, mapping
 
     def test_small_layer_produces_consistent_mapping(self):
-        layer = Layer(r=3, s=3, p=4, q=4, c=8, k=16)
+        layer = conv_layer(r=3, p=4, c=8, k=16)
         _, _, mapping = self._schedule(layer)
         assert mapping.is_consistent()
         assert mapping.num_levels == ARCH.num_memory_levels
 
     def test_spatial_factors_respect_fanouts(self):
-        layer = Layer(p=8, q=8, c=16, k=32)
+        layer = conv_layer(r=1, p=8, c=16, k=32)
         _, _, mapping = self._schedule(layer)
         for index, level in enumerate(ARCH.hierarchy):
             assert mapping.spatial_product_at(index) <= level.spatial_fanout
@@ -148,13 +148,13 @@ class TestFormulationSolutions:
     def test_compute_objective_encourages_spatial_mapping(self):
         # With a compute-dominant objective the solver should parallelise
         # heavily rather than run everything sequentially.
-        layer = Layer(c=64, k=64)
+        layer = conv_layer(r=1, p=1, c=64, k=64)
         weights = ObjectiveWeights(utilization=0.0, compute=1.0, traffic=0.0)
         _, _, mapping = self._schedule(layer, weights)
         assert mapping.total_spatial_product() >= 64
 
     def test_mip_constraints_all_satisfied_at_solution(self):
-        layer = Layer(r=3, p=4, c=8, k=8)
+        layer = conv_layer(r=3, p=4, c=8, k=8, s=1, q=1)
         formulation, solution, _ = self._schedule(layer)
         for constraint in formulation.model.constraints:
             assert constraint.satisfied_by(solution.values), constraint.name
@@ -166,7 +166,7 @@ class TestFormulationSolutions:
         The second solve pins R's prime temporally at the weight buffer and
         P's at the NoC boundary, so ``B[W] = 1`` and the DRAM re-fetch term
         is non-zero on both sides."""
-        layer = Layer(r=3, p=4, c=8, k=8)
+        layer = conv_layer(r=3, p=4, c=8, k=8, s=1, q=1)
         for refetch in (False, True):
             formulation = CoSAFormulation(layer, ARCH, capacity_fraction=0.5)
             variables = formulation.variables
@@ -201,7 +201,7 @@ class TestFormulationSolutions:
         assert result.valid, result.violations
 
     def test_stats_report_problem_size(self):
-        layer = Layer(c=16, k=16)
+        layer = conv_layer(r=1, p=1, c=16, k=16)
         formulation = CoSAFormulation(layer, ARCH)
         stats = formulation.stats
         # Two factors (2^4 each), eight primes counted with multiplicity.
@@ -215,7 +215,7 @@ class TestMappingSideObjectives:
     def test_compute_term_is_log_of_temporal_product(self):
         from repro.mapping import Mapping
 
-        layer = Layer(p=4, c=8, k=16)
+        layer = conv_layer(r=1, p=4, c=8, k=16, q=1)
         mapping = Mapping.from_factors(
             layer,
             temporal_factors=[{"P": 4}, {"C": 8}, {}, {}, {"K": 4}, {}],
@@ -229,7 +229,7 @@ class TestMappingSideObjectives:
         # Asymmetric bounds (small P, large K) make the permutation matter:
         # iterating the small P dimension outermost re-transfers far less data
         # than iterating the large K dimension outermost.
-        layer = Layer(p=4, c=1, k=16)
+        layer = conv_layer(r=1, p=4, c=1, k=16, q=1)
 
         def build(order):
             return Mapping.from_factors(
@@ -245,7 +245,7 @@ class TestMappingSideObjectives:
     def test_utilization_counts_only_onchip_levels(self):
         from repro.mapping import Mapping
 
-        layer = Layer(k=16)
+        layer = conv_layer(r=1, p=1, c=1, k=16)
         all_outer = Mapping.from_factors(
             layer, temporal_factors=[{}, {}, {}, {}, {"K": 16}, {}]
         )
@@ -257,7 +257,7 @@ class TestMappingSideObjectives:
     def test_breakdown_total_uses_weights(self):
         from repro.mapping import Mapping
 
-        layer = Layer(k=4)
+        layer = conv_layer(r=1, p=1, c=1, k=4)
         mapping = Mapping.from_factors(layer, temporal_factors=[{"K": 4}, {}, {}, {}, {}, {}])
         weights = ObjectiveWeights(utilization=2.0, compute=3.0, traffic=0.5)
         breakdown = mapping_objective_breakdown(mapping, ARCH, weights)

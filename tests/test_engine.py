@@ -19,12 +19,12 @@ from repro.core.gpu import CoSAGPUScheduler
 from repro.engine import SchedulingEngine, Scheduler, cache_key
 from repro.model import CostModel
 from repro.solver.solution import Solution, SolveStatus
-from repro.workloads import Layer, layer_from_name
+from repro.workloads import conv_layer, layer_from_name
 from repro.workloads.networks import resnet50_layers
 
 ARCH = simba_like()
 
-TINY = Layer(r=3, p=4, q=4, s=3, c=8, k=16, name="tiny")
+TINY = conv_layer(r=3, p=4, c=8, k=16, name="tiny")
 
 
 def normalize_times(obj):
@@ -87,9 +87,9 @@ class TestSchedulerProtocol:
 class TestEngineNetwork:
     def test_dedup_solves_unique_layers_once(self):
         layers = [
-            Layer(c=8, k=8, name="a"),
-            Layer(p=4, k=16, name="b"),
-            Layer(c=8, k=8, name="a-again"),  # equal to "a" (name ignored)
+            conv_layer(r=1, p=1, c=8, k=8, name="a"),
+            conv_layer(r=1, p=4, c=1, k=16, name="b", q=1),
+            conv_layer(r=1, p=1, c=8, k=8, name="a-again"),  # equal to "a" (name ignored)
         ]
         engine = SchedulingEngine(RandomScheduler(ARCH, num_valid=2))
         network = engine.schedule_network(layers)
@@ -128,7 +128,7 @@ class TestEngineNetwork:
             return evaluate(self, mapping)
 
         monkeypatch.setattr(CostModel, "evaluate", spy)
-        layers = [TINY, Layer(c=8, k=16, name="pointwise"), TINY]
+        layers = [TINY, conv_layer(r=1, p=1, c=8, k=16, name="pointwise"), TINY]
         network = SchedulingEngine(make_scheduler()).schedule_network(layers)
         assert calls == [TINY, layers[1]]
         monkeypatch.setattr(CostModel, "evaluate", evaluate)
@@ -145,7 +145,7 @@ class TestEngineNetwork:
         assert hit.metrics["latency"] == CostModel(ARCH).evaluate(hit.mapping).latency
 
     def test_threads_match_serial_for_search(self):
-        layers = [Layer(c=8, k=8), Layer(p=4, k=16), Layer(c=16, k=4), Layer(p=8, c=4)]
+        layers = [conv_layer(r=1, p=1, c=8, k=8), conv_layer(r=1, p=4, c=1, k=16, q=1), conv_layer(r=1, p=1, c=16, k=4), conv_layer(r=1, p=8, c=4, k=1, q=1)]
         engine = SchedulingEngine(RandomScheduler(ARCH, num_valid=2))
         serial = engine.schedule_network(layers, jobs=1)
         threaded = engine.schedule_network(layers, jobs=4)
@@ -232,12 +232,12 @@ class TestMappingCache:
             cache_key(TINY, ARCH, random_a),
             cache_key(TINY, ARCH, RandomScheduler(ARCH, seed=1)),
             cache_key(TINY, ARCH, CoSAScheduler(ARCH)),
-            cache_key(Layer(c=8, k=16), ARCH, random_a),
+            cache_key(conv_layer(r=1, p=1, c=8, k=16), ARCH, random_a),
             cache_key(TINY, simba_like(), random_a),  # equal arch -> equal key
         }
         assert len(keys) == 4
         # Batch size must enter the key even though canonical names ignore it.
-        batched = Layer(r=3, p=4, q=4, s=3, c=8, k=16, n=2)
+        batched = conv_layer(r=3, p=4, c=8, k=16, n=2)
         assert cache_key(batched, ARCH, random_a) != cache_key(TINY, ARCH, random_a)
 
     def test_failed_outcomes_are_not_cached(self, tmp_path):
@@ -386,9 +386,9 @@ class TestLayerObserver:
     def test_reports_in_input_order_with_sources(self, tmp_path):
         scheduler = RandomScheduler(ARCH, num_valid=2, seed=0)
         engine = SchedulingEngine(scheduler, store=ResultStore(tmp_path / "store"))
-        layers = [Layer(r=3, p=4, c=8, k=16, name="a"),
-                  Layer(r=1, p=2, c=4, k=4, name="b"),
-                  Layer(r=3, p=4, c=8, k=16, name="a2")]  # dup of "a"
+        layers = [conv_layer(r=3, p=4, c=8, k=16, name="a", s=1, q=1),
+                  conv_layer(r=1, p=2, c=4, k=4, name="b", q=1),
+                  conv_layer(r=3, p=4, c=8, k=16, name="a2", s=1, q=1)]  # dup of "a"
 
         cold = self._reports(engine, layers, label="net")
         assert [r.index for r in cold] == [0, 1, 2]
@@ -403,7 +403,7 @@ class TestLayerObserver:
     def test_reports_identical_under_jobs(self):
         scheduler = RandomScheduler(ARCH, num_valid=2, seed=0)
         engine = SchedulingEngine(scheduler)
-        layers = [Layer(r=3, p=4, c=8, k=16), Layer(r=1, p=2, c=4, k=4)]
+        layers = [conv_layer(r=3, p=4, c=8, k=16, s=1, q=1), conv_layer(r=1, p=2, c=4, k=4, q=1)]
 
         from repro.mapping.serialize import mapping_to_dict
 
@@ -425,7 +425,7 @@ class TestLayerObserver:
             return original(layer)
 
         scheduler.schedule_outcome = traced
-        layers = [Layer(r=1, p=2, c=4, k=4, name="a"), Layer(p=4, k=8, name="b")]
+        layers = [conv_layer(r=1, p=2, c=4, k=4, name="a", q=1), conv_layer(r=1, p=4, c=1, k=8, name="b", q=1)]
         engine.schedule_network(
             layers, observer=lambda r: trace.append(("report", r.layer.name))
         )
@@ -436,7 +436,7 @@ class TestLayerObserver:
     def test_suite_observer_covers_every_network(self):
         scheduler = RandomScheduler(ARCH, num_valid=1, seed=0)
         engine = SchedulingEngine(scheduler)
-        suite = {"one": [Layer(r=1, p=2, c=4, k=4)], "two": [Layer(p=4, k=8)]}
+        suite = {"one": [conv_layer(r=1, p=2, c=4, k=4, q=1)], "two": [conv_layer(r=1, p=4, c=1, k=8, q=1)]}
         reports = []
         engine.schedule_suite(suite, observer=reports.append)
         assert [(r.network, r.index) for r in reports] == [("one", 0), ("two", 0)]

@@ -21,7 +21,7 @@ from repro.experiments.figures import (
     fig4_spatial_sweep,
 )
 from repro.experiments.reporting import format_speedup_rows, format_table
-from repro.workloads import Layer
+from repro.workloads import conv_layer
 
 ARCH = simba_like()
 
@@ -77,7 +77,7 @@ class TestHarnessEndToEnd:
             hybrid_max_evaluations=40,
             random_valid=2,
         )
-        comparison = compare_on_layer(Layer(r=3, p=4, c=8, k=16, name="tiny"), config)
+        comparison = compare_on_layer(conv_layer(r=3, p=4, c=8, k=16, name="tiny", s=1, q=1), config)
         assert comparison.random_value > 0
         assert comparison.hybrid_value > 0
         assert comparison.cosa_value > 0
@@ -91,7 +91,7 @@ class TestHarnessEndToEnd:
             hybrid_max_evaluations=30,
             random_valid=1,
         )
-        layers = [Layer(c=8, k=8, name="a"), Layer(p=4, k=16, name="b")]
+        layers = [conv_layer(r=1, p=1, c=8, k=8, name="a"), conv_layer(r=1, p=4, c=1, k=16, name="b", q=1)]
         summary = compare_on_network("tiny-net", layers, config)
         assert summary.label == "tiny-net"
         assert len(summary.comparisons) == 2

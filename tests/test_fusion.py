@@ -33,7 +33,7 @@ from repro.fusion.schedule import _retile_outer
 from repro.model.cost import CostModel
 from repro.model.fused import FusedCostModel, default_pin_level
 from repro.noc.traffic import validate_fused_transfers
-from repro.workloads.layer import Layer
+from repro.workloads.layer import conv_layer
 from repro.workloads.problem import attention_qk, matmul, softmax
 
 ARCH = simba_like()
@@ -114,7 +114,7 @@ class TestGroupIR:
             )
 
     def test_rejects_windowed_consumers(self):
-        conv = Layer(r=3, s=3, p=8, q=8, c=16, k=16, n=1, stride=1)
+        conv = conv_layer(r=3, p=8, c=16, k=16, stride=1, n=1)
         with pytest.raises(FusionError, match="sliding"):
             FusionGroup(
                 name="bad",
@@ -140,7 +140,7 @@ class TestInferEdge:
         FusionGroup(name="ok", layers=(qk, sm), edges=(edge,))
 
     def test_refuses_windowed_consumers(self):
-        conv = Layer(r=3, s=3, p=8, q=8, c=16, k=16, n=1, stride=1)
+        conv = conv_layer(r=3, p=8, c=16, k=16, stride=1, n=1)
         assert infer_edge(conv, conv) is None
 
     def test_refuses_shape_mismatches(self):

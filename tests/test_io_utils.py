@@ -66,9 +66,9 @@ class TestMappingCacheUsesAtomicSave:
         from repro.api.store import ResultStore
         from repro.arch import simba_like
         from repro.baselines import RandomScheduler
-        from repro.workloads import Layer
+        from repro.workloads import conv_layer
 
-        layer = Layer(p=4, q=4, c=4, k=8)
+        layer = conv_layer(r=1, p=4, c=4, k=8)
         outcome = RandomScheduler(simba_like(), num_valid=1).schedule_outcome(layer)
         store = ResultStore(tmp_path / "store")
         store.put_layer("key", outcome)

@@ -28,7 +28,7 @@ from repro.baselines import RandomScheduler
 from repro.cli import main as cli_main
 from repro.engine import SchedulingEngine, cache_key
 from repro.fabric.worker import FabricWorker
-from repro.workloads import Layer
+from repro.workloads import conv_layer
 
 ARCH = simba_like()
 
@@ -67,7 +67,7 @@ def has_provenance(obj) -> bool:
     return False
 
 
-def solved_entry(layer=Layer(p=4, q=4, c=4, k=8)):
+def solved_entry(layer=conv_layer(r=1, p=4, c=4, k=8)):
     """``(key, outcome)`` of one fresh random-search solve."""
     scheduler = RandomScheduler(ARCH, num_valid=1)
     return cache_key(layer, ARCH, scheduler), scheduler.schedule_outcome(layer)
@@ -118,8 +118,8 @@ class TestLayerTier:
     def test_two_caches_on_one_store_keep_both_keys(self, tmp_path):
         """Regression: a whole-file cache kept only the last saver's keys."""
         store_dir = tmp_path / "store"
-        first_key, first = solved_entry(Layer(p=4, q=4, c=4, k=8))
-        second_key, second = solved_entry(Layer(p=4, q=4, c=8, k=4))
+        first_key, first = solved_entry(conv_layer(r=1, p=4, c=4, k=8))
+        second_key, second = solved_entry(conv_layer(r=1, p=4, c=8, k=4))
         ResultStore(store_dir).put_layer(first_key, first)
         ResultStore(store_dir).put_layer(second_key, second)
         fresh = ResultStore(store_dir)
@@ -208,7 +208,7 @@ class TestCrossSpecReuse:
 class TestEngineWriteThrough:
     def test_parallel_solves_all_land_in_the_store(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        layers = [Layer(p=4, q=4, c=c, k=k) for c, k in ((4, 8), (8, 4), (4, 16), (16, 4))]
+        layers = [conv_layer(r=1, p=4, c=c, k=k) for c, k in ((4, 8), (8, 4), (4, 16), (16, 4))]
         engine = SchedulingEngine(RandomScheduler(ARCH, num_valid=2), store=store)
         engine.schedule_network(layers, jobs=4)
         assert store.stats_summary()["layers"] == len(layers)

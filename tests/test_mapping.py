@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.arch import simba_like
 from repro.mapping import LevelMapping, Loop, Mapping, MapSpace, render_loop_nest
 from repro.mapping.space import random_mapping
-from repro.workloads import Layer, layer_from_name
+from repro.workloads import conv_layer, layer_from_name
 from repro.workloads.layer import TensorKind
 from repro.workloads.problem import CONV7
 from repro.workloads.prime import factorize
@@ -27,7 +27,7 @@ class TestLoop:
             Loop(dim="K", bound=0)
 
     def test_from_factors_unknown_dim(self):
-        layer = Layer(r=1, s=1, p=4, q=4, c=4, k=4, n=1)
+        layer = conv_layer(r=1, p=4, c=4, k=4, n=1)
         with pytest.raises(KeyError, match="unknown conv7 dimension"):
             Mapping.from_factors(layer, temporal_factors=[{"Z": 4}])
         with pytest.raises(KeyError, match="spatial_factors"):
@@ -69,7 +69,7 @@ class TestLevelMapping:
 
 def _simple_mapping(layer=None):
     """A hand-built 3-level mapping for a small layer."""
-    layer = layer or Layer(r=1, s=1, p=4, q=4, c=8, k=16, n=1)
+    layer = layer or conv_layer(r=1, p=4, c=8, k=16, n=1)
     return Mapping.from_factors(
         layer,
         temporal_factors=[{"P": 4, "Q": 4}, {"C": 8}, {"K": 4}],
@@ -99,7 +99,7 @@ class TestMapping:
             broken.validate_against_layer()
 
     def test_permutation_order_is_innermost_first(self):
-        layer = Layer(p=4, q=2, c=3, k=5)
+        layer = conv_layer(r=1, p=4, c=3, k=5, q=2)
         mapping = Mapping.from_factors(
             layer,
             temporal_factors=[{"P": 4, "Q": 2, "C": 3, "K": 5}],
@@ -113,7 +113,7 @@ class TestMapping:
         assert [(lvl, loop.dim) for lvl, loop in above] == [(1, "C"), (2, "K")]
 
     def test_compact_drops_unit_loops(self):
-        layer = Layer(p=2)
+        layer = conv_layer(r=1, p=2, c=1, k=1, q=1)
         mapping = Mapping.from_factors(layer, temporal_factors=[{"P": 2, "K": 1}, {}])
         loops = [loop for level in mapping.compact().levels for loop in level.all_loops]
         assert loops == [Loop("P", 2)]
@@ -126,7 +126,7 @@ class TestMapping:
 class TestLoopNestRendering:
     def test_listing1_style_output(self):
         # The small example layer of Listing 1.
-        layer = Layer(r=3, s=3, p=28, q=28, c=8, k=4, n=3, stride=1, name="listing1")
+        layer = conv_layer(r=3, p=28, c=8, k=4, stride=1, n=3, name="listing1")
         mapping = Mapping.from_factors(
             layer,
             temporal_factors=[
@@ -157,7 +157,7 @@ class TestLoopNestRendering:
         assert text.index("DRAM") < text.index("Global Buffer") < text.index("Register")
 
     def test_tile_suffixes_decrease_outwards(self):
-        layer = Layer(p=8)
+        layer = conv_layer(r=1, p=8, c=1, k=1, q=1)
         mapping = Mapping.from_factors(layer, temporal_factors=[{"P": 2}, {"P": 2}, {"P": 2}])
         text = render_loop_nest(mapping)
         assert text.index("p2") < text.index("p1") < text.index("p0")

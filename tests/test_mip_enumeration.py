@@ -27,7 +27,7 @@ from repro.mapping import Mapping
 from repro.mapping.mapping import LevelMapping, Loop
 from repro.model import CostModel
 from repro.solver.solution import SolveStatus
-from repro.workloads import Layer
+from repro.workloads import conv_layer
 from repro.workloads.layer import TensorKind
 from repro.workloads.prime import factorize
 from repro.workloads.problem import Window
@@ -85,15 +85,15 @@ def _input_arch() -> Accelerator:
 
 #: Buffers small enough that capacity rows bind at each case's optimum.
 CASES = {
-    "bypass-p2-q2-c4-k4": (_bypass_arch, Layer(p=2, q=2, c=4, k=4)),
-    "bypass-r3-p4-c2-k4": (_bypass_arch, Layer(r=3, p=4, c=2, k=4)),
-    "bypass-p8-c4-k4": (_bypass_arch, Layer(p=8, c=4, k=4)),
-    "bypass-s2-r3-p4-c2-k4": (_bypass_arch, Layer(r=3, p=4, c=2, k=4, stride=2)),
-    "bypass-s3-p6-c4-k4": (_bypass_arch, Layer(p=6, c=4, k=4, stride=3)),
-    "input-s2-p4-c2-k4": (_input_arch, Layer(p=4, c=2, k=4, stride=2)),
-    "input-s3-r3-p9-c4-k2": (_input_arch, Layer(r=3, p=9, c=4, k=2, stride=3)),
-    "shared-p4-c4-k3": (_shared_arch, Layer(p=4, c=4, k=3)),
-    "shared-r3-p4-c2-k2": (_shared_arch, Layer(r=3, p=4, c=2, k=2)),
+    "bypass-p2-q2-c4-k4": (_bypass_arch, conv_layer(r=1, p=2, c=4, k=4)),
+    "bypass-r3-p4-c2-k4": (_bypass_arch, conv_layer(r=3, p=4, c=2, k=4, s=1, q=1)),
+    "bypass-p8-c4-k4": (_bypass_arch, conv_layer(r=1, p=8, c=4, k=4, q=1)),
+    "bypass-s2-r3-p4-c2-k4": (_bypass_arch, conv_layer(r=3, p=4, c=2, k=4, stride=2, s=1, q=1)),
+    "bypass-s3-p6-c4-k4": (_bypass_arch, conv_layer(r=1, p=6, c=4, k=4, stride=3, q=1)),
+    "input-s2-p4-c2-k4": (_input_arch, conv_layer(r=1, p=4, c=2, k=4, stride=2, q=1)),
+    "input-s3-r3-p9-c4-k2": (_input_arch, conv_layer(r=3, p=9, c=4, k=2, stride=3, s=1, q=1)),
+    "shared-p4-c4-k3": (_shared_arch, conv_layer(r=1, p=4, c=4, k=3, q=1)),
+    "shared-r3-p4-c2-k2": (_shared_arch, conv_layer(r=3, p=4, c=2, k=2, s=1, q=1)),
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.arch import simba_like
 from repro.mapping import Mapping
 from repro.model import CostModel, EnergyModel, NestAnalysis, PerformanceModel
-from repro.workloads import Layer, layer_from_name
+from repro.workloads import conv_layer, layer_from_name
 from repro.workloads.layer import TensorKind
 
 
@@ -31,7 +31,7 @@ class TestTileSizes:
             assert analysis.tile_elements(tensor, dram) == layer.tensor_volume(tensor)
 
     def test_tile_excludes_levels_above(self):
-        layer = Layer(p=4, q=4, c=8, k=16)
+        layer = conv_layer(r=1, p=4, c=8, k=16)
         mapping = make_mapping(
             layer,
             [{"P": 4, "Q": 4}, {"C": 8}, {}, {}, {"K": 16}, {}],
@@ -44,7 +44,7 @@ class TestTileSizes:
         assert analysis.tile_elements(TensorKind.OUTPUT, LEVEL["AccumulationBuffer"]) == 16
 
     def test_spatial_factors_at_level_count_towards_its_tile(self):
-        layer = Layer(p=4, q=4, c=8, k=16)
+        layer = conv_layer(r=1, p=4, c=8, k=16)
         base = make_mapping(layer, [{"P": 4, "Q": 4}, {"C": 8}, {}, {}, {"K": 16}, {}])
         spread = make_mapping(
             layer,
@@ -58,7 +58,7 @@ class TestTileSizes:
         assert spread_tile == 4 * base_tile
 
     def test_input_halo(self):
-        layer = Layer(r=3, s=3, p=4, q=4, c=1, k=1, stride=2)
+        layer = conv_layer(r=3, p=4, c=1, k=1, stride=2)
         mapping = make_mapping(layer, [{"R": 3, "S": 3, "P": 4, "Q": 4}])
         analysis = NestAnalysis(mapping, ARCH)
         expected = ((4 - 1) * 2 + 3) ** 2
@@ -66,13 +66,13 @@ class TestTileSizes:
         assert analysis.tile_elements(TensorKind.INPUT, LEVEL["InputBuffer"]) == expected
 
     def test_level_not_holding_tensor_reports_zero(self):
-        layer = Layer(p=2, k=2)
+        layer = conv_layer(r=1, p=2, c=1, k=2, q=1)
         mapping = make_mapping(layer, [{"P": 2, "K": 2}])
         analysis = NestAnalysis(mapping, ARCH)
         assert analysis.tile_elements(TensorKind.WEIGHT, LEVEL["InputBuffer"]) == 0
 
     def test_mismatched_level_count_rejected(self):
-        layer = Layer(p=2)
+        layer = conv_layer(r=1, p=2, c=1, k=1, q=1)
         mapping = Mapping.from_factors(layer, temporal_factors=[{"P": 2}])
         with pytest.raises(ValueError):
             NestAnalysis(mapping, ARCH)
@@ -80,7 +80,7 @@ class TestTileSizes:
 
 class TestBufferChecks:
     def test_small_mapping_fits(self):
-        layer = Layer(p=4, q=4, c=4, k=4)
+        layer = conv_layer(r=1, p=4, c=4, k=4)
         mapping = make_mapping(layer, [{"P": 4, "Q": 4}, {"C": 4}, {"K": 4}])
         assert NestAnalysis(mapping, ARCH).buffer_violations() == []
         assert CostModel(ARCH).evaluate(mapping).valid
@@ -88,7 +88,7 @@ class TestBufferChecks:
     def test_oversized_accumulation_tile_is_rejected(self):
         # 64x64 outputs kept below the accumulation buffer (3 KB at 3 B each)
         # overflow it: loops at the register level build the AccumBuf tile.
-        layer = Layer(p=64, q=64, c=1, k=1)
+        layer = conv_layer(r=1, p=64, c=1, k=1)
         mapping = make_mapping(layer, [{"P": 64, "Q": 64}])
         analysis = NestAnalysis(mapping, ARCH)
         violated_levels = [v[0] for v in analysis.buffer_violations()]
@@ -98,7 +98,7 @@ class TestBufferChecks:
 
 class TestRefetchFactors:
     def test_weight_stationary_when_relevant_loops_are_innermost(self):
-        layer = Layer(p=8, c=4, k=4)
+        layer = conv_layer(r=1, p=8, c=4, k=4, q=1)
         # C and K (weight-relevant) at the weight buffer level; P outside at the GB.
         mapping = make_mapping(layer, [{}, {}, {"C": 4, "K": 4}, {}, {"P": 8}, {}])
         analysis = NestAnalysis(mapping, ARCH)
@@ -108,7 +108,7 @@ class TestRefetchFactors:
         assert analysis.refetch_factor(TensorKind.WEIGHT, wbuf) == 4 * 4 * 8
 
     def test_irrelevant_inner_loops_enable_reuse(self):
-        layer = Layer(p=8, c=4, k=4)
+        layer = conv_layer(r=1, p=8, c=4, k=4, q=1)
         perm_reuse = make_mapping(
             layer,
             [{}, {}, {}, {}, {"P": 8, "C": 4, "K": 4}, {}],
@@ -131,7 +131,7 @@ class TestRefetchFactors:
         )
 
     def test_no_relevant_loops_means_single_fetch(self):
-        layer = Layer(c=4, k=4)
+        layer = conv_layer(r=1, p=1, c=4, k=4)
         mapping = make_mapping(layer, [{"C": 4, "K": 4}])
         analysis = NestAnalysis(mapping, ARCH)
         assert analysis.refetch_factor(TensorKind.WEIGHT, LEVEL["WeightBuffer"]) == 1.0
@@ -150,7 +150,7 @@ class TestFlowsAndAccessCounts:
         assert weight_reads >= layer.tensor_volume(TensorKind.WEIGHT)
 
     def test_multicast_reduces_parent_reads(self):
-        layer = Layer(p=4, q=4, c=8, k=16)
+        layer = conv_layer(r=1, p=4, c=8, k=16)
         # K spatial at the GB level: inputs are multicast to the K-partitioned PEs.
         mapping = make_mapping(
             layer,
@@ -168,7 +168,7 @@ class TestFlowsAndAccessCounts:
         assert flow.words_read_from_parent * 4 == pytest.approx(flow.words_into_child)
 
     def test_compute_accesses_at_innermost_level(self):
-        layer = Layer(p=2, q=2, c=2, k=2)
+        layer = conv_layer(r=1, p=2, c=2, k=2)
         mapping = make_mapping(layer, [{"P": 2, "Q": 2, "C": 2, "K": 2}])
         analysis = NestAnalysis(mapping, ARCH)
         weight_level = ARCH.hierarchy.innermost_level_for(TensorKind.WEIGHT)
@@ -177,7 +177,7 @@ class TestFlowsAndAccessCounts:
         assert analysis.access_counts[output_level][TensorKind.OUTPUT]["writes"] >= layer.macs
 
     def test_noc_boundary_words_positive_for_multi_pe_mapping(self):
-        layer = Layer(p=4, q=4, c=8, k=16)
+        layer = conv_layer(r=1, p=4, c=8, k=16)
         mapping = make_mapping(
             layer,
             [{"P": 4, "Q": 4}, {"C": 8}, {}, {}, {"K": 4}, {}],
@@ -188,14 +188,14 @@ class TestFlowsAndAccessCounts:
         assert words[TensorKind.OUTPUT] > 0
 
     def test_describe_runs(self):
-        layer = Layer(p=2, k=2)
+        layer = conv_layer(r=1, p=2, c=1, k=2, q=1)
         mapping = make_mapping(layer, [{"P": 2, "K": 2}])
         assert "NestAnalysis" in NestAnalysis(mapping, ARCH).describe()
 
 
 class TestPerformanceModel:
     def test_compute_bound_schedule(self):
-        layer = Layer(p=4, q=4, c=8, k=16)
+        layer = conv_layer(r=1, p=4, c=8, k=16)
         mapping = make_mapping(
             layer,
             [{"P": 4, "Q": 4}, {"C": 8}, {}, {}, {"K": 1}, {}],
@@ -206,7 +206,7 @@ class TestPerformanceModel:
         assert result.latency >= result.compute_cycles
 
     def test_spatial_mapping_reduces_compute_cycles(self):
-        layer = Layer(p=4, q=4, c=8, k=16)
+        layer = conv_layer(r=1, p=4, c=8, k=16)
         sequential = make_mapping(layer, [{"P": 4, "Q": 4}, {"C": 8}, {}, {}, {"K": 16}, {}])
         parallel = make_mapping(
             layer,
@@ -217,7 +217,7 @@ class TestPerformanceModel:
         assert model.evaluate(parallel).compute_cycles * 16 == model.evaluate(sequential).compute_cycles
 
     def test_utilization_counts_all_spatial_lanes(self):
-        layer = Layer(p=4, q=4, c=8, k=16)
+        layer = conv_layer(r=1, p=4, c=8, k=16)
         mapping = make_mapping(
             layer,
             [{"P": 4, "Q": 4}, {"C": 8}, {}, {}, {}, {}],
@@ -252,7 +252,7 @@ class TestEnergyModel:
         assert bad.total > good.total
 
     def test_energy_total_is_sum_of_parts(self):
-        layer = Layer(p=4, q=4, c=8, k=8)
+        layer = conv_layer(r=1, p=4, c=8, k=8)
         mapping = make_mapping(layer, [{"P": 4, "Q": 4}, {"C": 8}, {"K": 8}])
         b = EnergyModel(ARCH).evaluate(mapping)
         assert b.total == pytest.approx(b.mac_energy + b.noc_energy + sum(b.level_energy.values()))
@@ -260,7 +260,7 @@ class TestEnergyModel:
 
 class TestCostModel:
     def test_invalid_mapping_gets_infinite_cost(self):
-        layer = Layer(p=64, q=64)
+        layer = conv_layer(r=1, p=64, c=1, k=1)
         mapping = make_mapping(layer, [{"P": 64, "Q": 64}])
         result = CostModel(ARCH).evaluate(mapping)
         assert not result.valid
@@ -268,7 +268,7 @@ class TestCostModel:
         assert result.violations
 
     def test_valid_mapping_reports_finite_cost(self):
-        layer = Layer(p=4, q=4, c=8, k=16)
+        layer = conv_layer(r=1, p=4, c=8, k=16)
         mapping = make_mapping(
             layer,
             [{"P": 4, "Q": 4}, {"C": 8}, {}, {}, {"K": 4}, {}],
@@ -281,14 +281,14 @@ class TestCostModel:
         assert result.edp == pytest.approx(result.latency * result.energy)
 
     def test_level_count_mismatch_is_reported(self):
-        layer = Layer(p=2)
+        layer = conv_layer(r=1, p=2, c=1, k=1, q=1)
         mapping = Mapping.from_factors(layer, temporal_factors=[{"P": 2}])
         result = CostModel(ARCH).evaluate(mapping)
         assert not result.valid
         assert any("levels" in v for v in result.violations)
 
     def test_spatial_fanout_violation_is_reported(self):
-        layer = Layer(k=32)
+        layer = conv_layer(r=1, p=1, c=1, k=32)
         mapping = make_mapping(
             layer,
             [{}, {}, {}, {}, {}, {}],

@@ -7,7 +7,7 @@ from repro.arch.spatial import NoCSpec, PEArraySpec
 from repro.mapping import Mapping
 from repro.noc import DramModel, MeshNetwork, NoCSimulator, Packet, TrafficDirection, TrafficGenerator
 from repro.noc.mesh import GLOBAL_BUFFER_NODE
-from repro.workloads import Layer, layer_from_name
+from repro.workloads import conv_layer, layer_from_name
 from repro.workloads.layer import TensorKind
 
 ARCH = simba_like()
@@ -122,7 +122,7 @@ class TestDram:
 
 class TestTrafficGenerator:
     def _generator(self):
-        layer = Layer(p=4, q=4, c=8, k=16)
+        layer = conv_layer(r=1, p=4, c=8, k=16)
         mapping = make_mapping(
             layer,
             [{"P": 4, "Q": 4}, {"C": 8}, {}, {}, {"K": 2}, {}],
@@ -176,7 +176,7 @@ class TestTrafficGenerator:
         assert gen.compute_cycles_per_round() == 4 * 4 * 8
 
     def test_max_rounds_cap(self):
-        layer = Layer(p=4, c=8, k=64)
+        layer = conv_layer(r=1, p=4, c=8, k=64, q=1)
         mapping = make_mapping(layer, [{"P": 4}, {"C": 8}, {}, {}, {"K": 64}, {}])
         gen = TrafficGenerator(mapping, ARCH)
         assert gen.total_rounds == 64
@@ -185,7 +185,7 @@ class TestTrafficGenerator:
 
 class TestNoCSimulator:
     def test_latency_is_at_least_compute(self):
-        layer = Layer(p=4, q=4, c=8, k=16)
+        layer = conv_layer(r=1, p=4, c=8, k=16)
         mapping = make_mapping(
             layer,
             [{"P": 4, "Q": 4}, {"C": 8}, {}, {}, {"K": 2}, {}],
@@ -197,7 +197,7 @@ class TestNoCSimulator:
         assert result.rounds_simulated == 2
 
     def test_extrapolation_for_many_rounds(self):
-        layer = Layer(p=4, c=8, k=256)
+        layer = conv_layer(r=1, p=4, c=8, k=256, q=1)
         mapping = make_mapping(layer, [{"P": 4}, {"C": 8}, {}, {}, {"K": 256}, {}])
         result = NoCSimulator(ARCH).simulate(mapping)
         assert result.rounds_total == 256
@@ -208,7 +208,7 @@ class TestNoCSimulator:
         """Spreading a weight-relevant dimension across PEs (unicast weights)
         should cost more NoC time than spreading an irrelevant one (multicast),
         for the same tile sizes — the congestion effect of Fig. 4."""
-        layer = Layer(p=16, c=16, k=16)
+        layer = conv_layer(r=1, p=16, c=16, k=16, q=1)
         multicast_friendly = make_mapping(
             layer,
             [{"P": 4}, {"C": 16}, {}, {}, {"K": 16}, {}],

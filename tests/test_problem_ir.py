@@ -2,13 +2,12 @@
 
 Three layers of protection for the IR refactor:
 
-* **Conv parity** — a ResNet-50 layer expressed as an explicit
-  :data:`~repro.workloads.problem.CONV7` :class:`ProblemLayer` must reproduce
-  the legacy :class:`~repro.workloads.layer.Layer` bit-for-bit: footprints,
-  MAC counts, scalar :class:`CostResult`, batched results and sampled
-  candidate streams.  (The golden envelope tests in ``test_api_golden.py``
-  additionally pin the conv pipeline end-to-end, since ``Layer`` itself now
-  flows through the IR.)
+* **Conv parity** — a conv built by ``conv_layer``, by
+  ``CONV7.layer`` or from a version-2 ``conv7`` mapping record is one layer:
+  equal, with one hash, key payload, canonical name and layer-tier key.
+  (``test_conv_identity.py`` pins those identities as literals, and the
+  golden envelope tests in ``test_api_golden.py`` pin the conv pipeline
+  end-to-end.)
 * **Scheduler smoke** — every registered scheduler completes on matmul,
   depthwise-conv and attention problems, including CoSA's MIP path and the
   batched fast path of the search baselines.
@@ -26,12 +25,7 @@ from repro.mapping.mapping import Mapping
 from repro.mapping.serialize import mapping_from_dict, mapping_to_dict
 from repro.mapping.space import MapSpace
 from repro.model.cost import CostModel
-from repro.workloads.layer import (
-    DIMENSION_NAMES,
-    Layer,
-    TensorKind,
-    conv_layer,
-)
+from repro.workloads.layer import TensorKind, conv_layer
 from repro.workloads.problem import (
     ATTENTION_AV,
     ATTENTION_QK,
@@ -53,84 +47,38 @@ from repro.workloads.problem import (
 from scalar_reference import assert_same_outcome, scalar_reference
 
 
-def conv7_layer(layer: Layer) -> ProblemLayer:
-    """The explicit CONV7 ProblemLayer equivalent of a conv ``Layer``."""
-    return CONV7.layer(layer.bounds, stride=layer.stride, name=layer.name)
-
-
 ARCH = simba_like()
 
 
 # --------------------------------------------------------------------- parity
 class TestConvParity:
-    LAYERS = ("3_56_64_64_1", "7_112_3_64_2", "1_28_512_128_1")
+    """A conv built any way is one layer: one value, hash, key and name."""
 
-    def _pairs(self):
-        from repro.workloads.networks import layer_from_name
-
-        for name in self.LAYERS:
-            legacy = layer_from_name(name)
-            yield legacy, conv7_layer(legacy)
-
-    def test_bounds_macs_and_volumes_match(self):
-        for legacy, ir in self._pairs():
-            assert ir.bounds == legacy.bounds
-            assert ir.macs == legacy.macs
-            for tensor in TensorKind:
-                assert ir.tensor_volume(tensor) == legacy.tensor_volume(tensor)
-            assert ir.prime_factors() == legacy.prime_factors()
-
-    def test_scalar_cost_results_are_bit_identical(self):
-        cost_model = CostModel(ARCH)
-        for legacy, ir in self._pairs():
-            rng_a, rng_b = random.Random(3), random.Random(3)
-            space_a = MapSpace(legacy, ARCH)
-            space_b = MapSpace(ir, ARCH)
-            for _ in range(20):
-                mapping_a = space_a.random_mapping(rng_a)
-                mapping_b = space_b.random_mapping(rng_b)
-                # Identical RNG consumption: the candidate streams agree.
-                assert mapping_a.summary() == mapping_b.summary()
-                cost_a = cost_model.evaluate(mapping_a)
-                cost_b = cost_model.evaluate(mapping_b)
-                assert cost_a.valid == cost_b.valid
-                if cost_a.valid:
-                    assert cost_a.latency == cost_b.latency
-                    assert cost_a.energy == cost_b.energy
-                    assert cost_a.utilization == cost_b.utilization
-
-    def test_batched_results_are_bit_identical(self):
-        from repro.model.batch import BatchCostModel, MappingBatch
-
-        batch_model = BatchCostModel(ARCH)
-        for legacy, ir in self._pairs():
-            draws_a = MapSpace(legacy, ARCH).sample_batch(64, random.Random(5))
-            draws_b = MapSpace(ir, ARCH).sample_batch(64, random.Random(5))
-            result_a = batch_model.evaluate_batch(MappingBatch.from_draws(draws_a))
-            result_b = batch_model.evaluate_batch(MappingBatch.from_draws(draws_b))
-            assert (result_a.valid == result_b.valid).all()
-            assert (result_a.latency == result_b.latency).all()
-            assert (result_a.energy == result_b.energy).all()
-
-    def test_cosa_produces_identical_schedules(self):
+    def test_one_identity_three_ways(self):
         from repro.core.scheduler import CoSAScheduler
+        from repro.engine.cache import cache_key
+
+        bounds = {"R": 3, "S": 1, "P": 14, "Q": 7, "C": 8, "K": 16, "N": 2}
+        built = conv_layer(r=3, p=14, c=8, k=16, stride=2, n=2, s=1, q=7)
+        direct = CONV7.layer(bounds, stride=2)
+        record = mapping_to_dict(Mapping.from_factors(built, temporal_factors=[bounds]))
+        record["version"] = 2
+        record["layer"] = {"name": "", "problem": "conv7", "bounds": bounds, "stride": 2}
+        loaded = mapping_from_dict(record).layer
 
         scheduler = CoSAScheduler(ARCH)
-        cost_model = CostModel(ARCH)
-        legacy = conv_layer(r=3, p=4, c=8, k=16)
-        ir = conv7_layer(legacy)
-        result_a = scheduler.schedule(legacy)
-        result_b = scheduler.schedule(ir)
-        assert result_a.succeeded and result_b.succeeded
-        assert result_a.mapping.summary() == result_b.mapping.summary()
-        cost_a = cost_model.evaluate(result_a.mapping)
-        cost_b = cost_model.evaluate(result_b.mapping)
-        assert cost_a.latency == cost_b.latency
-        assert cost_a.energy == cost_b.energy
+        assert built.problem is direct.problem is loaded.problem is CONV7
+        assert built == direct == loaded
+        assert len({hash(layer) for layer in (built, direct, loaded)}) == 1
+        assert built.key_dict() == direct.key_dict() == loaded.key_dict() == {
+            "r": 3, "s": 1, "p": 14, "q": 7, "c": 8, "k": 16, "n": 2, "stride": 2,
+        }
+        assert built.canonical_name == direct.canonical_name == loaded.canonical_name == "3_14_8_16_2"
+        assert len({cache_key(layer, ARCH, scheduler) for layer in (built, direct, loaded)}) == 1
 
     def test_conv_relevance_table_matches_conv7(self):
         # Table IV of the paper: W is R,S,C,K; IA is R,S,P,Q,C,N; OA is P,Q,K,N.
-        assert CONV7.dims == DIMENSION_NAMES
+        assert CONV7.dims == ("R", "S", "P", "Q", "C", "K", "N")
         assert CONV7.relevant_dims(TensorKind.WEIGHT) == ("R", "S", "C", "K")
         assert CONV7.relevant_dims(TensorKind.INPUT) == ("R", "S", "P", "Q", "C", "N")
         assert CONV7.relevant_dims(TensorKind.OUTPUT) == ("P", "Q", "K", "N")

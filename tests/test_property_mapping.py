@@ -20,7 +20,7 @@ from repro.arch import architecture_presets, simba_like
 from repro.mapping import MapSpace, mapping_from_dict, mapping_to_dict
 from repro.mapping.serialize import load_mapping, save_mapping
 from repro.model import CostModel
-from repro.workloads import Layer
+from repro.workloads import ProblemLayer, conv_layer
 from repro.workloads.prime import factorize
 
 ARCH = simba_like()
@@ -30,19 +30,10 @@ ARCH = simba_like()
 DIM_CHOICES = (1, 2, 3, 4, 5, 6, 7, 8, 12, 16)
 
 
-def random_layer(rng: random.Random) -> Layer:
+def random_layer(rng: random.Random) -> ProblemLayer:
     """Draw a random (possibly degenerate) convolution layer."""
     r = rng.choice((1, 3, 5))
-    return Layer(
-        r=r,
-        s=r,
-        p=rng.choice(DIM_CHOICES),
-        q=rng.choice(DIM_CHOICES),
-        c=rng.choice(DIM_CHOICES),
-        k=rng.choice(DIM_CHOICES),
-        n=rng.choice((1, 2, 4)),
-        stride=rng.choice((1, 2)),
-    )
+    return conv_layer(r=r, p=rng.choice(DIM_CHOICES), c=rng.choice(DIM_CHOICES), k=rng.choice(DIM_CHOICES), stride=rng.choice((1, 2)), n=rng.choice((1, 2, 4)))
 
 
 class TestSamplingProperties:

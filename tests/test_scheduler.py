@@ -13,7 +13,7 @@ from repro.model import CostModel
 from repro.noc import NoCSimulator
 from repro.solver.scipy_backend import ScipyMilpBackend
 from repro.solver.solution import SolveStatus
-from repro.workloads import Layer, layer_from_name
+from repro.workloads import conv_layer, layer_from_name
 
 ARCH = simba_like()
 
@@ -31,7 +31,7 @@ class _CountingBackend(ScipyMilpBackend):
 class TestCoSAScheduler:
     def test_small_layer_end_to_end(self):
         scheduler = CoSAScheduler(ARCH)
-        result = scheduler.schedule(Layer(r=3, s=3, p=4, q=4, c=8, k=16, name="tiny"))
+        result = scheduler.schedule(conv_layer(r=3, p=4, c=8, k=16, name="tiny"))
         assert result.succeeded
         assert result.solve_time_seconds > 0
         assert result.stats.num_prime_factors == 13
@@ -39,7 +39,7 @@ class TestCoSAScheduler:
         assert cost.valid
 
     def test_objective_reported(self):
-        result = CoSAScheduler(ARCH).schedule(Layer(c=16, k=16))
+        result = CoSAScheduler(ARCH).schedule(conv_layer(r=1, p=1, c=16, k=16))
         assert result.objective is not None
         assert result.objective.total == pytest.approx(
             -result.objective.weights.utilization * result.objective.utilization
@@ -48,14 +48,14 @@ class TestCoSAScheduler:
         )
 
     def test_schedule_network(self):
-        layers = [Layer(c=8, k=8, name="a"), Layer(p=4, k=16, name="b")]
+        layers = [conv_layer(r=1, p=1, c=8, k=8, name="a"), conv_layer(r=1, p=4, c=1, k=16, name="b", q=1)]
         network = SchedulingEngine(CoSAScheduler(ARCH)).schedule_network(layers)
         results = [outcome.detail for outcome in network.outcomes]
         assert len(results) == 2
         assert all(r.succeeded for r in results)
 
     def test_decoded_mapping_usable_by_noc_simulator(self):
-        result = CoSAScheduler(ARCH).schedule(Layer(r=3, s=3, p=4, q=4, c=8, k=16))
+        result = CoSAScheduler(ARCH).schedule(conv_layer(r=3, p=4, c=8, k=16))
         noc_result = NoCSimulator(ARCH).simulate(result.mapping)
         assert noc_result.latency > 0
 
@@ -69,7 +69,7 @@ class TestCoSAScheduler:
         assert result.mapping.total_spatial_product() >= 64
 
     def test_custom_weights_change_schedules(self):
-        layer = Layer(p=8, c=16, k=16)
+        layer = conv_layer(r=1, p=8, c=16, k=16, q=1)
         compute_heavy = CoSAScheduler(
             ARCH, weights=ObjectiveWeights(utilization=0.0, compute=10.0, traffic=0.1)
         ).schedule(layer)
@@ -108,7 +108,7 @@ class TestCoSAGPUScheduler:
 
     def test_gpu_schedule_respects_thread_limit(self):
         scheduler = CoSAGPUScheduler()
-        result = scheduler.schedule(Layer(p=16, c=32, k=64, name="gpu-tile"))
+        result = scheduler.schedule(conv_layer(r=1, p=16, c=32, k=64, name="gpu-tile", q=1))
         assert result.mapping is not None
         assert 1 <= result.threads_per_block <= 1024
         assert result.blocks >= 1
@@ -117,7 +117,7 @@ class TestCoSAGPUScheduler:
 
     def test_gpu_network_scheduling(self):
         network = SchedulingEngine(CoSAGPUScheduler()).schedule_network(
-            [Layer(c=16, k=32), Layer(p=8, k=64)]
+            [conv_layer(r=1, p=1, c=16, k=32), conv_layer(r=1, p=8, c=1, k=64, q=1)]
         )
         results = [outcome.detail for outcome in network.outcomes]
         assert len(results) == 2

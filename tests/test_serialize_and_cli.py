@@ -14,14 +14,14 @@ from repro.mapping.serialize import (
     mapping_to_dict,
     save_mapping,
 )
-from repro.workloads import Layer, layer_from_name
+from repro.workloads import conv_layer, layer_from_name
 
 ARCH = simba_like()
 
 
 class TestSerialization:
     def _mapping(self):
-        layer = Layer(r=3, s=3, p=4, q=4, c=8, k=16, name="roundtrip")
+        layer = conv_layer(r=3, p=4, c=8, k=16, name="roundtrip")
         return Mapping.from_factors(
             layer,
             temporal_factors=[{"R": 3, "S": 3, "P": 4, "Q": 4}, {"C": 8}, {}, {}, {"K": 4}, {}],

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.workloads import (
-    Layer,
     TensorKind,
     alexnet_layers,
     deepbench_layers,
@@ -18,7 +17,7 @@ from repro.workloads import (
     resnext50_layers,
     workload_suite,
 )
-from repro.workloads.layer import DIMENSION_NAMES, conv_layer
+from repro.workloads.layer import conv_layer
 from repro.workloads.problem import CONV7
 from repro.workloads.networks import figure1_layer, figure3_layer, figure4_layer, figure8_layer
 
@@ -61,33 +60,35 @@ class TestDivisorsAndFactorizations:
 
 class TestLayer:
     def test_bounds_and_macs(self):
-        layer = Layer(r=3, s=3, p=4, q=4, c=8, k=16, n=2)
+        layer = conv_layer(r=3, p=4, c=8, k=16, n=2)
         assert layer.bounds == {"R": 3, "S": 3, "P": 4, "Q": 4, "C": 8, "K": 16, "N": 2}
         assert layer.macs == 3 * 3 * 4 * 4 * 8 * 16 * 2
         assert layer.bound("k") == 16
 
     def test_input_dimensions_follow_sliding_window(self):
-        layer = Layer(r=3, s=3, p=14, q=14, c=4, k=4, stride=2)
-        width = (layer.p - 1) * layer.stride + layer.r
-        height = (layer.q - 1) * layer.stride + layer.s
+        layer = conv_layer(r=3, p=14, c=4, k=4, stride=2)
+        width = (layer.bound("P") - 1) * layer.stride + layer.bound("R")
+        height = (layer.bound("Q") - 1) * layer.stride + layer.bound("S")
         assert (width, height) == (29, 29)
-        assert layer.tensor_volume(TensorKind.INPUT) == layer.n * layer.c * width * height
+        assert layer.tensor_volume(TensorKind.INPUT) == (
+            layer.bound("N") * layer.bound("C") * width * height
+        )
 
     def test_tensor_volumes(self):
-        layer = Layer(r=1, s=1, p=7, q=7, c=32, k=64, n=1)
+        layer = conv_layer(r=1, p=7, c=32, k=64, n=1)
         assert layer.tensor_volume(TensorKind.WEIGHT) == 32 * 64
         assert layer.tensor_volume(TensorKind.OUTPUT) == 7 * 7 * 64
         assert layer.tensor_volume(TensorKind.INPUT) == 7 * 7 * 32
 
     def test_rejects_invalid_dimensions(self):
         with pytest.raises(ValueError):
-            Layer(r=0)
+            conv_layer(r=0, p=1, c=1, k=1, s=1)
         with pytest.raises(ValueError):
-            Layer(stride=0)
+            conv_layer(r=1, p=1, c=1, k=1, stride=0)
 
     def test_unknown_dimension_lookup(self):
         with pytest.raises(KeyError):
-            Layer().bound("Z")
+            conv_layer(r=1, p=1, c=1, k=1).bound("Z")
 
     def test_prime_factors_multiply_back(self):
         layer = layer_from_name("3_14_256_256_1")
@@ -98,8 +99,8 @@ class TestLayer:
     def test_canonical_name_roundtrip(self):
         layer = layer_from_name("3_7_512_512_2")
         assert layer.canonical_name == "3_7_512_512_2"
-        assert layer.r == layer.s == 3
-        assert layer.p == layer.q == 7
+        assert layer.bound("R") == layer.bound("S") == 3
+        assert layer.bound("P") == layer.bound("Q") == 7
         assert layer.stride == 2
 
     def test_fc_layer_detection(self):
@@ -135,7 +136,7 @@ class TestRelevance:
         assert CONV7.relevant_dims(TensorKind.INPUT) == ("R", "S", "P", "Q", "C", "N")
 
     def test_every_dimension_touches_some_tensor(self):
-        for dim in DIMENSION_NAMES:
+        for dim in CONV7.dims:
             assert any(CONV7.relevance(dim, t) for t in TensorKind)
 
 
@@ -158,7 +159,7 @@ class TestNetworks:
 
     def test_batch_size_propagates(self):
         for layer in resnet50_layers(batch=4):
-            assert layer.n == 4
+            assert layer.bound("N") == 4
 
     def test_unknown_network_raises(self):
         from repro.workloads.networks import _layers_for
@@ -171,7 +172,7 @@ class TestNetworks:
             layer_from_name("3_7_512")
 
     def test_motivation_layers(self):
-        assert figure1_layer().c == 256 and figure1_layer().p == 14
-        assert figure3_layer().k == 1024 and figure3_layer().c == 32
-        assert figure4_layer().r == 1 and figure4_layer().p == 16
+        assert figure1_layer().bound("C") == 256 and figure1_layer().bound("P") == 14
+        assert figure3_layer().bound("K") == 1024 and figure3_layer().bound("C") == 32
+        assert figure4_layer().bound("R") == 1 and figure4_layer().bound("P") == 16
         assert figure8_layer().canonical_name == "3_7_512_512_1"
