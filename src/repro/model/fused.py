@@ -24,10 +24,11 @@ an on-chip memory level:
   ``(sum + (R - 1) * max) / R`` — the classic software-pipeline bound that
   degrades to the serial sum at ``R = 1``.
 
-**Bit-exact fallback**: with ``fused=False``, a singleton group, or no
-pinnable edge, the reported totals are the plain left-to-right sums of the
-scalar per-operator results — the same floats the per-operator path
-produces, which the parity tests assert bit-for-bit.
+**Bit-exact fallback**: every result carries the plain left-to-right sums
+of the scalar per-operator results in its ``unfused_*`` fields — the same
+floats the per-operator path produces, which the parity tests assert
+bit-for-bit.  A singleton group, or one with no pinnable edge, reports
+exactly those sums as its totals.
 
 Edge rounds are read off the mappings themselves: an edge is *aligned* when
 producer and consumer agree on the DRAM-level temporal factor of every
@@ -198,11 +199,11 @@ class FusedCostModel:
         return rounds, True
 
     # -------------------------------------------------------------- evaluation
-    def evaluate_group(self, group, mappings, fused: bool = True) -> FusedGroupCost:
+    def evaluate_group(self, group, mappings) -> FusedGroupCost:
         """Evaluate ``group`` under per-operator ``mappings``.
 
-        ``fused=False`` (or a singleton group) reproduces the per-operator
-        sums bit-exactly.  Intermediates hand over at
+        The ``unfused_*`` fields (and, for a singleton group, the totals)
+        are the per-operator sums, bit-exactly.  Intermediates hand over at
         :func:`default_pin_level`.
         """
         mappings = list(mappings)
@@ -243,7 +244,7 @@ class FusedCostModel:
             latency=unfused_latency,
             energy=unfused_energy,
         )
-        if not fused or group.is_singleton:
+        if group.is_singleton:
             return cost
 
         pin = default_pin_level(self.accelerator)

@@ -165,7 +165,6 @@ def combine_group_details(
     group,
     batches: Sequence[MappingBatch],
     details: Sequence[BatchEvalDetail],
-    fused: bool = True,
     pin: int | None = None,
 ) -> BatchFusedResult:
     """Fuse per-operator :class:`BatchEvalDetail` views into group results.
@@ -237,7 +236,7 @@ def combine_group_details(
             per_op=results,
         )
 
-    if not fused or group.is_singleton or not group.edges:
+    if group.is_singleton or not group.edges:
         return finish(
             unfused_latency, unfused_energy, unfused_words, unfused_bytes,
             np.ones(B, dtype=np.int64),
@@ -417,9 +416,7 @@ class BatchFusedCostModel:
         self.accelerator = accelerator
         self.batch_model = BatchCostModel(accelerator)
 
-    def evaluate_group(
-        self, fused_batch: FusedMappingBatch, fused: bool = True
-    ) -> BatchFusedResult:
+    def evaluate_group(self, fused_batch: FusedMappingBatch) -> BatchFusedResult:
         """Evaluate every candidate group tiling of ``fused_batch`` at once."""
         pin = default_pin_level(self.accelerator)
         details = [
@@ -430,6 +427,5 @@ class BatchFusedCostModel:
             fused_batch.group,
             fused_batch.batches,
             details,
-            fused=fused,
             pin=pin,
         )

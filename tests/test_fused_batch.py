@@ -31,6 +31,7 @@ from repro.fusion.presets import (
     gpt2_small_block_plan,
 )
 from repro.fusion import schedule as fusion_schedule
+from repro.fusion.group import FusionGroup
 from repro.fusion.schedule import (
     MAX_CANDIDATES,
     _align_group,
@@ -41,6 +42,7 @@ from repro.fusion.schedule import (
 from repro.mapping.mapping import Mapping
 from repro.mapping.space import MapSpace
 from repro.model.batch import MappingBatch
+from repro.model.cost import CostModel
 from repro.model.fused import FusedCostModel
 from repro.model.fused_batch import (
     BatchFusedCostModel,
@@ -131,15 +133,24 @@ class TestBatchedParity:
     def test_unfused_view_matches_scalar(self):
         group = attention_block(seq=32, heads=2, head_dim=16)
         candidates = random_candidates(group, 8, seed=3)
-        scalar = FusedCostModel(ARCH)
+        per_op = CostModel(ARCH)
         batch = FusedMappingBatch.from_candidates(group, candidates)
-        result = BatchFusedCostModel(ARCH).evaluate_group(batch, fused=False)
-        assert result.num_edges == 0
-        assert not result.all_pinned.any()
+        result = BatchFusedCostModel(ARCH).evaluate_group(batch)
         for i, candidate in enumerate(candidates):
-            assert_candidate_matches_scalar(
-                scalar.evaluate_group(group, candidate, fused=False), result, i
-            )
+            costs = [per_op.evaluate(mapping) for mapping in candidate]
+            assert float(result.unfused_latency[i]) == sum(cost.latency for cost in costs)
+            assert float(result.unfused_energy[i]) == sum(cost.energy for cost in costs)
+        # A singleton group's totals are its one operator's, batched or not.
+        scalar = FusedCostModel(ARCH)
+        for j, layer in enumerate(group.layers):
+            solo = FusionGroup(name=f"solo_{j}", layers=(layer,))
+            solo_candidates = [[candidate[j]] for candidate in candidates]
+            solo_batch = FusedMappingBatch.from_candidates(solo, solo_candidates)
+            solo_result = BatchFusedCostModel(ARCH).evaluate_group(solo_batch)
+            assert solo_result.num_edges == 0
+            assert not solo_result.all_pinned.any()
+            for i, candidate in enumerate(solo_candidates):
+                assert_candidate_matches_scalar(scalar.evaluate_group(solo, candidate), solo_result, i)
 
     def test_mappings_round_trip_through_the_batch(self):
         group = attention_block(seq=32, heads=2, head_dim=16)

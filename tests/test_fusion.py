@@ -8,6 +8,7 @@ engine's fused network path with its per-group store reuse, and the API/CLI/stor
 surface (specs, payloads, registries, ``fused_hits``).
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -186,11 +187,11 @@ class TestFusedCostModel:
         mappings = self.solved(group)
         scalar = CostModel(ARCH)
         per_op = [scalar.evaluate(mapping) for mapping in mappings]
-        cost = FusedCostModel(ARCH).evaluate_group(group, mappings, fused=False)
+        cost = FusedCostModel(ARCH).evaluate_group(group, mappings)
         assert cost.valid
-        assert cost.latency == sum(result.latency for result in per_op)
-        assert cost.energy == sum(result.energy for result in per_op)
-        assert cost.num_pinned_edges == 0
+        assert [result.latency for result in cost.per_op] == [result.latency for result in per_op]
+        assert cost.unfused_latency == sum(result.latency for result in per_op)
+        assert cost.unfused_energy == sum(result.energy for result in per_op)
 
     def test_singleton_groups_take_the_unfused_path(self):
         layer = matmul(m=32, n=32, k=32)
@@ -298,8 +299,8 @@ class TestFusedScheduling:
         engine = cosa_engine()
         network = engine.schedule_network(list(group.layers), observer=None)
         mappings = [outcome.mapping for outcome in network.outcomes]
-        model = FusedCostModel(ARCH)
-        cost = model.evaluate_group(group, mappings, fused=False)
+        cost = FusedCostModel(ARCH).evaluate_group(group, mappings)
+        cost.edges = [dataclasses.replace(edge, pin_level=None) for edge in cost.edges]
         report = validate_fused_transfers(ARCH, group, mappings, cost)
         assert report["consistent"] is True
         for edge in report["edges"]:
