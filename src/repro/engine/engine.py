@@ -8,8 +8,8 @@ should not re-implement:
   pool (``jobs=N``) and reassembles results in input order.
 * **De-duplication** — equal layers (same problem, loop bounds and stride;
   the display name does not participate in
-  :class:`~repro.workloads.problem.ProblemLayer` equality) are solved once and the outcome is fanned back out to every
-  duplicate.
+  :class:`~repro.workloads.problem.ProblemLayer` equality) are solved once
+  and the outcome is fanned back out to every duplicate.
 * **Layer reuse** — with a :class:`~repro.api.store.ResultStore` attached,
   previously solved (layer, architecture, scheduler config) triples are
   served from its layer tier instead of re-running the MIP or search.  A

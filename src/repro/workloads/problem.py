@@ -285,7 +285,7 @@ class ProblemLayer:
         payload, so its keys and version-1 mapping files never change.
         """
         if self.problem is CONV7:
-            return {**{dim.lower(): bound for dim, bound in self.bounds.items()}, "stride": self.stride}
+            return {**{d.lower(): b for d, b in self.bounds.items()}, "stride": self.stride}
         return {
             "problem": self.problem.name,
             "bounds": {dim: bound for dim, bound in self.bounds.items()},

@@ -230,7 +230,8 @@ class TestPresets:
     def test_global_buffer_fanout_replicates_the_levels_below(self):
         arch = simba_like()
         gb = arch.hierarchy.index_of("GlobalBuffer")
-        analysis = self._below_global_buffer(arch, conv_layer(r=1, p=1, c=1, k=16), spatial={"K": 16})
+        layer = conv_layer(r=1, p=1, c=1, k=16)
+        analysis = self._below_global_buffer(arch, layer, spatial={"K": 16})
         assert [analysis.active_instances(i) for i in range(arch.num_memory_levels)] == (
             [16] * gb + [1, 1]
         )

@@ -161,7 +161,10 @@ class TestCostParityHandBuilt:
     def test_invalid_mappings_rejected_identically(self):
         oversized = make_mapping(ARCH, conv_layer(r=1, p=64, c=1, k=1), [{"P": 64, "Q": 64}])
         overfanout = make_mapping(
-            ARCH, conv_layer(r=1, p=1, c=1, k=32), [{}] * 6, spatial=[{}, {}, {}, {}, {"K": 32}, {}]
+            ARCH,
+            conv_layer(r=1, p=1, c=1, k=32),
+            [{}] * 6,
+            spatial=[{}, {}, {}, {}, {"K": 32}, {}],
         )
         inconsistent = make_mapping(ARCH, conv_layer(r=1, p=4, c=1, k=4, q=1), [{"P": 2, "K": 4}])
         valid = make_mapping(

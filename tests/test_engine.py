@@ -145,7 +145,12 @@ class TestEngineNetwork:
         assert hit.metrics["latency"] == CostModel(ARCH).evaluate(hit.mapping).latency
 
     def test_threads_match_serial_for_search(self):
-        layers = [conv_layer(r=1, p=1, c=8, k=8), conv_layer(r=1, p=4, c=1, k=16, q=1), conv_layer(r=1, p=1, c=16, k=4), conv_layer(r=1, p=8, c=4, k=1, q=1)]
+        layers = [
+            conv_layer(r=1, p=1, c=8, k=8),
+            conv_layer(r=1, p=4, c=1, k=16, q=1),
+            conv_layer(r=1, p=1, c=16, k=4),
+            conv_layer(r=1, p=8, c=4, k=1, q=1),
+        ]
         engine = SchedulingEngine(RandomScheduler(ARCH, num_valid=2))
         serial = engine.schedule_network(layers, jobs=1)
         threaded = engine.schedule_network(layers, jobs=4)
@@ -425,7 +430,10 @@ class TestLayerObserver:
             return original(layer)
 
         scheduler.schedule_outcome = traced
-        layers = [conv_layer(r=1, p=2, c=4, k=4, name="a", q=1), conv_layer(r=1, p=4, c=1, k=8, name="b", q=1)]
+        layers = [
+            conv_layer(r=1, p=2, c=4, k=4, name="a", q=1),
+            conv_layer(r=1, p=4, c=1, k=8, name="b", q=1),
+        ]
         engine.schedule_network(
             layers, observer=lambda r: trace.append(("report", r.layer.name))
         )
@@ -436,7 +444,10 @@ class TestLayerObserver:
     def test_suite_observer_covers_every_network(self):
         scheduler = RandomScheduler(ARCH, num_valid=1, seed=0)
         engine = SchedulingEngine(scheduler)
-        suite = {"one": [conv_layer(r=1, p=2, c=4, k=4, q=1)], "two": [conv_layer(r=1, p=4, c=1, k=8, q=1)]}
+        suite = {
+            "one": [conv_layer(r=1, p=2, c=4, k=4, q=1)],
+            "two": [conv_layer(r=1, p=4, c=1, k=8, q=1)],
+        }
         reports = []
         engine.schedule_suite(suite, observer=reports.append)
         assert [(r.network, r.index) for r in reports] == [("one", 0), ("two", 0)]

@@ -77,7 +77,8 @@ class TestHarnessEndToEnd:
             hybrid_max_evaluations=40,
             random_valid=2,
         )
-        comparison = compare_on_layer(conv_layer(r=3, p=4, c=8, k=16, name="tiny", s=1, q=1), config)
+        layer = conv_layer(r=3, p=4, c=8, k=16, name="tiny", s=1, q=1)
+        comparison = compare_on_layer(layer, config)
         assert comparison.random_value > 0
         assert comparison.hybrid_value > 0
         assert comparison.cosa_value > 0
@@ -91,7 +92,10 @@ class TestHarnessEndToEnd:
             hybrid_max_evaluations=30,
             random_valid=1,
         )
-        layers = [conv_layer(r=1, p=1, c=8, k=8, name="a"), conv_layer(r=1, p=4, c=1, k=16, name="b", q=1)]
+        layers = [
+            conv_layer(r=1, p=1, c=8, k=8, name="a"),
+            conv_layer(r=1, p=4, c=1, k=16, name="b", q=1),
+        ]
         summary = compare_on_network("tiny-net", layers, config)
         assert summary.label == "tiny-net"
         assert len(summary.comparisons) == 2

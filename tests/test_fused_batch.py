@@ -150,7 +150,9 @@ class TestBatchedParity:
             assert solo_result.num_edges == 0
             assert not solo_result.all_pinned.any()
             for i, candidate in enumerate(solo_candidates):
-                assert_candidate_matches_scalar(scalar.evaluate_group(solo, candidate), solo_result, i)
+                assert_candidate_matches_scalar(
+                    scalar.evaluate_group(solo, candidate), solo_result, i
+                )
 
     def test_mappings_round_trip_through_the_batch(self):
         group = attention_block(seq=32, heads=2, head_dim=16)

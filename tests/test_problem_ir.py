@@ -73,7 +73,7 @@ class TestConvParity:
         assert built.key_dict() == direct.key_dict() == loaded.key_dict() == {
             "r": 3, "s": 1, "p": 14, "q": 7, "c": 8, "k": 16, "n": 2, "stride": 2,
         }
-        assert built.canonical_name == direct.canonical_name == loaded.canonical_name == "3_14_8_16_2"
+        assert {layer.canonical_name for layer in (built, direct, loaded)} == {"3_14_8_16_2"}
         assert len({cache_key(layer, ARCH, scheduler) for layer in (built, direct, loaded)}) == 1
 
     def test_conv_relevance_table_matches_conv7(self):

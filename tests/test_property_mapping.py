@@ -33,7 +33,16 @@ DIM_CHOICES = (1, 2, 3, 4, 5, 6, 7, 8, 12, 16)
 def random_layer(rng: random.Random) -> ProblemLayer:
     """Draw a random (possibly degenerate) convolution layer."""
     r = rng.choice((1, 3, 5))
-    return conv_layer(r=r, p=rng.choice(DIM_CHOICES), c=rng.choice(DIM_CHOICES), k=rng.choice(DIM_CHOICES), stride=rng.choice((1, 2)), n=rng.choice((1, 2, 4)))
+    return conv_layer(
+        r=r,
+        s=r,
+        p=rng.choice(DIM_CHOICES),
+        q=rng.choice(DIM_CHOICES),
+        c=rng.choice(DIM_CHOICES),
+        k=rng.choice(DIM_CHOICES),
+        n=rng.choice((1, 2, 4)),
+        stride=rng.choice((1, 2)),
+    )
 
 
 class TestSamplingProperties:

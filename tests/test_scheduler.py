@@ -48,7 +48,10 @@ class TestCoSAScheduler:
         )
 
     def test_schedule_network(self):
-        layers = [conv_layer(r=1, p=1, c=8, k=8, name="a"), conv_layer(r=1, p=4, c=1, k=16, name="b", q=1)]
+        layers = [
+            conv_layer(r=1, p=1, c=8, k=8, name="a"),
+            conv_layer(r=1, p=4, c=1, k=16, name="b", q=1),
+        ]
         network = SchedulingEngine(CoSAScheduler(ARCH)).schedule_network(layers)
         results = [outcome.detail for outcome in network.outcomes]
         assert len(results) == 2
