@@ -4,7 +4,10 @@ Three layers of protection for the IR refactor:
 
 * **Conv parity** — a conv built by ``conv_layer``, by
   ``CONV7.layer`` or from a version-2 ``conv7`` mapping record is one layer:
-  equal, with one hash, key payload, canonical name and layer-tier key.
+  equal, with one hash, key payload, canonical name and layer-tier key.  A
+  conv parsed from its paper-style name and the same conv built from its
+  bounds agree bit-for-bit in footprints, MAC counts, scalar and batched
+  costs, sampled candidate streams and CoSA schedules.
   (``test_conv_identity.py`` pins those identities as literals, and the
   golden envelope tests in ``test_api_golden.py`` pin the conv pipeline
   end-to-end.)
@@ -75,6 +78,80 @@ class TestConvParity:
         }
         assert {layer.canonical_name for layer in (built, direct, loaded)} == {"3_14_8_16_2"}
         assert len({cache_key(layer, ARCH, scheduler) for layer in (built, direct, loaded)}) == 1
+
+    # Each paper-style name next to the bounds it spells out: R_P_C_K_Stride
+    # with S = R, Q = P and N = 1.
+    LAYERS = {
+        "3_56_64_64_1": ({"R": 3, "S": 3, "P": 56, "Q": 56, "C": 64, "K": 64, "N": 1}, 1),
+        "7_112_3_64_2": ({"R": 7, "S": 7, "P": 112, "Q": 112, "C": 3, "K": 64, "N": 1}, 2),
+        "1_28_512_128_1": ({"R": 1, "S": 1, "P": 28, "Q": 28, "C": 512, "K": 128, "N": 1}, 1),
+    }
+
+    def _pairs(self):
+        """A conv parsed from its name beside the same conv built by CONV7.layer."""
+        from repro.workloads.networks import layer_from_name
+
+        for name, (bounds, stride) in self.LAYERS.items():
+            yield layer_from_name(name), CONV7.layer(bounds, stride=stride, name=name)
+
+    def test_bounds_macs_and_volumes_match(self):
+        for parsed, direct in self._pairs():
+            assert parsed.problem is direct.problem is CONV7
+            assert parsed.bounds == direct.bounds
+            assert parsed.macs == direct.macs
+            for tensor in TensorKind:
+                assert parsed.tensor_volume(tensor) == direct.tensor_volume(tensor)
+            assert parsed.prime_factors() == direct.prime_factors()
+
+    def test_scalar_cost_results_are_bit_identical(self):
+        cost_model = CostModel(ARCH)
+        for parsed, direct in self._pairs():
+            rng_a, rng_b = random.Random(3), random.Random(3)
+            space_a = MapSpace(parsed, ARCH)
+            space_b = MapSpace(direct, ARCH)
+            for _ in range(20):
+                mapping_a = space_a.random_mapping(rng_a)
+                mapping_b = space_b.random_mapping(rng_b)
+                # Identical RNG consumption: the candidate streams agree.
+                assert mapping_a.summary() == mapping_b.summary()
+                cost_a = cost_model.evaluate(mapping_a)
+                cost_b = cost_model.evaluate(mapping_b)
+                assert cost_a.valid == cost_b.valid
+                if cost_a.valid:
+                    assert cost_a.latency == cost_b.latency
+                    assert cost_a.energy == cost_b.energy
+                    assert cost_a.utilization == cost_b.utilization
+
+    def test_batched_results_are_bit_identical(self):
+        from repro.model.batch import BatchCostModel, MappingBatch
+
+        batch_model = BatchCostModel(ARCH)
+        for parsed, direct in self._pairs():
+            draws_a = MapSpace(parsed, ARCH).sample_batch(64, random.Random(5))
+            draws_b = MapSpace(direct, ARCH).sample_batch(64, random.Random(5))
+            result_a = batch_model.evaluate_batch(MappingBatch.from_draws(draws_a))
+            result_b = batch_model.evaluate_batch(MappingBatch.from_draws(draws_b))
+            assert (result_a.valid == result_b.valid).all()
+            assert (result_a.latency == result_b.latency).all()
+            assert (result_a.energy == result_b.energy).all()
+
+    def test_cosa_produces_identical_schedules(self):
+        from repro.core.scheduler import CoSAScheduler
+
+        scheduler = CoSAScheduler(ARCH)
+        cost_model = CostModel(ARCH)
+        parsed = conv_layer(r=3, p=4, c=8, k=16)
+        direct = CONV7.layer(
+            {"R": 3, "S": 3, "P": 4, "Q": 4, "C": 8, "K": 16, "N": 1}, name="3_4_8_16_1"
+        )
+        result_a = scheduler.schedule(parsed)
+        result_b = scheduler.schedule(direct)
+        assert result_a.succeeded and result_b.succeeded
+        assert result_a.mapping.summary() == result_b.mapping.summary()
+        cost_a = cost_model.evaluate(result_a.mapping)
+        cost_b = cost_model.evaluate(result_b.mapping)
+        assert cost_a.latency == cost_b.latency
+        assert cost_a.energy == cost_b.energy
 
     def test_conv_relevance_table_matches_conv7(self):
         # Table IV of the paper: W is R,S,C,K; IA is R,S,P,Q,C,N; OA is P,Q,K,N.
