@@ -184,12 +184,24 @@ class TestFailureAndCancellation:
         assert first.state is JobState.DONE
 
     def test_result_timeout_on_queued_job(self):
-        slow = RunSpec.from_dict(COMPARE_SPEC)
+        # The first job holds the only worker at ``run_started`` until the
+        # assertion is done, so the second one is still queued however fast
+        # the first would run.
+        release = threading.Event()
+
+        def hold(event):
+            if isinstance(event, RunStarted):
+                release.wait(timeout=60)
+
         with SchedulingService(max_workers=1) as service:
-            service.submit(slow)
+            service.submit(RunSpec.from_dict(COMPARE_SPEC), on_event=hold)
             queued = service.submit(RunSpec.from_dict(SCHEDULE_SPEC))
-            with pytest.raises(JobTimeout, match="did not finish"):
-                queued.result(timeout=0.05)
+            try:
+                with pytest.raises(JobTimeout, match="did not finish"):
+                    queued.result(timeout=0.05)
+                assert queued.state is JobState.QUEUED
+            finally:
+                release.set()
 
     def test_cancel_finished_job_is_noop(self):
         with SchedulingService(max_workers=1) as service:
