@@ -24,7 +24,8 @@ The scheduling space is encoded as a prime-factor allocation problem
   smaller than a per-factor one,
 * the running-OR variables ``Y`` (Eq. 9), the "outside" indicators
   ``G[v, d]`` and the per-(tensor, dimension) traffic contributions
-  ``T[v, d]`` linearise the traffic-iteration term of Eq. 10,
+  ``T[v, d]`` linearise the traffic-iteration term of Eq. 10; a dimension
+  relevant to ``v`` bounds its ``T[v, d]`` directly, without ``G``,
 * for every tensor the NoC-boundary level does not store (weights on the
   Simba-like presets, whose weight buffer refills straight from DRAM), the
   binary ``B[v]`` marks a relevant temporal loop between that buffer and the

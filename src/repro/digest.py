@@ -18,7 +18,7 @@ import json
 #: Version of the results this code produces.  Both store keys carry it, so
 #: a store filled by code that produced other results refills.  A change that
 #: moves any mapping, envelope, golden or figure file bumps it.
-RESULTS_VERSION = 2
+RESULTS_VERSION = 3
 
 
 def canonical_json(payload) -> str:

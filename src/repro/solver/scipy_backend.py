@@ -46,7 +46,7 @@ def _load_core():
 #: Branch-and-bound nodes a MIP may explore before it stops with
 #: :attr:`SolveStatus.LIMIT` and its incumbent.  A count, not a time, so a
 #: result never depends on host speed; CoSA's largest ResNet-50 solve needs
-#: about 1,150.  A change that moves a result bumps ``RESULTS_VERSION``.
+#: about 1,430.  A change that moves a result bumps ``RESULTS_VERSION``.
 NODE_LIMIT = 10_000
 
 _core = _load_core()

@@ -17,7 +17,9 @@ from repro.core.objectives import (
     mapping_utilization,
 )
 from repro.core.variables import CoSAVariables
+from repro.solver import scipy_backend
 from repro.solver.model import MIPModel
+from repro.solver.scipy_backend import ScipyMilpBackend
 from repro.solver.solution import SolveStatus
 from repro.workloads import conv_layer, layer_from_name
 from repro.workloads.layer import TensorKind
@@ -209,6 +211,34 @@ class TestFormulationSolutions:
         assert len(formulation.variables.factors) == 2
         assert stats.num_variables > 0
         assert stats.num_constraints > 0
+
+
+class TestRootRelaxation:
+    """The LP relaxation bounds the MIP optimum closely, and the rows that tighten it cut nothing off.
+
+    Before the exact ``traffic_own`` rows the relaxation charged no traffic
+    iterations and its bound read 0.79 of the optimum on both layers.  The
+    pinned optima are the values the MIP reached before those rows too.
+    """
+
+    @staticmethod
+    def _relaxed_objective(model) -> float:
+        cost, lp = scipy_backend._lower(model)
+        lp.integrality_ = [scipy_backend._core.HighsVarType.kContinuous] * len(cost)
+        status, x, _ = ScipyMilpBackend()._attempt(lp, is_mip=False, presolve=True)
+        assert status == scipy_backend._Status.kOptimal
+        return float(cost @ x)
+
+    @pytest.mark.parametrize(
+        "name, optimum", [("3_14_32_32_2", 49.708416654013), ("1_14_64_128_2", 49.211017697581)]
+    )
+    def test_root_bound_is_within_two_percent_of_the_unchanged_optimum(self, name, optimum):
+        formulation = CoSAFormulation(layer_from_name(name), ARCH, capacity_fraction=0.8)
+        relaxed = self._relaxed_objective(formulation.model)
+        solution = formulation.solve()
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == pytest.approx(optimum, rel=1e-9)
+        assert relaxed >= 0.98 * solution.objective
 
 
 class TestMappingSideObjectives:

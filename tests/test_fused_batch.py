@@ -313,7 +313,7 @@ class TestFrontierAlignment:
         group = next(g for g in bert_base_block_plan().groups if not g.is_singleton)
         assert group.name == "bert_base_attention_128_h12"
         assert _group_key(engine, group.layers[0], group, 0) == (
-            "84464cd55b36dd6103869b32ee0da193b848cd3bac273de2eb2238b30a2c5f4c"
+            "6017bb448ce6f10e9ddbdcec15756e87a47a11ef8884091d962c513a5232e3d5"
         )
 
 
@@ -347,5 +347,5 @@ class TestEngineSpecFusionOptions:
         )
         assert legacy == plain
         assert spec_fingerprint(legacy) == (
-            "19b4f214ef29bb09d3f3321e0597edd4276e90276b4e08be93652613a89d8d8d"
+            "2bbff9db37dad1183c83223f7b1af11f869c34028b49792142d4e1e916418eed"
         )
