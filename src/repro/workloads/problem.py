@@ -37,6 +37,7 @@ Conventions
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from math import prod
 
@@ -145,6 +146,11 @@ class TensorProblem:
                 tuple(d for d in self.dims if not self.relevance(d, TensorKind.OUTPUT)),
             )
 
+    def __hash__(self) -> int:
+        # Equal problems have equal names, so the name alone is a consistent
+        # hash, and a layer's hash no longer walks the projection tables.
+        return hash(self.name)
+
     # -------------------------------------------------------------- relevance
     def projection(self, tensor: TensorKind) -> tuple:
         """The ordered projection terms of ``tensor``."""
@@ -192,14 +198,28 @@ class TensorProblem:
             )
 
     def layer(self, bounds: dict, stride: int = 1, name: str = "") -> "ProblemLayer":
-        """Instantiate the problem with concrete loop ``bounds``."""
+        """Instantiate the problem with concrete loop ``bounds``.
+
+        A bound is an integer or an integral float; anything else (``2.5``,
+        ``"3"``) raises ``ValueError`` naming its dimension.
+        """
         self.check_dims(bounds, where="bounds")
         return ProblemLayer(
             problem=self,
-            dim_bounds=tuple(int(bounds.get(dim, 1)) for dim in self.dims),
+            dim_bounds=tuple(_integral(dim, bounds.get(dim, 1)) for dim in self.dims),
             stride=stride,
             name=name,
         )
+
+
+def _integral(dim: str, value) -> int:
+    """``value`` as an ``int``, if it is an integer or an integral float."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+    raise ValueError(f"dimension {dim} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

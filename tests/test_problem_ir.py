@@ -23,6 +23,7 @@ import random
 
 import pytest
 
+from repro.api import problems
 from repro.arch.presets import simba_like
 from repro.mapping.mapping import Mapping
 from repro.mapping.serialize import mapping_from_dict, mapping_to_dict
@@ -276,6 +277,22 @@ class TestTensorProblem:
             MATMUL.layer({"M": 0})
         layer = MATMUL.layer({"M": 2})
         assert layer.bounds == {"M": 2, "N": 1, "K": 1, "B": 1}
+
+    def test_layer_constructor_rejects_non_integral_bounds(self):
+        with pytest.raises(ValueError, match="dimension M must be an integer, got 2.5"):
+            problems.create("matmul", m=2.5, n=4, k=4)
+        with pytest.raises(ValueError, match="dimension R must be an integer, got '3'"):
+            CONV7.layer({"R": "3", "P": 7})
+        with pytest.raises(ValueError, match="dimension P must be an integer, got 7.9"):
+            CONV7.layer({"R": 3, "P": 7.9})
+        # An integral float is still its integer.
+        assert CONV7.layer({"R": 3.0, "P": 7}) == CONV7.layer({"R": 3, "P": 7})
+
+    def test_problem_hash_is_consistent_with_equality(self):
+        copy = TensorProblem(CONV7.name, CONV7.dims, CONV7.projections)
+        assert copy == CONV7 and hash(copy) == hash(CONV7)
+        layer = copy.layer({"R": 3, "S": 3, "P": 7, "Q": 7, "C": 4, "K": 8})
+        assert {layer, conv_layer(r=3, p=7, c=4, k=8)} == {layer}
 
     def test_problem_layers_dedupe_by_value(self):
         a = matmul(m=4, n=4, k=4, name="first")
