@@ -4,10 +4,10 @@ The presets are ``baseline-4x4``, ``pe-8x8`` and ``large-buffers`` through
 ``CoSAScheduler``, and ``gpu-k80`` through ``CoSAGPUScheduler``.  Exits 1
 unless every layer's one MIP solve ends ``OPTIMAL`` (proven, gap 0) and
 decodes to a mapping the cost model accepts.  Prints one line per layer
-with a short digest of its mapping summary, then per preset the p50 and max
-time-to-solution and the largest branch-and-bound node count, so the margin
-to the solver's node cap (``repro.solver.scipy_backend.NODE_LIMIT``) stays
-visible.  The last line is one digest over every preset, layer, status,
+with a short digest of its mapping summary, then per preset the total, p50
+and max time-to-solution, the total branch-and-bound node count and the
+largest one, so the margin to the solver's node cap
+(``repro.solver.scipy_backend.NODE_LIMIT``) stays visible.  The last line is one digest over every preset, layer, status,
 node count and mapping (no times): two trees that print the same one
 produce byte-identical CoSA results on these presets.
 
@@ -65,8 +65,9 @@ def main() -> int:
                 failures.append(f"{preset}/{layer.canonical_name}")
         if seconds:
             print(
-                f"{preset}: {len(seconds)} layers, p50 {statistics.median(seconds):.2f} s, "
-                f"max {max(seconds):.2f} s, max {max(nodes)} nodes (limit {NODE_LIMIT:,})"
+                f"{preset}: {len(seconds)} layers, {sum(seconds):.2f} s and {sum(nodes)} nodes "
+                f"in total, p50 {statistics.median(seconds):.2f} s, max {max(seconds):.2f} s, "
+                f"max {max(nodes)} nodes (limit {NODE_LIMIT:,})"
             )
     print(f"combined digest {stable_digest(records)[:16]} over {len(records)} layers")
     if failures:
