@@ -7,9 +7,10 @@ decodes to a mapping the cost model accepts.  Prints one line per layer
 with a short digest of its mapping summary, then per preset the total, p50
 and max time-to-solution, the total branch-and-bound node count and the
 largest one, so the margin to the solver's node cap
-(``repro.solver.scipy_backend.NODE_LIMIT``) stays visible.  The last line is one digest over every preset, layer, status,
-node count and mapping (no times): two trees that print the same one
-produce byte-identical CoSA results on these presets.
+(``repro.solver.scipy_backend.NODE_LIMIT``) stays visible.  The last line
+is one digest over every preset, layer, status, node count and mapping (no
+times): two trees that print the same one produce byte-identical CoSA
+results on these presets.
 
 Run:  PYTHONPATH=src python scripts/check_cosa_solves.py
 """

@@ -148,7 +148,7 @@ class TensorProblem:
 
     def __hash__(self) -> int:
         # Equal problems have equal names, so the name alone is a consistent
-        # hash, and a layer's hash no longer walks the projection tables.
+        # hash, and hashing a layer does not walk the projection tables.
         return hash(self.name)
 
     # -------------------------------------------------------------- relevance

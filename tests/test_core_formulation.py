@@ -214,7 +214,7 @@ class TestFormulationSolutions:
 
 
 class TestRootRelaxation:
-    """The LP relaxation bounds the MIP optimum closely, and the rows that tighten it cut nothing off.
+    """The LP relaxation bounds the MIP optimum closely; its rows cut nothing off.
 
     Before the exact ``traffic_own`` rows the relaxation charged no traffic
     iterations and its bound read 0.79 of the optimum on both layers.  The
